@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc, fabs, log, exp, sqrt
 
+# The precision policy: every public entry point defaults to DEFAULT_PREC
+# bits, and theta and heights work at prec + GUARD_BITS internally.
+DEFAULT_PREC = 128
+GUARD_BITS = 64
+
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"

@@ -1,9 +1,8 @@
 """Unified command line front end.
 
 Matrices come and go as row-major JSON arrays of [re, im] decimal-string
-pairs; rationals as "p/q" strings; see docs/formats.md.  Exit code 0 means
-no check failed, 1 means at least one fail row, 2 means usage or input
-error.
+pairs; rationals as "p/q" strings.  Exit code 0 means no check failed, 1
+means at least one fail row, 2 means usage or input error.
 """
 from __future__ import annotations
 

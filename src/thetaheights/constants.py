@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, exp, factorial, log, pi, workprec
 
-from .certified import CertifiedReal
+from .certified import DEFAULT_PREC, CertifiedReal
 from .exactla import as_mpf
 from .siegel import SiegelPoint
 
-DEFAULT_PREC = 128
+# closed forms of a few dozen operations each, with a 64-ulp cushion per
+# result (_certify): 32 guard bits are plenty, unlike theta's long sums
 GUARD_BITS = 32
 
 # table outputs cap out where the 2^(g^3/4) term stops being printable sense

@@ -40,10 +40,6 @@ def as_mpf(x) -> mpf:
     return mpf(x)
 
 
-def mat_from(rows) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
@@ -59,10 +55,6 @@ def matmul(a: Mat, b: Mat) -> Mat:
 
 def matvec(a: Mat, v: Vec) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
 
 
 def inf_norm(a: Mat) -> Fraction:
@@ -107,10 +99,6 @@ def inverse(a: Mat) -> Mat:
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def solve(a: Mat, v: Vec) -> Vec:
-    return matvec(inverse(a), v)
 
 
 def _sqrt_upper(q: Fraction) -> Fraction:

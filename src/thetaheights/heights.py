@@ -24,13 +24,11 @@ from mpmath import (mp, mpf, mpc, agm, fabs, log, pi, polyroots, sqrt,
                     workprec)
 
 from . import constants
-from .certified import (CertifiedReal, PrecisionError, Verdict, certified_le)
+from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, PrecisionError,
+                        Verdict, certified_le)
 from .exactla import fraction_to_mpf
 from .siegel import ReductionResult, SiegelPoint, reduce_g1
 from .theta import ThetaCharacteristic, theta
-
-DEFAULT_PREC = 128
-GUARD_BITS = 64
 
 
 class ClaimsError(ValueError):

@@ -15,14 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from mpmath import mp, mpf, mpc, fabs, matrix, mnorm, workprec
 
+from .certified import DEFAULT_PREC
 from .exactla import (Mat, det, fraction_to_mpf, identity as frac_identity,
-                      inverse, ldl_pivots, matmul, mpf_to_fraction, transpose)
-
-DEFAULT_PREC = 128
+                      inverse, ldl_pivots, matmul, min_eig_lower_bound,
+                      mpf_to_fraction, transpose)
 
 
 class NumericalFailure(ArithmeticError):
@@ -34,6 +35,8 @@ class ReductionError(RuntimeError):
 
 
 def default_tol(prec: int) -> mpf:
+    # half the bits: act() accepts lam*tau + mu with condition number up to
+    # 2^((prec+32)/2), so reduced entries are only good to about that much
     return mpf(2) ** (-(prec // 2))
 
 
@@ -67,7 +70,8 @@ class SiegelPoint:
         return cls(1, ((mpf(z.real),),), ((mpf(z.imag),),))
 
     def entry(self, i: int, j: int) -> mpc:
-        return mpc(self.re[i][j], self.im[i][j])
+        """tau_ij exactly as stored, whatever mp.prec is."""
+        return mp.make_mpc((self.re[i][j]._mpf_, self.im[i][j]._mpf_))
 
     def to_mpmatrix(self) -> matrix:
         m = matrix(self.g, self.g)
@@ -76,14 +80,34 @@ class SiegelPoint:
                 m[i, j] = self.entry(i, j)
         return m
 
-    def im_fractions(self) -> Mat:
+    # Exact data of Y = Im tau, computed once per point (the point is frozen).
+
+    @cached_property
+    def _y(self) -> Mat:
         return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.im)
+
+    @cached_property
+    def y_inverse(self) -> Mat:
+        return inverse(self._y)
+
+    @cached_property
+    def y_min_eig_lower_bound(self) -> Fraction:
+        """Exact lower bound on the smallest eigenvalue of Y; nonpositive
+        when Y is not positive definite."""
+        return min_eig_lower_bound(self._y)
+
+    @cached_property
+    def y_det(self) -> Fraction:
+        return det(self._y)
+
+    def im_fractions(self) -> Mat:
+        return self._y
 
     def re_fractions(self) -> Mat:
         return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.re)
 
     def det_im(self) -> mpf:
-        return fraction_to_mpf(det(self.im_fractions()))
+        return fraction_to_mpf(self.y_det)
 
     def tau_complex(self) -> mpc:
         if self.g != 1:

@@ -3,8 +3,20 @@
 The series is truncated over the box ||n||_inf <= N; the Gaussian tail over
 the complement is bounded in closed form from an exact rational lower bound
 on the smallest eigenvalue of Im tau, so the reported error is a proven
-bound, not an estimate.  All rounding inside the box sum is accounted for by
-an explicit ulp budget at the working precision.
+bound, not an estimate.
+
+The box is summed row by row along the last coordinate (``_row_sum``).  The
+exponent of every term is pi*i times an exact dyadic rational, formed in
+Python integers from the exact entries of tau, z and the characteristic.
+Each row starts at its peak-magnitude term and walks outward with the
+recurrences t <- t*rho, rho <- rho*exp(2 pi i tau_gg) in Python-int fixed
+point; every multiplier has modulus <= 1, so rounding is never amplified.
+The ulp budget of the walk is derived in ``_row_sum`` and is part of the
+certified bound.
+
+The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
+det Y) are cached on the ``SiegelPoint``, so every characteristic and every
+z at one tau reuses them.
 """
 from __future__ import annotations
 
@@ -13,17 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from mpmath import mp, mpf, mpc, fabs, exp, log, pi, sqrt, workprec
-from mpmath.libmp import fzero
+from mpmath import mp, mpf, mpc, fabs, exp, fmul, log, pi, sqrt, workprec
+from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
+                          mpf_mul, round_nearest)
 
-from .certified import (CertifiedComplex, CertifiedReal, PrecisionError,
-                        Verdict, certified_le)
-from .exactla import (det, fraction_to_mpf, inverse, matvec,
-                      min_eig_lower_bound, mpf_to_fraction)
+from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
+                        CertifiedReal, PrecisionError, Verdict, certified_le)
+from .exactla import fraction_to_mpf, matvec, mpf_to_fraction
 from .siegel import SiegelPoint
 
-DEFAULT_PREC = 128
-GUARD_BITS = 64
 RADIUS_CAP = 4000
 
 
@@ -33,7 +43,8 @@ class ReduceFirstError(ArithmeticError):
 
 
 def default_tol(prec: int) -> mpf:
-    # 2^-80 at the default 128 bits
+    # 2^-80 at the default 128 bits: the sums run GUARD_BITS above prec, so
+    # the rounding budget stays far below this and the tail takes tol/2
     return mpf(2) ** (-(5 * prec) // 8)
 
 
@@ -78,6 +89,9 @@ class CosetSet:
 
 
 def coset_set(tau: SiegelPoint, r: int, prec: int = DEFAULT_PREC) -> CosetSet:
+    """The coset points, rounded to prec + GUARD_BITS.  The norm checks do
+    not evaluate theta at these rounded points: they use the exact identity
+    of ``_coset_chars``."""
     if r < 2 or r % 2 != 0:
         raise ValueError("level r must be an even integer >= 2")
     g = tau.g
@@ -89,6 +103,19 @@ def coset_set(tau: SiegelPoint, r: int, prec: int = DEFAULT_PREC) -> CosetSet:
                           for i in range(g))
                 reps.append(e)
     return CosetSet(r, tau, tuple(reps))
+
+
+def _coset_chars(g: int, r: int):
+    """The characteristic [b/r; a/r] of each coset point (a + tau b)/r, in
+    the order of ``coset_set``.  For every w,
+
+        ||theta||(tau, w + (a + tau b)/r)
+            = det(Y)^(1/4) exp(-pi Im w^T Y^-1 Im w) |theta[b/r; a/r](tau, w)|,
+
+    so a coset norm is a characteristic norm at w, with no rounded point."""
+    for a in itertools.product(range(r), repeat=g):
+        for b in itertools.product(range(r), repeat=g):
+            yield ThetaCharacteristic.from_integers(r, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +153,17 @@ def _normalize_inputs(tau, z, char):
     return z, den, a, b
 
 
-def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, Fraction]:
-    """(lambda_lb, xi, s): exact smallest-eigenvalue lower bound of Y, the
-    exact value y^T Y^-1 y, and ||m1 + Y^-1 y||_inf is completed by caller."""
-    y_mat = tau.im_fractions()
-    lam = min_eig_lower_bound(y_mat)
+def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
+    """(lambda_lb, xi, u): the exact smallest-eigenvalue lower bound of Y,
+    the exact value xi = y^T Y^-1 y and u = Y^-1 y, for y = Im z.  The Y data
+    are the point's cached exact data."""
+    lam = tau.y_min_eig_lower_bound
     if lam <= 0:
         raise ValueError("Im tau is not positive definite")
     y_vec = tuple(mpf_to_fraction(w.imag) for w in z)
-    yinv = inverse(y_mat)
-    u = matvec(yinv, y_vec)
+    if not any(y_vec):
+        return lam, Fraction(0), y_vec
+    u = matvec(tau.y_inverse, y_vec)
     xi = sum(a * b for a, b in zip(y_vec, u))
     return lam, xi, u
 
@@ -190,56 +218,157 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     return n
 
 
-def _box_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
-    """Deterministic lexicographic sum over the box, with cached integer
-    powers of the exponential bases.  Returns (value, sum of |terms|,
-    rounding-budget factor in ulps)."""
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x == m * 2^e exactly, for a raw finite mpf x."""
+    sign, man, e, _ = x
+    if not man:
+        if e:
+            raise ValueError("non-finite entry in tau or z")
+        return 0, 0
+    return (-int(man) if sign else int(man)), e
+
+
+def _fixed(x, frac_bits: int) -> int:
+    """The raw mpf x times 2^frac_bits, rounded down to an int (< 1 ulp)."""
+    m, e = _dyadic(x)
+    e += frac_bits
+    return m << e if e >= 0 else m >> -e
+
+
+def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
+    """Sum over the box ||n||_inf <= radius in rows along the last
+    coordinate.  Returns (value, rounding bound); call inside the working
+    precision p = mp.prec.
+
+    Exact exponents.  With v = n + m1 and nn = den*v = den*n + a, the term is
+    exp(pi i D(nn) / s) where s = den^2 2^-e0 and
+
+        D(nn) = sum_jk T_jk nn_j nn_k + 2 sum_j nn_j (den Z_j + b_j 2^-e0)
+
+    is a Gaussian integer: T = tau 2^-e0 and Z = z 2^-e0 are the exact
+    entries scaled by the smallest binary exponent e0 <= 0.  On a row the
+    last coordinate x = den*k + a_h gives D = T_hh x^2 + 2 x L + G.  Its
+    peak-magnitude index is k* = clip(round(k_r), -R, R) with k_r the real
+    minimiser of Im D, and M = max over rows of -pi Im D(k*)/s is the common
+    exponent: every term is computed as t = exp(-M) * term, so |t| <= 1.
+    Every exponential is ``mpc_expjpi`` of an argument reduced exactly mod
+    2 in its real part, so |Im arg| <= pi and Re arg <= 0:
+
+    - the peak term of each row and the first ratio rho_0 outward on each
+      side (|rho_0| <= 1 because k* is the rounded or clipped peak) take one
+      exp each, and Q = exp(2 pi i tau_hh) one per call;
+    - each exp keeps the per-exp allowance of 8(5 + |arg|) ulps relative;
+      with |exp(arg)| = e^-x, x = -Re arg >= 0 and (a + x) e^-x <= a for
+      a >= 1, that is <= 8(5 + pi) < 66 ulps absolute; rounding it down to
+      p fractional bits adds < 1 ulp per component, so each starting value
+      is within eps = 68 * 2^-p of exact;
+    - the walk t <- t*rho, rho <- rho*Q runs in ints with p fractional bits;
+      each product, rounded down, costs <= 1 ulp per component, < 2 * 2^-p.
+
+    Budget of one row with sigma = eps + 2 * 2^-p = 70 * 2^-p: the ratio
+    error after j steps is d_j <= eps + j sigma (linear growth) and the term
+    error is e_j <= eps + sum_{i<j} (d_i + 2^(1-p)) <= sigma (1 + j(j+1)/2).
+    A direction of K steps thus costs (K + K(K+1)(K+2)/6) sigma, and since
+    this is convex in K, a row of 2R+1 terms costs at most
+    u_R = (1 + 2R + 2R(2R+1)(2R+2)/6) sigma.  Computed multipliers may
+    exceed modulus 1 by d_j or eps; that amplifies the row error by at most
+    exp(2R(2R+1) sigma) <= 1 + 2^-30 (R <= RADIUS_CAP, p >= GUARD_BITS).  A
+    row whose peak is below 2^-(p+1) is not walked: its 2R+1 terms together
+    are below u_R.  The integer accumulators are exact.
+
+    Back to mpc: each accumulator rounds once (2^-p relative), exp(M) costs
+    its allowance 8(5 + |M|) ulps relative, and the product rounds once
+    more, so
+
+        rounding <= (1 + 2^-30) (e^M rows u_R + |value| (8(5 + |M|) + 4) 2^-p)
+
+    with rows = (2R+1)^(g-1).
+    """
     g = tau.g
-    i_pi = mpc(0, 1) * pi
-    bases_q = {}
-    max_arg = mpf(0)
-    for j in range(g):
-        for k in range(j, g):
-            arg = i_pi * tau.entry(j, k) * (2 if j != k else 1) / (den * den)
-            bases_q[(j, k)] = exp(arg)
-            max_arg = max(max_arg, fabs(arg))
-    bases_l = []
-    for j in range(g):
-        arg = 2 * i_pi * (z[j] + mpf(b[j]) / den) / den
-        bases_l.append(exp(arg))
-        max_arg = max(max_arg, fabs(arg))
+    p = mp.prec
+    h = g - 1
 
-    pow_cache: dict[tuple, mpc] = {}
+    tr = [[_dyadic(x._mpf_) for x in row] for row in tau.re]
+    ti = [[_dyadic(x._mpf_) for x in row] for row in tau.im]
+    zr = [_dyadic(w._mpc_[0]) for w in z]
+    zi = [_dyadic(w._mpc_[1]) for w in z]
+    e0 = min([0] + [e for m, e in itertools.chain(*tr, *ti, zr, zi) if m])
 
-    def cpow(key, base, e):
-        k = (key, e)
-        v = pow_cache.get(k)
-        if v is None:
-            v = base ** e
-            pow_cache[k] = v
-        return v
+    def sc(d):
+        return d[0] << (d[1] - e0)
 
-    total = mpc(0)
-    sum_abs = mpf(0)
-    n_terms = 0
-    max_c = 1
-    for n in itertools.product(range(-radius, radius + 1), repeat=g):
-        nn = tuple(den * n[j] + a[j] for j in range(g))
-        term = mpc(1)
-        for j in range(g):
-            for k in range(j, g):
-                c = nn[j] * nn[k]
-                max_c = max(max_c, abs(c))
-                term *= cpow((j, k), bases_q[(j, k)], c)
-        for j in range(g):
-            term *= cpow(("l", j), bases_l[j], nn[j])
-        total += term
-        sum_abs += fabs(term)
-        n_terms += 1
-    n_factors = g * (g + 1) // 2 + g
-    ulp_budget = (n_factors * (2 * max_c.bit_length() + 8 * (5 + int(max_arg)))
-                  + n_terms + 16)
-    return total, sum_abs, ulp_budget
+    t = {(j, k): (sc(tr[j][k]), sc(ti[j][k])) for j in range(g) for k in range(j, g)}
+    one = 1 << -e0
+    zc = [(den * sc(zr[j]) + b[j] * one, den * sc(zi[j])) for j in range(g)]
+    s_den = den * den * one
+
+    def expjpi(num_re: int, num_im: int):
+        """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
+        as fixed-point ints."""
+        num_re = (num_re + s_den) % (2 * s_den) - s_den
+        ex, ey = mpc_expjpi((from_rational(num_re, s_den, p, round_nearest),
+                             from_rational(num_im, s_den, p, round_nearest)), p)
+        return _fixed(ex, p), _fixed(ey, p)
+
+    thr, thi = t[(h, h)]
+    rows = []
+    for pre in itertools.product(range(-radius, radius + 1), repeat=h):
+        nn = [den * pre[j] + a[j] for j in range(h)]
+        lr, li = zc[h]
+        gr = gi = 0
+        for j in range(h):
+            lr += t[(j, h)][0] * nn[j]
+            li += t[(j, h)][1] * nn[j]
+            gr += 2 * nn[j] * zc[j][0]
+            gi += 2 * nn[j] * zc[j][1]
+            for k in range(j, h):
+                c = (1 if j == k else 2) * nn[j] * nn[k]
+                gr += t[(j, k)][0] * c
+                gi += t[(j, k)][1] * c
+        # Im D is least at x = -li/thi, i.e. k_r = (-li - a_h thi)/(den thi)
+        k = (2 * (-li - a[h] * thi) + den * thi) // (2 * den * thi)
+        k = max(-radius, min(radius, k))
+        x = den * k + a[h]
+        rows.append((k, x, lr, li, thr * x * x + 2 * x * lr + gr,
+                     thi * x * x + 2 * x * li + gi))
+    d_min = min(row[5] for row in rows)
+
+    qr, qi = expjpi(2 * den * den * thr, 2 * den * den * thi)
+    skip = s_den * (p + 1)
+    sr = si = 0
+    for k, x, lr, li, dr, di in rows:
+        # peak below 2^-(p+1): pi y > (p+1) log 2 holds once 4y > p+1
+        if 4 * (di - d_min) > skip:
+            continue
+        peak_re, peak_im = expjpi(dr, di - d_min)
+        sr += peak_re
+        si += peak_im
+        for steps, ddr, ddi in (
+                (radius - k, thr * (2 * x * den + den * den) + 2 * den * lr,
+                 thi * (2 * x * den + den * den) + 2 * den * li),
+                (radius + k, thr * (den * den - 2 * x * den) - 2 * den * lr,
+                 thi * (den * den - 2 * x * den) - 2 * den * li)):
+            if not steps:
+                continue
+            rr, ri = expjpi(ddr, ddi)
+            ur, ui = peak_re, peak_im
+            for _ in range(steps):
+                ur, ui = (ur * rr - ui * ri) >> p, (ur * ri + ui * rr) >> p
+                sr += ur
+                si += ui
+                rr, ri = (rr * qr - ri * qi) >> p, (rr * qi + ri * qr) >> p
+
+    y_m = from_rational(d_min, s_den, p, round_nearest)
+    e_m = mpc_expjpi((fzero, y_m), p)[0]
+    value = mp.make_mpc((mpf_mul(from_man_exp(sr, -p, p, round_nearest), e_m, p, round_nearest),
+                         mpf_mul(from_man_exp(si, -p, p, round_nearest), e_m, p, round_nearest)))
+    k_max = 2 * radius
+    row_units = 70 * (1 + k_max + k_max * (k_max + 1) * (k_max + 2) // 6)
+    m_abs = fabs(pi * mp.make_mpf(y_m))
+    rounding = ((mp.make_mpf(e_m) * len(rows) * row_units
+                 + fabs(value) * (8 * (5 + m_abs) + 4))
+                * mpf(2) ** -p * (1 + mpf(2) ** -30))
+    return value, rounding
 
 
 def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
@@ -249,6 +378,8 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
 
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     the bound holds for that z, and the result does not depend on mp.prec."""
+    if not 0 <= radius <= RADIUS_CAP:
+        raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
     g = tau.g
     with workprec(prec + GUARD_BITS):
         z, den, a, b = _normalize_inputs(tau, z, char)
@@ -256,8 +387,8 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
         m1 = tuple(Fraction(x, den) for x in a)
         s = max(abs(m + w) for m, w in zip(m1, u))
         tail = _tail_bound(g, lam, xi, s, radius)
-        value, sum_abs, ulps = _box_sum(tau, z, den, a, b, radius)
-        err = tail + sum_abs * ulps * mpf(2) ** (1 - mp.prec)
+        value, rounding = _row_sum(tau, z, den, a, b, radius)
+        err = tail + rounding
     return CertifiedComplex(value, err)
 
 
@@ -276,8 +407,20 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
 
 
 def _det_y_root(tau: SiegelPoint, power: Fraction) -> CertifiedReal:
-    d = fraction_to_mpf(abs(det(tau.im_fractions())))
+    d = fraction_to_mpf(abs(tau.y_det))
     return CertifiedReal.rounded(d ** fraction_to_mpf(power))
+
+
+def _norm(tau: SiegelPoint, z, char, prec: int, tol) -> CertifiedReal:
+    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)|, y = Im z;
+    call inside the working-precision scope."""
+    zt, _, _, _ = _normalize_inputs(tau, z, None)
+    _, xi, _ = _tail_data(tau, zt)
+    th = theta(tau, zt, char, prec, tol).abs()
+    scale = _det_y_root(tau, Fraction(1, 4))
+    if xi:
+        scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
+    return scale * th
 
 
 def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
@@ -287,20 +430,14 @@ def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     the bound holds for that z, and the result does not depend on mp.prec."""
     with workprec(prec + GUARD_BITS):
-        zt, _, _, _ = _normalize_inputs(tau, z, None)
-        _, xi, _ = _tail_data(tau, zt)
-        th = theta(tau, zt, None, prec, tol).abs()
-        root = _det_y_root(tau, Fraction(1, 4))
-        gauss = CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-        return root * gauss * th
+        return _norm(tau, z, None, prec, tol)
 
 
 def theta_norm_char(tau: SiegelPoint, char: ThetaCharacteristic,
                     prec: int = DEFAULT_PREC, tol=None) -> CertifiedReal:
     """det(Y)^(1/4) |theta_(m1,m2)(tau, 0)|; the norm is only needed at z = 0."""
     with workprec(prec + GUARD_BITS):
-        th = theta(tau, None, char, prec, tol).abs()
-        return _det_y_root(tau, Fraction(1, 4)) * th
+        return _norm(tau, None, char, prec, tol)
 
 
 def theta_null_vector(tau: SiegelPoint, r: int,
@@ -324,18 +461,17 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
                tol=None) -> CertifiedReal:
     """-(1/2) log(2^(g/2) sum over the coset set of ||theta||^2(tau, rz+e)).
 
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec)
-    and the result does not depend on mp.prec.  The points r z + e are formed
-    at the working precision prec + GUARD_BITS, like the coset
-    representatives e themselves; the bound is for those points."""
+    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
+    r z is formed exactly, and each coset norm is the characteristic norm of
+    ``_coset_chars`` at r z, so the bound holds for the exact points r z + e
+    and the result does not depend on mp.prec."""
     g = tau.g
     with workprec(prec + GUARD_BITS):
         zt, _, _, _ = _normalize_inputs(tau, z, None)
-        cs = coset_set(tau, r, prec)
+        w = tuple(fmul(r, x, exact=True) for x in zt)
         total = CertifiedReal.exact(0)
-        for e in cs.representatives:
-            w = tuple(r * zt[i] + e[i] for i in range(g))
-            nv = theta_norm(tau, w, prec, tol)
+        for ch in _coset_chars(g, r):
+            nv = _norm(tau, w, ch, prec, tol)
             total = total + nv * nv
         if total.lo <= 0:
             raise PrecisionError("coset norm sum is below its error bound")
@@ -372,13 +508,16 @@ def _interval(lo: mpf, hi: mpf) -> CertifiedReal:
 def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
                        prec: int = DEFAULT_PREC, tol=None,
                        assume_reduced: bool = False) -> NormBoundsReport:
+    """The coset norms are the characteristic norms of ``_coset_chars`` at
+    w = 0, so the bounds hold for the exact coset points."""
     from . import constants
+    if r < 2 or r % 2 != 0:
+        raise ValueError("level r must be an even integer >= 2")
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        cs = coset_set(tau, r, prec)
         norms2 = []
-        for e in cs.representatives:
-            nv = theta_norm(tau, e, prec, tol)
+        for ch in _coset_chars(g, r):
+            nv = _norm(tau, None, ch, prec, tol)
             norms2.append(nv * nv)
         lhs = _interval(max(v.lo for v in norms2), max(v.hi for v in norms2))
         det_root = _det_y_root(tau, Fraction(1, 2))

@@ -60,8 +60,13 @@ def test_act_inversion_fixes_i():
 
 
 def test_act_translation():
-    out = act(sl2_t(1), sp([mpc(0.2, 1.6)]))
-    assert fabs(out.tau_complex() - mpc(1.2, 1.6)) < mpf(2) ** -100
+    # decimal inputs at 200 bits: the exact translate of the double 0.2 is
+    # 5.6e-17 away from the double 1.2
+    with workprec(200):
+        tau = sp([mpc("0.2", "1.6")])
+    out = act(sl2_t(1), tau)
+    with workprec(200):
+        assert fabs(out.tau_complex() - mpc("1.2", "1.6")) < mpf(2) ** -100
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,6 +120,22 @@ def test_reduce_g1_hand_case():
     assert res.certificate.word == (("T", -1), ("S",), ("T", -1))
     expected = sl2_t(-1).compose(sl2_s()).compose(sl2_t(-1))
     assert res.gamma == expected
+
+
+def test_entry_reads_the_stored_point_at_any_global_precision():
+    with workprec(200):
+        tau = sp([mpc("0.7", "0.4")])
+    reduced = reduce_g1(tau).reduced
+    saved = mp.prec
+    try:
+        mp.prec = 53
+        at_53 = reduced.tau_complex()
+        mp.prec = 200
+        at_200 = reduced.tau_complex()
+    finally:
+        mp.prec = saved
+    assert at_53 == at_200
+    assert at_53.real == reduced.re[0][0] and at_53.imag == reduced.im[0][0]
 
 
 def test_reduce_g1_pure_translation():

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,12 @@ def test_reduce_first_signal():
     tau = SiegelPoint.from_complex(mpc(0, mpf(10) ** -6))
     with pytest.raises(ReduceFirstError):
         theta(tau, prec=128)
+
+
+def test_truncation_radius_validation():
+    for radius in (-1, 4001):
+        with pytest.raises(ValueError):
+            theta_truncated(TAU_I, radius=radius)
 
 
 def test_characteristic_validation():
@@ -314,3 +321,91 @@ def test_verify_duplication_g2_diagonal():
                 for a in (0, 1) for b in (0, 1))
         # diagonal tau: F factorizes into the product of the g = 1 maxima
         assert fabs(rep.f_values[0].value - f * g) < mpf(10) ** -18
+
+
+def _engine_cases():
+    """Seeded (tau, z, char) cases at g = 2 and g = 3: characteristics of
+    level 2, 4 and 6, skewed Y, and z = a + tau b with |b| up to 3, so that
+    terms exceed 1 and, with the skew, row peaks leave the box."""
+    cases = []
+    for k in range(15):
+        rng = random.Random(3100 + k)
+        g = 2 if k < 11 else 3
+        den = (2, 4, 6)[k % 3]
+        if g == 2:
+            # Y = [[y0, c], [c, y1]] with c close to sqrt(y0 y1): strongly skewed
+            y0, y1 = rng.uniform(0.6, 4.0), rng.uniform(0.6, 1.5)
+            c = rng.choice((-1, 1)) * rng.uniform(0.5, 0.9) * (y0 * y1) ** 0.5
+            x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
+            with workprec(200):
+                off = mpc(mpf(x[2]), mpf(c))
+                tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
+                                             [off, mpc(mpf(x[1]), mpf(y1))]])
+        else:
+            tau = sampling.random_siegel_point(rng, g)
+        span = 3.0 if k % 2 else 0.5
+        a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
+        b = [rng.uniform(-span, span) for _ in range(g)]
+        with workprec(200):
+            z = [mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j]) for j in range(g))
+                 for i in range(g)]
+        char = ThetaCharacteristic.from_integers(
+            den, [rng.randrange(den) for _ in range(g)],
+            [rng.randrange(den) for _ in range(g)])
+        cases.append((tau, z, char))
+    return cases
+
+
+def _clipped_rows(tau, z, char, radius) -> int:
+    """Rows of the box whose peak along the last coordinate lies outside it."""
+    g = tau.g
+    y = [[float(tau.im[i][j]) for j in range(g)] for i in range(g)]
+    yz = [float(w.imag) for w in z]
+    m1 = [float(x) for x in char.m1]
+    count = 0
+    for pre in itertools.product(range(-radius, radius + 1), repeat=g - 1):
+        v = [pre[j] + m1[j] for j in range(g - 1)]
+        peak = -(sum(y[g - 1][j] * v[j] for j in range(g - 1)) + yz[g - 1]) / y[g - 1][g - 1]
+        count += abs(peak - m1[g - 1]) > radius + 0.5
+    return count
+
+
+def test_row_engine_matches_brute_oracle_on_the_same_box():
+    # the brute sum over the same box differs only by rounding, so the
+    # certified bound must cover it; at prec 8 the rounding budget dominates
+    clipped = big_terms = 0
+    for tau, z, char in _engine_cases():
+        g = tau.g
+        prec = 96 if g == 2 else 64
+        radius = choose_radius(tau, z, char, prec)
+        with workprec(200):
+            ref = theta_brute([[tau.entry(i, j) for j in range(g)] for i in range(g)],
+                              z, char.m1, char.m2, n=radius)
+        for v in (theta(tau, z, char, prec), theta_truncated(tau, z, char, radius, 8)):
+            with workprec(200):
+                assert fabs(v.value - ref) <= v.err
+        clipped += _clipped_rows(tau, z, char, radius) > 0
+        big_terms += fabs(ref) > 10
+    assert clipped >= 3 and big_terms >= 3
+
+
+def test_public_results_independent_of_global_precision():
+    with workprec(200):
+        tau = SiegelPoint.from_rows([[mpc("0.1", "1.1"), mpc("0.2", "0.3")],
+                                     [mpc("0.2", "0.3"), mpc("-0.2", "1.3")]])
+        z = [mpc("0.3", "0.2") / 3, mpc("-0.1", "0.4") / 7]
+    char = ThetaCharacteristic.from_integers(4, [1, 2], [3, 0])
+
+    def evaluate():
+        return (theta(tau, z, char, prec=96), theta_norm(tau, z, prec=96),
+                verify_norm_bounds(tau, 2, z, prec=96, assume_reduced=True))
+
+    saved = mp.prec
+    try:
+        results = []
+        for prec in (53, 128, 256):
+            mp.prec = prec
+            results.append(evaluate())
+    finally:
+        mp.prec = saved
+    assert results[0] == results[1] == results[2]
