@@ -289,41 +289,11 @@ def _match_lambda(curve: EllipticCurveQ, t2, t3, prec: int) -> Fraction:
     return matches[0]
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _finite_part(lam: Fraction) -> CertifiedReal:
-    """sum over p of log max(1, |lam|_p^(1/4), |1-lam|_p^(1/4)), exactly the
-    fourth root of the denominator contribution."""
-    total = CertifiedReal.exact(0)
-    seen = set()
-    for q in (lam, 1 - lam):
-        for p, _ in _prime_factors(q.denominator).items():
-            if p in seen:
-                continue
-            seen.add(p)
-            vp = max(_padic_valuation(lam.denominator, p),
-                     _padic_valuation((1 - lam).denominator, p))
-            total = total + CertifiedReal.rounded(mpf(vp) * log(p) / 4)
-    return total
-
-
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
+    """sum over p of log max(1, |lam|_p^(1/4), |1-lam|_p^(1/4)).  lam and
+    1 - lam have the same reduced denominator, so the sum is exactly
+    log(den lam) / 4."""
+    return CertifiedReal.rounded(log(lam.denominator) / 4)
 
 
 def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice | None,

@@ -1,11 +1,17 @@
 """Full-rank lattices in Q^n over Z, and the index-based distance on them.
 
-Everything is exact integer/rational arithmetic; no floating point enters
-any index computation.  Lattices are stored in a canonical column-style
-Hermite normal form (lower triangular, positive pivots, entries left of each
-pivot reduced modulo it) over a minimal global denominator, so equal
-lattices have identical representations and the metric axioms can be tested
-as identities.
+Everything is exact integer arithmetic; no floating point enters any index
+computation.  Lattices are stored in a canonical column-style Hermite normal
+form (lower triangular, positive pivots, entries left of each pivot reduced
+modulo it) over a minimal global denominator, so equal lattices have
+identical representations and the metric axioms can be tested as
+identities.
+
+The index [L1 + L2 : L1 cap L2] comes from one HNF of the sum by the second
+isomorphism theorem, [L1 + L2 : L1 cap L2] = det L1 det L2 / det(L1 + L2)^2
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+``delta_exact`` is its independent oracle: the intersection by duality, and
+the index as a determinant ratio checked against SNF divisors.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Mat, inverse as frac_inverse, transpose
+from .exactla import Mat
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -158,60 +164,73 @@ class IntegerLattice:
         """Rows of a (possibly rational, possibly rectangular n x m) matrix
         whose columns generate the lattice."""
         rr = [[Fraction(x) for x in row] for row in rows]
-        n = len(rr)
-        if n == 0 or any(len(r) == 0 for r in rr):
+        if not rr or any(len(r) == 0 for r in rr):
             raise LatticeError("empty basis")
-        den = 1
-        for row in rr:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [[int(x * den) for x in row] for row in rr]
-        h = hnf_columns(ints)
-        content = den
-        for row in h:
-            for x in row:
-                content = math.gcd(content, abs(x))
-        if content > 1:
-            h = [[x // content for x in row] for row in h]
-            den //= content
-        return cls(n, tuple(tuple(r) for r in h), den)
+        den = math.lcm(*(x.denominator for row in rr for x in row))
+        return _from_ints([[x.numerator * (den // x.denominator) for x in row]
+                           for row in rr], den)
 
     def basis_fractions(self) -> Mat:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def det(self) -> Fraction:
-        d = Fraction(1)
-        for i in range(self.n):
-            d *= self.num[i][i]
-        return d / Fraction(self.den) ** self.n
+        return Fraction(_diag_product(self.num), self.den ** self.n)
 
     def contains(self, vec) -> bool:
-        """Exact membership: basis^-1 vec integral (forward substitution on
-        the lower-triangular HNF)."""
+        """Exact membership: basis^-1 vec integral (integer forward
+        substitution on the lower-triangular HNF)."""
         v = [Fraction(x) * self.den for x in vec]
-        x = [Fraction(0)] * self.n
-        for i in range(self.n):
-            s = v[i] - sum(self.num[i][j] * x[j] for j in range(i))
-            xi = s / self.num[i][i]
-            x[i] = xi
-        return all(q.denominator == 1 for q in x)
+        if any(q.denominator != 1 for q in v):
+            return False
+        return _solve(self.num, [q.numerator for q in v]) is not None
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
-        cols = list(zip(*other.basis_fractions()))
-        return all(self.contains(c) for c in cols)
+        return _transition_matrix(self, other) is not None
 
     def scaled(self, k: int) -> "IntegerLattice":
         if k <= 0:
             raise LatticeError("scale factor must be a positive integer")
-        return IntegerLattice.from_rows(
-            [[Fraction(x * k, self.den) for x in row] for row in self.num])
+        return _from_ints([[x * k for x in row] for row in self.num], self.den)
 
     def transformed(self, u: IntRows) -> "IntegerLattice":
         """Image under an ambient unimodular change of basis."""
-        b = self.basis_fractions()
-        rows = [[sum(Fraction(u[i][k]) * b[k][j] for k in range(self.n))
-                 for j in range(self.n)] for i in range(self.n)]
-        return IntegerLattice.from_rows(rows)
+        n = self.n
+        return _from_ints([[sum(u[i][k] * self.num[k][j] for k in range(n))
+                            for j in range(n)] for i in range(n)], self.den)
+
+
+def _from_ints(ints, den: int) -> IntegerLattice:
+    """Canonical form of the lattice generated by the columns of ints/den,
+    for an integer matrix ``ints`` of full row rank and ``den`` > 0."""
+    h = hnf_columns(ints)
+    content = den
+    for row in h:
+        for x in row:
+            content = math.gcd(content, x)
+    if content > 1:
+        h = [[x // content for x in row] for row in h]
+        den //= content
+    return IntegerLattice(len(h), tuple(tuple(r) for r in h), den)
+
+
+def _diag_product(h) -> int:
+    p = 1
+    for i, row in enumerate(h):
+        p *= row[i]
+    return p
+
+
+def _solve(h: IntRows, b) -> list[int] | None:
+    """The x with h x = b, for lower-triangular integer h with positive
+    pivots and an integer vector b, by forward substitution in integers;
+    None as soon as a division is inexact (x is not integral)."""
+    x: list[int] = []
+    for row, bi in zip(h, b):
+        q, r = divmod(bi - sum(a * xk for a, xk in zip(row, x)), row[len(x)])
+        if r:
+            return None
+        x.append(q)
+    return x
 
 
 def hnf(rows) -> IntegerLattice:
@@ -219,20 +238,53 @@ def hnf(rows) -> IntegerLattice:
     return IntegerLattice.from_rows(rows)
 
 
-def lattice_sum(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:
+def _sum_generators(l1: IntegerLattice, l2: IntegerLattice):
+    """([B1 f1 | B2 f2], d, f1, f2): integer generators of L1 + L2 over the
+    common denominator d = lcm(den1, den2), with fi = d / deni."""
     if l1.n != l2.n:
         raise LatticeError("ambient dimension mismatch")
-    d = l1.den * l2.den // math.gcd(l1.den, l2.den)
+    d = math.lcm(l1.den, l2.den)
     f1 = d // l1.den
     f2 = d // l2.den
     rows = [[x * f1 for x in r1] + [x * f2 for x in r2]
             for r1, r2 in zip(l1.num, l2.num)]
-    return IntegerLattice.from_rows(
-        [[Fraction(x, d) for x in row] for row in rows])
+    return rows, d, f1, f2
+
+
+def lattice_sum(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:
+    rows, d, _, _ = _sum_generators(l1, l2)
+    return _from_ints(rows, d)
+
+
+def index(l1: IntegerLattice, l2: IntegerLattice) -> int:
+    """[L1 + L2 : L1 cap L2] = det L1 det L2 / det(L1 + L2)^2, from one HNF.
+
+    Over the common denominator d the three determinants are those of the
+    integer matrices B1 f1, B2 f2 and H, the HNF of [B1 f1 | B2 f2], so the
+    index is det(B1 f1) det(B2 f2) / det(H)^2; a remainder raises."""
+    rows, _, f1, f2 = _sum_generators(l1, l2)
+    h = hnf_columns(rows)
+    n = l1.n
+    num = _diag_product(l1.num) * f1 ** n * _diag_product(l2.num) * f2 ** n
+    card, rem = divmod(num, _diag_product(h) ** 2)
+    if rem:
+        raise InvariantBreach("determinant-identity index is not an integer")
+    return card
 
 
 def dual(l: IntegerLattice) -> IntegerLattice:
-    return IntegerLattice.from_rows(transpose(frac_inverse(l.basis_fractions())))
+    """The dual lattice: for the basis B = H/den its basis is
+    (B^-1)^T = den adj(H)^T / det H."""
+    h = l.num
+    d = _diag_product(h)
+    # column j of adj(H) = d H^-1 solves H x = d e_j; it is integral, so
+    # every step of the forward substitution divides exactly
+    adj_cols = [_solve(h, [d if i == j else 0 for i in range(l.n)])
+                for j in range(l.n)]
+    if None in adj_cols:
+        raise InvariantBreach("adjugate of the HNF is not integral")
+    # the rows of adj(H)^T are the columns of adj(H)
+    return _from_ints([[l.den * x for x in col] for col in adj_cols], d)
 
 
 def intersect(l1: IntegerLattice, l2: IntegerLattice) -> IntegerLattice:
@@ -249,41 +301,45 @@ def quotient_card(l_sub: IntegerLattice, l_sup: IntegerLattice) -> int:
     """Index [L_sup : L_sub], computed as a determinant ratio and
     cross-checked against the product of SNF elementary divisors of the
     transition matrix on every call."""
-    if not l_sup.contains_lattice(l_sub):
-        raise LatticeError("first argument is not a sublattice of the second")
-    ratio = abs(l_sub.det() / l_sup.det())
-    if ratio.denominator != 1:
-        raise InvariantBreach("sublattice index is not an integer")
-    index = int(ratio)
     trans = _transition_matrix(l_sup, l_sub)
-    divisors = snf_divisors(trans)
-    prod = 1
-    for d in divisors:
-        prod *= d
-    if prod != index:
-        raise InvariantBreach(
-            f"determinant-ratio index {index} disagrees with SNF product {prod}")
-    return index
-
-
-def _transition_matrix(l_sup: IntegerLattice, l_sub: IntegerLattice) -> list[list[int]]:
-    t = frac_inverse(l_sup.basis_fractions())
-    b = l_sub.basis_fractions()
+    if trans is None:
+        raise LatticeError("first argument is not a sublattice of the second")
     n = l_sup.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q = sum(t[i][k] * b[k][j] for k in range(n))
-            if q.denominator != 1:
-                raise InvariantBreach("transition matrix is not integral")
-            row.append(int(q))
-        out.append(row)
-    return out
+    card, rem = divmod(_diag_product(l_sub.num) * l_sup.den ** n,
+                       _diag_product(l_sup.num) * l_sub.den ** n)
+    if rem:
+        raise InvariantBreach("sublattice index is not an integer")
+    prod = 1
+    for d in snf_divisors(trans):
+        prod *= d
+    if prod != card:
+        raise InvariantBreach(
+            f"determinant-ratio index {card} disagrees with SNF product {prod}")
+    return card
+
+
+def _transition_matrix(l_sup: IntegerLattice,
+                       l_sub: IntegerLattice) -> list[list[int]] | None:
+    """The T with B_sup T = B_sub, that is H_sup T = (den_sup / den_sub) H_sub,
+    or None when T is not integral (L_sub is not inside L_sup)."""
+    cols = []
+    for col in zip(*l_sub.num):
+        rhs = []
+        for c in col:
+            q, rem = divmod(l_sup.den * c, l_sub.den)
+            if rem:
+                return None
+            rhs.append(q)
+        x = _solve(l_sup.num, rhs)
+        if x is None:
+            return None
+        cols.append(x)
+    return [list(r) for r in zip(*cols)]
 
 
 def delta_exact(l1: IntegerLattice, l2: IntegerLattice):
-    """(sum, intersection, exact index of the intersection in the sum)."""
+    """(sum, intersection, exact index of the intersection in the sum),
+    the intersection by duality: the independent oracle of ``index``."""
     s = lattice_sum(l1, l2)
     i = intersect(l1, l2)
     return s, i, quotient_card(i, s)
@@ -291,8 +347,7 @@ def delta_exact(l1: IntegerLattice, l2: IntegerLattice):
 
 def delta(l1: IntegerLattice, l2: IntegerLattice) -> float:
     """log Card((L1 + L2)/(L1 cap L2)); the degree prefactor is 1 over Q."""
-    _, _, index = delta_exact(l1, l2)
-    return math.log(index)
+    return math.log(index(l1, l2))
 
 
 @dataclass(frozen=True)
@@ -310,9 +365,8 @@ def scaling_invariance_check(l1: IntegerLattice, l2: IntegerLattice, k: int,
                              u: IntRows | None = None) -> ScalingInvarianceReport:
     """delta is unchanged by a simultaneous unimodular ambient change of
     basis and by simultaneous scaling, exactly."""
-    _, _, before = delta_exact(l1, l2)
     if u is None:
         u = tuple(tuple(1 if i == j else 0 for j in range(l1.n)) for i in range(l1.n))
-    _, _, after_u = delta_exact(l1.transformed(u), l2.transformed(u))
-    _, _, after_k = delta_exact(l1.scaled(k), l2.scaled(k))
-    return ScalingInvarianceReport(before, after_u, after_k)
+    return ScalingInvarianceReport(index(l1, l2),
+                                   index(l1.transformed(u), l2.transformed(u)),
+                                   index(l1.scaled(k), l2.scaled(k)))

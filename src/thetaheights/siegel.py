@@ -19,6 +19,7 @@ from functools import cached_property
 from math import gcd
 
 from mpmath import mp, mpf, mpc, fabs, matrix, mnorm, workprec
+from mpmath.libmp import fzero
 
 from .certified import DEFAULT_PREC
 from .exactla import (Mat, det, fraction_to_mpf, identity as frac_identity,
@@ -40,6 +41,17 @@ def default_tol(prec: int) -> mpf:
     return mpf(2) ** (-(prec // 2))
 
 
+def as_mpc(x) -> mpc:
+    """x as an mpc without rounding: mpf and mpc entries keep their exact
+    value (``mpc(x)`` would round them to mp.prec); ints, floats and strings
+    are converted at the precision of the enclosing ``workprec``."""
+    if isinstance(x, mpc):
+        return x
+    if isinstance(x, mpf):
+        return mp.make_mpc((x._mpf_, fzero))
+    return mpc(x)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -52,22 +64,23 @@ class SiegelPoint:
 
     @classmethod
     def from_rows(cls, rows) -> "SiegelPoint":
+        """tau from its rows; entries are taken as ``as_mpc`` takes them, so
+        mpf and mpc entries are stored exactly, whatever mp.prec is."""
         g = len(rows)
         re = []
         im = []
         for row in rows:
             if len(row) != g:
                 raise ValueError("tau must be square")
-            ze = [mpc(x) for x in row]
-            re.append(tuple(mpf(z.real) for z in ze))
-            im.append(tuple(mpf(z.imag) for z in ze))
+            ze = [as_mpc(x)._mpc_ for x in row]
+            re.append(tuple(mp.make_mpf(z[0]) for z in ze))
+            im.append(tuple(mp.make_mpf(z[1]) for z in ze))
         return cls(g, tuple(re), tuple(im))
 
     @classmethod
     def from_complex(cls, tau) -> "SiegelPoint":
         """g = 1 convenience constructor."""
-        z = mpc(tau)
-        return cls(1, ((mpf(z.real),),), ((mpf(z.imag),),))
+        return cls.from_rows([[tau]])
 
     def entry(self, i: int, j: int) -> mpc:
         """tau_ij exactly as stored, whatever mp.prec is."""

@@ -32,7 +32,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                         CertifiedReal, PrecisionError, Verdict, certified_le)
 from .exactla import fraction_to_mpf, matvec, mpf_to_fraction
-from .siegel import SiegelPoint
+from .siegel import SiegelPoint, as_mpc
 
 RADIUS_CAP = 4000
 
@@ -122,24 +122,13 @@ def _coset_chars(g: int, r: int):
 # the certified series engine
 
 
-def _as_mpc(x) -> mpc:
-    """x as an mpc without rounding: mpf and mpc entries keep their exact
-    value (``mpc(x)`` would round them to mp.prec); ints, floats and strings
-    are converted at the precision of the enclosing ``workprec``."""
-    if isinstance(x, mpc):
-        return x
-    if isinstance(x, mpf):
-        return mp.make_mpc((x._mpf_, fzero))
-    return mpc(x)
-
-
 def _normalize_inputs(tau, z, char):
-    """Call inside the working-precision scope: see ``_as_mpc``."""
+    """Call inside the working-precision scope: see ``as_mpc``."""
     g = tau.g
     if z is None:
         z = tuple(mpc(0) for _ in range(g))
     else:
-        z = tuple(_as_mpc(x) for x in z)
+        z = tuple(as_mpc(x) for x in z)
         if len(z) != g:
             raise ValueError("z must have length g")
     if char is None:

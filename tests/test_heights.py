@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf, mpc, fabs, gamma, log, pi, sqrt, workprec
 
 from thetaheights.certified import CertifiedReal
+from thetaheights import heights
 from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
                                   faltings_height_g1, lambda_invariant,
                                   load_corpus, matrix_lemma_check, periods_agm,
@@ -204,3 +205,29 @@ def test_corpus_loads_and_claims():
         assert c.claims.minimal and c.claims.semistable
         import math
         assert math.gcd(int(c.c4), int(c.disc)) == 1
+
+
+def _finite_part_by_primes(lam: Fraction):
+    """sum over p of max(v_p(den lam), v_p(den(1 - lam))) log p / 4, with
+    the primes found by trial division."""
+    vals = {}
+    for n in (lam.denominator, (1 - lam).denominator):
+        p = 2
+        while n > 1:
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            if v:
+                vals[p] = max(vals.get(p, 0), v)
+            p += 1
+    return sum((v * log(p) / 4 for p, v in vals.items()), mpf(0))
+
+
+def test_finite_part_equals_the_p_adic_sum_on_the_corpus():
+    lams = {lam for c in load_corpus() for lam in cross_ratios(*c.two_torsion_x)}
+    assert any(lam.denominator > 1 for lam in lams)
+    with workprec(200):
+        for lam in lams:
+            fin = heights._finite_part(lam)
+            assert fabs(fin.value - _finite_part_by_primes(lam)) <= fin.err

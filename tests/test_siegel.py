@@ -138,6 +138,26 @@ def test_entry_reads_the_stored_point_at_any_global_precision():
     assert at_53.real == reduced.re[0][0] and at_53.imag == reduced.im[0][0]
 
 
+def test_constructors_store_mpf_and_mpc_entries_exactly():
+    with workprec(200):
+        x = (1 + I) / 3
+        y = mpf(2) / 3
+        from_string = sp(["0.1"])
+        string_value = mpf("0.1")
+    saved = mp.prec
+    try:
+        mp.prec = 53
+        points = [sp([x]), SiegelPoint.from_complex(x), sp([x, y], [y, x])]
+    finally:
+        mp.prec = saved
+    for p in points:
+        assert p.re[0][0]._mpf_ == x.real._mpf_
+        assert p.im[0][0]._mpf_ == x.imag._mpf_
+    assert points[2].re[0][1]._mpf_ == y._mpf_ and points[2].im[0][1] == 0
+    # strings still convert at the working precision
+    assert from_string.re[0][0]._mpf_ == string_value._mpf_
+
+
 def test_reduce_g1_pure_translation():
     res = reduce_g1(sp([mpc(2, 2)]))
     assert fabs(res.reduced.tau_complex() - mpc(0, 2)) < mpf(2) ** -90
