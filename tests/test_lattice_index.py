@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from thetaheights import campaign, lattices, sampling
+from thetaheights import lattices, sampling
 from thetaheights.campaign import CampaignConfig, compute_sample, run_campaign
 from thetaheights.certified import FAIL, PASS
 from thetaheights.exactla import inverse, matvec, transpose
