@@ -179,6 +179,8 @@ class IntegerLattice:
     def contains(self, vec) -> bool:
         """Exact membership: basis^-1 vec integral (integer forward
         substitution on the lower-triangular HNF)."""
+        if len(vec) != self.n:
+            raise LatticeError("ambient dimension mismatch")
         v = [Fraction(x) * self.den for x in vec]
         if any(q.denominator != 1 for q in v):
             return False
@@ -322,6 +324,8 @@ def _transition_matrix(l_sup: IntegerLattice,
                        l_sub: IntegerLattice) -> list[list[int]] | None:
     """The T with B_sup T = B_sub, that is H_sup T = (den_sup / den_sub) H_sub,
     or None when T is not integral (L_sub is not inside L_sup)."""
+    if l_sup.n != l_sub.n:
+        raise LatticeError("ambient dimension mismatch")
     cols = []
     for col in zip(*l_sub.num):
         rhs = []

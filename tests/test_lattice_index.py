@@ -3,6 +3,7 @@ against their Fraction definitions."""
 import hashlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaheights import lattices, sampling
@@ -10,7 +11,8 @@ from thetaheights.campaign import CampaignConfig, compute_sample, run_campaign
 from thetaheights.certified import FAIL, PASS
 from thetaheights.exactla import inverse, matvec, transpose
 from thetaheights.lattices import (IntegerLattice, LatticeError, delta_exact,
-                                   dual, index, intersect, lattice_sum)
+                                   dual, index, intersect, lattice_sum,
+                                   quotient_card)
 
 
 def frac_dual(l):
@@ -67,6 +69,16 @@ def test_integer_dual_and_intersect_match_fraction_definitions():
             for col in zip(*l2.basis_fractions()):
                 coords = matvec(binv, col)
                 assert l1.contains(col) == all(q.denominator == 1 for q in coords)
+
+
+def test_dimension_mismatch_is_rejected():
+    plane = IntegerLattice.from_rows([[1, 0], [0, 1]])
+    line = IntegerLattice.from_rows([[2]])
+    for call in (lambda: plane.contains([1]), lambda: plane.contains([1, 0, 0]),
+                 lambda: plane.contains_lattice(line),
+                 lambda: quotient_card(line, plane), lambda: index(plane, line)):
+        with pytest.raises(LatticeError):
+            call()
 
 
 def test_dual_oracle_row_fails_on_a_mismatch(monkeypatch):
