@@ -8,7 +8,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from thetaheights.campaign import CampaignConfig, run_campaign
+# run from a source checkout: the package is imported from src/ next to
+# this directory, ahead of any installed copy
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from thetaheights.campaign import CampaignConfig, run_campaign  # noqa: E402
 
 DEFAULT_RUNS = [
     dict(suite="norm-bounds", samples=500, g=1, r=2),

@@ -9,8 +9,10 @@ theta values, per the height convention adopted throughout.
 
 Faltings height: h_F = -(1/2) log(covolume/pi) for the period lattice of the
 minimal model's invariant differential.  This is the stable height when the
-asserted minimal/semistable claims hold; the claims are a caller contract,
-not verified here.
+asserted minimal/semistable claims hold.  The flags passed to
+``EllipticCurveQ.from_coefficients`` are a caller contract, not verified;
+``load_corpus`` rejects a row that asserts either flag without integral
+coefficients and the gcd(c4, disc) = 1 certificate.
 """
 from __future__ import annotations
 
@@ -76,32 +78,17 @@ class EllipticCurveQ:
             raise ValueError("two-torsion roots are inconsistent (c6)")
 
     @property
-    def b2(self) -> Fraction:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @property
-    def b4(self) -> Fraction:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @property
-    def b6(self) -> Fraction:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @property
-    def b8(self) -> Fraction:
-        return (self.b2 * self.b6 - self.b4 * self.b4) / 4
-
-    @property
     def c4(self) -> Fraction:
-        return self.b2 * self.b2 - 24 * self.b4
+        return _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)[0]
 
     @property
     def c6(self) -> Fraction:
-        return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
+        return _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)[1]
 
     @property
     def disc(self) -> Fraction:
-        return (self.c4 ** 3 - self.c6 ** 2) / 1728
+        c4, c6 = _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)
+        return (c4 ** 3 - c6 ** 2) / 1728
 
     @classmethod
     def from_coefficients(cls, a1, a2, a3, a4, a6, minimal: bool = False,
@@ -109,22 +96,24 @@ class EllipticCurveQ:
         """Builds the curve and extracts the 2-torsion roots exactly;
         rejects curves whose 2-torsion is not fully rational."""
         coeffs = tuple(Fraction(x) for x in (a1, a2, a3, a4, a6))
-        probe = cls(*coeffs, claims=Claims(False, False),
-                    two_torsion_x=_depressed_roots(coeffs), label=label)
         return cls(*coeffs, claims=Claims(minimal, semistable),
-                   two_torsion_x=probe.two_torsion_x, label=label)
+                   two_torsion_x=_depressed_roots(*_c4_c6(*coeffs)), label=label)
 
     def sorted_roots(self) -> tuple[Fraction, Fraction, Fraction]:
         return tuple(sorted(self.two_torsion_x, reverse=True))
 
 
-def _depressed_roots(coeffs) -> tuple[Fraction, Fraction, Fraction]:
-    a1, a2, a3, a4, a6 = coeffs
+def _c4_c6(a1, a2, a3, a4, a6) -> tuple[Fraction, Fraction]:
+    """c4 and c6 of the model [a1, a2, a3, a4, a6], through b2, b4, b6."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+def _depressed_roots(c4: Fraction, c6: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The rational roots of X^3 - 27 c4 X - 54 c6; ValueError unless there
+    are three distinct ones."""
     s = (27 * c4).denominator
     s = s * (54 * c6).denominator // math.gcd(s, (54 * c6).denominator)
     p = -27 * c4 * s * s
@@ -159,14 +148,16 @@ class PeriodLattice:
     omega1: mpc
     omega2: mpc
     covolume: mpf
+    reduction: ReductionResult      # of tau, at the prec of periods_agm
+    nulls: tuple                    # (theta2, theta3, theta4) at reduction.reduced
 
     def tau(self) -> SiegelPoint:
         return SiegelPoint.from_complex(self.omega2 / self.omega1)
 
 
 def periods_agm(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> PeriodLattice:
-    """AGM periods from the real 2-torsion; self-checked by reconstructing
-    c4 and c6 from the lattice via theta-null Eisenstein values."""
+    """AGM periods, the reduction of tau and the theta-nulls there, each once;
+    self-checked by reconstructing c4 and c6 via Eisenstein values."""
     e1, e2, e3 = curve.sorted_roots()
     with workprec(prec + GUARD_BITS):
         a = sqrt(fraction_to_mpf(e1 - e3))
@@ -179,18 +170,18 @@ def periods_agm(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> PeriodLattic
         omega1 = mpc(6 * pi / m_ab)
         omega2 = mpc(0, 1) * 6 * pi / m_ac
         covol = fabs((omega1.conjugate() * omega2).imag)
-        lattice = PeriodLattice(omega1, omega2, covol)
-        _check_lattice_invariants(curve, lattice, prec)
-    return lattice
+        red = reduce_g1(SiegelPoint.from_complex(omega2 / omega1), prec)
+        nulls = _even_nulls(red.reduced, prec)
+        _check_lattice_invariants(curve, omega1, omega2, red, nulls, prec)
+    return PeriodLattice(omega1, omega2, covol, red, nulls)
 
 
-def _check_lattice_invariants(curve: EllipticCurveQ, lattice: PeriodLattice,
-                              prec: int):
+def _check_lattice_invariants(curve: EllipticCurveQ, omega1: mpc, omega2: mpc,
+                              red: ReductionResult, nulls: tuple, prec: int):
     """Recompute c4, c6 from (omega1, omega2) and compare exactly."""
-    red = reduce_g1(lattice.tau(), prec)
     gam = red.gamma
-    om1p = (gam.lam[0][0] * lattice.omega2 + gam.mu[0][0] * lattice.omega1)
-    t2, t3, t4 = _even_nulls(red.reduced, prec)
+    om1p = (gam.lam[0][0] * omega2 + gam.mu[0][0] * omega1)
+    t2, t3, t4 = nulls
     e4 = (t2.value ** 8 + t3.value ** 8 + t4.value ** 8) / 2
     e6 = ((t3.value ** 4 + t4.value ** 4) * (t3.value ** 4 + t2.value ** 4)
           * (t4.value ** 4 - t2.value ** 4)) / 2
@@ -300,10 +291,9 @@ def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice | None,
               prec: int) -> ThetaHeightDetails:
     if lattice is None:
         lattice = periods_agm(curve, prec)
+    red = lattice.reduction
+    t2, t3, t4 = lattice.nulls
     with workprec(prec + GUARD_BITS):
-        red = reduce_g1(lattice.tau(), prec)
-        tau_red = red.reduced
-        t2, t3, t4 = _even_nulls(tau_red, prec)
         lam = _match_lambda(curve, t2, t3, prec)
         # quartic identity self-check: theta2^4 + theta4^4 = theta3^4
         jac = fabs(t2.value ** 4 + t4.value ** 4 - t3.value ** 4)
@@ -320,7 +310,7 @@ def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice | None,
         h = fin + arch
         if h.lo < -mpf(2) ** (-(prec // 4)):
             raise PrecisionError("theta height came out negative")
-    return ThetaHeightDetails(h, fin, arch, lam, tau_red, red, jac)
+    return ThetaHeightDetails(h, fin, arch, lam, red.reduced, red, jac)
 
 
 def theta_height_g1(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> CertifiedReal:
@@ -399,8 +389,7 @@ def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
     with workprec(prec + GUARD_BITS):
         lattice = periods_agm(curve, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
-        red = reduce_g1(lattice.tau(), prec)
-        quarter_log = CertifiedReal.rounded(log(red.reduced.det_im()) / 4)
+        quarter_log = CertifiedReal.rounded(log(lattice.reduction.reduced.det_im()) / 4)
         c_rg = constants.M_const(2, 1, prec)
         return (theta_point_height
                 - fal.height * CertifiedReal.exact(mpf(1) / 2)
@@ -412,9 +401,10 @@ def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
 
 
 def load_corpus(path=None) -> list[EllipticCurveQ]:
-    """Curves over Q with full rational 2-torsion whose models carry a
-    gcd(c4, disc) = 1 certificate of minimality and semistability (see
-    scripts/make_corpus.py)."""
+    """Curves over Q with full rational 2-torsion.  A row that asserts the
+    minimal or semistable claim must carry the certificate of both (see
+    scripts/make_corpus.py): integral coefficients and gcd(c4, disc) = 1;
+    otherwise ``ClaimsError`` names the row."""
     if path is None:
         ref = importlib.resources.files("thetaheights").joinpath("data/curves.csv")
         with ref.open() as fh:
@@ -426,10 +416,24 @@ def load_corpus(path=None) -> list[EllipticCurveQ]:
 def _parse_corpus(fh) -> list[EllipticCurveQ]:
     out = []
     for row in csv.DictReader(fh):
-        out.append(EllipticCurveQ.from_coefficients(
+        curve = EllipticCurveQ.from_coefficients(
             Fraction(row["a1"]), Fraction(row["a2"]), Fraction(row["a3"]),
             Fraction(row["a4"]), Fraction(row["a6"]),
             minimal=row["minimal"].strip().lower() == "true",
             semistable=row["semistable"].strip().lower() == "true",
-            label=row.get("label", "")))
+            label=row.get("label", ""))
+        claimed = curve.claims.minimal or curve.claims.semistable
+        if claimed and not _claims_certified(curve):
+            raise ClaimsError(
+                f"corpus row {curve.label!r} asserts minimal/semistable claims "
+                "without integral coefficients and gcd(c4, disc) = 1")
+        out.append(curve)
     return out
+
+
+def _claims_certified(curve: EllipticCurveQ) -> bool:
+    """Integral coefficients with gcd(c4, disc) = 1: the model is then
+    minimal and semistable at every prime."""
+    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    return (all(c.denominator == 1 for c in coeffs)
+            and math.gcd(int(curve.c4), int(curve.disc)) == 1)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf, fabs
@@ -92,3 +96,20 @@ def test_campaign_exit_code_and_file(tmp_path, capsys):
 def test_bad_input_is_exit_2(capsys):
     code, _ = run(capsys, "heights", "verify", "--curve", "0,0,0,0,0")
     assert code == 2
+
+
+def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"
+                    "lemn,0,0,0,-1,0,true,true\n")
+    assert main(["heights", "corpus", "--file", str(path)]) == 2
+    assert "'lemn'" in capsys.readouterr().err
+
+
+def test_run_all_campaigns_help_from_a_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_campaigns.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    res = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "--out-dir" in res.stdout

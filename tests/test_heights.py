@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
                                   point_bound_rhs, theta_height_details,
                                   theta_height_g1, window_check)
 from thetaheights import constants
+from thetaheights.campaign import CampaignConfig, run_campaign
 
 from oracles import cross_ratios
 
@@ -231,3 +233,59 @@ def test_finite_part_equals_the_p_adic_sum_on_the_corpus():
         for lam in lams:
             fin = heights._finite_part(lam)
             assert fabs(fin.value - _finite_part_by_primes(lam)) <= fin.err
+
+
+CORPUS_HEADER = "label,a1,a2,a3,a4,a6,minimal,semistable\n"
+
+
+@pytest.mark.parametrize("row", [
+    "lemn,0,0,0,-1,0,true,true",        # c4 = 48, disc = 64, gcd 16
+    "lemn,0,0,0,-1,0,false,true",
+    "half,0,0,0,-1/4,0,true,true",      # gcd(c4, disc) = gcd(12, 1), not integral
+])
+def test_corpus_rejects_uncertified_claims(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(CORPUS_HEADER + row + "\n")
+    with pytest.raises(ClaimsError, match=repr(row.split(",")[0])):
+        load_corpus(path)
+
+
+def test_corpus_row_without_claims_loads(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text(CORPUS_HEADER + "lemn,0,0,0,-1,0,false,false\n")
+    [curve] = load_corpus(path)
+    assert curve.label == "lemn" and curve.claims == Claims(False, False)
+    assert curve.c4 == 48 and curve.disc == 64
+
+
+@pytest.mark.parametrize("check", [
+    window_check, matrix_lemma_check,
+    lambda c, prec: point_bound_rhs(c, 0, prec), theta_height_details,
+], ids=["window_check", "matrix_lemma_check", "point_bound_rhs",
+        "theta_height_details"])
+def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
+    counts = {"reduce_g1": 0, "theta": 0}
+
+    def counted(name):
+        fn = getattr(heights, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(heights, name, counted(name))
+    check(curve15(), 96)
+    assert counts == {"reduce_g1": 1, "theta": 3}
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("window", "0e199506c9d5ff1f2fa99e5ca8bb8c0d40bf9f4227542fd4c5fb297dcdf6c374"),
+    ("matrix-lemma", "6b78360863f05e068d0b442c190caed5ccd4740819a177c254f695ef19ec5aef"),
+])
+def test_height_campaign_reports_are_pinned(suite, digest):
+    # sha256 of to_csv() + to_json(), taken while the period self-check and
+    # the height pipeline each reduced tau and evaluated the theta-nulls
+    rep = run_campaign(CampaignConfig(suite=suite, samples=16, seed=1, prec=128))
+    assert hashlib.sha256((rep.to_csv() + rep.to_json()).encode()).hexdigest() == digest

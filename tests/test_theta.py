@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, mpc, fabs, gamma, pi, workprec
+from mpmath import exp, fadd, mp, mpf, mpc, fabs, gamma, pi, workprec
 
 from thetaheights import sampling
-from thetaheights.certified import PrecisionError
+from thetaheights.certified import GUARD_BITS, PrecisionError
+from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import SiegelPoint, act, reduce_g1, sl2_s, sl2_t
 from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 beta_sigma, choose_radius, coset_set, theta,
@@ -262,6 +263,64 @@ def test_coset_set_g1_r2():
 def test_coset_set_cardinalities():
     assert len(coset_set(SiegelPoint.from_rows([[I, 0], [0, I]]), 2).representatives) == 16
     assert len(coset_set(TAU_I, 4).representatives) == 16
+
+
+# one g = 1 point and one skewed non-diagonal g = 2 point (eigenvalues of
+# Im tau about 2.08 and 0.17), with exact dyadic entries
+COSET_TAUS = {
+    1: SiegelPoint.from_complex(mpc("0.3125", "1.125")),
+    2: SiegelPoint.from_rows([[mpc("0.25", "1.5"), mpc("0.125", "0.875")],
+                              [mpc("0.125", "0.875"), mpc("-0.375", "0.75")]]),
+}
+COSET_W = {1: (mpc("0.25", "0.125"),),
+           2: (mpc("0.25", "0.125"), mpc("-0.125", "0.25"))}
+# stated bound on |grad_z ||theta||(tau, z)| near the tested points, with a
+# wide margin: ||theta|| is O(1) there and its z-derivative carries factors
+# 2 pi |n + Y^-1 Im z| over a box of radius below 10.  The rounding of e in
+# coset_set costs at most this times |e_rounded - e|, about 2^-140 here,
+# far below the certified errors (2^-80 to 2^-64).
+NORM_LIPSCHITZ = 2 ** 8
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("w_zero", [True, False])
+def test_coset_identity_at_the_coset_points(g, r, w_zero):
+    # ||theta||(tau, w + e) = det Y^(1/4) exp(-pi Im w^T Y^-1 Im w)
+    # |theta[b/r; a/r](tau, w)| for every coset point e = (a + tau b)/r, the
+    # identity verify_norm_bounds and beta_sigma rest on
+    tau, prec = COSET_TAUS[g], 96
+    w = (mpc(0),) * g if w_zero else COSET_W[g]
+    reps = coset_set(tau, r, prec).representatives
+    ab = [(a, b) for a in itertools.product(range(r), repeat=g)
+          for b in itertools.product(range(r), repeat=g)]
+    assert len(reps) == len(ab) == r ** (2 * g)
+    x, y = tau.re_fractions(), tau.im_fractions()
+    w_im = [mpf_to_fraction(wk.imag) for wk in w]
+    quad = sum(w_im[i] * tau.y_inverse[i][j] * w_im[j]
+               for i in range(g) for j in range(g))
+    with workprec(300):
+        scale = (fraction_to_mpf(tau.y_det) ** (mpf(1) / 4)
+                 * exp(-pi * fraction_to_mpf(quad)))
+    for (a, b), e in zip(ab, reps):
+        rounding = Fraction(0)
+        for i in range(g):
+            re = (a[i] + sum(x[i][j] * b[j] for j in range(g))) / Fraction(r)
+            im = sum(y[i][j] * b[j] for j in range(g)) / Fraction(r)
+            rounding += (abs(mpf_to_fraction(e[i].real) - re)
+                         + abs(mpf_to_fraction(e[i].imag) - im))
+        # e is rounded at prec + GUARD_BITS; w + e is formed exactly
+        assert rounding <= Fraction(2 * g * r, 2 ** (prec + GUARD_BITS - 8))
+        z = tuple(mp.make_mpc((fadd(wk.real, ek.real, exact=True)._mpf_,
+                               fadd(wk.imag, ek.imag, exact=True)._mpf_))
+                  for wk, ek in zip(w, e))
+        lhs = theta_norm(tau, z, prec)
+        th = theta(tau, w, ThetaCharacteristic.from_integers(r, b, a), prec)
+        with workprec(300):     # 2^-250 covers this block's own rounding
+            rhs = scale * fabs(th.value)
+            allowed = (lhs.err + scale * th.err
+                       + NORM_LIPSCHITZ * fraction_to_mpf(rounding) + mpf(2) ** -250)
+            assert fabs(lhs.value - rhs) <= allowed, (a, b)
 
 
 def test_beta_sigma_frozen_value():
