@@ -30,7 +30,7 @@ from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, PrecisionError,
                         Verdict, certified_le)
 from .exactla import fraction_to_mpf
 from .siegel import ReductionResult, SiegelPoint, reduce_g1
-from .theta import ThetaCharacteristic, theta
+from .theta import theta_null_vector
 
 
 class ClaimsError(ValueError):
@@ -198,10 +198,9 @@ def _check_lattice_invariants(curve: EllipticCurveQ, omega1: mpc, omega2: mpc,
 
 
 def _even_nulls(tau: SiegelPoint, prec: int):
-    """theta constants theta2 = (1/2,0), theta3 = (0,0), theta4 = (0,1/2)."""
-    t3 = theta(tau, None, None, prec)
-    t4 = theta(tau, None, ThetaCharacteristic.from_integers(2, [0], [1]), prec)
-    t2 = theta(tau, None, ThetaCharacteristic.from_integers(2, [1], [0]), prec)
+    """theta constants theta2 = (1/2,0), theta3 = (0,0), theta4 = (0,1/2),
+    from the two walks of the level-2 theta-null vector."""
+    t3, t4, t2, _ = theta_null_vector(tau, 2, prec)
     return t2, t3, t4
 
 

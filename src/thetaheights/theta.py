@@ -7,12 +7,24 @@ bound, not an estimate.
 
 The box is summed row by row along the last coordinate (``_row_sum``).  The
 exponent of every term is pi*i times an exact dyadic rational, formed in
-Python integers from the exact entries of tau, z and the characteristic.
-Each row starts at its peak-magnitude term and walks outward with the
-recurrences t <- t*rho, rho <- rho*exp(2 pi i tau_gg) in Python-int fixed
-point; every multiplier has modulus <= 1, so rounding is never amplified.
-The ulp budget of the walk is derived in ``_row_sum`` and is part of the
-certified bound.
+Python integers from the exact entries of tau, z and the top
+characteristic m1.  Each row starts at its peak-magnitude term and walks
+outward with the recurrences t <- t*rho, rho <- rho*exp(2 pi i tau_gg) in
+Python-int fixed point; every multiplier has modulus <= 1, so rounding is
+never amplified.  The ulp budget of the walk is derived in ``_row_sum`` and
+is part of the certified bound.
+
+One walk serves every m2 = b/r at a fixed m1 = a/r: m2 multiplies the
+term of n by exp(2 pi i n.b/r) exp(2 pi i m1.m2), and the first factor
+depends on n mod r alone.  So the walk adds each term to the fixed-point
+accumulator of its residue class n mod r, and ``_theta_group`` combines the
+r^g accumulators with roots of unity into every theta[a/r; b/r].  The
+radius and the tail depend on m1 alone, so a group takes one
+``choose_radius`` and one tail bound.  The weights have modulus 1, so the
+walk's budget holds for every combination; they are exact for r = 2 (and
+for r = 4 when the global phase is left out, as norms do), and otherwise
+add one stated rounding term.  ``theta`` and ``theta_truncated`` are the
+one-member case of the same walk.
 
 The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
 det Y) are cached on the ``SiegelPoint``, so every characteristic and every
@@ -20,6 +32,7 @@ z at one tau reuses them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,9 +87,16 @@ class ThetaCharacteristic:
                    tuple(Fraction(x % r, r) for x in b))
 
     def is_odd(self) -> bool:
-        """4 m1.m2 an odd integer forces theta_(m1,m2)(tau, 0) = 0."""
+        """True for a half-integral characteristic (2 m1, 2 m2 integral)
+        with 4 m1.m2 odd, which forces theta_(m1,m2)(tau, 0) = 0: the
+        substitution n -> -n - 2 m1 needs 2 m1 integral, and it maps the
+        sum to exp(-4 pi i m1.m2) = -1 times itself only if 2 m2 is
+        integral too.  Other characteristics give False, also where the
+        theta constant happens to vanish."""
+        if any((2 * x).denominator != 1 for x in self.m1 + self.m2):
+            return False
         s = 4 * sum(x * y for x, y in zip(self.m1, self.m2))
-        return s.denominator == 1 and int(s) % 2 == 1
+        return int(s) % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -105,17 +125,30 @@ def coset_set(tau: SiegelPoint, r: int, prec: int = DEFAULT_PREC) -> CosetSet:
     return CosetSet(r, tau, tuple(reps))
 
 
-def _coset_chars(g: int, r: int):
+@functools.lru_cache(maxsize=None)
+def _level_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
+    """All r^(2g) characteristics of level r, (m1, m2) in lexicographic
+    order."""
+    return tuple(ThetaCharacteristic.from_integers(r, a, b)
+                 for a in itertools.product(range(r), repeat=g)
+                 for b in itertools.product(range(r), repeat=g))
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
     """The characteristic [b/r; a/r] of each coset point (a + tau b)/r, in
     the order of ``coset_set``.  For every w,
 
         ||theta||(tau, w + (a + tau b)/r)
             = det(Y)^(1/4) exp(-pi Im w^T Y^-1 Im w) |theta[b/r; a/r](tau, w)|,
 
-    so a coset norm is a characteristic norm at w, with no rounded point."""
-    for a in itertools.product(range(r), repeat=g):
-        for b in itertools.product(range(r), repeat=g):
-            yield ThetaCharacteristic.from_integers(r, b, a)
+    so a coset norm is a characteristic norm at w, with no rounded point.
+    The list runs over m2 = a/r outside and m1 = b/r inside, so the r^(2g)
+    characteristics fall into r^g groups of one m1, each one box walk with
+    r^g residue accumulators (see ``_theta_group``)."""
+    return tuple(ThetaCharacteristic.from_integers(r, b, a)
+                 for a in itertools.product(range(r), repeat=g)
+                 for b in itertools.product(range(r), repeat=g))
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +257,36 @@ def _fixed(x, frac_bits: int) -> int:
     return m << e if e >= 0 else m >> -e
 
 
-def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
+def _unit(num: int, den: int, p: int) -> tuple[int, int, bool]:
+    """exp(pi i num/den) as p-bit fixed-point ints, and whether that is exact.
+    It is exact (1, i, -1 or -i) when 2 num/den is an integer; otherwise each
+    component is within 68 ulps (the exp allowance at |arg| <= pi plus the
+    rounding down), so the modulus error is below 97 * 2^-p."""
+    if 2 * num % den == 0:
+        one = 1 << p
+        return ((one, 0), (0, one), (-one, 0), (0, -one))[2 * num // den % 4] + (True,)
+    num = (num + den) % (2 * den) - den
+    ex, ey = mpc_expjpi((from_rational(num, den, p, round_nearest), fzero), p)
+    return _fixed(ex, p), _fixed(ey, p), False
+
+
+def _row_sum(tau: SiegelPoint, z, den: int, a, radius: int):
     """Sum over the box ||n||_inf <= radius in rows along the last
-    coordinate.  Returns (value, rounding bound); call inside the working
-    precision p = mp.prec.
+    coordinate, one accumulator per residue class of n mod den.  Returns
+    (re, im, y_m, rows): re[c] + i im[c] is the fixed-point sum of the terms
+    with n = c (mod den), classes c in ``itertools.product(range(den),
+    repeat=g)`` order, exp(-M) with M = pi y_m is the common scale and rows =
+    (2R+1)^(g-1); call inside the working precision p = mp.prec.
+
+    The walk is the one of theta[a/den; 0]: m2 = b/den only multiplies the
+    term of n by exp(2 pi i n.m2) exp(2 pi i m1.m2), whose first factor
+    depends on n mod den alone, so ``_theta_group`` forms every
+    theta[a/den; b/den] from these accumulators.
 
     Exact exponents.  With v = n + m1 and nn = den*v = den*n + a, the term is
     exp(pi i D(nn) / s) where s = den^2 2^-e0 and
 
-        D(nn) = sum_jk T_jk nn_j nn_k + 2 sum_j nn_j (den Z_j + b_j 2^-e0)
+        D(nn) = sum_jk T_jk nn_j nn_k + 2 den sum_j nn_j Z_j
 
     is a Gaussian integer: T = tau 2^-e0 and Z = z 2^-e0 are the exact
     entries scaled by the smallest binary exponent e0 <= 0.  On a row the
@@ -263,15 +317,12 @@ def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
     exceed modulus 1 by d_j or eps; that amplifies the row error by at most
     exp(2R(2R+1) sigma) <= 1 + 2^-30 (R <= RADIUS_CAP, p >= GUARD_BITS).  A
     row whose peak is below 2^-(p+1) is not walked: its 2R+1 terms together
-    are below u_R.  The integer accumulators are exact.
-
-    Back to mpc: each accumulator rounds once (2^-p relative), exp(M) costs
-    its allowance 8(5 + |M|) ulps relative, and the product rounds once
-    more, so
-
-        rounding <= (1 + 2^-30) (e^M rows u_R + |value| (8(5 + |M|) + 4) 2^-p)
-
-    with rows = (2R+1)^(g-1).
+    are below u_R.  The integer accumulators are exact, and each term lands
+    in exactly one of them, so the errors of all classes together stay
+    within rows u_R; a combination sum_c w_c A_c with |w_c| = 1 therefore
+    errs by at most rows u_R as well.  ``_theta_group`` forms the weights,
+    exactly for r = 2 (and r = 4 without the global phase), and states the
+    one extra rounding term of inexact weights for other r.
     """
     g = tau.g
     p = mp.prec
@@ -287,9 +338,8 @@ def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
         return d[0] << (d[1] - e0)
 
     t = {(j, k): (sc(tr[j][k]), sc(ti[j][k])) for j in range(g) for k in range(j, g)}
-    one = 1 << -e0
-    zc = [(den * sc(zr[j]) + b[j] * one, den * sc(zi[j])) for j in range(g)]
-    s_den = den * den * one
+    zc = [(den * sc(zr[j]), den * sc(zi[j])) for j in range(g)]
+    s_den = den * den << -e0
 
     def expjpi(num_re: int, num_im: int):
         """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
@@ -303,6 +353,9 @@ def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
     rows = []
     for pre in itertools.product(range(-radius, radius + 1), repeat=h):
         nn = [den * pre[j] + a[j] for j in range(h)]
+        base = 0
+        for j in range(h):
+            base = base * den + pre[j] % den
         lr, li = zc[h]
         gr = gi = 0
         for j in range(h):
@@ -318,46 +371,102 @@ def _row_sum(tau: SiegelPoint, z, den: int, a, b, radius: int):
         k = (2 * (-li - a[h] * thi) + den * thi) // (2 * den * thi)
         k = max(-radius, min(radius, k))
         x = den * k + a[h]
-        rows.append((k, x, lr, li, thr * x * x + 2 * x * lr + gr,
+        rows.append((base * den, k, x, lr, li, thr * x * x + 2 * x * lr + gr,
                      thi * x * x + 2 * x * li + gi))
-    d_min = min(row[5] for row in rows)
+    d_min = min(row[6] for row in rows)
 
     qr, qi = expjpi(2 * den * den * thr, 2 * den * den * thi)
     skip = s_den * (p + 1)
-    sr = si = 0
-    for k, x, lr, li, dr, di in rows:
+    acc_re = [0] * den ** g
+    acc_im = [0] * den ** g
+    for base, k, x, lr, li, dr, di in rows:
         # peak below 2^-(p+1): pi y > (p+1) log 2 holds once 4y > p+1
         if 4 * (di - d_min) > skip:
             continue
         peak_re, peak_im = expjpi(dr, di - d_min)
-        sr += peak_re
-        si += peak_im
-        for steps, ddr, ddi in (
-                (radius - k, thr * (2 * x * den + den * den) + 2 * den * lr,
+        acc_re[base + k % den] += peak_re
+        acc_im[base + k % den] += peak_im
+        for step, steps, ddr, ddi in (
+                (1, radius - k, thr * (2 * x * den + den * den) + 2 * den * lr,
                  thi * (2 * x * den + den * den) + 2 * den * li),
-                (radius + k, thr * (den * den - 2 * x * den) - 2 * den * lr,
+                (-1, radius + k, thr * (den * den - 2 * x * den) - 2 * den * lr,
                  thi * (den * den - 2 * x * den) - 2 * den * li)):
             if not steps:
                 continue
             rr, ri = expjpi(ddr, ddi)
             ur, ui = peak_re, peak_im
-            for _ in range(steps):
+            # the classes of k + step, k + 2 step, ... repeat with period den
+            period = [base + (k + step * i) % den for i in range(1, den + 1)]
+            for c in itertools.islice(itertools.cycle(period), steps):
                 ur, ui = (ur * rr - ui * ri) >> p, (ur * ri + ui * rr) >> p
-                sr += ur
-                si += ui
+                acc_re[c] += ur
+                acc_im[c] += ui
                 rr, ri = (rr * qr - ri * qi) >> p, (rr * qi + ri * qr) >> p
+    return acc_re, acc_im, from_rational(d_min, s_den, p, round_nearest), len(rows)
 
-    y_m = from_rational(d_min, s_den, p, round_nearest)
+
+def _theta_group(tau: SiegelPoint, z, den: int, a, bs, radius: int,
+                 phase: bool = True) -> list[CertifiedComplex]:
+    """theta[a/den; b/den](tau, z) over ||n||_inf <= radius for every b in
+    bs, from one ``_row_sum`` walk, each with its certified error (tail at
+    the radius plus rounding); call inside the working precision p = mp.prec.
+    With phase=False the global factor exp(2 pi i m1.m2) is left out, which
+    changes no modulus.
+
+    Class c of n mod den enters with the weight exp(2 pi i (den c.b + a.b)
+    / den^2) (without the a.b term when phase=False), formed by ``_unit``
+    and summed exactly in ints.  The weights have modulus 1, so the walk's
+    budget rows u_R holds for every combination.  They are exact (1, i, -1,
+    -i) for den = 2, and for den = 4 without the phase; then the only
+    rounding after the walk is the conversion back to mpc: each combination
+    rounds once (2^-p relative), exp(-M) costs its allowance 8(5 + |M|) ulps
+    relative and the product rounds once more, so
+
+        rounding <= (1 + 2^-30) (e^M (rows u_R + w) + |value| (8(5 + |M|) + 4)) 2^-p
+
+    with w = 0.  Otherwise each weight is within 97 * 2^-p of exact and the
+    combination is rounded down once, so w = 2 + 97 sum_c |A_c| adds the
+    one stated term, A_c the class accumulators (a computed weight of
+    modulus up to 1 + 97 * 2^-p stays inside the 1 + 2^-30 amplification).
+    """
+    g = tau.g
+    p = mp.prec
+    lam, xi, u = _tail_data(tau, z)
+    s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+    tail = _tail_bound(g, lam, xi, s, radius)
+    acc_re, acc_im, y_m, rows = _row_sum(tau, z, den, a, radius)
+
     e_m = mpc_expjpi((fzero, y_m), p)[0]
-    value = mp.make_mpc((mpf_mul(from_man_exp(sr, -p, p, round_nearest), e_m, p, round_nearest),
-                         mpf_mul(from_man_exp(si, -p, p, round_nearest), e_m, p, round_nearest)))
     k_max = 2 * radius
-    row_units = 70 * (1 + k_max + k_max * (k_max + 1) * (k_max + 2) // 6)
-    m_abs = fabs(pi * mp.make_mpf(y_m))
-    rounding = ((mp.make_mpf(e_m) * len(rows) * row_units
-                 + fabs(value) * (8 * (5 + m_abs) + 4))
-                * mpf(2) ** -p * (1 + mpf(2) ** -30))
-    return value, rounding
+    row_units = rows * 70 * (1 + k_max + k_max * (k_max + 1) * (k_max + 2) // 6)
+    value_units = 8 * (5 + fabs(pi * mp.make_mpf(y_m))) + 4
+    ulp = mpf(2) ** -p * (1 + mpf(2) ** -30)
+    classes = list(itertools.product(range(den), repeat=g))
+    den2 = den * den
+    units = {}
+    out = []
+    for b in bs:
+        ab = sum(x * y for x, y in zip(a, b)) if phase else 0
+        sr = si = 0
+        exact = True
+        for c, ar, ai in zip(classes, acc_re, acc_im):
+            k = (den * sum(x * y for x, y in zip(c, b)) + ab) % den2
+            if k not in units:
+                units[k] = _unit(2 * k, den2, p)
+            wr, wi, w_exact = units[k]
+            sr += ar * wr - ai * wi
+            si += ar * wi + ai * wr
+            exact = exact and w_exact
+        w_units = 0
+        if not exact:
+            w_units = 3 + (97 * sum(map(abs, acc_re + acc_im)) >> p)
+        value = mp.make_mpc((
+            mpf_mul(from_man_exp(sr >> p, -p, p, round_nearest), e_m, p, round_nearest),
+            mpf_mul(from_man_exp(si >> p, -p, p, round_nearest), e_m, p, round_nearest)))
+        rounding = ((mp.make_mpf(e_m) * (row_units + w_units) + fabs(value) * value_units)
+                    * ulp)
+        out.append(CertifiedComplex(value, tail + rounding))
+    return out
 
 
 def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
@@ -369,16 +478,9 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
     the bound holds for that z, and the result does not depend on mp.prec."""
     if not 0 <= radius <= RADIUS_CAP:
         raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
-    g = tau.g
     with workprec(prec + GUARD_BITS):
         z, den, a, b = _normalize_inputs(tau, z, char)
-        lam, xi, u = _tail_data(tau, z)
-        m1 = tuple(Fraction(x, den) for x in a)
-        s = max(abs(m + w) for m, w in zip(m1, u))
-        tail = _tail_bound(g, lam, xi, s, radius)
-        value, rounding = _row_sum(tau, z, den, a, b, radius)
-        err = tail + rounding
-    return CertifiedComplex(value, err)
+        return _theta_group(tau, z, den, a, [b], radius)[0]
 
 
 def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
@@ -391,6 +493,26 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
     return theta_truncated(tau, z, char, radius, prec)
 
 
+def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
+                 phase: bool = True) -> list[CertifiedComplex]:
+    """theta_char(tau, z) for each char of one level, in the order given:
+    one ``choose_radius`` and one walk per distinct m1, since the radius and
+    the tail depend on m1 alone.  Call inside the working-precision scope;
+    phase=False drops exp(2 pi i m1.m2) (see ``_theta_group``)."""
+    z, _, _, _ = _normalize_inputs(tau, z, None)
+    groups: dict[tuple, list[ThetaCharacteristic]] = {}
+    for ch in chars:
+        groups.setdefault(ch.m1, []).append(ch)
+    out = {}
+    for members in groups.values():
+        radius = choose_radius(tau, z, members[0], prec, tol)
+        den = members[0].r
+        a = tuple(int(v * den) for v in members[0].m1)
+        bs = [tuple(int(v * den) for v in ch.m2) for ch in members]
+        out.update(zip(members, _theta_group(tau, z, den, a, bs, radius, phase)))
+    return [out[ch] for ch in chars]
+
+
 # ---------------------------------------------------------------------------
 # invariant norms
 
@@ -400,16 +522,22 @@ def _det_y_root(tau: SiegelPoint, power: Fraction) -> CertifiedReal:
     return CertifiedReal.rounded(d ** fraction_to_mpf(power))
 
 
-def _norm(tau: SiegelPoint, z, char, prec: int, tol) -> CertifiedReal:
-    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)|, y = Im z;
-    call inside the working-precision scope."""
-    zt, _, _, _ = _normalize_inputs(tau, z, None)
-    _, xi, _ = _tail_data(tau, zt)
-    th = theta(tau, zt, char, prec, tol).abs()
+def _norm_scale(tau: SiegelPoint, z) -> CertifiedReal:
+    """det(Y)^(1/4) exp(-pi y^T Y^-1 y), y = Im z; call inside the
+    working-precision scope with z normalized."""
+    _, xi, _ = _tail_data(tau, z)
     scale = _det_y_root(tau, Fraction(1, 4))
     if xi:
         scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-    return scale * th
+    return scale
+
+
+def _norms(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
+    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)| for each char,
+    one walk per distinct m1; call inside the working-precision scope."""
+    zt, _, _, _ = _normalize_inputs(tau, z, None)
+    scale = _norm_scale(tau, zt)
+    return [scale * th.abs() for th in _theta_batch(tau, zt, chars, prec, tol, phase=False)]
 
 
 def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
@@ -419,27 +547,28 @@ def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     the bound holds for that z, and the result does not depend on mp.prec."""
     with workprec(prec + GUARD_BITS):
-        return _norm(tau, z, None, prec, tol)
+        zt, _, _, _ = _normalize_inputs(tau, z, None)
+        return _norm_scale(tau, zt) * theta(tau, zt, None, prec, tol).abs()
 
 
 def theta_norm_char(tau: SiegelPoint, char: ThetaCharacteristic,
                     prec: int = DEFAULT_PREC, tol=None) -> CertifiedReal:
     """det(Y)^(1/4) |theta_(m1,m2)(tau, 0)|; the norm is only needed at z = 0."""
     with workprec(prec + GUARD_BITS):
-        return _norm(tau, None, char, prec, tol)
+        return _norms(tau, None, [char], prec, tol)[0]
 
 
 def theta_null_vector(tau: SiegelPoint, r: int,
                       prec: int = DEFAULT_PREC, tol=None) -> list[CertifiedComplex]:
-    """All r^(2g) theta constants, (m1, m2) in lexicographic order."""
+    """All r^(2g) theta constants, (m1, m2) in lexicographic order, from r^g
+    walks: the r^g constants with one m1 share a walk that fills one
+    accumulator per residue class of n mod r, and each constant combines
+    them with its roots of unity (see ``_theta_group``; exact for r = 2,
+    one stated rounding term otherwise)."""
     if r < 2 or r % 2 != 0:
         raise ValueError("level r must be an even integer >= 2")
-    g = tau.g
-    out = []
-    for a in itertools.product(range(r), repeat=g):
-        for b in itertools.product(range(r), repeat=g):
-            ch = ThetaCharacteristic.from_integers(r, a, b)
-            out.append(theta(tau, None, ch, prec, tol))
+    with workprec(prec + GUARD_BITS):
+        out = _theta_batch(tau, None, _level_chars(tau.g, r), prec, tol)
     if not any(fabs(v.value) > v.err for v in out):
         raise PrecisionError("all theta constants drowned in the error bound; "
                              "this signals a precision failure")
@@ -459,8 +588,7 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
         zt, _, _, _ = _normalize_inputs(tau, z, None)
         w = tuple(fmul(r, x, exact=True) for x in zt)
         total = CertifiedReal.exact(0)
-        for ch in _coset_chars(g, r):
-            nv = _norm(tau, w, ch, prec, tol)
+        for nv in _norms(tau, w, _coset_chars(g, r), prec, tol):
             total = total + nv * nv
         if total.lo <= 0:
             raise PrecisionError("coset norm sum is below its error bound")
@@ -504,10 +632,7 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
         raise ValueError("level r must be an even integer >= 2")
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        norms2 = []
-        for ch in _coset_chars(g, r):
-            nv = _norm(tau, None, ch, prec, tol)
-            norms2.append(nv * nv)
+        norms2 = [nv * nv for nv in _norms(tau, None, _coset_chars(g, r), prec, tol)]
         lhs = _interval(max(v.lo for v in norms2), max(v.hi for v in norms2))
         det_root = _det_y_root(tau, Fraction(1, 2))
         max_lower = certified_le(det_root, lhs)
@@ -544,7 +669,10 @@ class DuplicationReport:
 
 def verify_duplication(tau: SiegelPoint, steps: int,
                        prec: int = DEFAULT_PREC, tol=None) -> DuplicationReport:
+    """2^g walks per level: the 2^(2g) half-integer characteristics group by
+    m1, and theta(2^k tau, 0) is the [0; 0] member of the m1 = 0 walk."""
     g = tau.g
+    chars = _level_chars(g, 2)
     f_vals = []
     gaps = []
     with workprec(prec + GUARD_BITS):
@@ -552,14 +680,11 @@ def verify_duplication(tau: SiegelPoint, steps: int,
             scale = 2 ** k
             scaled = SiegelPoint.from_rows(
                 [[tau.entry(i, j) * scale for j in range(g)] for i in range(g)])
-            vals = []
-            for a in itertools.product((0, 1), repeat=g):
-                for b in itertools.product((0, 1), repeat=g):
-                    ch = ThetaCharacteristic.from_integers(2, a, b)
-                    vals.append(theta(scaled, None, ch, prec, tol).abs())
-            f_vals.append(_interval(max(v.lo for v in vals),
-                                    max(v.hi for v in vals)))
-            th0 = theta(scaled, None, None, prec, tol)
+            # m1 = 0 for [0; 0], so dropping the phase leaves its value as is
+            vals = _theta_batch(scaled, None, chars, prec, tol, phase=False)
+            mods = [v.abs() for v in vals]
+            f_vals.append(_interval(max(v.lo for v in mods), max(v.hi for v in mods)))
+            th0 = vals[0]
             gaps.append(fabs(th0.value - 1) + th0.err)
         mono = tuple(certified_le(f_vals[k + 1], f_vals[k]) for k in range(steps))
     return DuplicationReport(tuple(f_vals), tuple(gaps), mono)

@@ -4,7 +4,9 @@ These deliberately avoid the package's own evaluation paths: plain
 term-by-term mpmath sums with a fixed box radius, and mpmath's Cholesky for
 pivot checks.
 """
+import itertools
 from fractions import Fraction
+from math import gcd
 
 from mpmath import mp, mpf, mpc, cholesky, exp, fabs, matrix, pi, sqrt
 
@@ -59,3 +61,31 @@ def cross_ratios(e1, e2, e3):
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         out.add((es[i] - es[k]) / (es[j] - es[k]))
     return out
+
+
+def theta_brute_batch(tau_rows, z, m1, m2s, n=BRUTE_RADIUS):
+    """``theta_brute`` for several m2 at one m1 over the box ||k||_inf <= n:
+    exp(pi i v^T tau v + 2 pi i v.z) once per lattice point v = k + m1,
+    times exp(2 pi i v.m2) for each m2.  Terms are added up by the exact
+    value of v.m2 mod 1 first and each such sum is multiplied by its
+    exp(2 pi i v.m2) once."""
+    g = len(tau_rows)
+    z = [mpc(0)] * g if z is None else [mpc(w) for w in z]
+    m1 = [Fraction(x) for x in m1]
+    m2s = [[Fraction(x) for x in m2] for m2 in m2s]
+    d = 1
+    for x in itertools.chain(m1, *m2s):
+        d = d * x.denominator // gcd(d, x.denominator)
+    m2_int = [[int(x * d) for x in m2] for m2 in m2s]
+    tau = [[mpc(x) for x in row] for row in tau_rows]
+    sums = [{} for _ in m2s]
+    for k in itertools.product(range(-n, n + 1), repeat=g):
+        v_int = [int((k[i] + m1[i]) * d) for i in range(g)]
+        a = [mpf(k[i]) + mpf(m1[i].numerator) / m1[i].denominator for i in range(g)]
+        quad = sum(a[i] * tau[i][j] * a[j] for i in range(g) for j in range(g))
+        base = exp(mpc(0, 1) * pi * quad + 2 * mpc(0, 1) * pi * sum(a[i] * z[i] for i in range(g)))
+        for by_phase, m2 in zip(sums, m2_int):
+            num = sum(v_int[i] * m2[i] for i in range(g)) % (d * d)
+            by_phase[num] = by_phase.get(num, 0) + base
+    return [sum(exp(2 * mpc(0, 1) * pi * num / (d * d)) * part
+                for num, part in by_phase.items()) for by_phase in sums]

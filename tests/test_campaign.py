@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from thetaheights.campaign import (CampaignConfig, ConfigMismatchError, Row,
@@ -92,3 +94,17 @@ def test_wall_time_not_serialized():
 def test_compute_sample_is_pure():
     cfg = CampaignConfig(suite="delta-metric", samples=1, seed=11, prec=96)
     assert compute_sample(cfg, "tri:0") == compute_sample(cfg, "tri:0")
+
+
+@pytest.mark.parametrize("g, r, samples, digest", [
+    (1, 2, 100, "1cb4220f375b975debe3776653c649eec16ba26a1e4d3bd7cae7bfa45c2e1ee7"),
+    (2, 2, 24, "97df65469458f774222a839154f12ab77acf1cf96faf34a38d01028d9cf443cb"),
+    (2, 4, 4, "31db360cc96e8fec2beaf36c2934f1fdd25f698fe53c8944082c2aaed3841bc5"),
+])
+def test_norm_bounds_reports_are_pinned(g, r, samples, digest):
+    # sha256 of to_csv() + to_json(), taken while every coset characteristic
+    # was summed over its own box walk
+    cfg = CampaignConfig(suite="norm-bounds", samples=samples, seed=56,
+                         prec=96, g=g, r=r)
+    rep = run_campaign(cfg)
+    assert hashlib.sha256((rep.to_csv() + rep.to_json()).encode()).hexdigest() == digest

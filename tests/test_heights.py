@@ -6,6 +6,7 @@ from mpmath import mp, mpf, mpc, fabs, gamma, log, pi, sqrt, workprec
 
 from thetaheights.certified import CertifiedReal
 from thetaheights import heights
+from thetaheights import theta as theta_module
 from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
                                   faltings_height_g1, lambda_invariant,
                                   load_corpus, matrix_lemma_check, periods_agm,
@@ -264,20 +265,22 @@ def test_corpus_row_without_claims_loads(tmp_path):
 ], ids=["window_check", "matrix_lemma_check", "point_bound_rhs",
         "theta_height_details"])
 def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
-    counts = {"reduce_g1": 0, "theta": 0}
+    # the three even theta-nulls come from two box walks: m1 = 0 gives
+    # theta3 and theta4, m1 = 1/2 gives theta2
+    counts = {"reduce_g1": 0, "_row_sum": 0}
 
-    def counted(name):
-        fn = getattr(heights, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in counts:
-        monkeypatch.setattr(heights, name, counted(name))
+    counted(heights, "reduce_g1")
+    counted(theta_module, "_row_sum")
     check(curve15(), 96)
-    assert counts == {"reduce_g1": 1, "theta": 3}
+    assert counts == {"reduce_g1": 1, "_row_sum": 2}
 
 
 @pytest.mark.parametrize("suite, digest", [

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import exp, fadd, mp, mpf, mpc, fabs, gamma, pi, workprec
+from mpmath import exp, expjpi, fadd, mp, mpf, mpc, fabs, gamma, pi, workprec
 
-from thetaheights import sampling
+from thetaheights import heights, sampling
+from thetaheights import theta as theta_module
 from thetaheights.certified import GUARD_BITS, PrecisionError
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import SiegelPoint, act, reduce_g1, sl2_s, sl2_t
@@ -16,7 +17,7 @@ from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 theta_truncated, verify_duplication,
                                 verify_norm_bounds)
 
-from oracles import theta_brute, theta_norm_brute
+from oracles import theta_brute, theta_brute_batch, theta_norm_brute
 
 I = mpc(0, 1)
 TAU_I = SiegelPoint.from_complex(I)
@@ -53,6 +54,34 @@ def test_odd_characteristic_vanishes_everywhere():
         tau = SiegelPoint.from_complex(mpc(mpf("0.3"), mpf(im)))
         v = theta(tau, char=c11)
         assert fabs(v.value) <= v.err
+
+
+def test_is_odd_only_for_half_integral_characteristics():
+    # 4 m1.m2 = 1 is odd, yet this level-4 theta constant is far from 0:
+    # n -> -n - 2 m1 is no symmetry of the sum when 2 m1 is not integral
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    char = ThetaCharacteristic.from_integers(4, [1, 1], [2, 2])
+    assert not char.is_odd()
+    v = theta(tau, None, char)
+    assert fabs(v.value) > 1000 * v.err
+    with workprec(200):
+        assert fabs(v.value - mpc("-0.15358454538584648", "0.27290580802202219")) < mpf(10) ** -15
+    assert ThetaCharacteristic.from_integers(4, [2, 0], [2, 0]).is_odd()
+
+
+@pytest.mark.parametrize("g, r", [(1, 2), (1, 4), (2, 2), (2, 4)])
+def test_odd_entries_of_the_null_vector_vanish(g, r):
+    tau = (SiegelPoint.from_complex(mpc("0.3", "0.9")) if g == 1 else
+           SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                  [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]]))
+    chars = [ThetaCharacteristic.from_integers(r, a, b)
+             for a in itertools.product(range(r), repeat=g)
+             for b in itertools.product(range(r), repeat=g)]
+    vec = theta_null_vector(tau, r)
+    odd = [v for ch, v in zip(chars, vec) if ch.is_odd()]
+    assert len(odd) == 2 ** (g - 1) * (2 ** g - 1)
+    assert all(fabs(v.value) <= v.err for v in odd)
 
 
 def test_large_im_tends_to_one():
@@ -446,6 +475,122 @@ def test_row_engine_matches_brute_oracle_on_the_same_box():
         clipped += _clipped_rows(tau, z, char, radius) > 0
         big_terms += fabs(ref) > 10
     assert clipped >= 3 and big_terms >= 3
+
+
+def _group_cases():
+    """One (tau, z, m1) per g in {2, 3}, r in {2, 4, 6} and z = 0 or not:
+    skewed Y at g = 2, seeded points at g = 3, z = a + tau b with |b| <= 1
+    (|b| <= 1/2 at g = 3) and m1 with a nonzero entry, so the global phase
+    is not 1."""
+    cases = []
+    for g in (2, 3):
+        for r in (2, 4, 6):
+            for with_z in (False, True):
+                rng = random.Random(5200 + 10 * g + r + with_z)
+                if g == 2:
+                    y0, y1 = rng.uniform(0.8, 2.0), rng.uniform(0.8, 1.5)
+                    c = rng.choice((-1, 1)) * rng.uniform(0.3, 0.6) * (y0 * y1) ** 0.5
+                    x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
+                    with workprec(200):
+                        off = mpc(mpf(x[2]), mpf(c))
+                        tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
+                                                     [off, mpc(mpf(x[1]), mpf(y1))]])
+                else:
+                    tau = sampling.random_siegel_point(rng, g)
+                z = (mpc(0),) * g
+                if with_z:
+                    a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
+                    b = [rng.uniform(-1, 1) / (g - 1) for _ in range(g)]
+                    with workprec(200):
+                        z = tuple(mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j])
+                                                  for j in range(g))
+                                  for i in range(g))
+                m1 = [rng.randrange(r) for _ in range(g)]
+                m1[0] = rng.randrange(1, r)
+                cases.append((tau, z, r, tuple(m1)))
+    return cases
+
+
+@pytest.mark.parametrize("tau, z, r, a", _group_cases())
+def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
+    # one walk gives theta[a/r; b/r] for every b; each value must lie within
+    # its certified error of the brute sum over the same box, at prec 96 and
+    # at prec 8, where the rounding budget dominates
+    g = tau.g
+    bs = list(itertools.product(range(r), repeat=g))
+    chars = [ThetaCharacteristic.from_integers(r, a, b) for b in bs]
+    radius = choose_radius(tau, z, chars[0], 96)
+    with workprec(96 + GUARD_BITS):
+        batch = theta_module._theta_batch(tau, z, chars, 96, None)
+    with workprec(8 + GUARD_BITS):
+        low = theta_module._theta_group(tau, z, r, a, bs, radius)
+    rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+    with workprec(200):
+        refs = theta_brute_batch(rows, z, chars[0].m1, [ch.m2 for ch in chars],
+                                 n=radius)
+        # the batch oracle is the plain one, term for term
+        last = chars[-1]
+        assert fabs(refs[-1] - theta_brute(rows, z, last.m1, last.m2, n=radius)) < mpf(10) ** -50
+    # a single characteristic is the one-member case of the same walk
+    assert batch[0] == theta(tau, z, chars[0], 96)
+    assert batch[-1] == theta(tau, z, chars[-1], 96)
+    for ch, ref, v, w in zip(chars, refs, batch, low):
+        with workprec(200):
+            assert fabs(v.value - ref) <= v.err, ch
+            assert fabs(w.value - ref) <= w.err, ch
+
+
+@pytest.mark.parametrize("den", [4, 16, 36])
+def test_group_weights_within_their_stated_bound(den):
+    # _theta_group's weights exp(pi i num/den) in p-bit fixed point: exact
+    # when 2 num/den is an integer, otherwise within 97 * 2^-p of exact
+    p = 96 + GUARD_BITS
+    exact_seen = inexact_seen = 0
+    for num in range(-2 * den, 2 * den + 1):
+        wr, wi, exact = theta_module._unit(num, den, p)
+        with workprec(400):
+            err = fabs(mpc(wr, wi) / mpf(2) ** p - expjpi(mpf(num) / den))
+            if exact:
+                assert 2 * num % den == 0 and err <= mpf(2) ** -390
+                exact_seen += 1
+            else:
+                assert err <= 97 * mpf(2) ** -p
+                inexact_seen += 1
+    assert exact_seen and inexact_seen
+
+
+def _count_work(monkeypatch):
+    counts = {"_row_sum": 0, "choose_radius": 0}
+    for name in counts:
+        fn = getattr(theta_module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(theta_module, name, wrapper)
+    return counts
+
+
+def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
+    counts = _count_work(monkeypatch)
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    z = [mpc("0.1", "0.2"), mpc("0.3", "-0.1")]
+
+    def work(fn, *args, **kwargs):
+        counts.update(_row_sum=0, choose_radius=0)
+        fn(*args, **kwargs)
+        return counts["_row_sum"], counts["choose_radius"]
+
+    assert work(verify_norm_bounds, tau, 2, prec=96) == (4, 4)
+    assert work(verify_norm_bounds, tau, 2, z, prec=96, assume_reduced=True) == (5, 5)
+    for r in (2, 4):
+        assert work(beta_sigma, tau, z, r, prec=96) == (r ** 2, r ** 2)
+        assert work(theta_null_vector, tau, r, prec=96) == (r ** 2, r ** 2)
+    assert work(verify_duplication, tau, 3, prec=96) == (4 * 4, 4 * 4)
+    assert work(verify_duplication, TAU_I, 3, prec=96) == (2 * 4, 2 * 4)
+    curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
+    assert work(heights.periods_agm, curve, 96) == (2, 2)
 
 
 def test_public_results_independent_of_global_precision():
