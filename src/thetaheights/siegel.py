@@ -18,17 +18,17 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from mpmath import mp, mpf, mpc, fabs, matrix, mnorm, workprec
-from mpmath.libmp import fzero
+from mpmath import mp, mpf, mpc, fabs, workprec
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC
-from .exactla import (Mat, det, fraction_to_mpf, identity as frac_identity,
-                      inverse, ldl_pivots, matmul, min_eig_lower_bound,
-                      mpf_to_fraction, transpose)
+from .exactla import (Mat, det, fraction_to_mpf, inverse, ldl_pivots, matmul,
+                      min_eig_lower_bound, mpf_to_fraction)
 
 
 class NumericalFailure(ArithmeticError):
-    """A matrix was too close to singular for the working precision."""
+    """lam*tau + mu is singular, or rounding the image of tau left its
+    imaginary part not positive definite."""
 
 
 class ReductionError(RuntimeError):
@@ -36,8 +36,10 @@ class ReductionError(RuntimeError):
 
 
 def default_tol(prec: int) -> mpf:
-    # half the bits: act() accepts lam*tau + mu with condition number up to
-    # 2^((prec+32)/2), so reduced entries are only good to about that much
+    # the slack of every domain and round-trip test: far above the error a
+    # reduction word accumulates (reduce_g1 iterates in prec + 32 bit
+    # floating point, and each act rounds to prec + 32 bits), far below a
+    # genuine violation; pinned campaign reports depend on this value
     return mpf(2) ** (-(prec // 2))
 
 
@@ -86,14 +88,11 @@ class SiegelPoint:
         """tau_ij exactly as stored, whatever mp.prec is."""
         return mp.make_mpc((self.re[i][j]._mpf_, self.im[i][j]._mpf_))
 
-    def to_mpmatrix(self) -> matrix:
-        m = matrix(self.g, self.g)
-        for i in range(self.g):
-            for j in range(self.g):
-                m[i, j] = self.entry(i, j)
-        return m
+    # Exact data of tau, computed once per point (the point is frozen).
 
-    # Exact data of Y = Im tau, computed once per point (the point is frozen).
+    @cached_property
+    def _x(self) -> Mat:
+        return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.re)
 
     @cached_property
     def _y(self) -> Mat:
@@ -117,7 +116,7 @@ class SiegelPoint:
         return self._y
 
     def re_fractions(self) -> Mat:
-        return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.re)
+        return self._x
 
     def det_im(self) -> mpf:
         return fraction_to_mpf(self.y_det)
@@ -169,12 +168,23 @@ def _int_inverse_unimodular(u: IntMat) -> IntMat:
 @dataclass(frozen=True)
 class SymplecticMatrix:
     """2g x 2g integer matrix [[alpha, beta], [lam, mu]] preserving the
-    standard symplectic form."""
+    standard symplectic form.  Construction rejects blocks that are not
+    g x g and matrices that are not symplectic: the action and the S.1
+    identity det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2 hold
+    only for symplectic gamma."""
     g: int
     alpha: IntMat
     beta: IntMat
     lam: IntMat
     mu: IntMat
+
+    def __post_init__(self):
+        for block in (self.alpha, self.beta, self.lam, self.mu):
+            if len(block) != self.g or any(len(row) != self.g for row in block):
+                raise ValueError(f"symplectic matrix blocks must be "
+                                 f"{self.g} x {self.g}")
+        if not self.is_symplectic():
+            raise ValueError("matrix is not symplectic")
 
     def is_symplectic(self) -> bool:
         at_l = _int_mul(_int_t(self.alpha), self.lam)
@@ -269,29 +279,54 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
                           bool(defect <= tol and min(pivots) > 0))
 
 
+def _affine(a: IntMat, x: Mat, b: IntMat) -> Mat:
+    """a x + b over Q."""
+    return tuple(tuple(s + t for s, t in zip(row, b_row))
+                 for row, b_row in zip(matmul(a, x), b))
+
+
+def _real_form(gamma: SymplecticMatrix, tau: SiegelPoint) -> Mat:
+    """[[A, -B], [B, A]] for lam tau + mu = A + iB over Q, from the stored
+    dyadic entries of tau.  Its determinant is |det(lam tau + mu)|^2 and its
+    inverse is the real form of (lam tau + mu)^{-1}."""
+    a = _affine(gamma.lam, tau.re_fractions(), gamma.mu)
+    b = matmul(gamma.lam, tau.im_fractions())
+    return (tuple(ra + tuple(-x for x in rb) for ra, rb in zip(a, b))
+            + tuple(rb + ra for ra, rb in zip(a, b)))
+
+
+def _rounded_symmetric(m: Mat, bits: int) -> tuple[tuple[mpf, ...], ...]:
+    """(m + m^T)/2 with each entry correctly rounded to ``bits`` bits."""
+    def rnd(q: Fraction) -> mpf:
+        return mp.make_mpf(from_rational(q.numerator, q.denominator, bits,
+                                         round_nearest))
+    g = len(m)
+    return tuple(tuple(rnd((m[i][j] + m[j][i]) / 2) for j in range(g))
+                 for i in range(g))
+
+
 def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
-    """Apply (alpha tau + beta)(lam tau + mu)^{-1}, symmetrized."""
+    """(alpha tau + beta)(lam tau + mu)^{-1}, exact, rounded once: computed
+    over Q from the stored entries of tau, symmetrized, and each entry
+    correctly rounded to prec + 32 bits, whatever mp.prec is."""
     g = tau.g
     if gamma.g != g:
         raise ValueError("dimension mismatch")
-    with workprec(prec + 32):
-        t = tau.to_mpmatrix()
-        a = matrix([[mpf(x) for x in row] for row in gamma.alpha])
-        b = matrix([[mpf(x) for x in row] for row in gamma.beta])
-        l = matrix([[mpf(x) for x in row] for row in gamma.lam])
-        m = matrix([[mpf(x) for x in row] for row in gamma.mu])
-        den = l * t + m
-        try:
-            den_inv = den ** -1
-        except ZeroDivisionError as e:
-            raise NumericalFailure("lam*tau + mu is singular") from e
-        if mnorm(den, 1) * mnorm(den_inv, 1) > mpf(2) ** ((prec + 32) // 2):
-            raise NumericalFailure("lam*tau + mu is too ill-conditioned")
-        res = (a * t + b) * den_inv
-        rows = []
-        for i in range(g):
-            rows.append([(res[i, j] + res[j, i]) / 2 for j in range(g)])
-        out = SiegelPoint.from_rows(rows)
+    try:
+        inv = inverse(_real_form(gamma, tau))
+    except ZeroDivisionError as e:
+        raise NumericalFailure("lam*tau + mu is singular") from e
+    # (lam tau + mu)^{-1} = P + iQ and alpha tau + beta = E + iF
+    p = tuple(row[:g] for row in inv[:g])
+    q = tuple(row[:g] for row in inv[g:])
+    e = _affine(gamma.alpha, tau.re_fractions(), gamma.beta)
+    f = matmul(gamma.alpha, tau.im_fractions())
+    re = tuple(tuple(s - t for s, t in zip(r1, r2))
+               for r1, r2 in zip(matmul(e, p), matmul(f, q)))
+    im = tuple(tuple(s + t for s, t in zip(r1, r2))
+               for r1, r2 in zip(matmul(e, q), matmul(f, p)))
+    out = SiegelPoint(g, _rounded_symmetric(re, prec + 32),
+                      _rounded_symmetric(im, prec + 32))
     if min(ldl_pivots(out.im_fractions())) <= 0:
         raise NumericalFailure("action produced a non-definite imaginary part")
     return out
@@ -381,15 +416,12 @@ def fundamental_domain_report(tau: SiegelPoint,
 
     s3_off = all(im_f[k][k + 1] >= -tol_f for k in range(g - 1))
 
-    d0 = tau.det_im()
-    s1_ok = True
-    for gam in generators:
-        try:
-            d1 = act(gam, tau, prec).det_im()
-        except NumericalFailure:
-            continue
-        if d1 > d0 + tol * max(mpf(1), d0):
-            s1_ok = False
+    # S.1 without acting: det Im(gam.tau) = d0 / |det(lam tau + mu)|^2 must
+    # not exceed d0 + tol max(1, d0); cleared of the denominator, so a
+    # singular lam tau + mu (the image at infinity) fails
+    d0 = tau.y_det
+    bound = d0 + tol_f * max(1, d0)
+    s1_ok = all(d0 <= bound * det(_real_form(gam, tau)) for gam in generators)
     return FundamentalDomainReport(g, bool(s2_ok), fraction_to_mpf(max_re),
                                    s3_quad, bool(s3_off), s1_ok,
                                    len(generators), checked, tol)
@@ -612,7 +644,7 @@ def reduce_heuristic(tau: SiegelPoint,
     reported by the certificate, not assumed.
     """
     g = tau.g
-    tol = default_tol(prec)
+    tol_f = mpf_to_fraction(default_tol(prec))
     if generators is None:
         generators = default_generators(g)
     with workprec(prec + 32):
@@ -644,20 +676,22 @@ def reduce_heuristic(tau: SiegelPoint,
                 word.append(("U", u))
                 history.append(cur.det_im())
                 moved = True
-            # (c) first det-improving generator in list order
-            d0 = cur.det_im()
+            # (c) first generator in list order that raises det Im by more
+            # than the factor 1 + tol, by det Im(gen.cur) = det Im(cur) /
+            # |det(lam cur + mu)|^2; lam = 0 forces |det mu| = 1, no change
             for gen in generators:
+                if (not any(any(row) for row in gen.lam)
+                        or det(_real_form(gen, cur)) * (1 + tol_f) >= 1):
+                    continue
                 try:
-                    cand = act(gen, cur, prec)
+                    cur = act(gen, cur, prec)
                 except NumericalFailure:
                     continue
-                if cand.det_im() > d0 * (1 + tol):
-                    cur = cand
-                    gamma = gen.compose(gamma)
-                    word.append(("G", gen))
-                    history.append(cur.det_im())
-                    moved = True
-                    break
+                gamma = gen.compose(gamma)
+                word.append(("G", gen))
+                history.append(cur.det_im())
+                moved = True
+                break
             if not moved:
                 converged = True
                 break

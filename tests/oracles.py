@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the package's own evaluation paths: plain
-term-by-term mpmath sums with a fixed box radius, and mpmath's Cholesky for
-pivot checks.
+term-by-term mpmath sums with a fixed box radius, mpmath's Cholesky for
+pivot checks, and the Siegel action both in mpmath matrix arithmetic and
+by Gauss-Jordan over Q(i).
 """
 import itertools
 from fractions import Fraction
 from math import gcd
 
-from mpmath import mp, mpf, mpc, cholesky, exp, fabs, matrix, pi, sqrt
+from mpmath import (mp, mpf, mpc, cholesky, exp, fabs, matrix, pi, sqrt,
+                    workprec)
 
 BRUTE_RADIUS = 50
 
@@ -89,3 +91,61 @@ def theta_brute_batch(tau_rows, z, m1, m2s, n=BRUTE_RADIUS):
             by_phase[num] = by_phase.get(num, 0) + base
     return [sum(exp(2 * mpc(0, 1) * pi * num / (d * d)) * part
                 for num, part in by_phase.items()) for by_phase in sums]
+
+
+ACT_PREC = 400
+
+
+def act_mp(gamma, tau_rows, prec=ACT_PREC):
+    """gamma.tau = (alpha tau + beta)(lam tau + mu)^-1 in mpmath matrix
+    arithmetic at ``prec`` bits, symmetrized; a list of mpc rows."""
+    g = len(tau_rows)
+    with workprec(prec):
+        t = matrix([[mpc(x) for x in row] for row in tau_rows])
+        a, b, l, m = (matrix([[mpf(x) for x in row] for row in block])
+                      for block in (gamma.alpha, gamma.beta, gamma.lam, gamma.mu))
+        res = (a * t + b) * (l * t + m) ** -1
+        return [[(res[i, j] + res[j, i]) / 2 for j in range(g)] for i in range(g)]
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def act_exact(gamma, re_rows, im_rows):
+    """Exact gamma.tau over Q(i) for tau with rational parts ``re_rows`` and
+    ``im_rows``: Gauss-Jordan inverts lam tau + mu, with each Gaussian
+    rational held as a (re, im) pair of Fractions.  Returns (Re, Im) rows."""
+    g = len(re_rows)
+    tau = [[(Fraction(re_rows[i][j]), Fraction(im_rows[i][j])) for j in range(g)]
+           for i in range(g)]
+
+    def affine(a, b):  # a tau + b for integer blocks a, b
+        return [[(sum(a[i][k] * tau[k][j][0] for k in range(g)) + b[i][j],
+                  sum(a[i][k] * tau[k][j][1] for k in range(g)))
+                 for j in range(g)] for i in range(g)]
+
+    num, den = affine(gamma.alpha, gamma.beta), affine(gamma.lam, gamma.mu)
+    aug = [den[i] + [(Fraction(int(i == j)), Fraction(0)) for j in range(g)]
+           for i in range(g)]
+    for k in range(g):
+        piv = next(i for i in range(k, g) if aug[i][k] != (0, 0))
+        aug[k], aug[piv] = aug[piv], aug[k]
+        x, y = aug[k][k]
+        n = x * x + y * y
+        aug[k] = [_gmul((x / n, -y / n), v) for v in aug[k]]
+        for i in range(g):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [_gsub(v, _gmul(f, w)) for v, w in zip(aug[i], aug[k])]
+    out = [[(Fraction(0), Fraction(0))] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(g):
+            for k in range(g):
+                t = _gmul(num[i][k], aug[k][g + j])
+                out[i][j] = (out[i][j][0] + t[0], out[i][j][1] + t[1])
+    return ([[v[0] for v in row] for row in out], [[v[1] for v in row] for row in out])

@@ -28,6 +28,22 @@ def test_siegel_reduce(capsys):
     assert all(len(gamma[k]) == 1 for k in ("alpha", "beta", "lam", "mu"))
 
 
+@pytest.mark.parametrize("gen,message", [
+    ({"alpha": [[2, 0], [0, 1]], "beta": [[0, 0], [0, 0]],
+      "lam": [[0, 0], [0, 0]], "mu": [[1, 0], [0, 1]]}, "not symplectic"),
+    ({"alpha": [[1]], "beta": [[0]], "lam": [[0]], "mu": [[1]]}, "2 x 2"),
+])
+def test_siegel_reduce_rejects_bad_generators(capsys, tmp_path, gen, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([gen]))
+    code = main(["siegel", "reduce", "--tau",
+                 '[[["0.1","1.2"],["0.2","0.3"]],[["0.2","0.3"],["0.4","1.5"]]]',
+                 "--generators", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_theta_eval_with_char(capsys):
     code, out = run(capsys, "theta", "eval", "--tau", '[[["0","1"]]]',
                     "--char", "1/2;1/2")

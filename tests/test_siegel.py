@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, fabs, workprec
 
-from thetaheights import sampling
+from thetaheights import sampling, siegel
+from thetaheights.exactla import det
 from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  compose_word, default_generators, default_tol,
                                  fundamental_domain_report, lll_gram,
                                  reduce_g1, reduce_heuristic,
                                  reduced_basis_change, sl2_s, sl2_t, validate)
 
-from oracles import cholesky_min_pivot
+from oracles import act_exact, act_mp, cholesky_min_pivot
 
 I = mpc(0, 1)
 
@@ -81,6 +82,75 @@ def test_act_round_trip_and_validity(seed, g):
         for i in range(g):
             for j in range(g):
                 assert fabs(back.entry(i, j) - tau.entry(i, j)) < 10 * default_tol(128)
+
+
+def _act_points(g):
+    """Random points with 53-bit entries, and their images under the
+    inversion at 200 bits, whose translates need rounding at 160 bits."""
+    for k in range(4):
+        tau = sampling.random_siegel_point(sampling.substream(5, f"act:{g}:{k}"), g)
+        yield tau
+        yield act(SymplecticMatrix.inversion(g), tau, 200)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_act_is_exact_then_rounded_once(g):
+    for tau in _act_points(g):
+        rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+        for gamma in default_generators(g):
+            out = act(gamma, tau, 128)
+            oracle = act_mp(gamma, rows)
+            with workprec(160):
+                for i in range(g):
+                    for j in range(g):
+                        assert out.re[i][j] == +oracle[i][j].real
+                        assert out.im[i][j] == +oracle[i][j].imag
+            saved = mp.prec
+            try:
+                mp.prec = 53
+                at_53 = act(gamma, tau, 128)
+                mp.prec = 300
+                at_300 = act(gamma, tau, 128)
+            finally:
+                mp.prec = saved
+            assert ([x._mpf_ for part in (at_53.re, at_53.im) for row in part for x in row]
+                    == [x._mpf_ for part in (at_300.re, at_300.im) for row in part for x in row])
+            _, im = act_exact(gamma, tau.re_fractions(), tau.im_fractions())
+            assert tau.y_det / det(siegel._real_form(gamma, tau)) == det(im)
+
+
+def test_reduce_heuristic_acts_only_with_chosen_moves(monkeypatch):
+    calls = []
+    real_act = siegel.act
+
+    def counting_act(*args, **kwargs):
+        calls.append(args[0])
+        return real_act(*args, **kwargs)
+
+    monkeypatch.setattr(siegel, "act", counting_act)
+    generator_moves = 0
+    for k in range(6):
+        tau = sampling.random_siegel_point(sampling.substream(11, f"h2:{k}"), 2)
+        calls.clear()
+        res = reduce_heuristic(tau, prec=96)
+        word = res.certificate.word
+        generator_moves += sum(move[0] == "G" for move in word)
+        # one act per translation or generator move, one for the residual
+        assert len(calls) == sum(move[0] in ("B", "G") for move in word) + 1
+        calls.clear()
+        fundamental_domain_report(res.reduced, prec=96)
+        assert calls == []
+    assert generator_moves > 0
+
+
+def test_symplectic_matrix_rejects_bad_input():
+    ide, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+    with pytest.raises(ValueError, match="not symplectic"):
+        SymplecticMatrix(2, ((2, 0), (0, 1)), zero, zero, ide)
+    with pytest.raises(ValueError, match="2 x 2"):
+        SymplecticMatrix(2, ((1,),), zero, zero, ide)
+    with pytest.raises(ValueError, match="2 x 2"):
+        SymplecticMatrix(2, ide, zero, ((0, 0),), ide)
 
 
 def test_symplectic_relations():
