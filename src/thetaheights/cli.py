@@ -64,6 +64,27 @@ def _parse_rational_matrix(text: str):
     return [[Fraction(str(x)) for x in row] for row in data]
 
 
+def _parse_generator(doc, g: int) -> siegel.SymplecticMatrix:
+    """One generator {"alpha", "beta", "lam", "mu"} of integer matrices; a
+    missing block or a non-integral entry is a ValueError."""
+    blocks = []
+    for name in ("alpha", "beta", "lam", "mu"):
+        if not isinstance(doc, dict) or name not in doc:
+            raise ValueError(f"generator has no {name!r} block")
+        block = doc[name]
+        if not isinstance(block, list) or not all(isinstance(row, list) for row in block):
+            raise ValueError(f"generator block {name!r} is not a matrix")
+        blocks.append(tuple(tuple(_integer(x) for x in row) for row in block))
+    return siegel.SymplecticMatrix(g, *blocks)
+
+
+def _integer(x) -> int:
+    v = Fraction(str(x))
+    if v.denominator != 1:
+        raise ValueError(f"generator entry {x!r} is not an integer")
+    return int(v)
+
+
 def _verdict_doc(v, prec: int):
     return {"lhs": _fmt(v.lhs, prec), "rhs": _fmt(v.rhs, prec),
             "margin": _fmt(v.margin, prec), "verdict": v.verdict}
@@ -86,13 +107,7 @@ def _cmd_siegel_reduce(args) -> int:
     gens = None
     if args.generators:
         with open(args.generators) as fh:
-            gens = [siegel.SymplecticMatrix(
-                tau.g,
-                tuple(tuple(int(x) for x in row) for row in d["alpha"]),
-                tuple(tuple(int(x) for x in row) for row in d["beta"]),
-                tuple(tuple(int(x) for x in row) for row in d["lam"]),
-                tuple(tuple(int(x) for x in row) for row in d["mu"]))
-                for d in json.load(fh)]
+            gens = [_parse_generator(d, tau.g) for d in json.load(fh)]
     if tau.g == 1:
         res = siegel.reduce_g1(tau, args.prec)
     else:
@@ -198,8 +213,9 @@ def _cmd_heights_corpus(args) -> int:
              "window_value,window_lower,window_upper,bost_lower,hf_lower,matrix_lemma"]
     n_fail = 0
     for c in curves:
-        rep = heights.window_check(c, args.prec)
-        ml = heights.matrix_lemma_check(c, args.prec)
+        lattice = heights.periods_agm(c, args.prec)
+        rep = heights.window_check(c, args.prec, lattice=lattice)
+        ml = heights.matrix_lemma_check(c, args.prec, lattice=lattice)
         verdicts = [rep.verdicts["window_lower"].verdict,
                     rep.verdicts["window_upper"].verdict,
                     rep.verdicts["bost_lower"].verdict,

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 Mat = tuple[tuple[Fraction, ...], ...]
 Vec = tuple[Fraction, ...]
@@ -30,7 +31,9 @@ def mpf_to_fraction(x) -> Fraction:
 
 
 def fraction_to_mpf(q: Fraction) -> mpf:
-    return mpf(q.numerator) / q.denominator
+    """q rounded once, to nearest, at mp.prec (``mpf(numerator) /
+    denominator`` would round the numerator first)."""
+    return mp.make_mpf(from_rational(q.numerator, q.denominator, mp.prec, round_nearest))
 
 
 def as_mpf(x) -> mpf:

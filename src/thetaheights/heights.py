@@ -199,7 +199,7 @@ def _check_lattice_invariants(curve: EllipticCurveQ, omega1: mpc, omega2: mpc,
 
 def _even_nulls(tau: SiegelPoint, prec: int):
     """theta constants theta2 = (1/2,0), theta3 = (0,0), theta4 = (0,1/2),
-    from the two walks of the level-2 theta-null vector."""
+    from the one walk of the level-2 theta-null vector."""
     t3, t4, t2, _ = theta_null_vector(tau, 2, prec)
     return t2, t3, t4
 
@@ -343,11 +343,14 @@ class HeightReport:
 
 
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
-                 allow_relative: bool = False) -> HeightReport:
+                 allow_relative: bool = False,
+                 lattice: PeriodLattice | None = None) -> HeightReport:
     """h_theta - h_F/2 - (1/4) log det Im tau against the [m(2,1), M(2,1)]
-    window, plus the height lower bounds, all with certified margins."""
-    with workprec(prec + GUARD_BITS):
+    window, plus the height lower bounds, all with certified margins.  A
+    ``lattice`` from ``periods_agm(curve, prec)`` is used as given."""
+    if lattice is None:
         lattice = periods_agm(curve, prec)
+    with workprec(prec + GUARD_BITS):
         det_s = _pipeline(curve, lattice, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         det_im = det_s.tau_reduced.det_im()
@@ -365,10 +368,12 @@ def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
                         det_s.lam, fal.stable, verdicts)
 
 
-def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Verdict:
-    """|log det Im tau| <= C(1) log(max{h_theta, 1} + 2), certified."""
+def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
+                       lattice: PeriodLattice | None = None) -> Verdict:
+    """|log det Im tau| <= C(1) log(max{h_theta, 1} + 2), certified.  A
+    ``lattice`` from ``periods_agm(curve, prec)`` is used as given."""
     with workprec(prec + GUARD_BITS):
-        det_s = _pipeline(curve, None, prec)
+        det_s = _pipeline(curve, lattice, prec)
         det_im = det_s.tau_reduced.det_im()
         lhs = CertifiedReal.rounded(fabs(log(det_im)))
         h = det_s.h_theta
@@ -379,14 +384,17 @@ def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Verdi
 
 def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
                     prec: int = DEFAULT_PREC,
-                    allow_relative: bool = False) -> CertifiedReal:
+                    allow_relative: bool = False,
+                    lattice: PeriodLattice | None = None) -> CertifiedReal:
     """h(Theta(P)) - h_F/2 - (1/4) log det Im tau - C(2,1), the certified
     lower bound for the canonical height of P (whose own theta height the
-    caller supplies)."""
+    caller supplies).  A ``lattice`` from ``periods_agm(curve, prec)`` is
+    used as given."""
     if not isinstance(theta_point_height, CertifiedReal):
         theta_point_height = CertifiedReal.exact(mpf(theta_point_height))
-    with workprec(prec + GUARD_BITS):
+    if lattice is None:
         lattice = periods_agm(curve, prec)
+    with workprec(prec + GUARD_BITS):
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         quarter_log = CertifiedReal.rounded(log(lattice.reduction.reduced.det_im()) / 4)
         c_rg = constants.M_const(2, 1, prec)

@@ -21,7 +21,7 @@ from math import gcd
 from mpmath import mp, mpf, mpc, fabs, workprec
 from mpmath.libmp import from_rational, fzero, round_nearest
 
-from .certified import DEFAULT_PREC
+from .certified import DEFAULT_PREC, GUARD_BITS
 from .exactla import (Mat, det, fraction_to_mpf, inverse, ldl_pivots, matmul,
                       min_eig_lower_bound, mpf_to_fraction)
 
@@ -273,7 +273,8 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
                 d = fabs(tau.entry(i, j) - tau.entry(j, i))
                 defect = max(defect, d)
     pivots = ldl_pivots(tau.im_fractions())
-    min_pivot = fraction_to_mpf(min(pivots))
+    with workprec(prec + GUARD_BITS):
+        min_pivot = fraction_to_mpf(min(pivots))
     tol = default_tol(prec)
     return ValidityReport(tau.g, defect, min_pivot, tol,
                           bool(defect <= tol and min(pivots) > 0))
@@ -422,7 +423,9 @@ def fundamental_domain_report(tau: SiegelPoint,
     d0 = tau.y_det
     bound = d0 + tol_f * max(1, d0)
     s1_ok = all(d0 <= bound * det(_real_form(gam, tau)) for gam in generators)
-    return FundamentalDomainReport(g, bool(s2_ok), fraction_to_mpf(max_re),
+    with workprec(prec + GUARD_BITS):
+        max_re_m = fraction_to_mpf(max_re)
+    return FundamentalDomainReport(g, bool(s2_ok), max_re_m,
                                    s3_quad, bool(s3_off), s1_ok,
                                    len(generators), checked, tol)
 

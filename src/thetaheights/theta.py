@@ -7,24 +7,33 @@ bound, not an estimate.
 
 The box is summed row by row along the last coordinate (``_row_sum``).  The
 exponent of every term is pi*i times an exact dyadic rational, formed in
-Python integers from the exact entries of tau, z and the top
-characteristic m1.  Each row starts at its peak-magnitude term and walks
-outward with the recurrences t <- t*rho, rho <- rho*exp(2 pi i tau_gg) in
-Python-int fixed point; every multiplier has modulus <= 1, so rounding is
-never amplified.  The ulp budget of the walk is derived in ``_row_sum`` and
-is part of the certified bound.
+Python integers from the exact entries of tau and z.  Each row starts at its
+peak-magnitude term and walks outward with the recurrences t <- t*rho,
+rho <- rho*exp(2 pi i tau_gg step^2) in Python-int fixed point; every
+multiplier has modulus <= 1, so rounding is never amplified.  The ulp
+budget of the walk is derived in ``_row_sum`` and is part of the certified
+bound.
 
-One walk serves every m2 = b/r at a fixed m1 = a/r: m2 multiplies the
-term of n by exp(2 pi i n.b/r) exp(2 pi i m1.m2), and the first factor
-depends on n mod r alone.  So the walk adds each term to the fixed-point
-accumulator of its residue class n mod r, and ``_theta_group`` combines the
-r^g accumulators with roots of unity into every theta[a/r; b/r].  The
-radius and the tail depend on m1 alone, so a group takes one
-``choose_radius`` and one tail bound.  The weights have modulus 1, so the
-walk's budget holds for every combination; they are exact for r = 2 (and
-for r = 4 when the global phase is left out, as norms do), and otherwise
-add one stated rounding term.  ``theta`` and ``theta_truncated`` are the
-one-member case of the same walk.
+One walk serves every characteristic of a level r at (tau, z).  With
+N = r n + a the term of n in theta[a/r; b/r] is exp(pi i D(N) / r^2)
+exp(2 pi i N.b / r^2), and D does not depend on a.  So the walk runs over
+the integers N in the union of the boxes ||n||_inf <= R_a of the requested
+top characteristics m1 = a/r, adds each term to the fixed-point
+accumulator of its class N mod r^2 (each coordinate), and only inside the
+box of its own a.  ``_theta_groups`` combines the classes of each a with
+the roots of unity exp(2 pi i N.b / r^2) into every theta[a/r; b/r].  Each
+characteristic thus sums exactly the terms of its own box, and keeps the
+tail bound of its own radius; the radius depends on m1 only through
+s = max_i |m1_i + u_i|, so each distinct s takes one ``choose_radius``.
+A row steps by 1 along the last coordinate when the requested a differ in
+their last entry and by r otherwise, so a lone characteristic walks only
+its own lattice.  The fixed-point width is chosen before the walk, from the
+rows, their lengths and their peaks, so that no characteristic's rounding
+budget is above the one of its own walk.  The weights have modulus 1, so
+the walk's budget holds for every combination; they are exact for r = 2
+(and for r = 4 when the global phase is left out, as norms do), and
+otherwise add one stated rounding term.  ``theta`` and ``theta_truncated``
+are the one-member case of the same walk.
 
 The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
 det Y) are cached on the ``SiegelPoint``, so every characteristic and every
@@ -34,9 +43,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from mpmath import mp, mpf, mpc, fabs, exp, fmul, log, pi, sqrt, workprec
 from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
@@ -143,9 +153,8 @@ def _coset_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
             = det(Y)^(1/4) exp(-pi Im w^T Y^-1 Im w) |theta[b/r; a/r](tau, w)|,
 
     so a coset norm is a characteristic norm at w, with no rounded point.
-    The list runs over m2 = a/r outside and m1 = b/r inside, so the r^(2g)
-    characteristics fall into r^g groups of one m1, each one box walk with
-    r^g residue accumulators (see ``_theta_group``)."""
+    The list runs over m2 = a/r outside and m1 = b/r inside; all r^(2g)
+    characteristics come from one walk (see ``_theta_groups``)."""
     return tuple(ThetaCharacteristic.from_integers(r, b, a)
                  for a in itertools.product(range(r), repeat=g)
                  for b in itertools.product(range(r), repeat=g))
@@ -190,30 +199,70 @@ def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
     return lam, xi, u
 
 
-def _tail_bound(g: int, lam: Fraction, xi: Fraction, s: Fraction, n: int) -> mpf:
-    """Proven bound on the absolute tail over ||n||_inf > N.
+def _tail(g: int, lam: Fraction, xi: Fraction, s: Fraction):
+    """n -> proven bound on the absolute tail over ||n||_inf > n.
 
     Derivation: complete the square in the exponent, bound the quadratic form
     by lam * (k - s)^2 on the shell ||n||_inf = k, count the shell by
     2g(2k+1)^(g-1), and dominate the resulting series by a geometric one.
-    Requires N + 1 > s.
-    """
-    gap = Fraction(n + 1) - s
-    if gap <= 0:
-        return mpf("inf")
+    Infinite unless n + 1 > s.  The factors that do not depend on n are
+    formed once, in the same order of operations, so each bound is the same
+    mpf as when it is formed in one expression."""
     lam_m = fraction_to_mpf(lam)
-    gap_m = fraction_to_mpf(gap)
-    q = exp(-2 * pi * lam_m * gap_m)
-    if q >= 1:
-        return mpf("inf")
-    t = (exp(pi * fraction_to_mpf(xi)) * 2 * g * mpf(2 * n + 3) ** (g - 1)
-         * factorial(g - 1) * exp(-pi * lam_m * gap_m ** 2) / (1 - q) ** g)
-    return t * (1 + mpf(2) ** -30)
+    q_arg = -2 * pi * lam_m
+    gauss_arg = -pi * lam_m
+    head = exp(pi * fraction_to_mpf(xi)) * 2 * g
+    fact = factorial(g - 1)
+
+    def bound(n: int) -> mpf:
+        gap = Fraction(n + 1) - s
+        if gap <= 0:
+            return mpf("inf")
+        gap_m = fraction_to_mpf(gap)
+        q = exp(q_arg * gap_m)
+        if q >= 1:
+            return mpf("inf")
+        t = (head * mpf(2 * n + 3) ** (g - 1) * fact * exp(gauss_arg * gap_m ** 2)
+             / (1 - q) ** g)
+        return t * (1 + mpf(2) ** -30)
+    return bound
+
+
+def _predict_radius(g: int, lam: Fraction, xi: Fraction, s: Fraction,
+                    log_target: float, floor: int) -> int:
+    """Smallest n >= floor whose tail bound is below exp(log_target), from
+    the float logarithm of the ``_tail`` formula (without its 1 + 2^-30)."""
+    lam_f, s_f = float(lam), float(s)
+    excess = math.pi * float(xi) + math.log(2 * g * factorial(g - 1)) - log_target
+
+    def above(n: int) -> bool:
+        gap = n + 1 - s_f
+        if gap <= 0:
+            return True
+        return (excess + (g - 1) * math.log(2 * n + 3) - math.pi * lam_f * gap * gap
+                - g * math.log(-math.expm1(-2 * math.pi * lam_f * gap))) > 0
+
+    n = max(floor, int(s_f + math.sqrt(max(excess, 0) / (math.pi * lam_f))))
+    while n <= RADIUS_CAP and above(n):
+        n += 1
+    while n > floor and not above(n - 1):
+        n -= 1
+    return n
 
 
 def choose_radius(tau: SiegelPoint, z=None, char=None,
                   prec: int = DEFAULT_PREC, tol=None) -> int:
-    """Smallest box radius whose certified tail bound is below tol/2.
+    """Smallest box radius whose certified tail bound is below tol/2, but
+    not below int(s) + 2 once the first estimate
+    n0 = max(int(s) + 1, int(s + sqrt(need)) + 1) lies there, with
+    s = max_i |m1_i + u_i| and need = (log(1/target) + pi xi + 4g + 8) /
+    (pi lam).  The floor is the rule of the plain search (jump to n0, climb
+    while the tail is above the target, descend no lower than int(s) + 2),
+    whose radii the pinned reports were taken with.
+
+    A float solve of the tail formula predicts the radius, and the certified
+    ``_tail`` confirms it at n and n - 1, stepping on only if the float
+    prediction missed.
 
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     so the radius is the one for that z and does not depend on mp.prec."""
@@ -226,17 +275,22 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
         m1 = tuple(Fraction(x, den) for x in a)
         s = max(abs(m + w) for m, w in zip(m1, u))
         target = mpf(tol) / 2
-        n = int(s) + 1
-        # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
         need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
-        n = max(n, int(s + sqrt(need)) + 1)
-        while n <= RADIUS_CAP and _tail_bound(g, lam, xi, s, n) > target:
+        n0 = max(int(s) + 1, int(s + sqrt(need)) + 1)
+        if n0 > RADIUS_CAP:
+            raise ReduceFirstError("truncation radius exceeds the cap; reduce tau first")
+        floor = min(n0, int(s) + 2)
+        bound = _tail(g, lam, xi, s)
+        n = _predict_radius(g, lam, xi, s, float(log(target)), floor)
+        if n <= RADIUS_CAP and bound(n) <= target:
+            while n > floor and bound(n - 1) <= target:
+                n -= 1
+        else:
             n += 1
+            while n <= RADIUS_CAP and bound(n) > target:
+                n += 1
         if n > RADIUS_CAP:
-            raise ReduceFirstError(
-                "truncation radius exceeds the cap; reduce tau first")
-        while n > int(s) + 2 and _tail_bound(g, lam, xi, s, n - 1) <= target:
-            n -= 1
+            raise ReduceFirstError("truncation radius exceeds the cap; reduce tau first")
     return n
 
 
@@ -270,63 +324,115 @@ def _unit(num: int, den: int, p: int) -> tuple[int, int, bool]:
     return _fixed(ex, p), _fixed(ey, p), False
 
 
-def _row_sum(tau: SiegelPoint, z, den: int, a, radius: int):
-    """Sum over the box ||n||_inf <= radius in rows along the last
-    coordinate, one accumulator per residue class of n mod den.  Returns
-    (re, im, y_m, rows): re[c] + i im[c] is the fixed-point sum of the terms
-    with n = c (mod den), classes c in ``itertools.product(range(den),
-    repeat=g)`` order, exp(-M) with M = pi y_m is the common scale and rows =
-    (2R+1)^(g-1); call inside the working precision p = mp.prec.
+def _row_units(k: int) -> int:
+    """Rounding budget, in ulps, of a walked row of k + 1 terms."""
+    return 70 * (1 + k + k * (k + 1) * (k + 2) // 6)
 
-    The walk is the one of theta[a/den; 0]: m2 = b/den only multiplies the
-    term of n by exp(2 pi i n.m2) exp(2 pi i m1.m2), whose first factor
-    depends on n mod den alone, so ``_theta_group`` forms every
-    theta[a/den; b/den] from these accumulators.
 
-    Exact exponents.  With v = n + m1 and nn = den*v = den*n + a, the term is
-    exp(pi i D(nn) / s) where s = den^2 2^-e0 and
+def _row_slots(base: int, lo: int, step: int, count: int, spans: dict,
+               den: int, trash: int) -> list[int]:
+    """Accumulator index of each term x = lo + step j, j < count, of a row:
+    base + x mod den^2 when x lies in the box of its own top characteristic
+    (x mod den in ``spans`` and x within its span), ``trash`` otherwise.
+    Inside the span every present residue covers, the indices repeat with
+    period den^2/step; only the ends are looked at term by term."""
+    r2 = den * den
+    period = r2 // step
+    pattern = [base + x % r2 if x % den in spans else trash
+               for x in range(lo, lo + step * period, step)]
+    slots = pattern * (count // period + 1)
+    del slots[count:]
+    if len(spans) == 1:
+        return slots    # the row is the span of its one top characteristic
+    j_lo = -(-(max(v[0] for v in spans.values()) - lo) // step)
+    j_hi = (min(v[1] for v in spans.values()) - lo) // step
+    for j in itertools.chain(range(min(j_lo, count)), range(max(j_hi + 1, 0), count)):
+        x = lo + step * j
+        span = spans.get(x % den)
+        slots[j] = base + x % r2 if span and span[0] <= x <= span[1] else trash
+    return slots
 
-        D(nn) = sum_jk T_jk nn_j nn_k + 2 den sum_j nn_j Z_j
+
+def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
+    """One walk over the union of the boxes ||n||_inf <= R_a of the top
+    characteristics m1 = a/den in ``boxes`` (a -> R_a), in rows along the
+    last coordinate, with one accumulator per class of N = den*n + a mod
+    den^2 (each coordinate).  Returns (re, im, y_m, units, pf): re[C] + i
+    im[C] is the fixed-point sum, pf fractional bits, of the terms in class
+    C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
+    exp(-M) with M = pi y_m is the common scale; units[a] is the rounding
+    budget of a's classes in ulps of 2^-pf.  Call inside the working
+    precision p = mp.prec.
+
+    The walk of theta[a/den; 0] for every a at once: m2 = b/den only
+    multiplies the term of N by exp(2 pi i N.b/den^2), which depends on the
+    class of N alone, so ``_theta_groups`` forms every theta[a/den; b/den]
+    from these accumulators.  A term enters its class only inside its own
+    box, so each characteristic sums exactly the terms of its own box walk.
+
+    Exact exponents.  With v = n + m1 and N = den*v = den*n + a, the term is
+    exp(pi i D(N) / s) where s = den^2 2^-e0 and
+
+        D(N) = sum_jk T_jk N_j N_k + 2 den sum_j N_j Z_j
 
     is a Gaussian integer: T = tau 2^-e0 and Z = z 2^-e0 are the exact
-    entries scaled by the smallest binary exponent e0 <= 0.  On a row the
-    last coordinate x = den*k + a_h gives D = T_hh x^2 + 2 x L + G.  Its
-    peak-magnitude index is k* = clip(round(k_r), -R, R) with k_r the real
-    minimiser of Im D, and M = max over rows of -pi Im D(k*)/s is the common
-    exponent: every term is computed as t = exp(-M) * term, so |t| <= 1.
-    Every exponential is ``mpc_expjpi`` of an argument reduced exactly mod
-    2 in its real part, so |Im arg| <= pi and Re arg <= 0:
+    entries scaled by the smallest binary exponent e0 <= 0.  D does not
+    depend on a, so all top characteristics share one lattice of N.
+
+    Union rows.  A row fixes N_1..N_(g-1); its top characteristics are the
+    a with that prefix mod den whose box holds the prefix, and each adds the
+    span a_g + den[-R_a, R_a] of the last coordinate x.  The row walks
+    x = lo + step j over the union of the spans, step the gcd of den and
+    the differences of their a_g: den (the walk of one m1) when they share
+    a_g, otherwise 1 for a full level.  On a row
+    D = T_gg x^2 + 2 x L + G; its peak is x* = lo + step clip(round(j_r))
+    with j_r the real minimiser of Im D, and M = max over rows of
+    -pi Im D(x*) / s is the common exponent: every term is computed as
+    t = exp(-M) * term, so |t| <= 1.  Every exponential is ``mpc_expjpi`` of
+    an argument reduced exactly mod 2 in its real part, so |Im arg| <= pi
+    and Re arg <= 0:
 
     - the peak term of each row and the first ratio rho_0 outward on each
-      side (|rho_0| <= 1 because k* is the rounded or clipped peak) take one
-      exp each, and Q = exp(2 pi i tau_hh) one per call;
+      side (|rho_0| <= 1 because x* is the rounded or clipped peak) take one
+      exp each, and Q = exp(2 pi i tau_gg step^2) one per step size;
     - each exp keeps the per-exp allowance of 8(5 + |arg|) ulps relative;
       with |exp(arg)| = e^-x, x = -Re arg >= 0 and (a + x) e^-x <= a for
       a >= 1, that is <= 8(5 + pi) < 66 ulps absolute; rounding it down to
-      p fractional bits adds < 1 ulp per component, so each starting value
-      is within eps = 68 * 2^-p of exact;
-    - the walk t <- t*rho, rho <- rho*Q runs in ints with p fractional bits;
-      each product, rounded down, costs <= 1 ulp per component, < 2 * 2^-p.
+      pf fractional bits adds < 1 ulp per component, so each starting value
+      is within eps = 68 * 2^-pf of exact;
+    - the walk t <- t*rho, rho <- rho*Q runs in ints with pf fractional
+      bits; each product, rounded down, costs <= 1 ulp per component,
+      < 2 * 2^-pf.
 
-    Budget of one row with sigma = eps + 2 * 2^-p = 70 * 2^-p: the ratio
+    Budget of one row with sigma = eps + 2 * 2^-pf = 70 * 2^-pf: the ratio
     error after j steps is d_j <= eps + j sigma (linear growth) and the term
-    error is e_j <= eps + sum_{i<j} (d_i + 2^(1-p)) <= sigma (1 + j(j+1)/2).
+    error is e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <= sigma (1 + j(j+1)/2).
     A direction of K steps thus costs (K + K(K+1)(K+2)/6) sigma, and since
-    this is convex in K, a row of 2R+1 terms costs at most
-    u_R = (1 + 2R + 2R(2R+1)(2R+2)/6) sigma.  Computed multipliers may
-    exceed modulus 1 by d_j or eps; that amplifies the row error by at most
-    exp(2R(2R+1) sigma) <= 1 + 2^-30 (R <= RADIUS_CAP, p >= GUARD_BITS).  A
-    row whose peak is below 2^-(p+1) is not walked: its 2R+1 terms together
-    are below u_R.  The integer accumulators are exact, and each term lands
-    in exactly one of them, so the errors of all classes together stay
-    within rows u_R; a combination sum_c w_c A_c with |w_c| = 1 therefore
-    errs by at most rows u_R as well.  ``_theta_group`` forms the weights,
-    exactly for r = 2 (and r = 4 without the global phase), and states the
-    one extra rounding term of inexact weights for other r.
+    this is convex in K, a row of k + 1 terms costs at most
+    u_k = (1 + k + k(k+1)(k+2)/6) sigma (``_row_units``).  Computed
+    multipliers may exceed modulus 1 by d_j or eps; that amplifies the row
+    error by at most exp(k(k+1) sigma) <= 1 + 2^-30, which pf guarantees
+    below.  A row whose peak is below 2^-(pf+1) is not walked: its terms
+    together are below u_k.  The integer accumulators are exact and each
+    term lands in one of them (or in none, outside its box), so the errors
+    of a's classes stay within the sum of u_k over the rows that hold a:
+    units[a].  A combination sum_C w_C A_C over a's classes with |w_C| = 1
+    errs by at most units[a] 2^-pf as well.
+
+    The fixed-point width.  The walk of a alone would run at p bits with
+    its own scale M_a <= M and (2R_a+1)^(g-1) rows of 2R_a + 1 terms, a
+    budget of e^(M_a) old_a 2^-p.  Here a's budget is e^M units[a] 2^-pf,
+    so pf = p + E with E the least integer above
+    log2(units[a] / old_a) + (M - M_a) / log 2 for every a whose budget
+    differs from the one of its own walk; the budget of every
+    characteristic is then below the one of its own walk, and a lone top
+    characteristic runs at p.  pf is also large enough that
+    70 k(k+1) 2^-pf <= 2^-31 for the longest row.
     """
     g = tau.g
     p = mp.prec
     h = g - 1
+    r2 = den * den
 
     tr = [[_dyadic(x._mpf_) for x in row] for row in tau.re]
     ti = [[_dyadic(x._mpf_) for x in row] for row in tau.im]
@@ -339,133 +445,188 @@ def _row_sum(tau: SiegelPoint, z, den: int, a, radius: int):
 
     t = {(j, k): (sc(tr[j][k]), sc(ti[j][k])) for j in range(g) for k in range(j, g)}
     zc = [(den * sc(zr[j]), den * sc(zi[j])) for j in range(g)]
-    s_den = den * den << -e0
+    s_den = r2 << -e0
+    thr, thi = t[(h, h)]
+
+    by_prefix: dict[tuple, list] = {}
+    for a, radius in boxes.items():
+        by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
+    peak_a = dict.fromkeys(boxes)       # least Im D of a's own walk
+    units = dict.fromkeys(boxes, 0)
+    rows = []
+    for prefix, members in by_prefix.items():
+        r_max = max(m[1] for m in members)
+        for pre in itertools.product(range(-r_max, r_max + 1), repeat=h):
+            far = max(map(abs, pre), default=0)
+            here = [m for m in members if m[1] >= far]
+            nn = [den * pre[j] + prefix[j] for j in range(h)]
+            base = 0
+            for j in range(h):
+                base = base * r2 + nn[j] % r2
+            lr, li = zc[h]
+            gr = gi = 0
+            for j in range(h):
+                lr += t[(j, h)][0] * nn[j]
+                li += t[(j, h)][1] * nn[j]
+                gr += 2 * nn[j] * zc[j][0]
+                gi += 2 * nn[j] * zc[j][1]
+                for k in range(j, h):
+                    c = (1 if j == k else 2) * nn[j] * nn[k]
+                    gr += t[(j, k)][0] * c
+                    gi += t[(j, k)][1] * c
+            spans = {}
+            step = den
+            for a_h, radius, a in here:
+                # the peak a's own row takes: Im D is least at x = -li/thi
+                k = (2 * (-li - a_h * thi) + den * thi) // (2 * den * thi)
+                x = den * max(-radius, min(radius, k)) + a_h
+                d = thi * x * x + 2 * x * li + gi
+                if peak_a[a] is None or d < peak_a[a]:
+                    peak_a[a] = d
+                spans[a_h] = (a_h - den * radius, a_h + den * radius)
+                step = gcd(step, a_h - here[0][0])
+            lo = min(v[0] for v in spans.values())
+            last = (max(v[1] for v in spans.values()) - lo) // step
+            k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
+            k = max(0, min(last, k))
+            x = lo + step * k
+            rows.append((base * r2, spans, lo, step, last, k, x, lr, li,
+                         thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
+            for m in here:
+                units[m[2]] += _row_units(last)
+    d_min = min(row[-1] for row in rows)
+
+    pf = p
+    for a, radius in boxes.items():
+        old = (2 * radius + 1) ** h * _row_units(2 * radius)
+        if units[a] != old or peak_a[a] != d_min:
+            bits = math.log2(units[a] / old) + math.pi / math.log(2) * ((peak_a[a] - d_min) / s_den)
+            pf = max(pf, p + math.ceil(bits + 2 ** -20))
+    k_max = max(row[4] for row in rows)
+    pf = max(pf, (70 * k_max * (k_max + 1)).bit_length() + 31)
 
     def expjpi(num_re: int, num_im: int):
         """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
         as fixed-point ints."""
         num_re = (num_re + s_den) % (2 * s_den) - s_den
-        ex, ey = mpc_expjpi((from_rational(num_re, s_den, p, round_nearest),
-                             from_rational(num_im, s_den, p, round_nearest)), p)
-        return _fixed(ex, p), _fixed(ey, p)
+        ex, ey = mpc_expjpi((from_rational(num_re, s_den, pf, round_nearest),
+                             from_rational(num_im, s_den, pf, round_nearest)), pf)
+        return _fixed(ex, pf), _fixed(ey, pf)
 
-    thr, thi = t[(h, h)]
-    rows = []
-    for pre in itertools.product(range(-radius, radius + 1), repeat=h):
-        nn = [den * pre[j] + a[j] for j in range(h)]
-        base = 0
-        for j in range(h):
-            base = base * den + pre[j] % den
-        lr, li = zc[h]
-        gr = gi = 0
-        for j in range(h):
-            lr += t[(j, h)][0] * nn[j]
-            li += t[(j, h)][1] * nn[j]
-            gr += 2 * nn[j] * zc[j][0]
-            gi += 2 * nn[j] * zc[j][1]
-            for k in range(j, h):
-                c = (1 if j == k else 2) * nn[j] * nn[k]
-                gr += t[(j, k)][0] * c
-                gi += t[(j, k)][1] * c
-        # Im D is least at x = -li/thi, i.e. k_r = (-li - a_h thi)/(den thi)
-        k = (2 * (-li - a[h] * thi) + den * thi) // (2 * den * thi)
-        k = max(-radius, min(radius, k))
-        x = den * k + a[h]
-        rows.append((base * den, k, x, lr, li, thr * x * x + 2 * x * lr + gr,
-                     thi * x * x + 2 * x * li + gi))
-    d_min = min(row[6] for row in rows)
-
-    qr, qi = expjpi(2 * den * den * thr, 2 * den * den * thi)
-    skip = s_den * (p + 1)
-    acc_re = [0] * den ** g
-    acc_im = [0] * den ** g
-    for base, k, x, lr, li, dr, di in rows:
-        # peak below 2^-(p+1): pi y > (p+1) log 2 holds once 4y > p+1
+    skip = s_den * (pf + 1)
+    trash = r2 ** g
+    acc_re = [0] * (trash + 1)
+    acc_im = [0] * (trash + 1)
+    q_of = {}
+    for base, spans, lo, step, last, k, x, lr, li, dr, di in rows:
+        # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
         if 4 * (di - d_min) > skip:
             continue
+        slots = _row_slots(base, lo, step, last + 1, spans, den, trash)
         peak_re, peak_im = expjpi(dr, di - d_min)
-        acc_re[base + k % den] += peak_re
-        acc_im[base + k % den] += peak_im
-        for step, steps, ddr, ddi in (
-                (1, radius - k, thr * (2 * x * den + den * den) + 2 * den * lr,
-                 thi * (2 * x * den + den * den) + 2 * den * li),
-                (-1, radius + k, thr * (den * den - 2 * x * den) - 2 * den * lr,
-                 thi * (den * den - 2 * x * den) - 2 * den * li)):
+        acc_re[slots[k]] += peak_re
+        acc_im[slots[k]] += peak_im
+        for steps, ddr, ddi, seq in (
+                (last - k, thr * (2 * x * step + step * step) + 2 * step * lr,
+                 thi * (2 * x * step + step * step) + 2 * step * li, slots[k + 1:]),
+                (k, thr * (step * step - 2 * x * step) - 2 * step * lr,
+                 thi * (step * step - 2 * x * step) - 2 * step * li, reversed(slots[:k]))):
             if not steps:
                 continue
+            if step not in q_of:
+                q_of[step] = expjpi(2 * step * step * thr, 2 * step * step * thi)
+            qr, qi = q_of[step]
             rr, ri = expjpi(ddr, ddi)
             ur, ui = peak_re, peak_im
-            # the classes of k + step, k + 2 step, ... repeat with period den
-            period = [base + (k + step * i) % den for i in range(1, den + 1)]
-            for c in itertools.islice(itertools.cycle(period), steps):
-                ur, ui = (ur * rr - ui * ri) >> p, (ur * ri + ui * rr) >> p
+            for c in seq:
+                ur, ui = (ur * rr - ui * ri) >> pf, (ur * ri + ui * rr) >> pf
                 acc_re[c] += ur
                 acc_im[c] += ui
-                rr, ri = (rr * qr - ri * qi) >> p, (rr * qi + ri * qr) >> p
-    return acc_re, acc_im, from_rational(d_min, s_den, p, round_nearest), len(rows)
+                rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
+    del acc_re[trash], acc_im[trash]
+    return acc_re, acc_im, from_rational(d_min, s_den, pf, round_nearest), units, pf
 
 
-def _theta_group(tau: SiegelPoint, z, den: int, a, bs, radius: int,
-                 phase: bool = True) -> list[CertifiedComplex]:
-    """theta[a/den; b/den](tau, z) over ||n||_inf <= radius for every b in
-    bs, from one ``_row_sum`` walk, each with its certified error (tail at
-    the radius plus rounding); call inside the working precision p = mp.prec.
-    With phase=False the global factor exp(2 pi i m1.m2) is left out, which
-    changes no modulus.
+def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
+                  phase: bool = True) -> dict:
+    """{a: [theta[a/den; b/den](tau, z) for b in bs]} for groups
+    {a: (radius, bs)}, each summed over its own box ||n||_inf <= radius,
+    all from one ``_row_sum`` walk, each with its certified error (tail at
+    its radius plus rounding); call inside the working precision
+    p = mp.prec.  With phase=False the global factor exp(2 pi i m1.m2) is
+    left out, which changes no modulus.
 
-    Class c of n mod den enters with the weight exp(2 pi i (den c.b + a.b)
-    / den^2) (without the a.b term when phase=False), formed by ``_unit``
-    and summed exactly in ints.  The weights have modulus 1, so the walk's
-    budget rows u_R holds for every combination.  They are exact (1, i, -1,
-    -i) for den = 2, and for den = 4 without the phase; then the only
-    rounding after the walk is the conversion back to mpc: each combination
-    rounds once (2^-p relative), exp(-M) costs its allowance 8(5 + |M|) ulps
-    relative and the product rounds once more, so
+    Class C = den*c + a of N mod den^2 enters theta[a/den; b/den] with the
+    weight exp(2 pi i C.b / den^2) (exp(2 pi i c.b / den) when
+    phase=False), formed by ``_unit`` at the walk's pf bits and summed
+    exactly in ints.  The weights have modulus 1, so a's walk budget
+    units[a] holds for every combination.  They are exact (1, i, -1, -i)
+    for den = 2, and for den = 4 without the phase; then the only rounding
+    after the walk is the conversion back to mpc at p bits: each
+    combination rounds once (2^-p relative), exp(-M) at pf bits costs its
+    allowance 8(5 + |M|) 2^-pf relative and the product rounds once more,
+    so
 
-        rounding <= (1 + 2^-30) (e^M (rows u_R + w) + |value| (8(5 + |M|) + 4)) 2^-p
+        rounding <= (1 + 2^-30) (e^M (units[a] + w) 2^-pf
+                                 + |value| (8(5 + |M|) 2^(p-pf) + 4) 2^-p)
 
-    with w = 0.  Otherwise each weight is within 97 * 2^-p of exact and the
-    combination is rounded down once, so w = 2 + 97 sum_c |A_c| adds the
-    one stated term, A_c the class accumulators (a computed weight of
-    modulus up to 1 + 97 * 2^-p stays inside the 1 + 2^-30 amplification).
+    with w = 0.  Otherwise each weight is within 97 * 2^-pf of exact and
+    the combination is rounded down once, so w = 2 + 97 sum_C |A_C| adds
+    the one stated term, A_C a's class accumulators (a computed weight of
+    modulus up to 1 + 97 * 2^-pf stays inside the 1 + 2^-30
+    amplification).  Since 2^(pf-p) >= e^(M - M_a), the value term is no
+    larger than the one of a's own walk either.
     """
     g = tau.g
     p = mp.prec
     lam, xi, u = _tail_data(tau, z)
-    s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
-    tail = _tail_bound(g, lam, xi, s, radius)
-    acc_re, acc_im, y_m, rows = _row_sum(tau, z, den, a, radius)
+    acc_re, acc_im, y_m, units, pf = _row_sum(
+        tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
-    e_m = mpc_expjpi((fzero, y_m), p)[0]
-    k_max = 2 * radius
-    row_units = rows * 70 * (1 + k_max + k_max * (k_max + 1) * (k_max + 2) // 6)
-    value_units = 8 * (5 + fabs(pi * mp.make_mpf(y_m))) + 4
+    e_m = mpc_expjpi((fzero, y_m), pf)[0]
+    scale = mpf(2) ** (p - pf)
+    value_units = 8 * (5 + fabs(pi * mp.make_mpf(y_m))) * scale + 4
     ulp = mpf(2) ** -p * (1 + mpf(2) ** -30)
     classes = list(itertools.product(range(den), repeat=g))
     den2 = den * den
-    units = {}
-    out = []
-    for b in bs:
-        ab = sum(x * y for x, y in zip(a, b)) if phase else 0
-        sr = si = 0
-        exact = True
-        for c, ar, ai in zip(classes, acc_re, acc_im):
-            k = (den * sum(x * y for x, y in zip(c, b)) + ab) % den2
-            if k not in units:
-                units[k] = _unit(2 * k, den2, p)
-            wr, wi, w_exact = units[k]
-            sr += ar * wr - ai * wi
-            si += ar * wi + ai * wr
-            exact = exact and w_exact
-        w_units = 0
-        if not exact:
-            w_units = 3 + (97 * sum(map(abs, acc_re + acc_im)) >> p)
-        value = mp.make_mpc((
-            mpf_mul(from_man_exp(sr >> p, -p, p, round_nearest), e_m, p, round_nearest),
-            mpf_mul(from_man_exp(si >> p, -p, p, round_nearest), e_m, p, round_nearest)))
-        rounding = ((mp.make_mpf(e_m) * (row_units + w_units) + fabs(value) * value_units)
-                    * ulp)
-        out.append(CertifiedComplex(value, tail + rounding))
+    weights = {}
+    tails = {}
+    out = {}
+    for a, (radius, bs) in groups.items():
+        s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+        if (s, radius) not in tails:
+            tails[s, radius] = _tail(g, lam, xi, s)(radius)
+        tail = tails[s, radius]
+        parts = []      # (C, A_C) for the classes C = den*c + a of a
+        for c in classes:
+            big = tuple(den * x + y for x, y in zip(c, a))
+            idx = 0
+            for x in big:
+                idx = idx * den2 + x
+            parts.append((big, acc_re[idx], acc_im[idx]))
+        vals = []
+        for b in bs:
+            ab = 0 if phase else sum(x * y for x, y in zip(a, b))
+            sr = si = 0
+            exact = True
+            for big, ar, ai in parts:
+                k = (sum(x * y for x, y in zip(big, b)) - ab) % den2
+                if k not in weights:
+                    weights[k] = _unit(2 * k, den2, pf)
+                wr, wi, w_exact = weights[k]
+                sr += ar * wr - ai * wi
+                si += ar * wi + ai * wr
+                exact = exact and w_exact
+            w_units = 0
+            if not exact:
+                w_units = 3 + (97 * sum(abs(ar) + abs(ai) for _, ar, ai in parts) >> pf)
+            value = mp.make_mpc((
+                mpf_mul(from_man_exp(sr >> pf, -pf, p, round_nearest), e_m, p, round_nearest),
+                mpf_mul(from_man_exp(si >> pf, -pf, p, round_nearest), e_m, p, round_nearest)))
+            rounding = ((mp.make_mpf(e_m) * (units[a] + w_units) * scale
+                         + fabs(value) * value_units) * ulp)
+            vals.append(CertifiedComplex(value, tail + rounding))
+        out[a] = vals
     return out
 
 
@@ -480,7 +641,7 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
         raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):
         z, den, a, b = _normalize_inputs(tau, z, char)
-        return _theta_group(tau, z, den, a, [b], radius)[0]
+        return _theta_groups(tau, z, den, {a: (radius, [b])})[a][0]
 
 
 def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
@@ -495,21 +656,29 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
 
 def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
                  phase: bool = True) -> list[CertifiedComplex]:
-    """theta_char(tau, z) for each char of one level, in the order given:
-    one ``choose_radius`` and one walk per distinct m1, since the radius and
-    the tail depend on m1 alone.  Call inside the working-precision scope;
-    phase=False drops exp(2 pi i m1.m2) (see ``_theta_group``)."""
+    """theta_char(tau, z) for each char of one level, in the order given,
+    from one ``_row_sum`` walk.  The radius and the tail depend on m1 only
+    through s = max_i |m1_i + u_i|, so each distinct s takes one
+    ``choose_radius``.  Call inside the working-precision scope;
+    phase=False drops exp(2 pi i m1.m2) (see ``_theta_groups``)."""
+    den = chars[0].r
     z, _, _, _ = _normalize_inputs(tau, z, None)
-    groups: dict[tuple, list[ThetaCharacteristic]] = {}
+    _, _, u = _tail_data(tau, z)
+    by_m1: dict[tuple, list[ThetaCharacteristic]] = {}
     for ch in chars:
-        groups.setdefault(ch.m1, []).append(ch)
-    out = {}
-    for members in groups.values():
-        radius = choose_radius(tau, z, members[0], prec, tol)
-        den = members[0].r
-        a = tuple(int(v * den) for v in members[0].m1)
-        bs = [tuple(int(v * den) for v in ch.m2) for ch in members]
-        out.update(zip(members, _theta_group(tau, z, den, a, bs, radius, phase)))
+        by_m1.setdefault(ch.m1, []).append(ch)
+    radii = {}
+    groups = {}
+    tops = []
+    for m1, members in by_m1.items():
+        s = max(abs(m + w) for m, w in zip(m1, u))
+        if s not in radii:
+            radii[s] = choose_radius(tau, z, members[0], prec, tol)
+        a = tuple(int(v * den) for v in m1)
+        groups[a] = (radii[s], [tuple(int(v * den) for v in ch.m2) for ch in members])
+        tops.append((a, members))
+    values = _theta_groups(tau, z, den, groups, phase)
+    out = {ch: v for a, members in tops for ch, v in zip(members, values[a])}
     return [out[ch] for ch in chars]
 
 
@@ -534,7 +703,7 @@ def _norm_scale(tau: SiegelPoint, z) -> CertifiedReal:
 
 def _norms(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
     """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)| for each char,
-    one walk per distinct m1; call inside the working-precision scope."""
+    all from one walk; call inside the working-precision scope."""
     zt, _, _, _ = _normalize_inputs(tau, z, None)
     scale = _norm_scale(tau, zt)
     return [scale * th.abs() for th in _theta_batch(tau, zt, chars, prec, tol, phase=False)]
@@ -560,11 +729,11 @@ def theta_norm_char(tau: SiegelPoint, char: ThetaCharacteristic,
 
 def theta_null_vector(tau: SiegelPoint, r: int,
                       prec: int = DEFAULT_PREC, tol=None) -> list[CertifiedComplex]:
-    """All r^(2g) theta constants, (m1, m2) in lexicographic order, from r^g
-    walks: the r^g constants with one m1 share a walk that fills one
-    accumulator per residue class of n mod r, and each constant combines
-    them with its roots of unity (see ``_theta_group``; exact for r = 2,
-    one stated rounding term otherwise)."""
+    """All r^(2g) theta constants, (m1, m2) in lexicographic order, from one
+    walk that fills one accumulator per class of N = r n + m1 r mod r^2;
+    each constant combines the classes of its m1 with its roots of unity
+    (see ``_theta_groups``; exact for r = 2, one stated rounding term
+    otherwise)."""
     if r < 2 or r % 2 != 0:
         raise ValueError("level r must be an even integer >= 2")
     with workprec(prec + GUARD_BITS):
@@ -669,8 +838,8 @@ class DuplicationReport:
 
 def verify_duplication(tau: SiegelPoint, steps: int,
                        prec: int = DEFAULT_PREC, tol=None) -> DuplicationReport:
-    """2^g walks per level: the 2^(2g) half-integer characteristics group by
-    m1, and theta(2^k tau, 0) is the [0; 0] member of the m1 = 0 walk."""
+    """One walk per level gives the 2^(2g) half-integer characteristics, and
+    theta(2^k tau, 0) is their [0; 0] member."""
     g = tau.g
     chars = _level_chars(g, 2)
     f_vals = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from mpmath import mpf, fabs
 
+from thetaheights import heights
 from thetaheights.cli import main
 
 
@@ -34,6 +35,26 @@ def test_siegel_reduce(capsys):
     ({"alpha": [[1]], "beta": [[0]], "lam": [[0]], "mu": [[1]]}, "2 x 2"),
 ])
 def test_siegel_reduce_rejects_bad_generators(capsys, tmp_path, gen, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([gen]))
+    code = main(["siegel", "reduce", "--tau",
+                 '[[["0.1","1.2"],["0.2","0.3"]],[["0.2","0.3"],["0.4","1.5"]]]',
+                 "--generators", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize("gen,message", [
+    ({"alpha": [[1, 0], [0, 1]]}, "no 'beta' block"),
+    ({"alpha": [[1, 0], [0, 1]], "beta": [[0, 0], [0, 0]],
+      "lam": [[0, 0], [0, 0]], "mu": [[1.5, 0], [0, 1]]}, "1.5 is not an integer"),
+    ({"alpha": 1, "beta": [[0, 0], [0, 0]],
+      "lam": [[0, 0], [0, 0]], "mu": [[1, 0], [0, 1]]}, "'alpha' is not a matrix"),
+])
+def test_siegel_reduce_rejects_malformed_generators(capsys, tmp_path, gen, message):
+    # a missing block or a fractional entry is an input error, not a
+    # traceback and not a silently truncated matrix
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([gen]))
     code = main(["siegel", "reduce", "--tau",
@@ -120,6 +141,24 @@ def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
                     "lemn,0,0,0,-1,0,true,true\n")
     assert main(["heights", "corpus", "--file", str(path)]) == 2
     assert "'lemn'" in capsys.readouterr().err
+
+
+def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, monkeypatch):
+    # window and matrix-lemma checks share one period analysis per curve
+    calls = []
+    periods_agm = heights.periods_agm
+
+    def counted(curve, prec):
+        calls.append(curve.label)
+        return periods_agm(curve, prec)
+    monkeypatch.setattr(heights, "periods_agm", counted)
+    path = tmp_path / "two.csv"
+    path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"
+                    "c225,1,1,1,-5,2,true,true\n"
+                    "c289,1,-1,1,-6,-4,true,true\n")
+    code, out = run(capsys, "--format", "csv", "heights", "corpus", "--file", str(path))
+    assert code == 0 and len(out.strip().splitlines()) == 3
+    assert calls == ["c225", "c289"]
 
 
 def test_run_all_campaigns_help_from_a_checkout(tmp_path):

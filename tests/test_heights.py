@@ -265,8 +265,8 @@ def test_corpus_row_without_claims_loads(tmp_path):
 ], ids=["window_check", "matrix_lemma_check", "point_bound_rhs",
         "theta_height_details"])
 def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
-    # the three even theta-nulls come from two box walks: m1 = 0 gives
-    # theta3 and theta4, m1 = 1/2 gives theta2
+    # the three even theta-nulls come from one walk over the boxes of
+    # m1 = 0 (theta3 and theta4) and m1 = 1/2 (theta2)
     counts = {"reduce_g1": 0, "_row_sum": 0}
 
     def counted(module, name):
@@ -280,7 +280,7 @@ def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
     counted(heights, "reduce_g1")
     counted(theta_module, "_row_sum")
     check(curve15(), 96)
-    assert counts == {"reduce_g1": 1, "_row_sum": 2}
+    assert counts == {"reduce_g1": 1, "_row_sum": 1}
 
 
 @pytest.mark.parametrize("suite, digest", [

@@ -208,6 +208,21 @@ def test_entry_reads_the_stored_point_at_any_global_precision():
     assert at_53.real == reduced.re[0][0] and at_53.imag == reduced.im[0][0]
 
 
+def test_report_fields_independent_of_global_precision():
+    tau = sampling.random_siegel_point(sampling.substream(3, "x"), 2)
+    reduced = reduce_heuristic(tau, prec=96).reduced
+    saved = mp.prec
+    try:
+        fields = []
+        for prec in (53, 300):
+            mp.prec = prec
+            fields.append((validate(reduced, 96).min_pivot,
+                           fundamental_domain_report(reduced, prec=96).s2_max_abs_re))
+    finally:
+        mp.prec = saved
+    assert fields[0] == fields[1]
+
+
 def test_constructors_store_mpf_and_mpc_entries_exactly():
     with workprec(200):
         x = (1 + I) / 3

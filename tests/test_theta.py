@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import exp, expjpi, fadd, mp, mpf, mpc, fabs, gamma, pi, workprec
+from mpmath import (exp, expjpi, fadd, fabs, gamma, log, mp, mpf, mpc, pi, sqrt,
+                    workprec)
 
 from thetaheights import heights, sampling
 from thetaheights import theta as theta_module
@@ -164,6 +165,70 @@ def test_certification_sound_under_refinement():
             v1 = theta_truncated(tau, z, char, n, 96)
             v2 = theta_truncated(tau, z, char, n + 10, 96)
             assert fabs(v1.value - v2.value) <= v1.err
+
+
+def _radius_by_search(tau, z, char, prec):
+    """The radius rule as a plain search: jump to n0, climb while the
+    certified tail is above the target, then descend, but not below
+    int(s) + 2."""
+    g = tau.g
+    with workprec(prec + GUARD_BITS):
+        z, den, a, _ = theta_module._normalize_inputs(tau, z, char)
+        lam, xi, u = theta_module._tail_data(tau, z)
+        s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+        target = theta_module.default_tol(prec) / 2
+        need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
+                / (pi * fraction_to_mpf(lam)))
+        n = max(int(s) + 1, int(s + sqrt(need)) + 1)
+        while theta_module._tail(g, lam, xi, s)(n) > target:
+            n += 1
+        while n > int(s) + 2 and theta_module._tail(g, lam, xi, s)(n - 1) <= target:
+            n -= 1
+    return n
+
+
+def test_radius_prediction_keeps_the_search_rule(monkeypatch):
+    # the predicted and confirmed radius equals the plain search on a grid
+    # of g = 1 and g = 2 points, z = 0 or not, levels 2 and 4, prec 8 to 256
+    # (floor cases included), with at most two certified tail bounds per
+    # radius on average
+    evals = [0]
+    tail = theta_module._tail
+
+    def counted_tail(*args):
+        bound = tail(*args)
+
+        def counted(n):
+            evals[0] += 1
+            return bound(n)
+        return counted
+    cases = []
+    for y in ("0.5", "0.87", "1", "2", "3.75", "10"):
+        tau = SiegelPoint.from_complex(mpc("0.3", y))
+        for z in (None, [mpc("0.1", "0.3")]):
+            for a in range(4):
+                cases.append((tau, z, ThetaCharacteristic.from_integers(4, [a], [1])))
+    for tau, z in _level_cases()[2:]:
+        for a in itertools.product(range(2), repeat=2):
+            cases.append((tau, z, ThetaCharacteristic.from_integers(2, a, [0, 1])))
+    floors = 0
+    for prec in (8, 64, 96, 128, 256):
+        for tau, z, char in cases:
+            expected = _radius_by_search(tau, z, char, prec)
+            monkeypatch.setattr(theta_module, "_tail", counted_tail)
+            assert choose_radius(tau, z, char, prec) == expected, (prec, char)
+            monkeypatch.setattr(theta_module, "_tail", tail)
+            with workprec(prec + GUARD_BITS):
+                zt, den, a, _ = theta_module._normalize_inputs(tau, z, char)
+                lam, xi, u = theta_module._tail_data(tau, zt)
+                s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+                floors += (expected == int(s) + 2 and theta_module._tail(tau.g, lam, xi, s)(
+                    expected - 1) <= theta_module.default_tol(prec) / 2)
+    assert floors >= 5
+    assert evals[0] <= 2 * 5 * len(cases)
+    # the example of the rule: s = 0 and lam = 3.75 at prec 96 give 2,
+    # although the tail at radius 1 is already below the target
+    assert choose_radius(SiegelPoint.from_complex(mpc(0, "3.75")), prec=96) == 2
 
 
 def test_reduce_first_signal():
@@ -523,7 +588,7 @@ def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
     with workprec(96 + GUARD_BITS):
         batch = theta_module._theta_batch(tau, z, chars, 96, None)
     with workprec(8 + GUARD_BITS):
-        low = theta_module._theta_group(tau, z, r, a, bs, radius)
+        low = theta_module._theta_groups(tau, z, r, {a: (radius, bs)})[a]
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
     with workprec(200):
         refs = theta_brute_batch(rows, z, chars[0].m1, [ch.m2 for ch in chars],
@@ -540,9 +605,117 @@ def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
             assert fabs(w.value - ref) <= w.err, ch
 
 
+def _level_cases():
+    """One (tau, z) per g in {1, 2} and z = 0 or not: a seeded point at
+    g = 1, skewed Y at g = 2, z = a + tau b with |b| <= 1."""
+    cases = []
+    for g in (1, 2):
+        for with_z in (False, True):
+            rng = random.Random(6100 + 10 * g + with_z)
+            if g == 1:
+                tau = sampling.random_siegel_point(rng, 1)
+            else:
+                y0, y1 = rng.uniform(0.8, 2.0), rng.uniform(0.8, 1.5)
+                c = rng.choice((-1, 1)) * rng.uniform(0.3, 0.6) * (y0 * y1) ** 0.5
+                x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
+                with workprec(200):
+                    off = mpc(mpf(x[2]), mpf(c))
+                    tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
+                                                 [off, mpc(mpf(x[1]), mpf(y1))]])
+            z = (mpc(0),) * g
+            if with_z:
+                a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
+                b = [rng.uniform(-1, 1) for _ in range(g)]
+                with workprec(200):
+                    z = tuple(mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j])
+                                              for j in range(g))
+                              for i in range(g))
+            cases.append((tau, z))
+    return cases
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("tau, z", _level_cases())
+def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
+    # all r^(2g) characteristics at once, with and without the global
+    # phase, at prec 96 and at prec 8, where the rounding budget dominates:
+    # each value lies within its certified error of the brute sum over its
+    # own box, and that error is no larger than the one of the walk of its
+    # top characteristic alone
+    g = tau.g
+    rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+    chars = theta_module._level_chars(g, r)
+    groups = {}
+    for ch in chars:
+        groups.setdefault(ch.m1, []).append(ch)
+    for prec in (96, 8):
+        refs = {}
+        for m1, members in groups.items():
+            radius = choose_radius(tau, z, members[0], prec)
+            with workprec(200):
+                refs.update(zip(members, theta_brute_batch(
+                    rows, z, m1, [ch.m2 for ch in members], n=radius)))
+        for phase in (True, False):
+            with workprec(prec + GUARD_BITS):
+                batch = theta_module._theta_batch(tau, z, chars, prec, None, phase)
+                alone = {}
+                for members in groups.values():
+                    alone.update(zip(members, theta_module._theta_batch(
+                        tau, z, members, prec, None, phase)))
+            for ch, v in zip(chars, batch):
+                with workprec(200):
+                    ref = refs[ch]
+                    if not phase:
+                        ref *= expjpi(-2 * fraction_to_mpf(
+                            sum(x * y for x, y in zip(ch.m1, ch.m2))))
+                    assert fabs(v.value - ref) <= v.err, (prec, phase, ch)
+                assert v.err <= alone[ch].err, (prec, phase, ch)
+
+
+@pytest.mark.parametrize("tops, step", [(((0, 0), (0, 2)), 2), (((1, 1), (3, 3)), 4),
+                                        (((0, 0), (0, 1), (0, 3)), 1)])
+def test_part_of_a_level_walks_with_the_common_step(monkeypatch, tops, step):
+    # level-4 top characteristics share a row when their first entries
+    # agree, and the row steps by the gcd of 4 and the differences of their
+    # last entries: 2, 4 (rows of one m1, as a lone walk) or 1.  With boxes
+    # of radius 1, 2 and 3 in one walk, each value lies within its rounding
+    # budget (its error less its tail) of the brute sum over its own box, so
+    # no term of a wider box leaks in, and its error is no looser than the
+    # one of its own walk
+    tau, z = _level_cases()[3]
+    rows = [[tau.entry(i, j) for j in range(2)] for i in range(2)]
+    bs = list(itertools.product(range(4), repeat=2))
+    steps = set()
+    row_slots = theta_module._row_slots
+
+    def seen(base, lo, step, *args):
+        steps.add(step)
+        return row_slots(base, lo, step, *args)
+    for prec in (96, 8):
+        with workprec(prec + GUARD_BITS):
+            lam, xi, u = theta_module._tail_data(tau, z)
+            groups = {a: (radius, bs) for radius, a in enumerate(tops, 1)}
+            monkeypatch.setattr(theta_module, "_row_slots", seen)
+            union = theta_module._theta_groups(tau, z, 4, groups)
+            monkeypatch.setattr(theta_module, "_row_slots", row_slots)
+            for a, (radius, _) in groups.items():
+                alone = theta_module._theta_groups(tau, z, 4, {a: (radius, bs)})[a]
+                s = max(abs(Fraction(x, 4) + w) for x, w in zip(a, u))
+                tail = theta_module._tail(2, lam, xi, s)(radius)
+                with workprec(200):
+                    refs = theta_brute_batch(rows, z, [Fraction(x, 4) for x in a],
+                                             [[Fraction(x, 4) for x in b] for b in bs],
+                                             n=radius)
+                for b, ref, v, w in zip(bs, refs, union[a], alone):
+                    with workprec(200):
+                        assert fabs(v.value - ref) <= v.err - tail, (prec, a, b)
+                    assert v.err <= w.err
+    assert min(steps) == step
+
+
 @pytest.mark.parametrize("den", [4, 16, 36])
 def test_group_weights_within_their_stated_bound(den):
-    # _theta_group's weights exp(pi i num/den) in p-bit fixed point: exact
+    # _theta_groups' weights exp(pi i num/den) in p-bit fixed point: exact
     # when 2 num/den is an integer, otherwise within 97 * 2^-p of exact
     p = 96 + GUARD_BITS
     exact_seen = inexact_seen = 0
@@ -582,15 +755,18 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
         fn(*args, **kwargs)
         return counts["_row_sum"], counts["choose_radius"]
 
-    assert work(verify_norm_bounds, tau, 2, prec=96) == (4, 4)
-    assert work(verify_norm_bounds, tau, 2, z, prec=96, assume_reduced=True) == (5, 5)
+    # one walk per level; one radius per distinct s = max_i |m1_i + u_i|,
+    # which at z = 0 is max_i m1_i: 2 values at r = 2, 4 at r = 4
+    assert work(verify_norm_bounds, tau, 2, prec=96) == (1, 2)
+    assert work(verify_norm_bounds, tau, 2, z, prec=96, assume_reduced=True) == (2, 3)
     for r in (2, 4):
-        assert work(beta_sigma, tau, z, r, prec=96) == (r ** 2, r ** 2)
-        assert work(theta_null_vector, tau, r, prec=96) == (r ** 2, r ** 2)
-    assert work(verify_duplication, tau, 3, prec=96) == (4 * 4, 4 * 4)
-    assert work(verify_duplication, TAU_I, 3, prec=96) == (2 * 4, 2 * 4)
+        # at this w = r z the r^g top characteristics share r distinct s
+        assert work(beta_sigma, tau, z, r, prec=96) == (1, r)
+        assert work(theta_null_vector, tau, r, prec=96) == (1, r)
+    assert work(verify_duplication, tau, 3, prec=96) == (4, 4 * 2)
+    assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2)
     curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
-    assert work(heights.periods_agm, curve, 96) == (2, 2)
+    assert work(heights.periods_agm, curve, 96) == (1, 2)
 
 
 def test_public_results_independent_of_global_precision():
