@@ -384,17 +384,14 @@ def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
 
 def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
                     prec: int = DEFAULT_PREC,
-                    allow_relative: bool = False,
-                    lattice: PeriodLattice | None = None) -> CertifiedReal:
+                    allow_relative: bool = False) -> CertifiedReal:
     """h(Theta(P)) - h_F/2 - (1/4) log det Im tau - C(2,1), the certified
     lower bound for the canonical height of P (whose own theta height the
-    caller supplies).  A ``lattice`` from ``periods_agm(curve, prec)`` is
-    used as given."""
+    caller supplies)."""
     if not isinstance(theta_point_height, CertifiedReal):
         theta_point_height = CertifiedReal.exact(mpf(theta_point_height))
-    if lattice is None:
-        lattice = periods_agm(curve, prec)
     with workprec(prec + GUARD_BITS):
+        lattice = periods_agm(curve, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         quarter_log = CertifiedReal.rounded(log(lattice.reduction.reduced.det_im()) / 4)
         c_rg = constants.M_const(2, 1, prec)

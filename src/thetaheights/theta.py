@@ -228,41 +228,11 @@ def _tail(g: int, lam: Fraction, xi: Fraction, s: Fraction):
     return bound
 
 
-def _predict_radius(g: int, lam: Fraction, xi: Fraction, s: Fraction,
-                    log_target: float, floor: int) -> int:
-    """Smallest n >= floor whose tail bound is below exp(log_target), from
-    the float logarithm of the ``_tail`` formula (without its 1 + 2^-30)."""
-    lam_f, s_f = float(lam), float(s)
-    excess = math.pi * float(xi) + math.log(2 * g * factorial(g - 1)) - log_target
-
-    def above(n: int) -> bool:
-        gap = n + 1 - s_f
-        if gap <= 0:
-            return True
-        return (excess + (g - 1) * math.log(2 * n + 3) - math.pi * lam_f * gap * gap
-                - g * math.log(-math.expm1(-2 * math.pi * lam_f * gap))) > 0
-
-    n = max(floor, int(s_f + math.sqrt(max(excess, 0) / (math.pi * lam_f))))
-    while n <= RADIUS_CAP and above(n):
-        n += 1
-    while n > floor and not above(n - 1):
-        n -= 1
-    return n
-
-
 def choose_radius(tau: SiegelPoint, z=None, char=None,
                   prec: int = DEFAULT_PREC, tol=None) -> int:
-    """Smallest box radius whose certified tail bound is below tol/2, but
-    not below int(s) + 2 once the first estimate
-    n0 = max(int(s) + 1, int(s + sqrt(need)) + 1) lies there, with
-    s = max_i |m1_i + u_i| and need = (log(1/target) + pi xi + 4g + 8) /
-    (pi lam).  The floor is the rule of the plain search (jump to n0, climb
-    while the tail is above the target, descend no lower than int(s) + 2),
-    whose radii the pinned reports were taken with.
-
-    A float solve of the tail formula predicts the radius, and the certified
-    ``_tail`` confirms it at n and n - 1, stepping on only if the float
-    prediction missed.
+    """Smallest box radius whose certified tail bound is below tol/2, with
+    s = max_i |m1_i + u_i|, but not below int(s) + 2 when the search has
+    jumped above it.
 
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     so the radius is the one for that z and does not depend on mp.prec."""
@@ -275,22 +245,18 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
         m1 = tuple(Fraction(x, den) for x in a)
         s = max(abs(m + w) for m, w in zip(m1, u))
         target = mpf(tol) / 2
-        need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
-        n0 = max(int(s) + 1, int(s + sqrt(need)) + 1)
-        if n0 > RADIUS_CAP:
-            raise ReduceFirstError("truncation radius exceeds the cap; reduce tau first")
-        floor = min(n0, int(s) + 2)
         bound = _tail(g, lam, xi, s)
-        n = _predict_radius(g, lam, xi, s, float(log(target)), floor)
-        if n <= RADIUS_CAP and bound(n) <= target:
-            while n > floor and bound(n - 1) <= target:
-                n -= 1
-        else:
+        n = int(s) + 1
+        # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
+        need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
+        n = max(n, int(s + sqrt(need)) + 1)
+        while n <= RADIUS_CAP and bound(n) > target:
             n += 1
-            while n <= RADIUS_CAP and bound(n) > target:
-                n += 1
         if n > RADIUS_CAP:
-            raise ReduceFirstError("truncation radius exceeds the cap; reduce tau first")
+            raise ReduceFirstError(
+                "truncation radius exceeds the cap; reduce tau first")
+        while n > int(s) + 2 and bound(n - 1) <= target:
+            n -= 1
     return n
 
 
@@ -333,23 +299,12 @@ def _row_slots(base: int, lo: int, step: int, count: int, spans: dict,
                den: int, trash: int) -> list[int]:
     """Accumulator index of each term x = lo + step j, j < count, of a row:
     base + x mod den^2 when x lies in the box of its own top characteristic
-    (x mod den in ``spans`` and x within its span), ``trash`` otherwise.
-    Inside the span every present residue covers, the indices repeat with
-    period den^2/step; only the ends are looked at term by term."""
+    (x mod den in ``spans`` and x within its span), ``trash`` otherwise."""
     r2 = den * den
-    period = r2 // step
-    pattern = [base + x % r2 if x % den in spans else trash
-               for x in range(lo, lo + step * period, step)]
-    slots = pattern * (count // period + 1)
-    del slots[count:]
-    if len(spans) == 1:
-        return slots    # the row is the span of its one top characteristic
-    j_lo = -(-(max(v[0] for v in spans.values()) - lo) // step)
-    j_hi = (min(v[1] for v in spans.values()) - lo) // step
-    for j in itertools.chain(range(min(j_lo, count)), range(max(j_hi + 1, 0), count)):
-        x = lo + step * j
+    slots = []
+    for x in range(lo, lo + step * count, step):
         span = spans.get(x % den)
-        slots[j] = base + x % r2 if span and span[0] <= x <= span[1] else trash
+        slots.append(base + x % r2 if span and span[0] <= x <= span[1] else trash)
     return slots
 
 

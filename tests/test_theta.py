@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,41 +168,27 @@ def test_certification_sound_under_refinement():
             assert fabs(v1.value - v2.value) <= v1.err
 
 
-def _radius_by_search(tau, z, char, prec):
-    """The radius rule as a plain search: jump to n0, climb while the
-    certified tail is above the target, then descend, but not below
-    int(s) + 2."""
-    g = tau.g
-    with workprec(prec + GUARD_BITS):
-        z, den, a, _ = theta_module._normalize_inputs(tau, z, char)
-        lam, xi, u = theta_module._tail_data(tau, z)
-        s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
-        target = theta_module.default_tol(prec) / 2
-        need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
-                / (pi * fraction_to_mpf(lam)))
-        n = max(int(s) + 1, int(s + sqrt(need)) + 1)
-        while theta_module._tail(g, lam, xi, s)(n) > target:
-            n += 1
-        while n > int(s) + 2 and theta_module._tail(g, lam, xi, s)(n - 1) <= target:
-            n -= 1
-    return n
+def _tail_in_one_expression(g, lam, xi, s, n):
+    """The tail bound of ``theta._tail`` formed in one expression."""
+    gap = Fraction(n + 1) - s
+    if gap <= 0:
+        return mpf("inf")
+    lam_m = fraction_to_mpf(lam)
+    gap_m = fraction_to_mpf(gap)
+    q = exp(-2 * pi * lam_m * gap_m)
+    if q >= 1:
+        return mpf("inf")
+    t = (exp(pi * fraction_to_mpf(xi)) * 2 * g * mpf(2 * n + 3) ** (g - 1)
+         * factorial(g - 1) * exp(-pi * lam_m * gap_m ** 2) / (1 - q) ** g)
+    return t * (1 + mpf(2) ** -30)
 
 
-def test_radius_prediction_keeps_the_search_rule(monkeypatch):
-    # the predicted and confirmed radius equals the plain search on a grid
-    # of g = 1 and g = 2 points, z = 0 or not, levels 2 and 4, prec 8 to 256
-    # (floor cases included), with at most two certified tail bounds per
-    # radius on average
-    evals = [0]
-    tail = theta_module._tail
-
-    def counted_tail(*args):
-        bound = tail(*args)
-
-        def counted(n):
-            evals[0] += 1
-            return bound(n)
-        return counted
+def test_radius_is_the_least_above_the_search_floor():
+    # on a grid of g = 1 and g = 2 points, z = 0 or not, levels 2 and 4,
+    # prec 8 to 256: the radius is the least n >= min(n0, int(s) + 2) whose
+    # tail is below the target, n0 the search's first estimate, and the
+    # tail with its n-independent factors formed once is bitwise the one
+    # formed in one expression
     cases = []
     for y in ("0.5", "0.87", "1", "2", "3.75", "10"):
         tau = SiegelPoint.from_complex(mpc("0.3", y))
@@ -214,18 +201,23 @@ def test_radius_prediction_keeps_the_search_rule(monkeypatch):
     floors = 0
     for prec in (8, 64, 96, 128, 256):
         for tau, z, char in cases:
-            expected = _radius_by_search(tau, z, char, prec)
-            monkeypatch.setattr(theta_module, "_tail", counted_tail)
-            assert choose_radius(tau, z, char, prec) == expected, (prec, char)
-            monkeypatch.setattr(theta_module, "_tail", tail)
+            n = choose_radius(tau, z, char, prec)
+            g = tau.g
             with workprec(prec + GUARD_BITS):
                 zt, den, a, _ = theta_module._normalize_inputs(tau, z, char)
                 lam, xi, u = theta_module._tail_data(tau, zt)
                 s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
-                floors += (expected == int(s) + 2 and theta_module._tail(tau.g, lam, xi, s)(
-                    expected - 1) <= theta_module.default_tol(prec) / 2)
+                target = theta_module.default_tol(prec) / 2
+                need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
+                        / (pi * fraction_to_mpf(lam)))
+                floor = min(max(int(s) + 1, int(s + sqrt(need)) + 1), int(s) + 2)
+                bound = theta_module._tail(g, lam, xi, s)
+                for k in (n - 1, n, n + 1):
+                    assert bound(k) == _tail_in_one_expression(g, lam, xi, s, k)
+                assert bound(n) <= target, (prec, char)
+                assert n == floor or bound(n - 1) > target, (prec, char)
+                floors += n == floor and bound(n - 1) <= target
     assert floors >= 5
-    assert evals[0] <= 2 * 5 * len(cases)
     # the example of the rule: s = 0 and lam = 3.75 at prec 96 give 2,
     # although the tail at radius 1 is already below the target
     assert choose_radius(SiegelPoint.from_complex(mpc(0, "3.75")), prec=96) == 2
