@@ -106,6 +106,9 @@ def _cmd_siegel_reduce(args) -> int:
     tau = _parse_tau(args.tau, args.prec)
     gens = None
     if args.generators:
+        if tau.g == 1:
+            # reduce_g1 is the classical Gauss reduction; it takes no list
+            raise ValueError("--generators needs g >= 2")
         with open(args.generators) as fh:
             gens = [_parse_generator(d, tau.g) for d in json.load(fh)]
     if tau.g == 1:

@@ -30,6 +30,16 @@ def mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def dyadic(x) -> tuple[int, int]:
+    """(m, e) with x == m * 2^e exactly, for a raw finite mpf x."""
+    sign, man, e, _ = x
+    if not man:
+        if e:
+            raise ValueError("non-finite entry in tau or z")
+        return 0, 0
+    return (-int(man) if sign else int(man)), e
+
+
 def fraction_to_mpf(q: Fraction) -> mpf:
     """q rounded once, to nearest, at mp.prec (``mpf(numerator) /
     denominator`` would round the numerator first)."""
@@ -49,11 +59,6 @@ def identity(n: int) -> Mat:
 
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:

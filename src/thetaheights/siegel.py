@@ -9,20 +9,30 @@ definite.  Reduction targets the classical fundamental domain conditions:
 
 S.1 and the first bullet of S.3 cannot be verified by finite computation;
 reports check them against finite samples and say so explicitly.
+
+Everything exact runs on one integer form of a point, tau = (X + iY) / 2^s
+with X, Y integer matrices (``SiegelPoint.int_form``).  S.1 is decided by
+the identity det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2 over
+Z[i]: det(lam tau + mu) 2^(gs) is the determinant of the Gaussian-integer
+matrix lam (X + iY) + mu 2^s, by Bareiss' fraction-free elimination
+(Math. Comp. 22, 1968), and the comparison with det Y is one of integers.
+``act`` inverts the same matrix by the Gauss-Jordan form of that
+elimination.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 from mpmath import mp, mpf, mpc, fabs, workprec
-from mpmath.libmp import from_rational, fzero, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC, GUARD_BITS
-from .exactla import (Mat, det, fraction_to_mpf, inverse, ldl_pivots, matmul,
+from .exactla import (Mat, dyadic, fraction_to_mpf, inverse, ldl_pivots,
                       min_eig_lower_bound, mpf_to_fraction)
 
 
@@ -35,12 +45,16 @@ class ReductionError(RuntimeError):
     """Reduction did not converge within the iteration cap."""
 
 
+def _tol_bits(prec: int) -> int:
+    return prec // 2
+
+
 def default_tol(prec: int) -> mpf:
     # the slack of every domain and round-trip test: far above the error a
     # reduction word accumulates (reduce_g1 iterates in prec + 32 bit
     # floating point, and each act rounds to prec + 32 bits), far below a
     # genuine violation; pinned campaign reports depend on this value
-    return mpf(2) ** (-(prec // 2))
+    return mpf(2) ** -_tol_bits(prec)
 
 
 def as_mpc(x) -> mpc:
@@ -56,6 +70,9 @@ def as_mpc(x) -> mpc:
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+IntMat = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -91,6 +108,23 @@ class SiegelPoint:
     # Exact data of tau, computed once per point (the point is frozen).
 
     @cached_property
+    def int_form(self) -> tuple[IntMat, IntMat, int]:
+        """(X, Y, s) with tau = (X + iY) / 2^s exactly: X and Y integer
+        matrices, s >= 0 the least shift that clears every binary exponent
+        of the stored entries."""
+        parts = [[[dyadic(v._mpf_) for v in row] for row in part]
+                 for part in (self.re, self.im)]
+        s = max([0] + [-e for part in parts for row in part for m, e in row if m])
+        x, y = (tuple(tuple(m << (e + s) for m, e in row) for row in part)
+                for part in parts)
+        return x, y, s
+
+    @cached_property
+    def _y_det_scaled(self) -> int:
+        """det Y of the integer form: det Im tau times 2^(gs)."""
+        return _gauss_det([[(v, 0) for v in row] for row in self.int_form[1]])[0]
+
+    @cached_property
     def _x(self) -> Mat:
         return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.re)
 
@@ -110,7 +144,7 @@ class SiegelPoint:
 
     @cached_property
     def y_det(self) -> Fraction:
-        return det(self._y)
+        return Fraction(self._y_det_scaled, 1 << (self.g * self.int_form[2]))
 
     def im_fractions(self) -> Mat:
         return self._y
@@ -119,15 +153,14 @@ class SiegelPoint:
         return self._x
 
     def det_im(self) -> mpf:
-        return fraction_to_mpf(self.y_det)
+        """det Im tau rounded once, to nearest, at mp.prec."""
+        return mp.make_mpf(from_man_exp(self._y_det_scaled, -self.g * self.int_form[2],
+                                        mp.prec, round_nearest))
 
     def tau_complex(self) -> mpc:
         if self.g != 1:
             raise ValueError("tau_complex is for g = 1")
         return self.entry(0, 0)
-
-
-IntMat = tuple[tuple[int, ...], ...]
 
 
 def _int_identity(g: int) -> IntMat:
@@ -163,6 +196,88 @@ def _int_inverse_unimodular(u: IntMat) -> IntMat:
             raise ValueError("matrix is not unimodular")
         out.append(tuple(int(q) for q in row))
     return tuple(out)
+
+
+# Gaussian integers a + bi as pairs (a, b); matrices over Z[i] as lists of rows.
+
+
+def _gauss_det(m) -> tuple[int, int]:
+    """Determinant of a square matrix over Z[i] by Bareiss' fraction-free
+    elimination: after step k, entry (i, j) of the trailing block is a
+    (k + 2)-minor of m, so each division by the previous pivot is exact."""
+    n = len(m)
+    m = [list(row) for row in m]
+    neg = False
+    pr, pi = 1, 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != (0, 0)), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            neg = not neg
+        top = m[k]
+        kr, ki = top[k]
+        n2 = pr * pr + pi * pi
+        for i in range(k + 1, n):
+            row = m[i]
+            fr, fi = row[k]
+            for j in range(k + 1, n):
+                (ar, ai), (br, bi) = row[j], top[j]
+                cr = kr * ar - ki * ai - fr * br + fi * bi
+                ci = kr * ai + ki * ar - fr * bi - fi * br
+                row[j] = ((cr * pr + ci * pi) // n2, (ci * pr - cr * pi) // n2)
+        pr, pi = kr, ki
+    return (-pr, -pi) if neg else (pr, pi)
+
+
+def _gauss_adjugate(m) -> tuple[tuple[int, int], list]:
+    """(d, R) with d = +-det m and R = d m^-1 over Z[i], by the Gauss-Jordan
+    form of Bareiss' elimination on [m | I]: every row is updated at every
+    step, all divisions stay exact, and [m | I] ends as [d I | R].  Raises
+    ZeroDivisionError when m is singular."""
+    n = len(m)
+    a = [list(row) + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(m)]
+    pr, pi = 1, 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != (0, 0)), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        top = a[k]
+        kr, ki = top[k]
+        n2 = pr * pr + pi * pi
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            fr, fi = row[k]
+            for j, ((ar, ai), (br, bi)) in enumerate(zip(row, top)):
+                cr = kr * ar - ki * ai - fr * br + fi * bi
+                ci = kr * ai + ki * ar - fr * bi - fi * br
+                row[j] = ((cr * pr + ci * pi) // n2, (ci * pr - cr * pi) // n2)
+        pr, pi = kr, ki
+    return (pr, pi), [row[n:] for row in a]
+
+
+def _positive_definite(y: IntMat) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(_gauss_det([[(v, 0) for v in row[:k]] for row in y[:k]])[0] > 0
+               for k in range(1, len(y) + 1))
+
+
+def _gauss_affine(a: IntMat, b: IntMat, tau: SiegelPoint) -> list:
+    """(a tau + b) 2^s over Z[i], from the integer form tau = (X + iY) / 2^s."""
+    x, y, s = tau.int_form
+    g = tau.g
+    return [[(sum(a[i][k] * x[k][j] for k in range(g)) + (b[i][j] << s),
+              sum(a[i][k] * y[k][j] for k in range(g))) for j in range(g)]
+            for i in range(g)]
+
+
+def _denominator_det(gamma: "SymplecticMatrix", tau: SiegelPoint) -> tuple[int, int]:
+    """det(lam tau + mu) 2^(gs) over Z[i]."""
+    return _gauss_det(_gauss_affine(gamma.lam, gamma.mu, tau))
 
 
 @dataclass(frozen=True)
@@ -280,55 +395,45 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
                           bool(defect <= tol and min(pivots) > 0))
 
 
-def _affine(a: IntMat, x: Mat, b: IntMat) -> Mat:
-    """a x + b over Q."""
-    return tuple(tuple(s + t for s, t in zip(row, b_row))
-                 for row, b_row in zip(matmul(a, x), b))
-
-
-def _real_form(gamma: SymplecticMatrix, tau: SiegelPoint) -> Mat:
-    """[[A, -B], [B, A]] for lam tau + mu = A + iB over Q, from the stored
-    dyadic entries of tau.  Its determinant is |det(lam tau + mu)|^2 and its
-    inverse is the real form of (lam tau + mu)^{-1}."""
-    a = _affine(gamma.lam, tau.re_fractions(), gamma.mu)
-    b = matmul(gamma.lam, tau.im_fractions())
-    return (tuple(ra + tuple(-x for x in rb) for ra, rb in zip(a, b))
-            + tuple(rb + ra for ra, rb in zip(a, b)))
-
-
-def _rounded_symmetric(m: Mat, bits: int) -> tuple[tuple[mpf, ...], ...]:
-    """(m + m^T)/2 with each entry correctly rounded to ``bits`` bits."""
-    def rnd(q: Fraction) -> mpf:
-        return mp.make_mpf(from_rational(q.numerator, q.denominator, bits,
-                                         round_nearest))
-    g = len(m)
-    return tuple(tuple(rnd((m[i][j] + m[j][i]) / 2) for j in range(g))
-                 for i in range(g))
-
-
 def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
-    """(alpha tau + beta)(lam tau + mu)^{-1}, exact, rounded once: computed
-    over Q from the stored entries of tau, symmetrized, and each entry
-    correctly rounded to prec + 32 bits, whatever mp.prec is."""
+    """(alpha tau + beta)(lam tau + mu)^{-1}, exact, rounded once.
+
+    On the integer form tau = (X + iY) / 2^s, with P = (alpha tau + beta) 2^s
+    and N = (lam tau + mu) 2^s over Z[i], gamma.tau = P N^-1 = P adj conj(d)
+    / |d|^2 where ``_gauss_adjugate`` gives d = +-det N and adj = d N^-1.
+    The Gaussian-integer numerator is symmetrized over the one positive
+    denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
+    with ``from_rational``, whatever mp.prec is: the rational is the exact
+    image, so the point is the one any exact evaluation rounds to.
+    """
     g = tau.g
     if gamma.g != g:
         raise ValueError("dimension mismatch")
     try:
-        inv = inverse(_real_form(gamma, tau))
+        (dr, di), adj = _gauss_adjugate(_gauss_affine(gamma.lam, gamma.mu, tau))
     except ZeroDivisionError as e:
         raise NumericalFailure("lam*tau + mu is singular") from e
-    # (lam tau + mu)^{-1} = P + iQ and alpha tau + beta = E + iF
-    p = tuple(row[:g] for row in inv[:g])
-    q = tuple(row[:g] for row in inv[g:])
-    e = _affine(gamma.alpha, tau.re_fractions(), gamma.beta)
-    f = matmul(gamma.alpha, tau.im_fractions())
-    re = tuple(tuple(s - t for s, t in zip(r1, r2))
-               for r1, r2 in zip(matmul(e, p), matmul(f, q)))
-    im = tuple(tuple(s + t for s, t in zip(r1, r2))
-               for r1, r2 in zip(matmul(e, q), matmul(f, p)))
-    out = SiegelPoint(g, _rounded_symmetric(re, prec + 32),
-                      _rounded_symmetric(im, prec + 32))
-    if min(ldl_pivots(out.im_fractions())) <= 0:
+    p = _gauss_affine(gamma.alpha, gamma.beta, tau)
+    # w = P adj conj(d), entry by entry
+    cols = tuple(zip(*adj))
+    w = []
+    for prow in p:
+        wrow = []
+        for col in cols:
+            ur = sum(a * c - b * e for (a, b), (c, e) in zip(prow, col))
+            ui = sum(a * e + b * c for (a, b), (c, e) in zip(prow, col))
+            wrow.append((ur * dr + ui * di, ui * dr - ur * di))
+        w.append(wrow)
+    den = 2 * (dr * dr + di * di)
+    bits = prec + 32
+
+    def sym(part: int) -> tuple[tuple[mpf, ...], ...]:
+        return tuple(tuple(mp.make_mpf(from_rational(w[i][j][part] + w[j][i][part],
+                                                     den, bits, round_nearest))
+                           for j in range(g)) for i in range(g))
+
+    out = SiegelPoint(g, sym(0), sym(1))
+    if not _positive_definite(out.int_form[1]):
         raise NumericalFailure("action produced a non-definite imaginary part")
     return out
 
@@ -357,11 +462,12 @@ class FundamentalDomainReport:
         return self.s2_ok and self.s3_quadform_ok and self.s3_offdiag_ok and self.s1_ok
 
 
-def default_generators(g: int) -> list[SymplecticMatrix]:
+@cache
+def default_generators(g: int) -> tuple[SymplecticMatrix, ...]:
     """Finite S.1 sample: inversion, coordinate inversions, unit translations,
-    and adjacent basis swaps."""
+    and adjacent basis swaps; built once per g."""
     if g == 1:
-        return [sl2_s(), sl2_t(1)]
+        return (sl2_s(), sl2_t(1))
     gens = [SymplecticMatrix.inversion(g)]
     for k in range(g):
         e = tuple(tuple(1 if (i == j == k) else 0 for j in range(g)) for i in range(g))
@@ -378,55 +484,63 @@ def default_generators(g: int) -> list[SymplecticMatrix]:
         p[k][k] = p[k + 1][k + 1] = 0
         p[k][k + 1] = p[k + 1][k] = 1
         gens.append(SymplecticMatrix.basis_change(tuple(tuple(r) for r in p)))
-    return gens
+    return tuple(gens)
 
 
 def fundamental_domain_report(tau: SiegelPoint,
-                              generators: list[SymplecticMatrix] | None = None,
+                              generators: Sequence[SymplecticMatrix] | None = None,
                               prec: int = DEFAULT_PREC) -> FundamentalDomainReport:
+    """S.1, S.2 and S.3 decided exactly, each with the slack tol =
+    ``default_tol(prec)`` = 2^-t, by integer comparisons on the integer form
+    tau = (X + iY) / 2^s: S.2 is |X_ij| 2^(t+1) <= 2^(s+t) + 2^(s+1), the
+    S.3 bullets compare xi^T Y xi and Y_k,k+1 with Y_kk and 0 after scaling
+    by 2^t, and S.1 for each generator is one determinant over Z[i].
+    Only ``s2_max_abs_re`` is rounded, once."""
     g = tau.g
     tol = default_tol(prec)
-    tol_f = mpf_to_fraction(tol)
+    t = _tol_bits(prec)
     if generators is None:
         generators = default_generators(g)
+    x, y, s = tau.int_form
+    one = 1 << s
 
-    re_f = tau.re_fractions()
-    im_f = tau.im_fractions()
-
-    max_re = max(abs(x) for row in re_f for x in row)
-    s2_ok = max_re <= Fraction(1, 2) + tol_f
+    max_re = max(abs(v) for row in x for v in row)
+    s2_ok = max_re << (t + 1) <= (one << t) + (one << 1)
 
     s3_quad = True
     checked = 0
     for xi in itertools.product((-1, 0, 1), repeat=g):
-        if all(x == 0 for x in xi):
+        if all(v == 0 for v in xi):
             continue
         q = None
         for k in range(g):
             tail_gcd = 0
-            for t in xi[k:]:
-                tail_gcd = gcd(tail_gcd, abs(t))
+            for v in xi[k:]:
+                tail_gcd = gcd(tail_gcd, abs(v))
             if tail_gcd != 1:
                 # primitivity condition (xi_k, ..., xi_g) = 1 fails
                 continue
             if q is None:
-                q = sum(xi[i] * im_f[i][j] * xi[j] for i in range(g) for j in range(g))
+                q = sum(xi[i] * y[i][j] * xi[j] for i in range(g) for j in range(g))
             checked += 1
-            if q < im_f[k][k] - tol_f:
+            # xi^T Im tau xi < Im tau_kk - tol
+            if (y[k][k] - q) << t > one:
                 s3_quad = False
 
-    s3_off = all(im_f[k][k + 1] >= -tol_f for k in range(g - 1))
+    s3_off = all(y[k][k + 1] << t >= -one for k in range(g - 1))
 
     # S.1 without acting: det Im(gam.tau) = d0 / |det(lam tau + mu)|^2 must
-    # not exceed d0 + tol max(1, d0); cleared of the denominator, so a
+    # not exceed d0 + tol max(1, d0), d0 = det Im tau, ties passing.  With
+    # D = det Y = d0 2^(gs) and N = (lam tau + mu) 2^s, cleared of every
+    # denominator: D 2^(t + 2gs) <= (D 2^t + max(2^(gs), D)) |det N|^2, so a
     # singular lam tau + mu (the image at infinity) fails
-    d0 = tau.y_det
-    bound = d0 + tol_f * max(1, d0)
-    s1_ok = all(d0 <= bound * det(_real_form(gam, tau)) for gam in generators)
-    with workprec(prec + GUARD_BITS):
-        max_re_m = fraction_to_mpf(max_re)
-    return FundamentalDomainReport(g, bool(s2_ok), max_re_m,
-                                   s3_quad, bool(s3_off), s1_ok,
+    gs = g * s
+    d = tau._y_det_scaled
+    lhs, rhs = d << (t + 2 * gs), (d << t) + max(1 << gs, d)
+    s1_ok = all(lhs <= rhs * (dr * dr + di * di)
+                for dr, di in (_denominator_det(gam, tau) for gam in generators))
+    max_re_m = mp.make_mpf(from_man_exp(max_re, -s, prec + GUARD_BITS, round_nearest))
+    return FundamentalDomainReport(g, s2_ok, max_re_m, s3_quad, s3_off, s1_ok,
                                    len(generators), checked, tol)
 
 
@@ -637,7 +751,7 @@ def reduced_basis_change(y: Mat, rounds: int = 16) -> IntMat:
 
 
 def reduce_heuristic(tau: SiegelPoint,
-                     generators: list[SymplecticMatrix] | None = None,
+                     generators: Sequence[SymplecticMatrix] | None = None,
                      prec: int = DEFAULT_PREC,
                      max_iter: int = 64) -> ReductionResult:
     """Iterated translation / exact-LLL / det-improving generator moves.
@@ -647,7 +761,7 @@ def reduce_heuristic(tau: SiegelPoint,
     reported by the certificate, not assumed.
     """
     g = tau.g
-    tol_f = mpf_to_fraction(default_tol(prec))
+    t = _tol_bits(prec)
     if generators is None:
         generators = default_generators(g)
     with workprec(prec + 32):
@@ -681,10 +795,15 @@ def reduce_heuristic(tau: SiegelPoint,
                 moved = True
             # (c) first generator in list order that raises det Im by more
             # than the factor 1 + tol, by det Im(gen.cur) = det Im(cur) /
-            # |det(lam cur + mu)|^2; lam = 0 forces |det mu| = 1, no change
+            # |det(lam cur + mu)|^2; lam = 0 forces |det mu| = 1, no change.
+            # With N = (lam cur + mu) 2^s, |det(lam cur + mu)|^2 (1 + 2^-t)
+            # >= 1 is |det N|^2 (2^t + 1) >= 2^(t + 2gs): ties stay
+            keep = 1 << (t + 2 * g * cur.int_form[2])
             for gen in generators:
-                if (not any(any(row) for row in gen.lam)
-                        or det(_real_form(gen, cur)) * (1 + tol_f) >= 1):
+                if not any(any(row) for row in gen.lam):
+                    continue
+                dr, di = _denominator_det(gen, cur)
+                if (dr * dr + di * di) * ((1 << t) + 1) >= keep:
                     continue
                 try:
                     cur = act(gen, cur, prec)

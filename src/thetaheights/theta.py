@@ -54,7 +54,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
 
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                         CertifiedReal, PrecisionError, Verdict, certified_le)
-from .exactla import fraction_to_mpf, matvec, mpf_to_fraction
+from .exactla import dyadic, fraction_to_mpf, matvec, mpf_to_fraction
 from .siegel import SiegelPoint, as_mpc
 
 RADIUS_CAP = 4000
@@ -260,19 +260,9 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     return n
 
 
-def _dyadic(x) -> tuple[int, int]:
-    """(m, e) with x == m * 2^e exactly, for a raw finite mpf x."""
-    sign, man, e, _ = x
-    if not man:
-        if e:
-            raise ValueError("non-finite entry in tau or z")
-        return 0, 0
-    return (-int(man) if sign else int(man)), e
-
-
 def _fixed(x, frac_bits: int) -> int:
     """The raw mpf x times 2^frac_bits, rounded down to an int (< 1 ulp)."""
-    m, e = _dyadic(x)
+    m, e = dyadic(x)
     e += frac_bits
     return m << e if e >= 0 else m >> -e
 
@@ -331,7 +321,8 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
         D(N) = sum_jk T_jk N_j N_k + 2 den sum_j N_j Z_j
 
     is a Gaussian integer: T = tau 2^-e0 and Z = z 2^-e0 are the exact
-    entries scaled by the smallest binary exponent e0 <= 0.  D does not
+    entries scaled by the smallest binary exponent e0 <= 0 (T is tau's
+    ``int_form``, shifted further when z needs it).  D does not
     depend on a, so all top characteristics share one lattice of N.
 
     Union rows.  A row fixes N_1..N_(g-1); its top characteristics are the
@@ -389,16 +380,16 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     h = g - 1
     r2 = den * den
 
-    tr = [[_dyadic(x._mpf_) for x in row] for row in tau.re]
-    ti = [[_dyadic(x._mpf_) for x in row] for row in tau.im]
-    zr = [_dyadic(w._mpc_[0]) for w in z]
-    zi = [_dyadic(w._mpc_[1]) for w in z]
-    e0 = min([0] + [e for m, e in itertools.chain(*tr, *ti, zr, zi) if m])
+    tx, ty, shift = tau.int_form
+    zr = [dyadic(w._mpc_[0]) for w in z]
+    zi = [dyadic(w._mpc_[1]) for w in z]
+    e0 = min([-shift] + [e for m, e in itertools.chain(zr, zi) if m])
+    up = -shift - e0
 
     def sc(d):
         return d[0] << (d[1] - e0)
 
-    t = {(j, k): (sc(tr[j][k]), sc(ti[j][k])) for j in range(g) for k in range(j, g)}
+    t = {(j, k): (tx[j][k] << up, ty[j][k] << up) for j in range(g) for k in range(j, g)}
     zc = [(den * sc(zr[j]), den * sc(zi[j])) for j in range(g)]
     s_den = r2 << -e0
     thr, thi = t[(h, h)]

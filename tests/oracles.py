@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own evaluation paths: plain
 term-by-term mpmath sums with a fixed box radius, mpmath's Cholesky for
-pivot checks, and the Siegel action both in mpmath matrix arithmetic and
-by Gauss-Jordan over Q(i).
+pivot checks, the Siegel action both in mpmath matrix arithmetic and by
+Gauss-Jordan over Q(i), and |det(lam tau + mu)|^2 as the determinant of a
+real 2g x 2g form over Q.
 """
 import itertools
 from fractions import Fraction
@@ -149,3 +150,20 @@ def act_exact(gamma, re_rows, im_rows):
                 t = _gmul(num[i][k], aug[k][g + j])
                 out[i][j] = (out[i][j][0] + t[0], out[i][j][1] + t[1])
     return ([[v[0] for v in row] for row in out], [[v[1] for v in row] for row in out])
+
+
+def real_form(gamma, re_rows, im_rows):
+    """[[A, -B], [B, A]] over Q for lam tau + mu = A + iB, tau with rational
+    parts ``re_rows`` and ``im_rows``: its determinant is
+    |det(lam tau + mu)|^2."""
+    g = len(re_rows)
+
+    def prod(a, m):
+        return [[sum(Fraction(a[i][k]) * Fraction(m[k][j]) for k in range(g))
+                 for j in range(g)] for i in range(g)]
+
+    a = [[v + gamma.mu[i][j] for j, v in enumerate(row)]
+         for i, row in enumerate(prod(gamma.lam, re_rows))]
+    b = prod(gamma.lam, im_rows)
+    return ([ra + [-v for v in rb] for ra, rb in zip(a, b)]
+            + [rb + ra for ra, rb in zip(a, b)])

@@ -65,6 +65,19 @@ def test_siegel_reduce_rejects_malformed_generators(capsys, tmp_path, gen, messa
     assert captured.err.startswith("error:") and message in captured.err
 
 
+def test_siegel_reduce_rejects_generators_at_g1(capsys, tmp_path):
+    # g = 1 runs the classical reduction, which has no generator list: a
+    # supplied one would be ignored while the report names it
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([{"alpha": [[1]], "beta": [[1]], "lam": [[0]],
+                                 "mu": [[1]]}]))
+    code = main(["siegel", "reduce", "--tau", '[[["0.3","0.2"]]]',
+                 "--generators", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --generators needs g >= 2\n"
+
+
 def test_theta_eval_with_char(capsys):
     code, out = run(capsys, "theta", "eval", "--tau", '[[["0","1"]]]',
                     "--char", "1/2;1/2")

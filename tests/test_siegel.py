@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  reduce_g1, reduce_heuristic,
                                  reduced_basis_change, sl2_s, sl2_t, validate)
 
-from oracles import act_exact, act_mp, cholesky_min_pivot
+from oracles import act_exact, act_mp, cholesky_min_pivot, real_form
 
 I = mpc(0, 1)
 
@@ -93,7 +96,7 @@ def _act_points(g):
         yield act(SymplecticMatrix.inversion(g), tau, 200)
 
 
-@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("g", [1, 2, 3])
 def test_act_is_exact_then_rounded_once(g):
     for tau in _act_points(g):
         rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
@@ -115,8 +118,52 @@ def test_act_is_exact_then_rounded_once(g):
                 mp.prec = saved
             assert ([x._mpf_ for part in (at_53.re, at_53.im) for row in part for x in row]
                     == [x._mpf_ for part in (at_300.re, at_300.im) for row in part for x in row])
-            _, im = act_exact(gamma, tau.re_fractions(), tau.im_fractions())
-            assert tau.y_det / det(siegel._real_form(gamma, tau)) == det(im)
+            # the S.1 identity over Z[i] against the real form over Q
+            x, y = tau.re_fractions(), tau.im_fractions()
+            dr, di = siegel._denominator_det(gamma, tau)
+            abs2 = Fraction(dr * dr + di * di, 4 ** (g * tau.int_form[2]))
+            assert abs2 == det(real_form(gamma, x, y))
+            _, im = act_exact(gamma, x, y)
+            assert tau.y_det / abs2 == det(im)
+
+
+def test_gaussian_bareiss_det_and_adjugate():
+    # against the Leibniz sum, on random Gaussian-integer matrices with
+    # zeros, so that pivot rows get swapped and singular ones occur
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def leibniz(m):
+        n, total = len(m), (0, 0)
+        for perm in itertools.permutations(range(n)):
+            inv = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            term = (-1 if inv % 2 else 1, 0)
+            for i in range(n):
+                term = mul(term, m[i][perm[i]])
+            total = (total[0] + term[0], total[1] + term[1])
+        return total
+
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = [[(0, 0) if rng.random() < 0.3 else (rng.randint(-9, 9), rng.randint(-9, 9))
+              for _ in range(n)] for _ in range(n)]
+        d = siegel._gauss_det(m)
+        assert d == leibniz(m)
+        if d == (0, 0):
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                siegel._gauss_adjugate(m)
+            continue
+        dd, adj = siegel._gauss_adjugate(m)
+        assert dd in (d, (-d[0], -d[1]))
+        for i in range(n):
+            for j in range(n):
+                terms = [mul(adj[i][k], m[k][j]) for k in range(n)]
+                assert (sum(t[0] for t in terms), sum(t[1] for t in terms)) \
+                    == (dd if i == j else (0, 0))
+    assert singular > 0
 
 
 def test_reduce_heuristic_acts_only_with_chosen_moves(monkeypatch):
@@ -324,3 +371,58 @@ def test_lll_gram_reduces():
     yy = _congruence_gram(y, v)
     assert abs(yy[0][1]) * 2 <= yy[0][0] <= yy[1][1]
     assert yy[0][1] >= 0
+
+
+def _mpf_key(x):
+    return tuple(int(v) for v in x._mpf_)
+
+
+def _reduction_record(res) -> str:
+    """Every output of a reduction, with each mpf by its exact (sign, man,
+    exp, bc): a drift of one ulp in any entry changes the record."""
+    cert, rep = res.certificate, res.certificate.report
+    g = res.reduced.g
+    return repr((
+        cert.word, res.gamma, cert.converged, cert.iterations,
+        [_mpf_key(d) for d in cert.det_history], _mpf_key(cert.action_residual),
+        [_mpf_key(res.reduced.re[i][j]) for i in range(g) for j in range(g)],
+        [_mpf_key(res.reduced.im[i][j]) for i in range(g) for j in range(g)],
+        (rep.g, rep.s2_ok, _mpf_key(rep.s2_max_abs_re), rep.s3_quadform_ok,
+         rep.s3_offdiag_ok, rep.s1_ok, rep.s1_generators_checked,
+         rep.s3_vectors_checked, _mpf_key(rep.tol), rep.s1_note, rep.s3_note)))
+
+
+def test_reductions_are_pinned_bitwise():
+    # sha256 of the records of 24 g = 2 reduce_heuristic and 24 g = 1
+    # reduce_g1 results, taken with S.1 and act computed over Q by Fraction
+    # real forms; the integer form must reproduce every bit
+    records = []
+    for k in range(24):
+        tau = sampling.random_siegel_point(sampling.substream(4242, f"pin2:{k}"), 2)
+        records.append(_reduction_record(reduce_heuristic(tau, prec=96)))
+    for k in range(24):
+        tau = sampling.random_siegel_point(sampling.substream(4242, f"pin1:{k}"), 1)
+        records.append(_reduction_record(reduce_g1(tau, 128)))
+    assert sum("'G'" in r for r in records[:24]) > 0
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == ("5f383f17307df1f032132455f93116e9"
+                      "77c4294c801a83faf4c8507d45a58faf")
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_s1_ties_are_inclusive(g):
+    def scaled(c):
+        return sp(*[[c * I if i == j else 0 for j in range(g)] for i in range(g)])
+
+    # i I_g lies on the boundary of the inversion: |det tau|^2 = 1
+    on = scaled(1)
+    assert fundamental_domain_report(on, prec=96).s1_ok
+    res = reduce_heuristic(on, prec=96)
+    assert not any(move[0] == "G" for move in res.certificate.word)
+    assert res.certificate.report.s1_ok
+    # just inside the unit ball: the inversion raises det Im, so it is made
+    inside = scaled(1 - mpf(2) ** -20)
+    assert not fundamental_domain_report(inside, prec=96).s1_ok
+    res = reduce_heuristic(inside, prec=96)
+    assert any(move[0] == "G" for move in res.certificate.word)
+    assert res.certificate.report.s1_ok
