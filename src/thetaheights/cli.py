@@ -346,6 +346,12 @@ def main(argv=None) -> int:
     # a subcommand-level --seed wins over the global one
     if getattr(args, "sub_seed", None) is not None:
         args.seed = args.sub_seed
+    if args.prec <= 0:
+        print("error: --prec must be a positive number of bits", file=sys.stderr)
+        return 2
+    if getattr(args, "workers", 1) <= 0:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as e:

@@ -35,6 +35,13 @@ the walk's budget holds for every combination; they are exact for r = 2
 otherwise add one stated rounding term.  ``theta`` and ``theta_truncated``
 are the one-member case of the same walk.
 
+The radius search (``choose_radius``) decides each comparison of the tail
+bound with the target on its log in doubles, with a proven guard against
+the double error and the rounding of the certified bound; inside the guard
+the certified bound decides, so every radius is the one the certified
+bound alone would choose.  The certified tail is evaluated once per
+(s, radius), by ``_theta_groups``.
+
 The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
 det Y) are cached on the ``SiegelPoint``, so every characteristic and every
 z at one tau reuses them.
@@ -48,7 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from mpmath import mp, mpf, mpc, fabs, exp, fmul, log, pi, sqrt, workprec
+from mpmath import (mp, mpf, mpc, fabs, exp, fmul, isfinite, log, pi, sqrt,
+                    workprec)
 from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
                           mpf_mul, round_nearest)
 
@@ -234,30 +242,107 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     s = max_i |m1_i + u_i|, but not below int(s) + 2 when the search has
     jumped above it.
 
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
-    so the radius is the one for that z and does not depend on mp.prec."""
+    The search jumps to the estimate n0, climbs while the bound is above
+    the target and descends while the bound one lower is not.  Each
+    comparison ``_tail(...)(n) > target`` is decided on the log of the
+    bound in doubles,
+
+        log(2g (g-1)!) + pi xi + (g-1) log(2n+3) - pi lam gap^2
+            - g log(1 - q) + log1p(2^-30),   gap = n + 1 - s, q = e^(-x),
+            x = 2 pi lam gap,
+
+    against the log of the target, log(m) + e log 2 for target = m 2^e.
+    Let S be the sum of the moduli of these terms (log m and e log 2
+    apart).  The doubles convert lam, xi and gap correctly rounded, and
+    each term takes a few roundings and one libm call of relative error
+    2^-52, log(1 - q) as log(-expm1(-x)), which is accurate for every
+    x > 0; with the sum of eight terms the double difference of the logs
+    is within 2^-49 (S + g) of the exact one.  The certified
+    bound rounds at P = prec + 64 >= 65 bits: each argument of exp errs by
+    a few P-bit roundings relative to its modulus, and 1 - q, with the
+    error of q at most (5x + 2) 2^-P relative, errs by that times
+    q / (1 - q) <= 1/x; so the log of the certified bound is within
+    2^-61 (S + g/x + 10) of the exact one, and the log of the target is
+    exact.  A decision is therefore taken in doubles only when the two
+    logs differ by more than the guard 2^-40 (S + g + g/x + 16), which
+    exceeds both errors together; otherwise, and whenever a double does
+    not convert (lam or xi beyond the double range), is not finite, or
+    x < 2^-20, the certified bound decides.  Every decision, and so the
+    radius, is the one of the certified bound alone; the bound itself is
+    certified once per (s, radius), by ``_theta_groups``.
+
+    tol must be a positive finite number.  z is used exactly as passed
+    (mpf/mpc entries are not rounded to mp.prec), so the radius is the one
+    for that z and does not depend on mp.prec."""
     if tol is None:
         tol = default_tol(prec)
     g = tau.g
     with workprec(prec + GUARD_BITS):
+        target = mpf(tol) / 2
+        if not (target > 0 and isfinite(target)):
+            raise ValueError("tol must be a positive finite number")
         z, den, a, b = _normalize_inputs(tau, z, char)
         lam, xi, u = _tail_data(tau, z)
         m1 = tuple(Fraction(x, den) for x in a)
         s = max(abs(m + w) for m, w in zip(m1, u))
-        target = mpf(tol) / 2
-        bound = _tail(g, lam, xi, s)
+        over = _tail_above(g, lam, xi, s, target)
         n = int(s) + 1
         # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
         need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
         n = max(n, int(s + sqrt(need)) + 1)
-        while n <= RADIUS_CAP and bound(n) > target:
+        while n <= RADIUS_CAP and over(n):
             n += 1
         if n > RADIUS_CAP:
             raise ReduceFirstError(
                 "truncation radius exceeds the cap; reduce tau first")
-        while n > int(s) + 2 and bound(n - 1) <= target:
+        while n > int(s) + 2 and not over(n - 1):
             n -= 1
     return n
+
+
+def _tail_above(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf):
+    """n -> whether ``_tail(g, lam, xi, s)(n) > target``, decided in doubles
+    outside the guard of ``choose_radius`` and by the certified bound,
+    formed on the first such tie, inside it.  Call inside the working
+    precision."""
+    certified = None
+
+    def tie(n: int) -> bool:
+        nonlocal certified
+        if certified is None:
+            certified = _tail(g, lam, xi, s)
+        return certified(n) > target
+
+    try:
+        lam_f, xi_f = float(lam), float(xi)
+    except OverflowError:
+        return tie
+    man, e = dyadic(target._mpf_)
+    log_m, log_e = math.log(man), e * math.log(2)
+    head = math.log(2 * g * factorial(g - 1)) + math.log1p(2.0 ** -30)
+    pxi = math.pi * xi_f
+    size = abs(head) + pxi + abs(log_m) + abs(log_e) + g + 16
+    s_num, s_den = s.numerator, s.denominator
+
+    def above(n: int) -> bool:
+        gap_num = (n + 1) * s_den - s_num
+        if gap_num <= 0:
+            return True
+        gap = gap_num / s_den
+        x = 2 * math.pi * lam_f * gap
+        if not x >= 2.0 ** -20:
+            return tie(n)
+        shell = (g - 1) * math.log(2 * n + 3)
+        gauss = math.pi * lam_f * gap * gap
+        geom = -g * math.log(-math.expm1(-x))      # -g log(1 - q) >= 0
+        diff = head + pxi + shell - gauss + geom - log_m - log_e
+        guard = 2.0 ** -40 * (size + shell + gauss + geom + g / x)
+        if diff > guard:
+            return True
+        if diff < -guard:
+            return False
+        return tie(n)
+    return above
 
 
 def _fixed(x, frac_bits: int) -> int:

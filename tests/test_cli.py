@@ -148,6 +148,19 @@ def test_bad_input_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--prec", "0", "theta", "eval", "--tau", '[[["0.1","1.0"]]]'],
+    ["--prec", "-3", "theta", "eval", "--tau", '[[["0.1","1.0"]]]'],
+    ["campaign", "run", "--suite", "norm-bounds", "--samples", "2", "--workers", "-2"],
+    ["theta", "verify-bounds", "--g", "1", "--samples", "2", "--workers", "0"],
+])
+def test_nonpositive_prec_or_workers_is_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"

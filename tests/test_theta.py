@@ -185,10 +185,11 @@ def _tail_in_one_expression(g, lam, xi, s, n):
 
 def test_radius_is_the_least_above_the_search_floor():
     # on a grid of g = 1 and g = 2 points, z = 0 or not, levels 2 and 4,
-    # prec 8 to 256: the radius is the least n >= min(n0, int(s) + 2) whose
-    # tail is below the target, n0 the search's first estimate, and the
-    # tail with its n-independent factors formed once is bitwise the one
-    # formed in one expression
+    # prec 8 to 256, the default tol and explicit ones down to 2^-1200
+    # (a target below the double range): the radius is the least
+    # n >= min(n0, int(s) + 2) whose tail is below the target, n0 the
+    # search's first estimate, and the tail with its n-independent factors
+    # formed once is bitwise the one formed in one expression
     cases = []
     for y in ("0.5", "0.87", "1", "2", "3.75", "10"):
         tau = SiegelPoint.from_complex(mpc("0.3", y))
@@ -198,29 +199,76 @@ def test_radius_is_the_least_above_the_search_floor():
     for tau, z in _level_cases()[2:]:
         for a in itertools.product(range(2), repeat=2):
             cases.append((tau, z, ThetaCharacteristic.from_integers(2, a, [0, 1])))
+    # Im z = 400 at Y = 1: exp(pi xi) = exp(160000 pi) overflows a double
+    far = (SiegelPoint.from_complex(mpc("0.3", "1")), [mpc("0.1", "400")], None)
+    cases.append(far)
     floors = 0
-    for prec in (8, 64, 96, 128, 256):
-        for tau, z, char in cases:
-            n = choose_radius(tau, z, char, prec)
-            g = tau.g
-            with workprec(prec + GUARD_BITS):
-                zt, den, a, _ = theta_module._normalize_inputs(tau, z, char)
-                lam, xi, u = theta_module._tail_data(tau, zt)
-                s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
-                target = theta_module.default_tol(prec) / 2
-                need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
-                        / (pi * fraction_to_mpf(lam)))
-                floor = min(max(int(s) + 1, int(s + sqrt(need)) + 1), int(s) + 2)
-                bound = theta_module._tail(g, lam, xi, s)
-                for k in (n - 1, n, n + 1):
-                    assert bound(k) == _tail_in_one_expression(g, lam, xi, s, k)
-                assert bound(n) <= target, (prec, char)
-                assert n == floor or bound(n - 1) > target, (prec, char)
-                floors += n == floor and bound(n - 1) <= target
+    for tol in (None, mpf(2) ** -10, mpf(2) ** -200, mpf(2) ** -1200):
+        for prec in (8, 64, 96, 128, 256):
+            for tau, z, char in cases:
+                n = choose_radius(tau, z, char, prec, tol)
+                g = tau.g
+                with workprec(prec + GUARD_BITS):
+                    zt, den, a, _ = theta_module._normalize_inputs(tau, z, char)
+                    lam, xi, u = theta_module._tail_data(tau, zt)
+                    s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+                    target = (theta_module.default_tol(prec) if tol is None else tol) / 2
+                    need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
+                            / (pi * fraction_to_mpf(lam)))
+                    floor = min(max(int(s) + 1, int(s + sqrt(need)) + 1), int(s) + 2)
+                    bound = theta_module._tail(g, lam, xi, s)
+                    for k in (n - 1, n, n + 1):
+                        assert bound(k) == _tail_in_one_expression(g, lam, xi, s, k)
+                    assert bound(n) <= target, (prec, char)
+                    assert n == floor or bound(n - 1) > target, (prec, char)
+                    floors += n == floor and bound(n - 1) <= target
     assert floors >= 5
+    assert choose_radius(*far[:2], prec=128) == 800
     # the example of the rule: s = 0 and lam = 3.75 at prec 96 give 2,
     # although the tail at radius 1 is already below the target
     assert choose_radius(SiegelPoint.from_complex(mpc(0, "3.75")), prec=96) == 2
+
+
+def _counted_tail(monkeypatch):
+    """Patch ``theta._tail`` to record n at each certified tail bound."""
+    calls = []
+    tail = theta_module._tail
+
+    def counted(*args):
+        bound = tail(*args)
+
+        def counted_bound(n):
+            calls.append(n)
+            return bound(n)
+        return counted_bound
+    monkeypatch.setattr(theta_module, "_tail", counted)
+    return calls
+
+
+def test_near_tie_is_decided_by_the_certified_bound(monkeypatch):
+    # tol = 2 bound(6) makes the target equal to the certified bound at 6,
+    # which is not above it, so the radius is 6; a target 2^-100 lower
+    # (rounded at prec + 64 bits, still below bound(6)) needs 7.  No double
+    # separates the two, so the certified bound decides, and only there
+    tau = SiegelPoint.from_complex(mpc("0.3", "0.87"))
+    with workprec(96 + GUARD_BITS):
+        lam, xi, _ = theta_module._tail_data(tau, (mpc(0),))
+        tie = 2 * theta_module._tail(1, lam, xi, Fraction(0))(6)
+    with workprec(400):
+        below = tie * (1 - mpf(2) ** -100)
+    calls = _counted_tail(monkeypatch)
+    for tol, radius in ((tie, 6), (below, 7)):
+        calls.clear()
+        assert choose_radius(tau, prec=96, tol=tol) == radius
+        assert calls and set(calls) == {6}
+
+
+@pytest.mark.parametrize("tol", [0, -1, mpf("inf"), mpf("nan")])
+def test_tol_must_be_positive_and_finite(tol):
+    tau = SiegelPoint.from_complex(mpc("0.1", "1.0"))
+    for fn in (theta, choose_radius, lambda t, tol: verify_norm_bounds(t, 2, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            fn(tau, tol=tol)
 
 
 def test_reduce_first_signal():
@@ -733,32 +781,34 @@ def _count_work(monkeypatch):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(theta_module, name, wrapper)
-    return counts
+    return counts, _counted_tail(monkeypatch)
 
 
 def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
-    counts = _count_work(monkeypatch)
+    counts, tails = _count_work(monkeypatch)
     tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
                                  [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
     z = [mpc("0.1", "0.2"), mpc("0.3", "-0.1")]
 
     def work(fn, *args, **kwargs):
         counts.update(_row_sum=0, choose_radius=0)
+        tails.clear()
         fn(*args, **kwargs)
-        return counts["_row_sum"], counts["choose_radius"]
+        return counts["_row_sum"], counts["choose_radius"], len(tails)
 
     # one walk per level; one radius per distinct s = max_i |m1_i + u_i|,
-    # which at z = 0 is max_i m1_i: 2 values at r = 2, 4 at r = 4
-    assert work(verify_norm_bounds, tau, 2, prec=96) == (1, 2)
-    assert work(verify_norm_bounds, tau, 2, z, prec=96, assume_reduced=True) == (2, 3)
+    # which at z = 0 is max_i m1_i: 2 values at r = 2, 4 at r = 4; one
+    # certified tail per distinct (s, radius), none in the radius search
+    assert work(verify_norm_bounds, tau, 2, prec=96) == (1, 2, 2)
+    assert work(verify_norm_bounds, tau, 2, z, prec=96, assume_reduced=True) == (2, 3, 3)
     for r in (2, 4):
         # at this w = r z the r^g top characteristics share r distinct s
-        assert work(beta_sigma, tau, z, r, prec=96) == (1, r)
-        assert work(theta_null_vector, tau, r, prec=96) == (1, r)
-    assert work(verify_duplication, tau, 3, prec=96) == (4, 4 * 2)
-    assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2)
+        assert work(beta_sigma, tau, z, r, prec=96) == (1, r, r)
+        assert work(theta_null_vector, tau, r, prec=96) == (1, r, r)
+    assert work(verify_duplication, tau, 3, prec=96) == (4, 4 * 2, 4 * 2)
+    assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2, 4 * 2)
     curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
-    assert work(heights.periods_agm, curve, 96) == (1, 2)
+    assert work(heights.periods_agm, curve, 96) == (1, 2, 2)
 
 
 def test_public_results_independent_of_global_precision():
