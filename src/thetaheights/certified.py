@@ -87,7 +87,7 @@ class CertifiedReal:
 
     def __truediv__(self, other) -> "CertifiedReal":
         other = _as_real(other)
-        if other.lo <= 0 < other.hi or other.hi >= 0 > other.lo or other.lo <= 0 <= other.hi:
+        if other.lo <= 0 <= other.hi:
             raise PrecisionError("division by an interval containing zero")
         v = self.value / other.value
         denom = min(fabs(other.lo), fabs(other.hi))
@@ -140,16 +140,6 @@ class CertifiedComplex:
 
     def abs(self) -> CertifiedReal:
         return CertifiedReal(fabs(self.value), self.err)
-
-    def __add__(self, other) -> "CertifiedComplex":
-        v = self.value + other.value
-        return CertifiedComplex(v, self.err + other.err + fabs(v) * _eps())
-
-    def __mul__(self, other) -> "CertifiedComplex":
-        v = self.value * other.value
-        e = (fabs(self.value) * other.err + fabs(other.value) * self.err
-             + self.err * other.err + fabs(v) * _eps())
-        return CertifiedComplex(v, e)
 
 
 @dataclass(frozen=True)

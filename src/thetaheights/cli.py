@@ -216,14 +216,8 @@ def _cmd_heights_corpus(args) -> int:
              "window_value,window_lower,window_upper,bost_lower,hf_lower,matrix_lemma"]
     n_fail = 0
     for c in curves:
-        lattice = heights.periods_agm(c, args.prec)
-        rep = heights.window_check(c, args.prec, lattice=lattice)
-        ml = heights.matrix_lemma_check(c, args.prec, lattice=lattice)
-        verdicts = [rep.verdicts["window_lower"].verdict,
-                    rep.verdicts["window_upper"].verdict,
-                    rep.verdicts["bost_lower"].verdict,
-                    rep.verdicts["hf_lower"].verdict,
-                    ml.verdict]
+        rep = heights.window_check(c, args.prec)
+        verdicts = [v.verdict for v in (*rep.verdicts.values(), rep.matrix_lemma)]
         n_fail += sum(v == "fail" for v in verdicts)
         lines.append(",".join([
             c.label, str(c.a1), str(c.a2), str(c.a3), str(c.a4), str(c.a6),
@@ -275,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--prec", type=int, default=128, help="working precision in bits")
     ap.add_argument("--seed", type=int, default=0, help="campaign seed")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default="json")
+    ap.add_argument("--format", choices=("csv", "json"), help="default: the command's own")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sg = sub.add_parser("siegel").add_subparsers(dest="sub", required=True)
     p = sg.add_parser("reduce", help="reduce tau toward the fundamental domain")
     p.add_argument("--tau", required=True)
     p.add_argument("--generators", default=None)
-    p.set_defaults(fn=_cmd_siegel_reduce)
+    p.set_defaults(fn=_cmd_siegel_reduce, formats=("json",))
 
     th = sub.add_parser("theta").add_subparsers(dest="sub", required=True)
     p = th.add_parser("eval", help="certified theta value")
@@ -290,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default=None)
     p.add_argument("--char", default=None, help="'a1/r,...;b1/r,...'")
     p.add_argument("--r", type=int, default=None)
-    p.set_defaults(fn=_cmd_theta_eval)
+    p.set_defaults(fn=_cmd_theta_eval, formats=("json",))
     p = th.add_parser("verify-bounds", help="sampled two-sided norm bounds")
     p.add_argument("--g", type=int, choices=(1, 2), required=True)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, dest="sub_seed")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(fn=_cmd_theta_verify_bounds)
+    p.set_defaults(fn=_cmd_theta_verify_bounds, formats=("csv",))
 
     co = sub.add_parser("constants").add_subparsers(dest="sub", required=True)
     p = co.add_parser("table", help="all explicit constants at (g, r)")
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--c1", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
-    p.set_defaults(fn=_cmd_constants_table)
+    p.set_defaults(fn=_cmd_constants_table, formats=("json", "csv"))
 
     he = sub.add_parser("heights").add_subparsers(dest="sub", required=True)
     p = he.add_parser("verify", help="window and lower-bound checks for one curve")
@@ -314,16 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--semistable", action="store_true")
     p.add_argument("--allow-relative", action="store_true")
-    p.set_defaults(fn=_cmd_heights_verify)
+    p.set_defaults(fn=_cmd_heights_verify, formats=("json",))
     p = he.add_parser("corpus", help="height report for every corpus curve")
     p.add_argument("--file", default=None)
-    p.set_defaults(fn=_cmd_heights_corpus)
+    p.set_defaults(fn=_cmd_heights_corpus, formats=("csv",))
 
     la = sub.add_parser("lattice").add_subparsers(dest="sub", required=True)
     p = la.add_parser("delta", help="lattice distance, sum, intersection, index")
     p.add_argument("--basis1", required=True)
     p.add_argument("--basis2", required=True)
-    p.set_defaults(fn=_cmd_lattice_delta)
+    p.set_defaults(fn=_cmd_lattice_delta, formats=("json",))
 
     ca = sub.add_parser("campaign").add_subparsers(dest="sub", required=True)
     p = ca.add_parser("run", help="seeded verification campaign")
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4, dest="n_max")
     p.add_argument("--corpus", default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(fn=_cmd_campaign_run)
+    p.set_defaults(fn=_cmd_campaign_run, formats=("json", "csv"))
     return ap
 
 
@@ -351,6 +345,11 @@ def main(argv=None) -> int:
         return 2
     if getattr(args, "workers", 1) <= 0:
         print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
+    args.format = args.format or args.formats[0]  # each command's own comes first
+    if args.format not in args.formats:
+        print(f"error: {args.command} {args.sub} writes only "
+              f"{' or '.join(args.formats)}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -1,14 +1,16 @@
 """Every explicit constant of the height comparison, as certified reals.
 
-All values are pure functions of their integer/rational inputs evaluated at
-the requested precision; anything involving r^(2g) powers or the 2^12
-exponent is computed in log space first and the linear-space value emitted
-alongside.
+All values are pure functions of their integer/rational inputs evaluated
+under their own ``workprec`` at the requested precision, so the ones read
+for every curve or sample are cached; anything involving r^(2g) powers or
+the 2^12 exponent is computed in log space first and the linear-space value
+emitted alongside.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from mpmath import mp, mpf, exp, factorial, log, pi, workprec
 
@@ -33,6 +35,7 @@ def _growth_term(g: int) -> mpf:
     return 2 + 2 / mpf(3) ** (mpf(1) / 4) * mpf(2) ** (mpf(g) ** 3 / 4)
 
 
+@cache
 def m_const(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """g [ (1/4) log(4 pi) - (1/2) r^(2g) log r ], the window lower endpoint."""
     _check_rg(r, g)
@@ -40,6 +43,7 @@ def m_const(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
         return _certify(g * (log(4 * pi) / 4 - mpf(r) ** (2 * g) * log(r) / 2))
 
 
+@cache
 def M_const(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """(g/4) log(4 pi) + g log r + (g/2) log(2 + (2/3^(1/4)) 2^(g^3/4)),
     the window upper endpoint."""
@@ -49,6 +53,7 @@ def M_const(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
                         + g * log(_growth_term(g)) / 2)
 
 
+@cache
 def c_g(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """(2 + (2/3^(1/4)) 2^(g^3/4))^g, the invariant-norm upper constant."""
     _check_g(g)
@@ -56,6 +61,7 @@ def c_g(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
         return _certify(_growth_term(g) ** g)
 
 
+@cache
 def C_matrix(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """(8g/pi)(1 + 2 g^2 log(4g)), the matrix-lemma constant."""
     _check_g(g)
@@ -116,6 +122,7 @@ def easier_constants(g: int, r: int, prec: int = DEFAULT_PREC) -> EasierConstant
             bool(e1.lo >= p1.hi), bool(e2.lo >= p2.hi), bool(e3.lo >= p3.hi))
 
 
+@cache
 def hF_lower(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """-C(g) log C(g) - M(r, g): the height lower bound that falls out of the
     window and the matrix lemma."""
@@ -124,6 +131,7 @@ def hF_lower(r: int, g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
         return (-(c * c.log())) - M_const(r, g, prec)
 
 
+@cache
 def bost_lower(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """-g log(2 pi)/2."""
     _check_g(g)

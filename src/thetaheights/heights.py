@@ -7,6 +7,10 @@ among the three even theta constants), and the v-adic max commutes with
 fourth powers.  The archimedean place uses the l2 norm of the certified
 theta values, per the height convention adopted throughout.
 
+``window_check`` is the one analysis of a curve: one ``periods_agm`` and one
+height pipeline give the window, the two lower bounds on h_F and the matrix
+lemma (see ``HeightReport``); ``matrix_lemma_check`` reads the last.
+
 Faltings height: h_F = -(1/2) log(covolume/pi) for the period lattice of the
 minimal model's invariant differential.  This is the stable height when the
 asserted minimal/semistable claims hold.  The flags passed to
@@ -329,6 +333,11 @@ def theta_height_details(curve: EllipticCurveQ,
 
 @dataclass(frozen=True)
 class HeightReport:
+    """The window, the lower bounds on h_F and the matrix lemma
+    |log det Im tau| <= C(1) log(max{h_theta, 1} + 2) at one reduced tau.
+    ``matrix_lemma`` sits outside ``verdicts`` and so outside ``all_ok``:
+    ``verdicts`` are the window campaign's rows and the ``heights verify``
+    document and exit status, while the matrix lemma has its own suite."""
     h_theta: CertifiedReal
     h_faltings: CertifiedReal
     tau_reduced: SiegelPoint
@@ -336,6 +345,7 @@ class HeightReport:
     lam: Fraction
     stable: bool
     verdicts: dict
+    matrix_lemma: Verdict
 
     @property
     def all_ok(self) -> bool:
@@ -343,18 +353,16 @@ class HeightReport:
 
 
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
-                 allow_relative: bool = False,
-                 lattice: PeriodLattice | None = None) -> HeightReport:
+                 allow_relative: bool = False) -> HeightReport:
     """h_theta - h_F/2 - (1/4) log det Im tau against the [m(2,1), M(2,1)]
-    window, plus the height lower bounds, all with certified margins.  A
-    ``lattice`` from ``periods_agm(curve, prec)`` is used as given."""
-    if lattice is None:
-        lattice = periods_agm(curve, prec)
+    window, the height lower bounds and the matrix lemma, all with
+    certified margins, from one ``periods_agm`` and one height pipeline."""
+    lattice = periods_agm(curve, prec)
     with workprec(prec + GUARD_BITS):
         det_s = _pipeline(curve, lattice, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
-        det_im = det_s.tau_reduced.det_im()
-        quarter_log = CertifiedReal.rounded(log(det_im) / 4)
+        log_det_im = log(det_s.tau_reduced.det_im())
+        quarter_log = CertifiedReal.rounded(log_det_im / 4)
         window = (det_s.h_theta
                   - fal.height * CertifiedReal.exact(mpf(1) / 2)
                   - quarter_log)
@@ -364,22 +372,17 @@ def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
             "bost_lower": certified_le(constants.bost_lower(1, prec), fal.height),
             "hf_lower": certified_le(constants.hF_lower(2, 1, prec), fal.height),
         }
-    return HeightReport(det_s.h_theta, fal.height, det_s.tau_reduced, window,
-                        det_s.lam, fal.stable, verdicts)
-
-
-def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
-                       lattice: PeriodLattice | None = None) -> Verdict:
-    """|log det Im tau| <= C(1) log(max{h_theta, 1} + 2), certified.  A
-    ``lattice`` from ``periods_agm(curve, prec)`` is used as given."""
-    with workprec(prec + GUARD_BITS):
-        det_s = _pipeline(curve, lattice, prec)
-        det_im = det_s.tau_reduced.det_im()
-        lhs = CertifiedReal.rounded(fabs(log(det_im)))
         h = det_s.h_theta
         clipped = CertifiedReal(max(h.value, mpf(1)), h.err)
         rhs = constants.C_matrix(1, prec) * (clipped + CertifiedReal.exact(2)).log()
-        return certified_le(lhs, rhs)
+        matrix_lemma = certified_le(CertifiedReal.rounded(fabs(log_det_im)), rhs)
+    return HeightReport(det_s.h_theta, fal.height, det_s.tau_reduced, window,
+                        det_s.lam, fal.stable, verdicts, matrix_lemma)
+
+
+def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Verdict:
+    """|log det Im tau| <= C(1) log(max{h_theta, 1} + 2), certified."""
+    return window_check(curve, prec, allow_relative=True).matrix_lemma
 
 
 def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,

@@ -188,16 +188,6 @@ def _int_neg(a: IntMat) -> IntMat:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _int_inverse_unimodular(u: IntMat) -> IntMat:
-    inv = inverse(tuple(tuple(Fraction(x) for x in row) for row in u))
-    out = []
-    for row in inv:
-        if any(q.denominator != 1 for q in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(q) for q in row))
-    return tuple(out)
-
-
 # Gaussian integers a + bi as pairs (a, b); matrices over Z[i] as lists of rows.
 
 
@@ -328,9 +318,17 @@ class SymplecticMatrix:
 
     @classmethod
     def basis_change(cls, u: IntMat) -> "SymplecticMatrix":
-        """tau -> u^T tau u for unimodular u."""
+        """tau -> u^T tau u for unimodular u.  ``_gauss_adjugate`` gives
+        d = +-det u and R = d u^-1, so u^-1 = d R when det u = +-1."""
         g = len(u)
-        return cls(g, _int_t(u), _int_zero(g), _int_zero(g), _int_inverse_unimodular(u))
+        try:
+            (d, _), adj = _gauss_adjugate([[(x, 0) for x in row] for row in u])
+        except ZeroDivisionError:
+            d = 0
+        if d not in (1, -1):
+            raise ValueError("matrix is not unimodular")
+        return cls(g, _int_t(u), _int_zero(g), _int_zero(g),
+                   tuple(tuple(d * x for x, _ in row) for row in adj))
 
     def compose(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         """Matrix product self * other (self acts after other)."""

@@ -64,8 +64,10 @@ def test_log_of_zero_interval_raises():
 
 
 def test_div_by_zero_interval_raises():
-    with pytest.raises(PrecisionError):
-        cr(1, 0) / cr(1e-10, 1e-9)
+    # a divisor interval that straddles 0, ends at 0 on either side, or is 0
+    for divisor in (cr(1e-10, 1e-9), cr(1, 1), cr(-1, 1), cr(0, 0)):
+        with pytest.raises(PrecisionError):
+            cr(1, 0) / divisor
 
 
 def test_certified_le_three_valued():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,22 @@ def test_nonpositive_prec_or_workers_is_exit_2(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt, argv", [
+    ("csv", ["siegel", "reduce", "--tau", '[[["0.7","0.4"]]]']),
+    ("csv", ["theta", "eval", "--tau", '[[["0","1"]]]']),
+    ("json", ["theta", "verify-bounds", "--g", "1", "--samples", "1"]),
+    ("csv", ["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"]),
+    ("json", ["heights", "corpus"]),
+    ("csv", ["lattice", "delta", "--basis1", '[["1"]]', "--basis2", '[["2"]]']),
+], ids=["siegel-reduce", "theta-eval", "theta-verify-bounds", "heights-verify",
+        "heights-corpus", "lattice-delta"])
+def test_format_a_command_does_not_write_is_exit_2(capsys, fmt, argv):
+    code = main(["--format", fmt, *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "writes only" in captured.err
+
+
 def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"
@@ -170,14 +187,22 @@ def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
 
 
 def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, monkeypatch):
-    # window and matrix-lemma checks share one period analysis per curve
+    # one window_check per curve: one period analysis and one height
+    # pipeline serve the window, the lower bounds and the matrix lemma
     calls = []
+    pipelines = []
     periods_agm = heights.periods_agm
+    pipeline = heights._pipeline
 
     def counted(curve, prec):
         calls.append(curve.label)
         return periods_agm(curve, prec)
+
+    def counted_pipeline(curve, lattice, prec):
+        pipelines.append(curve.label)
+        return pipeline(curve, lattice, prec)
     monkeypatch.setattr(heights, "periods_agm", counted)
+    monkeypatch.setattr(heights, "_pipeline", counted_pipeline)
     path = tmp_path / "two.csv"
     path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"
                     "c225,1,1,1,-5,2,true,true\n"
@@ -185,6 +210,21 @@ def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, mo
     code, out = run(capsys, "--format", "csv", "heights", "corpus", "--file", str(path))
     assert code == 0 and len(out.strip().splitlines()) == 3
     assert calls == ["c225", "c289"]
+    assert pipelines == ["c225", "c289"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["heights", "corpus"],
+     "e6e1cdd697db2616bf64b12c98d5d90377243a37516709dd6753dc8e094dda82"),
+    (["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"],
+     "47806b0b1854d53fbd80918b872e93a06b893e32db75af2c457305244805789f"),
+], ids=["corpus", "verify"])
+def test_heights_output_is_pinned(capsys, argv, digest):
+    # sha256 of the output bytes with no --format, taken while the corpus
+    # loop ran window_check and matrix_lemma_check as two analyses
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_run_all_campaigns_help_from_a_checkout(tmp_path):

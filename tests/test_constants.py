@@ -200,3 +200,26 @@ def test_table_and_grid_cap():
         constants.m_const(3, 1)
     with pytest.raises(ValueError):
         constants.c_g(0)
+
+
+@pytest.mark.parametrize("fill, read", [(53, 300), (300, 53)])
+@pytest.mark.parametrize("fn, args", [
+    (constants.m_const, (2, 1, 96)),
+    (constants.M_const, (2, 1, 96)),
+    (constants.c_g, (2, 96)),
+    (constants.C_matrix, (1, 96)),
+    (constants.hF_lower, (2, 1, 96)),
+    (constants.bost_lower, (1, 96)),
+], ids=["m_const", "M_const", "c_g", "C_matrix", "hF_lower", "bost_lower"])
+def test_cached_constants_do_not_depend_on_the_callers_precision(fn, args, fill, read):
+    # each constant runs under its own workprec, so a value cached at one
+    # global precision is bitwise the value computed afresh at another
+    fn.cache_clear()
+    with workprec(fill):
+        first = fn(*args)
+    with workprec(read):
+        cached = fn(*args)
+        fresh = fn.__wrapped__(*args)
+    assert cached is first
+    assert cached.value._mpf_ == fresh.value._mpf_
+    assert cached.err._mpf_ == fresh.err._mpf_

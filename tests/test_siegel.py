@@ -198,6 +198,10 @@ def test_symplectic_matrix_rejects_bad_input():
         SymplecticMatrix(2, ((1,),), zero, zero, ide)
     with pytest.raises(ValueError, match="2 x 2"):
         SymplecticMatrix(2, ide, zero, ((0, 0),), ide)
+    # a basis change needs det u = +-1: singular, det 3 and det 2 are refused
+    for u in (((1, 2), (2, 4)), ((2, 1), (1, 2)), ((2,),)):
+        with pytest.raises(ValueError, match="matrix is not unimodular"):
+            SymplecticMatrix.basis_change(u)
 
 
 def test_symplectic_relations():
@@ -205,6 +209,19 @@ def test_symplectic_relations():
         for gamma in default_generators(g):
             assert gamma.is_symplectic()
             assert gamma.compose(gamma.inverse()) == SymplecticMatrix.identity(g)
+
+
+def test_basis_change_inverts_unimodular_matrices():
+    rng = random.Random(11)
+    for _ in range(200):
+        g = rng.randint(1, 4)
+        u = [list(row) for row in sampling.random_unimodular(rng, g)]
+        if rng.random() < 0.5:
+            u[0] = [-x for x in u[0]]  # det -1
+        u = tuple(map(tuple, u))
+        mu = SymplecticMatrix.basis_change(u).mu
+        assert all(sum(u[i][k] * mu[k][j] for k in range(g)) == int(i == j)
+                   for i in range(g) for j in range(g))
 
 
 def test_translation_block_must_be_symmetric():
