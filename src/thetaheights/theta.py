@@ -10,9 +10,15 @@ exponent of every term is pi*i times an exact dyadic rational, formed in
 Python integers from the exact entries of tau and z.  Each row starts at its
 peak-magnitude term and walks outward with the recurrences t <- t*rho,
 rho <- rho*exp(2 pi i tau_gg step^2) in Python-int fixed point; every
-multiplier has modulus <= 1, so rounding is never amplified.  The ulp
-budget of the walk is derived in ``_row_sum`` and is part of the certified
-bound.
+multiplier of a row walk has modulus <= 1.  The start values of a row (its
+peak term and first ratios) come from the row before it, by the same kind
+of exact-exponent recurrence across rows, and fresh exps are taken only
+where such a chain is anchored.  Multipliers across rows can exceed modulus
+1, so the chains run at a wider fixed point, with an error bound formed
+before the walk from the exact moduli; a row chains only where its start
+values are then as accurate as fresh ones, so every row keeps the budget
+of a fresh start.  The ulp budget of the walk is derived in ``_row_sum``
+and is part of the certified bound.
 
 One walk serves every characteristic of a level r at (tau, z).  With
 N = r n + a the term of n in theta[a/r; b/r] is exp(pi i D(N) / r^2)
@@ -44,13 +50,15 @@ bound alone would choose.  The certified tail is evaluated once per
 
 The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
 det Y) are cached on the ``SiegelPoint``, so every characteristic and every
-z at one tau reuses them.
+z at one tau reuses them; the data of z (u = Y^-1 Im z and xi) are formed
+once per (tau, z) and passed down with z (``_At``).
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -172,6 +180,24 @@ def _coset_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
 # the certified series engine
 
 
+class _At(tuple):
+    """z normalized at tau (``_normalize_inputs``) with its exact tail data
+    ``_tail_data(tau, z)`` as ``tail``: formed once per (tau, z) and passed
+    down as z, so that a batch, its radius searches, its walk and its norm
+    scale share them."""
+
+
+def _at(tau: SiegelPoint, z) -> _At:
+    """z as an ``_At`` of tau; call inside the working-precision scope."""
+    if isinstance(z, _At) and z.tau is tau:
+        return z
+    zt, _, _, _ = _normalize_inputs(tau, z, None)
+    out = _At(zt)
+    out.tau = tau
+    out.tail = _tail_data(tau, out)
+    return out
+
+
 def _normalize_inputs(tau, z, char):
     """Call inside the working-precision scope: see ``as_mpc``."""
     g = tau.g
@@ -281,8 +307,9 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
         target = mpf(tol) / 2
         if not (target > 0 and isfinite(target)):
             raise ValueError("tol must be a positive finite number")
-        z, den, a, b = _normalize_inputs(tau, z, char)
-        lam, xi, u = _tail_data(tau, z)
+        z = _at(tau, z)
+        _, den, a, b = _normalize_inputs(tau, z, char)
+        lam, xi, u = z.tail
         m1 = tuple(Fraction(x, den) for x in a)
         s = max(abs(m + w) for m, w in zip(m1, u))
         over = _tail_above(g, lam, xi, s, target)
@@ -383,6 +410,120 @@ def _row_slots(base: int, lo: int, step: int, count: int, spans: dict,
     return slots
 
 
+# Extra fractional bits of the values a chain carries from row to row.
+CHAIN_GUARD = 32
+
+# One row of a walk: D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and
+# G = gr + i gi; the peak x = lo + step k, D(x) = dr + i di there; ``tops``
+# are the top characteristics whose boxes hold the row.
+_Row = namedtuple("_Row", "base spans tops lo step last k x lr li gr gi dr di")
+
+
+def _ratios(row, t_gg: tuple) -> list[tuple]:
+    """The exponents (re, im numerators over s) of rho+ and rho- at the
+    row's peak: D(x* + step) - D(x*) and D(x* - step) - D(x*), t_gg = T_gg."""
+    st, x = row.step, row.x
+    return [(t_gg[0] * a + b * row.lr, t_gg[1] * a + b * row.li)
+            for a, b in ((2 * x * st + st * st, 2 * st), (st * st - 2 * x * st, -2 * st))]
+
+
+def _outer(prev, row) -> tuple:
+    """The exponent of O at prev's peak x: D_row(x) - D_prev(x)."""
+    return (2 * prev.x * (row.lr - prev.lr) + row.gr - prev.gr,
+            2 * prev.x * (row.li - prev.li) + row.gi - prev.gi)
+
+
+def _mag(lg: float) -> float:
+    """e^lg, or inf where that overflows a double."""
+    return math.exp(lg) if lg < 709 else math.inf
+
+
+def _fresh(lg: float) -> float:
+    """Error bound, in ulps, of a fresh fixed-point exp of modulus e^lg (see
+    ``_row_sum``): 68 up to modulus 1, the allowance 8(5 + pi + lg) relative
+    plus the rounding down above it."""
+    return 68.0 if lg <= 0 else 8 * (5 + math.pi + lg) * _mag(lg) + 2
+
+
+def _chain_plan(line: list, d_min: int, s_den: int, pf: int,
+                t_gg: tuple, c_1: tuple, q_out: tuple) -> list[tuple]:
+    """How the walk forms the start values of each row of a line:
+    [(j, d, how, shift)] in visit order, the centre first (d = 0), the row
+    of the largest peak, then centre + 1, centre + 2, ... (d = 1), then
+    centre - 1, ... (d = -1).  how is "skip" (peak below 2^-(pf+1), not
+    walked), "anchor" (fresh exps) or "chain" (row j - d's values moved one
+    row and shifted ``shift`` steps, see ``_row_sum``).
+
+    The chain runs at w = pf + CHAIN_GUARD fractional bits.  Every value is
+    tracked by the imaginary part of its exact exponent (numerators over
+    s_den: t_gg for T_gg, c_1 for C at step 1, q_out for Q_out) and a bound
+    on its error in ulps of 2^-w.  A product of values u, c with exact moduli
+    |u|, |c| and errors E_u, E_c, rounded down, errs by at most
+    |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp by
+    ``_fresh``.  A row chains when its peak term and each ratio it walks
+    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w; rounded down to pf
+    bits (less than sqrt(2) ulps more) they err by less than the 68 ulps of
+    2^-pf of fresh ones.  The moduli are exact exponentials of exact
+    exponents evaluated in doubles (arguments below 709), so a bound's
+    relative error grows by about 2^-43 per product: far below the gap
+    2 - sqrt(2) (relative 2^-7) for any line within the radius cap."""
+    wide = pf + CHAIN_GUARD
+    tiny = 2.0 ** -wide
+    allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
+
+    def value(im: int) -> tuple:
+        """A fresh value: its exponent's imaginary part and its error."""
+        return im, _fresh(-math.pi * (im / s_den))
+
+    def times(u: tuple, c: tuple) -> tuple:
+        err = (_mag(-math.pi * (u[0] / s_den)) * c[1]
+               + _mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
+        return u[0] + c[0], err if err == err else math.inf     # inf * 0
+
+    def anchored(row) -> list:
+        up, down = _ratios(row, t_gg)
+        return [value(row.di - d_min), value(up[1]), value(down[1]), None]
+
+    def chained(state: list, prev, row, d: int) -> tuple[list, int]:
+        t, p, m, o = state
+        st = row.step
+        if o is None:
+            o = value(_outer(prev, row)[1])
+        q, qi, c, cinv = (value(v) for v in (2 * st * st * t_gg[1], -2 * st * st * t_gg[1],
+                                              d * st * c_1[1], -d * st * c_1[1]))
+        t, o, p, m = times(t, o), times(o, value(q_out[1])), times(p, c), times(m, cinv)
+        shift = (row.x - prev.x) // st
+        for _ in range(abs(shift)):
+            if shift > 0:
+                t, p, m, o = times(t, p), times(p, q), times(m, qi), times(o, c)
+            else:
+                t, m, p, o = times(t, m), times(m, q), times(p, qi), times(o, cinv)
+        return [t, p, m, o], shift
+
+    centre = min(range(len(line)), key=lambda j: line[j].di)
+    # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
+    walked = [4 * (row.di - d_min) <= s_den * (pf + 1) for row in line]
+    plan = [(centre, 0, "anchor" if walked[centre] else "skip", 0)]
+    start = anchored(line[centre]) if walked[centre] else None
+    for d in (1, -1):
+        state = start
+        for j in range(centre + d, len(line) if d > 0 else -1, d):
+            row, prev = line[j], line[j - d]
+            how, shift = "anchor", 0
+            if not walked[j]:
+                how, state = "skip", None
+            elif state is not None and row.step == prev.step:
+                cand, shift = chained(state, prev, row, d)
+                (_, et), (_, ep), (_, em), _ = cand
+                if (et <= allowed and (row.k == row.last or ep <= allowed)
+                        and (row.k == 0 or em <= allowed)):
+                    how, state = "chain", cand
+            if how == "anchor":
+                state, shift = anchored(row), 0
+            plan.append((j, d, how, shift))
+    return plan
+
+
 def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     """One walk over the union of the boxes ||n||_inf <= R_a of the top
     characteristics m1 = a/den in ``boxes`` (a -> R_a), in rows along the
@@ -419,32 +560,66 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     D = T_gg x^2 + 2 x L + G; its peak is x* = lo + step clip(round(j_r))
     with j_r the real minimiser of Im D, and M = max over rows of
     -pi Im D(x*) / s is the common exponent: every term is computed as
-    t = exp(-M) * term, so |t| <= 1.  Every exponential is ``mpc_expjpi`` of
-    an argument reduced exactly mod 2 in its real part, so |Im arg| <= pi
-    and Re arg <= 0:
+    t = exp(-M) * term, so |t| <= 1.
 
-    - the peak term of each row and the first ratio rho_0 outward on each
-      side (|rho_0| <= 1 because x* is the rounded or clipped peak) take one
-      exp each, and Q = exp(2 pi i tau_gg step^2) one per step size;
-    - each exp keeps the per-exp allowance of 8(5 + |arg|) ulps relative;
-      with |exp(arg)| = e^-x, x = -Re arg >= 0 and (a + x) e^-x <= a for
-      a >= 1, that is <= 8(5 + pi) < 66 ulps absolute; rounding it down to
-      pf fractional bits adds < 1 ulp per component, so each starting value
-      is within eps = 68 * 2^-pf of exact;
-    - the walk t <- t*rho, rho <- rho*Q runs in ints with pf fractional
-      bits; each product, rounded down, costs <= 1 ulp per component,
-      < 2 * 2^-pf.
-
-    Budget of one row with sigma = eps + 2 * 2^-pf = 70 * 2^-pf: the ratio
-    error after j steps is d_j <= eps + j sigma (linear growth) and the term
-    error is e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <= sigma (1 + j(j+1)/2).
-    A direction of K steps thus costs (K + K(K+1)(K+2)/6) sigma, and since
+    Walking a row.  From the peak term t and the first ratio rho outward on
+    each side (|rho| <= 1 because x* is the rounded or clipped peak) the
+    walk runs t <- t*rho, rho <- rho*Q with Q = exp(2 pi i T_gg step^2 / s)
+    in Python-int fixed point with pf fractional bits; each product,
+    rounded down, costs <= 1 ulp per component, < 2 * 2^-pf.  The start
+    values t and rho and Q each err by at most eps = 68 * 2^-pf (below).
+    With sigma = eps + 2 * 2^-pf = 70 * 2^-pf the ratio error after j steps
+    is d_j <= eps + j sigma (linear growth) and the term error is
+    e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <= sigma (1 + j(j+1)/2).  A
+    direction of K steps thus costs (K + K(K+1)(K+2)/6) sigma, and since
     this is convex in K, a row of k + 1 terms costs at most
     u_k = (1 + k + k(k+1)(k+2)/6) sigma (``_row_units``).  Computed
     multipliers may exceed modulus 1 by d_j or eps; that amplifies the row
     error by at most exp(k(k+1) sigma) <= 1 + 2^-30, which pf guarantees
     below.  A row whose peak is below 2^-(pf+1) is not walked: its terms
-    together are below u_k.  The integer accumulators are exact and each
+    together are below u_k.
+
+    Fresh exps.  Every exponential is ``mpc_expjpi`` of an argument reduced
+    exactly mod 2 in its real part, so |Re arg| <= pi.  Each keeps the
+    per-exp allowance of 8(5 + |arg|) ulps relative; for a modulus e^-x,
+    x >= 0, since (a + x) e^-x <= a for a >= 1 that is <= 8(5 + pi) < 66
+    ulps, and with the rounding down to the fixed point (< 1 ulp per
+    component) a fresh value errs by <= 68 ulps.  A fresh value of modulus
+    e^x > 1 errs by <= 8(5 + pi + x) e^x + 2 ulps (``_fresh``).
+
+    Chains across rows.  The rows of a line (fixed N_1..N_(g-2), N_(g-1) =
+    den*n + a_(g-1) in turn) are visited from the centre, the row of the
+    largest peak, outward on both sides (``_chain_plan``), and a row's
+    start values are derived from the row before it, the exact-exponent
+    recurrences of Deconinck, Heil, Bobenko, van Hoeij and Schmies
+    (Math. Comp. 73, 2004).  Going to the row at N_(g-1) + d den,
+    d = +-1, the walk carries the peak term t, the ratios rho+ and rho-
+    and the outer ratio O, the next row's term over this one's at the same
+    x:
+
+    - a row move takes t <- t*O, O <- O*Q_out, rho+ <- rho+*C^d and
+      rho- <- rho-*C^-d, with Q_out = exp(2 pi i den^2 T_(g-1,g-1) / s)
+      and C = exp(2 pi i den step T_(g-1,g) / s);
+    - each step of the peak to the new row's x* takes t <- t*rho+,
+      rho+ <- rho+*Q, rho- <- rho-*Q^-1, O <- O*C^d (or the mirror images
+      for a step down).
+
+    Every multiplier is the exp of an exact exponent, so the chained values
+    are the exact ones up to rounding.  The constants take one exp each per
+    walk, O one at the start of each chain, and an anchor takes t, rho+ and
+    rho- fresh (only the rho its row walks when nothing chains from it).
+    Rounding is no longer damped along a chain: O, C^(+-1) and Q^-1 may
+    exceed modulus 1, and a value that was small when rounded may grow.
+    So the chain runs CHAIN_GUARD bits wider than the walk, at
+    w = pf + CHAIN_GUARD fractional bits (its constants and its anchors
+    too), and ``_chain_plan`` bounds the error of every chained value from
+    the exact moduli before the walk.  A row chains only when its start
+    values, rounded down to pf bits, err by at most eps like fresh ones;
+    otherwise, at a change of step, and after a row that is not walked, it
+    takes a fresh anchor (the centre rows always do).  Every walked row
+    thus starts within eps and keeps its budget u_k.  In a walk that
+    chains, Q is taken once at w bits and the rows use it rounded down to
+    pf bits, also within eps.  The integer accumulators are exact and each
     term lands in one of them (or in none, outside its box), so the errors
     of a's classes stay within the sum of u_k over the rows that hold a:
     units[a].  A combination sum_C w_C A_C over a's classes with |w_C| = 1
@@ -477,16 +652,19 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     t = {(j, k): (tx[j][k] << up, ty[j][k] << up) for j in range(g) for k in range(j, g)}
     zc = [(den * sc(zr[j]), den * sc(zi[j])) for j in range(g)]
     s_den = r2 << -e0
-    thr, thi = t[(h, h)]
+    t_gg = thr, thi = t[(h, h)]
+    # C at step 1 and Q_out as exponent numerators (none at g = 1)
+    c_1 = tuple(2 * den * v for v in t[(h - 1, h)]) if h else (0, 0)
+    q_out = tuple(2 * r2 * v for v in t[(h - 1, h - 1)]) if h else (0, 0)
 
     by_prefix: dict[tuple, list] = {}
     for a, radius in boxes.items():
         by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
     peak_a = dict.fromkeys(boxes)       # least Im D of a's own walk
-    units = dict.fromkeys(boxes, 0)
-    rows = []
+    lines = []
     for prefix, members in by_prefix.items():
         r_max = max(m[1] for m in members)
+        rows = []
         for pre in itertools.product(range(-r_max, r_max + 1), repeat=h):
             far = max(map(abs, pre), default=0)
             here = [m for m in members if m[1] >= far]
@@ -521,59 +699,110 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
             k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
             k = max(0, min(last, k))
             x = lo + step * k
-            rows.append((base * r2, spans, lo, step, last, k, x, lr, li,
-                         thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
-            for m in here:
-                units[m[2]] += _row_units(last)
-    d_min = min(row[-1] for row in rows)
+            rows.append(_Row(base * r2, spans, tuple(m[2] for m in here), lo, step,
+                             last, k, x, lr, li, gr, gi,
+                             thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
+        # a line per N_1..N_(g-2): the last prefix coordinate runs fastest
+        size = 2 * r_max + 1 if h else 1
+        lines += [rows[i:i + size] for i in range(0, len(rows), size)]
+    d_min = min(row.di for line in lines for row in line)
 
+    units = dict.fromkeys(boxes, 0)
+    for line in lines:
+        for row in line:
+            for a in row.tops:
+                units[a] += _row_units(row.last)
     pf = p
     for a, radius in boxes.items():
         old = (2 * radius + 1) ** h * _row_units(2 * radius)
         if units[a] != old or peak_a[a] != d_min:
             bits = math.log2(units[a] / old) + math.pi / math.log(2) * ((peak_a[a] - d_min) / s_den)
             pf = max(pf, p + math.ceil(bits + 2 ** -20))
-    k_max = max(row[4] for row in rows)
+    k_max = max(row.last for line in lines for row in line)
     pf = max(pf, (70 * k_max * (k_max + 1)).bit_length() + 31)
 
-    def expjpi(num_re: int, num_im: int):
-        """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
-        as fixed-point ints."""
-        num_re = (num_re + s_den) % (2 * s_den) - s_den
-        ex, ey = mpc_expjpi((from_rational(num_re, s_den, pf, round_nearest),
-                             from_rational(num_im, s_den, pf, round_nearest)), pf)
-        return _fixed(ex, pf), _fixed(ey, pf)
+    plans = [_chain_plan(line, d_min, s_den, pf, t_gg, c_1, q_out) for line in lines]
+    wide = pf + CHAIN_GUARD
+    # a walk that chains takes Q at the chain's width once, and its rows use
+    # it rounded down to pf bits
+    q_bits = CHAIN_GUARD if any(how == "chain" for plan in plans for _, _, how, _ in plan) else 0
 
-    skip = s_den * (pf + 1)
+    def expjpi(num_re: int, num_im: int, bits: int = 0):
+        """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
+        as fixed-point ints with pf + bits fractional bits."""
+        num_re = (num_re + s_den) % (2 * s_den) - s_den
+        w = pf + bits
+        ex, ey = mpc_expjpi((from_rational(num_re, s_den, w, round_nearest),
+                             from_rational(num_im, s_den, w, round_nearest)), w)
+        return _fixed(ex, w), _fixed(ey, w)
+
+    consts = {}
+
+    def const(num_re: int, num_im: int, bits: int = CHAIN_GUARD):
+        """A constant of the walk: one exp per exponent."""
+        key = num_re, num_im, bits
+        if key not in consts:
+            consts[key] = expjpi(num_re, num_im, bits)
+        return consts[key]
+
+    def mul(u, c):
+        return (u[0] * c[0] - u[1] * c[1]) >> wide, (u[0] * c[1] + u[1] * c[0]) >> wide
+
     trash = r2 ** g
     acc_re = [0] * (trash + 1)
     acc_im = [0] * (trash + 1)
-    q_of = {}
-    for base, spans, lo, step, last, k, x, lr, li, dr, di in rows:
-        # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
-        if 4 * (di - d_min) > skip:
-            continue
-        slots = _row_slots(base, lo, step, last + 1, spans, den, trash)
-        peak_re, peak_im = expjpi(dr, di - d_min)
-        acc_re[slots[k]] += peak_re
-        acc_im[slots[k]] += peak_im
-        for steps, ddr, ddi, seq in (
-                (last - k, thr * (2 * x * step + step * step) + 2 * step * lr,
-                 thi * (2 * x * step + step * step) + 2 * step * li, slots[k + 1:]),
-                (k, thr * (step * step - 2 * x * step) - 2 * step * lr,
-                 thi * (step * step - 2 * x * step) - 2 * step * li, reversed(slots[:k]))):
-            if not steps:
+    for line, plan in zip(lines, plans):
+        feeds = {j - d for j, d, how, _ in plan if how == "chain"}
+        states = {}
+        for j, d, how, shift in plan:
+            if how == "skip":
                 continue
-            if step not in q_of:
-                q_of[step] = expjpi(2 * step * step * thr, 2 * step * step * thi)
-            qr, qi = q_of[step]
-            rr, ri = expjpi(ddr, ddi)
-            ur, ui = peak_re, peak_im
-            for c in seq:
-                ur, ui = (ur * rr - ui * ri) >> pf, (ur * ri + ui * rr) >> pf
-                acc_re[c] += ur
-                acc_im[c] += ui
-                rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
+            row = line[j]
+            step, k, last = row.step, row.k, row.last
+            q = 2 * step * step * thr, 2 * step * step * thi
+            if how == "anchor":
+                # at the chain's width when a chain starts here
+                starts = j in feeds
+                bits = CHAIN_GUARD if starts else 0
+                tt = expjpi(row.dr, row.di - d_min, bits)
+                up, down = _ratios(row, t_gg)
+                rho_p = expjpi(*up, bits) if k < last or starts else None
+                rho_m = expjpi(*down, bits) if k or starts else None
+                oo = None
+            else:
+                bits = CHAIN_GUARD
+                tt, rho_p, rho_m, oo = states[j - d]
+                if oo is None:
+                    oo = expjpi(*_outer(line[j - d], row), bits)
+                c_up = const(d * step * c_1[0], d * step * c_1[1])
+                c_down = const(-d * step * c_1[0], -d * step * c_1[1])
+                tt, oo = mul(tt, oo), mul(oo, const(*q_out))
+                rho_p, rho_m = mul(rho_p, c_up), mul(rho_m, c_down)
+                for _ in range(abs(shift)):
+                    if shift > 0:
+                        tt, rho_p = mul(tt, rho_p), mul(rho_p, const(*q))
+                        rho_m, oo = mul(rho_m, const(-q[0], -q[1])), mul(oo, c_up)
+                    else:
+                        tt, rho_m = mul(tt, rho_m), mul(rho_m, const(*q))
+                        rho_p, oo = mul(rho_p, const(-q[0], -q[1])), mul(oo, c_down)
+            states[j] = (tt, rho_p, rho_m, oo)
+            slots = _row_slots(row.base, row.lo, step, last + 1, row.spans, den, trash)
+            peak_re, peak_im = tt[0] >> bits, tt[1] >> bits
+            acc_re[slots[k]] += peak_re
+            acc_im[slots[k]] += peak_im
+            for steps, rho, seq in ((last - k, rho_p, slots[k + 1:]),
+                                    (k, rho_m, reversed(slots[:k]))):
+                if not steps:
+                    continue
+                qr, qi = const(*q, q_bits)
+                qr, qi = qr >> q_bits, qi >> q_bits
+                rr, ri = rho[0] >> bits, rho[1] >> bits
+                ur, ui = peak_re, peak_im
+                for c in seq:
+                    ur, ui = (ur * rr - ui * ri) >> pf, (ur * ri + ui * rr) >> pf
+                    acc_re[c] += ur
+                    acc_im[c] += ui
+                    rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
     del acc_re[trash], acc_im[trash]
     return acc_re, acc_im, from_rational(d_min, s_den, pf, round_nearest), units, pf
 
@@ -610,7 +839,8 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     """
     g = tau.g
     p = mp.prec
-    lam, xi, u = _tail_data(tau, z)
+    z = _at(tau, z)
+    lam, xi, u = z.tail
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
@@ -671,7 +901,8 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
     if not 0 <= radius <= RADIUS_CAP:
         raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):
-        z, den, a, b = _normalize_inputs(tau, z, char)
+        z = _at(tau, z)
+        _, den, a, b = _normalize_inputs(tau, z, char)
         return _theta_groups(tau, z, den, {a: (radius, [b])})[a][0]
 
 
@@ -681,6 +912,8 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
 
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     the bound holds for that z, and the result does not depend on mp.prec."""
+    with workprec(prec + GUARD_BITS):
+        z = _at(tau, z)
     radius = choose_radius(tau, z, char, prec, tol)
     return theta_truncated(tau, z, char, radius, prec)
 
@@ -693,8 +926,8 @@ def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
     ``choose_radius``.  Call inside the working-precision scope;
     phase=False drops exp(2 pi i m1.m2) (see ``_theta_groups``)."""
     den = chars[0].r
-    z, _, _, _ = _normalize_inputs(tau, z, None)
-    _, _, u = _tail_data(tau, z)
+    z = _at(tau, z)
+    _, _, u = z.tail
     by_m1: dict[tuple, list[ThetaCharacteristic]] = {}
     for ch in chars:
         by_m1.setdefault(ch.m1, []).append(ch)
@@ -724,8 +957,8 @@ def _det_y_root(tau: SiegelPoint, power: Fraction) -> CertifiedReal:
 
 def _norm_scale(tau: SiegelPoint, z) -> CertifiedReal:
     """det(Y)^(1/4) exp(-pi y^T Y^-1 y), y = Im z; call inside the
-    working-precision scope with z normalized."""
-    _, xi, _ = _tail_data(tau, z)
+    working-precision scope."""
+    _, xi, _ = _at(tau, z).tail
     scale = _det_y_root(tau, Fraction(1, 4))
     if xi:
         scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
@@ -735,7 +968,7 @@ def _norm_scale(tau: SiegelPoint, z) -> CertifiedReal:
 def _norms(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
     """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)| for each char,
     all from one walk; call inside the working-precision scope."""
-    zt, _, _, _ = _normalize_inputs(tau, z, None)
+    zt = _at(tau, z)
     scale = _norm_scale(tau, zt)
     return [scale * th.abs() for th in _theta_batch(tau, zt, chars, prec, tol, phase=False)]
 
@@ -747,7 +980,7 @@ def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
     z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     the bound holds for that z, and the result does not depend on mp.prec."""
     with workprec(prec + GUARD_BITS):
-        zt, _, _, _ = _normalize_inputs(tau, z, None)
+        zt = _at(tau, z)
         return _norm_scale(tau, zt) * theta(tau, zt, None, prec, tol).abs()
 
 

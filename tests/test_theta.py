@@ -516,6 +516,22 @@ def test_verify_duplication_g2_diagonal():
         assert fabs(rep.f_values[0].value - f * g) < mpf(10) ** -18
 
 
+def _skewed(y0, y1, c, x=(0.1, -0.2, 0.3)):
+    """tau = X + iY with Y = [[y0, c], [c, y1]]."""
+    with workprec(200):
+        off = mpc(mpf(x[2]), mpf(c))
+        return SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
+                                      [off, mpc(mpf(x[1]), mpf(y1))]])
+
+
+def _shifted(tau, a, b):
+    """z = a + tau b, formed at 200 bits."""
+    g = tau.g
+    with workprec(200):
+        return tuple(mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j]) for j in range(g))
+                     for i in range(g))
+
+
 def _engine_cases():
     """Seeded (tau, z, char) cases at g = 2 and g = 3: characteristics of
     level 2, 4 and 6, skewed Y, and z = a + tau b with |b| up to 3, so that
@@ -529,19 +545,12 @@ def _engine_cases():
             # Y = [[y0, c], [c, y1]] with c close to sqrt(y0 y1): strongly skewed
             y0, y1 = rng.uniform(0.6, 4.0), rng.uniform(0.6, 1.5)
             c = rng.choice((-1, 1)) * rng.uniform(0.5, 0.9) * (y0 * y1) ** 0.5
-            x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
-            with workprec(200):
-                off = mpc(mpf(x[2]), mpf(c))
-                tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
-                                             [off, mpc(mpf(x[1]), mpf(y1))]])
+            tau = _skewed(y0, y1, c, [rng.uniform(-0.5, 0.5) for _ in range(3)])
         else:
             tau = sampling.random_siegel_point(rng, g)
         span = 3.0 if k % 2 else 0.5
         a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
-        b = [rng.uniform(-span, span) for _ in range(g)]
-        with workprec(200):
-            z = [mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j]) for j in range(g))
-                 for i in range(g)]
+        z = _shifted(tau, a, [rng.uniform(-span, span) for _ in range(g)])
         char = ThetaCharacteristic.from_integers(
             den, [rng.randrange(den) for _ in range(g)],
             [rng.randrange(den) for _ in range(g)])
@@ -595,21 +604,13 @@ def _group_cases():
                 if g == 2:
                     y0, y1 = rng.uniform(0.8, 2.0), rng.uniform(0.8, 1.5)
                     c = rng.choice((-1, 1)) * rng.uniform(0.3, 0.6) * (y0 * y1) ** 0.5
-                    x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
-                    with workprec(200):
-                        off = mpc(mpf(x[2]), mpf(c))
-                        tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
-                                                     [off, mpc(mpf(x[1]), mpf(y1))]])
+                    tau = _skewed(y0, y1, c, [rng.uniform(-0.5, 0.5) for _ in range(3)])
                 else:
                     tau = sampling.random_siegel_point(rng, g)
                 z = (mpc(0),) * g
                 if with_z:
                     a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
-                    b = [rng.uniform(-1, 1) / (g - 1) for _ in range(g)]
-                    with workprec(200):
-                        z = tuple(mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j])
-                                                  for j in range(g))
-                                  for i in range(g))
+                    z = _shifted(tau, a, [rng.uniform(-1, 1) / (g - 1) for _ in range(g)])
                 m1 = [rng.randrange(r) for _ in range(g)]
                 m1[0] = rng.randrange(1, r)
                 cases.append((tau, z, r, tuple(m1)))
@@ -657,19 +658,11 @@ def _level_cases():
             else:
                 y0, y1 = rng.uniform(0.8, 2.0), rng.uniform(0.8, 1.5)
                 c = rng.choice((-1, 1)) * rng.uniform(0.3, 0.6) * (y0 * y1) ** 0.5
-                x = [rng.uniform(-0.5, 0.5) for _ in range(3)]
-                with workprec(200):
-                    off = mpc(mpf(x[2]), mpf(c))
-                    tau = SiegelPoint.from_rows([[mpc(mpf(x[0]), mpf(y0)), off],
-                                                 [off, mpc(mpf(x[1]), mpf(y1))]])
+                tau = _skewed(y0, y1, c, [rng.uniform(-0.5, 0.5) for _ in range(3)])
             z = (mpc(0),) * g
             if with_z:
                 a = [rng.uniform(-0.5, 0.5) for _ in range(g)]
-                b = [rng.uniform(-1, 1) for _ in range(g)]
-                with workprec(200):
-                    z = tuple(mpf(a[i]) + sum(tau.entry(i, j) * mpf(b[j])
-                                              for j in range(g))
-                              for i in range(g))
+                z = _shifted(tau, a, [rng.uniform(-1, 1) for _ in range(g)])
             cases.append((tau, z))
     return cases
 
@@ -772,8 +765,117 @@ def test_group_weights_within_their_stated_bound(den):
     assert exact_seen and inexact_seen
 
 
+def _chain_cases():
+    """(name, tau, z, den, {a: radius}) for each situation a chain of rows
+    meets: a row that is not walked after a chained one (a box wider than
+    the tail needs), a peak that moves by two or more steps from row to
+    row (strong skew), chains that start at clipped rows (every peak of a
+    small box outside it), tiny |Q| (2^6 tau of the duplication audit),
+    g = 3, and unions whose rows change their step along a line (levels 4
+    and 6)."""
+    tau = _skewed(1.4, 1.1, 0.6)
+    z = _shifted(tau, (0.2, -0.1), (0.3, -0.4))
+    cases = [("skipped row", tau, z, 2, {(1, 0): choose_radius(
+        tau, z, ThetaCharacteristic.from_integers(2, (1, 0), (0, 0)), 96) + 4})]
+    strong = _skewed(4.0, 0.7, 0.85 * (4.0 * 0.7) ** 0.5)
+    cases.append(("peak shift", strong, _shifted(strong, (0.1, 0.2), (0.2, 0.1)), 2,
+                  {(1, 1): 6}))
+    cases.append(("clipped start", tau, _shifted(tau, (0.3, 0.1), (0.0, 4.0)), 2,
+                  {(0, 1): 2}))
+    with workprec(200):
+        tiny = SiegelPoint.from_rows([[tau.entry(i, j) * 64 for j in range(2)]
+                                      for i in range(2)])
+    cases.append(("tiny Q", tiny, (mpc(0),) * 2, 2,
+                  {a: 2 for a in itertools.product(range(2), repeat=2)}))
+    rng = random.Random(7301)
+    tau3 = sampling.random_siegel_point(rng, 3)
+    z3 = _shifted(tau3, [rng.uniform(-0.5, 0.5) for _ in range(3)],
+                  [rng.uniform(-0.5, 0.5) for _ in range(3)])
+    chars3 = [ThetaCharacteristic.from_integers(2, a, (0, 0, 0))
+              for a in ((0, 0, 0), (1, 0, 1), (0, 1, 1))]
+    cases.append(("g = 3", tau3, z3, 2, {tuple(int(2 * v) for v in ch.m1): choose_radius(
+        tau3, z3, ch, 96) for ch in chars3}))
+    cases.append(("mixed steps", tau, z, 4, {(0, 0): 1, (0, 1): 2, (0, 3): 4}))
+    cases.append(("mixed steps", tau, z, 6, {(1, 0): 1, (1, 2): 2, (1, 5): 4}))
+    return cases
+
+
+def _record_plans(monkeypatch):
+    """Patch ``theta._chain_plan`` to record each line with its plan."""
+    seen = []
+    plan = theta_module._chain_plan
+
+    def recorded(line, *args):
+        out = plan(line, *args)
+        seen.append((line, out))
+        return out
+    monkeypatch.setattr(theta_module, "_chain_plan", recorded)
+    return seen
+
+
+def _occurs(name, tau, z, den, boxes, seen) -> bool:
+    """Whether the recorded walks of a case met its situation."""
+    chained = []    # (line, shift) of each chained row
+    pairs = []      # (how, step) of each row off a centre, and of the row before it
+    for line, plan in seen:
+        how_of = {j: how for j, _, how, _ in plan}
+        chained += [(line, shift) for _, _, how, shift in plan if how == "chain"]
+        pairs += [((how, line[j].step), (how_of[j - d], line[j - d].step))
+                  for j, d, how, _ in plan if d]
+    if name == "skipped row":
+        return any(row[0] == "skip" and prev[0] == "chain" for row, prev in pairs)
+    if name == "peak shift":
+        return any(abs(shift) >= 2 for _, shift in chained)
+    if name == "clipped start":
+        ((a, radius),) = boxes.items()
+        char = ThetaCharacteristic.from_integers(den, a, (0, 0))
+        return bool(chained) and _clipped_rows(tau, z, char, radius) == 2 * radius + 1
+    if name == "tiny Q":
+        # Q = exp(2 pi i tau_gg / den^2) at the union's step 1; its inverse
+        # and C^-1 are far too large to chain through, so a walked row after
+        # a walked one of the same step takes a fresh anchor
+        refused = any(row[0] == "anchor" and prev[0] != "skip" and row[1] == prev[1]
+                      for row, prev in pairs)
+        return refused and exp(-2 * pi * tau.im[1][1] / den ** 2) < mpf(2) ** -60
+    if name == "g = 3":
+        return len({id(line) for line, _ in chained}) >= 3
+    # mixed steps: a chain ends where the step changes, and a new one starts
+    return any(row[0] == "anchor" and prev[0] == "chain" and row[1] != prev[1]
+               for row, prev in pairs)
+
+
+@pytest.mark.parametrize("name, tau, z, den, boxes", _chain_cases())
+def test_chained_rows_match_brute_oracle(monkeypatch, name, tau, z, den, boxes):
+    # the start values of a chained row come from the row before it; at
+    # prec 96 and at prec 8, where the rounding budget dominates, every
+    # value lies within its certified error of the brute sum over its own
+    # box, no error is above the one of its top characteristic's own walk,
+    # and the situation the case is built for does occur
+    g = tau.g
+    bs = list(itertools.product(range(den), repeat=g))
+    rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+    with workprec(200):
+        refs = {a: theta_brute_batch(rows, z, [Fraction(x, den) for x in a],
+                                     [[Fraction(x, den) for x in b] for b in bs], n=radius)
+                for a, radius in boxes.items()}
+    seen = _record_plans(monkeypatch)
+    for prec in (96, 8):
+        with workprec(prec + GUARD_BITS):
+            union = theta_module._theta_groups(
+                tau, z, den, {a: (radius, bs) for a, radius in boxes.items()})
+            alone = {a: theta_module._theta_groups(tau, z, den, {a: (radius, bs)})[a]
+                     for a, radius in boxes.items()}
+        for a in boxes:
+            for b, ref, v, w in zip(bs, refs[a], union[a], alone[a]):
+                with workprec(200):
+                    assert fabs(v.value - ref) <= v.err, (prec, a, b)
+                    assert fabs(w.value - ref) <= w.err, (prec, a, b)
+                assert v.err <= w.err, (prec, a, b)
+    assert _occurs(name, tau, z, den, boxes, seen), name
+
+
 def _count_work(monkeypatch):
-    counts = {"_row_sum": 0, "choose_radius": 0}
+    counts = dict.fromkeys(("_row_sum", "choose_radius", "_tail_data", "mpc_expjpi"), 0)
     for name in counts:
         fn = getattr(theta_module, name)
 
@@ -791,9 +893,11 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     z = [mpc("0.1", "0.2"), mpc("0.3", "-0.1")]
 
     def work(fn, *args, **kwargs):
-        counts.update(_row_sum=0, choose_radius=0)
+        counts.update(dict.fromkeys(counts, 0))
         tails.clear()
         fn(*args, **kwargs)
+        # the exact data of z (u = Y^-1 Im z, xi) are formed once per walk
+        assert counts["_tail_data"] == counts["_row_sum"], fn
         return counts["_row_sum"], counts["choose_radius"], len(tails)
 
     # one walk per level; one radius per distinct s = max_i |m1_i + u_i|,
@@ -809,6 +913,13 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2, 4 * 2)
     curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
     assert work(heights.periods_agm, curve, 96) == (1, 2, 2)
+    # fresh exps: the rows of a walk chain from their line's centre, so a
+    # walk takes a few per line and per constant, not three per row (the
+    # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27)
+    for args, kwargs, most in (((tau, 2), {}, 18), ((tau, 4), {}, 45),
+                               ((tau, 2, z), {"assume_reduced": True}, 28)):
+        work(verify_norm_bounds, *args, prec=96, **kwargs)
+        assert counts["mpc_expjpi"] <= most, (args, kwargs)
 
 
 def test_public_results_independent_of_global_precision():
