@@ -126,8 +126,7 @@ def _norm_bounds_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
         if sid.startswith("i:"):
             rep = theta.verify_norm_bounds(tau, cfg.r, None, cfg.prec)
             return [_verdict_row(sid, "prop-i", inputs, rep.max_lower)]
-        red = (siegel.reduce_g1(tau, cfg.prec) if cfg.g == 1
-               else siegel.reduce_heuristic(tau, prec=cfg.prec))
+        red = siegel.reduce_heuristic(tau, prec=cfg.prec)
         if not red.certificate.report.all_ok:
             return []
         z = sampling.random_z(rng, red.reduced, cfg.prec)

@@ -106,15 +106,9 @@ def _cmd_siegel_reduce(args) -> int:
     tau = _parse_tau(args.tau, args.prec)
     gens = None
     if args.generators:
-        if tau.g == 1:
-            # reduce_g1 is the classical Gauss reduction; it takes no list
-            raise ValueError("--generators needs g >= 2")
         with open(args.generators) as fh:
             gens = [_parse_generator(d, tau.g) for d in json.load(fh)]
-    if tau.g == 1:
-        res = siegel.reduce_g1(tau, args.prec)
-    else:
-        res = siegel.reduce_heuristic(tau, gens, args.prec)
+    res = siegel.reduce_heuristic(tau, gens, args.prec)
     cert = res.certificate
     rep = cert.report
     doc = {
@@ -164,7 +158,7 @@ def _cmd_theta_verify_bounds(args) -> int:
 
 
 def _cmd_constants_table(args) -> int:
-    tab = constants.table(args.g, args.r, args.d, args.c1, args.c2, args.prec)
+    tab = constants.table(args.g, args.r, args.c1, args.c2, args.prec)
     rows = []
     for name, val in tab.entries.items():
         rows.append({"name": name, "formula": tab.formulas.get(name, ""),
@@ -297,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = co.add_parser("table", help="all explicit constants at (g, r)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--c1", type=float, default=None)
     p.add_argument("--c2", type=float, default=None)
     p.set_defaults(fn=_cmd_constants_table, formats=("json", "csv"))

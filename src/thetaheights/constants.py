@@ -176,7 +176,7 @@ class LogSpaceValue:
     value: CertifiedReal
 
 
-def breve_c(d: int, g: int, c1, c2, prec: int = DEFAULT_PREC) -> LogSpaceValue:
+def breve_c(g: int, c1, c2, prec: int = DEFAULT_PREC) -> LogSpaceValue:
     """max{2 c2, 1 + (12^4 + g)^(2^12) 4^(2g+3) g (g^4 + 2^(2g+2) g + 1/c1)},
     the conditional rational-point count base.  The second branch is computed
     in log space."""
@@ -195,17 +195,14 @@ def breve_c(d: int, g: int, c1, c2, prec: int = DEFAULT_PREC) -> LogSpaceValue:
         return LogSpaceValue(lv, lv.exp())
 
 
-def c_lattice(g: int, r: int, c2: CertifiedReal | None = None,
-              prec: int = DEFAULT_PREC) -> CertifiedReal:
+def c_lattice(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """4 + 8 C2 + g log(pi^-g g! e^(pi r^2) g^4) + 4 r^(2g), the lattice
     comparison constant.  (1 + 2c) is what the corollary consumes."""
     _check_rg(r, g)
     with workprec(prec + GUARD_BITS):
-        if c2 is None:
-            c2 = C2(g, r, prec)
         body = _certify(g * (-g * log(pi) + log(factorial(g)) + pi * r * r
                              + 4 * log(g)) + 4 * mpf(r) ** (2 * g) + 4)
-        return body + c2 * CertifiedReal.exact(8)
+        return body + C2(g, r, prec) * CertifiedReal.exact(8)
 
 
 def sigma_norm_log_bound(g: int, r: int, h_theta, prec: int = DEFAULT_PREC) -> CertifiedReal:
@@ -265,7 +262,7 @@ class ConstantsTable:
     formulas: dict = field(default_factory=lambda: dict(_FORMULAS))
 
 
-def table(g: int, r: int, d: int | None = None, c1=None, c2=None,
+def table(g: int, r: int, c1=None, c2=None,
           prec: int = DEFAULT_PREC) -> ConstantsTable:
     """Named map of every constant at (g, r); grid capped at g <= 5, r <= 8."""
     if g > TABLE_MAX_G or r > TABLE_MAX_R:
@@ -285,10 +282,10 @@ def table(g: int, r: int, d: int | None = None, c1=None, c2=None,
         "easier_C3": easier.easier_c3,
         "hF_lower": hF_lower(r, g, prec),
         "bost_lower": bost_lower(g, prec),
-        "c_lattice": c_lattice(g, r, None, prec),
+        "c_lattice": c_lattice(g, r, prec),
     }
     if c1 is not None and c2 is not None:
-        entries["breve_c_log"] = breve_c(d or 1, g, c1, c2, prec).log_value
+        entries["breve_c_log"] = breve_c(g, c1, c2, prec).log_value
     return ConstantsTable(g, r, prec, entries)
 
 

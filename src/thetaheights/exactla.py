@@ -53,10 +53,6 @@ def as_mpf(x) -> mpf:
     return mpf(x)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 

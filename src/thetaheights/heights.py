@@ -246,12 +246,10 @@ def faltings_height_g1(curve: EllipticCurveQ,
 # theta height
 
 
-def lambda_invariant(curve: EllipticCurveQ,
-                     lattice: PeriodLattice | None = None,
-                     prec: int = DEFAULT_PREC) -> Fraction:
+def lambda_invariant(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Fraction:
     """The exact rational among the six cross-ratios of the 2-torsion roots
     that matches theta2^4/theta3^4 at the reduced period matrix."""
-    return _pipeline(curve, lattice, prec).lam
+    return _pipeline(curve, None, prec).lam
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,12 @@ matrix lam (X + iY) + mu 2^s, by Bareiss' fraction-free elimination
 (Math. Comp. 22, 1968), and the comparison with det Y is one of integers.
 ``act`` inverts the same matrix by the Gauss-Jordan form of that
 elimination.
+
+``reduce_heuristic`` is the one reduction loop, for every g (``reduce_g1``
+is its g = 1 case, required to converge), and each of its moves is exact
+on the integer form: a translation is read off X, a basis change U is the
+congruence (U^T X U + i U^T Y U) / 2^s, and a generator move is one ``act``,
+rounded once.
 """
 from __future__ import annotations
 
@@ -51,9 +57,9 @@ def _tol_bits(prec: int) -> int:
 
 def default_tol(prec: int) -> mpf:
     # the slack of every domain and round-trip test: far above the error a
-    # reduction word accumulates (reduce_g1 iterates in prec + 32 bit
-    # floating point, and each act rounds to prec + 32 bits), far below a
-    # genuine violation; pinned campaign reports depend on this value
+    # reduction word accumulates (each act of the reduction loop rounds the
+    # exact image to prec + 32 bits), far below a genuine violation; pinned
+    # campaign reports depend on this value
     return mpf(2) ** -_tol_bits(prec)
 
 
@@ -546,6 +552,18 @@ def fundamental_domain_report(tau: SiegelPoint,
 # reduction
 
 
+# The one iteration cap of the reduction loop.  A g = 1 point next to the
+# real axis takes many: (sqrt 5 - 1)/2 + 10^-60 i, stored to 300 bits,
+# takes 74 iterations.
+MAX_ITER = 256
+
+# exact LLL on a Gram matrix; delta fixed high for reduction quality
+LLL_DELTA = Fraction(99, 100)
+
+# LLL, order and sign passes of ``reduced_basis_change`` before it gives up
+BASIS_ROUNDS = 16
+
+
 @dataclass(frozen=True)
 class ReductionCertificate:
     word: tuple
@@ -563,11 +581,6 @@ class ReductionResult:
     certificate: ReductionCertificate
 
 
-def _round_half_up(x: mpf) -> int:
-    from mpmath import floor
-    return int(floor(x + mpf(1) / 2))
-
-
 def _action_residual(gamma, tau, reduced, prec) -> mpf:
     chk = act(gamma, tau, prec)
     r = mpf(0)
@@ -577,61 +590,11 @@ def _action_residual(gamma, tau, reduced, prec) -> mpf:
     return r
 
 
-def reduce_g1(tau: SiegelPoint, prec: int = DEFAULT_PREC,
-              max_iter: int = 256) -> ReductionResult:
-    """Classical Gauss reduction of a g = 1 point into |Re| <= 1/2, |tau| >= 1.
-
-    The returned word of generators composes exactly to gamma (integer
-    arithmetic), and act(gamma, tau) reproduces the reduced point to working
-    precision.
-    """
-    if tau.g != 1:
-        raise ValueError("reduce_g1 expects g = 1")
-    tol = default_tol(prec)
-    with workprec(prec + 32):
-        x = mpf(tau.re[0][0])
-        y = mpf(tau.im[0][0])
-        if not y > 0:
-            raise ValueError("imaginary part must be positive")
-        gamma = SymplecticMatrix.identity(1)
-        word: list = []
-        history = [y]
-        converged = False
-        for it in range(max_iter):
-            t = _round_half_up(x)
-            if t != 0:
-                x = x - t
-                gamma = sl2_t(-t).compose(gamma)
-                word.append(("T", -t))
-            n2 = x * x + y * y
-            if n2 < 1 - tol:
-                x, y = -x / n2, y / n2
-                gamma = sl2_s().compose(gamma)
-                word.append(("S",))
-                history.append(y)
-                continue
-            converged = True
-            break
-        if not converged:
-            raise ReductionError("g=1 reduction exceeded the iteration cap; "
-                                 "raise the precision")
-        reduced = SiegelPoint.from_rows([[mpc(x, y)]])
-        residual = _action_residual(gamma, tau, reduced, prec)
-    report = fundamental_domain_report(reduced, prec=prec)
-    cert = ReductionCertificate(tuple(word), tuple(history), report, True,
-                                it + 1, residual)
-    return ReductionResult(reduced, gamma, cert)
-
-
 def compose_word(word, g: int = 1) -> SymplecticMatrix:
     """Exact product of a reduction word, for certificate checking."""
     gamma = SymplecticMatrix.identity(g)
     for move in word:
-        if move[0] == "T":
-            gamma = sl2_t(move[1]).compose(gamma)
-        elif move[0] == "S":
-            gamma = sl2_s().compose(gamma)
-        elif move[0] == "U":
+        if move[0] == "U":
             gamma = SymplecticMatrix.basis_change(move[1]).compose(gamma)
         elif move[0] == "B":
             gamma = SymplecticMatrix.translation(move[1]).compose(gamma)
@@ -642,17 +605,18 @@ def compose_word(word, g: int = 1) -> SymplecticMatrix:
     return gamma
 
 
-# exact LLL on a Gram matrix; delta fixed high for reduction quality
-LLL_DELTA = Fraction(99, 100)
-
-
-def lll_gram(gram: Mat, delta: Fraction = LLL_DELTA) -> IntMat:
-    """Exact LLL over Q for the quadratic form ``gram``.
+def lll_gram(gram: IntMat | Mat) -> IntMat:
+    """Exact LLL over Q for the quadratic form ``gram`` (integer or
+    rational entries), with delta = ``LLL_DELTA``.
 
     Returns a unimodular integer matrix U whose columns are the reduced basis
-    in terms of the old one, i.e. U^T G U is LLL-reduced.
+    in terms of the old one, i.e. U^T G U is LLL-reduced.  Every test
+    compares ratios of the Gram matrix, so a positive multiple of ``gram``
+    gives the same U.
     """
     n = len(gram)
+    if n < 2:
+        return _int_identity(n)   # one vector is reduced
     basis = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
 
     def ip(u, v) -> Fraction:
@@ -683,7 +647,7 @@ def lll_gram(gram: Mat, delta: Fraction = LLL_DELTA) -> IntMat:
                 r = (mu[k][j] + Fraction(1, 2)).__floor__()
                 basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
                 mu, norms = gso()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
@@ -693,40 +657,31 @@ def lll_gram(gram: Mat, delta: Fraction = LLL_DELTA) -> IntMat:
     return tuple(tuple(u_cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _apply_congruence(tau: SiegelPoint, u: IntMat) -> SiegelPoint:
-    rows = []
-    for i in range(tau.g):
-        rows.append([sum(u[a][i] * tau.entry(a, b) * u[b][j]
-                         for a in range(tau.g) for b in range(tau.g))
-                     for j in range(tau.g)])
-    return SiegelPoint.from_rows(rows)
+def _congruence(u: IntMat, a: IntMat) -> IntMat:
+    """U^T A U, exact."""
+    return _int_mul(_int_mul(_int_t(u), a), u)
 
 
-def _congruence_gram(y: Mat, u: IntMat) -> Mat:
-    g = len(y)
-    return tuple(tuple(sum(Fraction(u[a][i]) * y[a][b] * u[b][j]
-                           for a in range(g) for b in range(g))
-                       for j in range(g)) for i in range(g))
-
-
-def reduced_basis_change(y: Mat, rounds: int = 16) -> IntMat:
+def reduced_basis_change(y: IntMat) -> IntMat:
     """Unimodular U with U^T Y U LLL-reduced, diagonal sorted ascending, and
     superdiagonal entries nonnegative; the order and sign passes are what the
-    Minkowski-type domain conditions ask of the imaginary part."""
+    Minkowski-type domain conditions ask of the imaginary part.  Each pass
+    compares entries of Y with each other only, so Y may be the integer
+    form of Im tau, 2^s times it."""
     g = len(y)
     total = _int_identity(g)
-    for _ in range(rounds):
+    for _ in range(BASIS_ROUNDS):
         changed = False
         u = lll_gram(y)
         if u != _int_identity(g):
-            y = _congruence_gram(y, u)
+            y = _congruence(u, y)
             total = _int_mul(total, u)
             changed = True
         order = sorted(range(g), key=lambda j: y[j][j])
         if order != list(range(g)):
             p = tuple(tuple(1 if order[j] == i else 0 for j in range(g))
                       for i in range(g))
-            y = _congruence_gram(y, p)
+            y = _congruence(p, y)
             total = _int_mul(total, p)
             changed = True
         flips = [1] * g
@@ -740,7 +695,7 @@ def reduced_basis_change(y: Mat, rounds: int = 16) -> IntMat:
         if any(f == -1 for f in flips):
             d = tuple(tuple(flips[i] if i == j else 0 for j in range(g))
                       for i in range(g))
-            y = _congruence_gram(y, d)
+            y = _congruence(d, y)
             total = _int_mul(total, d)
             changed = True
         if not changed:
@@ -748,18 +703,42 @@ def reduced_basis_change(y: Mat, rounds: int = 16) -> IntMat:
     return total
 
 
+def _from_int_form(x: IntMat, y: IntMat, s: int) -> SiegelPoint:
+    """The point (X + iY) / 2^s, stored exactly."""
+    def part(m: IntMat) -> tuple[tuple[mpf, ...], ...]:
+        return tuple(tuple(mp.make_mpf(from_man_exp(v, -s)) for v in row) for row in m)
+    return SiegelPoint(len(x), part(x), part(y))
+
+
+def _s2_translation(tau: SiegelPoint) -> IntMat:
+    """b = -round(Re tau) entrywise, halves rounded up, read off the integer
+    form: b_ij = -floor((2 X_ij + 2^s) / 2^(s+1)), so that Re tau + b lies
+    in [-1/2, 1/2)."""
+    x, _, s = tau.int_form
+    return tuple(tuple(-((2 * v + (1 << s)) >> (s + 1)) for v in row) for row in x)
+
+
 def reduce_heuristic(tau: SiegelPoint,
                      generators: Sequence[SymplecticMatrix] | None = None,
-                     prec: int = DEFAULT_PREC,
-                     max_iter: int = 64) -> ReductionResult:
-    """Iterated translation / exact-LLL / det-improving generator moves.
+                     prec: int = DEFAULT_PREC) -> ReductionResult:
+    """The reduction loop, for every g: (a) an integer translation of Re tau,
+    (b) a unimodular basis change making Im tau LLL-reduced, sorted and
+    sign-normalized, (c) the first generator in list order that raises
+    det Im tau by more than the factor 1 + tol; repeated until an iteration
+    makes no move, at most ``MAX_ITER`` times.  At g = 1 the default
+    generators (S, T) make it Gauss reduction.
 
-    Guarantees S.2 exactly on output and a nondecreasing det Im history;
-    whether the output lies in the true fundamental domain for g >= 2 is
-    reported by the certificate, not assumed.
+    Every move is exact on the integer form tau = (X + iY) / 2^s: (a) reads
+    its translation off X, (b) is the congruence U^T (X + iY) U over the
+    same 2^s, unrounded, and (a) and (c) act exactly and round once
+    (``act``).  S.2 holds exactly on output and the det Im history never
+    drops by more than rounding; whether the output lies in the true
+    fundamental domain is reported by the certificate, not assumed.
     """
     g = tau.g
     t = _tol_bits(prec)
+    if not _positive_definite(tau.int_form[1]):
+        raise ValueError("imaginary part must be positive definite")
     if generators is None:
         generators = default_generators(g)
     with workprec(prec + 32):
@@ -767,29 +746,31 @@ def reduce_heuristic(tau: SiegelPoint,
         gamma = SymplecticMatrix.identity(g)
         word: list = []
         history = [cur.det_im()]
+
+        def move(entry, m: SymplecticMatrix, point: SiegelPoint) -> None:
+            nonlocal cur, gamma
+            cur, gamma = point, m.compose(gamma)
+            word.append(entry)
+            history.append(cur.det_im())
+
+        def translate() -> bool:
+            b = _s2_translation(cur)
+            if not any(any(row) for row in b):
+                return False
+            m = SymplecticMatrix.translation(b)
+            move(("B", b), m, act(m, cur, prec))
+            return True
+
         converged = False
-        it = 0
-        while it < max_iter:
-            it += 1
-            moved = False
+        for it in range(1, MAX_ITER + 1):
             # (a) integer translation of the real part
-            b = tuple(tuple(-_round_half_up(cur.re[i][j]) for j in range(g))
-                      for i in range(g))
-            if any(x != 0 for row in b for x in row):
-                move = SymplecticMatrix.translation(b)
-                cur = act(move, cur, prec)
-                gamma = move.compose(gamma)
-                word.append(("B", b))
-                history.append(cur.det_im())
-                moved = True
+            moved = translate()
             # (b) unimodular change of basis making Im LLL-reduced
-            u = reduced_basis_change(cur.im_fractions())
+            x, y, s = cur.int_form
+            u = reduced_basis_change(y)
             if u != _int_identity(g):
-                move = SymplecticMatrix.basis_change(u)
-                cur = _apply_congruence(cur, u)
-                gamma = move.compose(gamma)
-                word.append(("U", u))
-                history.append(cur.det_im())
+                move(("U", u), SymplecticMatrix.basis_change(u),
+                     _from_int_form(_congruence(u, x), _congruence(u, y), s))
                 moved = True
             # (c) first generator in list order that raises det Im by more
             # than the factor 1 + tol, by det Im(gen.cur) = det Im(cur) /
@@ -804,28 +785,34 @@ def reduce_heuristic(tau: SiegelPoint,
                 if (dr * dr + di * di) * ((1 << t) + 1) >= keep:
                     continue
                 try:
-                    cur = act(gen, cur, prec)
+                    point = act(gen, cur, prec)
                 except NumericalFailure:
                     continue
-                gamma = gen.compose(gamma)
-                word.append(("G", gen))
-                history.append(cur.det_im())
+                move(("G", gen), gen, point)
                 moved = True
                 break
             if not moved:
                 converged = True
                 break
-        # final exact S.2 pass
-        b = tuple(tuple(-_round_half_up(cur.re[i][j]) for j in range(g))
-                  for i in range(g))
-        if any(x != 0 for row in b for x in row):
-            move = SymplecticMatrix.translation(b)
-            cur = act(move, cur, prec)
-            gamma = move.compose(gamma)
-            word.append(("B", b))
-            history.append(cur.det_im())
+        if not converged:
+            # final exact S.2 pass: the last iteration may have moved Re tau
+            translate()
         residual = _action_residual(gamma, tau, cur, prec)
     report = fundamental_domain_report(cur, generators, prec)
     cert = ReductionCertificate(tuple(word), tuple(history), report,
                                 converged, it, residual)
     return ReductionResult(cur, gamma, cert)
+
+
+def reduce_g1(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ReductionResult:
+    """Gauss reduction of a g = 1 point into |Re tau| <= 1/2, |tau| >= 1:
+    ``reduce_heuristic`` with the default generators (S, T), which must
+    converge.  The word composes exactly to gamma, and act(gamma, tau)
+    reproduces the reduced point to working precision."""
+    if tau.g != 1:
+        raise ValueError("reduce_g1 expects g = 1")
+    res = reduce_heuristic(tau, prec=prec)
+    if not res.certificate.converged:
+        raise ReductionError("g=1 reduction exceeded the iteration cap; "
+                             "raise the precision")
+    return res

@@ -66,17 +66,23 @@ def test_siegel_reduce_rejects_malformed_generators(capsys, tmp_path, gen, messa
     assert captured.err.startswith("error:") and message in captured.err
 
 
-def test_siegel_reduce_rejects_generators_at_g1(capsys, tmp_path):
-    # g = 1 runs the classical reduction, which has no generator list: a
-    # supplied one would be ignored while the report names it
+def test_siegel_reduce_honours_generators_at_g1(capsys, tmp_path):
+    # g = 1 runs the reduction loop of every g, so a supplied list is used:
+    # with T(1) alone, which never raises det Im, 0.3 + 0.2i stays unreduced,
+    # while the default list (S, T) inverts it
     path = tmp_path / "gens.json"
     path.write_text(json.dumps([{"alpha": [[1]], "beta": [[1]], "lam": [[0]],
                                  "mu": [[1]]}]))
-    code = main(["siegel", "reduce", "--tau", '[[["0.3","0.2"]]]',
-                 "--generators", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: --generators needs g >= 2\n"
+    tau = '[[["0.3","0.2"]]]'
+    code, out = run(capsys, "siegel", "reduce", "--tau", tau, "--generators", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gamma"] == {"alpha": [[1]], "beta": [[0]], "lam": [[0]], "mu": [[1]]}
+    assert fabs(mpf(doc["reduced"][0][0][0]) - mpf("0.3")) < 1e-15
+    assert fabs(mpf(doc["reduced"][0][0][1]) - mpf("0.2")) < 1e-15
+    assert doc["certificate"]["converged"] and doc["certificate"]["s1_ok"]
+    code, out = run(capsys, "siegel", "reduce", "--tau", tau)
+    assert code == 0 and json.loads(out)["gamma"]["lam"] != [[0]]
 
 
 def test_theta_eval_with_char(capsys):

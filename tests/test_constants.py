@@ -129,16 +129,16 @@ def test_tilde_c_at_least_c(c):
 
 def test_breve_c_branches():
     # log(2 c2) ~ 46 052 beats the other branch's log ~ 40 728 at g = 2
-    huge = constants.breve_c(1, 2, 1, mpf(10) ** 20000)
+    huge = constants.breve_c(2, 1, mpf(10) ** 20000)
     with workprec(96):
         assert fabs(huge.log_value.value - (20000 * log(10) + log(2))) < mpf("1e-10")
-    main = constants.breve_c(1, 2, 1, 1)
+    main = constants.breve_c(2, 1, 1)
     # dominated by the (12^4 + g)^(2^12) factor
     with workprec(96):
         lead = 2 ** 12 * log(mpf(12) ** 4 + 2)
         assert main.log_value.value > lead
         assert main.log_value.value < lead * mpf("1.01")
-    logs = [constants.breve_c(1, g, 1, 1).log_value.value for g in range(1, 5)]
+    logs = [constants.breve_c(g, 1, 1).log_value.value for g in range(1, 5)]
     assert all(logs[i + 1] > logs[i] for i in range(len(logs) - 1))
 
 
@@ -181,7 +181,7 @@ def test_modified_faltings_offset():
 def test_precision_refinement_agreement():
     for fn in (lambda p: constants.m_const(2, 1, p),
                lambda p: constants.C2(2, 4, p),
-               lambda p: constants.c_lattice(2, 2, None, p),
+               lambda p: constants.c_lattice(2, 2, p),
                lambda p: constants.tilde_c(7, p)):
         lo = fn(64)
         hi = fn(192)

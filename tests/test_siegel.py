@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, mpc, fabs, workprec
+from mpmath import mp, mpf, mpc, fabs, sqrt, workprec
 
 from thetaheights import sampling, siegel
-from thetaheights.exactla import det
+from thetaheights.exactla import det, mpf_to_fraction
 from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  compose_word, default_generators, default_tol,
                                  fundamental_domain_report, lll_gram,
@@ -251,7 +251,8 @@ def test_reduce_g1_hand_case():
     res = reduce_g1(tau)
     with workprec(200):
         assert fabs(res.reduced.tau_complex() - mpc("0.2", "1.6")) < mpf(2) ** -90
-    assert res.certificate.word == (("T", -1), ("S",), ("T", -1))
+    t = ((-1,),)
+    assert res.certificate.word == (("B", t), ("G", sl2_s()), ("B", t))
     expected = sl2_t(-1).compose(sl2_s()).compose(sl2_t(-1))
     assert res.gamma == expected
 
@@ -328,22 +329,15 @@ def test_reduce_g1_round_trip(seed):
     # word recomposes to gamma exactly, in integer arithmetic
     assert compose_word(cert.word) == res.gamma
     assert cert.action_residual < 10 * default_tol(128)
-    z = res.reduced.tau_complex()
-    assert fabs(z.real) <= mpf("0.5")
-    assert fabs(z) >= 1 - default_tol(128)
-    hist = cert.det_history
-    assert all(hist[i + 1] >= hist[i] - default_tol(128) for i in range(len(hist) - 1))
-    assert res.reduced.det_im() >= tau.det_im() - default_tol(128)
-
-
-def test_heuristic_matches_g1_reducer():
-    for k in range(40):
-        rng = sampling.substream(7, f"red:{k}")
-        tau = sampling.random_siegel_point(rng, 1)
-        a = reduce_g1(tau, 128)
-        b = reduce_heuristic(tau, prec=128)
-        assert fabs(a.reduced.det_im() - b.reduced.det_im()) < mpf(2) ** -40
-        assert b.certificate.report.all_ok
+    # every comparison over Q: at 53 bits, a 160-bit det minus the tolerance
+    # can round up past an equal neighbour
+    tol = mpf_to_fraction(default_tol(128))
+    x, y = res.reduced.re_fractions()[0][0], res.reduced.im_fractions()[0][0]
+    assert abs(x) <= Fraction(1, 2)
+    assert x * x + y * y >= (1 - tol) ** 2
+    hist = [mpf_to_fraction(d) for d in cert.det_history]
+    assert all(hist[i + 1] >= hist[i] - tol for i in range(len(hist) - 1))
+    assert res.reduced.y_det >= tau.y_det - tol
 
 
 def test_heuristic_fixpoint():
@@ -372,20 +366,22 @@ def test_heuristic_g2_certificates():
         assert rep.s2_ok
         assert max(abs(x) for row in res.reduced.re_fractions() for x in row) \
             <= Fraction(1, 2)
-        hist = res.certificate.det_history
-        assert all(hist[i + 1] >= hist[i] - mpf(2) ** -40
+        hist = [mpf_to_fraction(d) for d in res.certificate.det_history]
+        assert all(hist[i + 1] >= hist[i] - Fraction(1, 2 ** 40)
                    for i in range(len(hist) - 1))
         assert res.certificate.action_residual < 10 * default_tol(96)
 
 
 def test_lll_gram_reduces():
-    y = ((Fraction(1), Fraction(9, 10)), (Fraction(9, 10), Fraction(1)))
+    # 10 Im tau for Im tau = [[1, 9/10], [9/10, 1]]: LLL compares ratios of
+    # the Gram matrix only, so both give the same U
+    y = ((10, 9), (9, 10))
     u = lll_gram(y)
     assert u != ((1, 0), (0, 1))
+    assert lll_gram(tuple(tuple(Fraction(v, 10) for v in row) for row in y)) == u
     v = reduced_basis_change(y)
     # unimodular and size-reduced output: |y12| <= y11/2 <= y22/2
-    from thetaheights.siegel import _congruence_gram
-    yy = _congruence_gram(y, v)
+    yy = siegel._congruence(v, y)
     assert abs(yy[0][1]) * 2 <= yy[0][0] <= yy[1][1]
     assert yy[0][1] >= 0
 
@@ -409,21 +405,65 @@ def _reduction_record(res) -> str:
          rep.s3_vectors_checked, _mpf_key(rep.tol), rep.s1_note, rep.s3_note)))
 
 
-def test_reductions_are_pinned_bitwise():
-    # sha256 of the records of 24 g = 2 reduce_heuristic and 24 g = 1
-    # reduce_g1 results, taken with S.1 and act computed over Q by Fraction
-    # real forms; the integer form must reproduce every bit
-    records = []
+def _pin_points(g):
     for k in range(24):
-        tau = sampling.random_siegel_point(sampling.substream(4242, f"pin2:{k}"), 2)
-        records.append(_reduction_record(reduce_heuristic(tau, prec=96)))
-    for k in range(24):
-        tau = sampling.random_siegel_point(sampling.substream(4242, f"pin1:{k}"), 1)
-        records.append(_reduction_record(reduce_g1(tau, 128)))
-    assert sum("'G'" in r for r in records[:24]) > 0
-    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == ("5f383f17307df1f032132455f93116e9"
-                      "77c4294c801a83faf4c8507d45a58faf")
+        yield sampling.random_siegel_point(sampling.substream(4242, f"pin{g}:{k}"), g)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_g2_reductions_are_pinned_bitwise():
+    # sha256 of the records of 24 g = 2 reductions, taken with S.1 and act
+    # computed over Q by Fraction real forms
+    records = [_reduction_record(reduce_heuristic(tau, prec=96)) for tau in _pin_points(2)]
+    assert sum("'G'" in r for r in records) > 0
+    assert _digest(records) == ("d0403b99fd2929802f3434e97bf0843b"
+                                "5fac9aa97a0c0cabe9661aec01f52a6a")
+
+
+def test_g1_reductions_are_pinned_bitwise():
+    # 24 g = 1 reductions: gamma and the reduced point are pinned to those
+    # of a floating-point Gauss iteration in prec + 32 bits, bit for bit;
+    # the records add the word and the det history
+    results = [reduce_g1(tau, 128) for tau in _pin_points(1)]
+    pairs = [repr((res.gamma, _mpf_key(res.reduced.re[0][0]), _mpf_key(res.reduced.im[0][0])))
+             for res in results]
+    assert _digest(pairs) == ("e37daa72334144cecaefaca967483996"
+                              "118bd830a7f461fb04dec2e3c8849ad1")
+    assert _digest(map(_reduction_record, results)) == (
+        "ee986b84c5ae2fa40aed6ba6633b5736b29974285ca91131cc0307a6d5d6650b")
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_reduction_rejects_a_non_definite_imaginary_part(g):
+    tau = sp(*[[(-I if i == j == g - 1 else I) if i == j else 0 for j in range(g)]
+               for i in range(g)])
+    with pytest.raises(ValueError, match="positive definite"):
+        reduce_heuristic(tau, prec=96)
+    if g == 1:
+        with pytest.raises(ValueError, match="positive definite"):
+            reduce_g1(tau)
+
+
+def test_reduction_next_to_the_real_axis():
+    # (sqrt 5 - 1)/2 + 10^-60 i: its continued fraction is all ones as far
+    # as y = 10^-60 lets the reduction see, so gamma is made of Fibonacci
+    # numbers, and Gauss reduction takes more than 64 iterations
+    with workprec(300):
+        tau = sp([mpc((sqrt(5) - 1) / 2, mpf(10) ** -60)])
+    fib = [0, 1]
+    while len(fib) < 146:
+        fib.append(fib[-1] + fib[-2])
+    expected = SymplecticMatrix(1, ((fib[145],),), ((-fib[144],),),
+                                ((-fib[144],),), ((fib[143],),))
+    for prec in (96, 128, 200):
+        res = reduce_heuristic(tau, prec=prec)
+        cert = res.certificate
+        assert cert.converged and cert.report.all_ok and cert.iterations > 64
+        assert res.gamma == expected
+        assert reduce_g1(tau, prec).gamma == expected
 
 
 @pytest.mark.parametrize("g", [1, 2])
