@@ -13,12 +13,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from mpmath import mpf, nstr, workprec
+from mpmath import fabs, mpf, nstr, workprec
 
 from . import constants, heights, lattices, sampling, siegel, theta
-from .certified import FAIL, INDETERMINATE, PASS, PrecisionError
+from .certified import (FAIL, GUARD_BITS, INDETERMINATE, PASS, CertifiedReal,
+                        PrecisionError, certified_le, fmt)
 
 SUITES = ("norm-bounds", "duplication", "window", "matrix-lemma",
           "delta-metric", "lemmas")
@@ -49,8 +49,7 @@ class CampaignConfig:
             raise ValueError("prec must be >= 64")
         if self.suite in ("norm-bounds", "duplication") and self.g not in (1, 2):
             raise ValueError("sampled tau suites support g in {1, 2}")
-        if self.r < 2 or self.r % 2:
-            raise ValueError("r must be an even integer >= 2")
+        theta._check_level(self.r)
         if self.suite == "duplication" and self.steps < 1:
             raise ValueError("duplication needs steps >= 1")
         if self.suite == "delta-metric" and not 1 <= self.n_max <= 6:
@@ -96,17 +95,9 @@ class CampaignReport:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return nstr(mpf(x), 20)
-
-
 def _verdict_row(sid, check, inputs, verdict) -> Row:
-    return Row(sid, check, inputs, _fmt(verdict.lhs), _fmt(verdict.rhs),
-               _fmt(verdict.margin), verdict.verdict)
+    return Row(sid, check, inputs, fmt(verdict.lhs), fmt(verdict.rhs),
+               fmt(verdict.margin), verdict.verdict)
 
 
 def _tau_inputs(tau: siegel.SiegelPoint) -> str:
@@ -122,7 +113,7 @@ def _norm_bounds_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
     rng = sampling.substream(cfg.seed, sid)
     tau = sampling.random_siegel_point(rng, cfg.g)
     inputs = _tau_inputs(tau)
-    with workprec(cfg.prec + 64):
+    with workprec(cfg.prec + GUARD_BITS):
         if sid.startswith("i:"):
             rep = theta.verify_norm_bounds(tau, cfg.r, None, cfg.prec)
             return [_verdict_row(sid, "prop-i", inputs, rep.max_lower)]
@@ -145,38 +136,30 @@ def _duplication_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
     rng = sampling.substream(cfg.seed, sid)
     tau = sampling.random_siegel_point(rng, cfg.g)
     inputs = _tau_inputs(tau)
-    with workprec(cfg.prec + 64):
+    with workprec(cfg.prec + GUARD_BITS):
         rep = theta.verify_duplication(tau, cfg.steps, cfg.prec)
         rows = [_verdict_row(sid, f"monotone-{k}", inputs, v)
                 for k, v in enumerate(rep.monotone)]
         # |theta(2^steps tau, 0) - 1| against the radius-0 certified tail
-        g = tau.g
-        scaled = siegel.SiegelPoint.from_rows(
-            [[tau.entry(i, j) * 2 ** cfg.steps for j in range(g)] for i in range(g)])
-        t0 = theta.theta_truncated(scaled, None, None, 0, cfg.prec)
+        t0 = theta.theta_truncated(rep.top, None, None, 0, cfg.prec)
         gap = rep.theta00_gap[-1]
         # the limit claim, verified to working precision: the 2^(8-prec)
         # allowance absorbs the rounding part of both certified errors
         rhs = t0.err + mpf(2) ** (8 - cfg.prec)
         verdict = PASS if gap <= rhs else FAIL
-        rows.append(Row(sid, "convergence", inputs, _fmt(gap), _fmt(rhs),
-                        _fmt(rhs - gap), verdict))
+        rows.append(Row(sid, "convergence", inputs, fmt(gap), fmt(rhs),
+                        fmt(rhs - gap), verdict))
     return rows
 
 
 @functools.lru_cache(maxsize=8)
 def _load_corpus(path: str | None) -> tuple:
+    """The corpus at path, parsed once per path and process."""
     return tuple(heights.load_corpus(path))
 
 
-def _corpus_for(cfg: CampaignConfig) -> tuple:
-    """The config's corpus, parsed once per path and process."""
-    return _load_corpus(cfg.corpus)
-
-
 def _window_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
-    idx = int(sid.split(":")[1])
-    curve = _corpus_for(cfg)[idx]
+    curve = _load_corpus(cfg.corpus)[int(sid.split(":")[1])]
     inputs = json.dumps({"label": curve.label,
                          "a": [str(x) for x in (curve.a1, curve.a2, curve.a3,
                                                 curve.a4, curve.a6)]})
@@ -185,8 +168,7 @@ def _window_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
 
 
 def _matrix_lemma_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
-    idx = int(sid.split(":")[1])
-    curve = _corpus_for(cfg)[idx]
+    curve = _load_corpus(cfg.corpus)[int(sid.split(":")[1])]
     inputs = json.dumps({"label": curve.label})
     v = heights.matrix_lemma_check(curve, cfg.prec)
     return [_verdict_row(sid, "matrix-lemma", inputs, v)]
@@ -219,7 +201,7 @@ def _delta_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
     tri_ok = idx13 <= idx12 * idx23
     margin = math.log(idx12 * idx23) - math.log(idx13)
     rows.append(Row(sid, "triangle", inputs, str(idx13), str(idx12 * idx23),
-                    _fmt(margin), PASS if tri_ok else FAIL))
+                    fmt(margin), PASS if tri_ok else FAIL))
     det_ok = abs(s12.det() * i12.det()) == abs(l1.det() * l2.det())
     rows.append(Row(sid, "det-product", inputs, str(s12.det() * i12.det()),
                     str(l1.det() * l2.det()), "0", PASS if det_ok else FAIL))
@@ -228,22 +210,39 @@ def _delta_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
     return rows
 
 
+def _tilde_row(sid: str, a: float, b: float, c: float, prec: int) -> Row:
+    """|a - b| <= tilde_c(c) log(2 + min(a, b)) for c >= 2, a, b >= 1,
+    decided in doubles outside the guard 2^-40 rhs.  With u = 2^-53 and
+    libm's log within 1 ulp: 2c log(2c) errs by <= 3.01u relative; for
+    c >= 2, v = 6 + 2c log(2c) - 2c > 7.5 and 2c log(2c) <= 3.7 v (as
+    2c <= 2c log(2c)/log 4), so v errs by <= 17u and log v > 2 by <= 11u,
+    with no cancellation; tilde_c then errs by <= 16u and
+    log(2 + min(a, b)) >= log 3 by <= 3u, so the double rhs is within
+    21u < 2^-48 of the exact one, lhs within u, and the margin within u of
+    their difference: beyond the guard its sign is exact.  Inside it
+    ``constants.tilde_c`` and ``certified_le`` decide the row."""
+    inputs = json.dumps({"a": repr(a), "b": repr(b), "c": repr(c)})
+    ct = c * math.log(6 + 2 * c * math.log(2 * c) - 2 * c) / math.log(3)
+    lhs = abs(a - b)
+    rhs = ct * math.log(2 + min(a, b))
+    if abs(rhs - lhs) > 2.0 ** -40 * rhs:
+        return Row(sid, "tilde-c", inputs, repr(lhs), repr(rhs), repr(rhs - lhs),
+                   PASS if rhs > lhs else FAIL)
+    with workprec(prec + GUARD_BITS):
+        gap = CertifiedReal.rounded(fabs(mpf(a) - mpf(b)), ulps=1)
+        log_min = (CertifiedReal.exact(2) + CertifiedReal.exact(min(a, b))).log()
+        v = certified_le(gap, constants.tilde_c(c, prec) * log_min)
+    return _verdict_row(sid, "tilde-c", inputs, v)
+
+
 def _lemmas_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
-    # float fast path for the 10^5-trial campaigns: the comparisons carry a
-    # 1e-9 relative slack, nine orders beyond double rounding error, so a
-    # "fail" row would be a genuine counterexample, not noise
     rng = sampling.substream(cfg.seed, sid)
     if sid.startswith("tilde:"):
         a, b, c = (float(x) for x in sampling.random_tilde_lemma_instance(rng))
-        ct = c * math.log(6 + 2 * c * math.log(2 * c) - 2 * c) / math.log(3)
-        lhs = abs(a - b)
-        rhs = ct * math.log(2 + min(a, b))
-        ok = lhs <= rhs * (1 + 1e-9)
-        inputs = json.dumps({"a": repr(a), "b": repr(b), "c": repr(c)})
-        return [Row(sid, "tilde-c", inputs, repr(lhs), repr(rhs),
-                    repr(rhs - lhs), PASS if ok else FAIL)]
+        return [_tilde_row(sid, a, b, c, cfg.prec)]
     af, bf, cf, df = sampling.random_min_lemma_instance(rng)
-    # conclusion is exact over Q; the sampler already certified the hypothesis
+    # the conclusion is checked exactly over Q; the sampler tests the
+    # hypothesis |a - b| <= c log(2 + min(a, b)) in doubles only
     rhs = (1 + 2 * cf) * min(af, bf)
     ok = df <= rhs
     inputs = json.dumps({"a": repr(float(af)), "b": repr(float(bf)),
@@ -296,7 +295,7 @@ def _sample_ids(cfg: CampaignConfig) -> list[str]:
     if cfg.suite == "duplication":
         return [f"dup:{k}" for k in range(cfg.samples)]
     if cfg.suite in ("window", "matrix-lemma"):
-        n = min(cfg.samples, len(_corpus_for(cfg)))
+        n = min(cfg.samples, len(_load_corpus(cfg.corpus)))
         return [f"curve:{k}" for k in range(n)]
     if cfg.suite == "delta-metric":
         return [f"tri:{k}" for k in range(cfg.samples)]

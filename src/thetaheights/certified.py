@@ -11,8 +11,10 @@ Verdicts derived from certified values are three-valued: ``pass`` / ``fail``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from mpmath import mp, mpf, mpc, fabs, log, exp, sqrt
+from mpmath import mp, mpf, mpc, fabs, log, exp, nstr, sqrt
+from mpmath.libmp import from_float
 
 # The precision policy: every public entry point defaults to DEFAULT_PREC
 # bits, and theta and heights work at prec + GUARD_BITS internally.
@@ -170,3 +172,12 @@ def certified_le(lhs: CertifiedReal, rhs: CertifiedReal) -> Verdict:
     else:
         v = INDETERMINATE
     return Verdict(lhs.value, rhs.value, margin, v)
+
+
+def fmt(x, digits: int = 20) -> str:
+    """x to ``digits`` significant digits, rounded once from its own bits
+    (``mpf(x)`` would first round an mpf to the caller's mp.prec); ints and
+    Fractions exactly."""
+    if isinstance(x, (int, Fraction)):
+        return str(x)
+    return nstr(mp.make_mpf(from_float(x)) if isinstance(x, float) else x, digits)

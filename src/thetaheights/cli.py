@@ -16,14 +16,11 @@ from math import lcm
 from mpmath import mpf, mpc, nstr, workprec
 
 from . import campaign, constants, heights, lattices, siegel, theta
-
-
-def _digits(prec: int) -> int:
-    return max(20, int(prec * 0.30103) + 2)
+from .certified import fmt
 
 
 def _fmt(x, prec: int) -> str:
-    return nstr(mpf(x), _digits(prec))
+    return fmt(x, max(20, int(prec * 0.30103) + 2))
 
 
 def _parse_tau(text: str, prec: int) -> siegel.SiegelPoint:

@@ -5,6 +5,11 @@ under their own ``workprec`` at the requested precision, so the ones read
 for every curve or sample are cached; anything involving r^(2g) powers or
 the 2^12 exponent is computed in log space first and the linear-space value
 emitted alongside.
+
+Each constant has one formula; the composites are certified sums and
+products of the primitives: C3 = M + (1/4) r^(2g) log r^(2g),
+C1 = C_matrix/4 + C3, C2 = tilde_c(C1), hF_lower = -C log C - M, and
+c_lattice and sigma_norm_log_bound share L = g log(pi^-g g! e^(pi r^2) g^4).
 """
 from __future__ import annotations
 
@@ -12,11 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from mpmath import mp, mpf, exp, factorial, log, pi, workprec
+from mpmath import mpf, exp, factorial, log, pi, workprec
 
 from .certified import DEFAULT_PREC, CertifiedReal
 from .exactla import as_mpf
 from .siegel import SiegelPoint
+from .theta import _check_level
 
 # closed forms of a few dozen operations each, with a 64-ulp cushion per
 # result (_certify): 32 guard bits are plenty, unlike theta's long sums
@@ -70,31 +76,21 @@ def C_matrix(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
 
 
 def C1(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    _check_rg(r, g)
+    """C(g)/4 + C3."""
     with workprec(prec + GUARD_BITS):
-        rg = mpf(r) ** (2 * g)
-        return _certify(2 * g / pi * (1 + 2 * g * g * log(4 * g))
-                        + g * log(4 * pi) / 4 + g * log(r)
-                        + g * log(_growth_term(g)) / 2
-                        + rg * log(rg) / 4)
+        return C_matrix(g, prec) * CertifiedReal.exact(mpf(1) / 4) + C3(g, r, prec)
 
 
 def C2(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    """C1 log(6 + 2 C1 log(2 C1) - 2 C1)/log 3, error propagated through the
-    logs from the certified C1."""
-    with workprec(prec + GUARD_BITS):
-        c1 = C1(g, r, prec)
-        two_c1 = c1 * CertifiedReal.exact(2)
-        inner = (CertifiedReal.exact(6) + two_c1 * two_c1.log()) - two_c1
-        return c1 * inner.log() * _certify(1 / log(3))
+    """tilde_c(C1), the error of C1 carried through the logs."""
+    return tilde_c(C1(g, r, prec), prec)
 
 
 def C3(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    _check_rg(r, g)
+    """M(r, g) + (1/4) r^(2g) log r^(2g)."""
     with workprec(prec + GUARD_BITS):
         rg = mpf(r) ** (2 * g)
-        return _certify(g * log(4 * pi) / 4 + g * log(r)
-                        + g * log(_growth_term(g)) / 2 + rg * log(rg) / 4)
+        return M_const(r, g, prec) + _certify(rg * log(rg) / 4)
 
 
 @dataclass(frozen=True)
@@ -140,12 +136,16 @@ def bost_lower(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
 
 
 def tilde_c(c, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    """c log(6 + 2c log(2c) - 2c)/log 3 for c >= 2; always >= c."""
+    """c log(6 + 2c log(2c) - 2c)/log 3 for c >= 2; always >= c.  c is a
+    ``CertifiedReal`` or a number (rounded once); its error goes through."""
     with workprec(prec + GUARD_BITS):
-        cm = as_mpf(c)
-        if cm < 2:
+        if not isinstance(c, CertifiedReal):
+            c = CertifiedReal.rounded(as_mpf(c), ulps=1)
+        if c.value < 2:
             raise ValueError("requires c >= 2")
-        return _certify(cm * log(6 + 2 * cm * log(2 * cm) - 2 * cm) / log(3))
+        two_c = c * CertifiedReal.exact(2)
+        inner = (CertifiedReal.exact(6) + two_c * two_c.log()) - two_c
+        return c * inner.log() * _certify(1 / log(3))
 
 
 def min_bound_lemma_check(a, b, c, d, prec: int = DEFAULT_PREC) -> bool:
@@ -195,13 +195,17 @@ def breve_c(g: int, c1, c2, prec: int = DEFAULT_PREC) -> LogSpaceValue:
         return LogSpaceValue(lv, lv.exp())
 
 
+def _lattice_log(g: int, r: int) -> mpf:
+    """g log(pi^-g g! e^(pi r^2) g^4); call inside the working precision."""
+    return g * (-g * log(pi) + log(factorial(g)) + pi * r * r + 4 * log(g))
+
+
 def c_lattice(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """4 + 8 C2 + g log(pi^-g g! e^(pi r^2) g^4) + 4 r^(2g), the lattice
     comparison constant.  (1 + 2c) is what the corollary consumes."""
     _check_rg(r, g)
     with workprec(prec + GUARD_BITS):
-        body = _certify(g * (-g * log(pi) + log(factorial(g)) + pi * r * r
-                             + 4 * log(g)) + 4 * mpf(r) ** (2 * g) + 4)
+        body = _certify(_lattice_log(g, r) + 4 * mpf(r) ** (2 * g) + 4)
         return body + C2(g, r, prec) * CertifiedReal.exact(8)
 
 
@@ -212,8 +216,7 @@ def sigma_norm_log_bound(g: int, r: int, h_theta, prec: int = DEFAULT_PREC) -> C
     if h < 0:
         raise ValueError("h_theta must be nonnegative")
     with workprec(prec + GUARD_BITS):
-        coeff = g * (-g * log(pi) + log(factorial(g)) + pi * r * r + 4 * log(g)) / 2
-        return _certify(coeff * log(2 + h))
+        return _certify(_lattice_log(g, r) / 2 * log(2 + h))
 
 
 def modified_faltings_offset(tau_list: list[SiegelPoint], deg_isogeny: int = 1,
@@ -296,5 +299,4 @@ def _check_g(g: int):
 
 def _check_rg(r: int, g: int):
     _check_g(g)
-    if r < 2 or r % 2 != 0:
-        raise ValueError("r must be an even integer >= 2")
+    _check_level(r)

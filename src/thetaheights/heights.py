@@ -25,6 +25,7 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from mpmath import (mp, mpf, mpc, agm, fabs, log, pi, polyroots, sqrt,
                     workprec)
@@ -33,7 +34,7 @@ from . import constants
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, PrecisionError,
                         Verdict, certified_le)
 from .exactla import fraction_to_mpf
-from .siegel import ReductionResult, SiegelPoint, reduce_g1
+from .siegel import ReductionResult, SiegelPoint, default_tol, reduce_g1
 from .theta import theta_null_vector
 
 
@@ -57,7 +58,8 @@ class EllipticCurveQ:
 
     ``two_torsion_x`` holds the three roots of the division polynomial of the
     depressed model X^3 - 27 c4 X - 54 c6; consistency with the coefficients
-    is verified exactly on construction.
+    is verified exactly on construction; left at None, they are extracted
+    from c4 and c6, which (with disc) are formed once per (frozen) curve.
     """
     a1: Fraction
     a2: Fraction
@@ -65,12 +67,14 @@ class EllipticCurveQ:
     a4: Fraction
     a6: Fraction
     claims: Claims
-    two_torsion_x: tuple[Fraction, Fraction, Fraction]
+    two_torsion_x: tuple[Fraction, Fraction, Fraction] | None = None
     label: str = ""
 
     def __post_init__(self):
         if self.disc == 0:
             raise ValueError("singular curve (discriminant zero)")
+        if self.two_torsion_x is None:
+            object.__setattr__(self, "two_torsion_x", _depressed_roots(*self._c4_c6))
         e1, e2, e3 = self.two_torsion_x
         if len({e1, e2, e3}) != 3:
             raise ValueError("two-torsion roots must be distinct")
@@ -81,17 +85,26 @@ class EllipticCurveQ:
         if e1 * e2 * e3 != 54 * self.c6:
             raise ValueError("two-torsion roots are inconsistent (c6)")
 
+    @cached_property
+    def _c4_c6(self) -> tuple[Fraction, Fraction]:
+        """c4 and c6 of the model, through b2, b4, b6."""
+        a1, a3 = self.a1, self.a3
+        b2 = a1 * a1 + 4 * self.a2
+        b4 = 2 * self.a4 + a1 * a3
+        b6 = a3 * a3 + 4 * self.a6
+        return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
     @property
     def c4(self) -> Fraction:
-        return _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)[0]
+        return self._c4_c6[0]
 
     @property
     def c6(self) -> Fraction:
-        return _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)[1]
+        return self._c4_c6[1]
 
-    @property
+    @cached_property
     def disc(self) -> Fraction:
-        c4, c6 = _c4_c6(self.a1, self.a2, self.a3, self.a4, self.a6)
+        c4, c6 = self._c4_c6
         return (c4 ** 3 - c6 ** 2) / 1728
 
     @classmethod
@@ -100,19 +113,10 @@ class EllipticCurveQ:
         """Builds the curve and extracts the 2-torsion roots exactly;
         rejects curves whose 2-torsion is not fully rational."""
         coeffs = tuple(Fraction(x) for x in (a1, a2, a3, a4, a6))
-        return cls(*coeffs, claims=Claims(minimal, semistable),
-                   two_torsion_x=_depressed_roots(*_c4_c6(*coeffs)), label=label)
+        return cls(*coeffs, claims=Claims(minimal, semistable), label=label)
 
     def sorted_roots(self) -> tuple[Fraction, Fraction, Fraction]:
         return tuple(sorted(self.two_torsion_x, reverse=True))
-
-
-def _c4_c6(a1, a2, a3, a4, a6) -> tuple[Fraction, Fraction]:
-    """c4 and c6 of the model [a1, a2, a3, a4, a6], through b2, b4, b6."""
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
 
 
 def _depressed_roots(c4: Fraction, c6: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -190,15 +194,11 @@ def _check_lattice_invariants(curve: EllipticCurveQ, omega1: mpc, omega2: mpc,
     e6 = ((t3.value ** 4 + t4.value ** 4) * (t3.value ** 4 + t2.value ** 4)
           * (t4.value ** 4 - t2.value ** 4)) / 2
     scale = 2 * pi / om1p
-    c4_hat = scale ** 4 * e4
-    c6_hat = scale ** 6 * e6
-    tol = mpf(2) ** (-(prec // 2))
-    c4_ref = fraction_to_mpf(curve.c4)
-    c6_ref = fraction_to_mpf(curve.c6)
-    if fabs(c4_hat - c4_ref) > tol * max(mpf(1), fabs(c4_ref)):
-        raise PeriodError("period self-check failed on c4")
-    if fabs(c6_hat - c6_ref) > tol * max(mpf(1), fabs(c6_ref)):
-        raise PeriodError("period self-check failed on c6")
+    tol = default_tol(prec)
+    for name, hat, ref in (("c4", scale ** 4 * e4, curve.c4), ("c6", scale ** 6 * e6, curve.c6)):
+        ref = fraction_to_mpf(ref)
+        if fabs(hat - ref) > tol * max(mpf(1), fabs(ref)):
+            raise PeriodError(f"period self-check failed on {name}")
 
 
 def _even_nulls(tau: SiegelPoint, prec: int):
@@ -249,7 +249,7 @@ def faltings_height_g1(curve: EllipticCurveQ,
 def lambda_invariant(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Fraction:
     """The exact rational among the six cross-ratios of the 2-torsion roots
     that matches theta2^4/theta3^4 at the reduced period matrix."""
-    return _pipeline(curve, None, prec).lam
+    return theta_height_details(curve, prec).lam
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def _match_lambda(curve: EllipticCurveQ, t2, t3, prec: int) -> Fraction:
         candidates.add(Fraction(e[i] - e[k]) / Fraction(e[j] - e[k]))
     lhs = t2.value ** 4
     base = t3.value ** 4
-    tol = mpf(2) ** (-(prec // 2))
+    tol = default_tol(prec)
     err_budget = 8 * (t2.err + t3.err) * (1 + fabs(lhs) + fabs(base))
     matches = [c for c in candidates
                if fabs(lhs - fraction_to_mpf(c) * base) <= (tol + err_budget) * fabs(base)]
@@ -288,10 +288,8 @@ def _finite_part(lam: Fraction) -> CertifiedReal:
     return CertifiedReal.rounded(log(lam.denominator) / 4)
 
 
-def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice | None,
+def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice,
               prec: int) -> ThetaHeightDetails:
-    if lattice is None:
-        lattice = periods_agm(curve, prec)
     red = lattice.reduction
     t2, t3, t4 = lattice.nulls
     with workprec(prec + GUARD_BITS):
@@ -317,12 +315,12 @@ def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice | None,
 def theta_height_g1(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """Weil height of the level-2 theta-null point, l2 convention at the
     archimedean place; always nonnegative."""
-    return _pipeline(curve, None, prec).h_theta
+    return theta_height_details(curve, prec).h_theta
 
 
 def theta_height_details(curve: EllipticCurveQ,
                          prec: int = DEFAULT_PREC) -> ThetaHeightDetails:
-    return _pipeline(curve, None, prec)
+    return _pipeline(curve, periods_agm(curve, prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +348,13 @@ class HeightReport:
         return all(v.ok for v in self.verdicts.values())
 
 
+def _window(h: CertifiedReal, h_faltings: CertifiedReal,
+            log_det_im: mpf) -> CertifiedReal:
+    """h - h_F/2 - (1/4) log det Im tau; call inside the working precision."""
+    return (h - h_faltings * CertifiedReal.exact(mpf(1) / 2)
+            - CertifiedReal.rounded(log_det_im / 4))
+
+
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
                  allow_relative: bool = False) -> HeightReport:
     """h_theta - h_F/2 - (1/4) log det Im tau against the [m(2,1), M(2,1)]
@@ -360,10 +365,7 @@ def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
         det_s = _pipeline(curve, lattice, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         log_det_im = log(det_s.tau_reduced.det_im())
-        quarter_log = CertifiedReal.rounded(log_det_im / 4)
-        window = (det_s.h_theta
-                  - fal.height * CertifiedReal.exact(mpf(1) / 2)
-                  - quarter_log)
+        window = _window(det_s.h_theta, fal.height, log_det_im)
         verdicts = {
             "window_lower": certified_le(constants.m_const(2, 1, prec), window),
             "window_upper": certified_le(window, constants.M_const(2, 1, prec)),
@@ -394,11 +396,9 @@ def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
     with workprec(prec + GUARD_BITS):
         lattice = periods_agm(curve, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
-        quarter_log = CertifiedReal.rounded(log(lattice.reduction.reduced.det_im()) / 4)
-        c_rg = constants.M_const(2, 1, prec)
-        return (theta_point_height
-                - fal.height * CertifiedReal.exact(mpf(1) / 2)
-                - quarter_log - c_rg)
+        log_det_im = log(lattice.reduction.reduced.det_im())
+        return (_window(theta_point_height, fal.height, log_det_im)
+                - constants.M_const(2, 1, prec))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,7 @@ class SiegelPoint:
         return self.entry(0, 0)
 
 
+@cache
 def _int_identity(g: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(g)) for i in range(g))
 
@@ -306,6 +307,7 @@ class SymplecticMatrix:
                 and rel == _int_identity(self.g))
 
     @classmethod
+    @cache
     def identity(cls, g: int) -> "SymplecticMatrix":
         return cls(g, _int_identity(g), _int_zero(g), _int_zero(g), _int_identity(g))
 

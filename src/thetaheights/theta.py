@@ -51,7 +51,10 @@ bound alone would choose.  The certified tail is evaluated once per
 The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
 det Y) are cached on the ``SiegelPoint``, so every characteristic and every
 z at one tau reuses them; the data of z (u = Y^-1 Im z and xi) are formed
-once per (tau, z) and passed down with z (``_At``).
+once per (tau, z) and passed down with z (``_At``).  Every function here
+uses z exactly as passed (mpf/mpc entries are not rounded to mp.prec), so
+its radius and bound are the ones for that z, and no result depends on
+mp.prec.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
                           mpf_mul, round_nearest)
 
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
-                        CertifiedReal, PrecisionError, Verdict, certified_le)
+                        CertifiedReal, PrecisionError, Verdict, _eps, certified_le)
 from .exactla import dyadic, fraction_to_mpf, matvec, mpf_to_fraction
 from .siegel import SiegelPoint, as_mpc
 
@@ -79,6 +82,11 @@ RADIUS_CAP = 4000
 class ReduceFirstError(ArithmeticError):
     """Im tau is so skewed that the truncation radius would be astronomical;
     reduce tau before evaluating."""
+
+
+def _check_level(r: int):
+    if r < 2 or r % 2 != 0:
+        raise ValueError("level r must be an even integer >= 2")
 
 
 def default_tol(prec: int) -> mpf:
@@ -95,8 +103,7 @@ class ThetaCharacteristic:
     m2: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.r < 2 or self.r % 2 != 0:
-            raise ValueError("level r must be an even integer >= 2")
+        _check_level(self.r)
         if len(self.m1) != len(self.m2):
             raise ValueError("m1 and m2 must have the same length")
         for v in self.m1 + self.m2:
@@ -138,8 +145,7 @@ def coset_set(tau: SiegelPoint, r: int, prec: int = DEFAULT_PREC) -> CosetSet:
     """The coset points, rounded to prec + GUARD_BITS.  The norm checks do
     not evaluate theta at these rounded points: they use the exact identity
     of ``_coset_chars``."""
-    if r < 2 or r % 2 != 0:
-        raise ValueError("level r must be an even integer >= 2")
+    _check_level(r)
     g = tau.g
     reps = []
     with workprec(prec + GUARD_BITS):
@@ -181,41 +187,38 @@ def _coset_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
 
 
 class _At(tuple):
-    """z normalized at tau (``_normalize_inputs``) with its exact tail data
+    """z normalized at tau (``_at``) with its exact tail data
     ``_tail_data(tau, z)`` as ``tail``: formed once per (tau, z) and passed
     down as z, so that a batch, its radius searches, its walk and its norm
     scale share them."""
 
 
 def _at(tau: SiegelPoint, z) -> _At:
-    """z as an ``_At`` of tau; call inside the working-precision scope."""
+    """z as an ``_At`` of tau, its entries taken as ``as_mpc`` takes them
+    (None is the zero vector); call inside the working-precision scope."""
     if isinstance(z, _At) and z.tau is tau:
         return z
-    zt, _, _, _ = _normalize_inputs(tau, z, None)
-    out = _At(zt)
+    out = _At(mpc(0) for _ in range(tau.g)) if z is None else _At(map(as_mpc, z))
+    if len(out) != tau.g:
+        raise ValueError("z must have length g")
     out.tau = tau
     out.tail = _tail_data(tau, out)
     return out
 
 
-def _normalize_inputs(tau, z, char):
-    """Call inside the working-precision scope: see ``as_mpc``."""
-    g = tau.g
-    if z is None:
-        z = tuple(mpc(0) for _ in range(g))
-    else:
-        z = tuple(as_mpc(x) for x in z)
-        if len(z) != g:
-            raise ValueError("z must have length g")
+def _char_ints(g: int, char) -> tuple[int, tuple, tuple]:
+    """(den, a, b) with char = [a/den; b/den]; None is [0; 0] with den 1."""
     if char is None:
-        den, a, b = 1, (0,) * g, (0,) * g
-    else:
-        if char.g != g:
-            raise ValueError("characteristic dimension mismatch")
-        den = char.r
-        a = tuple(int(v * char.r) for v in char.m1)
-        b = tuple(int(v * char.r) for v in char.m2)
-    return z, den, a, b
+        return 1, (0,) * g, (0,) * g
+    if char.g != g:
+        raise ValueError("characteristic dimension mismatch")
+    return (char.r, tuple(int(v * char.r) for v in char.m1),
+            tuple(int(v * char.r) for v in char.m2))
+
+
+def _shift(a, den: int, u) -> Fraction:
+    """s = max_i |a_i/den + u_i|, the shift in the tail bound of a/den."""
+    return max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
 
 
 def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
@@ -297,9 +300,7 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     radius, is the one of the certified bound alone; the bound itself is
     certified once per (s, radius), by ``_theta_groups``.
 
-    tol must be a positive finite number.  z is used exactly as passed
-    (mpf/mpc entries are not rounded to mp.prec), so the radius is the one
-    for that z and does not depend on mp.prec."""
+    tol must be a positive finite number."""
     if tol is None:
         tol = default_tol(prec)
     g = tau.g
@@ -308,10 +309,9 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
         if not (target > 0 and isfinite(target)):
             raise ValueError("tol must be a positive finite number")
         z = _at(tau, z)
-        _, den, a, b = _normalize_inputs(tau, z, char)
+        den, a, _ = _char_ints(g, char)
         lam, xi, u = z.tail
-        m1 = tuple(Fraction(x, den) for x in a)
-        s = max(abs(m + w) for m, w in zip(m1, u))
+        s = _shift(a, den, u)
         over = _tail_above(g, lam, xi, s, target)
         n = int(s) + 1
         # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
@@ -854,7 +854,7 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     tails = {}
     out = {}
     for a, (radius, bs) in groups.items():
-        s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+        s = _shift(a, den, u)
         if (s, radius) not in tails:
             tails[s, radius] = _tail(g, lam, xi, s)(radius)
         tail = tails[s, radius]
@@ -894,24 +894,18 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
 def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
                     prec: int = DEFAULT_PREC) -> CertifiedComplex:
     """Theta sum over ||n||_inf <= radius with the certified error bound for
-    exactly that truncation (tail at the given radius plus rounding).
-
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
-    the bound holds for that z, and the result does not depend on mp.prec."""
+    exactly that truncation (tail at the given radius plus rounding)."""
     if not 0 <= radius <= RADIUS_CAP:
         raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):
         z = _at(tau, z)
-        _, den, a, b = _normalize_inputs(tau, z, char)
+        den, a, b = _char_ints(tau.g, char)
         return _theta_groups(tau, z, den, {a: (radius, [b])})[a][0]
 
 
 def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
           prec: int = DEFAULT_PREC, tol=None) -> CertifiedComplex:
-    """theta_(m1,m2)(tau, z) with a proven absolute error bound below tol.
-
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
-    the bound holds for that z, and the result does not depend on mp.prec."""
+    """theta_(m1,m2)(tau, z) with a proven absolute error bound below tol."""
     with workprec(prec + GUARD_BITS):
         z = _at(tau, z)
     radius = choose_radius(tau, z, char, prec, tol)
@@ -935,10 +929,10 @@ def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
     groups = {}
     tops = []
     for m1, members in by_m1.items():
-        s = max(abs(m + w) for m, w in zip(m1, u))
+        a = tuple(int(v * den) for v in m1)
+        s = _shift(a, den, u)
         if s not in radii:
             radii[s] = choose_radius(tau, z, members[0], prec, tol)
-        a = tuple(int(v * den) for v in m1)
         groups[a] = (radii[s], [tuple(int(v * den) for v in ch.m2) for ch in members])
         tops.append((a, members))
     values = _theta_groups(tau, z, den, groups, phase)
@@ -975,10 +969,7 @@ def _norms(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
 
 def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
                tol=None) -> CertifiedReal:
-    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta(tau, z)|.
-
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
-    the bound holds for that z, and the result does not depend on mp.prec."""
+    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta(tau, z)|."""
     with workprec(prec + GUARD_BITS):
         zt = _at(tau, z)
         return _norm_scale(tau, zt) * theta(tau, zt, None, prec, tol).abs()
@@ -998,8 +989,7 @@ def theta_null_vector(tau: SiegelPoint, r: int,
     each constant combines the classes of its m1 with its roots of unity
     (see ``_theta_groups``; exact for r = 2, one stated rounding term
     otherwise)."""
-    if r < 2 or r % 2 != 0:
-        raise ValueError("level r must be an even integer >= 2")
+    _check_level(r)
     with workprec(prec + GUARD_BITS):
         out = _theta_batch(tau, None, _level_chars(tau.g, r), prec, tol)
     if not any(fabs(v.value) > v.err for v in out):
@@ -1008,25 +998,25 @@ def theta_null_vector(tau: SiegelPoint, r: int,
     return out
 
 
+def _log_norm_sum(norms2: list[CertifiedReal], g: int) -> CertifiedReal:
+    """log(2^(g/2) sum of norms2), summed in list order."""
+    total = sum(norms2[1:], norms2[0])
+    if total.lo <= 0:
+        raise PrecisionError("coset norm sum is below its error bound")
+    return (CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2)) * total).log()
+
+
 def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
                tol=None) -> CertifiedReal:
     """-(1/2) log(2^(g/2) sum over the coset set of ||theta||^2(tau, rz+e)).
 
-    z is used exactly as passed (mpf/mpc entries are not rounded to mp.prec),
     r z is formed exactly, and each coset norm is the characteristic norm of
-    ``_coset_chars`` at r z, so the bound holds for the exact points r z + e
-    and the result does not depend on mp.prec."""
+    ``_coset_chars`` at r z, so the bound holds for the exact points r z + e."""
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        zt, _, _, _ = _normalize_inputs(tau, z, None)
-        w = tuple(fmul(r, x, exact=True) for x in zt)
-        total = CertifiedReal.exact(0)
-        for nv in _norms(tau, w, _coset_chars(g, r), prec, tol):
-            total = total + nv * nv
-        if total.lo <= 0:
-            raise PrecisionError("coset norm sum is below its error bound")
-        two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2))
-        return (two_pow * total).log() * CertifiedReal.exact(mpf(-1) / 2)
+        w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
+        norms2 = [nv * nv for nv in _norms(tau, w, _coset_chars(g, r), prec, tol)]
+        return _log_norm_sum(norms2, g) * CertifiedReal.exact(mpf(-1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1042,7 @@ class NormBoundsReport:
 
 def _interval(lo: mpf, hi: mpf) -> CertifiedReal:
     mid = (lo + hi) / 2
-    return CertifiedReal(mid, (hi - lo) / 2 + fabs(mid) * mpf(2) ** (4 - mp.prec))
+    return CertifiedReal(mid, (hi - lo) / 2 + fabs(mid) * _eps())
 
 
 def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
@@ -1061,8 +1051,7 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
     """The coset norms are the characteristic norms of ``_coset_chars`` at
     w = 0, so the bounds hold for the exact coset points."""
     from . import constants
-    if r < 2 or r % 2 != 0:
-        raise ValueError("level r must be an even integer >= 2")
+    _check_level(r)
     g = tau.g
     with workprec(prec + GUARD_BITS):
         norms2 = [nv * nv for nv in _norms(tau, None, _coset_chars(g, r), prec, tol)]
@@ -1075,11 +1064,7 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
             c_g = constants.c_g(g, prec)
             nz = theta_norm(tau, z, prec, tol)
             upper = certified_le(nz * nz, c_g * det_root)
-            total = norms2[0]
-            for v in norms2[1:]:
-                total = total + v
-            two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2))
-            mid = ((two_pow * total).log() * CertifiedReal.exact(mpf(1) / 2)
+            mid = (_log_norm_sum(norms2, g) * CertifiedReal.exact(mpf(1) / 2)
                    - det_root.log() * CertifiedReal.exact(mpf(1) / 2))
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
             hi_const = (c_g.log() * CertifiedReal.exact(mpf(1) / 2)
@@ -1094,10 +1079,12 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
 class DuplicationReport:
     """F(2^k tau) = max over half-integer characteristics of
     |theta_(m1,m2)(2^k tau, 0)|, its certified monotonicity down the
-    duplication tower, and the drift of theta(2^k tau, 0) toward 1."""
+    duplication tower, and the drift of theta(2^k tau, 0) toward 1, up to
+    the last point ``top`` = 2^steps tau."""
     f_values: tuple[CertifiedReal, ...]
     theta00_gap: tuple[mpf, ...]
     monotone: tuple[Verdict, ...]
+    top: SiegelPoint
 
 
 def verify_duplication(tau: SiegelPoint, steps: int,
@@ -1120,4 +1107,4 @@ def verify_duplication(tau: SiegelPoint, steps: int,
             th0 = vals[0]
             gaps.append(fabs(th0.value - 1) + th0.err)
         mono = tuple(certified_le(f_vals[k + 1], f_vals[k]) for k in range(steps))
-    return DuplicationReport(tuple(f_vals), tuple(gaps), mono)
+    return DuplicationReport(tuple(f_vals), tuple(gaps), mono, scaled)

@@ -136,3 +136,38 @@ def test_duplication_audit_never_loses_a_pass(g, samples):
             assert row.verdict in ("pass", "indeterminate"), row
         else:
             assert row.verdict == "pass", row
+
+
+def _counted_tilde_c(monkeypatch):
+    from thetaheights import constants
+    calls = []
+    tilde_c = constants.tilde_c
+
+    def counted(c, prec=128):
+        calls.append(c)
+        return tilde_c(c, prec)
+    monkeypatch.setattr(constants, "tilde_c", counted)
+    return calls
+
+
+def test_tilde_c_rows_inside_the_guard_are_decided_certified(monkeypatch):
+    # |a - b| equals the double rhs up to one rounding, far inside the
+    # 2^-40 guard: the certified tilde_c must decide the row, with the
+    # sign of the exact margin
+    import math
+    from mpmath import log, mpf, workprec
+    from thetaheights import campaign, constants
+    from thetaheights.certified import FAIL, INDETERMINATE, PASS
+    a, c = 1.0, 2.0
+    rhs = c * math.log(6 + 2 * c * math.log(2 * c) - 2 * c) / math.log(3) * math.log(3.0)
+    b = a + rhs
+    with workprec(300):
+        exact_rhs = constants.tilde_c(2, 280).value * log(3)
+        expected = PASS if mpf(b) - mpf(a) <= exact_rhs else FAIL
+    calls = _counted_tilde_c(monkeypatch)
+    row = campaign._tilde_row("tilde:x", a, b, c, 96)
+    assert len(calls) == 1
+    assert row.verdict == expected != INDETERMINATE
+    # a row far from a tie stays in doubles
+    far = campaign._tilde_row("tilde:y", 1.0, 1.5, 2.0, 96)
+    assert far.verdict == PASS and len(calls) == 1

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mpf, fabs
+from mpmath import mpf, fabs, workprec
 
 from thetaheights import heights
 from thetaheights.cli import main
@@ -221,16 +221,37 @@ def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("argv, digest", [
     (["heights", "corpus"],
-     "e6e1cdd697db2616bf64b12c98d5d90377243a37516709dd6753dc8e094dda82"),
+     "659a685662eefb9dc382101b2394d4fe9b55d2ca20b38d196517a6cf9f619be0"),
     (["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"],
-     "47806b0b1854d53fbd80918b872e93a06b893e32db75af2c457305244805789f"),
+     "7807a35754d16d4cae52c4d41e9830d9948c0faf53652809136439fdc2aaa646"),
 ], ids=["corpus", "verify"])
 def test_heights_output_is_pinned(capsys, argv, digest):
-    # sha256 of the output bytes with no --format, taken while the corpus
-    # loop ran window_check and matrix_lemma_check as two analyses
+    # sha256 of the output bytes with no --format, taken when the formatter
+    # stopped rounding each number to the caller's 53 bits before printing
+    # it (the former digests are the same outputs printed that way)
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "eval", "--tau", '[[["0.1","1.3"]]]', "--z", '["0.3","0.2"]',
+     "--char", "1/2;0"],
+    ["siegel", "reduce", "--tau", '[[["0.3","0.2"]]]'],
+    ["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"],
+    ["constants", "table", "--g", "1", "--r", "2"],
+    ["campaign", "run", "--suite", "window", "--samples", "2"],
+], ids=["theta-eval", "siegel-reduce", "heights-verify", "constants-table",
+        "campaign-window"])
+def test_output_does_not_depend_on_the_global_precision(capsys, argv):
+    # every number is printed from its own bits, never first rounded to
+    # the caller's mp.prec
+    outs = []
+    for prec in (53, 300):
+        with workprec(prec):
+            assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_run_all_campaigns_help_from_a_checkout(tmp_path):

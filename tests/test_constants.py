@@ -223,3 +223,24 @@ def test_cached_constants_do_not_depend_on_the_callers_precision(fn, args, fill,
     assert cached is first
     assert cached.value._mpf_ == fresh.value._mpf_
     assert cached.err._mpf_ == fresh.err._mpf_
+
+
+@pytest.mark.parametrize("g", range(1, constants.TABLE_MAX_G + 1))
+def test_composite_constants_are_their_compositions_on_the_table_grid(g):
+    # C1 - C3 = C_matrix/4, C2 = tilde_c(C1) and C3 - M = (1/4) r^(2g) log r^(2g),
+    # each within the certified errors of the constants involved
+    for r in range(2, constants.TABLE_MAX_R + 1, 2):
+        e = constants.table(g, r).entries
+        c1, c2, c3 = e["C1"], e["C2"], e["C3"]
+        with workprec(400):
+            c = c1.value
+            rg = mpf(r) ** (2 * g)
+            checks = [
+                (c1.value - c3.value, e["C_matrix"].value / 4,
+                 c1.err + c3.err + e["C_matrix"].err / 4),
+                (c2.value, c * log(6 + 2 * c * log(2 * c) - 2 * c) / log(3), c2.err),
+                (c3.value - e["M"].value, rg * log(rg) / 4, c3.err + e["M"].err),
+            ]
+            for got, ref, err in checks:
+                assert fabs(got - ref) <= err, (g, r)
+        assert constants.C2(g, r).value == constants.tilde_c(c1).value

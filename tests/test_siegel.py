@@ -483,3 +483,19 @@ def test_s1_ties_are_inclusive(g):
     res = reduce_heuristic(inside, prec=96)
     assert any(move[0] == "G" for move in res.certificate.word)
     assert res.certificate.report.s1_ok
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_reduction_builds_no_identity_after_the_first_for_its_g(g):
+    # the identity blocks and matrix are built once per g and shared
+    identity = SymplecticMatrix.__dict__["identity"].__func__
+    rng = random.Random(17 + g)
+    reduce_heuristic(sampling.random_siegel_point(rng, g), prec=96)
+    built = (siegel._int_identity.cache_info().misses, identity.cache_info().misses)
+    asked = identity.cache_info().hits
+    for _ in range(3):
+        reduce_heuristic(sampling.random_siegel_point(rng, g), prec=96)
+    assert (siegel._int_identity.cache_info().misses,
+            identity.cache_info().misses) == built
+    assert identity.cache_info().hits >= asked + 3
+    assert SymplecticMatrix.identity(g) is SymplecticMatrix.identity(g)

@@ -209,8 +209,8 @@ def test_radius_is_the_least_above_the_search_floor():
                 n = choose_radius(tau, z, char, prec, tol)
                 g = tau.g
                 with workprec(prec + GUARD_BITS):
-                    zt, den, a, _ = theta_module._normalize_inputs(tau, z, char)
-                    lam, xi, u = theta_module._tail_data(tau, zt)
+                    den, a, _ = theta_module._char_ints(g, char)
+                    lam, xi, u = theta_module._at(tau, z).tail
                     s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
                     target = (theta_module.default_tol(prec) if tol is None else tol) / 2
                     need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
@@ -468,6 +468,29 @@ def test_beta_sigma_decreases_in_the_norm_sum():
     s1, s2 = mpf("2.8"), mpf("2.9")
     f = lambda s: -log(sqrt(2) * s) / 2
     assert f(s2) < f(s1)
+
+
+@pytest.mark.parametrize("rows, z, r", [
+    ([[I]], None, 2),
+    ([[mpc("0.3", "1.1")]], [mpc("0.1", "0.2")], 4),
+    ([[mpc("0.1", "1.2"), mpc("0.2", "0.3")], [mpc("0.2", "0.3"), mpc("0.4", "1.5")]],
+     [mpc("0.1", "0.05"), mpc("-0.2", "0.1")], 2),
+])
+def test_beta_sigma_keeps_its_value_and_no_larger_error(rows, z, r):
+    # the former sum started from an exact 0 and so added one ulp term of
+    # the total to the error; the shared norm sum starts from the first norm
+    from thetaheights.certified import CertifiedReal
+    tau = SiegelPoint.from_rows(rows)
+    new = beta_sigma(tau, z, r, prec=96)
+    with workprec(96 + GUARD_BITS):
+        w = None if z is None else [r * x for x in z]
+        total = CertifiedReal.exact(0)
+        for nv in theta_module._norms(tau, w, theta_module._coset_chars(tau.g, r), 96, None):
+            total = total + nv * nv
+        two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(tau.g) / 2))
+        old = (two_pow * total).log() * CertifiedReal.exact(mpf(-1) / 2)
+    assert new.value._mpf_ == old.value._mpf_
+    assert new.err <= old.err
 
 
 def test_beta_sigma_finite_at_2i():
