@@ -2,7 +2,8 @@
 
 All values are pure functions of their integer/rational inputs evaluated
 under their own ``workprec`` at the requested precision, so the ones read
-for every curve or sample are cached; anything involving r^(2g) powers or
+more than once (for every curve or sample, or by other constants) are
+cached; anything involving r^(2g) powers or
 the 2^12 exponent is computed in log space first and the linear-space value
 emitted alongside.
 
@@ -75,17 +76,20 @@ def C_matrix(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
         return _certify(8 * g / pi * (1 + 2 * g * g * log(4 * g)))
 
 
+@cache
 def C1(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """C(g)/4 + C3."""
     with workprec(prec + GUARD_BITS):
         return C_matrix(g, prec) * CertifiedReal.exact(mpf(1) / 4) + C3(g, r, prec)
 
 
+@cache
 def C2(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """tilde_c(C1), the error of C1 carried through the logs."""
     return tilde_c(C1(g, r, prec), prec)
 
 
+@cache
 def C3(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """M(r, g) + (1/4) r^(2g) log r^(2g)."""
     with workprec(prec + GUARD_BITS):

@@ -11,12 +11,14 @@ S.1 and the first bullet of S.3 cannot be verified by finite computation;
 reports check them against finite samples and say so explicitly.
 
 Everything exact runs on one integer form of a point, tau = (X + iY) / 2^s
-with X, Y integer matrices (``SiegelPoint.int_form``).  S.1 is decided by
-the identity det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2 over
-Z[i]: det(lam tau + mu) 2^(gs) is the determinant of the Gaussian-integer
-matrix lam (X + iY) + mu 2^s, by Bareiss' fraction-free elimination
-(Math. Comp. 22, 1968), and the comparison with det Y is one of integers.
-``act`` inverts the same matrix by the Gauss-Jordan form of that
+with X, Y integer matrices (``SiegelPoint.int_form``), through one
+fraction-free elimination, Bareiss' over Z[i] (``exactla``).  The leading
+minors D_k of Y give definiteness, the LDL pivots D_k / (D_(k-1) 2^s) and
+det Y = D_g; the adjugate of Y gives (Im tau)^-1 = 2^s adj Y / det Y.  S.1
+is decided by the identity det Im(gamma.tau) = det Im tau / |det(lam tau +
+mu)|^2: det(lam tau + mu) 2^(gs) is the determinant of the Gaussian-integer
+matrix lam (X + iY) + mu 2^s, and the comparison with det Y is one of
+integers.  ``act`` inverts the same matrix by the Gauss-Jordan form of the
 elimination.
 
 ``reduce_heuristic`` is the one reduction loop, for every g (``reduce_g1``
@@ -38,8 +40,9 @@ from mpmath import mp, mpf, mpc, fabs, workprec
 from mpmath.libmp import from_man_exp, from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC, GUARD_BITS
-from .exactla import (Mat, dyadic, fraction_to_mpf, inverse, ldl_pivots,
-                      min_eig_lower_bound, mpf_to_fraction)
+from .exactla import (IntMat, Mat, dyadic, fraction_to_mpf, gauss_adjugate,
+                      gauss_det, gaussian, inverse, leading_minors,
+                      min_eig_lower_bound)
 
 
 class NumericalFailure(ArithmeticError):
@@ -78,9 +81,6 @@ def as_mpc(x) -> mpc:
 # domain types
 
 
-IntMat = tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
 class SiegelPoint:
     g: int
@@ -111,7 +111,8 @@ class SiegelPoint:
         """tau_ij exactly as stored, whatever mp.prec is."""
         return mp.make_mpc((self.re[i][j]._mpf_, self.im[i][j]._mpf_))
 
-    # Exact data of tau, computed once per point (the point is frozen).
+    # Exact data of tau, computed once per point (the point is frozen), all
+    # from the integer form through the elimination of ``exactla``.
 
     @cached_property
     def int_form(self) -> tuple[IntMat, IntMat, int]:
@@ -126,37 +127,41 @@ class SiegelPoint:
         return x, y, s
 
     @cached_property
+    def _y_minors(self) -> tuple[int, ...]:
+        """Leading minors D_1, D_2, ... of the integer Y, up to the first
+        that is not positive."""
+        return tuple(leading_minors(self.int_form[1]))
+
+    @property
+    def y_positive_definite(self) -> bool:
+        """Sylvester's criterion: every leading minor of Y is positive."""
+        return self._y_minors[-1] > 0
+
+    @cached_property
     def _y_det_scaled(self) -> int:
-        """det Y of the integer form: det Im tau times 2^(gs)."""
-        return _gauss_det([[(v, 0) for v in row] for row in self.int_form[1]])[0]
-
-    @cached_property
-    def _x(self) -> Mat:
-        return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.re)
-
-    @cached_property
-    def _y(self) -> Mat:
-        return tuple(tuple(mpf_to_fraction(x) for x in row) for row in self.im)
+        """det Y of the integer form: det Im tau times 2^(gs).  It is D_g;
+        only a Y with a leading minor <= 0 needs a second elimination."""
+        minors = self._y_minors
+        if len(minors) == self.g:
+            return minors[-1]
+        return gauss_det(gaussian(self.int_form[1]))[0]
 
     @cached_property
     def y_inverse(self) -> Mat:
-        return inverse(self._y)
+        """(Im tau)^-1 = 2^s Y^-1 = 2^s adj Y / det Y, exact."""
+        _, y, s = self.int_form
+        return tuple(tuple(v * (1 << s) for v in row) for row in inverse(y))
 
     @cached_property
     def y_min_eig_lower_bound(self) -> Fraction:
-        """Exact lower bound on the smallest eigenvalue of Y; nonpositive
-        when Y is not positive definite."""
-        return min_eig_lower_bound(self._y)
+        """Exact lower bound on the smallest eigenvalue of Im tau;
+        nonpositive when it is not positive definite."""
+        _, y, s = self.int_form
+        return min_eig_lower_bound(y, s)
 
     @cached_property
     def y_det(self) -> Fraction:
         return Fraction(self._y_det_scaled, 1 << (self.g * self.int_form[2]))
-
-    def im_fractions(self) -> Mat:
-        return self._y
-
-    def re_fractions(self) -> Mat:
-        return self._x
 
     def det_im(self) -> mpf:
         """det Im tau rounded once, to nearest, at mp.prec."""
@@ -195,74 +200,6 @@ def _int_neg(a: IntMat) -> IntMat:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-# Gaussian integers a + bi as pairs (a, b); matrices over Z[i] as lists of rows.
-
-
-def _gauss_det(m) -> tuple[int, int]:
-    """Determinant of a square matrix over Z[i] by Bareiss' fraction-free
-    elimination: after step k, entry (i, j) of the trailing block is a
-    (k + 2)-minor of m, so each division by the previous pivot is exact."""
-    n = len(m)
-    m = [list(row) for row in m]
-    neg = False
-    pr, pi = 1, 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != (0, 0)), None)
-        if piv is None:
-            return 0, 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            neg = not neg
-        top = m[k]
-        kr, ki = top[k]
-        n2 = pr * pr + pi * pi
-        for i in range(k + 1, n):
-            row = m[i]
-            fr, fi = row[k]
-            for j in range(k + 1, n):
-                (ar, ai), (br, bi) = row[j], top[j]
-                cr = kr * ar - ki * ai - fr * br + fi * bi
-                ci = kr * ai + ki * ar - fr * bi - fi * br
-                row[j] = ((cr * pr + ci * pi) // n2, (ci * pr - cr * pi) // n2)
-        pr, pi = kr, ki
-    return (-pr, -pi) if neg else (pr, pi)
-
-
-def _gauss_adjugate(m) -> tuple[tuple[int, int], list]:
-    """(d, R) with d = +-det m and R = d m^-1 over Z[i], by the Gauss-Jordan
-    form of Bareiss' elimination on [m | I]: every row is updated at every
-    step, all divisions stay exact, and [m | I] ends as [d I | R].  Raises
-    ZeroDivisionError when m is singular."""
-    n = len(m)
-    a = [list(row) + [(int(i == j), 0) for j in range(n)] for i, row in enumerate(m)]
-    pr, pi = 1, 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != (0, 0)), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        top = a[k]
-        kr, ki = top[k]
-        n2 = pr * pr + pi * pi
-        for i in range(n):
-            if i == k:
-                continue
-            row = a[i]
-            fr, fi = row[k]
-            for j, ((ar, ai), (br, bi)) in enumerate(zip(row, top)):
-                cr = kr * ar - ki * ai - fr * br + fi * bi
-                ci = kr * ai + ki * ar - fr * bi - fi * br
-                row[j] = ((cr * pr + ci * pi) // n2, (ci * pr - cr * pi) // n2)
-        pr, pi = kr, ki
-    return (pr, pi), [row[n:] for row in a]
-
-
-def _positive_definite(y: IntMat) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive."""
-    return all(_gauss_det([[(v, 0) for v in row[:k]] for row in y[:k]])[0] > 0
-               for k in range(1, len(y) + 1))
-
-
 def _gauss_affine(a: IntMat, b: IntMat, tau: SiegelPoint) -> list:
     """(a tau + b) 2^s over Z[i], from the integer form tau = (X + iY) / 2^s."""
     x, y, s = tau.int_form
@@ -274,7 +211,7 @@ def _gauss_affine(a: IntMat, b: IntMat, tau: SiegelPoint) -> list:
 
 def _denominator_det(gamma: "SymplecticMatrix", tau: SiegelPoint) -> tuple[int, int]:
     """det(lam tau + mu) 2^(gs) over Z[i]."""
-    return _gauss_det(_gauss_affine(gamma.lam, gamma.mu, tau))
+    return gauss_det(_gauss_affine(gamma.lam, gamma.mu, tau))
 
 
 @dataclass(frozen=True)
@@ -326,11 +263,11 @@ class SymplecticMatrix:
 
     @classmethod
     def basis_change(cls, u: IntMat) -> "SymplecticMatrix":
-        """tau -> u^T tau u for unimodular u.  ``_gauss_adjugate`` gives
+        """tau -> u^T tau u for unimodular u.  ``gauss_adjugate`` gives
         d = +-det u and R = d u^-1, so u^-1 = d R when det u = +-1."""
         g = len(u)
         try:
-            (d, _), adj = _gauss_adjugate([[(x, 0) for x in row] for row in u])
+            (d, _), adj = gauss_adjugate(gaussian(u))
         except ZeroDivisionError:
             d = 0
         if d not in (1, -1):
@@ -349,6 +286,13 @@ class SymplecticMatrix:
     def inverse(self) -> "SymplecticMatrix":
         return SymplecticMatrix(self.g, _int_t(self.mu), _int_neg(_int_t(self.beta)),
                                 _int_neg(_int_t(self.lam)), _int_t(self.alpha))
+
+    @property
+    def keeps_det_im(self) -> bool:
+        """lam = 0: then alpha^T mu = I forces |det mu| = 1, so det Im(gamma.tau)
+        = det Im tau / |det mu|^2 = det Im tau for every tau, and S.1 needs
+        no determinant for gamma."""
+        return not any(any(row) for row in self.lam)
 
 
 def sl2_s() -> SymplecticMatrix:
@@ -376,7 +320,8 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
     """Symmetry defect and smallest exact LDL pivot of Im tau.
 
     Accepts iff the defect is within tolerance and all pivots are positive.
-    The pivots are computed exactly from the dyadic entries, so positive
+    The pivots are exact, D_k / (D_(k-1) 2^s) from the leading minors D_k
+    of the integer form (up to the first that is not positive), so positive
     definiteness is certified, not estimated.
     """
     from mpmath import isfinite
@@ -393,12 +338,14 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
             for j in range(tau.g):
                 d = fabs(tau.entry(i, j) - tau.entry(j, i))
                 defect = max(defect, d)
-    pivots = ldl_pivots(tau.im_fractions())
+    minors = tau._y_minors
+    s = tau.int_form[2]
+    pivot = min(Fraction(d, prev << s) for d, prev in zip(minors, (1,) + minors))
     with workprec(prec + GUARD_BITS):
-        min_pivot = fraction_to_mpf(min(pivots))
+        min_pivot = fraction_to_mpf(pivot)
     tol = default_tol(prec)
     return ValidityReport(tau.g, defect, min_pivot, tol,
-                          bool(defect <= tol and min(pivots) > 0))
+                          bool(defect <= tol and pivot > 0))
 
 
 def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
@@ -406,7 +353,7 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
 
     On the integer form tau = (X + iY) / 2^s, with P = (alpha tau + beta) 2^s
     and N = (lam tau + mu) 2^s over Z[i], gamma.tau = P N^-1 = P adj conj(d)
-    / |d|^2 where ``_gauss_adjugate`` gives d = +-det N and adj = d N^-1.
+    / |d|^2 where ``gauss_adjugate`` gives d = +-det N and adj = d N^-1.
     The Gaussian-integer numerator is symmetrized over the one positive
     denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
     with ``from_rational``, whatever mp.prec is: the rational is the exact
@@ -416,7 +363,7 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
     if gamma.g != g:
         raise ValueError("dimension mismatch")
     try:
-        (dr, di), adj = _gauss_adjugate(_gauss_affine(gamma.lam, gamma.mu, tau))
+        (dr, di), adj = gauss_adjugate(_gauss_affine(gamma.lam, gamma.mu, tau))
     except ZeroDivisionError as e:
         raise NumericalFailure("lam*tau + mu is singular") from e
     p = _gauss_affine(gamma.alpha, gamma.beta, tau)
@@ -439,7 +386,7 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
                            for j in range(g)) for i in range(g))
 
     out = SiegelPoint(g, sym(0), sym(1))
-    if not _positive_definite(out.int_form[1]):
+    if not out.y_positive_definite:
         raise NumericalFailure("action produced a non-definite imaginary part")
     return out
 
@@ -500,7 +447,8 @@ def fundamental_domain_report(tau: SiegelPoint,
     ``default_tol(prec)`` = 2^-t, by integer comparisons on the integer form
     tau = (X + iY) / 2^s: S.2 is |X_ij| 2^(t+1) <= 2^(s+t) + 2^(s+1), the
     S.3 bullets compare xi^T Y xi and Y_k,k+1 with Y_kk and 0 after scaling
-    by 2^t, and S.1 for each generator is one determinant over Z[i].
+    by 2^t, and S.1 for each generator is one determinant over Z[i] (none
+    for a generator that keeps det Im tau, ``keeps_det_im``).
     Only ``s2_max_abs_re`` is rounded, once."""
     g = tau.g
     tol = default_tol(prec)
@@ -544,7 +492,8 @@ def fundamental_domain_report(tau: SiegelPoint,
     d = tau._y_det_scaled
     lhs, rhs = d << (t + 2 * gs), (d << t) + max(1 << gs, d)
     s1_ok = all(lhs <= rhs * (dr * dr + di * di)
-                for dr, di in (_denominator_det(gam, tau) for gam in generators))
+                for dr, di in (_denominator_det(gam, tau) for gam in generators
+                               if not gam.keeps_det_im))
     max_re_m = mp.make_mpf(from_man_exp(max_re, -s, prec + GUARD_BITS, round_nearest))
     return FundamentalDomainReport(g, s2_ok, max_re_m, s3_quad, s3_off, s1_ok,
                                    len(generators), checked, tol)
@@ -607,56 +556,68 @@ def compose_word(word, g: int = 1) -> SymplecticMatrix:
     return gamma
 
 
-def lll_gram(gram: IntMat | Mat) -> IntMat:
-    """Exact LLL over Q for the quadratic form ``gram`` (integer or
-    rational entries), with delta = ``LLL_DELTA``.
+def lll_gram(gram: IntMat) -> IntMat:
+    """Integral LLL on the positive definite integer Gram matrix ``gram``,
+    with delta = ``LLL_DELTA`` (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.6.7).
 
     Returns a unimodular integer matrix U whose columns are the reduced basis
-    in terms of the old one, i.e. U^T G U is LLL-reduced.  Every test
-    compares ratios of the Gram matrix, so a positive multiple of ``gram``
-    gives the same U.
+    in terms of the old one, i.e. U^T G U is LLL-reduced.  The Gram-Schmidt
+    data are integers updated in place: d[i] is the Gram determinant of the
+    first i vectors and lam[k][j] = d[j+1] mu_kj.  Vector k is size-reduced
+    against j = k-1, ..., 0 before its Lovasz test.  Every test compares
+    ratios of the Gram matrix, so a positive multiple of ``gram`` gives the
+    same U.
     """
     n = len(gram)
     if n < 2:
         return _int_identity(n)   # one vector is reduced
-    basis = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
-
-    def ip(u, v) -> Fraction:
-        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-
-    def gso():
-        star = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            v = list(basis[i])
-            for j in range(i):
-                mu[i][j] = ip(basis[i], star[j]) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms.append(ip(v, v))
-        return mu, norms
-
-    mu, norms = gso()
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = gram[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     k = 1
     guard = 0
     while k < n:
         guard += 1
         if guard > 10000:
             raise ReductionError("LLL failed to terminate")
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = (mu[k][j] + Fraction(1, 2)).__floor__()
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                # r = floor(mu_kj + 1/2)
+                r = (2 * lk[j] + dj) // (2 * dj)
                 basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
-                mu, norms = gso()
-        if norms[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lk[j] -= r * dj
+                for i in range(j):
+                    lk[i] -= r * lam[j][i]
+        m = lk[k - 1]
+        # Lovasz: |b*_k|^2 >= (delta - mu^2) |b*_(k-1)|^2, times d_k d_(k-1)
+        if den * (d[k + 1] * d[k - 1] + m * m) >= num * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = gso()
-            k = max(k - 1, 1)
-    u_cols = [[int(x) for x in b] for b in basis]
-    return tuple(tuple(u_cols[j][i] for j in range(n)) for i in range(n))
+            continue
+        # swap vectors k - 1 and k (Cohen's SWAPI): d_k and the lam of the
+        # later vectors change, lam[k][k-1] does not
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
 
 
 def _congruence(u: IntMat, a: IntMat) -> IntMat:
@@ -739,7 +700,7 @@ def reduce_heuristic(tau: SiegelPoint,
     """
     g = tau.g
     t = _tol_bits(prec)
-    if not _positive_definite(tau.int_form[1]):
+    if not tau.y_positive_definite:
         raise ValueError("imaginary part must be positive definite")
     if generators is None:
         generators = default_generators(g)
@@ -776,12 +737,12 @@ def reduce_heuristic(tau: SiegelPoint,
                 moved = True
             # (c) first generator in list order that raises det Im by more
             # than the factor 1 + tol, by det Im(gen.cur) = det Im(cur) /
-            # |det(lam cur + mu)|^2; lam = 0 forces |det mu| = 1, no change.
-            # With N = (lam cur + mu) 2^s, |det(lam cur + mu)|^2 (1 + 2^-t)
-            # >= 1 is |det N|^2 (2^t + 1) >= 2^(t + 2gs): ties stay
+            # |det(lam cur + mu)|^2.  With N = (lam cur + mu) 2^s,
+            # |det(lam cur + mu)|^2 (1 + 2^-t) >= 1 is |det N|^2 (2^t + 1)
+            # >= 2^(t + 2gs): ties stay
             keep = 1 << (t + 2 * g * cur.int_form[2])
             for gen in generators:
-                if not any(any(row) for row in gen.lam):
+                if gen.keeps_det_im:
                     continue
                 dr, di = _denominator_det(gen, cur)
                 if (dr * dr + di * di) * ((1 << t) + 1) >= keep:

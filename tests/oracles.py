@@ -3,8 +3,10 @@
 These deliberately avoid the package's own evaluation paths: plain
 term-by-term mpmath sums with a fixed box radius, mpmath's Cholesky for
 pivot checks, the Siegel action both in mpmath matrix arithmetic and by
-Gauss-Jordan over Q(i), and |det(lam tau + mu)|^2 as the determinant of a
-real 2g x 2g form over Q.
+Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
+real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
+(Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
+Gram-Schmidt recomputed after every step).
 """
 import itertools
 from fractions import Fraction
@@ -167,3 +169,118 @@ def real_form(gamma, re_rows, im_rows):
     b = prod(gamma.lam, im_rows)
     return ([ra + [-v for v in rb] for ra, rb in zip(a, b)]
             + [rb + ra for ra, rb in zip(a, b)])
+
+
+def frac_det(a):
+    """Determinant over Q by Gaussian elimination with row exchanges."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            d = -d
+        d *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return d
+
+
+def frac_inverse(a):
+    """Inverse over Q by Gauss-Jordan on [a | I]."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def ldl_pivots(y):
+    """Pivots of the LDL^T decomposition of a symmetric matrix over Q, up to
+    and including the first that is not positive."""
+    n = len(y)
+    m = [[Fraction(x) for x in row] for row in y]
+    pivots = []
+    for k in range(n):
+        p = m[k][k]
+        pivots.append(p)
+        if p <= 0:
+            break
+        for i in range(k + 1, n):
+            f = m[i][k] / p
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return pivots
+
+
+def frac_min_eig_lower_bound(y, sqrt_upper):
+    """The lower bound on the smallest eigenvalue of a symmetric Y over Q:
+    Y itself at g = 1, the lower root of the characteristic polynomial with
+    sqrt_upper(discriminant) at g = 2, and 1/||Y^-1||_inf after a positive
+    LDL at g >= 3; nonpositive when Y is not positive definite."""
+    n = len(y)
+    y = [[Fraction(x) for x in row] for row in y]
+    if n == 1:
+        return y[0][0]
+    if n == 2:
+        t = y[0][0] + y[1][1]
+        d = y[0][0] * y[1][1] - y[0][1] * y[1][0]
+        if d <= 0:
+            return min(d, Fraction(0))
+        return (t - sqrt_upper(t * t - 4 * d)) / 2
+    if min(ldl_pivots(y)) <= 0:
+        return Fraction(0)
+    return 1 / max(sum(abs(x) for x in row) for row in frac_inverse(y))
+
+
+def lll_gram_frac(gram, delta=Fraction(99, 100)):
+    """LLL over Q on the Gram matrix ``gram``: size-reduce vector k against
+    j = k-1, ..., 0, then the Lovasz test, with the Gram-Schmidt data
+    recomputed from scratch after every change of the basis.  Returns U
+    with the reduced basis in its columns."""
+    n = len(gram)
+    basis = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+
+    def ip(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    def gso():
+        star, norms = [], []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = list(basis[i])
+            for j in range(i):
+                mu[i][j] = ip(basis[i], star[j]) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norms.append(ip(v, v))
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = (mu[k][j] + Fraction(1, 2)).__floor__()
+                basis[k] = [x - r * y for x, y in zip(basis[k], basis[j])]
+                mu, norms = gso()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return tuple(tuple(int(basis[j][i]) for j in range(n)) for i in range(n))

@@ -20,6 +20,10 @@ def test_every_wrapped_name_is_a_function_of_its_module():
         mod = importlib.import_module(f"thetaheights.{mod_name}")
         for name in names or ():
             assert inspect.isfunction(getattr(mod, name, None)), f"{mod_name}.{name}"
+    # the box-term hook binds these arguments by name
+    params = inspect.signature(importlib.import_module("thetaheights.theta")
+                               .theta_truncated).parameters
+    assert {"tau", "radius"} <= set(params)
 
 
 def test_bench_selftest_passes_with_its_digests():

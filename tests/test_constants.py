@@ -208,9 +208,13 @@ def test_table_and_grid_cap():
     (constants.M_const, (2, 1, 96)),
     (constants.c_g, (2, 96)),
     (constants.C_matrix, (1, 96)),
+    (constants.C1, (1, 2, 96)),
+    (constants.C2, (1, 2, 96)),
+    (constants.C3, (1, 2, 96)),
     (constants.hF_lower, (2, 1, 96)),
     (constants.bost_lower, (1, 96)),
-], ids=["m_const", "M_const", "c_g", "C_matrix", "hF_lower", "bost_lower"])
+], ids=["m_const", "M_const", "c_g", "C_matrix", "C1", "C2", "C3", "hF_lower",
+        "bost_lower"])
 def test_cached_constants_do_not_depend_on_the_callers_precision(fn, args, fill, read):
     # each constant runs under its own workprec, so a value cached at one
     # global precision is bitwise the value computed afresh at another
@@ -223,6 +227,15 @@ def test_cached_constants_do_not_depend_on_the_callers_precision(fn, args, fill,
     assert cached is first
     assert cached.value._mpf_ == fresh.value._mpf_
     assert cached.err._mpf_ == fresh.err._mpf_
+
+
+def test_table_forms_each_composite_constant_once():
+    # the dominance flags, the entries and c_lattice all read C1, C2 and C3
+    composites = (constants.C1, constants.C2, constants.C3)
+    for fn in composites:
+        fn.cache_clear()
+    constants.table(2, 4)
+    assert [fn.cache_info().misses for fn in composites] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("g", range(1, constants.TABLE_MAX_G + 1))

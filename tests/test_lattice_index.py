@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from thetaheights import lattices, sampling
 from thetaheights.campaign import CampaignConfig, compute_sample, run_campaign
 from thetaheights.certified import FAIL, PASS
-from thetaheights.exactla import inverse, matvec, transpose
+from thetaheights.exactla import inverse, matvec
 from thetaheights.lattices import (IntegerLattice, LatticeError, delta_exact,
                                    dual, index, intersect, lattice_sum,
                                    quotient_card)
@@ -17,7 +17,7 @@ from thetaheights.lattices import (IntegerLattice, LatticeError, delta_exact,
 
 def frac_dual(l):
     """(B^-1)^T with an exact Fraction inverse."""
-    return IntegerLattice.from_rows(transpose(inverse(l.basis_fractions())))
+    return IntegerLattice.from_rows(tuple(zip(*inverse(l.basis_fractions()))))
 
 
 def frac_intersect(l1, l2):

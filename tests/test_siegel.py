@@ -7,21 +7,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, fabs, sqrt, workprec
 
-from thetaheights import sampling, siegel
-from thetaheights.exactla import det, mpf_to_fraction
+from thetaheights import exactla, sampling, siegel
+from thetaheights.certified import GUARD_BITS
+from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  compose_word, default_generators, default_tol,
                                  fundamental_domain_report, lll_gram,
                                  reduce_g1, reduce_heuristic,
                                  reduced_basis_change, sl2_s, sl2_t, validate)
 
-from oracles import act_exact, act_mp, cholesky_min_pivot, real_form
+from oracles import (act_exact, act_mp, cholesky_min_pivot, frac_det,
+                     frac_inverse, frac_min_eig_lower_bound, ldl_pivots,
+                     lll_gram_frac, real_form)
 
 I = mpc(0, 1)
 
 
 def sp(*rows):
     return SiegelPoint.from_rows(list(rows))
+
+
+def fraction_parts(tau):
+    """(Re tau, Im tau) as rows of Fractions, read off the integer form."""
+    x, y, s = tau.int_form
+    return tuple(tuple(tuple(Fraction(v, 1 << s) for v in row) for row in m)
+                 for m in (x, y))
 
 
 def test_validate_identity_g2():
@@ -119,12 +129,12 @@ def test_act_is_exact_then_rounded_once(g):
             assert ([x._mpf_ for part in (at_53.re, at_53.im) for row in part for x in row]
                     == [x._mpf_ for part in (at_300.re, at_300.im) for row in part for x in row])
             # the S.1 identity over Z[i] against the real form over Q
-            x, y = tau.re_fractions(), tau.im_fractions()
+            x, y = fraction_parts(tau)
             dr, di = siegel._denominator_det(gamma, tau)
             abs2 = Fraction(dr * dr + di * di, 4 ** (g * tau.int_form[2]))
-            assert abs2 == det(real_form(gamma, x, y))
+            assert abs2 == frac_det(real_form(gamma, x, y))
             _, im = act_exact(gamma, x, y)
-            assert tau.y_det / abs2 == det(im)
+            assert tau.y_det / abs2 == frac_det(im)
 
 
 def test_gaussian_bareiss_det_and_adjugate():
@@ -149,14 +159,14 @@ def test_gaussian_bareiss_det_and_adjugate():
         n = rng.randint(1, 4)
         m = [[(0, 0) if rng.random() < 0.3 else (rng.randint(-9, 9), rng.randint(-9, 9))
               for _ in range(n)] for _ in range(n)]
-        d = siegel._gauss_det(m)
+        d = exactla.gauss_det(m)
         assert d == leibniz(m)
         if d == (0, 0):
             singular += 1
             with pytest.raises(ZeroDivisionError):
-                siegel._gauss_adjugate(m)
+                exactla.gauss_adjugate(m)
             continue
-        dd, adj = siegel._gauss_adjugate(m)
+        dd, adj = exactla.gauss_adjugate(m)
         assert dd in (d, (-d[0], -d[1]))
         for i in range(n):
             for j in range(n):
@@ -332,7 +342,8 @@ def test_reduce_g1_round_trip(seed):
     # every comparison over Q: at 53 bits, a 160-bit det minus the tolerance
     # can round up past an equal neighbour
     tol = mpf_to_fraction(default_tol(128))
-    x, y = res.reduced.re_fractions()[0][0], res.reduced.im_fractions()[0][0]
+    re, im = fraction_parts(res.reduced)
+    x, y = re[0][0], im[0][0]
     assert abs(x) <= Fraction(1, 2)
     assert x * x + y * y >= (1 - tol) ** 2
     hist = [mpf_to_fraction(d) for d in cert.det_history]
@@ -364,7 +375,7 @@ def test_heuristic_g2_certificates():
         res = reduce_heuristic(tau, prec=96)
         rep = res.certificate.report
         assert rep.s2_ok
-        assert max(abs(x) for row in res.reduced.re_fractions() for x in row) \
+        assert max(abs(x) for row in fraction_parts(res.reduced)[0] for x in row) \
             <= Fraction(1, 2)
         hist = [mpf_to_fraction(d) for d in res.certificate.det_history]
         assert all(hist[i + 1] >= hist[i] - Fraction(1, 2 ** 40)
@@ -374,16 +385,119 @@ def test_heuristic_g2_certificates():
 
 def test_lll_gram_reduces():
     # 10 Im tau for Im tau = [[1, 9/10], [9/10, 1]]: LLL compares ratios of
-    # the Gram matrix only, so both give the same U
+    # the Gram matrix only, so an integer multiple gives the same U
     y = ((10, 9), (9, 10))
     u = lll_gram(y)
     assert u != ((1, 0), (0, 1))
-    assert lll_gram(tuple(tuple(Fraction(v, 10) for v in row) for row in y)) == u
+    assert lll_gram(tuple(tuple(7 * v for v in row) for row in y)) == u
     v = reduced_basis_change(y)
     # unimodular and size-reduced output: |y12| <= y11/2 <= y22/2
     yy = siegel._congruence(v, y)
     assert abs(yy[0][1]) * 2 <= yy[0][0] <= yy[1][1]
     assert yy[0][1] >= 0
+
+
+def test_lll_gram_matches_the_fraction_oracle():
+    # integral LLL takes the steps of LLL over Q with the whole Gram-Schmidt
+    # recomputed after each, so it returns the same U; Grams made unreduced
+    # by a random unimodular congruence make it size-reduce and swap, and
+    # Grams with |mu| = 1/2 exactly test the size-reduction bound
+    for gram in (((2, 1), (1, 2)), ((2, -1), (-1, 2)), ((2, 1, 1), (1, 2, 1), (1, 1, 2)),
+                 ((4, 2, 0), (2, 2, 1), (0, 1, 4))):
+        assert lll_gram(gram) == lll_gram_frac(gram, siegel.LLL_DELTA)
+    rng = random.Random(29)
+    moved = 0
+    for _ in range(150):
+        g = rng.randint(2, 4)
+        y = sampling.random_siegel_point(rng, g).int_form[1]
+        u0 = sampling.random_unimodular(rng, g, rng.randint(0, 16))
+        gram = siegel._congruence(u0, y)
+        u = lll_gram(gram)
+        assert u == lll_gram_frac(gram, siegel.LLL_DELTA)
+        moved += u != siegel._int_identity(g)
+    assert moved > 75
+
+
+def _exact_data_points():
+    """Seeded points at g = 1..4, and their images under the inversion,
+    whose integer forms need a larger shift s."""
+    for g in range(1, 5):
+        for k in range(5):
+            rng = sampling.substream(23, f"exact:{g}:{k}")
+            tau = sampling.random_siegel_point(rng, g)
+            yield tau
+            yield act(SymplecticMatrix.inversion(g), tau, 160)
+
+
+def test_exact_y_data_match_the_fraction_oracles():
+    # every exact datum of Im tau comes from the integer form through one
+    # elimination; the Fraction definitions give the same numbers
+    for tau in _exact_data_points():
+        y = fraction_parts(tau)[1]
+        assert tau.y_inverse == frac_inverse(y) == exactla.inverse(y)
+        assert tau.y_det == frac_det(y)
+        assert tau.y_min_eig_lower_bound == frac_min_eig_lower_bound(
+            y, exactla._sqrt_upper)
+        assert tau.y_min_eig_lower_bound > 0
+        with workprec(96 + GUARD_BITS):
+            assert validate(tau, 96).min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0]], [[-1]],
+    [[0, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]], [[-1, 0], [0, 2]],
+    [[1, 2], [2, 1]], [[-1, 0], [0, -1]],
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[2, 1, 0], [1, 2, 1], [0, 1, -3]],
+    [[-1, 0, 0], [0, -1, 0], [0, 0, 1]],
+], ids=lambda rows: str(rows).replace(" ", ""))
+def test_definiteness_verdicts_on_zero_and_negative_minors(rows):
+    tau = sp(*[[mpc(0, v) for v in row] for row in rows])
+    y = fraction_parts(tau)[1]
+    assert not tau.y_positive_definite
+    rep = validate(tau, 96)
+    assert not rep.valid
+    with workprec(96 + GUARD_BITS):
+        assert rep.min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
+    assert tau.y_det == frac_det(y)
+    lam = tau.y_min_eig_lower_bound
+    assert lam <= 0 and lam == frac_min_eig_lower_bound(y, exactla._sqrt_upper)
+    with pytest.raises(ValueError, match="positive definite"):
+        reduce_heuristic(tau, prec=96)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_generators_that_keep_det_im_need_no_determinant(g, monkeypatch):
+    # lam = 0 forces |det mu| = 1, so det Im(gamma.tau) = det Im tau: the S.1
+    # report skips such generators by the rule step (c) uses, and its
+    # verdict is that of checking every generator
+    gens = default_generators(g)
+    kept = [gen for gen in gens if gen.keeps_det_im]
+    assert kept and all(abs(frac_det(gen.mu)) == 1 for gen in kept)
+    real_det = siegel._denominator_det
+    asked = []
+
+    def counting_det(gamma, tau):
+        asked.append(gamma)
+        return real_det(gamma, tau)
+
+    monkeypatch.setattr(siegel, "_denominator_det", counting_det)
+    t = siegel._tol_bits(96)
+    verdicts = set()
+    for k in range(6):
+        tau = sampling.random_siegel_point(sampling.substream(31, f"keep:{g}:{k}"), g)
+        asked.clear()
+        rep = fundamental_domain_report(tau, prec=96)
+        # the first failing generator ends the check
+        needed = [gen for gen in gens if not gen.keeps_det_im]
+        assert asked == needed[:len(asked)]
+        assert asked == needed or not rep.s1_ok
+        assert rep.s1_generators_checked == len(gens)
+        gs, d = g * tau.int_form[2], tau._y_det_scaled
+        lhs, rhs = d << (t + 2 * gs), (d << t) + max(1 << gs, d)
+        assert rep.s1_ok == all(lhs <= rhs * (dr * dr + di * di)
+                                for dr, di in (real_det(gen, tau) for gen in gens))
+        verdicts.add(rep.s1_ok)
+    assert verdicts == {True, False}
 
 
 def _mpf_key(x):

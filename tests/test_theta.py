@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import (exp, expjpi, fadd, fabs, gamma, log, mp, mpf, mpc, pi, sqrt,
                     workprec)
 
-from thetaheights import heights, sampling
+from thetaheights import exactla, heights, sampling
 from thetaheights import theta as theta_module
 from thetaheights.certified import GUARD_BITS, PrecisionError
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
@@ -277,6 +277,26 @@ def test_reduce_first_signal():
         theta(tau, prec=128)
 
 
+def test_tiny_g2_point_asks_for_reduction_like_g1():
+    # Im tau = diag(2^-66, 2^-65): the square root of the discriminant is
+    # 2^-66, below an absolute 1e-18 grid; the bound is relative, so it
+    # stays positive and theta asks for reduction, as at g = 1
+    tiny = (mpf(2) ** -66, mpf(2) ** -65)
+    tau = SiegelPoint.from_rows([[mpc(0, tiny[i]) if i == j else 0 for j in range(2)]
+                                 for i in range(2)])
+    assert 0 < tau.y_min_eig_lower_bound <= Fraction(1, 2 ** 66)
+    for point in (tau, SiegelPoint.from_complex(mpc(0, tiny[0]))):
+        with pytest.raises(ReduceFirstError):
+            theta(point)
+
+
+def test_sqrt_upper_is_a_relative_upper_bound():
+    for q in (Fraction(1, 2 ** 132), Fraction(1, 3 * 10 ** 50), Fraction(2, 3),
+              Fraction(5), Fraction(10 ** 40, 7), Fraction(2 ** 300 + 1)):
+        r = exactla._sqrt_upper(q)
+        assert q <= r * r <= q * (1 + Fraction(1, 10 ** 18)) ** 2
+
+
 def test_truncation_radius_validation():
     for radius in (-1, 4001):
         with pytest.raises(ValueError):
@@ -429,7 +449,8 @@ def test_coset_identity_at_the_coset_points(g, r, w_zero):
     ab = [(a, b) for a in itertools.product(range(r), repeat=g)
           for b in itertools.product(range(r), repeat=g)]
     assert len(reps) == len(ab) == r ** (2 * g)
-    x, y = tau.re_fractions(), tau.im_fractions()
+    *parts, shift = tau.int_form
+    x, y = ([[Fraction(v, 1 << shift) for v in row] for row in m] for m in parts)
     w_im = [mpf_to_fraction(wk.imag) for wk in w]
     quad = sum(w_im[i] * tau.y_inverse[i][j] * w_im[j]
                for i in range(g) for j in range(g))
