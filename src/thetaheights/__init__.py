@@ -12,12 +12,11 @@ from .siegel import (SiegelPoint, SymplecticMatrix, ReductionResult,
                      act, fundamental_domain_report, reduce_g1,
                      reduce_heuristic, validate)
 from .theta import (CosetSet, ThetaCharacteristic, beta_sigma, coset_set,
-                    theta_norm, theta_norm_char, theta_null_vector,
+                    theta_norm, theta_null_vector,
                     verify_duplication, verify_norm_bounds)
 from .heights import (EllipticCurveQ, HeightReport, PeriodLattice,
-                      faltings_height_g1, lambda_invariant, load_corpus,
-                      matrix_lemma_check, periods_agm, point_bound_rhs,
-                      theta_height_g1, window_check)
+                      faltings_height_g1, load_corpus, matrix_lemma_check,
+                      periods_agm, point_bound_rhs, window_check)
 from .lattices import (IntegerLattice, delta, delta_exact, intersect,
                        lattice_sum, quotient_card, scaling_invariance_check)
 from .campaign import CampaignConfig, CampaignReport, replay, run_campaign

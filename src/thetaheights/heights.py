@@ -246,12 +246,6 @@ def faltings_height_g1(curve: EllipticCurveQ,
 # theta height
 
 
-def lambda_invariant(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Fraction:
-    """The exact rational among the six cross-ratios of the 2-torsion roots
-    that matches theta2^4/theta3^4 at the reduced period matrix."""
-    return theta_height_details(curve, prec).lam
-
-
 @dataclass(frozen=True)
 class ThetaHeightDetails:
     h_theta: CertifiedReal
@@ -312,14 +306,12 @@ def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice,
     return ThetaHeightDetails(h, fin, arch, lam, red.reduced, red, jac)
 
 
-def theta_height_g1(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    """Weil height of the level-2 theta-null point, l2 convention at the
-    archimedean place; always nonnegative."""
-    return theta_height_details(curve, prec).h_theta
-
-
 def theta_height_details(curve: EllipticCurveQ,
                          prec: int = DEFAULT_PREC) -> ThetaHeightDetails:
+    """``h_theta``: the Weil height of the level-2 theta-null point, l2
+    convention at the archimedean place, always nonnegative.  ``lam``: the
+    exact rational among the six cross-ratios of the 2-torsion roots that
+    matches theta2^4/theta3^4 at the reduced period matrix."""
     return _pipeline(curve, periods_agm(curve, prec), prec)
 
 

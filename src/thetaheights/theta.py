@@ -48,13 +48,13 @@ the certified bound decides, so every radius is the one the certified
 bound alone would choose.  The certified tail is evaluated once per
 (s, radius), by ``_theta_groups``.
 
-The exact data of Im tau (Y as Fractions, Y^-1, the lambda_min lower bound,
-det Y) are cached on the ``SiegelPoint``, so every characteristic and every
-z at one tau reuses them; the data of z (u = Y^-1 Im z and xi) are formed
-once per (tau, z) and passed down with z (``_At``).  Every function here
-uses z exactly as passed (mpf/mpc entries are not rounded to mp.prec), so
-its radius and bound are the ones for that z, and no result depends on
-mp.prec.
+The exact data of Im tau (its integer form, Y^-1, the lambda_min lower
+bound, det Y) are cached on the ``SiegelPoint``, so every characteristic
+and every z at one tau reuses them; the data of z (u = Y^-1 Im z and xi)
+are formed once per (tau, z) and passed down with z (``_At``).  Every
+function here uses z exactly as passed (mpf/mpc entries are not rounded to
+mp.prec), so its radius and bound are the ones for that z, and no result
+depends on mp.prec.
 """
 from __future__ import annotations
 
@@ -227,6 +227,9 @@ def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
     are the point's cached exact data."""
     lam = tau.y_min_eig_lower_bound
     if lam <= 0:
+        if tau.y_positive_definite:
+            raise ReduceFirstError("the eigenvalue bound of Im tau is not "
+                                   "positive; reduce tau first")
         raise ValueError("Im tau is not positive definite")
     y_vec = tuple(mpf_to_fraction(w.imag) for w in z)
     if not any(y_vec):
@@ -944,27 +947,18 @@ def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
 # invariant norms
 
 
-def _det_y_root(tau: SiegelPoint, power: Fraction) -> CertifiedReal:
-    d = fraction_to_mpf(abs(tau.y_det))
-    return CertifiedReal.rounded(d ** fraction_to_mpf(power))
-
-
-def _norm_scale(tau: SiegelPoint, z) -> CertifiedReal:
-    """det(Y)^(1/4) exp(-pi y^T Y^-1 y), y = Im z; call inside the
-    working-precision scope."""
-    _, xi, _ = _at(tau, z).tail
-    scale = _det_y_root(tau, Fraction(1, 4))
-    if xi:
-        scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-    return scale
-
-
-def _norms(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
-    """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_char(tau, z)| for each char,
-    all from one walk; call inside the working-precision scope."""
+def _moduli2(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
+    """exp(-2 pi y^T Y^-1 y) |theta_char(tau, z)|^2 for each char, y = Im z,
+    all from one walk: the squared invariant norms with det(Y)^(1/2)
+    cancelled.  Call inside the working-precision scope."""
     zt = _at(tau, z)
-    scale = _norm_scale(tau, zt)
-    return [scale * th.abs() for th in _theta_batch(tau, zt, chars, prec, tol, phase=False)]
+    _, xi, _ = zt.tail
+    mods = [m * m for m in (th.abs() for th in
+                            _theta_batch(tau, zt, chars, prec, tol, phase=False))]
+    if xi:
+        weight = CertifiedReal.rounded(-2 * pi * fraction_to_mpf(xi)).exp()
+        mods = [weight * m for m in mods]
+    return mods
 
 
 def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
@@ -972,14 +966,11 @@ def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
     """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta(tau, z)|."""
     with workprec(prec + GUARD_BITS):
         zt = _at(tau, z)
-        return _norm_scale(tau, zt) * theta(tau, zt, None, prec, tol).abs()
-
-
-def theta_norm_char(tau: SiegelPoint, char: ThetaCharacteristic,
-                    prec: int = DEFAULT_PREC, tol=None) -> CertifiedReal:
-    """det(Y)^(1/4) |theta_(m1,m2)(tau, 0)|; the norm is only needed at z = 0."""
-    with workprec(prec + GUARD_BITS):
-        return _norms(tau, None, [char], prec, tol)[0]
+        _, xi, _ = zt.tail
+        scale = CertifiedReal.rounded(tau.det_im() ** (mpf(1) / 4))
+        if xi:
+            scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
+        return scale * theta(tau, zt, None, prec, tol).abs()
 
 
 def theta_null_vector(tau: SiegelPoint, r: int,
@@ -1008,15 +999,18 @@ def _log_norm_sum(norms2: list[CertifiedReal], g: int) -> CertifiedReal:
 
 def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
                tol=None) -> CertifiedReal:
-    """-(1/2) log(2^(g/2) sum over the coset set of ||theta||^2(tau, rz+e)).
+    """-(1/2) log(2^(g/2) sum over the coset set of ||theta||^2(tau, rz+e)),
+    formed as -(1/2) log(2^(g/2) sum of the det-free ``_moduli2``) minus
+    (1/4) log det Im tau.
 
     r z is formed exactly, and each coset norm is the characteristic norm of
     ``_coset_chars`` at r z, so the bound holds for the exact points r z + e."""
     g = tau.g
     with workprec(prec + GUARD_BITS):
         w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
-        norms2 = [nv * nv for nv in _norms(tau, w, _coset_chars(g, r), prec, tol)]
-        return _log_norm_sum(norms2, g) * CertifiedReal.exact(mpf(-1) / 2)
+        mods = _moduli2(tau, w, _coset_chars(g, r), prec, tol)
+        return (_log_norm_sum(mods, g) * CertifiedReal.exact(mpf(-1) / 2)
+                - CertifiedReal.rounded(log(tau.det_im()) / 4))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,11 +1019,17 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
 
 @dataclass(frozen=True)
 class NormBoundsReport:
-    """Certified check of the two-sided invariant-norm bounds.
+    """Certified check of the two-sided invariant-norm bounds, each decided
+    with the factor det(Y)^(1/2) of ||theta||^2 cancelled (Y = Im tau).
 
-    ``max_lower``: max_e ||theta||^2(tau, e) >= det(Im tau)^(1/2), valid on
-    the whole Siegel space.  ``upper`` and the combined window additionally
-    assume tau was reduced (caller's responsibility, flag echoed here).
+    ``max_lower``: max_e ||theta||^2(tau, e) >= det(Y)^(1/2), valid on the
+    whole Siegel space, decided as max_e |theta_e(tau, 0)|^2 >= 1.
+    ``upper``: ||theta||^2(tau, z) <= c_g det(Y)^(1/2), decided as
+    exp(-2 pi y^T Y^-1 y) |theta(tau, z)|^2 <= c_g with y = Im z.  The
+    combined window bounds (1/2) log(2^(g/2) sum_e ||theta_e||^2) -
+    (1/4) log det Y, which equals (1/2) log(2^(g/2) sum_e |theta_e|^2).
+    ``upper`` and the combined window assume tau was reduced (caller's
+    responsibility, flag echoed here).
     """
     g: int
     r: int
@@ -1049,23 +1049,22 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
                        prec: int = DEFAULT_PREC, tol=None,
                        assume_reduced: bool = False) -> NormBoundsReport:
     """The coset norms are the characteristic norms of ``_coset_chars`` at
-    w = 0, so the bounds hold for the exact coset points."""
+    w = 0, so the bounds hold for the exact coset points; every check reads
+    the det-free ``_moduli2`` (see ``NormBoundsReport``)."""
     from . import constants
     _check_level(r)
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        norms2 = [nv * nv for nv in _norms(tau, None, _coset_chars(g, r), prec, tol)]
-        lhs = _interval(max(v.lo for v in norms2), max(v.hi for v in norms2))
-        det_root = _det_y_root(tau, Fraction(1, 2))
-        max_lower = certified_le(det_root, lhs)
+        mods = _moduli2(tau, None, _coset_chars(g, r), prec, tol)
+        top = _interval(max(v.lo for v in mods), max(v.hi for v in mods))
+        max_lower = certified_le(CertifiedReal.exact(1), top)
 
         upper = combined_lower = combined_upper = None
         if assume_reduced:
             c_g = constants.c_g(g, prec)
-            nz = theta_norm(tau, z, prec, tol)
-            upper = certified_le(nz * nz, c_g * det_root)
-            mid = (_log_norm_sum(norms2, g) * CertifiedReal.exact(mpf(1) / 2)
-                   - det_root.log() * CertifiedReal.exact(mpf(1) / 2))
+            zero = ThetaCharacteristic.from_integers(r, (0,) * g, (0,) * g)
+            upper = certified_le(_moduli2(tau, z, [zero], prec, tol)[0], c_g)
+            mid = _log_norm_sum(mods, g) * CertifiedReal.exact(mpf(1) / 2)
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
             hi_const = (c_g.log() * CertifiedReal.exact(mpf(1) / 2)
                         + lo_const + CertifiedReal.rounded(g * log(r)))

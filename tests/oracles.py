@@ -7,6 +7,10 @@ Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
 real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
 (Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
 Gram-Schmidt recomputed after every step).
+
+One reference is not independent: ``beta_sigma_det_scaled`` keeps the
+former det-scaled formula of beta_sigma over the package's own theta
+values, so that a test can compare the two formulas alone.
 """
 import itertools
 from fractions import Fraction
@@ -52,6 +56,31 @@ def theta_norm_brute(tau_rows, z=None, n=BRUTE_RADIUS):
     dety = mdet(y_mat)
     quad = sum(y_vec[i] * lu_solve(y_mat, y_vec)[i] for i in range(g))
     return dety ** mpf("0.25") * exp(-pi * quad) * fabs(theta_brute(tau_rows, z, n=n))
+
+
+def beta_sigma_det_scaled(tau, z, r, prec):
+    """beta_sigma as -(1/2) log(2^(g/2) sum_e ||theta_e||^2), each coset
+    norm det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta_e(tau, r z)| squared, with
+    the package's certified arithmetic and coset theta values."""
+    from mpmath import fmul, log
+    from thetaheights import theta as th
+    from thetaheights.certified import GUARD_BITS, CertifiedReal
+    from thetaheights.exactla import fraction_to_mpf
+    from thetaheights.siegel import as_mpc
+    g = tau.g
+    with workprec(prec + GUARD_BITS):
+        w = th._at(tau, None if z is None else
+                   [fmul(r, as_mpc(x), exact=True) for x in z])
+        _, xi, _ = w.tail
+        scale = CertifiedReal.rounded(fraction_to_mpf(tau.y_det) ** (mpf(1) / 4))
+        if xi:
+            scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
+        values = th._theta_batch(tau, w, th._coset_chars(g, r), prec, None, phase=False)
+        norms = [scale * v.abs() for v in values]
+        norms2 = [nv * nv for nv in norms]
+        total = sum(norms2[1:], norms2[0])
+        two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2))
+        return (two_pow * total).log() * CertifiedReal.exact(mpf(-1) / 2)
 
 
 def cholesky_min_pivot(y_rows):

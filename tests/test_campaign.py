@@ -96,17 +96,25 @@ def test_compute_sample_is_pure():
     assert compute_sample(cfg, "tri:0") == compute_sample(cfg, "tri:0")
 
 
-@pytest.mark.parametrize("g, r, samples, digest", [
-    (1, 2, 100, "1cb4220f375b975debe3776653c649eec16ba26a1e4d3bd7cae7bfa45c2e1ee7"),
-    (2, 2, 24, "97df65469458f774222a839154f12ab77acf1cf96faf34a38d01028d9cf443cb"),
-    (2, 4, 4, "31db360cc96e8fec2beaf36c2934f1fdd25f698fe53c8944082c2aaed3841bc5"),
-])
-def test_norm_bounds_reports_are_pinned(g, r, samples, digest):
-    # sha256 of to_csv() + to_json(), taken while every coset characteristic
-    # was summed over its own box walk
+@pytest.mark.parametrize("g, r, samples, digest, verdicts", [
+    (1, 2, 100, "aee8ab77dcdf8380e4d8a5f5c35b2be30ba0035b6b9113f8a13db72ccd36a698",
+     "572a606e7320402c19658851d8e7ddd89a5b6915e696ff454124024444db2fe7"),
+    (2, 2, 24, "8a36af3e7aab5a0908591a2db57768c773007249222dda4317833f4ef7dd91cf",
+     "738ff82f26a493cbdce46b623b6d9b4ce4e1d14158360a7392bdcc4400387b2c"),
+    (2, 4, 4, "1adbe8ece94299c41ad95ff9cd9a8beeb762df0e8a5703c9cde942808940611a",
+     "41074ab5888c32713ed451f413793a7a25f80a5e5c0a86b9e8362e065f3f7efc"),
+], ids=["g1-r2", "g2-r2", "g2-r4"])
+def test_norm_bounds_reports_are_pinned(g, r, samples, digest, verdicts):
+    # digest: sha256 of to_csv() + to_json(), taken once the prop-i and
+    # prop-ii rows printed their det-free lhs, rhs and margin (det Im tau
+    # cancelled from both sides).  verdicts: sha256 of the (sample id,
+    # check, verdict) projection, which no change of how a check is formed
+    # may move
     cfg = CampaignConfig(suite="norm-bounds", samples=samples, seed=56,
                          prec=96, g=g, r=r)
     rep = run_campaign(cfg)
+    projection = "".join(f"{row.sample_id},{row.check},{row.verdict}\n" for row in rep.rows)
+    assert hashlib.sha256(projection.encode()).hexdigest() == verdicts
     assert hashlib.sha256((rep.to_csv() + rep.to_json()).encode()).hexdigest() == digest
 
 

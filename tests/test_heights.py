@@ -8,10 +8,10 @@ from thetaheights.certified import CertifiedReal
 from thetaheights import heights
 from thetaheights import theta as theta_module
 from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
-                                  faltings_height_g1, lambda_invariant,
-                                  load_corpus, matrix_lemma_check, periods_agm,
+                                  faltings_height_g1, load_corpus,
+                                  matrix_lemma_check, periods_agm,
                                   point_bound_rhs, theta_height_details,
-                                  theta_height_g1, window_check)
+                                  window_check)
 from thetaheights import constants
 from thetaheights.campaign import CampaignConfig, run_campaign
 
@@ -66,7 +66,8 @@ def test_root_permutation_is_accepted_and_lambda_stable():
     perm = EllipticCurveQ(c.a1, c.a2, c.a3, c.a4, c.a6, c.claims,
                           (c.two_torsion_x[1], c.two_torsion_x[2],
                            c.two_torsion_x[0]))
-    assert lambda_invariant(perm) == lambda_invariant(c) == Fraction(9, 25)
+    assert (theta_height_details(perm).lam == theta_height_details(c).lam
+            == Fraction(9, 25))
 
 
 def test_periods_lemniscatic_closed_form():
@@ -108,8 +109,8 @@ def test_faltings_value_15():
 
 
 def test_lambda_by_matching():
-    assert lambda_invariant(curve15()) == Fraction(9, 25)
-    assert lambda_invariant(lemniscatic()) == Fraction(1, 2)
+    assert theta_height_details(curve15()).lam == Fraction(9, 25)
+    assert theta_height_details(lemniscatic()).lam == Fraction(1, 2)
     assert Fraction(9, 25) in cross_ratios(123, -21, -102)
 
 
@@ -128,7 +129,7 @@ def test_theta_height_15_and_nonnegativity():
 
 def test_theta_height_nonnegative_on_corpus_sample():
     for c in load_corpus()[:4]:
-        assert theta_height_g1(c, prec=96).value >= 0
+        assert theta_height_details(c, prec=96).h_theta.value >= 0
 
 
 def test_window_check_15():

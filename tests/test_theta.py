@@ -10,16 +10,18 @@ from mpmath import (exp, expjpi, fadd, fabs, gamma, log, mp, mpf, mpc, pi, sqrt,
 
 from thetaheights import exactla, heights, sampling
 from thetaheights import theta as theta_module
-from thetaheights.certified import GUARD_BITS, PrecisionError
+from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal,
+                                    PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import SiegelPoint, act, reduce_g1, sl2_s, sl2_t
 from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 beta_sigma, choose_radius, coset_set, theta,
-                                theta_norm, theta_norm_char, theta_null_vector,
+                                theta_norm, theta_null_vector,
                                 theta_truncated, verify_duplication,
                                 verify_norm_bounds)
 
-from oracles import theta_brute, theta_brute_batch, theta_norm_brute
+from oracles import (beta_sigma_det_scaled, theta_brute, theta_brute_batch,
+                     theta_norm_brute)
 
 I = mpc(0, 1)
 TAU_I = SiegelPoint.from_complex(I)
@@ -290,6 +292,18 @@ def test_tiny_g2_point_asks_for_reduction_like_g1():
             theta(point)
 
 
+def test_definite_y_with_a_nonpositive_eigenvalue_bound_asks_for_reduction():
+    # Im tau = diag(1.3, 2^-70) is positive definite, but the g = 2
+    # eigenvalue bound subtracts two nearly equal numbers there and comes
+    # out nonpositive: that is a point to reduce, as at g = 1, not a bad Y
+    tau = SiegelPoint.from_rows([[mpc(0, "1.3"), 0], [0, mpc(0, mpf(2) ** -70)]])
+    assert tau.y_positive_definite
+    for call in (lambda: theta(tau), lambda: choose_radius(tau),
+                 lambda: verify_norm_bounds(tau, 2)):
+        with pytest.raises(ReduceFirstError):
+            call()
+
+
 def test_sqrt_upper_is_a_relative_upper_bound():
     for q in (Fraction(1, 2 ** 132), Fraction(1, 3 * 10 ** 50), Fraction(2, 3),
               Fraction(5), Fraction(10 ** 40, 7), Fraction(2 ** 300 + 1)):
@@ -319,14 +333,19 @@ def test_norm_values_at_i():
     assert fabs(vh.value - THETA4_I) < mpf(10) ** -25
 
 
+def _half_char_norms(tau):
+    """det(Y)^(1/4) |theta_(m1,m2)(tau, 0)| for the half-integer
+    characteristics, in the order of ``theta_null_vector``."""
+    with workprec(DEFAULT_PREC + GUARD_BITS):
+        scale = CertifiedReal.rounded(tau.det_im() ** (mpf(1) / 4))
+        return [scale * th.abs() for th in theta_null_vector(tau, 2)]
+
+
 def test_norm_char_values():
-    c00 = ThetaCharacteristic.from_integers(2, [0], [0])
-    c01 = ThetaCharacteristic.from_integers(2, [0], [1])
-    c11 = ThetaCharacteristic.from_integers(2, [1], [1])
-    assert fabs(theta_norm_char(TAU_I, c00).value - THETA3_I) < mpf(10) ** -25
-    assert fabs(theta_norm_char(TAU_I, c01).value - THETA4_I) < mpf(10) ** -25
-    v = theta_norm_char(TAU_I, c11)
-    assert v.value <= v.err
+    n00, n01, _, n11 = _half_char_norms(TAU_I)
+    assert fabs(n00.value - THETA3_I) < mpf(10) ** -25
+    assert fabs(n01.value - THETA4_I) < mpf(10) ** -25
+    assert n11.value <= n11.err
 
 
 def test_norm_lattice_periodicity():
@@ -354,14 +373,10 @@ def test_norm_matches_brute_oracle():
 
 def test_symplectic_norm_invariance_multiset_g1():
     tau = SiegelPoint.from_complex(mpc("0.15", "1.37"))
-    chars = [ThetaCharacteristic.from_integers(2, [a], [b])
-             for a in (0, 1) for b in (0, 1)]
-    base = sorted((theta_norm_char(tau, c) for c in chars),
-                  key=lambda v: v.value)
+    base = sorted(_half_char_norms(tau), key=lambda v: v.value)
     for gamma in (sl2_s(), sl2_t(1)):
         moved = act(gamma, tau)
-        vals = sorted((theta_norm_char(moved, c) for c in chars),
-                      key=lambda v: v.value)
+        vals = sorted(_half_char_norms(moved), key=lambda v: v.value)
         for x, y in zip(base, vals):
             assert fabs(x.value - y.value) <= 10 * (x.err + y.err)
 
@@ -483,12 +498,23 @@ def test_beta_sigma_frozen_value():
     assert fabs(b.value - BETA_I) <= b.err + mpf(10) ** -25
 
 
-def test_beta_sigma_decreases_in_the_norm_sum():
-    # -(1/2) log(2^(g/2) S) is strictly decreasing in S
-    from mpmath import log, sqrt
-    s1, s2 = mpf("2.8"), mpf("2.9")
-    f = lambda s: -log(sqrt(2) * s) / 2
-    assert f(s2) < f(s1)
+def test_beta_sigma_is_the_det_free_norm_sum():
+    # beta_sigma(tau, 0, 2) + (1/4) log det Y = -(1/2) log(2^(g/2) sum_e
+    # |theta_e(tau, 0)|^2) over the 2^(2g) half-integer characteristics,
+    # the identity that lets the norm checks cancel det Y
+    for rows in ([[mpc("0.3", "1.1")]],
+                 [[mpc("0.1", "1.2"), mpc("0.2", "0.3")],
+                  [mpc("0.2", "0.3"), mpc("0.4", "1.5")]]):
+        tau = SiegelPoint.from_rows(rows)
+        g = tau.g
+        b = beta_sigma(tau, None, 2)
+        halves = list(itertools.product((0, Fraction(1, 2)), repeat=g))
+        with workprec(220):
+            total = sum(fabs(theta_brute(rows, None, m1, m2, n=12)) ** 2
+                        for m1 in halves for m2 in halves)
+            ref = -log(mpf(2) ** (mpf(g) / 2) * total) / 2
+            lhs = b.value + log(fraction_to_mpf(tau.y_det)) / 4
+            assert fabs(lhs - ref) <= b.err, g
 
 
 @pytest.mark.parametrize("rows, z, r", [
@@ -498,20 +524,15 @@ def test_beta_sigma_decreases_in_the_norm_sum():
      [mpc("0.1", "0.05"), mpc("-0.2", "0.1")], 2),
 ])
 def test_beta_sigma_keeps_its_value_and_no_larger_error(rows, z, r):
-    # the former sum started from an exact 0 and so added one ulp term of
-    # the total to the error; the shared norm sum starts from the first norm
-    from thetaheights.certified import CertifiedReal
+    # det Y cancelled from the norms and taken once as (1/4) log det Y: the
+    # value stays inside its error of the det-scaled formula, and the error
+    # is no larger
     tau = SiegelPoint.from_rows(rows)
     new = beta_sigma(tau, z, r, prec=96)
-    with workprec(96 + GUARD_BITS):
-        w = None if z is None else [r * x for x in z]
-        total = CertifiedReal.exact(0)
-        for nv in theta_module._norms(tau, w, theta_module._coset_chars(tau.g, r), 96, None):
-            total = total + nv * nv
-        two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(tau.g) / 2))
-        old = (two_pow * total).log() * CertifiedReal.exact(mpf(-1) / 2)
-    assert new.value._mpf_ == old.value._mpf_
-    assert new.err <= old.err
+    ref = beta_sigma_det_scaled(tau, z, r, prec=96)
+    with workprec(300):
+        assert fabs(new.value - ref.value) <= new.err
+    assert new.err <= ref.err
 
 
 def test_beta_sigma_finite_at_2i():
