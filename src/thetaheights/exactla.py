@@ -3,11 +3,10 @@
 Matrices are tuples of row tuples, with integer entries (``IntMat``) or
 rational ones (``Mat``).  Every determinant, inverse and definiteness test
 here is one fraction-free elimination, Bareiss' over the Gaussian integers
-(``gauss_det``, ``gauss_adjugate``, ``leading_minors``): a rational matrix
-is cleared to an integer one over a common denominator first, so no
+(``gauss_det``, ``gauss_adjugate``, ``minors_and_adjugate``): a rational
+matrix is cleared to an integer one over a common denominator first, so no
 Fraction is divided during elimination.  It backs the Siegel action and
-reduction and the certified tail bounds (lower bounds on the smallest
-eigenvalue of Im tau).
+reduction, and the certified tail bounds through ``min_eig_lower_bound``.
 """
 from __future__ import annotations
 
@@ -127,23 +126,24 @@ def gauss_adjugate(m) -> tuple[tuple[int, int], list]:
     return prev, [row[n:] for row in a]
 
 
-def leading_minors(y: IntMat) -> list[int]:
-    """Leading principal minors D_1, D_2, ... of an integer matrix: the
-    pivots of the elimination taken without row exchange, up to the first
-    that is not positive.  A symmetric y is positive definite iff all of
-    its minors are positive (Sylvester); the LDL^T pivots of y are
-    D_k / D_(k-1)."""
-    m = gaussian(y)
+def minors_and_adjugate(y: IntMat) -> tuple[tuple[int, ...], IntMat | None]:
+    """(D, adj y) for a symmetric integer y, by the Gauss-Jordan form of the
+    elimination on [y | I] without row exchange: its pivots are the leading
+    minors D_1, D_2, ..., and it stops after the first that is not positive,
+    with adj None.  Otherwise y is positive definite (Sylvester), [y | I]
+    ends as [D_g I | adj y], and the LDL^T pivots are D_k / D_(k-1)."""
+    n = len(y)
+    a = [[(v, 0) for v in row] + [(int(i == j), 0) for j in range(n)]
+         for i, row in enumerate(y)]
     minors: list[int] = []
     prev = (1, 0)
-    for k in range(len(m)):
-        d = m[k][k]
-        minors.append(d[0])
-        if d[0] <= 0:
-            break
-        _bareiss_step(m[k + 1:], m[k], k, prev, k + 1)
-        prev = d
-    return minors
+    for k in range(n):
+        minors.append(a[k][k][0])
+        if minors[-1] <= 0:
+            return tuple(minors), None
+        _bareiss_step(a[:k] + a[k + 1:], a[k], k, prev, 0)
+        prev = a[k][k]
+    return tuple(minors), tuple(tuple(v for v, _ in row[n:]) for row in a)
 
 
 def inverse(a: Mat) -> Mat:
@@ -156,40 +156,59 @@ def inverse(a: Mat) -> Mat:
     return tuple(tuple(Fraction(den * v, d) for v, _ in row) for row in adj)
 
 
-def _sqrt_upper(q: Fraction) -> Fraction:
-    """A rational r with r >= sqrt(q) >= 0, tight to 1e-18 relatively:
-    sqrt(q) rounded up on the grid 10^-18 2^-k, with k = 0 for q >= 1 and
-    otherwise just large enough that 2^k sqrt(q) >= 1."""
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return Fraction(0)
-    n, d = q.numerator, q.denominator
-    k = 0 if n >= d else (d.bit_length() - n.bit_length() + 2) // 2
-    scale = 10 ** 18 << k
-    return Fraction(isqrt(n * scale * scale // d) + 1, scale)
+def _laguerre_step(d: int, adj: IntMat) -> tuple[int, int]:
+    """(num, den) with num / den <= g d / (T + sqrt((g - 1)(g F - T^2))),
+    T = tr adj, F = ||adj||_F^2, the square root rounded up to 2^-70 of T."""
+    g = len(adj)
+    t = sum(adj[i][i] for i in range(g))
+    k = max(0, 71 - t.bit_length())
+    q = (g - 1) * (g * sum(v * v for row in adj for v in row) - t * t) << 2 * k
+    r = isqrt(q)
+    return g * d << k, (t << k) + r + (r * r < q)
 
 
-def min_eig_lower_bound(y: IntMat, s: int) -> Fraction:
-    """Exact lower bound on the smallest eigenvalue of the symmetric matrix
-    Y / 2^s, Y an integer matrix; nonpositive when Y is not positive definite.
+def min_eig_lower_bound(y: IntMat, s: int, start: tuple) -> Fraction:
+    """Exact lower bound lambda on the smallest eigenvalue lambda_1 of Y / 2^s
+    (Y symmetric, integer), lambda_1 - lambda <= 2^-60 lambda; 0 when Y is
+    not positive definite.  ``start`` is ``minors_and_adjugate(y)``, which
+    the caller holds.
 
-    g = 1 and g = 2 use closed forms (at g = 2 the bound is within 1e-18
-    lambda_max of lambda_min); larger g certifies definiteness by the
-    leading minors and then uses 1/||(Y / 2^s)^-1||_inf = det Y / (2^s
-    ||adj Y||_inf), which bounds 1/lambda_max of the inverse for symmetric Y.
+    Laguerre's iteration on the real-rooted p(mu) = det(Y - mu 2^s I) rises
+    from mu = 0 towards lambda_1 and never passes it, each step at least
+    1/G >= (lambda_1 - mu) / g (Parlett, Math. Comp. 18, 1964).  Iterate mu
+    = m 2^-e is one ``minors_and_adjugate`` of M = 2^e (Y 2^-s - mu I); its
+    step g / (G + sqrt((g - 1)(g H - G^2))), with d = det M, G = tr adj M / d
+    and H = ||adj M||_F^2 / d^2, is rounded down: the root up
+    (``_laguerre_step``), the step onto the grid 2^-e, e = s + k, k >= 0 the
+    least that puts the first iterate g 2^63 units or more above 0 (so at
+    g = 1, where the step is exact, lambda = Y / 2^s).  An iterate counts
+    only if D_1 .. D_(g-1) > 0 and D_g >= 0: by interlacing M then has at
+    most one eigenvalue <= 0, and det M >= 0 makes it >= 0: mu <= lambda_1.
+    A step onto lambda_1 with a zero minor fails; it steps down one unit,
+    and a second failure raises ArithmeticError.  As tr M^-1 <= g /
+    (lambda_1 - mu), it stops at g d 2^60 <= m tr adj M, or d = 0.
     """
-    n = len(y)
-    if n == 1:
-        return Fraction(y[0][0], 1 << s)
-    if n == 2:
-        t = Fraction(y[0][0] + y[1][1], 1 << s)
-        d = Fraction(y[0][0] * y[1][1] - y[0][1] * y[1][0], 1 << (2 * s))
-        if d <= 0:
-            return min(d, Fraction(0))
-        disc = t * t - 4 * d
-        return (t - _sqrt_upper(disc)) / 2
-    if min(leading_minors(y)) <= 0:
-        return Fraction(0)
-    (d, _), adj = gauss_adjugate(gaussian(y))
-    return Fraction(d, max(sum(abs(v) for v, _ in row) for row in adj) << s)
+    g = len(y)
+    minors, adj = start
+    m = k = 0
+    stepped_down = False
+    while True:
+        if len(minors) < g or minors[-1] < 0:
+            if m == 0:
+                return Fraction(0)
+            if stepped_down:
+                raise ArithmeticError("the eigenvalue bound failed its certificate")
+            m -= 1
+            stepped_down = True
+        else:
+            d = minors[-1]
+            if d == 0 or g * d << 60 <= m * sum(adj[i][i] for i in range(g)):
+                return Fraction(m, 1 << (s + k))
+            num, den = _laguerre_step(d, adj)
+            if m == 0:
+                k = max(0, 64 + g.bit_length() + den.bit_length() - num.bit_length())
+                num <<= k
+            m += num // den
+        minors, adj = minors_and_adjugate(tuple(
+            tuple((v << k) - m * (i == j) for j, v in enumerate(row))
+            for i, row in enumerate(y)))

@@ -12,14 +12,15 @@ reports check them against finite samples and say so explicitly.
 
 Everything exact runs on one integer form of a point, tau = (X + iY) / 2^s
 with X, Y integer matrices (``SiegelPoint.int_form``), through one
-fraction-free elimination, Bareiss' over Z[i] (``exactla``).  The leading
-minors D_k of Y give definiteness, the LDL pivots D_k / (D_(k-1) 2^s) and
-det Y = D_g; the adjugate of Y gives (Im tau)^-1 = 2^s adj Y / det Y.  S.1
-is decided by the identity det Im(gamma.tau) = det Im tau / |det(lam tau +
-mu)|^2: det(lam tau + mu) 2^(gs) is the determinant of the Gaussian-integer
-matrix lam (X + iY) + mu 2^s, and the comparison with det Y is one of
-integers.  ``act`` inverts the same matrix by the Gauss-Jordan form of the
-elimination.
+fraction-free elimination, Bareiss' over Z[i] (``exactla``).  Y is
+eliminated once per point (``minors_and_adjugate``): its leading minors D_k
+give definiteness, the LDL pivots D_k / (D_(k-1) 2^s) and det Y = D_g, its
+adjugate (Im tau)^-1 = 2^s adj Y / det Y and the first step of the
+lambda_min bound (``min_eig_lower_bound``).  S.1 is decided by the identity
+det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2: det(lam tau + mu)
+2^(gs) is the determinant of the Gaussian-integer matrix lam (X + iY) +
+mu 2^s, and the comparison with det Y is one of integers.  ``act`` inverts
+the same matrix by the Gauss-Jordan form of the elimination.
 
 ``reduce_heuristic`` is the one reduction loop, for every g (``reduce_g1``
 is its g = 1 case, required to converge), and each of its moves is exact
@@ -41,8 +42,8 @@ from mpmath.libmp import from_man_exp, from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC, GUARD_BITS
 from .exactla import (IntMat, Mat, dyadic, fraction_to_mpf, gauss_adjugate,
-                      gauss_det, gaussian, inverse, leading_minors,
-                      min_eig_lower_bound)
+                      gauss_det, gaussian, min_eig_lower_bound,
+                      minors_and_adjugate)
 
 
 class NumericalFailure(ArithmeticError):
@@ -127,37 +128,43 @@ class SiegelPoint:
         return x, y, s
 
     @cached_property
-    def _y_minors(self) -> tuple[int, ...]:
-        """Leading minors D_1, D_2, ... of the integer Y, up to the first
-        that is not positive."""
-        return tuple(leading_minors(self.int_form[1]))
+    def _y_elim(self) -> tuple[tuple[int, ...], IntMat | None]:
+        """The one elimination of the integer Y, ``minors_and_adjugate``:
+        its leading minors D_1, D_2, ... up to the first that is not
+        positive, and adj Y when all are positive."""
+        return minors_and_adjugate(self.int_form[1])
 
     @property
     def y_positive_definite(self) -> bool:
         """Sylvester's criterion: every leading minor of Y is positive."""
-        return self._y_minors[-1] > 0
+        return self._y_elim[1] is not None
 
     @cached_property
     def _y_det_scaled(self) -> int:
         """det Y of the integer form: det Im tau times 2^(gs).  It is D_g;
         only a Y with a leading minor <= 0 needs a second elimination."""
-        minors = self._y_minors
-        if len(minors) == self.g:
+        minors, adj = self._y_elim
+        if adj is not None:
             return minors[-1]
         return gauss_det(gaussian(self.int_form[1]))[0]
 
     @cached_property
     def y_inverse(self) -> Mat:
-        """(Im tau)^-1 = 2^s Y^-1 = 2^s adj Y / det Y, exact."""
-        _, y, s = self.int_form
-        return tuple(tuple(v * (1 << s) for v in row) for row in inverse(y))
+        """(Im tau)^-1 = 2^s adj Y / det Y, exact, for a positive definite
+        Im tau."""
+        minors, adj = self._y_elim
+        if adj is None:
+            raise ValueError("Im tau is not positive definite")
+        s = self.int_form[2]
+        return tuple(tuple(Fraction(v << s, minors[-1]) for v in row) for row in adj)
 
     @cached_property
     def y_min_eig_lower_bound(self) -> Fraction:
-        """Exact lower bound on the smallest eigenvalue of Im tau;
-        nonpositive when it is not positive definite."""
+        """Exact lower bound on the smallest eigenvalue of Im tau, within
+        2^-60 relatively (``exactla.min_eig_lower_bound``); 0 when Im tau
+        is not positive definite."""
         _, y, s = self.int_form
-        return min_eig_lower_bound(y, s)
+        return min_eig_lower_bound(y, s, self._y_elim)
 
     @cached_property
     def y_det(self) -> Fraction:
@@ -338,7 +345,7 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
             for j in range(tau.g):
                 d = fabs(tau.entry(i, j) - tau.entry(j, i))
                 defect = max(defect, d)
-    minors = tau._y_minors
+    minors = tau._y_elim[0]
     s = tau.int_form[2]
     pivot = min(Fraction(d, prev << s) for d, prev in zip(minors, (1,) + minors))
     with workprec(prec + GUARD_BITS):

@@ -48,9 +48,9 @@ the certified bound decides, so every radius is the one the certified
 bound alone would choose.  The certified tail is evaluated once per
 (s, radius), by ``_theta_groups``.
 
-The exact data of Im tau (its integer form, Y^-1, the lambda_min lower
-bound, det Y) are cached on the ``SiegelPoint``, so every characteristic
-and every z at one tau reuses them; the data of z (u = Y^-1 Im z and xi)
+The exact data of Im tau (Y^-1, det Y and the lambda_min lower bound, all
+from one elimination of its integer form) are cached on the ``SiegelPoint``,
+so every characteristic and every z at one tau reuses them; the data of z (u = Y^-1 Im z and xi)
 are formed once per (tau, z) and passed down with z (``_At``).  Every
 function here uses z exactly as passed (mpf/mpc entries are not rounded to
 mp.prec), so its radius and bound are the ones for that z, and no result
@@ -223,14 +223,11 @@ def _shift(a, den: int, u) -> Fraction:
 
 def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
     """(lambda_lb, xi, u): the exact smallest-eigenvalue lower bound of Y,
-    the exact value xi = y^T Y^-1 y and u = Y^-1 y, for y = Im z.  The Y data
-    are the point's cached exact data."""
-    lam = tau.y_min_eig_lower_bound
-    if lam <= 0:
-        if tau.y_positive_definite:
-            raise ReduceFirstError("the eigenvalue bound of Im tau is not "
-                                   "positive; reduce tau first")
+    the exact value xi = y^T Y^-1 y and u = Y^-1 y, for y = Im z and a
+    positive definite Y.  The Y data are the point's cached exact data."""
+    if not tau.y_positive_definite:
         raise ValueError("Im tau is not positive definite")
+    lam = tau.y_min_eig_lower_bound
     y_vec = tuple(mpf_to_fraction(w.imag) for w in z)
     if not any(y_vec):
         return lam, Fraction(0), y_vec

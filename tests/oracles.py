@@ -255,24 +255,13 @@ def ldl_pivots(y):
     return pivots
 
 
-def frac_min_eig_lower_bound(y, sqrt_upper):
-    """The lower bound on the smallest eigenvalue of a symmetric Y over Q:
-    Y itself at g = 1, the lower root of the characteristic polynomial with
-    sqrt_upper(discriminant) at g = 2, and 1/||Y^-1||_inf after a positive
-    LDL at g >= 3; nonpositive when Y is not positive definite."""
-    n = len(y)
-    y = [[Fraction(x) for x in row] for row in y]
-    if n == 1:
-        return y[0][0]
-    if n == 2:
-        t = y[0][0] + y[1][1]
-        d = y[0][0] * y[1][1] - y[0][1] * y[1][0]
-        if d <= 0:
-            return min(d, Fraction(0))
-        return (t - sqrt_upper(t * t - 4 * d)) / 2
-    if min(ldl_pivots(y)) <= 0:
-        return Fraction(0)
-    return 1 / max(sum(abs(x) for x in row) for row in frac_inverse(y))
+def frac_psd(a):
+    """Whether a symmetric matrix over Q is positive semidefinite: every
+    principal minor is >= 0."""
+    n = len(a)
+    return all(frac_det([[a[i][j] for j in idx] for i in idx]) >= 0
+               for size in range(1, n + 1)
+               for idx in itertools.combinations(range(n), size))
 
 
 def lll_gram_frac(gram, delta=Fraction(99, 100)):

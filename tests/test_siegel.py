@@ -17,8 +17,8 @@ from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  reduced_basis_change, sl2_s, sl2_t, validate)
 
 from oracles import (act_exact, act_mp, cholesky_min_pivot, frac_det,
-                     frac_inverse, frac_min_eig_lower_bound, ldl_pivots,
-                     lll_gram_frac, real_form)
+                     frac_inverse, frac_psd, ldl_pivots, lll_gram_frac,
+                     real_form)
 
 I = mpc(0, 1)
 
@@ -429,6 +429,17 @@ def _exact_data_points():
             yield act(SymplecticMatrix.inversion(g), tau, 160)
 
 
+def assert_tight_eig_bound(y, lam):
+    """lam > 0 bounds the smallest eigenvalue of the symmetric rational y
+    from below, within 2^-59 relatively: y - lam I is positive
+    semidefinite and y - lam (1 + 2^-59) I is not."""
+    def shifted(mu):
+        return [[v - mu * (i == j) for j, v in enumerate(row)] for i, row in enumerate(y)]
+    assert lam > 0
+    assert frac_psd(shifted(lam))
+    assert not frac_psd(shifted(lam * (1 + Fraction(1, 2 ** 59))))
+
+
 def test_exact_y_data_match_the_fraction_oracles():
     # every exact datum of Im tau comes from the integer form through one
     # elimination; the Fraction definitions give the same numbers
@@ -436,9 +447,7 @@ def test_exact_y_data_match_the_fraction_oracles():
         y = fraction_parts(tau)[1]
         assert tau.y_inverse == frac_inverse(y) == exactla.inverse(y)
         assert tau.y_det == frac_det(y)
-        assert tau.y_min_eig_lower_bound == frac_min_eig_lower_bound(
-            y, exactla._sqrt_upper)
-        assert tau.y_min_eig_lower_bound > 0
+        assert_tight_eig_bound(y, tau.y_min_eig_lower_bound)
         with workprec(96 + GUARD_BITS):
             assert validate(tau, 96).min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
 
@@ -459,10 +468,96 @@ def test_definiteness_verdicts_on_zero_and_negative_minors(rows):
     with workprec(96 + GUARD_BITS):
         assert rep.min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
     assert tau.y_det == frac_det(y)
-    lam = tau.y_min_eig_lower_bound
-    assert lam <= 0 and lam == frac_min_eig_lower_bound(y, exactla._sqrt_upper)
+    assert tau.y_min_eig_lower_bound == 0
     with pytest.raises(ValueError, match="positive definite"):
         reduce_heuristic(tau, prec=96)
+
+
+def _diagonal_point(*diag):
+    return SiegelPoint.from_rows([[mpc(0, v) if i == j else 0 for j in range(len(diag))]
+                                  for i, v in enumerate(diag)])
+
+
+def _near_scalar_point(g):
+    """Im tau = I + 2^-80 (J - I), J the all-ones matrix."""
+    off = mpf(2) ** -80
+    return sp(*[[mpc(0, 1 if i == j else off) for j in range(g)] for i in range(g)])
+
+
+def test_eigenvalue_bound_is_tight_from_below(monkeypatch):
+    # 2 000 seeded points at g = 1..4 and the probes: lambda bounds the
+    # smallest eigenvalue of Im tau from below within 2^-59 (checked over Q
+    # by principal minors) and is Y / 2^s at g = 1; an iterate fails its
+    # certificate only where a step lands on lambda_1 with a zero leading
+    # minor: at no seeded point, once at diag(2^-66, 2^-65)
+    failed = []
+    elim = exactla.minors_and_adjugate
+
+    def certified(m):
+        minors, adj = elim(m)
+        failed.append(len(minors) < len(m) or minors[-1] < 0)
+        return minors, adj
+    monkeypatch.setattr(exactla, "minors_and_adjugate", certified)
+    for g in range(1, 5):
+        for k in range(500):
+            tau = sampling.random_siegel_point(sampling.substream(59, f"eig:{g}:{k}"), g)
+            lam = tau.y_min_eig_lower_bound
+            assert_tight_eig_bound(fraction_parts(tau)[1], lam)
+            if g == 1:
+                _, y, s = tau.int_form
+                assert lam == Fraction(y[0][0], 1 << s)
+    assert failed and not any(failed)
+    for tau, step_downs in ((_diagonal_point(mpf(2) ** -66, mpf(2) ** -65), 1),
+                            (_diagonal_point(mpf("1.3"), mpf(2) ** -70), 0),
+                            (_near_scalar_point(2), 0), (_near_scalar_point(3), 0),
+                            (_near_scalar_point(4), 0)):
+        failed.clear()
+        assert_tight_eig_bound(fraction_parts(tau)[1], tau.y_min_eig_lower_bound)
+        assert sum(failed) == step_downs
+
+
+def test_laguerre_step_is_rounded_down_and_tight():
+    # num / den <= g d / (T + sqrt(N)), N = (g - 1)(g F - T^2), and
+    # num / den >= that / (1 + 2^-70), both checked over Z by squaring, on
+    # positive definite integer matrices with small and 2^90-scaled entries
+    rng = random.Random(61)
+    for _ in range(400):
+        g = rng.randint(1, 4)
+        b = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(g)]
+        shift = rng.choice((0, 90))
+        y = tuple(tuple(sum(b[k][i] * b[k][j] for k in range(g)) + (i == j) << shift
+                        for j in range(g)) for i in range(g))
+        minors, adj = exactla.minors_and_adjugate(y)
+        d, t = minors[-1], sum(adj[i][i] for i in range(g))
+        n = (g - 1) * (g * sum(v * v for row in adj for v in row) - t * t)
+        num, den = exactla._laguerre_step(d, adj)
+        below = g * d * den - t * num          # sqrt(N) num <= below
+        assert below >= 0 and n * num * num <= below * below
+        num, den = num * ((1 << 70) + 1), den << 70
+        above = g * d * den - t * num          # sqrt(N) num >= above
+        assert above <= 0 or n * num * num >= above * above
+
+
+def test_y_is_eliminated_once(monkeypatch):
+    # a g = 3 point asked for definiteness, validate, det Im tau, (Im tau)^-1
+    # and lambda eliminates Y once; lambda's iterates at mu > 0 eliminate
+    # Y - mu 2^s I, whose first row differs from that of Y
+    tau = sampling.random_siegel_point(sampling.substream(23, "once"), 3)
+    first_row = [(v, 0) for v in tau.int_form[1][0]]
+    firsts = []
+    step = exactla._bareiss_step
+
+    def counted(rows, top, k, prev, lo):
+        if k == 0:
+            firsts.append(list(top[:3]) == first_row)
+        return step(rows, top, k, prev, lo)
+    monkeypatch.setattr(exactla, "_bareiss_step", counted)
+    assert tau.y_positive_definite
+    assert validate(tau, 96).valid
+    tau.det_im()
+    assert tau.y_inverse == frac_inverse(fraction_parts(tau)[1])
+    assert tau.y_min_eig_lower_bound > 0
+    assert sum(firsts) == 1 and len(firsts) > 1
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

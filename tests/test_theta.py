@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import (exp, expjpi, fadd, fabs, gamma, log, mp, mpf, mpc, pi, sqrt,
                     workprec)
 
-from thetaheights import exactla, heights, sampling
+from thetaheights import heights, sampling
 from thetaheights import theta as theta_module
 from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal,
                                     PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
-from thetaheights.siegel import SiegelPoint, act, reduce_g1, sl2_s, sl2_t
+from thetaheights.siegel import (SiegelPoint, act, reduce_g1, reduce_heuristic,
+                                 sl2_s, sl2_t)
 from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 beta_sigma, choose_radius, coset_set, theta,
                                 theta_norm, theta_null_vector,
@@ -231,6 +233,24 @@ def test_radius_is_the_least_above_the_search_floor():
     assert choose_radius(SiegelPoint.from_complex(mpc(0, "3.75")), prec=96) == 2
 
 
+def test_radii_at_reduced_points_are_pinned():
+    # sha256 of the radii choose_radius picks at 24 seeded reduced points
+    # for each of g = 1 and g = 2, z = 0 and a random z, for every level-2
+    # top characteristic, at prec 96 and 128; taken while lambda at g = 2
+    # was the closed form (t - sqrt(disc)) / 2
+    radii = []
+    for g in (1, 2):
+        for k in range(24):
+            rng = sampling.substream(71, f"radius:{g}:{k}")
+            tau = reduce_heuristic(sampling.random_siegel_point(rng, g), prec=128).reduced
+            for z in (None, sampling.random_z(rng, tau)):
+                for a in itertools.product(range(2), repeat=g):
+                    char = ThetaCharacteristic.from_integers(2, a, [0] * g)
+                    radii += [choose_radius(tau, z, char, prec) for prec in (96, 128)]
+    assert hashlib.sha256(repr(radii).encode()).hexdigest() == (
+        "72cc28bf33cb829bf6bc4b3c2094519675f6864cf0dfda845880bac56a703b5a")
+
+
 def _counted_tail(monkeypatch):
     """Patch ``theta._tail`` to record n at each certified tail bound."""
     calls = []
@@ -280,9 +300,9 @@ def test_reduce_first_signal():
 
 
 def test_tiny_g2_point_asks_for_reduction_like_g1():
-    # Im tau = diag(2^-66, 2^-65): the square root of the discriminant is
-    # 2^-66, below an absolute 1e-18 grid; the bound is relative, so it
-    # stays positive and theta asks for reduction, as at g = 1
+    # Im tau = diag(2^-66, 2^-65): the eigenvalue bound is positive, one
+    # grid unit below 2^-66, and the radius it asks for is above the cap,
+    # so theta asks for reduction, as at g = 1
     tiny = (mpf(2) ** -66, mpf(2) ** -65)
     tau = SiegelPoint.from_rows([[mpc(0, tiny[i]) if i == j else 0 for j in range(2)]
                                  for i in range(2)])
@@ -293,22 +313,16 @@ def test_tiny_g2_point_asks_for_reduction_like_g1():
 
 
 def test_definite_y_with_a_nonpositive_eigenvalue_bound_asks_for_reduction():
-    # Im tau = diag(1.3, 2^-70) is positive definite, but the g = 2
-    # eigenvalue bound subtracts two nearly equal numbers there and comes
-    # out nonpositive: that is a point to reduce, as at g = 1, not a bad Y
+    # Im tau = diag(1.3, 2^-70) is positive definite, and a closed form that
+    # subtracts two nearly equal numbers came out nonpositive there; the
+    # bound is positive, near 2^-70, so the radius is above the cap: a point
+    # to reduce, as at g = 1, not a bad Y
     tau = SiegelPoint.from_rows([[mpc(0, "1.3"), 0], [0, mpc(0, mpf(2) ** -70)]])
     assert tau.y_positive_definite
     for call in (lambda: theta(tau), lambda: choose_radius(tau),
                  lambda: verify_norm_bounds(tau, 2)):
         with pytest.raises(ReduceFirstError):
             call()
-
-
-def test_sqrt_upper_is_a_relative_upper_bound():
-    for q in (Fraction(1, 2 ** 132), Fraction(1, 3 * 10 ** 50), Fraction(2, 3),
-              Fraction(5), Fraction(10 ** 40, 7), Fraction(2 ** 300 + 1)):
-        r = exactla._sqrt_upper(q)
-        assert q <= r * r <= q * (1 + Fraction(1, 10 ** 18)) ** 2
 
 
 def test_truncation_radius_validation():
