@@ -3,10 +3,11 @@
 Matrices are tuples of row tuples, with integer entries (``IntMat``) or
 rational ones (``Mat``).  Every determinant, inverse and definiteness test
 here is one fraction-free elimination, Bareiss' over the Gaussian integers
-(``gauss_det``, ``gauss_adjugate``, ``minors_and_adjugate``): a rational
-matrix is cleared to an integer one over a common denominator first, so no
-Fraction is divided during elimination.  It backs the Siegel action and
-reduction, and the certified tail bounds through ``min_eig_lower_bound``.
+(``gauss_det``, ``gauss_adjugate``) or, for a real symmetric matrix, over
+the integers (``minors_and_adjugate``): a rational matrix is cleared to an
+integer one over a common denominator first, so no Fraction is divided
+during elimination.  It backs the Siegel action and reduction, and the
+certified tail bounds through ``min_eig_lower_bound``.
 """
 from __future__ import annotations
 
@@ -87,6 +88,16 @@ def _bareiss_step(rows, top, k: int, prev, lo: int) -> None:
             row[j] = ((cr * pr + ci * pi) // n2, (ci * pr - cr * pi) // n2)
 
 
+def _int_step(rows, top, k: int, prev: int) -> None:
+    """``_bareiss_step`` over Z, for a real matrix, on whole rows: each row
+    of ``rows`` becomes (top[k] row - row[k] top) / prev in place, an exact
+    division."""
+    piv = top[k]
+    for row in rows:
+        f = row[k]
+        row[:] = [(piv * v - f * t) // prev for v, t in zip(row, top)]
+
+
 def gauss_det(m) -> tuple[int, int]:
     """Determinant of a square matrix over Z[i]: after step k of the
     elimination, entry (i, j) of the trailing block is a (k + 2)-minor of m,
@@ -131,19 +142,19 @@ def minors_and_adjugate(y: IntMat) -> tuple[tuple[int, ...], IntMat | None]:
     elimination on [y | I] without row exchange: its pivots are the leading
     minors D_1, D_2, ..., and it stops after the first that is not positive,
     with adj None.  Otherwise y is positive definite (Sylvester), [y | I]
-    ends as [D_g I | adj y], and the LDL^T pivots are D_k / D_(k-1)."""
+    ends as [D_g I | adj y], and the LDL^T pivots are D_k / D_(k-1).  The
+    input is real, so the steps run over Z (``_int_step``)."""
     n = len(y)
-    a = [[(v, 0) for v in row] + [(int(i == j), 0) for j in range(n)]
-         for i, row in enumerate(y)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(y)]
     minors: list[int] = []
-    prev = (1, 0)
+    prev = 1
     for k in range(n):
-        minors.append(a[k][k][0])
+        minors.append(a[k][k])
         if minors[-1] <= 0:
             return tuple(minors), None
-        _bareiss_step(a[:k] + a[k + 1:], a[k], k, prev, 0)
+        _int_step(a[:k] + a[k + 1:], a[k], k, prev)
         prev = a[k][k]
-    return tuple(minors), tuple(tuple(v for v, _ in row[n:]) for row in a)
+    return tuple(minors), tuple(tuple(row[n:]) for row in a)
 
 
 def inverse(a: Mat) -> Mat:

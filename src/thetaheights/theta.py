@@ -41,6 +41,16 @@ the walk's budget holds for every combination; they are exact for r = 2
 otherwise add one stated rounding term.  ``theta`` and ``theta_truncated``
 are the one-member case of the same walk.
 
+The combination is in integers only: each characteristic leaves
+``_theta_groups`` as its fixed-point sum S with an integer rounding budget
+and its tail bound (``_Sum``), and two finishers read it.  ``_complex``
+rounds S to a ``CertifiedComplex`` (``theta``, ``theta_truncated``,
+``theta_null_vector``, ``theta_norm`` and the theta_00 of
+``verify_duplication``).  ``_moduli`` bounds |S| between two integers by
+``isqrt``, with no mpc; the norm checks (``verify_norm_bounds``,
+``beta_sigma`` and F of ``verify_duplication``) scale those integer bounds,
+or their squares, by one certified factor per walk.
+
 The radius search (``choose_radius``) decides each comparison of the tail
 bound with the target on its log in doubles, with a proven guard against
 the double error and the rounding of the certified bound; inside the guard
@@ -64,12 +74,13 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
-from mpmath import (mp, mpf, mpc, fabs, exp, fmul, isfinite, log, pi, sqrt,
-                    workprec)
-from mpmath.libmp import (from_man_exp, from_rational, fzero, mpc_expjpi,
-                          mpf_mul, round_nearest)
+from mpmath import (mp, mpf, mpc, fabs, exp, fmul, isfinite, ldexp, log, pi,
+                    sqrt, workprec)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
+                          mpc_expjpi, mpf_mul, round_ceiling, round_floor,
+                          round_nearest)
 
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                         CertifiedReal, PrecisionError, Verdict, _eps, certified_le)
@@ -531,9 +542,9 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     den^2 (each coordinate).  Returns (re, im, y_m, units, pf): re[C] + i
     im[C] is the fixed-point sum, pf fractional bits, of the terms in class
     C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
-    exp(-M) with M = pi y_m is the common scale; units[a] is the rounding
-    budget of a's classes in ulps of 2^-pf.  Call inside the working
-    precision p = mp.prec.
+    exp(-M) with M = pi y_m, y_m an exact Fraction, is the common scale;
+    units[a] is the rounding budget of a's classes in ulps of 2^-pf.  Call
+    inside the working precision p = mp.prec.
 
     The walk of theta[a/den; 0] for every a at once: m2 = b/den only
     multiplies the term of N by exp(2 pi i N.b/den^2), which depends on the
@@ -804,60 +815,56 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                     acc_im[c] += ui
                     rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
     del acc_re[trash], acc_im[trash]
-    return acc_re, acc_im, from_rational(d_min, s_den, pf, round_nearest), units, pf
+    return acc_re, acc_im, Fraction(d_min, s_den), units, pf
+
+
+# One characteristic out of a walk (``_theta_groups``): theta is
+# (re + i im) 2^-pf exp(-pi y_m) up to ``units`` ulps of 2^-pf exp(-pi y_m),
+# amplified by at most 1 + 2^-30, plus the tail bound ``tail`` of its box.
+_Sum = namedtuple("_Sum", "re im units tail")
+
+# The sums of one walk, {a: [_Sum for b in bs]}, with the walk's exact
+# common exponent y_m (a Fraction) and its fixed-point width pf.
+_Walk = namedtuple("_Walk", "sums y_m pf")
 
 
 def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
-                  phase: bool = True) -> dict:
-    """{a: [theta[a/den; b/den](tau, z) for b in bs]} for groups
-    {a: (radius, bs)}, each summed over its own box ||n||_inf <= radius,
-    all from one ``_row_sum`` walk, each with its certified error (tail at
-    its radius plus rounding); call inside the working precision
-    p = mp.prec.  With phase=False the global factor exp(2 pi i m1.m2) is
-    left out, which changes no modulus.
+                  phase: bool = True) -> _Walk:
+    """The sums of theta[a/den; b/den](tau, z) for groups {a: (radius,
+    bs)}, each over its own box ||n||_inf <= radius, all from one
+    ``_row_sum`` walk: sums[a] follows bs.  Call inside the working
+    precision p = mp.prec.  With phase=False the global factor
+    exp(2 pi i m1.m2) is left out, which changes no modulus.
 
     Class C = den*c + a of N mod den^2 enters theta[a/den; b/den] with the
     weight exp(2 pi i C.b / den^2) (exp(2 pi i c.b / den) when
-    phase=False), formed by ``_unit`` at the walk's pf bits and summed
-    exactly in ints.  The weights have modulus 1, so a's walk budget
+    phase=False), formed by ``_unit`` at the walk's pf bits; the
+    combination is summed exactly in ints and floored to pf fractional
+    bits, S = re + i im.  The weights have modulus 1, so a's walk budget
     units[a] holds for every combination.  They are exact (1, i, -1, -i)
-    for den = 2, and for den = 4 without the phase; then the only rounding
-    after the walk is the conversion back to mpc at p bits: each
-    combination rounds once (2^-p relative), exp(-M) at pf bits costs its
-    allowance 8(5 + |M|) 2^-pf relative and the product rounds once more,
-    so
-
-        rounding <= (1 + 2^-30) (e^M (units[a] + w) 2^-pf
-                                 + |value| (8(5 + |M|) 2^(p-pf) + 4) 2^-p)
-
-    with w = 0.  Otherwise each weight is within 97 * 2^-pf of exact and
-    the combination is rounded down once, so w = 2 + 97 sum_C |A_C| adds
-    the one stated term, A_C a's class accumulators (a computed weight of
-    modulus up to 1 + 97 * 2^-pf stays inside the 1 + 2^-30
-    amplification).  Since 2^(pf-p) >= e^(M - M_a), the value term is no
-    larger than the one of a's own walk either.
+    for den = 2, and for den = 4 without the phase, and then S is exact.
+    Otherwise each weight is within 97 * 2^-pf of exact and the floor
+    costs less than 2 ulps, so the budget adds
+    w = 3 + floor(97 sum_C (|Re A_C| + |Im A_C|) 2^-pf) ulps, A_C a's class
+    accumulators (a computed weight of modulus up to 1 + 97 * 2^-pf stays
+    inside the 1 + 2^-30 amplification).  Each sum carries units[a] + w and
+    the tail bound at (s, radius), formed once per distinct pair.
     """
     g = tau.g
-    p = mp.prec
     z = _at(tau, z)
     lam, xi, u = z.tail
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
-    e_m = mpc_expjpi((fzero, y_m), pf)[0]
-    scale = mpf(2) ** (p - pf)
-    value_units = 8 * (5 + fabs(pi * mp.make_mpf(y_m))) * scale + 4
-    ulp = mpf(2) ** -p * (1 + mpf(2) ** -30)
     classes = list(itertools.product(range(den), repeat=g))
     den2 = den * den
     weights = {}
     tails = {}
-    out = {}
+    sums = {}
     for a, (radius, bs) in groups.items():
         s = _shift(a, den, u)
         if (s, radius) not in tails:
             tails[s, radius] = _tail(g, lam, xi, s)(radius)
-        tail = tails[s, radius]
         parts = []      # (C, A_C) for the classes C = den*c + a of a
         for c in classes:
             big = tuple(den * x + y for x, y in zip(c, a))
@@ -865,7 +872,7 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
             for x in big:
                 idx = idx * den2 + x
             parts.append((big, acc_re[idx], acc_im[idx]))
-        vals = []
+        out = []
         for b in bs:
             ab = 0 if phase else sum(x * y for x, y in zip(a, b))
             sr = si = 0
@@ -881,13 +888,75 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
             w_units = 0
             if not exact:
                 w_units = 3 + (97 * sum(abs(ar) + abs(ai) for _, ar, ai in parts) >> pf)
-            value = mp.make_mpc((
-                mpf_mul(from_man_exp(sr >> pf, -pf, p, round_nearest), e_m, p, round_nearest),
-                mpf_mul(from_man_exp(si >> pf, -pf, p, round_nearest), e_m, p, round_nearest)))
-            rounding = ((mp.make_mpf(e_m) * (units[a] + w_units) * scale
-                         + fabs(value) * value_units) * ulp)
-            vals.append(CertifiedComplex(value, tail + rounding))
-        out[a] = vals
+            out.append(_Sum(sr >> pf, si >> pf, units[a] + w_units, tails[s, radius]))
+        sums[a] = out
+    return _Walk(sums, y_m, pf)
+
+
+def _complex(walk: _Walk, sums) -> list[CertifiedComplex]:
+    """The complex finisher: theta with its certified error for each
+    ``_Sum`` of ``walk``, at p = mp.prec (call inside that precision).
+
+    S rounds once to p bits (2^-p relative), E = exp(-pi y_m) at pf bits
+    costs its allowance 8(5 + |pi y_m|) 2^-pf relative and the product
+    rounds once more, so the error is the tail plus
+
+        (1 + 2^-30) (E units 2^-pf + |value| (8(5 + |pi y_m|) 2^(p-pf) + 4) 2^-p).
+
+    Since 2^(pf-p) >= e^(M - M_a) (``_row_sum``), the value term is no
+    larger than the one of a's own walk either."""
+    p = mp.prec
+    pf = walk.pf
+    y_m = from_rational(walk.y_m.numerator, walk.y_m.denominator, pf, round_nearest)
+    e_m = mpc_expjpi((fzero, y_m), pf)[0]
+    scale = mpf(2) ** (p - pf)
+    value_units = 8 * (5 + fabs(pi * mp.make_mpf(y_m))) * scale + 4
+    ulp = mpf(2) ** -p * (1 + mpf(2) ** -30)
+    out = []
+    for s in sums:
+        value = mp.make_mpc((
+            mpf_mul(from_man_exp(s.re, -pf, p, round_nearest), e_m, p, round_nearest),
+            mpf_mul(from_man_exp(s.im, -pf, p, round_nearest), e_m, p, round_nearest)))
+        rounding = (mp.make_mpf(e_m) * s.units * scale + fabs(value) * value_units) * ulp
+        out.append(CertifiedComplex(value, s.tail + rounding))
+    return out
+
+
+def _exp_pi(q: Fraction, shift: int = 0) -> CertifiedReal:
+    """Certified exp(pi q) 2^shift for an exact q, exactly 2^shift at
+    q = 0; call inside the working precision."""
+    if not q:
+        return CertifiedReal.exact(ldexp(1, shift))
+    f = CertifiedReal.rounded(pi * fraction_to_mpf(q)).exp()
+    return CertifiedReal(ldexp(f.value, shift), ldexp(f.err, shift))
+
+
+def _moduli(walk: _Walk, sums) -> list[tuple[int, int]]:
+    """The modulus finisher: ints (lo, hi) with lo <= |theta| <= hi in
+    units of E 2^-pf, E = exp(-pi y_m), for each ``_Sum`` of ``walk``; no
+    mpc is formed.  Call inside the working precision.
+
+    With l = isqrt(|S|^2) and h = l + [l^2 != |S|^2], l <= |S| <= h, and
+    theta lies within R units of S, where
+
+        R = ceil(units (1 + 2^-30)) + 2 + T
+
+    takes the walk budget amplified, 2 for the floors that form S (less
+    than 1 ulp per component) and T = ceil(t.hi 2^pf) + 1 for the tail
+    bound, t = tail exp(pi y_m) certified (the 1 covers the rounding of
+    t.hi).  So lo = max(0, l - R) and hi = h + R.  T is formed once per
+    distinct tail bound, and exp(pi y_m) once per call."""
+    pf = walk.pf
+    grow = _exp_pi(walk.y_m)
+    tails = {}
+    out = []
+    for s in sums:
+        if s.tail not in tails:
+            tails[s.tail] = -_fixed((-(grow * s.tail).hi)._mpf_, pf) + 1
+        radius = -(-s.units * ((1 << 30) + 1) >> 30) + 2 + tails[s.tail]
+        n2 = s.re * s.re + s.im * s.im
+        low = isqrt(n2)
+        out.append((max(0, low - radius), low + (low * low != n2) + radius))
     return out
 
 
@@ -900,7 +969,8 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
     with workprec(prec + GUARD_BITS):
         z = _at(tau, z)
         den, a, b = _char_ints(tau.g, char)
-        return _theta_groups(tau, z, den, {a: (radius, [b])})[a][0]
+        walk = _theta_groups(tau, z, den, {a: (radius, [b])})
+        return _complex(walk, walk.sums[a])[0]
 
 
 def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
@@ -913,9 +983,10 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
 
 
 def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
-                 phase: bool = True) -> list[CertifiedComplex]:
-    """theta_char(tau, z) for each char of one level, in the order given,
-    from one ``_row_sum`` walk.  The radius and the tail depend on m1 only
+                 phase: bool = True) -> tuple[_Walk, list[_Sum]]:
+    """The walk of theta_char(tau, z) for the chars of one level and the
+    sum of each char, in the order given: one ``_row_sum`` walk, read by
+    ``_complex`` or ``_moduli``.  The radius and the tail depend on m1 only
     through s = max_i |m1_i + u_i|, so each distinct s takes one
     ``choose_radius``.  Call inside the working-precision scope;
     phase=False drops exp(2 pi i m1.m2) (see ``_theta_groups``)."""
@@ -935,27 +1006,47 @@ def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
             radii[s] = choose_radius(tau, z, members[0], prec, tol)
         groups[a] = (radii[s], [tuple(int(v * den) for v in ch.m2) for ch in members])
         tops.append((a, members))
-    values = _theta_groups(tau, z, den, groups, phase)
-    out = {ch: v for a, members in tops for ch, v in zip(members, values[a])}
-    return [out[ch] for ch in chars]
+    walk = _theta_groups(tau, z, den, groups, phase)
+    out = {ch: v for a, members in tops for ch, v in zip(members, walk.sums[a])}
+    return walk, [out[ch] for ch in chars]
 
 
 # ---------------------------------------------------------------------------
 # invariant norms
 
 
-def _moduli2(tau: SiegelPoint, z, chars, prec: int, tol) -> list[CertifiedReal]:
-    """exp(-2 pi y^T Y^-1 y) |theta_char(tau, z)|^2 for each char, y = Im z,
-    all from one walk: the squared invariant norms with det(Y)^(1/2)
-    cancelled.  Call inside the working-precision scope."""
+def _moduli2(tau: SiegelPoint, z, chars, prec: int,
+             tol) -> tuple[CertifiedReal, list[tuple[int, int]]]:
+    """(F, [(L, H)]) with F.lo L <= exp(-2 pi y^T Y^-1 y) |theta_char(tau, z)|^2
+    <= F.hi H for each char, y = Im z, all from one walk: the squared
+    invariant norms with det(Y)^(1/2) cancelled.  L and H are the squares
+    of the ``_moduli`` bounds, exact ints, and F = exp(-2 pi (y_m + xi))
+    2^(-2 pf), xi = y^T Y^-1 y, is the one certified factor of the walk;
+    ``_outward`` scales them.  Call inside the working-precision scope."""
     zt = _at(tau, z)
     _, xi, _ = zt.tail
-    mods = [m * m for m in (th.abs() for th in
-                            _theta_batch(tau, zt, chars, prec, tol, phase=False))]
-    if xi:
-        weight = CertifiedReal.rounded(-2 * pi * fraction_to_mpf(xi)).exp()
-        mods = [weight * m for m in mods]
-    return mods
+    walk, sums = _theta_batch(tau, zt, chars, prec, tol, phase=False)
+    return (_exp_pi(-2 * (walk.y_m + xi), -2 * walk.pf),
+            [(lo * lo, hi * hi) for lo, hi in _moduli(walk, sums)])
+
+
+def _outward(f: CertifiedReal, lo: int, hi: int) -> tuple[mpf, mpf]:
+    """The ends f.lo lo and f.hi hi for ints 0 <= lo <= hi, each int
+    converted and each product rounded outward at mp.prec."""
+    p = mp.prec
+    return (mp.make_mpf(mpf_mul(f.lo._mpf_, from_int(lo, p, round_floor), p, round_floor)),
+            mp.make_mpf(mpf_mul(f.hi._mpf_, from_int(hi, p, round_ceiling), p,
+                                round_ceiling)))
+
+
+def _interval(lo: mpf, hi: mpf) -> CertifiedReal:
+    mid = (lo + hi) / 2
+    return CertifiedReal(mid, (hi - lo) / 2 + fabs(mid) * _eps())
+
+
+def _largest(f: CertifiedReal, bounds: list[tuple[int, int]]) -> CertifiedReal:
+    """The largest of the values [f.lo lo, f.hi hi] of ``bounds``."""
+    return _interval(*_outward(f, max(lo for lo, _ in bounds), max(hi for _, hi in bounds)))
 
 
 def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
@@ -979,16 +1070,19 @@ def theta_null_vector(tau: SiegelPoint, r: int,
     otherwise)."""
     _check_level(r)
     with workprec(prec + GUARD_BITS):
-        out = _theta_batch(tau, None, _level_chars(tau.g, r), prec, tol)
+        out = _complex(*_theta_batch(tau, None, _level_chars(tau.g, r), prec, tol))
     if not any(fabs(v.value) > v.err for v in out):
         raise PrecisionError("all theta constants drowned in the error bound; "
                              "this signals a precision failure")
     return out
 
 
-def _log_norm_sum(norms2: list[CertifiedReal], g: int) -> CertifiedReal:
-    """log(2^(g/2) sum of norms2), summed in list order."""
-    total = sum(norms2[1:], norms2[0])
+def _log_norm_sum(f: CertifiedReal, bounds: list[tuple[int, int]],
+                  g: int) -> CertifiedReal:
+    """log(2^(g/2) sum of the ``_moduli2`` values (f, bounds)): the integer
+    bounds are summed exactly and scaled once."""
+    total = _interval(*_outward(f, sum(lo for lo, _ in bounds),
+                                sum(hi for _, hi in bounds)))
     if total.lo <= 0:
         raise PrecisionError("coset norm sum is below its error bound")
     return (CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2)) * total).log()
@@ -1005,8 +1099,8 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
     g = tau.g
     with workprec(prec + GUARD_BITS):
         w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
-        mods = _moduli2(tau, w, _coset_chars(g, r), prec, tol)
-        return (_log_norm_sum(mods, g) * CertifiedReal.exact(mpf(-1) / 2)
+        f, bounds = _moduli2(tau, w, _coset_chars(g, r), prec, tol)
+        return (_log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(-1) / 2)
                 - CertifiedReal.rounded(log(tau.det_im()) / 4))
 
 
@@ -1025,8 +1119,11 @@ class NormBoundsReport:
     exp(-2 pi y^T Y^-1 y) |theta(tau, z)|^2 <= c_g with y = Im z.  The
     combined window bounds (1/2) log(2^(g/2) sum_e ||theta_e||^2) -
     (1/4) log det Y, which equals (1/2) log(2^(g/2) sum_e |theta_e|^2).
-    ``upper`` and the combined window assume tau was reduced (caller's
-    responsibility, flag echoed here).
+    Every check reads exact integer bounds on the walk's sums, scaled by
+    the walk's one certified factor (``_moduli2``): ``max_lower`` their
+    largest, ``upper`` the one of [0; 0] at z, and the combined window
+    their sum, under one certified log.  ``upper`` and the combined window
+    assume tau was reduced (caller's responsibility, flag echoed here).
     """
     g: int
     r: int
@@ -1035,11 +1132,6 @@ class NormBoundsReport:
     upper: Verdict | None
     combined_lower: Verdict | None
     combined_upper: Verdict | None
-
-
-def _interval(lo: mpf, hi: mpf) -> CertifiedReal:
-    mid = (lo + hi) / 2
-    return CertifiedReal(mid, (hi - lo) / 2 + fabs(mid) * _eps())
 
 
 def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
@@ -1052,16 +1144,15 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
     _check_level(r)
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        mods = _moduli2(tau, None, _coset_chars(g, r), prec, tol)
-        top = _interval(max(v.lo for v in mods), max(v.hi for v in mods))
-        max_lower = certified_le(CertifiedReal.exact(1), top)
+        f, bounds = _moduli2(tau, None, _coset_chars(g, r), prec, tol)
+        max_lower = certified_le(CertifiedReal.exact(1), _largest(f, bounds))
 
         upper = combined_lower = combined_upper = None
         if assume_reduced:
             c_g = constants.c_g(g, prec)
             zero = ThetaCharacteristic.from_integers(r, (0,) * g, (0,) * g)
-            upper = certified_le(_moduli2(tau, z, [zero], prec, tol)[0], c_g)
-            mid = _log_norm_sum(mods, g) * CertifiedReal.exact(mpf(1) / 2)
+            upper = certified_le(_largest(*_moduli2(tau, z, [zero], prec, tol)), c_g)
+            mid = _log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(1) / 2)
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
             hi_const = (c_g.log() * CertifiedReal.exact(mpf(1) / 2)
                         + lo_const + CertifiedReal.rounded(g * log(r)))
@@ -1085,8 +1176,9 @@ class DuplicationReport:
 
 def verify_duplication(tau: SiegelPoint, steps: int,
                        prec: int = DEFAULT_PREC, tol=None) -> DuplicationReport:
-    """One walk per level gives the 2^(2g) half-integer characteristics, and
-    theta(2^k tau, 0) is their [0; 0] member."""
+    """One walk per level gives the 2^(2g) half-integer characteristics:
+    F from the ``_moduli`` bounds scaled by exp(-pi y_m) 2^-pf, unsquared,
+    and theta(2^k tau, 0), their [0; 0] member, from ``_complex``."""
     g = tau.g
     chars = _level_chars(g, 2)
     f_vals = []
@@ -1097,10 +1189,9 @@ def verify_duplication(tau: SiegelPoint, steps: int,
             scaled = SiegelPoint.from_rows(
                 [[tau.entry(i, j) * scale for j in range(g)] for i in range(g)])
             # m1 = 0 for [0; 0], so dropping the phase leaves its value as is
-            vals = _theta_batch(scaled, None, chars, prec, tol, phase=False)
-            mods = [v.abs() for v in vals]
-            f_vals.append(_interval(max(v.lo for v in mods), max(v.hi for v in mods)))
-            th0 = vals[0]
+            walk, sums = _theta_batch(scaled, None, chars, prec, tol, phase=False)
+            f_vals.append(_largest(_exp_pi(-walk.y_m, -walk.pf), _moduli(walk, sums)))
+            th0 = _complex(walk, sums[:1])[0]
             gaps.append(fabs(th0.value - 1) + th0.err)
         mono = tuple(certified_le(f_vals[k + 1], f_vals[k]) for k in range(steps))
     return DuplicationReport(tuple(f_vals), tuple(gaps), mono, scaled)

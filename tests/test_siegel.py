@@ -176,6 +176,47 @@ def test_gaussian_bareiss_det_and_adjugate():
     assert singular > 0
 
 
+def _minors_and_adjugate_over_gaussians(y):
+    """``exactla.minors_and_adjugate`` as the Gauss-Jordan pass of
+    ``exactla._bareiss_step`` over Z[i] on (v, 0) pairs."""
+    n = len(y)
+    a = [[(v, 0) for v in row] + [(int(i == j), 0) for j in range(n)]
+         for i, row in enumerate(y)]
+    minors = []
+    prev = (1, 0)
+    for k in range(n):
+        minors.append(a[k][k][0])
+        if minors[-1] <= 0:
+            return tuple(minors), None
+        exactla._bareiss_step(a[:k] + a[k + 1:], a[k], k, prev, 0)
+        prev = a[k][k]
+    return tuple(minors), tuple(tuple(v for v, _ in row[n:]) for row in a)
+
+
+def test_real_elimination_is_the_gaussian_one():
+    # the elimination of a real symmetric Y runs over Z and gives the
+    # minors and adjugate of the pass over Z[i], bit for bit: seeded
+    # definite and indefinite matrices at g = 1..5, early stops at a
+    # negative and at a zero leading minor, and the probes
+    rng = random.Random(1801)
+    cases = [((0,),), ((-3,),), ((0, 1), (1, 1)), ((2, 1), (1, -5)),
+             ((1, 1, 0), (1, 1, 0), (0, 0, 1)), ((4, 2, 0), (2, 1, 3), (0, 3, 1))]
+    for g in range(1, 6):
+        for _ in range(40):
+            b = [[rng.randint(-9, 9) for _ in range(g)] for _ in range(g)]
+            shift = rng.choice((0, 0, -40, rng.randint(-9, 9)))
+            cases.append(tuple(tuple(sum(b[k][i] * b[k][j] for k in range(g))
+                                     + shift * (i == j) for j in range(g))
+                               for i in range(g)))
+    stops = {"definite": 0, "negative": 0, "zero": 0}
+    for y in cases:
+        minors, adj = exactla.minors_and_adjugate(y)
+        assert (minors, adj) == _minors_and_adjugate_over_gaussians(y), y
+        assert all(type(v) is int for row in adj or () for v in row)
+        stops["definite" if adj else "negative" if minors[-1] < 0 else "zero"] += 1
+    assert min(stops.values()) > 0, stops
+
+
 def test_reduce_heuristic_acts_only_with_chosen_moves(monkeypatch):
     calls = []
     real_act = siegel.act
@@ -543,15 +584,15 @@ def test_y_is_eliminated_once(monkeypatch):
     # and lambda eliminates Y once; lambda's iterates at mu > 0 eliminate
     # Y - mu 2^s I, whose first row differs from that of Y
     tau = sampling.random_siegel_point(sampling.substream(23, "once"), 3)
-    first_row = [(v, 0) for v in tau.int_form[1][0]]
+    first_row = list(tau.int_form[1][0])
     firsts = []
-    step = exactla._bareiss_step
+    step = exactla._int_step
 
-    def counted(rows, top, k, prev, lo):
+    def counted(rows, top, k, prev):
         if k == 0:
             firsts.append(list(top[:3]) == first_row)
-        return step(rows, top, k, prev, lo)
-    monkeypatch.setattr(exactla, "_bareiss_step", counted)
+        return step(rows, top, k, prev)
+    monkeypatch.setattr(exactla, "_int_step", counted)
     assert tau.y_positive_definite
     assert validate(tau, 96).valid
     tau.det_im()

@@ -1,18 +1,19 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import (exp, expjpi, fadd, fabs, gamma, log, mp, mpf, mpc, pi, sqrt,
-                    workprec)
+from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, log, mp, mpf, mpc, pi,
+                    sqrt, workprec)
 
 from thetaheights import heights, sampling
 from thetaheights import theta as theta_module
-from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal,
-                                    PrecisionError)
+from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
+                                    CertifiedReal, PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import (SiegelPoint, act, reduce_g1, reduce_heuristic,
                                  sl2_s, sl2_t)
@@ -696,6 +697,13 @@ def _group_cases():
     return cases
 
 
+def _group_values(tau, z, den, groups, phase=True):
+    """{a: [CertifiedComplex]} of one ``_theta_groups`` walk, through the
+    complex finisher."""
+    walk = theta_module._theta_groups(tau, z, den, groups, phase)
+    return {a: theta_module._complex(walk, sums) for a, sums in walk.sums.items()}
+
+
 @pytest.mark.parametrize("tau, z, r, a", _group_cases())
 def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
     # one walk gives theta[a/r; b/r] for every b; each value must lie within
@@ -706,9 +714,9 @@ def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
     chars = [ThetaCharacteristic.from_integers(r, a, b) for b in bs]
     radius = choose_radius(tau, z, chars[0], 96)
     with workprec(96 + GUARD_BITS):
-        batch = theta_module._theta_batch(tau, z, chars, 96, None)
+        batch = theta_module._complex(*theta_module._theta_batch(tau, z, chars, 96, None))
     with workprec(8 + GUARD_BITS):
-        low = theta_module._theta_groups(tau, z, r, {a: (radius, bs)})[a]
+        low = _group_values(tau, z, r, {a: (radius, bs)})[a]
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
     with workprec(200):
         refs = theta_brute_batch(rows, z, chars[0].m1, [ch.m2 for ch in chars],
@@ -769,11 +777,12 @@ def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
                     rows, z, m1, [ch.m2 for ch in members], n=radius)))
         for phase in (True, False):
             with workprec(prec + GUARD_BITS):
-                batch = theta_module._theta_batch(tau, z, chars, prec, None, phase)
+                batch = theta_module._complex(
+                    *theta_module._theta_batch(tau, z, chars, prec, None, phase))
                 alone = {}
                 for members in groups.values():
-                    alone.update(zip(members, theta_module._theta_batch(
-                        tau, z, members, prec, None, phase)))
+                    alone.update(zip(members, theta_module._complex(
+                        *theta_module._theta_batch(tau, z, members, prec, None, phase))))
             for ch, v in zip(chars, batch):
                 with workprec(200):
                     ref = refs[ch]
@@ -808,10 +817,10 @@ def test_part_of_a_level_walks_with_the_common_step(monkeypatch, tops, step):
             lam, xi, u = theta_module._tail_data(tau, z)
             groups = {a: (radius, bs) for radius, a in enumerate(tops, 1)}
             monkeypatch.setattr(theta_module, "_row_slots", seen)
-            union = theta_module._theta_groups(tau, z, 4, groups)
+            union = _group_values(tau, z, 4, groups)
             monkeypatch.setattr(theta_module, "_row_slots", row_slots)
             for a, (radius, _) in groups.items():
-                alone = theta_module._theta_groups(tau, z, 4, {a: (radius, bs)})[a]
+                alone = _group_values(tau, z, 4, {a: (radius, bs)})[a]
                 s = max(abs(Fraction(x, 4) + w) for x, w in zip(a, u))
                 tail = theta_module._tail(2, lam, xi, s)(radius)
                 with workprec(200):
@@ -940,9 +949,9 @@ def test_chained_rows_match_brute_oracle(monkeypatch, name, tau, z, den, boxes):
     seen = _record_plans(monkeypatch)
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
-            union = theta_module._theta_groups(
+            union = _group_values(
                 tau, z, den, {a: (radius, bs) for a, radius in boxes.items()})
-            alone = {a: theta_module._theta_groups(tau, z, den, {a: (radius, bs)})[a]
+            alone = {a: _group_values(tau, z, den, {a: (radius, bs)})[a]
                      for a, radius in boxes.items()}
         for a in boxes:
             for b, ref, v, w in zip(bs, refs[a], union[a], alone[a]):
@@ -951,6 +960,200 @@ def test_chained_rows_match_brute_oracle(monkeypatch, name, tau, z, den, boxes):
                     assert fabs(w.value - ref) <= w.err, (prec, a, b)
                 assert v.err <= w.err, (prec, a, b)
     assert _occurs(name, tau, z, den, boxes, seen), name
+
+
+def _moduli_cases():
+    """(name, tau, z, r, phase, tops, prec, tol) at g = 1, 2 and 3, r = 2
+    and r = 4, z = 0 and z = a + tau b with xi != 0: with the phase at
+    r = 4 the weights are inexact and the sums carry their w term; the
+    "tail" case asks for tol 2^-8, so the tail dominates the radius."""
+    cases = []
+    for g in (1, 2, 3):
+        for r in (2, 4):
+            rng = random.Random(8300 + 10 * g + r)
+            if g == 2:
+                y0, y1 = rng.uniform(0.8, 2.0), rng.uniform(0.8, 1.5)
+                c = rng.choice((-1, 1)) * rng.uniform(0.3, 0.6) * (y0 * y1) ** 0.5
+                tau = _skewed(y0, y1, c, [rng.uniform(-0.5, 0.5) for _ in range(3)])
+            else:
+                tau = sampling.random_siegel_point(rng, g)
+            z = (mpc(0),) * g
+            if (g + r // 2) % 2:
+                z = _shifted(tau, [rng.uniform(-0.5, 0.5) for _ in range(g)],
+                             [rng.uniform(-0.5, 0.5) for _ in range(g)])
+            tops = list(itertools.product(range(r), repeat=g))
+            if g == 3:
+                tops = rng.sample(tops, 4 // r)
+            cases.append((f"g{g}-r{r}", tau, z, r, r == 4, tops, 96, None))
+    name, tau, z, r, _, tops, _, _ = cases[3]        # g = 2, r = 4
+    cases.append(("tail", tau, _shifted(tau, (0.1, -0.2), (0.3, 0.2)), 2, False,
+                  list(itertools.product(range(2), repeat=2)), 96, mpf(2) ** -8))
+    return cases
+
+
+def _walk_bounds(tau, z, r, phase, tops, prec, tol):
+    """(F, {(a, b): (L, H)}, walk) for the level-r characteristics of the
+    top characteristics ``tops`` and every b: ``_moduli2`` without the phase,
+    ``_theta_groups`` and ``_moduli`` with it, F as ``_moduli2`` forms it."""
+    g = tau.g
+    bs = list(itertools.product(range(r), repeat=g))
+    with workprec(prec + GUARD_BITS):
+        zt = theta_module._at(tau, z)
+        if not phase:
+            chars = [ThetaCharacteristic.from_integers(r, a, b) for a in tops for b in bs]
+            f, pairs = theta_module._moduli2(tau, zt, chars, prec, tol)
+            return f, dict(zip(itertools.product(tops, bs), pairs)), None
+        _, xi, _ = zt.tail
+        groups = {a: (choose_radius(tau, zt, ThetaCharacteristic.from_integers(r, a, bs[0]),
+                                    prec, tol), bs) for a in tops}
+        walk = theta_module._theta_groups(tau, zt, r, groups, phase)
+        f = theta_module._exp_pi(-2 * (walk.y_m + xi), -2 * walk.pf)
+        out = {}
+        for a in tops:
+            for b, (lo, hi) in zip(bs, theta_module._moduli(walk, walk.sums[a])):
+                out[a, b] = lo * lo, hi * hi
+        return f, out, walk
+
+
+MODULI_CASES = _moduli_cases()
+
+
+@pytest.mark.parametrize("name, tau, z, r, phase, tops, prec, tol", MODULI_CASES,
+                         ids=[case[0] for case in MODULI_CASES])
+def test_moduli_enclose_the_brute_oracle(name, tau, z, r, phase, tops, prec, tol):
+    # the exact exp(-2 pi xi) |theta_e|^2, xi = y^T Y^-1 y, lies in
+    # [F.lo L_e, F.hi H_e] for every characteristic of the walk: the integer
+    # radius holds the walk budget, the weights, the floors and the tail.
+    # In the "tail" case the box misses more than 2^-40 of some theta, far
+    # above the rounding budget at 96 bits, so only the tail term T covers it
+    g = tau.g
+    rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+    f, pairs, walk = _walk_bounds(tau, z, r, phase, tops, prec, tol)
+    if phase:
+        # some weight is inexact: its sums carry the w term above units[a]
+        assert any(s.units != walk.sums[a][0].units for a in tops for s in walk.sums[a])
+    _, xi, _ = theta_module._tail_data(tau, z)
+    assert (xi != 0) == any(w.imag for w in z)
+    bs = list(itertools.product(range(r), repeat=g))
+    missed = 0
+    for a in tops:
+        radius = choose_radius(tau, z, ThetaCharacteristic.from_integers(r, a, bs[0]),
+                               prec, tol)
+        # the box radius + 3 leaves a remainder far below 2^-90
+        with workprec(200):
+            refs = theta_brute_batch(rows, z, [Fraction(x, r) for x in a],
+                                     [[Fraction(x, r) for x in b] for b in bs], n=radius + 3)
+            if name == "tail":
+                boxes = theta_brute_batch(rows, z, [Fraction(x, r) for x in a],
+                                          [[Fraction(x, r) for x in b] for b in bs], n=radius)
+                missed = max([missed] + [fabs(v - w) for v, w in zip(refs, boxes)])
+        for b, ref in zip(bs, refs):
+            lo, hi = pairs[a, b]
+            with workprec(prec + GUARD_BITS):
+                low, high = theta_module._outward(f, lo, hi)
+            with workprec(400):
+                exact = exp(-2 * pi * fraction_to_mpf(xi)) * fabs(ref) ** 2
+                assert low <= exact <= high, (name, a, b)
+    assert name != "tail" or missed > mpf(2) ** -40
+
+
+def test_modulus_radius_is_its_stated_budget(monkeypatch):
+    # each sum carries its walk budget units[a] plus, where a weight is
+    # inexact, w >= 2 + 97 sum_C |A_C| 2^-pf, and the modulus finisher's
+    # radius is exactly ceil(units (1 + 2^-30)) + 2 + T, with
+    # T = ceil(tail exp(pi y_m) 2^pf, rounded up) + 1 >= tail exp(pi y_m) 2^pf
+    walks = []
+    row_sum = theta_module._row_sum
+
+    def recorded(*args):
+        out = row_sum(*args)
+        walks.append(out)
+        return out
+    monkeypatch.setattr(theta_module, "_row_sum", recorded)
+    seen = {"inexact": 0, "exact": 0}
+    for name, tau, z, r, _, tops, prec, tol in MODULI_CASES:
+        if tau.g == 3:
+            continue
+        walks.clear()
+        _, _, walk = _walk_bounds(tau, z, r, True, tops, prec, tol)
+        ((acc_re, acc_im, y_m, units, pf),) = walks
+        assert (y_m, pf) == (walk.y_m, walk.pf)
+        r2 = r * r
+        with workprec(prec + GUARD_BITS):
+            grow = theta_module._exp_pi(y_m)
+            bounds = {a: theta_module._moduli(walk, walk.sums[a]) for a in tops}
+        with workprec(400):
+            assert grow.lo <= exp(pi * fraction_to_mpf(y_m)) <= grow.hi
+        for a in tops:
+            # the accumulators of a's classes C = r c + a, read base r^2
+            weight = 0
+            for c in itertools.product(range(r), repeat=tau.g):
+                idx = 0
+                for x, y in zip(c, a):
+                    idx = idx * r2 + r * x + y
+                weight += Fraction(97 * (abs(acc_re[idx]) + abs(acc_im[idx])), 1 << pf)
+            for s, (lo, hi) in zip(walk.sums[a], bounds[a]):
+                w = s.units - units[a]
+                seen["exact" if w == 0 else "inexact"] += 1
+                assert w == 0 or w >= 2 + weight, (name, a)
+                with workprec(prec + GUARD_BITS):
+                    t = mpf_to_fraction((grow * s.tail).hi) * (1 << pf)
+                with workprec(400):
+                    assert fraction_to_mpf(t) >= ldexp(s.tail, pf) * exp(
+                        pi * fraction_to_mpf(y_m))
+                n2 = s.re * s.re + s.im * s.im
+                low = math.isqrt(n2)
+                high = low + (low * low != n2)
+                radius = (math.ceil(s.units * (1 + Fraction(1, 1 << 30))) + 2
+                          + math.ceil(t) + 1)
+                assert (lo, hi) == (max(0, low - radius), high + radius), (name, a)
+    assert min(seen.values()) > 0, seen
+
+
+def test_outward_ends_enclose_the_exact_products():
+    # the integer bounds go to mpf and through the certified factor rounded
+    # outward: F.lo L rounded down, F.hi H rounded up, exactly
+    rng = random.Random(9100)
+    with workprec(96 + GUARD_BITS):
+        for k in range(40):
+            lo = rng.getrandbits(rng.choice((40, 200, 400))) | 1
+            hi = lo + rng.getrandbits(30)
+            v = mpf(rng.randrange(1, 1 << 60)) / 3 if k % 2 else mpf(1)
+            f = CertifiedReal(v, v * mpf(2) ** -100 if k % 4 == 3 else mpf(0))
+            low, high = theta_module._outward(f, lo, hi)
+            assert mpf_to_fraction(low) <= mpf_to_fraction(f.lo) * lo
+            assert mpf_to_fraction(high) >= mpf_to_fraction(f.hi) * hi
+
+
+def test_norm_bounds_form_no_complex_value_and_a_fixed_count_of_exps_and_logs(monkeypatch):
+    # verify_norm_bounds decides on the walk's integers: no CertifiedComplex,
+    # and per call at most 2 certified exps per walk (exp(pi y_m) for the
+    # tails and the factor F; none where the exponent is 0) and 2 certified
+    # logs (the norm sum and c_g), at r = 2 as at r = 4: nothing per
+    # characteristic
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    z = [mpc("0.1", "0.2"), mpc("0.3", "-0.1")]
+    verify_norm_bounds(tau, 2, z, prec=96, assume_reduced=True)    # caches c_g
+    counts = dict.fromkeys(("complex", "exp", "log"), 0)
+
+    class Counted(CertifiedComplex):
+        def __init__(self, *args):
+            counts["complex"] += 1
+            super().__init__(*args)
+    monkeypatch.setattr(theta_module, "CertifiedComplex", Counted)
+    for name in ("exp", "log"):
+        def wrapper(self, _fn=getattr(CertifiedReal, name), _name=name):
+            counts[_name] += 1
+            return _fn(self)
+        monkeypatch.setattr(CertifiedReal, name, wrapper)
+    for r in (2, 4):
+        counts.update(dict.fromkeys(counts, 0))
+        verify_norm_bounds(tau, r, z, prec=96, assume_reduced=True)
+        assert counts["complex"] == 0 and counts["exp"] <= 4 and counts["log"] <= 2, (r, counts)
+    # the complex finisher is counted: theta forms one value
+    theta(tau, z, prec=96)
+    assert counts["complex"] == 1
 
 
 def _count_work(monkeypatch):
