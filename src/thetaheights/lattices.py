@@ -235,11 +235,6 @@ def _solve(h: IntRows, b) -> list[int] | None:
     return x
 
 
-def hnf(rows) -> IntegerLattice:
-    """Canonical form of a basis given by rows (columns generate)."""
-    return IntegerLattice.from_rows(rows)
-
-
 def _sum_generators(l1: IntegerLattice, l2: IntegerLattice):
     """([B1 f1 | B2 f2], d, f1, f2): integer generators of L1 + L2 over the
     common denominator d = lcm(den1, den2), with fi = d / deni."""

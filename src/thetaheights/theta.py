@@ -29,17 +29,20 @@ accumulator of its class N mod r^2 (each coordinate), and only inside the
 box of its own a.  ``_theta_groups`` combines the classes of each a with
 the roots of unity exp(2 pi i N.b / r^2) into every theta[a/r; b/r].  Each
 characteristic thus sums exactly the terms of its own box, and keeps the
-tail bound of its own radius; the radius depends on m1 only through
-s = max_i |m1_i + u_i|, so each distinct s takes one ``choose_radius``.
-A row steps by 1 along the last coordinate when the requested a differ in
-their last entry and by r otherwise, so a lone characteristic walks only
-its own lattice.  The fixed-point width is chosen before the walk, from the
-rows, their lengths and their peaks, so that no characteristic's rounding
-budget is above the one of its own walk.  The weights have modulus 1, so
-the walk's budget holds for every combination; they are exact for r = 2
-(and for r = 4 when the global phase is left out, as norms do), and
-otherwise add one stated rounding term.  ``theta`` and ``theta_truncated``
-are the one-member case of the same walk.
+tail bound of its own radius.  Inside the engine a characteristic is the
+integer pair (a, b) over r; a public ``ThetaCharacteristic`` is converted
+once, where it enters.  The radius depends on a only through
+s = max_i |a_i/r + u_i|, so ``_theta_batch`` forms s once per distinct a
+and runs one radius search per distinct s.  A row steps by 1 along the
+last coordinate when the requested a differ in their last entry and by r
+otherwise, so a lone characteristic walks only its own lattice.  The
+fixed-point width is chosen before the walk, from the rows, their lengths
+and their peaks, so that no characteristic's rounding budget is above the
+one of its own walk.  The weights have modulus 1, so the walk's budget
+holds for every combination; they are exact for r = 2 (and for r = 4 when
+the global phase is left out, as norms do), and otherwise add one stated
+rounding term.  ``theta`` is the one-member batch, and ``theta_truncated``
+the one-member walk at a given radius.
 
 The combination is in integers only: each characteristic leaves
 ``_theta_groups`` as its fixed-point sum S with an integer rounding budget
@@ -51,11 +54,11 @@ rounds S to a ``CertifiedComplex`` (``theta``, ``theta_truncated``,
 ``beta_sigma`` and F of ``verify_duplication``) scale those integer bounds,
 or their squares, by one certified factor per walk.
 
-The radius search (``choose_radius``) decides each comparison of the tail
-bound with the target on its log in doubles, with a proven guard against
-the double error and the rounding of the certified bound; inside the guard
-the certified bound decides, so every radius is the one the certified
-bound alone would choose.  The certified tail is evaluated once per
+The radius search (``_radius``, public as ``choose_radius``) decides each
+comparison of the tail bound with the target on its log in doubles, with
+a proven guard against the double error and the rounding of the certified
+bound; inside the guard the certified bound decides, so every radius is
+the one the certified bound alone would choose.  The certified tail is evaluated once per
 (s, radius), by ``_theta_groups``.
 
 The exact data of Im tau (Y^-1, det Y and the lambda_min lower bound, all
@@ -169,28 +172,24 @@ def coset_set(tau: SiegelPoint, r: int, prec: int = DEFAULT_PREC) -> CosetSet:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
-    """All r^(2g) characteristics of level r, (m1, m2) in lexicographic
-    order."""
-    return tuple(ThetaCharacteristic.from_integers(r, a, b)
-                 for a in itertools.product(range(r), repeat=g)
-                 for b in itertools.product(range(r), repeat=g))
+def _level_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
+    """All r^(2g) characteristics [a/r; b/r] of level r as integer pairs
+    (a, b), in lexicographic order."""
+    return tuple(itertools.product(itertools.product(range(r), repeat=g), repeat=2))
 
 
 @functools.lru_cache(maxsize=None)
-def _coset_chars(g: int, r: int) -> tuple[ThetaCharacteristic, ...]:
-    """The characteristic [b/r; a/r] of each coset point (a + tau b)/r, in
-    the order of ``coset_set``.  For every w,
+def _coset_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The characteristic [b/r; a/r] of each coset point (a + tau b)/r, as
+    the integer pair (b, a), in the order of ``coset_set``.  For every w,
 
         ||theta||(tau, w + (a + tau b)/r)
             = det(Y)^(1/4) exp(-pi Im w^T Y^-1 Im w) |theta[b/r; a/r](tau, w)|,
 
     so a coset norm is a characteristic norm at w, with no rounded point.
-    The list runs over m2 = a/r outside and m1 = b/r inside; all r^(2g)
-    characteristics come from one walk (see ``_theta_groups``)."""
-    return tuple(ThetaCharacteristic.from_integers(r, b, a)
-                 for a in itertools.product(range(r), repeat=g)
-                 for b in itertools.product(range(r), repeat=g))
+    The list runs over the bottom row a outside and the top row b inside;
+    all r^(2g) pairs come from one walk (see ``_theta_groups``)."""
+    return tuple((b, a) for a, b in _level_chars(g, r))
 
 
 # ---------------------------------------------------------------------------
@@ -312,29 +311,35 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     certified once per (s, radius), by ``_theta_groups``.
 
     tol must be a positive finite number."""
-    if tol is None:
-        tol = default_tol(prec)
-    g = tau.g
     with workprec(prec + GUARD_BITS):
-        target = mpf(tol) / 2
-        if not (target > 0 and isfinite(target)):
-            raise ValueError("tol must be a positive finite number")
-        z = _at(tau, z)
-        den, a, _ = _char_ints(g, char)
-        lam, xi, u = z.tail
-        s = _shift(a, den, u)
-        over = _tail_above(g, lam, xi, s, target)
-        n = int(s) + 1
-        # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
-        need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
-        n = max(n, int(s + sqrt(need)) + 1)
-        while n <= RADIUS_CAP and over(n):
-            n += 1
-        if n > RADIUS_CAP:
-            raise ReduceFirstError(
-                "truncation radius exceeds the cap; reduce tau first")
-        while n > int(s) + 2 and not over(n - 1):
-            n -= 1
+        target = _target(prec, tol)
+        lam, xi, u = _at(tau, z).tail
+        den, a, _ = _char_ints(tau.g, char)
+        return _radius(tau.g, lam, xi, _shift(a, den, u), target)
+
+
+def _target(prec: int, tol) -> mpf:
+    """The tail's share tol/2, tol = default_tol(prec) when None."""
+    target = mpf(default_tol(prec) if tol is None else tol) / 2
+    if not (target > 0 and isfinite(target)):
+        raise ValueError("tol must be a positive finite number")
+    return target
+
+
+def _radius(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> int:
+    """The search of ``choose_radius`` at shift s; call inside the working precision."""
+    over = _tail_above(g, lam, xi, s, target)
+    n = int(s) + 1
+    # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
+    need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
+    n = max(n, int(s + sqrt(need)) + 1)
+    while n <= RADIUS_CAP and over(n):
+        n += 1
+    if n > RADIUS_CAP:
+        raise ReduceFirstError(
+            "truncation radius exceeds the cap; reduce tau first")
+    while n > int(s) + 2 and not over(n - 1):
+        n -= 1
     return n
 
 
@@ -939,13 +944,14 @@ def _moduli(walk: _Walk, sums) -> list[tuple[int, int]]:
     With l = isqrt(|S|^2) and h = l + [l^2 != |S|^2], l <= |S| <= h, and
     theta lies within R units of S, where
 
-        R = ceil(units (1 + 2^-30)) + 2 + T
+        R = ceil(units (1 + 2^-30)) + T
 
-    takes the walk budget amplified, 2 for the floors that form S (less
-    than 1 ulp per component) and T = ceil(t.hi 2^pf) + 1 for the tail
-    bound, t = tail exp(pi y_m) certified (the 1 covers the rounding of
-    t.hi).  So lo = max(0, l - R) and hi = h + R.  T is formed once per
-    distinct tail bound, and exp(pi y_m) once per call."""
+    takes the walk budget amplified, which holds the floors that form S
+    (none with exact weights, w otherwise: ``_theta_groups``), and
+    T = ceil(t.hi 2^pf) + 1 for the tail bound, t = tail exp(pi y_m)
+    certified (the 1 covers the rounding of t.hi).  So lo = max(0, l - R)
+    and hi = h + R.  T is formed once per distinct tail bound, and
+    exp(pi y_m) once per call."""
     pf = walk.pf
     grow = _exp_pi(walk.y_m)
     tails = {}
@@ -953,7 +959,7 @@ def _moduli(walk: _Walk, sums) -> list[tuple[int, int]]:
     for s in sums:
         if s.tail not in tails:
             tails[s.tail] = -_fixed((-(grow * s.tail).hi)._mpf_, pf) + 1
-        radius = -(-s.units * ((1 << 30) + 1) >> 30) + 2 + tails[s.tail]
+        radius = -(-s.units * ((1 << 30) + 1) >> 30) + tails[s.tail]
         n2 = s.re * s.re + s.im * s.im
         low = isqrt(n2)
         out.append((max(0, low - radius), low + (low * low != n2) + radius))
@@ -967,7 +973,6 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
     if not 0 <= radius <= RADIUS_CAP:
         raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):
-        z = _at(tau, z)
         den, a, b = _char_ints(tau.g, char)
         walk = _theta_groups(tau, z, den, {a: (radius, [b])})
         return _complex(walk, walk.sums[a])[0]
@@ -977,55 +982,53 @@ def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
           prec: int = DEFAULT_PREC, tol=None) -> CertifiedComplex:
     """theta_(m1,m2)(tau, z) with a proven absolute error bound below tol."""
     with workprec(prec + GUARD_BITS):
-        z = _at(tau, z)
-    radius = choose_radius(tau, z, char, prec, tol)
-    return theta_truncated(tau, z, char, radius, prec)
+        den, a, b = _char_ints(tau.g, char)
+        return _complex(*_theta_batch(tau, z, den, [(a, b)], prec, tol))[0]
 
 
-def _theta_batch(tau: SiegelPoint, z, chars, prec: int, tol,
+def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int, tol,
                  phase: bool = True) -> tuple[_Walk, list[_Sum]]:
-    """The walk of theta_char(tau, z) for the chars of one level and the
-    sum of each char, in the order given: one ``_row_sum`` walk, read by
-    ``_complex`` or ``_moduli``.  The radius and the tail depend on m1 only
-    through s = max_i |m1_i + u_i|, so each distinct s takes one
-    ``choose_radius``.  Call inside the working-precision scope;
-    phase=False drops exp(2 pi i m1.m2) (see ``_theta_groups``)."""
-    den = chars[0].r
+    """The walk of theta[a/den; b/den](tau, z) for the integer pairs (a, b)
+    of one level and the sum of each pair, in the order given: one
+    ``_row_sum`` walk, read by ``_complex`` or ``_moduli``.  The radius and
+    the tail depend on a only through s = max_i |a_i/den + u_i|, so s is
+    formed once per distinct a and each distinct s takes one radius search
+    (``_radius``).  Call inside the working-precision scope; phase=False
+    drops exp(2 pi i a.b / den^2) (see ``_theta_groups``)."""
     z = _at(tau, z)
-    _, _, u = z.tail
-    by_m1: dict[tuple, list[ThetaCharacteristic]] = {}
-    for ch in chars:
-        by_m1.setdefault(ch.m1, []).append(ch)
-    radii = {}
+    lam, xi, u = z.tail
+    target = _target(prec, tol)
     groups = {}
-    tops = []
-    for m1, members in by_m1.items():
-        a = tuple(int(v * den) for v in m1)
+    for a, b in pairs:
+        groups.setdefault(a, []).append(b)
+    radii = {}
+    for a, bs in groups.items():
         s = _shift(a, den, u)
         if s not in radii:
-            radii[s] = choose_radius(tau, z, members[0], prec, tol)
-        groups[a] = (radii[s], [tuple(int(v * den) for v in ch.m2) for ch in members])
-        tops.append((a, members))
+            radii[s] = _radius(tau.g, lam, xi, s, target)
+        groups[a] = (radii[s], bs)
     walk = _theta_groups(tau, z, den, groups, phase)
-    out = {ch: v for a, members in tops for ch, v in zip(members, walk.sums[a])}
-    return walk, [out[ch] for ch in chars]
+    # the k-th pair of a is the k-th sum of a
+    sums = {a: iter(v) for a, v in walk.sums.items()}
+    return walk, [next(sums[a]) for a, _ in pairs]
 
 
 # ---------------------------------------------------------------------------
 # invariant norms
 
 
-def _moduli2(tau: SiegelPoint, z, chars, prec: int,
+def _moduli2(tau: SiegelPoint, z, den: int, pairs, prec: int,
              tol) -> tuple[CertifiedReal, list[tuple[int, int]]]:
-    """(F, [(L, H)]) with F.lo L <= exp(-2 pi y^T Y^-1 y) |theta_char(tau, z)|^2
-    <= F.hi H for each char, y = Im z, all from one walk: the squared
-    invariant norms with det(Y)^(1/2) cancelled.  L and H are the squares
-    of the ``_moduli`` bounds, exact ints, and F = exp(-2 pi (y_m + xi))
-    2^(-2 pf), xi = y^T Y^-1 y, is the one certified factor of the walk;
-    ``_outward`` scales them.  Call inside the working-precision scope."""
+    """(F, [(L, H)]) with, for each pair (a, b) and y = Im z,
+    F.lo L <= exp(-2 pi y^T Y^-1 y) |theta[a/den; b/den](tau, z)|^2 <= F.hi H,
+    all from one walk: the squared invariant norms with det(Y)^(1/2)
+    cancelled.  L and H are the squares of the ``_moduli`` bounds, exact
+    ints, and F = exp(-2 pi (y_m + xi)) 2^(-2 pf), xi = y^T Y^-1 y, is the
+    one certified factor of the walk; ``_outward`` scales them.  Call
+    inside the working-precision scope."""
     zt = _at(tau, z)
     _, xi, _ = zt.tail
-    walk, sums = _theta_batch(tau, zt, chars, prec, tol, phase=False)
+    walk, sums = _theta_batch(tau, zt, den, pairs, prec, tol, phase=False)
     return (_exp_pi(-2 * (walk.y_m + xi), -2 * walk.pf),
             [(lo * lo, hi * hi) for lo, hi in _moduli(walk, sums)])
 
@@ -1070,7 +1073,7 @@ def theta_null_vector(tau: SiegelPoint, r: int,
     otherwise)."""
     _check_level(r)
     with workprec(prec + GUARD_BITS):
-        out = _complex(*_theta_batch(tau, None, _level_chars(tau.g, r), prec, tol))
+        out = _complex(*_theta_batch(tau, None, r, _level_chars(tau.g, r), prec, tol))
     if not any(fabs(v.value) > v.err for v in out):
         raise PrecisionError("all theta constants drowned in the error bound; "
                              "this signals a precision failure")
@@ -1099,7 +1102,7 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
     g = tau.g
     with workprec(prec + GUARD_BITS):
         w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
-        f, bounds = _moduli2(tau, w, _coset_chars(g, r), prec, tol)
+        f, bounds = _moduli2(tau, w, r, _coset_chars(g, r), prec, tol)
         return (_log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(-1) / 2)
                 - CertifiedReal.rounded(log(tau.det_im()) / 4))
 
@@ -1135,7 +1138,7 @@ class NormBoundsReport:
 
 
 def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
-                       prec: int = DEFAULT_PREC, tol=None,
+                       prec: int = DEFAULT_PREC,
                        assume_reduced: bool = False) -> NormBoundsReport:
     """The coset norms are the characteristic norms of ``_coset_chars`` at
     w = 0, so the bounds hold for the exact coset points; every check reads
@@ -1144,14 +1147,15 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
     _check_level(r)
     g = tau.g
     with workprec(prec + GUARD_BITS):
-        f, bounds = _moduli2(tau, None, _coset_chars(g, r), prec, tol)
+        f, bounds = _moduli2(tau, None, r, _coset_chars(g, r), prec, None)
         max_lower = certified_le(CertifiedReal.exact(1), _largest(f, bounds))
 
         upper = combined_lower = combined_upper = None
         if assume_reduced:
             c_g = constants.c_g(g, prec)
-            zero = ThetaCharacteristic.from_integers(r, (0,) * g, (0,) * g)
-            upper = certified_le(_largest(*_moduli2(tau, z, [zero], prec, tol)), c_g)
+            zero = (0,) * g
+            upper = certified_le(
+                _largest(*_moduli2(tau, z, r, [(zero, zero)], prec, None)), c_g)
             mid = _log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(1) / 2)
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
             hi_const = (c_g.log() * CertifiedReal.exact(mpf(1) / 2)
@@ -1175,7 +1179,7 @@ class DuplicationReport:
 
 
 def verify_duplication(tau: SiegelPoint, steps: int,
-                       prec: int = DEFAULT_PREC, tol=None) -> DuplicationReport:
+                       prec: int = DEFAULT_PREC) -> DuplicationReport:
     """One walk per level gives the 2^(2g) half-integer characteristics:
     F from the ``_moduli`` bounds scaled by exp(-pi y_m) 2^-pf, unsquared,
     and theta(2^k tau, 0), their [0; 0] member, from ``_complex``."""
@@ -1189,7 +1193,7 @@ def verify_duplication(tau: SiegelPoint, steps: int,
             scaled = SiegelPoint.from_rows(
                 [[tau.entry(i, j) * scale for j in range(g)] for i in range(g)])
             # m1 = 0 for [0; 0], so dropping the phase leaves its value as is
-            walk, sums = _theta_batch(scaled, None, chars, prec, tol, phase=False)
+            walk, sums = _theta_batch(scaled, None, 2, chars, prec, None, phase=False)
             f_vals.append(_largest(_exp_pi(-walk.y_m, -walk.pf), _moduli(walk, sums)))
             th0 = _complex(walk, sums[:1])[0]
             gaps.append(fabs(th0.value - 1) + th0.err)

@@ -75,7 +75,7 @@ def beta_sigma_det_scaled(tau, z, r, prec):
         scale = CertifiedReal.rounded(fraction_to_mpf(tau.y_det) ** (mpf(1) / 4))
         if xi:
             scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-        values = th._complex(*th._theta_batch(tau, w, th._coset_chars(g, r), prec, None,
+        values = th._complex(*th._theta_batch(tau, w, r, th._coset_chars(g, r), prec, None,
                                               phase=False))
         norms = [scale * v.abs() for v in values]
         norms2 = [nv * nv for nv in norms]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thetaheights import sampling
 from thetaheights.lattices import (IntegerLattice, InvariantBreach,
                                    LatticeError, delta, delta_exact, dual,
-                                   hnf, intersect, lattice_sum, quotient_card,
+                                   intersect, lattice_sum, quotient_card,
                                    scaling_invariance_check, snf_divisors)
 
 
@@ -165,7 +165,3 @@ def test_dual_is_involutive():
     for _ in range(10):
         l = sampling.random_lattice(rng, rng.randint(1, 4))
         assert dual(dual(l)) == l
-
-
-def test_hnf_function_alias():
-    assert hnf([[2, 0], [0, 2]]) == L([2, 0], [0, 2])

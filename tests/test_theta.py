@@ -289,7 +289,7 @@ def test_near_tie_is_decided_by_the_certified_bound(monkeypatch):
 @pytest.mark.parametrize("tol", [0, -1, mpf("inf"), mpf("nan")])
 def test_tol_must_be_positive_and_finite(tol):
     tau = SiegelPoint.from_complex(mpc("0.1", "1.0"))
-    for fn in (theta, choose_radius, lambda t, tol: verify_norm_bounds(t, 2, tol=tol)):
+    for fn in (theta, choose_radius):
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             fn(tau, tol=tol)
 
@@ -714,7 +714,8 @@ def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
     chars = [ThetaCharacteristic.from_integers(r, a, b) for b in bs]
     radius = choose_radius(tau, z, chars[0], 96)
     with workprec(96 + GUARD_BITS):
-        batch = theta_module._complex(*theta_module._theta_batch(tau, z, chars, 96, None))
+        batch = theta_module._complex(
+            *theta_module._theta_batch(tau, z, r, [(a, b) for b in bs], 96, None))
     with workprec(8 + GUARD_BITS):
         low = _group_values(tau, z, r, {a: (radius, bs)})[a]
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
@@ -766,29 +767,31 @@ def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
     chars = theta_module._level_chars(g, r)
     groups = {}
-    for ch in chars:
-        groups.setdefault(ch.m1, []).append(ch)
+    for a, b in chars:
+        groups.setdefault(a, []).append((a, b))
     for prec in (96, 8):
         refs = {}
-        for m1, members in groups.items():
-            radius = choose_radius(tau, z, members[0], prec)
+        for a, members in groups.items():
+            radius = choose_radius(
+                tau, z, ThetaCharacteristic.from_integers(r, a, members[0][1]), prec)
             with workprec(200):
                 refs.update(zip(members, theta_brute_batch(
-                    rows, z, m1, [ch.m2 for ch in members], n=radius)))
+                    rows, z, [Fraction(x, r) for x in a],
+                    [[Fraction(x, r) for x in b] for _, b in members], n=radius)))
         for phase in (True, False):
             with workprec(prec + GUARD_BITS):
                 batch = theta_module._complex(
-                    *theta_module._theta_batch(tau, z, chars, prec, None, phase))
+                    *theta_module._theta_batch(tau, z, r, chars, prec, None, phase))
                 alone = {}
                 for members in groups.values():
                     alone.update(zip(members, theta_module._complex(
-                        *theta_module._theta_batch(tau, z, members, prec, None, phase))))
+                        *theta_module._theta_batch(tau, z, r, members, prec, None, phase))))
             for ch, v in zip(chars, batch):
                 with workprec(200):
                     ref = refs[ch]
                     if not phase:
                         ref *= expjpi(-2 * fraction_to_mpf(
-                            sum(x * y for x, y in zip(ch.m1, ch.m2))))
+                            Fraction(sum(x * y for x, y in zip(*ch)), r * r)))
                     assert fabs(v.value - ref) <= v.err, (prec, phase, ch)
                 assert v.err <= alone[ch].err, (prec, phase, ch)
 
@@ -1000,8 +1003,8 @@ def _walk_bounds(tau, z, r, phase, tops, prec, tol):
     with workprec(prec + GUARD_BITS):
         zt = theta_module._at(tau, z)
         if not phase:
-            chars = [ThetaCharacteristic.from_integers(r, a, b) for a in tops for b in bs]
-            f, pairs = theta_module._moduli2(tau, zt, chars, prec, tol)
+            chars = [(a, b) for a in tops for b in bs]
+            f, pairs = theta_module._moduli2(tau, zt, r, chars, prec, tol)
             return f, dict(zip(itertools.product(tops, bs), pairs)), None
         _, xi, _ = zt.tail
         groups = {a: (choose_radius(tau, zt, ThetaCharacteristic.from_integers(r, a, bs[0]),
@@ -1059,9 +1062,9 @@ def test_moduli_enclose_the_brute_oracle(name, tau, z, r, phase, tops, prec, tol
 
 def test_modulus_radius_is_its_stated_budget(monkeypatch):
     # each sum carries its walk budget units[a] plus, where a weight is
-    # inexact, w >= 2 + 97 sum_C |A_C| 2^-pf, and the modulus finisher's
-    # radius is exactly ceil(units (1 + 2^-30)) + 2 + T, with
-    # T = ceil(tail exp(pi y_m) 2^pf, rounded up) + 1 >= tail exp(pi y_m) 2^pf
+    # inexact, w >= 2 + 97 sum_C |A_C| 2^-pf (the floors that form S), and
+    # the modulus finisher's radius is exactly ceil(units (1 + 2^-30)) + T,
+    # with T = ceil(tail exp(pi y_m) 2^pf, rounded up) + 1 >= tail exp(pi y_m) 2^pf
     walks = []
     row_sum = theta_module._row_sum
 
@@ -1104,8 +1107,7 @@ def test_modulus_radius_is_its_stated_budget(monkeypatch):
                 n2 = s.re * s.re + s.im * s.im
                 low = math.isqrt(n2)
                 high = low + (low * low != n2)
-                radius = (math.ceil(s.units * (1 + Fraction(1, 1 << 30))) + 2
-                          + math.ceil(t) + 1)
+                radius = math.ceil(s.units * (1 + Fraction(1, 1 << 30))) + math.ceil(t) + 1
                 assert (lo, hi) == (max(0, low - radius), high + radius), (name, a)
     assert min(seen.values()) > 0, seen
 
@@ -1157,7 +1159,7 @@ def test_norm_bounds_form_no_complex_value_and_a_fixed_count_of_exps_and_logs(mo
 
 
 def _count_work(monkeypatch):
-    counts = dict.fromkeys(("_row_sum", "choose_radius", "_tail_data", "mpc_expjpi"), 0)
+    counts = dict.fromkeys(("_row_sum", "_radius", "_tail_data", "mpc_expjpi"), 0)
     for name in counts:
         fn = getattr(theta_module, name)
 
@@ -1180,7 +1182,7 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
         fn(*args, **kwargs)
         # the exact data of z (u = Y^-1 Im z, xi) are formed once per walk
         assert counts["_tail_data"] == counts["_row_sum"], fn
-        return counts["_row_sum"], counts["choose_radius"], len(tails)
+        return counts["_row_sum"], counts["_radius"], len(tails)
 
     # one walk per level; one radius per distinct s = max_i |m1_i + u_i|,
     # which at z = 0 is max_i m1_i: 2 values at r = 2, 4 at r = 4; one
@@ -1195,6 +1197,9 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2, 4 * 2)
     curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
     assert work(heights.periods_agm, curve, 96) == (1, 2, 2)
+    # theta is the one-member batch: one walk, one search, one tail
+    char = ThetaCharacteristic.from_integers(4, [1, 2], [3, 0])
+    assert work(theta, tau, z, char, prec=96) == (1, 1, 1)
     # fresh exps: the rows of a walk chain from their line's centre, so a
     # walk takes a few per line and per constant, not three per row (the
     # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27)
@@ -1202,6 +1207,67 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
                                ((tau, 2, z), {"assume_reduced": True}, 28)):
         work(verify_norm_bounds, *args, prec=96, **kwargs)
         assert counts["mpc_expjpi"] <= most, (args, kwargs)
+
+
+def test_batch_paths_construct_no_characteristic(monkeypatch):
+    # the batch paths carry integer pairs from the level lists to the walk:
+    # not one ThetaCharacteristic is validated on the way
+    made = []
+    check = ThetaCharacteristic.__post_init__
+
+    def counted(self):
+        made.append(self)
+        check(self)
+    monkeypatch.setattr(ThetaCharacteristic, "__post_init__", counted)
+    theta_module._level_chars.cache_clear()
+    theta_module._coset_chars.cache_clear()
+    ThetaCharacteristic.from_integers(2, [0, 1], [1, 0])
+    assert len(made) == 1
+    made.clear()
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    z = [mpc("0.1", "0.2"), mpc("0.3", "-0.1")]
+    for r in (2, 4):
+        verify_norm_bounds(tau, r, z, prec=96, assume_reduced=True)
+        beta_sigma(tau, z, r, prec=96)
+        theta_null_vector(tau, r, prec=96)
+    verify_duplication(tau, 2, prec=96)
+    assert made == []
+
+
+@pytest.mark.parametrize("g, r", [(1, 2), (1, 4), (2, 2), (2, 4)])
+def test_batch_returns_sums_in_input_order(g, r):
+    # a shuffled list of pairs, one of them repeated: the k-th sum is the
+    # one of the k-th pair in the walk over the same boxes, each a at the
+    # radius choose_radius gives it; a one-member batch is theta_truncated
+    # at that radius, bitwise, and the shared walk agrees with it within
+    # both errors
+    rng = random.Random(9300 + 10 * g + r)
+    tau = sampling.random_siegel_point(rng, g)
+    z = _shifted(tau, [rng.uniform(-0.5, 0.5) for _ in range(g)],
+                 [rng.uniform(-0.5, 0.5) for _ in range(g)])
+    level = list(itertools.product(range(r), repeat=g))
+    pairs = [(a, b) for a in rng.sample(level, min(3, len(level)))
+             for b in rng.sample(level, 2)]
+    rng.shuffle(pairs)
+    pairs.append(pairs[1])
+    firsts = list(dict.fromkeys(a for a, _ in pairs))
+    assert sorted(pairs, key=lambda p: firsts.index(p[0])) != pairs
+    chars = {p: ThetaCharacteristic.from_integers(r, *p) for p in pairs}
+    radii = {a: choose_radius(tau, z, chars[a, b], 96) for a, b in pairs}
+    bs = {a: sorted({b for x, b in pairs if x == a}) for a in radii}
+    with workprec(96 + GUARD_BITS):
+        got = theta_module._complex(*theta_module._theta_batch(tau, z, r, pairs, 96, None))
+        ref = theta_module._theta_groups(tau, z, r, {a: (radii[a], bs[a]) for a in radii})
+        want = theta_module._complex(ref, [ref.sums[a][bs[a].index(b)] for a, b in pairs])
+        lone = [theta_module._complex(*theta_module._theta_batch(tau, z, r, [p], 96, None))[0]
+                for p in pairs]
+    assert got == want
+    assert got[-1] == got[1]
+    for p, v, w in zip(pairs, got, lone):
+        assert w == theta_truncated(tau, z, chars[p], radii[p[0]], 96), p
+        with workprec(200):
+            assert fabs(v.value - w.value) <= v.err + w.err, p
 
 
 def test_public_results_independent_of_global_precision():
