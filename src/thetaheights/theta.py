@@ -20,6 +20,17 @@ values are then as accurate as fresh ones, so every row keeps the budget
 of a fresh start.  The ulp budget of the walk is derived in ``_row_sum``
 and is part of the certified bound.
 
+At z = 0 the exponent of the term at N is D(N) = N^T T N, so D(-N) = D(N)
+exactly: the row at the prefix -nn holds the terms of the row at nn,
+mirrored along the row.  The lexicographically positive row of such a pair
+walks the union of its own span and its mirror's negated span once and
+adds each term to both rows' classes; the other row is neither built nor
+walked.  A pair whose union would change the step of either row is walked
+as two rows, as is the row at nn = 0 and a row whose mirror is not a row
+of the walk.  Every radius, tail and box stays as it is, and a lone
+characteristic's budget is the one of its own mirrored walk
+(``_lone_walk``).
+
 One walk serves every characteristic of a level r at (tau, z).  With
 N = r n + a the term of n in theta[a/r; b/r] is exp(pi i D(N) / r^2)
 exp(2 pi i N.b / r^2), and D does not depend on a.  So the walk runs over
@@ -38,10 +49,11 @@ last coordinate when the requested a differ in their last entry and by r
 otherwise, so a lone characteristic walks only its own lattice.  The
 fixed-point width is chosen before the walk, from the rows, their lengths
 and their peaks, so that no characteristic's rounding budget is above the
-one of its own walk.  The weights have modulus 1, so the walk's budget
-holds for every combination; they are exact for r = 2 (and for r = 4 when
-the global phase is left out, as norms do), and otherwise add one stated
-rounding term.  ``theta`` is the one-member batch, and ``theta_truncated``
+one of its own walk, and no lone walk's budget above the one of its
+unmirrored walk at the working precision.  The weights have modulus 1, so
+the walk's budget holds for every combination; they are exact for r = 2
+(and for r = 4 when the global phase is left out, as norms do), and
+otherwise add one stated rounding term.  ``theta`` is the one-member batch, and ``theta_truncated``
 the one-member walk at a given radius.
 
 The combination is in integers only: each characteristic leaves
@@ -198,9 +210,10 @@ def _coset_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
 
 class _At(tuple):
     """z normalized at tau (``_at``) with its exact tail data
-    ``_tail_data(tau, z)`` as ``tail``: formed once per (tau, z) and passed
-    down as z, so that a batch, its radius searches, its walk and its norm
-    scale share them."""
+    ``_tail_data(tau, z)`` as ``tail`` and the shifts s of ``_shift`` as
+    they are asked for: formed once per (tau, z) and passed down as z, so
+    that a batch, its radius searches, its walk and its norm scale share
+    them."""
 
 
 def _at(tau: SiegelPoint, z) -> _At:
@@ -213,6 +226,7 @@ def _at(tau: SiegelPoint, z) -> _At:
         raise ValueError("z must have length g")
     out.tau = tau
     out.tail = _tail_data(tau, out)
+    out.shifts = {}
     return out
 
 
@@ -226,9 +240,13 @@ def _char_ints(g: int, char) -> tuple[int, tuple, tuple]:
             tuple(int(v * char.r) for v in char.m2))
 
 
-def _shift(a, den: int, u) -> Fraction:
-    """s = max_i |a_i/den + u_i|, the shift in the tail bound of a/den."""
-    return max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+def _shift(z: _At, a, den: int) -> Fraction:
+    """s = max_i |a_i/den + u_i| with u = Y^-1 Im z, the shift in the tail
+    bound of a/den; formed once per (a, den) at z."""
+    s = z.shifts.get((a, den))
+    if s is None:
+        s = z.shifts[a, den] = max(abs(Fraction(x, den) + w) for x, w in zip(a, z.tail[2]))
+    return s
 
 
 def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
@@ -313,9 +331,10 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     tol must be a positive finite number."""
     with workprec(prec + GUARD_BITS):
         target = _target(prec, tol)
-        lam, xi, u = _at(tau, z).tail
+        z = _at(tau, z)
+        lam, xi, _ = z.tail
         den, a, _ = _char_ints(tau.g, char)
-        return _radius(tau.g, lam, xi, _shift(a, den, u), target)
+        return _radius(tau.g, lam, xi, _shift(z, a, den), target)
 
 
 def _target(prec: int, tol) -> mpf:
@@ -414,25 +433,138 @@ def _row_units(k: int) -> int:
 
 
 def _row_slots(base: int, lo: int, step: int, count: int, spans: dict,
-               den: int, trash: int) -> list[int]:
+               den: int, size: int, mirror=None) -> list[int]:
     """Accumulator index of each term x = lo + step j, j < count, of a row:
     base + x mod den^2 when x lies in the box of its own top characteristic
-    (x mod den in ``spans`` and x within its span), ``trash`` otherwise."""
+    (x mod den in ``spans`` and x within its span), the trash 2 size
+    otherwise.  A row that also walks the row at -nn (``mirror`` = (mbase,
+    mspans), that row's base and spans) holds that row's term at -x as
+    well: the term goes to mbase + (-x mod den^2) when only -x lies in its
+    box there, and to the pair slot size + base + x mod den^2 when both
+    do; the walk adds each pair slot to both classes at its end."""
     r2 = den * den
-    slots = []
-    for x in range(lo, lo + step * count, step):
-        span = spans.get(x % den)
-        slots.append(base + x % r2 if span and span[0] <= x <= span[1] else trash)
+    trash = 2 * size
+    xs = range(lo, lo + step * count, step)
+    slots = [base + x % r2 if (span := spans.get(x % den)) and span[0] <= x <= span[1]
+             else trash for x in xs]
+    if mirror:
+        mbase, mspans = mirror
+        for j, x in enumerate(xs):
+            span = mspans.get(-x % den)
+            if span and span[0] <= -x <= span[1]:
+                slots[j] = mbase + -x % r2 if slots[j] == trash else slots[j] + size
     return slots
+
+
+def _width_floor(k: int) -> int:
+    """The least pf with 70 k(k+1) 2^-pf <= 2^-31 (see ``_row_sum``)."""
+    return (70 * k * (k + 1)).bit_length() + 31
+
+
+# The shape of one walked row, which tau and z do not change: its prefix
+# nn = N_1..N_(g-1) and accumulator base, the spans of its own top
+# characteristics by a_g, ``mirror`` = (mbase, mspans) of the row at -nn
+# when this row walks that one too (else None), ``tops`` as (c, radius, a)
+# with c the class of a's terms along the row (a_g, or -a_g for a top of
+# the row at -nn), and the range lo + step j, j <= last, that it walks.
+_Frame = namedtuple("_Frame", "nn base spans mirror tops step lo last")
+
+
+@functools.lru_cache(maxsize=256)
+def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> tuple[tuple[_Frame, ...], ...]:
+    """The runs of walked rows of the walk over ``boxes`` ((a, R_a), ...),
+    each a tuple of consecutive rows of one line (see ``_row_sum``).  With
+    ``mirror`` (z = 0) a row at nn != 0 and the row at -nn pair when both
+    are rows of the walk and the step of the union of their spans is the
+    step of each; the lexicographically positive row of a pair walks both,
+    and the other is neither built nor walked.  The cache hands the same
+    frames, spans included, to every walk, which only reads them."""
+    h = g - 1
+    r2 = den * den
+    by_prefix: dict[tuple, list] = {}
+    for a, radius in boxes:
+        by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
+    rows = {}       # nn -> (base, here, spans, step)
+    lines = []
+    # the cache keeps every frame, so rows share one object per distinct
+    # value: a fresh dict and tuples per row left about 0.6 MB more peak
+    # RSS on the norms-g2 benchmark (allocator pools held by cached objects)
+    spans_of = {}   # here -> (spans, step)
+    ends_of = {}    # (here, here at -nn) -> (tops, lo, last)
+    for prefix, members in by_prefix.items():
+        r_max = max(m[1] for m in members)
+        keys = []
+        for pre in itertools.product(range(-r_max, r_max + 1), repeat=h):
+            far = max(map(abs, pre), default=0)
+            here = tuple(m for m in members if m[1] >= far)
+            if here not in spans_of:
+                step = den
+                for m in here:
+                    step = gcd(step, m[0] - here[0][0])
+                spans_of[here] = ({a_h: (a_h - den * radius, a_h + den * radius)
+                                   for a_h, radius, _ in here}, step)
+            nn = tuple(den * pre[j] + prefix[j] for j in range(h))
+            base = 0
+            for x in nn:
+                base = base * r2 + x % r2
+            rows[nn] = (base * r2, here, *spans_of[here])
+            keys.append(nn)
+        # a line per N_1..N_(g-2): the last prefix coordinate runs fastest
+        size = 2 * r_max + 1 if h else 1
+        lines += [keys[i:i + size] for i in range(0, len(keys), size)]
+    pairs = {}
+    for nn, (_, here, _, step) in rows.items():
+        other = rows.get(tuple(-x for x in nn)) if mirror and any(nn) else None
+        if other and other[3] == step and (here[0][0] + other[1][0][0]) % step == 0:
+            pairs[nn] = other
+    zero = (0,) * h
+    runs = []
+    for keys in lines:
+        run = []
+        for nn in keys + [None]:
+            if nn is None or (nn < zero and nn in pairs):
+                # the end of the line, or a row its mirror walks
+                if run:
+                    runs.append(tuple(run))
+                run = []
+                continue
+            base, here, spans, step = rows[nn]
+            other = pairs.get(nn)
+            key = here, other and other[1]
+            if key not in ends_of:
+                ends = list(spans.values())
+                tops = here
+                if other:
+                    ends += [(-hi, -lo) for lo, hi in other[2].values()]
+                    tops += tuple((-a_h, radius, a) for a_h, radius, a in other[1])
+                lo = min(e[0] for e in ends)
+                ends_of[key] = tops, lo, (max(e[1] for e in ends) - lo) // step
+            tops, lo, last = ends_of[key]
+            run.append(_Frame(nn, base, spans, other and (other[0], other[2]), tops, step,
+                              lo, last))
+    return tuple(runs)
+
+
+@functools.lru_cache(maxsize=1024)
+def _lone_walk(g: int, den: int, a: tuple, radius: int, mirror: bool,
+               p: int) -> tuple[int, int]:
+    """(units, pf) of the walk of a alone at working precision p: its
+    rounding budget in ulps of 2^-pf and its fixed-point width (see
+    ``_row_sum``)."""
+    frames = [fr for run in _frames(g, den, ((a, radius),), mirror) for fr in run]
+    units = sum(len(fr.tops) * _row_units(fr.last) for fr in frames)
+    old = (2 * radius + 1) ** (g - 1) * _row_units(2 * radius)
+    pf = p if units == old else p + math.ceil(math.log2(units / old) + 2 ** -20)
+    return units, max(pf, _width_floor(max(fr.last for fr in frames)))
 
 
 # Extra fractional bits of the values a chain carries from row to row.
 CHAIN_GUARD = 32
 
-# One row of a walk: D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and
-# G = gr + i gi; the peak x = lo + step k, D(x) = dr + i di there; ``tops``
-# are the top characteristics whose boxes hold the row.
-_Row = namedtuple("_Row", "base spans tops lo step last k x lr li gr gi dr di")
+# One walked row (its base, spans and mirror as in ``_Frame``): D(x) =
+# T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi; the peak
+# x = lo + step k, D(x) = dr + i di there.
+_Row = namedtuple("_Row", "base spans mirror lo step last k x lr li gr gi dr di")
 
 
 def _ratios(row, t_gg: tuple) -> list[tuple]:
@@ -463,12 +595,13 @@ def _fresh(lg: float) -> float:
 
 def _chain_plan(line: list, d_min: int, s_den: int, pf: int,
                 t_gg: tuple, c_1: tuple, q_out: tuple) -> list[tuple]:
-    """How the walk forms the start values of each row of a line:
-    [(j, d, how, shift)] in visit order, the centre first (d = 0), the row
-    of the largest peak, then centre + 1, centre + 2, ... (d = 1), then
-    centre - 1, ... (d = -1).  how is "skip" (peak below 2^-(pf+1), not
-    walked), "anchor" (fresh exps) or "chain" (row j - d's values moved one
-    row and shifted ``shift`` steps, see ``_row_sum``).
+    """How the walk forms the start values of each row of a line (a run of
+    consecutive walked rows): [(j, d, how, shift)] in visit order, the
+    centre first (d = 0), the row of the largest peak, then centre + 1,
+    centre + 2, ... (d = 1), then centre - 1, ... (d = -1).  how is "skip"
+    (peak below 2^-(pf+1), not walked), "anchor" (fresh exps) or "chain"
+    (row j - d's values moved one row and shifted ``shift`` steps, see
+    ``_row_sum``).
 
     The chain runs at w = pf + CHAIN_GUARD fractional bits.  Every value is
     tracked by the imaginary part of its exact exponent (numerators over
@@ -500,14 +633,23 @@ def _chain_plan(line: list, d_min: int, s_den: int, pf: int,
         up, down = _ratios(row, t_gg)
         return [value(row.di - d_min), value(up[1]), value(down[1]), None]
 
+    consts = {}
+
+    def constants(st: int, d: int) -> tuple:
+        """Q, Q^-1, C^d, C^-d and Q_out at step st: formed once per (st, d)."""
+        if (st, d) not in consts:
+            consts[st, d] = tuple(value(v) for v in (
+                2 * st * st * t_gg[1], -2 * st * st * t_gg[1], d * st * c_1[1],
+                -d * st * c_1[1], q_out[1]))
+        return consts[st, d]
+
     def chained(state: list, prev, row, d: int) -> tuple[list, int]:
         t, p, m, o = state
         st = row.step
         if o is None:
             o = value(_outer(prev, row)[1])
-        q, qi, c, cinv = (value(v) for v in (2 * st * st * t_gg[1], -2 * st * st * t_gg[1],
-                                              d * st * c_1[1], -d * st * c_1[1]))
-        t, o, p, m = times(t, o), times(o, value(q_out[1])), times(p, c), times(m, cinv)
+        q, qi, c, cinv, qo = constants(st, d)
+        t, o, p, m = times(t, o), times(o, qo), times(p, c), times(m, cinv)
         shift = (row.x - prev.x) // st
         for _ in range(abs(shift)):
             if shift > 0:
@@ -578,6 +720,26 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     -pi Im D(x*) / s is the common exponent: every term is computed as
     t = exp(-M) * term, so |t| <= 1.
 
+    Mirror rows.  At z = 0, D(-N) = D(N) exactly, so the row at the prefix
+    -nn holds the terms of the row at nn, at -x.  When both are rows of the
+    walk, nn != 0, and the union of the row's spans with the negated spans
+    of the row at -nn keeps the step of both rows (always at den = 2 and on
+    a full level; not for a level-4 or level-6 top with 2 a_g != 0 mod den,
+    whose union would halve the step), the lexicographically positive row
+    walks that union (``_frames``).  Its term at x enters its own class when
+    x lies in its own box, and the class of -x of the row at -nn when -x
+    lies in the box there (``_row_slots``; a term in both goes to a pair
+    slot, added to both classes after the walk).  The row at -nn is neither
+    built, planned nor walked.  The row at nn = 0 and a row whose mirror is
+    not a row of the walk (the asymmetric edge of an odd a) are walked as
+    they are.  The walked rows of a line form runs of consecutive rows,
+    and each run is planned and chained as a line is.  A paired row's
+    k + 1 terms enter the classes of both rows, so its u_k (below) counts
+    for the tops of both.  Since D(-N) = D(N) holds exactly, every
+    characteristic still sums exactly the terms of its own box, and its
+    peak M_a is the one of its unmirrored walk.  There is no mirror at
+    z != 0 or at g = 1 (the one row is its own mirror).
+
     Walking a row.  From the peak term t and the first ratio rho outward on
     each side (|rho| <= 1 because x* is the rounded or clipped peak) the
     walk runs t <- t*rho, rho <- rho*Q with Q = exp(2 pi i T_gg step^2 / s)
@@ -603,7 +765,7 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     component) a fresh value errs by <= 68 ulps.  A fresh value of modulus
     e^x > 1 errs by <= 8(5 + pi + x) e^x + 2 ulps (``_fresh``).
 
-    Chains across rows.  The rows of a line (fixed N_1..N_(g-2), N_(g-1) =
+    Chains across rows.  The rows of a run (fixed N_1..N_(g-2), N_(g-1) =
     den*n + a_(g-1) in turn) are visited from the centre, the row of the
     largest peak, outward on both sides (``_chain_plan``), and a row's
     start values are derived from the row before it, the exact-exponent
@@ -636,20 +798,28 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     thus starts within eps and keeps its budget u_k.  In a walk that
     chains, Q is taken once at w bits and the rows use it rounded down to
     pf bits, also within eps.  The integer accumulators are exact and each
-    term lands in one of them (or in none, outside its box), so the errors
-    of a's classes stay within the sum of u_k over the rows that hold a:
+    computed term lands in at most one of them per row of its pair (in
+    none outside its box), so the errors of a's classes stay within the sum
+    of u_k over the walked rows whose terms enter them, once per side:
     units[a].  A combination sum_C w_C A_C over a's classes with |w_C| = 1
     errs by at most units[a] 2^-pf as well.
 
-    The fixed-point width.  The walk of a alone would run at p bits with
-    its own scale M_a <= M and (2R_a+1)^(g-1) rows of 2R_a + 1 terms, a
-    budget of e^(M_a) old_a 2^-p.  Here a's budget is e^M units[a] 2^-pf,
-    so pf = p + E with E the least integer above
-    log2(units[a] / old_a) + (M - M_a) / log 2 for every a whose budget
-    differs from the one of its own walk; the budget of every
-    characteristic is then below the one of its own walk, and a lone top
-    characteristic runs at p.  pf is also large enough that
-    70 k(k+1) 2^-pf <= 2^-31 for the longest row.
+    The fixed-point width.  The unmirrored walk of a alone runs at p bits
+    with its own scale M_a <= M and (2R_a+1)^(g-1) rows of 2R_a + 1 terms,
+    a budget of e^(M_a) old_a 2^-p.  The mirrored walk of a alone
+    (``_lone_walk``) has own_a units: a row of a half-integral a with
+    a_g = den/2 is one step longer there.  It runs at
+    pf_a = p + ceil(log2(own_a / old_a)) (p when own_a = old_a), so its
+    budget e^(M_a) own_a 2^-pf_a is no larger than e^(M_a) old_a 2^-p.
+    Here a's budget is e^M units[a] 2^-pf, so pf is at least pf_a + E_a,
+    with E_a the least integer above
+    max(0, log2(units[a] / own_a)) + (M - M_a) / log 2 for every a whose
+    units or peak differ from the ones of its own walk (E_a = 0
+    otherwise).  The budget of every characteristic is then no larger than
+    the one of its own walk, and 2^(pf - pf_a) >= e^(M - M_a).  pf is also
+    large enough that 70 k(k+1) 2^-pf <= 2^-31 for the longest row (its own
+    walk's floor is in pf_a).  Without a mirror own_a = old_a and
+    pf_a = p, as in the unmirrored walk.
     """
     g = tau.g
     p = mp.prec
@@ -673,21 +843,14 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     c_1 = tuple(2 * den * v for v in t[(h - 1, h)]) if h else (0, 0)
     q_out = tuple(2 * r2 * v for v in t[(h - 1, h - 1)]) if h else (0, 0)
 
-    by_prefix: dict[tuple, list] = {}
-    for a, radius in boxes.items():
-        by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
+    mirror = h > 0 and not any(m for m, _ in itertools.chain(zr, zi))
     peak_a = dict.fromkeys(boxes)       # least Im D of a's own walk
     lines = []
-    for prefix, members in by_prefix.items():
-        r_max = max(m[1] for m in members)
+    runs = _frames(g, den, tuple(boxes.items()), mirror)
+    for run in runs:
         rows = []
-        for pre in itertools.product(range(-r_max, r_max + 1), repeat=h):
-            far = max(map(abs, pre), default=0)
-            here = [m for m in members if m[1] >= far]
-            nn = [den * pre[j] + prefix[j] for j in range(h)]
-            base = 0
-            for j in range(h):
-                base = base * r2 + nn[j] % r2
+        for fr in run:
+            nn = fr.nn
             lr, li = zc[h]
             gr = gi = 0
             for j in range(h):
@@ -699,43 +862,38 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                     c = (1 if j == k else 2) * nn[j] * nn[k]
                     gr += t[(j, k)][0] * c
                     gi += t[(j, k)][1] * c
-            spans = {}
-            step = den
-            for a_h, radius, a in here:
-                # the peak a's own row takes: Im D is least at x = -li/thi
-                k = (2 * (-li - a_h * thi) + den * thi) // (2 * den * thi)
-                x = den * max(-radius, min(radius, k)) + a_h
+            for c, radius, a in fr.tops:
+                # a's least term on the row (at -x on the mirror row for
+                # c = -a_g): Im D is least at x = -li/thi
+                k = (2 * (-li - c * thi) + den * thi) // (2 * den * thi)
+                x = den * max(-radius, min(radius, k)) + c
                 d = thi * x * x + 2 * x * li + gi
                 if peak_a[a] is None or d < peak_a[a]:
                     peak_a[a] = d
-                spans[a_h] = (a_h - den * radius, a_h + den * radius)
-                step = gcd(step, a_h - here[0][0])
-            lo = min(v[0] for v in spans.values())
-            last = (max(v[1] for v in spans.values()) - lo) // step
+            lo, step, last = fr.lo, fr.step, fr.last
             k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
             k = max(0, min(last, k))
             x = lo + step * k
-            rows.append(_Row(base * r2, spans, tuple(m[2] for m in here), lo, step,
-                             last, k, x, lr, li, gr, gi,
+            rows.append(_Row(fr.base, fr.spans, fr.mirror, lo, step, last, k, x, lr, li, gr, gi,
                              thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
-        # a line per N_1..N_(g-2): the last prefix coordinate runs fastest
-        size = 2 * r_max + 1 if h else 1
-        lines += [rows[i:i + size] for i in range(0, len(rows), size)]
+        lines.append(rows)
     d_min = min(row.di for line in lines for row in line)
 
     units = dict.fromkeys(boxes, 0)
-    for line in lines:
-        for row in line:
-            for a in row.tops:
-                units[a] += _row_units(row.last)
+    for run in runs:
+        for fr in run:
+            for _, _, a in fr.tops:
+                units[a] += _row_units(fr.last)
     pf = p
     for a, radius in boxes.items():
-        old = (2 * radius + 1) ** h * _row_units(2 * radius)
-        if units[a] != old or peak_a[a] != d_min:
-            bits = math.log2(units[a] / old) + math.pi / math.log(2) * ((peak_a[a] - d_min) / s_den)
-            pf = max(pf, p + math.ceil(bits + 2 ** -20))
+        own, pf_a = _lone_walk(g, den, a, radius, mirror, p)
+        if units[a] != own or peak_a[a] != d_min:
+            bits = (max(0.0, math.log2(units[a] / own))
+                    + math.pi / math.log(2) * ((peak_a[a] - d_min) / s_den))
+            pf_a += math.ceil(bits + 2 ** -20)
+        pf = max(pf, pf_a)
     k_max = max(row.last for line in lines for row in line)
-    pf = max(pf, (70 * k_max * (k_max + 1)).bit_length() + 31)
+    pf = max(pf, _width_floor(k_max))
 
     plans = [_chain_plan(line, d_min, s_den, pf, t_gg, c_1, q_out) for line in lines]
     wide = pf + CHAIN_GUARD
@@ -764,9 +922,9 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     def mul(u, c):
         return (u[0] * c[0] - u[1] * c[1]) >> wide, (u[0] * c[1] + u[1] * c[0]) >> wide
 
-    trash = r2 ** g
-    acc_re = [0] * (trash + 1)
-    acc_im = [0] * (trash + 1)
+    size = r2 ** g
+    acc_re = [0] * (2 * size + 1)
+    acc_im = [0] * (2 * size + 1)
     for line, plan in zip(lines, plans):
         feeds = {j - d for j, d, how, _ in plan if how == "chain"}
         states = {}
@@ -802,7 +960,8 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                         tt, rho_m = mul(tt, rho_m), mul(rho_m, const(*q))
                         rho_p, oo = mul(rho_p, const(-q[0], -q[1])), mul(oo, c_down)
             states[j] = (tt, rho_p, rho_m, oo)
-            slots = _row_slots(row.base, row.lo, step, last + 1, row.spans, den, trash)
+            slots = _row_slots(row.base, row.lo, step, last + 1, row.spans, den, size,
+                               row.mirror)
             peak_re, peak_im = tt[0] >> bits, tt[1] >> bits
             acc_re[slots[k]] += peak_re
             acc_im[slots[k]] += peak_im
@@ -819,7 +978,15 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                     acc_re[c] += ur
                     acc_im[c] += ui
                     rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
-    del acc_re[trash], acc_im[trash]
+    # each pair slot holds terms of both rows of a pair, at N and at -N
+    pairs = {row.base: row.mirror[0] for line in lines for row in line if row.mirror}
+    for base, mbase in pairs.items():
+        for acc in (acc_re, acc_im):
+            for x in range(r2):
+                v = acc[size + base + x]
+                acc[base + x] += v
+                acc[mbase + -x % r2] += v
+    del acc_re[size:], acc_im[size:]
     return acc_re, acc_im, Fraction(d_min, s_den), units, pf
 
 
@@ -857,7 +1024,7 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     """
     g = tau.g
     z = _at(tau, z)
-    lam, xi, u = z.tail
+    lam, xi, _ = z.tail
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
@@ -867,7 +1034,7 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     tails = {}
     sums = {}
     for a, (radius, bs) in groups.items():
-        s = _shift(a, den, u)
+        s = _shift(z, a, den)
         if (s, radius) not in tails:
             tails[s, radius] = _tail(g, lam, xi, s)(radius)
         parts = []      # (C, A_C) for the classes C = den*c + a of a
@@ -908,8 +1075,9 @@ def _complex(walk: _Walk, sums) -> list[CertifiedComplex]:
 
         (1 + 2^-30) (E units 2^-pf + |value| (8(5 + |pi y_m|) 2^(p-pf) + 4) 2^-p).
 
-    Since 2^(pf-p) >= e^(M - M_a) (``_row_sum``), the value term is no
-    larger than the one of a's own walk either."""
+    Since 2^(pf - pf_a) >= e^(M - M_a) >= (5 + |M|) / (5 + |M_a|), with pf_a
+    the width of a's own walk (``_row_sum``), the value term is no larger
+    than the one of a's own walk either."""
     p = mp.prec
     pf = walk.pf
     y_m = from_rational(walk.y_m.numerator, walk.y_m.denominator, pf, round_nearest)
@@ -996,14 +1164,14 @@ def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int, tol,
     (``_radius``).  Call inside the working-precision scope; phase=False
     drops exp(2 pi i a.b / den^2) (see ``_theta_groups``)."""
     z = _at(tau, z)
-    lam, xi, u = z.tail
+    lam, xi, _ = z.tail
     target = _target(prec, tol)
     groups = {}
     for a, b in pairs:
         groups.setdefault(a, []).append(b)
     radii = {}
     for a, bs in groups.items():
-        s = _shift(a, den, u)
+        s = _shift(z, a, den)
         if s not in radii:
             radii[s] = _radius(tau.g, lam, xi, s, target)
         groups[a] = (radii[s], bs)

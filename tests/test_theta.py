@@ -861,9 +861,9 @@ def _chain_cases():
     meets: a row that is not walked after a chained one (a box wider than
     the tail needs), a peak that moves by two or more steps from row to
     row (strong skew), chains that start at clipped rows (every peak of a
-    small box outside it), tiny |Q| (2^6 tau of the duplication audit),
-    g = 3, and unions whose rows change their step along a line (levels 4
-    and 6)."""
+    small box outside it), tiny |Q| (2^6 tau of the duplication audit, at
+    a small real z, where no row pairs with its mirror at -nn), g = 3, and
+    unions whose rows change their step along a line (levels 4 and 6)."""
     tau = _skewed(1.4, 1.1, 0.6)
     z = _shifted(tau, (0.2, -0.1), (0.3, -0.4))
     cases = [("skipped row", tau, z, 2, {(1, 0): choose_radius(
@@ -876,7 +876,7 @@ def _chain_cases():
     with workprec(200):
         tiny = SiegelPoint.from_rows([[tau.entry(i, j) * 64 for j in range(2)]
                                       for i in range(2)])
-    cases.append(("tiny Q", tiny, (mpc(0),) * 2, 2,
+    cases.append(("tiny Q", tiny, (mpc("0.01"), mpc("-0.02")), 2,
                   {a: 2 for a in itertools.product(range(2), repeat=2)}))
     rng = random.Random(7301)
     tau3 = sampling.random_siegel_point(rng, 3)
@@ -963,6 +963,113 @@ def test_chained_rows_match_brute_oracle(monkeypatch, name, tau, z, den, boxes):
                     assert fabs(w.value - ref) <= w.err, (prec, a, b)
                 assert v.err <= w.err, (prec, a, b)
     assert _occurs(name, tau, z, den, boxes, seen), name
+
+
+def _mirror_cases():
+    """(name, tau, den, {a: radius}, bs) at z = 0, g = 2 and 3, levels 2, 4
+    and 6, with unequal radii: at levels 4 and 6 the prefix classes P and
+    -P hold different top characteristics, so a walked row and its mirror
+    do too, and tops with 2 a_g != 0 mod den make rows whose union with
+    their mirror would change step; bs is a seeded sample of the level."""
+    cases = []
+    tau = _skewed(1.4, 1.1, 0.6, (0.1, -0.2, 0.3))
+    rng = random.Random(7401)
+    tau3 = sampling.random_siegel_point(rng, 3)
+    for name, point, den, boxes in (
+            ("g2 r2", tau, 2, {(0, 0): 2, (0, 1): 3, (1, 0): 4, (1, 1): 2}),
+            ("g2 r4", tau, 4, {(1, 0): 2, (3, 0): 3, (0, 1): 2, (0, 3): 1, (2, 0): 2,
+                               (2, 2): 3}),
+            ("g2 r6", tau, 6, {(1, 0): 2, (5, 3): 3, (2, 1): 2, (4, 5): 3, (3, 3): 2,
+                               (3, 0): 1, (0, 1): 3, (0, 5): 2}),
+            ("g3 r2", tau3, 2, {a: rng.randrange(1, 4)
+                                for a in itertools.product(range(2), repeat=3)}),
+            ("g3 r4", tau3, 4, {(0, 0, 0): 2, (2, 0, 2): 2, (1, 2, 3): 2, (3, 2, 1): 1,
+                                (0, 2, 2): 1})):
+        level = list(itertools.product(range(den), repeat=point.g))
+        cases.append((name, point, den, boxes, rng.sample(level, min(6, len(level)))))
+    return cases
+
+
+def _walkers(g, den, boxes):
+    """{nn: last} for every row of a z = 0 walk over ``boxes``: the length
+    of the walked row that holds it, the row itself or its mirror at
+    -nn.  No row is held twice."""
+    out = {}
+    for run in theta_module._frames(g, den, tuple(boxes.items()), True):
+        for fr in run:
+            held = [fr.nn] + ([tuple(-x for x in fr.nn)] if fr.mirror else [])
+            for nn in held:
+                assert nn not in out, nn
+                out[nn] = fr.last
+    return out
+
+
+@pytest.mark.parametrize("name, tau, den, boxes, bs", _mirror_cases())
+def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
+    # at z = 0 a row and its mirror at -nn are walked once: at prec 96 and
+    # at prec 8 every value lies within its rounding budget (its error less
+    # its tail) of the brute sum over its own box, so no term of the mirror
+    # is lost, doubled or let in outside its box, and its error is no
+    # larger than the one of its top characteristic's own walk.  Every row
+    # of every box is held by exactly one walked row, and a's budget counts
+    # the rows that hold its terms, once per side of a pair
+    g = tau.g
+    h = g - 1
+    z = (mpc(0),) * g
+    rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
+    frames = [fr for run in theta_module._frames(g, den, tuple(boxes.items()), True)
+              for fr in run]
+    assert any(fr.mirror for fr in frames)
+    if den > 2:
+        # the rows of a pair hold different tops somewhere
+        assert any({a for _, _, a in fr.tops[:len(fr.spans)]}
+                   != {a for _, _, a in fr.tops[len(fr.spans):]} for fr in frames if fr.mirror)
+    walked = {fr.nn for fr in frames}
+    if g == 2 and den > 2:
+        # a row and its mirror that would change step are both walked
+        assert any(nn < (0,) * h and tuple(-x for x in nn) in walked for nn in walked)
+    last = _walkers(g, den, boxes)
+    with workprec(200):
+        refs = {a: theta_brute_batch(rows, z, [Fraction(x, den) for x in a],
+                                     [[Fraction(x, den) for x in b] for b in bs], n=radius)
+                for a, radius in boxes.items()}
+    for prec in (96, 8):
+        with workprec(prec + GUARD_BITS):
+            zt = theta_module._at(tau, z)
+            lam, xi, _ = zt.tail
+            units = theta_module._row_sum(tau, zt, den, boxes)[3]
+            union = _group_values(tau, z, den, {a: (radius, bs) for a, radius in boxes.items()})
+            alone = {a: _group_values(tau, z, den, {a: (radius, bs)})[a]
+                     for a, radius in boxes.items()}
+            tails = {a: theta_module._tail(g, lam, xi, theta_module._shift(zt, a, den))(radius)
+                     for a, radius in boxes.items()}
+        for a, radius in boxes.items():
+            held = [last[tuple(den * x + y for x, y in zip(pre, a))]
+                    for pre in itertools.product(range(-radius, radius + 1), repeat=h)]
+            assert units[a] == sum(map(theta_module._row_units, held)), (name, a)
+            for b, ref, v, w in zip(bs, refs[a], union[a], alone[a]):
+                with workprec(200):
+                    assert fabs(v.value - ref) <= v.err - tails[a], (name, prec, a, b)
+                    assert fabs(w.value - ref) <= w.err - tails[a], (name, prec, a, b)
+                assert v.err <= w.err, (name, prec, a, b)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_explicit_zero_z_is_no_z(g):
+    # z = 0 given as ints or as mpc zeros walks as z = None, mirror rows
+    # included: the same bits for every characteristic of a level, for
+    # theta and for the norm bounds
+    rng = random.Random(7500 + g)
+    tau = sampling.random_siegel_point(rng, g)
+    chars = theta_module._level_chars(g, 2)
+    char = ThetaCharacteristic.from_integers(2, [1] * g, [0] * g)
+    outs = []
+    for z in (None, [0] * g, [mpc(0)] * g):
+        with workprec(96 + GUARD_BITS):
+            batch = theta_module._complex(*theta_module._theta_batch(tau, z, 2, chars, 96, None))
+        outs.append((batch, theta(tau, z, char, 96),
+                     verify_norm_bounds(tau, 2, z, prec=96, assume_reduced=True)))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def _moduli_cases():
@@ -1200,13 +1307,21 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     # theta is the one-member batch: one walk, one search, one tail
     char = ThetaCharacteristic.from_integers(4, [1, 2], [3, 0])
     assert work(theta, tau, z, char, prec=96) == (1, 1, 1)
-    # fresh exps: the rows of a walk chain from their line's centre, so a
-    # walk takes a few per line and per constant, not three per row (the
-    # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27)
-    for args, kwargs, most in (((tau, 2), {}, 18), ((tau, 4), {}, 45),
-                               ((tau, 2, z), {"assume_reduced": True}, 28)):
+    # fresh exps: the rows of a walk chain from their run's centre, so a
+    # walk takes a few per run and per constant, not three per row (the
+    # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27).
+    # Walked rows and terms, recorded through the plans: at z = 0 a row and
+    # its mirror at -nn are walked once (the full lattice took 18 rows and
+    # 324 terms, 44 and 1657, and with z 27 and 405)
+    seen = _record_plans(monkeypatch)
+    for args, kwargs, most, walked in (((tau, 2), {}, 13, (10, 188)),
+                                       ((tau, 4), {}, 40, (27, 1035)),
+                                       ((tau, 2, z), {"assume_reduced": True}, 23, (19, 269))):
+        seen.clear()
         work(verify_norm_bounds, *args, prec=96, **kwargs)
         assert counts["mpc_expjpi"] <= most, (args, kwargs)
+        assert (sum(len(line) for line, _ in seen),
+                sum(row.last + 1 for line, _ in seen for row in line)) == walked, (args, kwargs)
 
 
 def test_batch_paths_construct_no_characteristic(monkeypatch):
