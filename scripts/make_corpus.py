@@ -22,6 +22,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+# run from a source checkout: the package is imported from src/ next to
+# this directory, ahead of any installed copy
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from thetaheights.heights import _depressed_roots  # noqa: E402
+
 
 def invariants(a1, a2, a3, a4, a6):
     b2 = a1 * a1 + 4 * a2
@@ -33,21 +41,12 @@ def invariants(a1, a2, a3, a4, a6):
 
 
 def split_roots(c4, c6):
-    """Integer roots of X^3 - 27 c4 X - 54 c6, or None if it does not split."""
-    p, q = -27 * c4, -54 * c6
-    disc = -4 * p ** 3 - 27 * q * q
-    if disc <= 0:
+    """Integer roots of X^3 - 27 c4 X - 54 c6, largest first, or None if it
+    does not split: the package's exact rule (integer bisection and isqrt)."""
+    try:
+        return [int(r) for r in _depressed_roots(Fraction(c4), Fraction(c6))]
+    except ValueError:
         return None
-    m = 2 * math.sqrt(-p / 3.0)
-    arg = max(-1.0, min(1.0, 3.0 * q / (p * m)))
-    t = math.acos(arg) / 3.0
-    roots = set()
-    for k in range(3):
-        x = m * math.cos(t - 2 * math.pi * k / 3.0)
-        r = round(x)
-        if r ** 3 + p * r + q == 0:
-            roots.add(r)
-    return sorted(roots, reverse=True) if len(roots) == 3 else None
 
 
 def search(a4_range=120, a6_range=400):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc, fabs, log, exp, nstr, sqrt
-from mpmath.libmp import from_float
+from mpmath.libmp import MPZ_ONE, from_float
 
 # The precision policy: every public entry point defaults to DEFAULT_PREC
 # bits, and theta and heights work at prec + GUARD_BITS internally.
@@ -30,9 +30,14 @@ class PrecisionError(ArithmeticError):
     """The certified error bound is too large for the requested operation."""
 
 
+def _pow2(k: int) -> mpf:
+    """2^k, built exactly from its raw (sign, man, exp, bc) form."""
+    return mp.make_mpf((0, MPZ_ONE, k, 1))
+
+
 def _eps() -> mpf:
     # cushion for <= ~8 correctly rounded mpf operations per combination
-    return mpf(2) ** (4 - mp.prec)
+    return _pow2(4 - mp.prec)
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class CertifiedReal:
     def rounded(cls, x, ulps: int = 8) -> "CertifiedReal":
         """A freshly computed value whose only error is final rounding."""
         v = mpf(x)
-        return cls(v, (fabs(v) + 1) * mpf(2) ** (ulps.bit_length() + 1 - mp.prec))
+        return cls(v, (fabs(v) + 1) * _pow2(ulps.bit_length() + 1 - mp.prec))
 
     def __add__(self, other) -> "CertifiedReal":
         other = _as_real(other)

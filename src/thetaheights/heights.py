@@ -1,22 +1,56 @@
 """The two heights of a rational elliptic curve with full 2-torsion.
 
-Theta height: level-2 theta-null coordinates at the reduced period matrix.
-The finite places are exact: the fourth powers of the coordinate ratios are
-the rational values lam and 1 - lam (a consequence of the quartic identity
-among the three even theta constants), and the v-adic max commutes with
-fourth powers.  The archimedean place uses the l2 norm of the certified
-theta values, per the height convention adopted throughout.
+Theta height, by definition: the Weil height of the level-2 theta-null
+point (theta3 : theta4 : theta2) at the reduced period matrix, with the l2
+norm at the archimedean place.
 
-``window_check`` is the one analysis of a curve: one ``periods_agm`` and one
-height pipeline give the window, the two lower bounds on h_F and the matrix
-lemma (see ``HeightReport``); ``matrix_lemma_check`` reads the last.
+It is computed from exact identities, with no theta value.  The 2-torsion
+roots e1 > e2 > e3 of X^3 - 27 c4 X - 54 c6 are real, so the period
+lattice is rectangular: with a^2 = e1 - e3, b^2 = e1 - e2 and
+c^2 = e2 - e3, the periods of the invariant differential are
+omega1 = 6 pi / M(a, b) and omega2 = 6 pi i / M(a, c), and tau = i t with
+t = M(a, b) / M(a, c).  The reduction
+is the identity or S, so the reduced tau is i max(t, 1/t).  On that ray the
+theta constants are positive reals and lam = theta2^4 / theta3^4 lies in
+(0, 1/2]; among the six cross-ratios of the roots exactly one lies there
+(two equal ones at 1/2), so lam is chosen exactly.  Jacobi's
+theta2^4 + theta4^4 = theta3^4 gives |theta2/theta3|^2 = sqrt(lam) and
+|theta4/theta3|^2 = sqrt(1 - lam).  Hence
 
-Faltings height: h_F = -(1/2) log(covolume/pi) for the period lattice of the
-minimal model's invariant differential.  This is the stable height when the
-asserted minimal/semistable claims hold.  The flags passed to
+    h_theta = (1/4) log den(lam) + (1/2) log(1 + sqrt(lam) + sqrt(1 - lam)):
+
+the finite places are exact (the fourth powers of the coordinate ratios
+are lam and 1 - lam, which share their reduced denominator, and the
+v-adic max commutes with fourth powers).
+
+Faltings height: h_F = -(1/2) log(covolume/pi) = (1/2) log(M(a, b) M(a, c)
+/ (36 pi)), and log det Im tau = |log t|, both for the period lattice of
+the minimal model's invariant differential.  This is the stable height
+when the asserted minimal/semistable claims hold.  The flags passed to
 ``EllipticCurveQ.from_coefficients`` are a caller contract, not verified;
 ``load_corpus`` rejects a row that asserts either flag without integral
 coefficients and the gcd(c4, disc) = 1 certificate.
+
+The AGM certificate (``_agm_bounds``).  For a >= b > 0 the AGM satisfies
+M(a, b) = M((a + b)/2, sqrt(ab)) and b <= M(a, b) <= a, it is homogeneous
+of degree 1, and it is nondecreasing in each argument (D. A. Cox, "The
+arithmetic-geometric mean of Gauss", Enseign. Math. 30 (1984)).  A run in
+integers at scale 2^w starts from floor square roots of floor(x 4^w) and
+floor(y 4^w), so M(a0, b0) <= 2^w M(sqrt x, sqrt y).  Each step replaces
+(a, b) by (floor((a + b)/2), isqrt(ab)), which is componentwise at most
+((a + b)/2, sqrt(ab)), so M does not increase; floor is monotone, so
+a' >= b' and the iterates stay ordered.  When the run stops, its b is at
+most M(a, b), hence at most 2^w M.  The upper run rounds every step and
+both starts up, so M does not decrease, and its final a is at least 2^w M.
+Each run stops once a - b <= 1, which it reaches: the gap of the means is
+(a + b)/2 - sqrt(ab) <= (a - b)^2 / (8b), and one rounding adds less
+than 1.  Every error of h_theta, h_F, log det Im tau and the window comes
+from these enclosures and from certified log, sqrt and pi; none is
+asserted.
+
+``window_check`` is the one analysis of a curve: one ``periods_agm`` gives
+the window, the two lower bounds on h_F and the matrix lemma (see
+``HeightReport``); ``matrix_lemma_check`` reads the last.
 """
 from __future__ import annotations
 
@@ -27,23 +61,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from mpmath import (mp, mpf, mpc, agm, fabs, log, pi, polyroots, sqrt,
-                    workprec)
+from mpmath import mp, mpf, mpc, log, pi, workprec
+from mpmath.libmp import from_man_exp
 
 from . import constants
-from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, PrecisionError,
-                        Verdict, certified_le)
+from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, Verdict,
+                        certified_le)
 from .exactla import fraction_to_mpf
-from .siegel import ReductionResult, SiegelPoint, default_tol, reduce_g1
-from .theta import theta_null_vector
+from .siegel import SiegelPoint
 
 
 class ClaimsError(ValueError):
     """The stable Faltings height needs asserted minimal semistable claims."""
-
-
-class PeriodError(ArithmeticError):
-    """AGM periods failed their exact c4/c6 reconstruction self-check."""
 
 
 @dataclass(frozen=True)
@@ -120,92 +149,122 @@ class EllipticCurveQ:
 
 
 def _depressed_roots(c4: Fraction, c6: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """The rational roots of X^3 - 27 c4 X - 54 c6; ValueError unless there
-    are three distinct ones."""
-    s = (27 * c4).denominator
-    s = s * (54 * c6).denominator // math.gcd(s, (54 * c6).denominator)
-    p = -27 * c4 * s * s
-    q = -54 * c6 * s ** 3
-    if p.denominator != 1 or q.denominator != 1:
-        s *= p.denominator * q.denominator
-        p = -27 * c4 * s * s
-        q = -54 * c6 * s ** 3
-    pi_, qi = int(p), int(q)
-    bits = max(abs(pi_), abs(qi), 2).bit_length()
-    roots: list[Fraction] = []
-    with workprec(4 * bits + 96):
-        for rt in polyroots([1, 0, pi_, qi], maxsteps=200, extraprec=64):
-            if abs(mpc(rt).imag) > mpf(2) ** -20:
-                continue
-            cand = int(mp.nint(mpc(rt).real))
-            if cand ** 3 + pi_ * cand + qi == 0 and Fraction(cand, s) not in roots:
-                roots.append(Fraction(cand, s))
-    if len(roots) != 3:
-        raise ValueError("full rational 2-torsion required")
-    return tuple(sorted(roots, reverse=True))
+    """The rational roots of X^3 - 27 c4 X - 54 c6, largest first;
+    ValueError unless there are three distinct ones.
+
+    Scaled by s, the cubic is the monic integral X^3 + pX + q, whose
+    rational roots are integers.  With three distinct real roots (positive
+    discriminant) the largest lies right of the critical point sqrt(-p/3),
+    where the cubic increases: integer bisection finds it.  Deflation leaves
+    X^2 + rX + (p + r^2), solved exactly with isqrt."""
+    s = math.lcm((27 * c4).denominator, (54 * c6).denominator)
+    p = int(-27 * c4 * s * s)
+    q = int(-54 * c6 * s ** 3)
+
+    def f(x: int) -> int:
+        return (x * x + p) * x + q
+
+    if -4 * p ** 3 - 27 * q * q > 0:
+        lo = math.isqrt((-p + 2) // 3 - 1) + 1          # ceil(sqrt(-p/3))
+        if f(lo) <= 0:
+            hi = 2 * lo
+            while f(hi) < 0:
+                hi *= 2
+            while hi - lo > 1:                          # f(lo) <= 0 <= f(hi)
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+            r = lo if f(lo) == 0 else hi
+            if f(r) == 0:
+                d = -3 * r * r - 4 * p                  # (r2 - r3)^2 > 0
+                sd = math.isqrt(d)
+                if sd * sd == d:
+                    return tuple(Fraction(x, s)
+                                 for x in (r, (sd - r) // 2, (-sd - r) // 2))
+    raise ValueError("full rational 2-torsion required")
+
+
+def _lambda(curve: EllipticCurveQ) -> Fraction:
+    """The one cross-ratio of the 2-torsion roots in (0, 1/2]: theta2^4 /
+    theta3^4 at the reduced period matrix."""
+    e1, e2, e3 = curve.sorted_roots()
+    lam = (e2 - e3) / (e1 - e3)
+    return min(lam, 1 - lam)
 
 
 # ---------------------------------------------------------------------------
 # periods
 
 
+def _agm_bounds(x: Fraction, y: Fraction, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w M(sqrt x, sqrt y) <= hi, for x >= y > 0: the
+    lower and upper integer runs of the AGM (proof in the module
+    docstring)."""
+    def ceil_sqrt(n: int) -> int:
+        r = math.isqrt(n)
+        return r if r * r == n else r + 1
+
+    a = math.isqrt((x.numerator << 2 * w) // x.denominator)
+    b = math.isqrt((y.numerator << 2 * w) // y.denominator)
+    while a - b > 1:
+        a, b = (a + b) // 2, math.isqrt(a * b)
+    lo = b
+    a = ceil_sqrt(-((-x.numerator << 2 * w) // x.denominator))
+    b = ceil_sqrt(-((-y.numerator << 2 * w) // y.denominator))
+    while a - b > 1:
+        a, b = (a + b + 1) // 2, ceil_sqrt(a * b)
+    return lo, a
+
+
+def _certified_agm(x: Fraction, y: Fraction, w: int) -> CertifiedReal:
+    """M(sqrt x, sqrt y) as the midpoint and radius of its ``_agm_bounds``
+    enclosure, both exact (the mpf keeps every bit of the midpoint)."""
+    lo, hi = _agm_bounds(x, y, w)
+    return CertifiedReal(mp.make_mpf(from_man_exp(lo + hi, -w - 1)),
+                         mp.make_mpf(from_man_exp(hi - lo, -w - 1)))
+
+
 @dataclass(frozen=True)
 class PeriodLattice:
     """Periods of the invariant differential dx/(2y + a1 x + a3), ordered so
-    that tau = omega2/omega1 lies in the upper half plane."""
+    that tau = omega2/omega1 lies in the upper half plane.  ``m_ab`` and
+    ``m_ac`` are the certified AGMs M(a, b) and M(a, c); the periods and
+    ``tau_reduced`` are their midpoint values at the working precision of
+    ``periods_agm``."""
     omega1: mpc
     omega2: mpc
     covolume: mpf
-    reduction: ReductionResult      # of tau, at the prec of periods_agm
-    nulls: tuple                    # (theta2, theta3, theta4) at reduction.reduced
+    m_ab: CertifiedReal
+    m_ac: CertifiedReal
+    tau_reduced: SiegelPoint
 
     def tau(self) -> SiegelPoint:
         return SiegelPoint.from_complex(self.omega2 / self.omega1)
 
 
 def periods_agm(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> PeriodLattice:
-    """AGM periods, the reduction of tau and the theta-nulls there, each once;
-    self-checked by reconstructing c4 and c6 via Eisenstein values."""
+    """The two AGMs from their integer enclosures, and the periods and the
+    reduced tau = i max(t, 1/t) they give.  The scale keeps at least
+    prec + GUARD_BITS bits below the smaller AGM, which is at least
+    min(b, c)."""
     e1, e2, e3 = curve.sorted_roots()
+    small = min(e1 - e2, e2 - e3)
+    w = prec + GUARD_BITS + max(
+        0, (small.denominator.bit_length() - small.numerator.bit_length() + 2) // 2)
     with workprec(prec + GUARD_BITS):
-        a = sqrt(fraction_to_mpf(e1 - e3))
-        b = sqrt(fraction_to_mpf(e1 - e2))
-        c = sqrt(fraction_to_mpf(e2 - e3))
-        m_ab = agm(a, b)
-        m_ac = agm(a, c)
-        if not (m_ab > 0 and m_ac > 0):
-            raise PeriodError("AGM did not converge to a positive limit")
-        omega1 = mpc(6 * pi / m_ab)
-        omega2 = mpc(0, 1) * 6 * pi / m_ac
-        covol = fabs((omega1.conjugate() * omega2).imag)
-        red = reduce_g1(SiegelPoint.from_complex(omega2 / omega1), prec)
-        nulls = _even_nulls(red.reduced, prec)
-        _check_lattice_invariants(curve, omega1, omega2, red, nulls, prec)
-    return PeriodLattice(omega1, omega2, covol, red, nulls)
+        m_ab = _certified_agm(e1 - e3, e1 - e2, w)
+        m_ac = _certified_agm(e1 - e3, e2 - e3, w)
+        omega1 = mpc(6 * pi / m_ab.value)
+        omega2 = mpc(0, 6 * pi / m_ac.value)
+        covol = omega1.real * omega2.imag
+        t = m_ab.value / m_ac.value
+        tau_reduced = SiegelPoint.from_complex(mpc(0, max(t, 1 / t)))
+    return PeriodLattice(omega1, omega2, covol, m_ab, m_ac, tau_reduced)
 
 
-def _check_lattice_invariants(curve: EllipticCurveQ, omega1: mpc, omega2: mpc,
-                              red: ReductionResult, nulls: tuple, prec: int):
-    """Recompute c4, c6 from (omega1, omega2) and compare exactly."""
-    gam = red.gamma
-    om1p = (gam.lam[0][0] * omega2 + gam.mu[0][0] * omega1)
-    t2, t3, t4 = nulls
-    e4 = (t2.value ** 8 + t3.value ** 8 + t4.value ** 8) / 2
-    e6 = ((t3.value ** 4 + t4.value ** 4) * (t3.value ** 4 + t2.value ** 4)
-          * (t4.value ** 4 - t2.value ** 4)) / 2
-    scale = 2 * pi / om1p
-    tol = default_tol(prec)
-    for name, hat, ref in (("c4", scale ** 4 * e4, curve.c4), ("c6", scale ** 6 * e6, curve.c6)):
-        ref = fraction_to_mpf(ref)
-        if fabs(hat - ref) > tol * max(mpf(1), fabs(ref)):
-            raise PeriodError(f"period self-check failed on {name}")
-
-
-def _even_nulls(tau: SiegelPoint, prec: int):
-    """theta constants theta2 = (1/2,0), theta3 = (0,0), theta4 = (0,1/2),
-    from the one walk of the level-2 theta-null vector."""
-    t3, t4, t2, _ = theta_null_vector(tau, 2, prec)
-    return t2, t3, t4
+def _log_det_im(lattice: PeriodLattice) -> CertifiedReal:
+    """log det Im of the reduced tau, |log t|; call inside the working
+    precision."""
+    return (lattice.m_ab / lattice.m_ac).log().abs()
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +281,7 @@ def faltings_height_g1(curve: EllipticCurveQ,
                        lattice: PeriodLattice | None = None,
                        prec: int = DEFAULT_PREC,
                        allow_relative: bool = False) -> FaltingsResult:
-    """-(1/2) log(covolume/pi).
+    """-(1/2) log(covolume/pi) = (1/2) log(M(a, b) M(a, c) / (36 pi)).
 
     Refuses when the minimal/semistable claims are not asserted, since the
     computed number is then only the relative height of the given model; pass
@@ -237,8 +296,8 @@ def faltings_height_g1(curve: EllipticCurveQ,
     if lattice is None:
         lattice = periods_agm(curve, prec)
     with workprec(prec + GUARD_BITS):
-        v = -log(lattice.covolume / pi) / 2
-        h = CertifiedReal(v, (1 + fabs(v)) * mpf(2) ** (-(prec + 16)))
+        h = ((lattice.m_ab * lattice.m_ac / (36 * CertifiedReal.rounded(pi))).log()
+             * CertifiedReal.exact(mpf(1) / 2))
     return FaltingsResult(h, stable)
 
 
@@ -253,26 +312,6 @@ class ThetaHeightDetails:
     archimedean: CertifiedReal
     lam: Fraction
     tau_reduced: SiegelPoint
-    reduction: ReductionResult
-    jacobi_defect: mpf
-
-
-def _match_lambda(curve: EllipticCurveQ, t2, t3, prec: int) -> Fraction:
-    e = curve.two_torsion_x
-    candidates = set()
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        candidates.add(Fraction(e[i] - e[k]) / Fraction(e[j] - e[k]))
-    lhs = t2.value ** 4
-    base = t3.value ** 4
-    tol = default_tol(prec)
-    err_budget = 8 * (t2.err + t3.err) * (1 + fabs(lhs) + fabs(base))
-    matches = [c for c in candidates
-               if fabs(lhs - fraction_to_mpf(c) * base) <= (tol + err_budget) * fabs(base)]
-    if len(matches) != 1:
-        raise PrecisionError(
-            f"{len(matches)} cross-ratio candidates match theta2^4/theta3^4; "
-            "precision failure or inconsistent two-torsion input")
-    return matches[0]
 
 
 def _finite_part(lam: Fraction) -> CertifiedReal:
@@ -282,37 +321,27 @@ def _finite_part(lam: Fraction) -> CertifiedReal:
     return CertifiedReal.rounded(log(lam.denominator) / 4)
 
 
-def _pipeline(curve: EllipticCurveQ, lattice: PeriodLattice,
-              prec: int) -> ThetaHeightDetails:
-    red = lattice.reduction
-    t2, t3, t4 = lattice.nulls
-    with workprec(prec + GUARD_BITS):
-        lam = _match_lambda(curve, t2, t3, prec)
-        # quartic identity self-check: theta2^4 + theta4^4 = theta3^4
-        jac = fabs(t2.value ** 4 + t4.value ** 4 - t3.value ** 4)
-        jac_budget = 10 * (t2.err + t3.err + t4.err) * (
-            1 + fabs(t2.value) ** 3 + fabs(t3.value) ** 3 + fabs(t4.value) ** 3) * 4
-        if jac > jac_budget:
-            raise PrecisionError("theta constants violate the quartic identity")
-        a3 = t3.abs()
-        r4 = t4.abs() / a3
-        r2 = t2.abs() / a3
-        arch = ((CertifiedReal.exact(1) + r4 * r4 + r2 * r2).log()
-                * CertifiedReal.exact(mpf(1) / 2))
-        fin = _finite_part(lam)
-        h = fin + arch
-        if h.lo < -mpf(2) ** (-(prec // 4)):
-            raise PrecisionError("theta height came out negative")
-    return ThetaHeightDetails(h, fin, arch, lam, red.reduced, red, jac)
+def _theta_height(lam: Fraction) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal]:
+    """(h_theta, finite part, archimedean part) at lam, the archimedean part
+    (1/2) log(1 + sqrt(lam) + sqrt(1 - lam)); call inside the working
+    precision."""
+    roots = [CertifiedReal.rounded(fraction_to_mpf(x)).sqrt() for x in (lam, 1 - lam)]
+    arch = (1 + roots[0] + roots[1]).log() * CertifiedReal.exact(mpf(1) / 2)
+    fin = _finite_part(lam)
+    return fin + arch, fin, arch
 
 
 def theta_height_details(curve: EllipticCurveQ,
                          prec: int = DEFAULT_PREC) -> ThetaHeightDetails:
     """``h_theta``: the Weil height of the level-2 theta-null point, l2
     convention at the archimedean place, always nonnegative.  ``lam``: the
-    exact rational among the six cross-ratios of the 2-torsion roots that
-    matches theta2^4/theta3^4 at the reduced period matrix."""
-    return _pipeline(curve, periods_agm(curve, prec), prec)
+    exact cross-ratio of the 2-torsion roots in (0, 1/2], which is
+    theta2^4/theta3^4 at the reduced period matrix."""
+    lattice = periods_agm(curve, prec)
+    lam = _lambda(curve)
+    with workprec(prec + GUARD_BITS):
+        h, fin, arch = _theta_height(lam)
+    return ThetaHeightDetails(h, fin, arch, lam, lattice.tau_reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +370,35 @@ class HeightReport:
 
 
 def _window(h: CertifiedReal, h_faltings: CertifiedReal,
-            log_det_im: mpf) -> CertifiedReal:
+            log_det_im: CertifiedReal) -> CertifiedReal:
     """h - h_F/2 - (1/4) log det Im tau; call inside the working precision."""
     return (h - h_faltings * CertifiedReal.exact(mpf(1) / 2)
-            - CertifiedReal.rounded(log_det_im / 4))
+            - log_det_im * CertifiedReal.exact(mpf(1) / 4))
 
 
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
                  allow_relative: bool = False) -> HeightReport:
     """h_theta - h_F/2 - (1/4) log det Im tau against the [m(2,1), M(2,1)]
     window, the height lower bounds and the matrix lemma, all with
-    certified margins, from one ``periods_agm`` and one height pipeline."""
+    certified margins, from one ``periods_agm``."""
     lattice = periods_agm(curve, prec)
+    lam = _lambda(curve)
     with workprec(prec + GUARD_BITS):
-        det_s = _pipeline(curve, lattice, prec)
+        h = _theta_height(lam)[0]
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
-        log_det_im = log(det_s.tau_reduced.det_im())
-        window = _window(det_s.h_theta, fal.height, log_det_im)
+        log_det_im = _log_det_im(lattice)
+        window = _window(h, fal.height, log_det_im)
         verdicts = {
             "window_lower": certified_le(constants.m_const(2, 1, prec), window),
             "window_upper": certified_le(window, constants.M_const(2, 1, prec)),
             "bost_lower": certified_le(constants.bost_lower(1, prec), fal.height),
             "hf_lower": certified_le(constants.hF_lower(2, 1, prec), fal.height),
         }
-        h = det_s.h_theta
         clipped = CertifiedReal(max(h.value, mpf(1)), h.err)
         rhs = constants.C_matrix(1, prec) * (clipped + CertifiedReal.exact(2)).log()
-        matrix_lemma = certified_le(CertifiedReal.rounded(fabs(log_det_im)), rhs)
-    return HeightReport(det_s.h_theta, fal.height, det_s.tau_reduced, window,
-                        det_s.lam, fal.stable, verdicts, matrix_lemma)
+        matrix_lemma = certified_le(log_det_im, rhs)
+    return HeightReport(h, fal.height, lattice.tau_reduced, window, lam,
+                        fal.stable, verdicts, matrix_lemma)
 
 
 def matrix_lemma_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> Verdict:
@@ -388,8 +417,7 @@ def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
     with workprec(prec + GUARD_BITS):
         lattice = periods_agm(curve, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
-        log_det_im = log(lattice.reduction.reduced.det_im())
-        return (_window(theta_point_height, fal.height, log_det_im)
+        return (_window(theta_point_height, fal.height, _log_det_im(lattice))
                 - constants.M_const(2, 1, prec))
 
 

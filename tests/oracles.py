@@ -8,9 +8,13 @@ real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
 (Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
 Gram-Schmidt recomputed after every step).
 
-One reference is not independent: ``beta_sigma_det_scaled`` keeps the
+Two references are not independent.  ``beta_sigma_det_scaled`` keeps the
 former det-scaled formula of beta_sigma over the package's own theta
 values, so that a test can compare the two formulas alone.
+``theta_route_heights`` keeps the former g = 1 height route (mpmath AGM
+periods, ``reduce_g1``, the package's certified theta-nulls, lambda matched
+against theta2^4/theta3^4), so that the closed forms of ``heights`` can be
+checked against certified theta values.
 """
 import itertools
 from fractions import Fraction
@@ -303,3 +307,59 @@ def lll_gram_frac(gram, delta=Fraction(99, 100)):
             mu, norms = gso()
             k = max(k - 1, 1)
     return tuple(tuple(int(basis[j][i]) for j in range(n)) for i in range(n))
+
+
+def _even_nulls(tau, prec):
+    """theta constants theta2 = (1/2,0), theta3 = (0,0), theta4 = (0,1/2),
+    from the one walk of the level-2 theta-null vector."""
+    from thetaheights.theta import theta_null_vector
+    t3, t4, t2, _ = theta_null_vector(tau, 2, prec)
+    return t2, t3, t4
+
+
+def _match_lambda(curve, t2, t3, prec):
+    """The one cross-ratio of the 2-torsion roots that matches
+    theta2^4/theta3^4 within the certified errors and the reduction's
+    tolerance."""
+    from thetaheights.exactla import fraction_to_mpf
+    from thetaheights.siegel import default_tol
+    lhs = t2.value ** 4
+    base = t3.value ** 4
+    budget = default_tol(prec) + 8 * (t2.err + t3.err) * (1 + fabs(lhs) + fabs(base))
+    matches = [c for c in cross_ratios(*curve.two_torsion_x)
+               if fabs(lhs - fraction_to_mpf(c) * base) <= budget * fabs(base)]
+    assert len(matches) == 1, matches
+    return matches[0]
+
+
+def theta_route_heights(curve, prec):
+    """The g = 1 heights from theta values, as a dict: the reduced tau and
+    log det Im of it (``reduce_g1`` of the mpmath-AGM period ratio), lam,
+    h_theta from the three even theta-nulls there, h_F with the radius
+    (1 + |v|) 2^-(prec + 16) that route asserted for mpmath's AGM, the
+    window, and the residue of Jacobi's theta2^4 + theta4^4 = theta3^4."""
+    from mpmath import agm, log
+    from thetaheights.certified import GUARD_BITS, CertifiedReal
+    from thetaheights.exactla import fraction_to_mpf
+    from thetaheights.siegel import SiegelPoint, reduce_g1
+    e1, e2, e3 = curve.sorted_roots()
+    half = CertifiedReal.exact(mpf(1) / 2)
+    with workprec(prec + GUARD_BITS):
+        a, b, c = (sqrt(fraction_to_mpf(x)) for x in (e1 - e3, e1 - e2, e2 - e3))
+        omega1 = 6 * pi / agm(a, b)
+        omega2 = 6 * pi / agm(a, c)
+        red = reduce_g1(SiegelPoint.from_complex(mpc(0, omega2 / omega1)), prec)
+        t2, t3, t4 = _even_nulls(red.reduced, prec)
+        lam = _match_lambda(curve, t2, t3, prec)
+        a3 = t3.abs()
+        r2, r4 = t2.abs() / a3, t4.abs() / a3
+        arch = (CertifiedReal.exact(1) + r4 * r4 + r2 * r2).log() * half
+        h_theta = CertifiedReal.rounded(log(lam.denominator) / 4) + arch
+        v = -log(omega1 * omega2 / pi) / 2
+        h_f = CertifiedReal(v, (1 + fabs(v)) * mpf(2) ** (-(prec + 16)))
+        log_det_im = log(red.reduced.det_im())
+        window = (h_theta - h_f * half - CertifiedReal.rounded(log_det_im / 4))
+        jacobi = fabs(t2.value ** 4 + t4.value ** 4 - t3.value ** 4)
+    return {"tau_reduced": red.reduced, "log_det_im": log_det_im, "lam": lam,
+            "h_theta": h_theta, "h_faltings": h_f, "window": window,
+            "jacobi_defect": jacobi}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -193,22 +194,22 @@ def test_heights_corpus_rejects_uncertified_claims(tmp_path, capsys):
 
 
 def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, monkeypatch):
-    # one window_check per curve: one period analysis and one height
-    # pipeline serve the window, the lower bounds and the matrix lemma
+    # one window_check per curve: one period analysis and one theta height
+    # serve the window, the lower bounds and the matrix lemma
     calls = []
-    pipelines = []
+    lams = []
     periods_agm = heights.periods_agm
-    pipeline = heights._pipeline
+    theta_height = heights._theta_height
 
     def counted(curve, prec):
         calls.append(curve.label)
         return periods_agm(curve, prec)
 
-    def counted_pipeline(curve, lattice, prec):
-        pipelines.append(curve.label)
-        return pipeline(curve, lattice, prec)
+    def counted_theta_height(lam):
+        lams.append(lam)
+        return theta_height(lam)
     monkeypatch.setattr(heights, "periods_agm", counted)
-    monkeypatch.setattr(heights, "_pipeline", counted_pipeline)
+    monkeypatch.setattr(heights, "_theta_height", counted_theta_height)
     path = tmp_path / "two.csv"
     path.write_text("label,a1,a2,a3,a4,a6,minimal,semistable\n"
                     "c225,1,1,1,-5,2,true,true\n"
@@ -216,19 +217,19 @@ def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, mo
     code, out = run(capsys, "--format", "csv", "heights", "corpus", "--file", str(path))
     assert code == 0 and len(out.strip().splitlines()) == 3
     assert calls == ["c225", "c289"]
-    assert pipelines == ["c225", "c289"]
+    assert lams == [Fraction(1, 16), Fraction(1, 17)]
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["heights", "corpus"],
-     "659a685662eefb9dc382101b2394d4fe9b55d2ca20b38d196517a6cf9f619be0"),
+     "b04deb4e532af5554ae6f34f2747140ffd343252eb4ac1c6a5d41f03edd8c389"),
     (["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"],
-     "7807a35754d16d4cae52c4d41e9830d9948c0faf53652809136439fdc2aaa646"),
+     "316f0a6d8efe8c09b5177f6a19b31d754d0e9e42f6852b4d43ce1516912d5947"),
 ], ids=["corpus", "verify"])
 def test_heights_output_is_pinned(capsys, argv, digest):
-    # sha256 of the output bytes with no --format, taken when the formatter
-    # stopped rounding each number to the caller's 53 bits before printing
-    # it (the former digests are the same outputs printed that way)
+    # sha256 of the output bytes with no --format, taken when the heights
+    # became closed forms in two certified AGMs: the printed values moved
+    # within their former certified errors, and the errors shrank
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,11 +1,17 @@
+import dataclasses
 import hashlib
+import importlib.util
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf, mpc, fabs, gamma, log, pi, sqrt, workprec
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp, mpf, mpc, agm, fabs, gamma, log, pi, sqrt, workprec
 
 from thetaheights.certified import CertifiedReal
-from thetaheights import heights
+from thetaheights import heights, siegel
 from thetaheights import theta as theta_module
 from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
                                   faltings_height_g1, load_corpus,
@@ -15,7 +21,7 @@ from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
 from thetaheights import constants
 from thetaheights.campaign import CampaignConfig, run_campaign
 
-from oracles import cross_ratios
+from oracles import cross_ratios, theta_route_heights
 
 # frozen oracle values for the conductor-15 curve [1,1,1,-10,-10]
 with workprec(220):
@@ -47,6 +53,32 @@ def test_two_torsion_extraction():
 def test_rejects_partial_two_torsion():
     with pytest.raises(ValueError):
         EllipticCurveQ.from_coefficients(0, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, 0, 0, -7, 7),       # x^3 - 7x + 7: three real roots, irreducible
+    (0, -3, 0, -2, 6),      # (x - 3)(x^2 - 2): the largest root rational
+    (0, 0, 0, -1, -6),      # (x - 2)(x^2 + 2x + 3): a complex pair
+], ids=["irreducible", "irrational-pair", "complex-pair"])
+def test_rejects_cubics_without_three_rational_roots(coeffs):
+    with pytest.raises(ValueError, match="full rational 2-torsion"):
+        EllipticCurveQ.from_coefficients(*coeffs)
+
+
+_ROOT = st.integers(-10 ** 12, 10 ** 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROOT, _ROOT, st.integers(1, 10 ** 6))
+def test_integer_roots_of_a_split_depressed_cubic(r1, r2, den):
+    # roots r_i / den with r1 + r2 + r3 = 0; X^3 - 27 c4 X - 54 c6 has them
+    roots = [Fraction(r, den) for r in (r1, r2, -r1 - r2)]
+    if len(set(roots)) < 3:
+        return
+    e1, e2, e3 = roots
+    c4 = -(e1 * e2 + e1 * e3 + e2 * e3) / 27
+    c6 = e1 * e2 * e3 / 54
+    assert heights._depressed_roots(c4, c6) == tuple(sorted(roots, reverse=True))
 
 
 def test_rejects_inconsistent_roots():
@@ -123,8 +155,6 @@ def test_theta_height_15_and_nonnegativity():
         # finite part is (1/4) log 25 here
         assert fabs(det.finite.value - log(25) / 4) < mpf(10) ** -24
         assert fabs(det.tau_reduced.im[0][0] - TAU_IM_15) < mpf(10) ** -24
-    # quartic identity residue is tiny
-    assert det.jacobi_defect < mpf(10) ** -20
 
 
 def test_theta_height_nonnegative_on_corpus_sample():
@@ -285,10 +315,10 @@ def test_c4_c6_formed_once_per_curve_over_load_and_window_check(tmp_path, monkey
     lambda c, prec: point_bound_rhs(c, 0, prec), theta_height_details,
 ], ids=["window_check", "matrix_lemma_check", "point_bound_rhs",
         "theta_height_details"])
-def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
-    # the three even theta-nulls come from one walk over the boxes of
-    # m1 = 0 (theta3 and theta4) and m1 = 1/2 (theta2)
-    counts = {"reduce_g1": 0, "_row_sum": 0}
+def test_no_reduction_and_no_theta_walk_per_check(monkeypatch, check):
+    # the heights are closed forms in the two certified AGMs of one
+    # periods_agm: no reduction loop runs and no theta sum is walked
+    counts = {"reduce_heuristic": 0, "_row_sum": 0, "periods_agm": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -298,10 +328,11 @@ def test_one_reduction_and_three_theta_nulls_per_check(monkeypatch, check):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(heights, "reduce_g1")
+    counted(siegel, "reduce_heuristic")
     counted(theta_module, "_row_sum")
+    counted(heights, "periods_agm")
     check(curve15(), 96)
-    assert counts == {"reduce_g1": 1, "_row_sum": 1}
+    assert counts == {"reduce_heuristic": 0, "_row_sum": 0, "periods_agm": 1}
 
 
 @pytest.mark.parametrize("suite, digest", [
@@ -314,3 +345,97 @@ def test_height_campaign_reports_are_pinned(suite, digest):
     # it (the former digests are the same reports printed that way)
     rep = run_campaign(CampaignConfig(suite=suite, samples=16, seed=1, prec=128))
     assert hashlib.sha256((rep.to_csv() + rep.to_json()).encode()).hexdigest() == digest
+
+
+def test_make_corpus_split_roots_on_the_shipped_corpus():
+    # the corpus script finds the 2-torsion with the package's integer rule
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    corpus = load_corpus()
+    assert len(corpus) == 16
+    for c in corpus:
+        c4, c6, disc = script.invariants(*(int(x) for x in (c.a1, c.a2, c.a3, c.a4, c.a6)))
+        assert (c4, c6, disc) == (c.c4, c.c6, c.disc)
+        assert script.split_roots(c4, c6) == list(c.sorted_roots())
+    assert script.split_roots(-48, 0) is None       # y^2 = x^3 + x: a complex pair
+
+
+_WIDTH = st.integers(4, 20)
+_RATIONAL = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL, _RATIONAL, _WIDTH)
+# integer starts 2^w sqrt(x), 2^w sqrt(y), so only the runs' own rounding
+# shows: there 2^w M(sqrt x, sqrt y) = M(122, 1) = 30.957, and a mean
+# rounded up in the lower run gives lo = 31; and M(7, 1) = 3.288, where a
+# square root rounded down in the upper run gives hi = 3
+@example(Fraction(122 ** 2, 256), Fraction(1, 256), 4)
+@example(Fraction(7 ** 2, 256), Fraction(1, 256), 4)
+def test_agm_bounds_enclose_the_agm(x, y, w):
+    # at a few bits one unit of 2^-w is visible: a step rounded the wrong
+    # way in either run can put the true AGM outside [lo, hi]
+    x, y = max(x, y), min(x, y)
+    lo, hi = heights._agm_bounds(x, y, w)
+    with workprec(4 * w + 64):
+        m = agm(sqrt(mpf(x.numerator) / x.denominator),
+                sqrt(mpf(y.numerator) / y.denominator)) * 2 ** w
+        assert lo <= m <= hi, (lo, m, hi)
+
+
+def test_faltings_error_covers_a_coarse_agm_enclosure():
+    # from 12-bit AGM enclosures the certified h_F and log det Im tau
+    # still hold the true values: their errors carry the enclosure widths
+    c = curve15()
+    e1, e2, e3 = c.sorted_roots()
+    coarse = dataclasses.replace(periods_agm(c),
+                                 m_ab=heights._certified_agm(e1 - e3, e1 - e2, 12),
+                                 m_ac=heights._certified_agm(e1 - e3, e2 - e3, 12))
+    h = faltings_height_g1(c, coarse).height
+    with workprec(200):
+        ldi = heights._log_det_im(coarse)
+        assert h.lo <= HF_15 <= h.hi and h.err < mpf(2) ** -6
+        assert ldi.lo <= log(TAU_IM_15) <= ldi.hi and ldi.err < mpf(2) ** -6
+
+
+def _seeded_curves(n, seed=2401):
+    """n curves y^2 = (x - e1)(x - e2)(x - e3) with rational roots of
+    log-uniform size up to 10^6 over a few denominators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        den = rng.choice((1, 1, 2, 3, 16, 1000))
+        es = {Fraction(rng.choice((-1, 1)) * int(math.exp(rng.random() * math.log(10 ** 6))),
+                       den) for _ in range(3)}
+        if len(es) < 3:
+            continue
+        e1, e2, e3 = es
+        out.append(EllipticCurveQ.from_coefficients(
+            0, -(e1 + e2 + e3), 0, e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3,
+            label=f"seed{len(out)}"))
+    return out
+
+
+def test_closed_forms_agree_with_the_theta_route():
+    # the closed forms lie within the certified errors of the heights
+    # computed from the three even theta-nulls at reduce_g1's tau
+    for c in load_corpus() + _seeded_curves(40):
+        rep = window_check(c, 128, allow_relative=True)
+        lattice = periods_agm(c, 128)
+        old = theta_route_heights(c, 128)
+        assert rep.lam == old["lam"], c.label
+        assert old["jacobi_defect"] < mpf(10) ** -20, c.label
+        for new, ref in ((rep.h_theta, old["h_theta"]), (rep.h_faltings, old["h_faltings"]),
+                         (rep.window_value, old["window"])):
+            assert fabs(new.value - ref.value) <= new.err + ref.err, c.label
+        with workprec(200):
+            t = lattice.m_ab / lattice.m_ac
+            im = t if t.value >= 1 else CertifiedReal.exact(1) / t
+            ref_im = old["tau_reduced"].im[0][0]
+            # the oracle's tau gets the relative radius its route asserted
+            # for mpmath's AGM
+            assert fabs(rep.tau_reduced.im[0][0] - ref_im) <= \
+                im.err + ref_im * mpf(2) ** -(128 + 16), c.label
+            assert rep.tau_reduced.re[0][0] == old["tau_reduced"].re[0][0] == 0

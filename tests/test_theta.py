@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, log, mp, mpf, mpc, pi,
                     sqrt, workprec)
 
-from thetaheights import heights, sampling
+from thetaheights import sampling
 from thetaheights import theta as theta_module
 from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                                     CertifiedReal, PrecisionError)
@@ -1302,8 +1302,6 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
         assert work(theta_null_vector, tau, r, prec=96) == (1, r, r)
     assert work(verify_duplication, tau, 3, prec=96) == (4, 4 * 2, 4 * 2)
     assert work(verify_duplication, TAU_I, 3, prec=96) == (4, 4 * 2, 4 * 2)
-    curve = heights.EllipticCurveQ.from_coefficients(1, 1, 1, -10, -10)
-    assert work(heights.periods_agm, curve, 96) == (1, 2, 2)
     # theta is the one-member batch: one walk, one search, one tail
     char = ThetaCharacteristic.from_integers(4, [1, 2], [3, 0])
     assert work(theta, tau, z, char, prec=96) == (1, 1, 1)
