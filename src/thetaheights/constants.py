@@ -20,14 +20,10 @@ from functools import cache
 
 from mpmath import mpf, exp, factorial, log, pi, workprec
 
-from .certified import DEFAULT_PREC, CertifiedReal
+from .certified import DEFAULT_PREC, GUARD_BITS, CertifiedReal
 from .exactla import as_mpf
 from .siegel import SiegelPoint
 from .theta import _check_level
-
-# closed forms of a few dozen operations each, with a 64-ulp cushion per
-# result (_certify): 32 guard bits are plenty, unlike theta's long sums
-GUARD_BITS = 32
 
 # table outputs cap out where the 2^(g^3/4) term stops being printable sense
 TABLE_MAX_G = 5
@@ -35,6 +31,7 @@ TABLE_MAX_R = 8
 
 
 def _certify(x) -> CertifiedReal:
+    """A closed form of a few dozen mpf operations, allowed 64 ulps."""
     return CertifiedReal.rounded(x, ulps=64)
 
 
@@ -80,7 +77,7 @@ def C_matrix(g: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
 def C1(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """C(g)/4 + C3."""
     with workprec(prec + GUARD_BITS):
-        return C_matrix(g, prec) * CertifiedReal.exact(mpf(1) / 4) + C3(g, r, prec)
+        return C_matrix(g, prec) * 0.25 + C3(g, r, prec)
 
 
 @cache

@@ -67,7 +67,6 @@ from mpmath.libmp import from_man_exp
 from . import constants
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, Verdict,
                         certified_le)
-from .exactla import fraction_to_mpf
 from .siegel import SiegelPoint
 
 
@@ -296,8 +295,7 @@ def faltings_height_g1(curve: EllipticCurveQ,
     if lattice is None:
         lattice = periods_agm(curve, prec)
     with workprec(prec + GUARD_BITS):
-        h = ((lattice.m_ab * lattice.m_ac / (36 * CertifiedReal.rounded(pi))).log()
-             * CertifiedReal.exact(mpf(1) / 2))
+        h = (lattice.m_ab * lattice.m_ac / (36 * CertifiedReal.rounded(pi))).log() * 0.5
     return FaltingsResult(h, stable)
 
 
@@ -325,8 +323,8 @@ def _theta_height(lam: Fraction) -> tuple[CertifiedReal, CertifiedReal, Certifie
     """(h_theta, finite part, archimedean part) at lam, the archimedean part
     (1/2) log(1 + sqrt(lam) + sqrt(1 - lam)); call inside the working
     precision."""
-    roots = [CertifiedReal.rounded(fraction_to_mpf(x)).sqrt() for x in (lam, 1 - lam)]
-    arch = (1 + roots[0] + roots[1]).log() * CertifiedReal.exact(mpf(1) / 2)
+    roots = [CertifiedReal.rounded(x).sqrt() for x in (lam, 1 - lam)]
+    arch = (1 + roots[0] + roots[1]).log() * 0.5
     fin = _finite_part(lam)
     return fin + arch, fin, arch
 
@@ -372,8 +370,7 @@ class HeightReport:
 def _window(h: CertifiedReal, h_faltings: CertifiedReal,
             log_det_im: CertifiedReal) -> CertifiedReal:
     """h - h_F/2 - (1/4) log det Im tau; call inside the working precision."""
-    return (h - h_faltings * CertifiedReal.exact(mpf(1) / 2)
-            - log_det_im * CertifiedReal.exact(mpf(1) / 4))
+    return h - h_faltings * 0.5 - log_det_im * 0.25
 
 
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
@@ -411,10 +408,14 @@ def point_bound_rhs(curve: EllipticCurveQ, theta_point_height,
                     allow_relative: bool = False) -> CertifiedReal:
     """h(Theta(P)) - h_F/2 - (1/4) log det Im tau - C(2,1), the certified
     lower bound for the canonical height of P (whose own theta height the
-    caller supplies)."""
-    if not isinstance(theta_point_height, CertifiedReal):
-        theta_point_height = CertifiedReal.exact(mpf(theta_point_height))
+    caller supplies).  A number that is not an exact binary one, such as
+    the string "0.1", is rounded once at the working precision."""
     with workprec(prec + GUARD_BITS):
+        if not isinstance(theta_point_height, CertifiedReal):
+            try:
+                theta_point_height = CertifiedReal.exact(theta_point_height)
+            except ValueError:
+                theta_point_height = CertifiedReal.rounded(theta_point_height)
         lattice = periods_agm(curve, prec)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         return (_window(theta_point_height, fal.height, _log_det_im(lattice))

@@ -91,14 +91,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-from mpmath import (mp, mpf, mpc, fabs, exp, fmul, isfinite, ldexp, log, pi,
-                    sqrt, workprec)
+from mpmath import (mp, mpf, mpc, fabs, exp, fmul, fsub, isfinite, ldexp, log,
+                    pi, sqrt, workprec)
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpc_expjpi, mpf_mul, round_ceiling, round_floor,
                           round_nearest)
 
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
-                        CertifiedReal, PrecisionError, Verdict, _eps, certified_le)
+                        CertifiedReal, PrecisionError, Verdict, certified_le)
 from .exactla import dyadic, fraction_to_mpf, matvec, mpf_to_fraction
 from .siegel import SiegelPoint, as_mpc
 
@@ -1212,7 +1212,8 @@ def _outward(f: CertifiedReal, lo: int, hi: int) -> tuple[mpf, mpf]:
 
 def _interval(lo: mpf, hi: mpf) -> CertifiedReal:
     mid = (lo + hi) / 2
-    return CertifiedReal(mid, (hi - lo) / 2 + fabs(mid) * _eps())
+    return CertifiedReal(mid, max(fsub(hi, mid, rounding="u"),
+                                  fsub(mid, lo, rounding="u")))
 
 
 def _largest(f: CertifiedReal, bounds: list[tuple[int, int]]) -> CertifiedReal:
@@ -1271,7 +1272,7 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
     with workprec(prec + GUARD_BITS):
         w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
         f, bounds = _moduli2(tau, w, r, _coset_chars(g, r), prec, tol)
-        return (_log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(-1) / 2)
+        return (_log_norm_sum(f, bounds, g) * -0.5
                 - CertifiedReal.rounded(log(tau.det_im()) / 4))
 
 
@@ -1324,10 +1325,9 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
             zero = (0,) * g
             upper = certified_le(
                 _largest(*_moduli2(tau, z, r, [(zero, zero)], prec, None)), c_g)
-            mid = _log_norm_sum(f, bounds, g) * CertifiedReal.exact(mpf(1) / 2)
+            mid = _log_norm_sum(f, bounds, g) * 0.5
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
-            hi_const = (c_g.log() * CertifiedReal.exact(mpf(1) / 2)
-                        + lo_const + CertifiedReal.rounded(g * log(r)))
+            hi_const = c_g.log() * 0.5 + lo_const + CertifiedReal.rounded(g * log(r))
             combined_lower = certified_le(lo_const, mid)
             combined_upper = certified_le(mid, hi_const)
     return NormBoundsReport(g, r, assume_reduced, max_lower, upper,

@@ -1234,6 +1234,19 @@ def test_outward_ends_enclose_the_exact_products():
             assert mpf_to_fraction(high) >= mpf_to_fraction(f.hi) * hi
 
 
+def test_interval_ball_holds_its_ends():
+    # the midpoint is rounded, and the radius reaches both ends exactly;
+    # mid - lo is inexact (and so rounded upward) only when lo < hi/3
+    rng = random.Random(9101)
+    with workprec(53):
+        for _ in range(400):
+            hi = mpf(rng.getrandbits(53) | 1) / (rng.getrandbits(20) | 1)
+            lo = hi * rng.choice((rng.random(), 2.0 ** -rng.randrange(2, 90)))
+            x = theta_module._interval(lo, hi)
+            v, r = mpf_to_fraction(x.value), mpf_to_fraction(x.err)
+            assert v - r <= mpf_to_fraction(lo) and mpf_to_fraction(hi) <= v + r
+
+
 def test_norm_bounds_form_no_complex_value_and_a_fixed_count_of_exps_and_logs(monkeypatch):
     # verify_norm_bounds decides on the walk's integers: no CertifiedComplex,
     # and per call at most 2 certified exps per walk (exp(pi y_m) for the
