@@ -7,6 +7,13 @@ modulo it) over a minimal global denominator, so equal lattices have
 identical representations and the metric axioms can be tested as
 identities.
 
+``hnf_columns`` clears each row right of the diagonal with one 2 x 2 column
+step per nonzero entry: the determinant-1 matrix [[u, -b/d], [v, a/d]] from
+the extended gcd u a + v b = d of the pivot a and the entry b (Cohen,
+Alg. 2.4.5).  The HNF of a lattice is unique, so any sequence of unimodular
+column steps, this one or Euclid by the smallest entry, ends in the same
+matrix, entry for entry.
+
 The index [L1 + L2 : L1 cap L2] comes from one HNF of the sum by the second
 isomorphism theorem, [L1 + L2 : L1 cap L2] = det L1 det L2 / det(L1 + L2)^2
 (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Mat
+from .exactla import Mat, gauss_det, gaussian
 
 IntRows = tuple[tuple[int, ...], ...]
 
@@ -36,59 +43,79 @@ class InvariantBreach(RuntimeError):
 # integer normal forms
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, u, v) with u a + v b = d = +-gcd(a, b)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
+
+
 def hnf_columns(rows: list[list[int]]) -> list[list[int]]:
     """Column-style HNF of an n x m integer matrix of full row rank n.
 
     Returns the n x n lower-triangular canonical basis (as rows): positive
     pivots on the diagonal, zeros to the right, and 0 <= H[i][j] < H[i][i]
-    for j < i.
+    for j < i.  Raises ``LatticeError`` for ragged rows or a rank below n.
+
+    The matrix is held as its m columns.  For row i the pivot column p is
+    the first column j >= i with a nonzero entry a in row i.  Each later
+    column c with a nonzero entry b there is folded into p by one 2 x 2
+    step from the extended gcd u a + v b = d (Cohen, Alg. 2.4.5):
+
+        (p, c) <- (u p + v c, (a/d) c - (b/d) p),
+
+    of determinant (u a + v b)/d = 1, so the columns still generate the
+    same lattice and c is now 0 in row i; when a divides b the step is the
+    plain c <- c - (b/a) p.  The pivot is then made positive and the columns
+    left of it are reduced modulo it.  Columns >= i are 0 in the rows above
+    i, so no step disturbs a finished row.  A lattice has exactly one HNF
+    basis, so the result is the same, entry for entry, as that of any other
+    sequence of unimodular column steps, such as Euclid by the smallest
+    entry.
     """
     n = len(rows)
-    m = len(rows[0]) if n else 0
-    a = [list(r) for r in rows]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-
-    def addmul_col(j, k, q):
-        # col_j += q * col_k
-        for r in a:
-            r[j] += q * r[k]
-
-    def neg_col(j):
-        for r in a:
-            r[j] = -r[j]
-
+    try:
+        cols = [list(c) for c in zip(*rows, strict=True)]
+    except ValueError:
+        raise LatticeError("rows of unequal length") from None
+    m = len(cols)
     for i in range(n):
-        # gcd-eliminate row i over columns >= i, leaving one nonzero at col i
-        while True:
-            nz = [j for j in range(i, m) if a[i][j] != 0]
-            if not nz:
-                raise LatticeError("matrix does not have full row rank")
-            jmin = min(nz, key=lambda j: abs(a[i][j]))
-            if jmin != i:
-                swap_cols(i, jmin)
-            done = True
-            for j in range(i + 1, m):
-                if a[i][j] != 0:
-                    q = a[i][j] // a[i][i]
-                    addmul_col(j, i, -q)
-                    if a[i][j] != 0:
-                        done = False
-            if done:
+        for j in range(i, m):
+            if cols[j][i]:
                 break
-        if a[i][i] < 0:
-            neg_col(i)
-        for j in range(i):
-            q = a[i][j] // a[i][i]
+        else:
+            raise LatticeError("matrix does not have full row rank")
+        p = cols[j]
+        cols[j] = cols[i]
+        a = p[i]
+        for k in range(j + 1, m):
+            c = cols[k]
+            b = c[i]
+            if not b:
+                continue
+            if b % a:
+                d, u, v = _xgcd(a, b)
+                s, t = a // d, b // d
+                p, cols[k] = ([u * x + v * y for x, y in zip(p, c)],
+                              [s * y - t * x for x, y in zip(p, c)])
+                a = d
+            else:
+                q = b // a
+                cols[k] = [y - q * x for x, y in zip(p, c)]
+        if a < 0:
+            p = [-x for x in p]
+            a = -a
+        cols[i] = p
+        for k in range(i):
+            q = cols[k][i] // a
             if q:
-                addmul_col(j, i, -q)
-    for i in range(n):
-        for j in range(n, m):
-            if a[i][j] != 0:
-                raise InvariantBreach("nonzero residue column after HNF")
-    return [r[:n] for r in a]
+                cols[k] = [y - q * x for x, y in zip(p, cols[k])]
+    if any(any(c) for c in cols[n:]):
+        raise InvariantBreach("nonzero residue column after HNF")
+    return [list(r) for r in zip(*cols[:n])]
 
 
 def snf_divisors(rows) -> list[int]:
@@ -162,10 +189,14 @@ class IntegerLattice:
     @classmethod
     def from_rows(cls, rows) -> "IntegerLattice":
         """Rows of a (possibly rational, possibly rectangular n x m) matrix
-        whose columns generate the lattice."""
-        rr = [[Fraction(x) for x in row] for row in rows]
-        if not rr or any(len(r) == 0 for r in rr):
+        whose columns generate the lattice.  Rows of ints are taken over
+        den = 1 as they are, without a round trip through Fraction."""
+        rows = [list(row) for row in rows]
+        if not rows or not all(rows):
             raise LatticeError("empty basis")
+        if all(type(x) is int for row in rows for x in row):
+            return _from_ints(rows, 1)
+        rr = [[Fraction(x) for x in row] for row in rows]
         den = math.lcm(*(x.denominator for row in rr for x in row))
         return _from_ints([[x.numerator * (den // x.denominator) for x in row]
                            for row in rr], den)
@@ -192,11 +223,19 @@ class IntegerLattice:
     def scaled(self, k: int) -> "IntegerLattice":
         if k <= 0:
             raise LatticeError("scale factor must be a positive integer")
-        return _from_ints([[x * k for x in row] for row in self.num], self.den)
+        # k H is lower triangular with positive pivots and entries left of
+        # each pivot reduced modulo it, so it is already the HNF of k L
+        return _reduced([[x * k for x in row] for row in self.num], self.den)
 
     def transformed(self, u: IntRows) -> "IntegerLattice":
-        """Image under an ambient unimodular change of basis."""
+        """Image under an ambient unimodular change of basis: u must be an
+        n x n integer matrix of determinant +-1."""
         n = self.n
+        if (len(u) != n or any(len(row) != n for row in u)
+                or not all(type(x) is int for row in u for x in row)):
+            raise LatticeError(f"u must be an {n} x {n} integer matrix")
+        if gauss_det(gaussian(u)) not in ((1, 0), (-1, 0)):
+            raise LatticeError("u is not unimodular")
         return _from_ints([[sum(u[i][k] * self.num[k][j] for k in range(n))
                             for j in range(n)] for i in range(n)], self.den)
 
@@ -204,11 +243,13 @@ class IntegerLattice:
 def _from_ints(ints, den: int) -> IntegerLattice:
     """Canonical form of the lattice generated by the columns of ints/den,
     for an integer matrix ``ints`` of full row rank and ``den`` > 0."""
-    h = hnf_columns(ints)
-    content = den
-    for row in h:
-        for x in row:
-            content = math.gcd(content, x)
+    return _reduced(hnf_columns(ints), den)
+
+
+def _reduced(h, den: int) -> IntegerLattice:
+    """The lattice h/den for an HNF h, over the minimal denominator: the
+    content gcd(den, entries of h) is divided out of both."""
+    content = math.gcd(den, *(x for row in h for x in row))
     if content > 1:
         h = [[x // content for x in row] for row in h]
         den //= content

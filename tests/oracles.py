@@ -6,7 +6,8 @@ pivot checks, the Siegel action both in mpmath matrix arithmetic and by
 Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
 real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
 (Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
-Gram-Schmidt recomputed after every step).
+Gram-Schmidt recomputed after every step), and the column HNF by Euclid on
+the smallest entry of each row.
 
 Two references are not independent.  ``beta_sigma_det_scaled`` keeps the
 former det-scaled formula of beta_sigma over the package's own theta
@@ -307,6 +308,52 @@ def lll_gram_frac(gram, delta=Fraction(99, 100)):
             mu, norms = gso()
             k = max(k - 1, 1)
     return tuple(tuple(int(basis[j][i]) for j in range(n)) for i in range(n))
+
+
+def hnf_columns_min_scan(rows):
+    """The column-style HNF of ``lattices.hnf_columns`` by Euclid on the
+    smallest entry: for each row, move the nonzero entry of least absolute
+    value right of the diagonal into the pivot column, subtract quotients of
+    it from the later columns, and repeat until one nonzero entry is left
+    (Cohen, 2.4).  Raises ``LatticeError`` when the rank is below n."""
+    from thetaheights.lattices import InvariantBreach, LatticeError
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    a = [list(r) for r in rows]
+
+    def addmul_col(j, k, q):
+        for r in a:
+            r[j] += q * r[k]
+
+    for i in range(n):
+        while True:
+            nz = [j for j in range(i, m) if a[i][j] != 0]
+            if not nz:
+                raise LatticeError("matrix does not have full row rank")
+            jmin = min(nz, key=lambda j: abs(a[i][j]))
+            if jmin != i:
+                for r in a:
+                    r[i], r[jmin] = r[jmin], r[i]
+            done = True
+            for j in range(i + 1, m):
+                if a[i][j] != 0:
+                    addmul_col(j, i, -(a[i][j] // a[i][i]))
+                    if a[i][j] != 0:
+                        done = False
+            if done:
+                break
+        if a[i][i] < 0:
+            for r in a:
+                r[i] = -r[i]
+        for j in range(i):
+            q = a[i][j] // a[i][i]
+            if q:
+                addmul_col(j, i, -q)
+    for i in range(n):
+        for j in range(n, m):
+            if a[i][j] != 0:
+                raise InvariantBreach("nonzero residue column after HNF")
+    return [r[:n] for r in a]
 
 
 def _even_nulls(tau, prec):

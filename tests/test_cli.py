@@ -140,6 +140,15 @@ def test_lattice_delta(capsys):
     assert doc["intersection_hnf"] == [["2", "0"], ["0", "3"]]
 
 
+@pytest.mark.parametrize("basis", ['[[1,2],[3]]', '[[1],[3,4]]'])
+def test_lattice_delta_rejects_ragged_basis(capsys, basis):
+    code = main(["lattice", "delta", "--basis1", basis,
+                 "--basis2", '[[1,0],[0,1]]'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: rows of unequal length\n"
+
+
 def test_campaign_exit_code_and_file(tmp_path, capsys):
     out_path = tmp_path / "rep.csv"
     code, _ = run(capsys, "--format", "csv", "--out", str(out_path),

@@ -1,14 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import hnf_columns_min_scan
 from thetaheights import sampling
 from thetaheights.lattices import (IntegerLattice, InvariantBreach,
                                    LatticeError, delta, delta_exact, dual,
-                                   intersect, lattice_sum, quotient_card,
-                                   scaling_invariance_check, snf_divisors)
+                                   hnf_columns, intersect, lattice_sum,
+                                   quotient_card, scaling_invariance_check,
+                                   snf_divisors)
 
 
 def L(*rows):
@@ -41,6 +44,65 @@ def test_hnf_rational_and_content():
 def test_singular_rejected():
     with pytest.raises(LatticeError):
         L([1, 2], [2, 4])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [3, 4]]])
+def test_ragged_rows_rejected(rows):
+    with pytest.raises(LatticeError, match="rows of unequal length"):
+        IntegerLattice.from_rows(rows)
+
+
+@st.composite
+def hnf_inputs(draw):
+    """n x m integer matrices, n <= 6 and n - 1 <= m <= 2n, with uniform
+    entries up to 10^6 in size; a quarter of them made rank deficient by
+    replacing the last row with a combination of the others."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(max(1, n - 1), 2 * n))
+    bound = draw(st.sampled_from([2, 10, 10 ** 6]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        coeffs = [rng.randint(-3, 3) for _ in rows[:-1]]
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                    for j in range(m)]
+    return rows
+
+
+def _outcome(hnf, rows):
+    try:
+        return hnf(rows)
+    except LatticeError:
+        return LatticeError
+
+
+@settings(max_examples=400, deadline=None)
+@given(hnf_inputs())
+def test_hnf_matches_min_scan_oracle(rows):
+    # sampling.random_lattice rejects on LatticeError, so the sampled
+    # lattices (and every delta-metric digest) need the same errors too
+    assert _outcome(hnf_columns, rows) == _outcome(hnf_columns_min_scan, rows)
+
+
+def test_scaled_is_the_hnf_of_the_scaled_basis():
+    rng = sampling.substream(21, "scaled")
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        l = dual(sampling.random_lattice(rng, n))
+        for k in (1, 2, 6, 35):
+            assert l.scaled(k) == IntegerLattice.from_rows(
+                [[Fraction(k * x, l.den) for x in row] for row in l.num])
+
+
+@pytest.mark.parametrize("u, message", [
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "2 x 2 integer matrix"),
+    (((1,),), "2 x 2 integer matrix"),
+    (((1, 0), (0, Fraction(1, 2))), "2 x 2 integer matrix"),
+    (((2, 0), (0, 1)), "not unimodular"),
+])
+def test_transformed_rejects_a_bad_u(u, message):
+    with pytest.raises(LatticeError, match=message):
+        L([2, 1], [0, 3]).transformed(u)
 
 
 def test_sum_idempotent_and_gcd():
