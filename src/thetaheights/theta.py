@@ -5,32 +5,6 @@ the complement is bounded in closed form from an exact rational lower bound
 on the smallest eigenvalue of Im tau, so the reported error is a proven
 bound, not an estimate.
 
-The box is summed row by row along the last coordinate (``_row_sum``).  The
-exponent of every term is pi*i times an exact dyadic rational, formed in
-Python integers from the exact entries of tau and z.  Each row starts at its
-peak-magnitude term and walks outward with the recurrences t <- t*rho,
-rho <- rho*exp(2 pi i tau_gg step^2) in Python-int fixed point; every
-multiplier of a row walk has modulus <= 1.  The start values of a row (its
-peak term and first ratios) come from the row before it, by the same kind
-of exact-exponent recurrence across rows, and fresh exps are taken only
-where such a chain is anchored.  Multipliers across rows can exceed modulus
-1, so the chains run at a wider fixed point, with an error bound formed
-before the walk from the exact moduli; a row chains only where its start
-values are then as accurate as fresh ones, so every row keeps the budget
-of a fresh start.  The ulp budget of the walk is derived in ``_row_sum``
-and is part of the certified bound.
-
-At z = 0 the exponent of the term at N is D(N) = N^T T N, so D(-N) = D(N)
-exactly: the row at the prefix -nn holds the terms of the row at nn,
-mirrored along the row.  The lexicographically positive row of such a pair
-walks the union of its own span and its mirror's negated span once and
-adds each term to both rows' classes; the other row is neither built nor
-walked.  A pair whose union would change the step of either row is walked
-as two rows, as is the row at nn = 0 and a row whose mirror is not a row
-of the walk.  Every radius, tail and box stays as it is, and a lone
-characteristic's budget is the one of its own mirrored walk
-(``_lone_walk``).
-
 One walk serves every characteristic of a level r at (tau, z).  With
 N = r n + a the term of n in theta[a/r; b/r] is exp(pi i D(N) / r^2)
 exp(2 pi i N.b / r^2), and D does not depend on a.  So the walk runs over
@@ -40,21 +14,29 @@ accumulator of its class N mod r^2 (each coordinate), and only inside the
 box of its own a.  ``_theta_groups`` combines the classes of each a with
 the roots of unity exp(2 pi i N.b / r^2) into every theta[a/r; b/r].  Each
 characteristic thus sums exactly the terms of its own box, and keeps the
-tail bound of its own radius.  Inside the engine a characteristic is the
-integer pair (a, b) over r; a public ``ThetaCharacteristic`` is converted
-once, where it enters.  The radius depends on a only through
-s = max_i |a_i/r + u_i|, so ``_theta_batch`` forms s once per distinct a
-and runs one radius search per distinct s.  A row steps by 1 along the
-last coordinate when the requested a differ in their last entry and by r
-otherwise, so a lone characteristic walks only its own lattice.  The
-fixed-point width is chosen before the walk, from the rows, their lengths
-and their peaks, so that no characteristic's rounding budget is above the
-one of its own walk, and no lone walk's budget above the one of its
-unmirrored walk at the working precision.  The weights have modulus 1, so
-the walk's budget holds for every combination; they are exact for r = 2
-(and for r = 4 when the global phase is left out, as norms do), and
-otherwise add one stated rounding term.  ``theta`` is the one-member batch, and ``theta_truncated``
-the one-member walk at a given radius.
+tail bound of its own radius and a rounding budget no larger than the one
+of its own walk.  Inside the engine a characteristic is the integer pair
+(a, b) over r; a public ``ThetaCharacteristic`` is converted once, where it
+enters.  The radius depends on a only through s = max_i |a_i/r + u_i|, so
+``_theta_batch`` forms s once per distinct a and runs one radius search per
+distinct s.  The weights have modulus 1, so the walk's budget holds for
+every combination; they are exact for r = 2 (and for r = 4 when the global
+phase is left out, as norms do), and otherwise add one stated rounding
+term.  ``theta`` is the one-member batch, and ``theta_truncated`` the
+one-member walk at a given radius.
+
+The walk sums the box in rows along the last coordinate, in three parts:
+
+- The shape (``_frames``): the rows and their runs, the accumulator slot of
+  every term and each characteristic's rounding budget.  It depends only on
+  g, r, the radii and whether z = 0, where the rows at N and -N hold
+  mirrored terms and one row of each pair is walked, and it is cached.
+- The plan (``_plan``, ``_chain_plan`` and the width rule ``_width``): from
+  the exact entries of tau and z, each row's peak, which rows take fresh
+  exps and which chain their start values from the row before (by
+  ``_move``), and the fixed-point width, all decided before the walk.
+- The executor (``_row_sum``): the Python-int fixed-point products and sums
+  that the shape and the plan prescribe, chained by the same ``_move``.
 
 The combination is in integers only: each characteristic leaves
 ``_theta_groups`` as its fixed-point sum S with an integer rounding budget
@@ -414,6 +396,15 @@ def _fixed(x, frac_bits: int) -> int:
     return m << e if e >= 0 else m >> -e
 
 
+def _expjpi(num_re: int, num_im: int, s_den: int, w: int) -> tuple[int, int]:
+    """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
+    as fixed-point ints with w fractional bits (error: ``_fresh``)."""
+    num_re = (num_re + s_den) % (2 * s_den) - s_den
+    ex, ey = mpc_expjpi((from_rational(num_re, s_den, w, round_nearest),
+                         from_rational(num_im, s_den, w, round_nearest)), w)
+    return _fixed(ex, w), _fixed(ey, w)
+
+
 def _unit(num: int, den: int, p: int) -> tuple[int, int, bool]:
     """exp(pi i num/den) as p-bit fixed-point ints, and whether that is exact.
     It is exact (1, i, -1 or -i) when 2 num/den is an integer; otherwise each
@@ -422,42 +413,34 @@ def _unit(num: int, den: int, p: int) -> tuple[int, int, bool]:
     if 2 * num % den == 0:
         one = 1 << p
         return ((one, 0), (0, one), (-one, 0), (0, -one))[2 * num // den % 4] + (True,)
-    num = (num + den) % (2 * den) - den
-    ex, ey = mpc_expjpi((from_rational(num, den, p, round_nearest), fzero), p)
-    return _fixed(ex, p), _fixed(ey, p), False
+    return _expjpi(num, 0, den, p) + (False,)
 
 
 def _row_units(k: int) -> int:
-    """Rounding budget, in ulps, of a walked row of k + 1 terms."""
+    """Rounding budget, in ulps of 2^-pf, of a walked row of k + 1 terms.
+
+    From the peak term t and the first ratio rho outward on each side
+    (|rho| <= 1 because x* is the rounded or clipped peak, see ``_plan``)
+    the walk runs t <- t*rho, rho <- rho*Q with
+    Q = exp(2 pi i T_gg step^2 / s) in Python-int fixed point with pf
+    fractional bits; each product, rounded down, costs <= 1 ulp per
+    component, < 2 * 2^-pf.  The start
+    values t and rho and Q each err by at most eps = 68 * 2^-pf (``_fresh``
+    and ``_chain_plan``).  With sigma = eps + 2 * 2^-pf = 70 * 2^-pf the
+    ratio error after j steps is d_j <= eps + j sigma (linear growth) and
+    the term error is e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <=
+    sigma (1 + j(j+1)/2).  A direction of K steps thus costs
+    (K + K(K+1)(K+2)/6) sigma, and since this is convex in K, a row of
+    k + 1 terms costs at most u_k = (1 + k + k(k+1)(k+2)/6) sigma.
+    Computed multipliers may exceed modulus 1 by d_j or eps; that amplifies
+    the row error by at most exp(k(k+1) sigma) <= 1 + 2^-30, which
+    ``_width_floor`` guarantees.  A row whose peak is below 2^-(pf+1) is
+    not walked: its terms together are below u_k."""
     return 70 * (1 + k + k * (k + 1) * (k + 2) // 6)
 
 
-def _row_slots(base: int, lo: int, step: int, count: int, spans: dict,
-               den: int, size: int, mirror=None) -> list[int]:
-    """Accumulator index of each term x = lo + step j, j < count, of a row:
-    base + x mod den^2 when x lies in the box of its own top characteristic
-    (x mod den in ``spans`` and x within its span), the trash 2 size
-    otherwise.  A row that also walks the row at -nn (``mirror`` = (mbase,
-    mspans), that row's base and spans) holds that row's term at -x as
-    well: the term goes to mbase + (-x mod den^2) when only -x lies in its
-    box there, and to the pair slot size + base + x mod den^2 when both
-    do; the walk adds each pair slot to both classes at its end."""
-    r2 = den * den
-    trash = 2 * size
-    xs = range(lo, lo + step * count, step)
-    slots = [base + x % r2 if (span := spans.get(x % den)) and span[0] <= x <= span[1]
-             else trash for x in xs]
-    if mirror:
-        mbase, mspans = mirror
-        for j, x in enumerate(xs):
-            span = mspans.get(-x % den)
-            if span and span[0] <= -x <= span[1]:
-                slots[j] = mbase + -x % r2 if slots[j] == trash else slots[j] + size
-    return slots
-
-
 def _width_floor(k: int) -> int:
-    """The least pf with 70 k(k+1) 2^-pf <= 2^-31 (see ``_row_sum``)."""
+    """The least pf with 70 k(k+1) 2^-pf <= 2^-31 (see ``_row_units``)."""
     return (70 * k * (k + 1)).bit_length() + 31
 
 
@@ -466,21 +449,63 @@ def _width_floor(k: int) -> int:
 # characteristics by a_g, ``mirror`` = (mbase, mspans) of the row at -nn
 # when this row walks that one too (else None), ``tops`` as (c, radius, a)
 # with c the class of a's terms along the row (a_g, or -a_g for a top of
-# the row at -nn), and the range lo + step j, j <= last, that it walks.
-_Frame = namedtuple("_Frame", "nn base spans mirror tops step lo last")
+# the row at -nn), the range lo + step j, j <= last, that it walks, and the
+# accumulator index of each of its terms, ``slots``.
+_Frame = namedtuple("_Frame", "nn base spans mirror tops step lo last slots")
+
+# The shape of a walk (``_frames``): its runs of frames, the budget units[a]
+# of each top characteristic, the longest row's last k_max, the data
+# lone[a] of a's own walk, and (base, mbase) for each pair of mirror rows.
+_Shape = namedtuple("_Shape", "runs units k_max lone pairs")
 
 
 @functools.lru_cache(maxsize=256)
-def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> tuple[tuple[_Frame, ...], ...]:
-    """The runs of walked rows of the walk over ``boxes`` ((a, R_a), ...),
-    each a tuple of consecutive rows of one line (see ``_row_sum``).  With
-    ``mirror`` (z = 0) a row at nn != 0 and the row at -nn pair when both
-    are rows of the walk and the step of the union of their spans is the
-    step of each; the lexicographically positive row of a pair walks both,
-    and the other is neither built nor walked.  The cache hands the same
-    frames, spans included, to every walk, which only reads them."""
+def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
+    """The shape of the walk over ``boxes`` ((a, R_a), ...), the top
+    characteristics m1 = a/den with their radii: everything of the walk
+    that tau and z do not change.  The cache hands one value per key to
+    every walk, which only reads it.
+
+    Rows.  A row fixes N_1..N_(g-1); its top characteristics are the a with
+    that prefix mod den whose box holds the prefix, and each adds the span
+    a_g + den[-R_a, R_a] of the last coordinate x.  The row walks
+    x = lo + step j over the union of the spans, step the gcd of den and
+    the differences of their a_g: den (the walk of one m1) when they share
+    a_g, otherwise 1 for a full level.  A line is the rows of one
+    N_1..N_(g-2), N_(g-1) = den*n + a_(g-1) in turn, and its walked rows
+    form runs of consecutive rows.
+
+    Mirror rows.  With ``mirror`` (z = 0, where D(-N) = D(N) exactly, see
+    ``_plan``) the row at nn != 0 and the row at -nn pair when both are
+    rows of the walk and the union of the row's spans with the negated
+    spans of the row at -nn keeps the step of both rows (always at den = 2
+    and on a full level; not for a level-4 or level-6 top with
+    2 a_g != 0 mod den, whose union would halve the step).  The
+    lexicographically positive row of a pair walks that union; the other
+    is neither built, planned nor walked.  The row at nn = 0 and a row
+    whose mirror is not a row of the walk (the asymmetric edge of an odd a)
+    are walked as they are.  There is no mirror at g = 1 (the one row is
+    its own mirror).
+
+    Slots.  The term at x goes to base + x mod den^2, the accumulator of its
+    class, when x lies in the box of its own top characteristic; to
+    mbase + (-x mod den^2), the class of -x of the row at -nn, when only -x
+    lies in the box there; to the pair slot size + base + x mod den^2 when
+    both do (``pairs``: the walk adds each pair slot to both classes at its
+    end); and to the trash 2 size otherwise.  Since D(-N) = D(N) exactly,
+    every characteristic sums exactly the terms of its own box.
+
+    Budgets.  units[a] is the sum of u_k (``_row_units``) over the walked
+    rows whose terms enter a's classes, once per side of a pair: a paired
+    row's k + 1 terms enter the classes of both rows.  k_max is the largest
+    last.  lone[a] = (own, extra, floor) is read by ``_width``: own is the
+    units of the walk of a alone (this shape's, for one box), extra is
+    ceil(log2(own / old)), 0 when own = old, with old =
+    (2R_a+1)^(g-1) u_(2R_a) the units of its unmirrored walk, and floor is
+    its ``_width_floor``."""
     h = g - 1
     r2 = den * den
+    size = r2 ** g
     by_prefix: dict[tuple, list] = {}
     for a, radius in boxes:
         by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
@@ -510,8 +535,8 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> tuple[tuple[_Frame,
             rows[nn] = (base * r2, here, *spans_of[here])
             keys.append(nn)
         # a line per N_1..N_(g-2): the last prefix coordinate runs fastest
-        size = 2 * r_max + 1 if h else 1
-        lines += [keys[i:i + size] for i in range(0, len(keys), size)]
+        per_line = 2 * r_max + 1 if h else 1
+        lines += [keys[i:i + per_line] for i in range(0, len(keys), per_line)]
     pairs = {}
     for nn, (_, here, _, step) in rows.items():
         other = rows.get(tuple(-x for x in nn)) if mirror and any(nn) else None
@@ -540,164 +565,58 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> tuple[tuple[_Frame,
                 lo = min(e[0] for e in ends)
                 ends_of[key] = tops, lo, (max(e[1] for e in ends) - lo) // step
             tops, lo, last = ends_of[key]
+            slots = [2 * size] * (last + 1)
+            for i, (c, radius, _) in enumerate(tops):
+                for x in range(c - den * radius, c + den * radius + 1, den):
+                    j = (x - lo) // step
+                    if i < len(here):
+                        slots[j] = base + x % r2
+                    elif slots[j] == 2 * size:
+                        slots[j] = other[0] + -x % r2
+                    else:
+                        slots[j] += size        # x and -x both in a box
             run.append(_Frame(nn, base, spans, other and (other[0], other[2]), tops, step,
-                              lo, last))
-    return tuple(runs)
-
-
-@functools.lru_cache(maxsize=1024)
-def _lone_walk(g: int, den: int, a: tuple, radius: int, mirror: bool,
-               p: int) -> tuple[int, int]:
-    """(units, pf) of the walk of a alone at working precision p: its
-    rounding budget in ulps of 2^-pf and its fixed-point width (see
-    ``_row_sum``)."""
-    frames = [fr for run in _frames(g, den, ((a, radius),), mirror) for fr in run]
-    units = sum(len(fr.tops) * _row_units(fr.last) for fr in frames)
-    old = (2 * radius + 1) ** (g - 1) * _row_units(2 * radius)
-    pf = p if units == old else p + math.ceil(math.log2(units / old) + 2 ** -20)
-    return units, max(pf, _width_floor(max(fr.last for fr in frames)))
+                              lo, last, tuple(slots)))
+    frames = [fr for run in runs for fr in run]
+    units = {a: 0 for a, _ in boxes}
+    for fr in frames:
+        for _, _, a in fr.tops:
+            units[a] += _row_units(fr.last)
+    k_max = max(fr.last for fr in frames)
+    if len(boxes) > 1:
+        lone = {a: _frames(g, den, ((a, radius),), mirror).lone[a] for a, radius in boxes}
+    else:
+        ((a, radius),) = boxes
+        old = (2 * radius + 1) ** h * _row_units(2 * radius)
+        extra = 0 if units[a] == old else math.ceil(math.log2(units[a] / old) + 2 ** -20)
+        lone = {a: (units[a], extra, _width_floor(k_max))}
+    return _Shape(tuple(runs), units, k_max, lone,
+                  tuple({fr.base: fr.mirror[0] for fr in frames if fr.mirror}.items()))
 
 
 # Extra fractional bits of the values a chain carries from row to row.
 CHAIN_GUARD = 32
 
-# One walked row (its base, spans and mirror as in ``_Frame``): D(x) =
-# T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi; the peak
-# x = lo + step k, D(x) = dr + i di there.
-_Row = namedtuple("_Row", "base spans mirror lo step last k x lr li gr gi dr di")
+# One row of a walk at (tau, z) (``_plan``): its frame's slots, step and
+# last; D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi;
+# the peak x = lo + step k, D(x) = dr + i di there.
+_Row = namedtuple("_Row", "slots step last k x lr li gr gi dr di")
+
+# The plan of a walk at (tau, z) (``_plan``): one list of ``_Row`` per run
+# of the shape, ``lines``, and the chain plan of each (``_chain_plan``);
+# the least Im D of a row's peak d_min over s_den, the denominator of
+# every exponent; the fixed-point width pf (``_width``); the extra bits
+# q_bits at which the rows take Q (CHAIN_GUARD when a row chains: the walk
+# then takes Q once, at the chain's width, and its rows use it rounded
+# down to pf bits); and the exponent numerators t_gg of T_gg, c_1 of C at
+# step 1 and q_out of Q_out (``_move``).
+_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits t_gg c_1 q_out")
 
 
-def _ratios(row, t_gg: tuple) -> list[tuple]:
-    """The exponents (re, im numerators over s) of rho+ and rho- at the
-    row's peak: D(x* + step) - D(x*) and D(x* - step) - D(x*), t_gg = T_gg."""
-    st, x = row.step, row.x
-    return [(t_gg[0] * a + b * row.lr, t_gg[1] * a + b * row.li)
-            for a, b in ((2 * x * st + st * st, 2 * st), (st * st - 2 * x * st, -2 * st))]
-
-
-def _outer(prev, row) -> tuple:
-    """The exponent of O at prev's peak x: D_row(x) - D_prev(x)."""
-    return (2 * prev.x * (row.lr - prev.lr) + row.gr - prev.gr,
-            2 * prev.x * (row.li - prev.li) + row.gi - prev.gi)
-
-
-def _mag(lg: float) -> float:
-    """e^lg, or inf where that overflows a double."""
-    return math.exp(lg) if lg < 709 else math.inf
-
-
-def _fresh(lg: float) -> float:
-    """Error bound, in ulps, of a fresh fixed-point exp of modulus e^lg (see
-    ``_row_sum``): 68 up to modulus 1, the allowance 8(5 + pi + lg) relative
-    plus the rounding down above it."""
-    return 68.0 if lg <= 0 else 8 * (5 + math.pi + lg) * _mag(lg) + 2
-
-
-def _chain_plan(line: list, d_min: int, s_den: int, pf: int,
-                t_gg: tuple, c_1: tuple, q_out: tuple) -> list[tuple]:
-    """How the walk forms the start values of each row of a line (a run of
-    consecutive walked rows): [(j, d, how, shift)] in visit order, the
-    centre first (d = 0), the row of the largest peak, then centre + 1,
-    centre + 2, ... (d = 1), then centre - 1, ... (d = -1).  how is "skip"
-    (peak below 2^-(pf+1), not walked), "anchor" (fresh exps) or "chain"
-    (row j - d's values moved one row and shifted ``shift`` steps, see
-    ``_row_sum``).
-
-    The chain runs at w = pf + CHAIN_GUARD fractional bits.  Every value is
-    tracked by the imaginary part of its exact exponent (numerators over
-    s_den: t_gg for T_gg, c_1 for C at step 1, q_out for Q_out) and a bound
-    on its error in ulps of 2^-w.  A product of values u, c with exact moduli
-    |u|, |c| and errors E_u, E_c, rounded down, errs by at most
-    |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp by
-    ``_fresh``.  A row chains when its peak term and each ratio it walks
-    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w; rounded down to pf
-    bits (less than sqrt(2) ulps more) they err by less than the 68 ulps of
-    2^-pf of fresh ones.  The moduli are exact exponentials of exact
-    exponents evaluated in doubles (arguments below 709), so a bound's
-    relative error grows by about 2^-43 per product: far below the gap
-    2 - sqrt(2) (relative 2^-7) for any line within the radius cap."""
-    wide = pf + CHAIN_GUARD
-    tiny = 2.0 ** -wide
-    allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
-
-    def value(im: int) -> tuple:
-        """A fresh value: its exponent's imaginary part and its error."""
-        return im, _fresh(-math.pi * (im / s_den))
-
-    def times(u: tuple, c: tuple) -> tuple:
-        err = (_mag(-math.pi * (u[0] / s_den)) * c[1]
-               + _mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
-        return u[0] + c[0], err if err == err else math.inf     # inf * 0
-
-    def anchored(row) -> list:
-        up, down = _ratios(row, t_gg)
-        return [value(row.di - d_min), value(up[1]), value(down[1]), None]
-
-    consts = {}
-
-    def constants(st: int, d: int) -> tuple:
-        """Q, Q^-1, C^d, C^-d and Q_out at step st: formed once per (st, d)."""
-        if (st, d) not in consts:
-            consts[st, d] = tuple(value(v) for v in (
-                2 * st * st * t_gg[1], -2 * st * st * t_gg[1], d * st * c_1[1],
-                -d * st * c_1[1], q_out[1]))
-        return consts[st, d]
-
-    def chained(state: list, prev, row, d: int) -> tuple[list, int]:
-        t, p, m, o = state
-        st = row.step
-        if o is None:
-            o = value(_outer(prev, row)[1])
-        q, qi, c, cinv, qo = constants(st, d)
-        t, o, p, m = times(t, o), times(o, qo), times(p, c), times(m, cinv)
-        shift = (row.x - prev.x) // st
-        for _ in range(abs(shift)):
-            if shift > 0:
-                t, p, m, o = times(t, p), times(p, q), times(m, qi), times(o, c)
-            else:
-                t, m, p, o = times(t, m), times(m, q), times(p, qi), times(o, cinv)
-        return [t, p, m, o], shift
-
-    centre = min(range(len(line)), key=lambda j: line[j].di)
-    # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
-    walked = [4 * (row.di - d_min) <= s_den * (pf + 1) for row in line]
-    plan = [(centre, 0, "anchor" if walked[centre] else "skip", 0)]
-    start = anchored(line[centre]) if walked[centre] else None
-    for d in (1, -1):
-        state = start
-        for j in range(centre + d, len(line) if d > 0 else -1, d):
-            row, prev = line[j], line[j - d]
-            how, shift = "anchor", 0
-            if not walked[j]:
-                how, state = "skip", None
-            elif state is not None and row.step == prev.step:
-                cand, shift = chained(state, prev, row, d)
-                (_, et), (_, ep), (_, em), _ = cand
-                if (et <= allowed and (row.k == row.last or ep <= allowed)
-                        and (row.k == 0 or em <= allowed)):
-                    how, state = "chain", cand
-            if how == "anchor":
-                state, shift = anchored(row), 0
-            plan.append((j, d, how, shift))
-    return plan
-
-
-def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
-    """One walk over the union of the boxes ||n||_inf <= R_a of the top
-    characteristics m1 = a/den in ``boxes`` (a -> R_a), in rows along the
-    last coordinate, with one accumulator per class of N = den*n + a mod
-    den^2 (each coordinate).  Returns (re, im, y_m, units, pf): re[C] + i
-    im[C] is the fixed-point sum, pf fractional bits, of the terms in class
-    C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
-    exp(-M) with M = pi y_m, y_m an exact Fraction, is the common scale;
-    units[a] is the rounding budget of a's classes in ulps of 2^-pf.  Call
-    inside the working precision p = mp.prec.
-
-    The walk of theta[a/den; 0] for every a at once: m2 = b/den only
-    multiplies the term of N by exp(2 pi i N.b/den^2), which depends on the
-    class of N alone, so ``_theta_groups`` forms every theta[a/den; b/den]
-    from these accumulators.  A term enters its class only inside its own
-    box, so each characteristic sums exactly the terms of its own box walk.
+def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
+    """The shape (``_frames``) and the plan of the walk over ``boxes``
+    (a -> R_a) at (tau, z): every decision of the walk, made before it from
+    exact integers.  Call inside the working precision p = mp.prec.
 
     Exact exponents.  With v = n + m1 and N = den*v = den*n + a, the term is
     exp(pi i D(N) / s) where s = den^2 2^-e0 and
@@ -706,148 +625,32 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
 
     is a Gaussian integer: T = tau 2^-e0 and Z = z 2^-e0 are the exact
     entries scaled by the smallest binary exponent e0 <= 0 (T is tau's
-    ``int_form``, shifted further when z needs it).  D does not
-    depend on a, so all top characteristics share one lattice of N.
+    ``int_form``, shifted further when z needs it).  D does not depend on
+    a, so all top characteristics share one lattice of N, and at z = 0
+    D(-N) = D(N) exactly, so the shape pairs mirror rows there.
 
-    Union rows.  A row fixes N_1..N_(g-1); its top characteristics are the
-    a with that prefix mod den whose box holds the prefix, and each adds the
-    span a_g + den[-R_a, R_a] of the last coordinate x.  The row walks
-    x = lo + step j over the union of the spans, step the gcd of den and
-    the differences of their a_g: den (the walk of one m1) when they share
-    a_g, otherwise 1 for a full level.  On a row
-    D = T_gg x^2 + 2 x L + G; its peak is x* = lo + step clip(round(j_r))
-    with j_r the real minimiser of Im D, and M = max over rows of
-    -pi Im D(x*) / s is the common exponent: every term is computed as
-    t = exp(-M) * term, so |t| <= 1.
-
-    Mirror rows.  At z = 0, D(-N) = D(N) exactly, so the row at the prefix
-    -nn holds the terms of the row at nn, at -x.  When both are rows of the
-    walk, nn != 0, and the union of the row's spans with the negated spans
-    of the row at -nn keeps the step of both rows (always at den = 2 and on
-    a full level; not for a level-4 or level-6 top with 2 a_g != 0 mod den,
-    whose union would halve the step), the lexicographically positive row
-    walks that union (``_frames``).  Its term at x enters its own class when
-    x lies in its own box, and the class of -x of the row at -nn when -x
-    lies in the box there (``_row_slots``; a term in both goes to a pair
-    slot, added to both classes after the walk).  The row at -nn is neither
-    built, planned nor walked.  The row at nn = 0 and a row whose mirror is
-    not a row of the walk (the asymmetric edge of an odd a) are walked as
-    they are.  The walked rows of a line form runs of consecutive rows,
-    and each run is planned and chained as a line is.  A paired row's
-    k + 1 terms enter the classes of both rows, so its u_k (below) counts
-    for the tops of both.  Since D(-N) = D(N) holds exactly, every
-    characteristic still sums exactly the terms of its own box, and its
-    peak M_a is the one of its unmirrored walk.  There is no mirror at
-    z != 0 or at g = 1 (the one row is its own mirror).
-
-    Walking a row.  From the peak term t and the first ratio rho outward on
-    each side (|rho| <= 1 because x* is the rounded or clipped peak) the
-    walk runs t <- t*rho, rho <- rho*Q with Q = exp(2 pi i T_gg step^2 / s)
-    in Python-int fixed point with pf fractional bits; each product,
-    rounded down, costs <= 1 ulp per component, < 2 * 2^-pf.  The start
-    values t and rho and Q each err by at most eps = 68 * 2^-pf (below).
-    With sigma = eps + 2 * 2^-pf = 70 * 2^-pf the ratio error after j steps
-    is d_j <= eps + j sigma (linear growth) and the term error is
-    e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <= sigma (1 + j(j+1)/2).  A
-    direction of K steps thus costs (K + K(K+1)(K+2)/6) sigma, and since
-    this is convex in K, a row of k + 1 terms costs at most
-    u_k = (1 + k + k(k+1)(k+2)/6) sigma (``_row_units``).  Computed
-    multipliers may exceed modulus 1 by d_j or eps; that amplifies the row
-    error by at most exp(k(k+1) sigma) <= 1 + 2^-30, which pf guarantees
-    below.  A row whose peak is below 2^-(pf+1) is not walked: its terms
-    together are below u_k.
-
-    Fresh exps.  Every exponential is ``mpc_expjpi`` of an argument reduced
-    exactly mod 2 in its real part, so |Re arg| <= pi.  Each keeps the
-    per-exp allowance of 8(5 + |arg|) ulps relative; for a modulus e^-x,
-    x >= 0, since (a + x) e^-x <= a for a >= 1 that is <= 8(5 + pi) < 66
-    ulps, and with the rounding down to the fixed point (< 1 ulp per
-    component) a fresh value errs by <= 68 ulps.  A fresh value of modulus
-    e^x > 1 errs by <= 8(5 + pi + x) e^x + 2 ulps (``_fresh``).
-
-    Chains across rows.  The rows of a run (fixed N_1..N_(g-2), N_(g-1) =
-    den*n + a_(g-1) in turn) are visited from the centre, the row of the
-    largest peak, outward on both sides (``_chain_plan``), and a row's
-    start values are derived from the row before it, the exact-exponent
-    recurrences of Deconinck, Heil, Bobenko, van Hoeij and Schmies
-    (Math. Comp. 73, 2004).  Going to the row at N_(g-1) + d den,
-    d = +-1, the walk carries the peak term t, the ratios rho+ and rho-
-    and the outer ratio O, the next row's term over this one's at the same
-    x:
-
-    - a row move takes t <- t*O, O <- O*Q_out, rho+ <- rho+*C^d and
-      rho- <- rho-*C^-d, with Q_out = exp(2 pi i den^2 T_(g-1,g-1) / s)
-      and C = exp(2 pi i den step T_(g-1,g) / s);
-    - each step of the peak to the new row's x* takes t <- t*rho+,
-      rho+ <- rho+*Q, rho- <- rho-*Q^-1, O <- O*C^d (or the mirror images
-      for a step down).
-
-    Every multiplier is the exp of an exact exponent, so the chained values
-    are the exact ones up to rounding.  The constants take one exp each per
-    walk, O one at the start of each chain, and an anchor takes t, rho+ and
-    rho- fresh (only the rho its row walks when nothing chains from it).
-    Rounding is no longer damped along a chain: O, C^(+-1) and Q^-1 may
-    exceed modulus 1, and a value that was small when rounded may grow.
-    So the chain runs CHAIN_GUARD bits wider than the walk, at
-    w = pf + CHAIN_GUARD fractional bits (its constants and its anchors
-    too), and ``_chain_plan`` bounds the error of every chained value from
-    the exact moduli before the walk.  A row chains only when its start
-    values, rounded down to pf bits, err by at most eps like fresh ones;
-    otherwise, at a change of step, and after a row that is not walked, it
-    takes a fresh anchor (the centre rows always do).  Every walked row
-    thus starts within eps and keeps its budget u_k.  In a walk that
-    chains, Q is taken once at w bits and the rows use it rounded down to
-    pf bits, also within eps.  The integer accumulators are exact and each
-    computed term lands in at most one of them per row of its pair (in
-    none outside its box), so the errors of a's classes stay within the sum
-    of u_k over the walked rows whose terms enter them, once per side:
-    units[a].  A combination sum_C w_C A_C over a's classes with |w_C| = 1
-    errs by at most units[a] 2^-pf as well.
-
-    The fixed-point width.  The unmirrored walk of a alone runs at p bits
-    with its own scale M_a <= M and (2R_a+1)^(g-1) rows of 2R_a + 1 terms,
-    a budget of e^(M_a) old_a 2^-p.  The mirrored walk of a alone
-    (``_lone_walk``) has own_a units: a row of a half-integral a with
-    a_g = den/2 is one step longer there.  It runs at
-    pf_a = p + ceil(log2(own_a / old_a)) (p when own_a = old_a), so its
-    budget e^(M_a) own_a 2^-pf_a is no larger than e^(M_a) old_a 2^-p.
-    Here a's budget is e^M units[a] 2^-pf, so pf is at least pf_a + E_a,
-    with E_a the least integer above
-    max(0, log2(units[a] / own_a)) + (M - M_a) / log 2 for every a whose
-    units or peak differ from the ones of its own walk (E_a = 0
-    otherwise).  The budget of every characteristic is then no larger than
-    the one of its own walk, and 2^(pf - pf_a) >= e^(M - M_a).  pf is also
-    large enough that 70 k(k+1) 2^-pf <= 2^-31 for the longest row (its own
-    walk's floor is in pf_a).  Without a mirror own_a = old_a and
-    pf_a = p, as in the unmirrored walk.
-    """
+    Peaks.  On a row D = T_gg x^2 + 2 x L + G; its peak is
+    x* = lo + step clip(round(j_r)) with j_r the real minimiser of Im D,
+    and M = max over rows of -pi Im D(x*) / s is the common exponent: every
+    term is computed as t = exp(-M) * term, so |t| <= 1.  M_a, the one of
+    a's own unmirrored walk, is the largest -pi Im D / s of a's least term
+    on each row of a (at -x on a mirror row)."""
     g = tau.g
-    p = mp.prec
     h = g - 1
-    r2 = den * den
-
     tx, ty, shift = tau.int_form
     zr = [dyadic(w._mpc_[0]) for w in z]
     zi = [dyadic(w._mpc_[1]) for w in z]
     e0 = min([-shift] + [e for m, e in itertools.chain(zr, zi) if m])
     up = -shift - e0
-
-    def sc(d):
-        return d[0] << (d[1] - e0)
-
     t = {(j, k): (tx[j][k] << up, ty[j][k] << up) for j in range(g) for k in range(j, g)}
-    zc = [(den * sc(zr[j]), den * sc(zi[j])) for j in range(g)]
-    s_den = r2 << -e0
-    t_gg = thr, thi = t[(h, h)]
-    # C at step 1 and Q_out as exponent numerators (none at g = 1)
-    c_1 = tuple(2 * den * v for v in t[(h - 1, h)]) if h else (0, 0)
-    q_out = tuple(2 * r2 * v for v in t[(h - 1, h - 1)]) if h else (0, 0)
-
-    mirror = h > 0 and not any(m for m, _ in itertools.chain(zr, zi))
-    peak_a = dict.fromkeys(boxes)       # least Im D of a's own walk
+    zc = [(den * zr[j][0] << zr[j][1] - e0, den * zi[j][0] << zi[j][1] - e0)
+          for j in range(g)]
+    thr, thi = t[(h, h)]
+    shape = _frames(g, den, tuple(boxes.items()),
+                    h > 0 and not any(m for m, _ in itertools.chain(zr, zi)))
+    peaks = dict.fromkeys(boxes)        # least Im D of a's own walk
     lines = []
-    runs = _frames(g, den, tuple(boxes.items()), mirror)
-    for run in runs:
+    for run in shape.runs:
         rows = []
         for fr in run:
             nn = fr.nn
@@ -868,108 +671,292 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                 k = (2 * (-li - c * thi) + den * thi) // (2 * den * thi)
                 x = den * max(-radius, min(radius, k)) + c
                 d = thi * x * x + 2 * x * li + gi
-                if peak_a[a] is None or d < peak_a[a]:
-                    peak_a[a] = d
+                if peaks[a] is None or d < peaks[a]:
+                    peaks[a] = d
             lo, step, last = fr.lo, fr.step, fr.last
             k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
             k = max(0, min(last, k))
             x = lo + step * k
-            rows.append(_Row(fr.base, fr.spans, fr.mirror, lo, step, last, k, x, lr, li, gr, gi,
+            rows.append(_Row(fr.slots, step, last, k, x, lr, li, gr, gi,
                              thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
         lines.append(rows)
     d_min = min(row.di for line in lines for row in line)
+    s_den = den * den << -e0
+    plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), 0, (thr, thi),
+                 tuple(2 * den * v for v in t[(h - 1, h)]) if h else (0, 0),
+                 tuple(2 * den * den * v for v in t[(h - 1, h - 1)]) if h else (0, 0))
+    chains = [_chain_plan(line, plan) for line in lines]
+    chained = any(how == "chain" for chain in chains for _, _, how, _ in chain)
+    return shape, plan._replace(chains=chains, q_bits=CHAIN_GUARD if chained else 0)
 
-    units = dict.fromkeys(boxes, 0)
-    for run in runs:
-        for fr in run:
-            for _, _, a in fr.tops:
-                units[a] += _row_units(fr.last)
+
+def _width(shape: _Shape, peaks: dict, d_min: int, s_den: int) -> int:
+    """The fixed-point width pf of a walk at the working precision
+    p = mp.prec, from its shape, the least Im D of each a's own walk
+    (``peaks``) and of the walk (d_min), all over s_den.
+
+    The unmirrored walk of a alone runs at p bits with its own scale
+    M_a <= M and (2R_a+1)^(g-1) rows of 2R_a + 1 terms, a budget of
+    e^(M_a) old_a 2^-p.  The mirrored walk of a alone has own_a units: a
+    row of a half-integral a with a_g = den/2 is one step longer there.  It
+    runs at pf_a = p + ceil(log2(own_a / old_a)) (p when own_a = old_a), so
+    its budget e^(M_a) own_a 2^-pf_a is no larger than e^(M_a) old_a 2^-p.
+    Here a's budget is e^M units[a] 2^-pf, so pf is at least pf_a + E_a,
+    with E_a the least integer above
+    max(0, log2(units[a] / own_a)) + (M - M_a) / log 2 for every a whose
+    units or peak differ from the ones of its own walk (E_a = 0
+    otherwise).  The budget of every characteristic is then no larger than
+    the one of its own walk, and 2^(pf - pf_a) >= e^(M - M_a).  pf is also
+    large enough that 70 k(k+1) 2^-pf <= 2^-31 for the longest row (its own
+    walk's floor is in pf_a).  Without a mirror own_a = old_a and
+    pf_a = p, as in the unmirrored walk."""
+    p = mp.prec
     pf = p
-    for a, radius in boxes.items():
-        own, pf_a = _lone_walk(g, den, a, radius, mirror, p)
-        if units[a] != own or peak_a[a] != d_min:
-            bits = (max(0.0, math.log2(units[a] / own))
-                    + math.pi / math.log(2) * ((peak_a[a] - d_min) / s_den))
+    for a, (own, extra, floor) in shape.lone.items():
+        pf_a = max(p + extra, floor)
+        if shape.units[a] != own or peaks[a] != d_min:
+            bits = (max(0.0, math.log2(shape.units[a] / own))
+                    + math.pi / math.log(2) * ((peaks[a] - d_min) / s_den))
             pf_a += math.ceil(bits + 2 ** -20)
         pf = max(pf, pf_a)
-    k_max = max(row.last for line in lines for row in line)
-    pf = max(pf, _width_floor(k_max))
+    return max(pf, _width_floor(shape.k_max))
 
-    plans = [_chain_plan(line, d_min, s_den, pf, t_gg, c_1, q_out) for line in lines]
-    wide = pf + CHAIN_GUARD
-    # a walk that chains takes Q at the chain's width once, and its rows use
-    # it rounded down to pf bits
-    q_bits = CHAIN_GUARD if any(how == "chain" for plan in plans for _, _, how, _ in plan) else 0
 
-    def expjpi(num_re: int, num_im: int, bits: int = 0):
-        """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
-        as fixed-point ints with pf + bits fractional bits."""
-        num_re = (num_re + s_den) % (2 * s_den) - s_den
-        w = pf + bits
-        ex, ey = mpc_expjpi((from_rational(num_re, s_den, w, round_nearest),
-                             from_rational(num_im, s_den, w, round_nearest)), w)
-        return _fixed(ex, w), _fixed(ey, w)
+def _ratios(row, t_gg: tuple) -> list[tuple]:
+    """The exponents (re, im numerators over s) of rho+ and rho- at the
+    row's peak: D(x* + step) - D(x*) and D(x* - step) - D(x*), t_gg = T_gg."""
+    st, x = row.step, row.x
+    return [(t_gg[0] * a + b * row.lr, t_gg[1] * a + b * row.li)
+            for a, b in ((2 * x * st + st * st, 2 * st), (st * st - 2 * x * st, -2 * st))]
 
-    consts = {}
 
-    def const(num_re: int, num_im: int, bits: int = CHAIN_GUARD):
-        """A constant of the walk: one exp per exponent."""
-        key = num_re, num_im, bits
-        if key not in consts:
-            consts[key] = expjpi(num_re, num_im, bits)
-        return consts[key]
+def _outer(prev, row) -> tuple:
+    """The exponent of O at prev's peak x: D_row(x) - D_prev(x)."""
+    return (2 * prev.x * (row.lr - prev.lr) + row.gr - prev.gr,
+            2 * prev.x * (row.li - prev.li) + row.gi - prev.gi)
 
-    def mul(u, c):
-        return (u[0] * c[0] - u[1] * c[1]) >> wide, (u[0] * c[1] + u[1] * c[0]) >> wide
 
-    size = r2 ** g
+def _move_exponents(plan: _Plan, step: int, d: int) -> tuple:
+    """The exponents (re, im numerators over s) of the constants
+    (Q, Q^-1, C^d, C^-d, Q_out) of ``_move`` at ``step``."""
+    q = tuple(2 * step * step * v for v in plan.t_gg)
+    c = tuple(d * step * v for v in plan.c_1)
+    return q, (-q[0], -q[1]), c, (-c[0], -c[1]), plan.q_out
+
+
+def _move(state: tuple, consts: tuple, shift: int, mul) -> tuple:
+    """The start values (t, rho+, rho-, O) of a row carried to the next row
+    of its line, the one at N_(g-1) + d den with d = +-1, and shifted
+    ``shift`` steps to that row's peak: the exact-exponent recurrences of
+    Deconinck, Heil, Bobenko, van Hoeij and Schmies (Math. Comp. 73,
+    2004).  t is the peak term, rho+ and rho- the first ratios and O the
+    outer ratio, the next row's term over this one's at the same x;
+    consts = (Q, Q^-1, C^d, C^-d, Q_out) with Q = exp(2 pi i T_gg step^2 / s),
+    C = exp(2 pi i den step T_(g-1,g) / s) and
+    Q_out = exp(2 pi i den^2 T_(g-1,g-1) / s) (``_move_exponents``):
+
+    - the row move takes t <- t*O, O <- O*Q_out, rho+ <- rho+*C^d and
+      rho- <- rho-*C^-d;
+    - each step of the peak up takes t <- t*rho+, rho+ <- rho+*Q,
+      rho- <- rho-*Q^-1 and O <- O*C^d, a step down the mirror images.
+
+    Every multiplier is the exp of an exact exponent, so the moved values
+    are the exact ones up to rounding.  ``mul`` is the product of two
+    values: ``_chain_plan`` moves (exponent, error) bounds and the walk
+    moves fixed-point values, so both follow this one recurrence.  Q and
+    Q^-1 are read only when shift != 0."""
+    t, p, m, o = state
+    q, qi, c, ci, qo = consts
+    t, o, p, m = mul(t, o), mul(o, qo), mul(p, c), mul(m, ci)
+    for _ in range(abs(shift)):
+        if shift > 0:
+            t, p, m, o = mul(t, p), mul(p, q), mul(m, qi), mul(o, c)
+        else:
+            t, m, p, o = mul(t, m), mul(m, q), mul(p, qi), mul(o, ci)
+    return t, p, m, o
+
+
+def _mag(lg: float) -> float:
+    """e^lg, or inf where that overflows a double."""
+    return math.exp(lg) if lg < 709 else math.inf
+
+
+def _fresh(lg: float) -> float:
+    """Error bound, in ulps, of a fresh fixed-point exp of modulus e^lg.
+
+    Every exponential is ``mpc_expjpi`` of an argument reduced exactly mod 2
+    in its real part (``_expjpi``), so |Re arg| <= pi.  Each keeps the
+    per-exp allowance of 8(5 + |arg|) ulps relative; for a modulus e^-x,
+    x >= 0, since (a + x) e^-x <= a for a >= 1 that is <= 8(5 + pi) < 66
+    ulps, and with the rounding down to the fixed point (< 1 ulp per
+    component) a fresh value errs by <= 68 ulps.  A fresh value of modulus
+    e^x > 1 errs by <= 8(5 + pi + x) e^x + 2 ulps."""
+    return 68.0 if lg <= 0 else 8 * (5 + math.pi + lg) * _mag(lg) + 2
+
+
+def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
+    """How the walk forms the start values of each row of a line (a run of
+    consecutive walked rows), under ``plan``'s exponents, d_min and pf:
+    [(j, d, how, shift)] in visit order, the centre first (d = 0), the row
+    of the largest peak, then centre + 1, centre + 2, ... (d = 1), then
+    centre - 1, ... (d = -1).  how is "skip" (peak below 2^-(pf+1), not
+    walked), "anchor" (fresh exps of t and the ratios the row walks),
+    "start" (an anchor that a chain continues from: fresh exps of t, rho+
+    and rho- at the chain's width) or "chain" (row j - d's values carried
+    by ``_move`` and shifted ``shift`` steps).
+
+    Rounding is not damped along a chain: O, C^(+-1) and Q^-1 may exceed
+    modulus 1, and a value that was small when rounded may grow.  So the
+    chain runs at w = pf + CHAIN_GUARD fractional bits (its constants, its
+    anchors and O, one fresh exp at the start of each chain, too), and
+    this plan bounds the error of every chained value from the exact
+    moduli before the walk.  Every value is tracked by the imaginary part
+    of its exact exponent (numerators over s_den) and a bound on its error
+    in ulps of 2^-w.  A product of values u, c with exact moduli |u|, |c|
+    and errors E_u, E_c, rounded down, errs by at most
+    |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp by
+    ``_fresh``.  A row chains when its peak term and each ratio it walks
+    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w; rounded down to pf
+    bits (less than sqrt(2) ulps more) they err by less than the 68 ulps of
+    2^-pf of fresh ones.  Otherwise, at a change of step, and after a row
+    that is not walked, it takes a fresh anchor (the centre rows always
+    do).  Every walked row thus starts within eps and keeps its budget u_k
+    (``_row_units``).  The moduli are exact exponentials of exact exponents
+    evaluated in doubles (arguments below 709), so a bound's relative error
+    grows by about 2^-43 per product: far below the gap 2 - sqrt(2)
+    (relative 2^-7) for any line within the radius cap."""
+    s_den = plan.s_den
+    tiny = 2.0 ** -(plan.pf + CHAIN_GUARD)
+    allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
+
+    def value(im: int) -> tuple:
+        """A fresh value: its exponent's imaginary part and its error."""
+        return im, _fresh(-math.pi * (im / s_den))
+
+    def times(u: tuple, c: tuple) -> tuple:
+        err = (_mag(-math.pi * (u[0] / s_den)) * c[1]
+               + _mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
+        return u[0] + c[0], err if err == err else math.inf     # inf * 0
+
+    def anchored(row) -> tuple:
+        up, down = _ratios(row, plan.t_gg)
+        return value(row.di - plan.d_min), value(up[1]), value(down[1]), None
+
+    consts = {}     # (step, d) -> the constants of ``_move``
+    centre = min(range(len(line)), key=lambda j: line[j].di)
+    # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
+    walked = [4 * (row.di - plan.d_min) <= s_den * (plan.pf + 1) for row in line]
+    out = [(centre, 0, "anchor" if walked[centre] else "skip", 0)]
+    start = anchored(line[centre]) if walked[centre] else None
+    for d in (1, -1):
+        state = start
+        for j in range(centre + d, len(line) if d > 0 else -1, d):
+            row, prev = line[j], line[j - d]
+            how, shift = "anchor", 0
+            if not walked[j]:
+                how, state = "skip", None
+            elif state is not None and row.step == prev.step:
+                if (row.step, d) not in consts:
+                    consts[row.step, d] = [value(im) for _, im in
+                                           _move_exponents(plan, row.step, d)]
+                if state[3] is None:
+                    state = state[:3] + (value(_outer(prev, row)[1]),)
+                shift = (row.x - prev.x) // row.step
+                cand = _move(state, consts[row.step, d], shift, times)
+                (_, et), (_, ep), (_, em), _ = cand
+                if (et <= allowed and (row.k == row.last or ep <= allowed)
+                        and (row.k == 0 or em <= allowed)):
+                    how, state = "chain", cand
+            if how == "anchor":
+                state, shift = anchored(row), 0
+            out.append((j, d, how, shift))
+    feeds = {j - d for j, d, how, _ in out if how == "chain"}
+    return [(j, d, "start" if how == "anchor" and j in feeds else how, shift)
+            for j, d, how, shift in out]
+
+
+def _const(exps: dict, num: tuple, s_den: int, w: int) -> tuple[int, int]:
+    """``_expjpi`` of the exponent num at w bits, one exp per walk: ``exps``
+    holds the walk's constants."""
+    if (num, w) not in exps:
+        exps[num, w] = _expjpi(*num, s_den, w)
+    return exps[num, w]
+
+
+def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
+    """One walk over the union of the boxes ||n||_inf <= R_a of the top
+    characteristics m1 = a/den in ``boxes`` (a -> R_a), in rows along the
+    last coordinate, with one accumulator per class of N = den*n + a mod
+    den^2 (each coordinate).  Returns (re, im, y_m, units, pf): re[C] + i
+    im[C] is the fixed-point sum, pf fractional bits, of the terms in class
+    C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
+    exp(-M) with M = pi y_m, y_m an exact Fraction, is the common scale;
+    units[a] is the rounding budget of a's classes in ulps of 2^-pf (the
+    cached shape's dict: read it only).  Call inside the working precision
+    p = mp.prec.
+
+    The walk of theta[a/den; 0] for every a at once: m2 = b/den only
+    multiplies the term of N by exp(2 pi i N.b/den^2), which depends on the
+    class of N alone, so ``_theta_groups`` forms every theta[a/den; b/den]
+    from these accumulators.
+
+    The executor of the shape (``_frames``) and the plan (``_plan``),
+    which make every decision.  Each walked row of a line, in the plan's
+    order, takes its start values fresh (``_expjpi``) or by ``_move`` from
+    the row before it, with the walk's constants taken once each
+    (``_const``), and walks out from its peak in pf bits (``_row_units``),
+    adding each term to the accumulator of its slot; the pair slots are
+    added to both classes at the end.  The integer accumulators are exact
+    and each computed term lands in at most one of them per row of its pair
+    (in none outside its box), so the errors of a's classes stay within
+    units[a] 2^-pf, and so does a combination sum_C w_C A_C over a's
+    classes with |w_C| = 1."""
+    shape, plan = _plan(tau, z, den, boxes)
+    pf, s_den, q_bits = plan.pf, plan.s_den, plan.q_bits
+    r2 = den * den
+    size = r2 ** tau.g
     acc_re = [0] * (2 * size + 1)
     acc_im = [0] * (2 * size + 1)
-    for line, plan in zip(lines, plans):
-        feeds = {j - d for j, d, how, _ in plan if how == "chain"}
+    exps = {}
+    wide = pf + CHAIN_GUARD
+
+    def mul(u, c):
+        """The fixed-point product at the chain's width, rounded down."""
+        return (u[0] * c[0] - u[1] * c[1]) >> wide, (u[0] * c[1] + u[1] * c[0]) >> wide
+
+    for line, chain in zip(plan.lines, plan.chains):
         states = {}
-        for j, d, how, shift in plan:
+        for j, d, how, shift in chain:
             if how == "skip":
                 continue
             row = line[j]
-            step, k, last = row.step, row.k, row.last
-            q = 2 * step * step * thr, 2 * step * step * thi
-            if how == "anchor":
-                # at the chain's width when a chain starts here
-                starts = j in feeds
-                bits = CHAIN_GUARD if starts else 0
-                tt = expjpi(row.dr, row.di - d_min, bits)
-                up, down = _ratios(row, t_gg)
-                rho_p = expjpi(*up, bits) if k < last or starts else None
-                rho_m = expjpi(*down, bits) if k or starts else None
-                oo = None
-            else:
+            nums = _move_exponents(plan, row.step, d)
+            if how == "chain":
                 bits = CHAIN_GUARD
-                tt, rho_p, rho_m, oo = states[j - d]
-                if oo is None:
-                    oo = expjpi(*_outer(line[j - d], row), bits)
-                c_up = const(d * step * c_1[0], d * step * c_1[1])
-                c_down = const(-d * step * c_1[0], -d * step * c_1[1])
-                tt, oo = mul(tt, oo), mul(oo, const(*q_out))
-                rho_p, rho_m = mul(rho_p, c_up), mul(rho_m, c_down)
-                for _ in range(abs(shift)):
-                    if shift > 0:
-                        tt, rho_p = mul(tt, rho_p), mul(rho_p, const(*q))
-                        rho_m, oo = mul(rho_m, const(-q[0], -q[1])), mul(oo, c_up)
-                    else:
-                        tt, rho_m = mul(tt, rho_m), mul(rho_m, const(*q))
-                        rho_p, oo = mul(rho_p, const(-q[0], -q[1])), mul(oo, c_down)
-            states[j] = (tt, rho_p, rho_m, oo)
-            slots = _row_slots(row.base, row.lo, step, last + 1, row.spans, den, size,
-                               row.mirror)
+                state = states[j - d]
+                if state[3] is None:
+                    state = state[:3] + (_expjpi(*_outer(line[j - d], row), s_den, wide),)
+                # Q and Q^-1 are taken only where the peak shifts
+                consts = [_const(exps, num, s_den, wide) if shift or i > 1 else None
+                          for i, num in enumerate(nums)]
+                state = _move(state, consts, shift, mul)
+            else:
+                # at the chain's width, both ratios, where a chain starts here
+                bits = CHAIN_GUARD if how == "start" else 0
+                up, down = _ratios(row, plan.t_gg)
+                state = (_expjpi(row.dr, row.di - plan.d_min, s_den, pf + bits),
+                         _expjpi(*up, s_den, pf + bits) if row.k < row.last or bits else None,
+                         _expjpi(*down, s_den, pf + bits) if row.k or bits else None, None)
+            states[j] = state
+            tt, rho_p, rho_m, _ = state
+            slots, k = row.slots, row.k
             peak_re, peak_im = tt[0] >> bits, tt[1] >> bits
             acc_re[slots[k]] += peak_re
             acc_im[slots[k]] += peak_im
-            for steps, rho, seq in ((last - k, rho_p, slots[k + 1:]),
-                                    (k, rho_m, reversed(slots[:k]))):
-                if not steps:
+            for rho, seq in ((rho_p, slots[k + 1:]), (rho_m, slots[k - 1::-1] if k else ())):
+                if not seq:
                     continue
-                qr, qi = const(*q, q_bits)
+                qr, qi = _const(exps, nums[0], s_den, pf + q_bits)
                 qr, qi = qr >> q_bits, qi >> q_bits
                 rr, ri = rho[0] >> bits, rho[1] >> bits
                 ur, ui = peak_re, peak_im
@@ -978,16 +965,14 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                     acc_re[c] += ur
                     acc_im[c] += ui
                     rr, ri = (rr * qr - ri * qi) >> pf, (rr * qi + ri * qr) >> pf
-    # each pair slot holds terms of both rows of a pair, at N and at -N
-    pairs = {row.base: row.mirror[0] for line in lines for row in line if row.mirror}
-    for base, mbase in pairs.items():
+    for base, mbase in shape.pairs:
         for acc in (acc_re, acc_im):
             for x in range(r2):
                 v = acc[size + base + x]
                 acc[base + x] += v
                 acc[mbase + -x % r2] += v
     del acc_re[size:], acc_im[size:]
-    return acc_re, acc_im, Fraction(d_min, s_den), units, pf
+    return acc_re, acc_im, Fraction(plan.d_min, s_den), shape.units, pf
 
 
 # One characteristic out of a walk (``_theta_groups``): theta is
@@ -1076,7 +1061,7 @@ def _complex(walk: _Walk, sums) -> list[CertifiedComplex]:
         (1 + 2^-30) (E units 2^-pf + |value| (8(5 + |pi y_m|) 2^(p-pf) + 4) 2^-p).
 
     Since 2^(pf - pf_a) >= e^(M - M_a) >= (5 + |M|) / (5 + |M_a|), with pf_a
-    the width of a's own walk (``_row_sum``), the value term is no larger
+    the width of a's own walk (``_width``), the value term is no larger
     than the one of a's own walk either."""
     p = mp.prec
     pf = walk.pf
@@ -1315,6 +1300,8 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
     from . import constants
     _check_level(r)
     g = tau.g
+    if z is not None and len(z) != g:
+        raise ValueError("z must have length g")
     with workprec(prec + GUARD_BITS):
         f, bounds = _moduli2(tau, None, r, _coset_chars(g, r), prec, None)
         max_lower = certified_le(CertifiedReal.exact(1), _largest(f, bounds))
@@ -1351,6 +1338,8 @@ def verify_duplication(tau: SiegelPoint, steps: int,
     """One walk per level gives the 2^(2g) half-integer characteristics:
     F from the ``_moduli`` bounds scaled by exp(-pi y_m) 2^-pf, unsquared,
     and theta(2^k tau, 0), their [0; 0] member, from ``_complex``."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     g = tau.g
     chars = _level_chars(g, 2)
     f_vals = []

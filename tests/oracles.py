@@ -6,8 +6,9 @@ pivot checks, the Siegel action both in mpmath matrix arithmetic and by
 Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
 real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
 (Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
-Gram-Schmidt recomputed after every step), and the column HNF by Euclid on
-the smallest entry of each row.
+Gram-Schmidt recomputed after every step), the column HNF by Euclid on
+the smallest entry of each row, and the accumulator slots of a walked theta
+row term by term.
 
 Two references are not independent.  ``beta_sigma_det_scaled`` keeps the
 former det-scaled formula of beta_sigma over the package's own theta
@@ -354,6 +355,30 @@ def hnf_columns_min_scan(rows):
             if a[i][j] != 0:
                 raise InvariantBreach("nonzero residue column after HNF")
     return [r[:n] for r in a]
+
+
+def row_slots(base, lo, step, count, spans, den, size, mirror=None):
+    """The accumulator index of each term x = lo + step j, j < count, of a
+    walked theta row, one term at a time (``theta._frames`` forms them per
+    top characteristic): base + x mod den^2 when x lies in the box of its
+    own top characteristic (x mod den in ``spans`` and x within its span),
+    the trash 2 size otherwise.  A row that also walks the row at -nn
+    (``mirror`` = (mbase, mspans), that row's base and spans) holds that
+    row's term at -x as well: the term goes to mbase + (-x mod den^2) when
+    only -x lies in its box there, and to the pair slot
+    size + base + x mod den^2 when both do."""
+    r2 = den * den
+    trash = 2 * size
+    xs = range(lo, lo + step * count, step)
+    slots = [base + x % r2 if (span := spans.get(x % den)) and span[0] <= x <= span[1]
+             else trash for x in xs]
+    if mirror:
+        mbase, mspans = mirror
+        for j, x in enumerate(xs):
+            span = mspans.get(-x % den)
+            if span and span[0] <= -x <= span[1]:
+                slots[j] = mbase + -x % r2 if slots[j] == trash else slots[j] + size
+    return slots
 
 
 def _even_nulls(tau, prec):

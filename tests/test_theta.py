@@ -23,7 +23,7 @@ from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 theta_truncated, verify_duplication,
                                 verify_norm_bounds)
 
-from oracles import (beta_sigma_det_scaled, theta_brute, theta_brute_batch,
+from oracles import (beta_sigma_det_scaled, row_slots, theta_brute, theta_brute_batch,
                      theta_norm_brute)
 
 I = mpc(0, 1)
@@ -330,6 +330,18 @@ def test_truncation_radius_validation():
     for radius in (-1, 4001):
         with pytest.raises(ValueError):
             theta_truncated(TAU_I, radius=radius)
+
+
+def test_bad_steps_and_z_length_are_rejected():
+    # a negative duplication count and a z of the wrong length fail with a
+    # clear error, also where the norm bounds would never read z
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        verify_duplication(TAU_I, -1)
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    for reduced in (False, True):
+        with pytest.raises(ValueError, match="z must have length g"):
+            verify_norm_bounds(tau, 2, [1, 2, 3], prec=96, assume_reduced=reduced)
 
 
 def test_characteristic_validation():
@@ -798,7 +810,7 @@ def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
 
 @pytest.mark.parametrize("tops, step", [(((0, 0), (0, 2)), 2), (((1, 1), (3, 3)), 4),
                                         (((0, 0), (0, 1), (0, 3)), 1)])
-def test_part_of_a_level_walks_with_the_common_step(monkeypatch, tops, step):
+def test_part_of_a_level_walks_with_the_common_step(tops, step):
     # level-4 top characteristics share a row when their first entries
     # agree, and the row steps by the gcd of 4 and the differences of their
     # last entries: 2, 4 (rows of one m1, as a lone walk) or 1.  With boxes
@@ -809,19 +821,16 @@ def test_part_of_a_level_walks_with_the_common_step(monkeypatch, tops, step):
     tau, z = _level_cases()[3]
     rows = [[tau.entry(i, j) for j in range(2)] for i in range(2)]
     bs = list(itertools.product(range(4), repeat=2))
-    steps = set()
-    row_slots = theta_module._row_slots
-
-    def seen(base, lo, step, *args):
-        steps.add(step)
-        return row_slots(base, lo, step, *args)
+    groups = {a: (radius, bs) for radius, a in enumerate(tops, 1)}
+    # the rows' steps, from the cached shape of the union walk (z != 0:
+    # no mirror rows)
+    shape = theta_module._frames(2, 4, tuple((a, radius) for a, (radius, _) in groups.items()),
+                                 False)
+    steps = {fr.step for run in shape.runs for fr in run}
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
             lam, xi, u = theta_module._tail_data(tau, z)
-            groups = {a: (radius, bs) for radius, a in enumerate(tops, 1)}
-            monkeypatch.setattr(theta_module, "_row_slots", seen)
             union = _group_values(tau, z, 4, groups)
-            monkeypatch.setattr(theta_module, "_row_slots", row_slots)
             for a, (radius, _) in groups.items():
                 alone = _group_values(tau, z, 4, {a: (radius, bs)})[a]
                 s = max(abs(Fraction(x, 4) + w) for x, w in zip(a, u))
@@ -909,6 +918,8 @@ def _occurs(name, tau, z, den, boxes, seen) -> bool:
     chained = []    # (line, shift) of each chained row
     pairs = []      # (how, step) of each row off a centre, and of the row before it
     for line, plan in seen:
+        # an anchor that a chain starts from is an anchor here too
+        plan = [(j, d, "anchor" if how == "start" else how, shift) for j, d, how, shift in plan]
         how_of = {j: how for j, _, how, _ in plan}
         chained += [(line, shift) for _, _, how, shift in plan if how == "chain"]
         pairs += [((how, line[j].step), (how_of[j - d], line[j - d].step))
@@ -965,6 +976,25 @@ def test_chained_rows_match_brute_oracle(monkeypatch, name, tau, z, den, boxes):
     assert _occurs(name, tau, z, den, boxes, seen), name
 
 
+def test_a_cached_shape_is_walked_as_it_is(monkeypatch):
+    # a second walk over the same boxes reads the cached shape: no shape is
+    # built and no row budget or slot is formed again, and its sums are the
+    # first walk's
+    tau = SiegelPoint.from_rows([[mpc("0.1", "1.3"), mpc("0.2", "0.4")],
+                                 [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
+    boxes = {(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 3}
+    with workprec(96 + GUARD_BITS):
+        first = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes)
+        misses = theta_module._frames.cache_info().misses
+        budgets = []
+        row_units = theta_module._row_units
+        monkeypatch.setattr(theta_module, "_row_units",
+                            lambda k: budgets.append(k) or row_units(k))
+        again = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes)
+    assert theta_module._frames.cache_info().misses == misses and budgets == []
+    assert again == first
+
+
 def _mirror_cases():
     """(name, tau, den, {a: radius}, bs) at z = 0, g = 2 and 3, levels 2, 4
     and 6, with unequal radii: at levels 4 and 6 the prefix classes P and
@@ -995,7 +1025,7 @@ def _walkers(g, den, boxes):
     of the walked row that holds it, the row itself or its mirror at
     -nn.  No row is held twice."""
     out = {}
-    for run in theta_module._frames(g, den, tuple(boxes.items()), True):
+    for run in theta_module._frames(g, den, tuple(boxes.items()), True).runs:
         for fr in run:
             held = [fr.nn] + ([tuple(-x for x in fr.nn)] if fr.mirror else [])
             for nn in held:
@@ -1017,7 +1047,7 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
     h = g - 1
     z = (mpc(0),) * g
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
-    frames = [fr for run in theta_module._frames(g, den, tuple(boxes.items()), True)
+    frames = [fr for run in theta_module._frames(g, den, tuple(boxes.items()), True).runs
               for fr in run]
     assert any(fr.mirror for fr in frames)
     if den > 2:
@@ -1052,6 +1082,30 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
                     assert fabs(v.value - ref) <= v.err - tails[a], (name, prec, a, b)
                     assert fabs(w.value - ref) <= w.err - tails[a], (name, prec, a, b)
                 assert v.err <= w.err, (name, prec, a, b)
+
+
+def test_cached_slots_match_the_term_by_term_oracle():
+    # the shape of every walk of the chain and mirror cases, and of g = 1
+    # walks, with and without mirror rows and for each box alone: every
+    # frame holds the slots that the term-by-term reference gives, own,
+    # mirrored and pair slots included
+    cases = [(tau.g, den, boxes) for _, tau, den, boxes, _ in _mirror_cases()]
+    cases += [(tau.g, den, boxes) for _, tau, _, den, boxes in _chain_cases()]
+    cases += [(1, 2, {(0,): 3, (1,): 2}), (1, 4, {(1,): 2, (2,): 3, (3,): 1}),
+              (1, 6, {(0,): 1, (3,): 2, (5,): 4})]
+    seen = set()
+    for g, den, boxes in cases:
+        size = (den * den) ** g
+        for mirror in (True, False):
+            for key in [tuple(boxes.items())] + [((a, radius),) for a, radius in boxes.items()]:
+                for run in theta_module._frames(g, den, key, mirror).runs:
+                    for fr in run:
+                        want = row_slots(fr.base, fr.lo, fr.step, fr.last + 1, fr.spans, den,
+                                         size, fr.mirror)
+                        assert list(fr.slots) == want, (g, den, key, mirror, fr.nn)
+                        seen.add((g, den, any(size <= x < 2 * size for x in want)))
+    assert {g for g, _, _ in seen} == {1, 2, 3} and {den for _, den, _ in seen} == {2, 4, 6}
+    assert any(pair for _, _, pair in seen)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
