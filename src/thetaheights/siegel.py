@@ -19,8 +19,10 @@ adjugate (Im tau)^-1 = 2^s adj Y / det Y and the first step of the
 lambda_min bound (``min_eig_lower_bound``).  S.1 is decided by the identity
 det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2: det(lam tau + mu)
 2^(gs) is the determinant of the Gaussian-integer matrix lam (X + iY) +
-mu 2^s, and the comparison with det Y is one of integers.  ``act`` inverts
-the same matrix by the Gauss-Jordan form of the elimination.
+mu 2^s, and S.1 for gamma is the integer test |det|^2 >= 2^(2gs)
+(``_s1_holds``).  ``act`` inverts the same matrix by the Gauss-Jordan form
+of the elimination.  No test carries a tolerance: each verdict is exact on
+the stored point, ties passing (the closed domain).
 
 ``reduce_heuristic`` is the one reduction loop, for every g (``reduce_g1``
 is its g = 1 case, required to converge), and each of its moves is exact
@@ -55,18 +57,6 @@ class ReductionError(RuntimeError):
     """Reduction did not converge within the iteration cap."""
 
 
-def _tol_bits(prec: int) -> int:
-    return prec // 2
-
-
-def default_tol(prec: int) -> mpf:
-    # the slack of every domain and round-trip test: far above the error a
-    # reduction word accumulates (each act of the reduction loop rounds the
-    # exact image to prec + 32 bits), far below a genuine violation; pinned
-    # campaign reports depend on this value
-    return mpf(2) ** -_tol_bits(prec)
-
-
 def as_mpc(x) -> mpc:
     """x as an mpc without rounding: mpf and mpc entries keep their exact
     value (``mpc(x)`` would round them to mp.prec); ints, floats and strings
@@ -84,9 +74,18 @@ def as_mpc(x) -> mpc:
 
 @dataclass(frozen=True)
 class SiegelPoint:
+    """tau = re + i im, symmetric by construction: a point with tau != tau^T
+    is refused, so no function is ever handed one."""
     g: int
     re: tuple[tuple[mpf, ...], ...]
     im: tuple[tuple[mpf, ...], ...]
+
+    def __post_init__(self):
+        # stored mpf values are normalized, so equal values have equal _mpf_
+        for part in (self.re, self.im):
+            if any(part[i][j]._mpf_ != part[j][i]._mpf_
+                   for i in range(self.g) for j in range(i)):
+                raise ValueError("tau must be symmetric")
 
     @classmethod
     def from_rows(cls, rows) -> "SiegelPoint":
@@ -306,10 +305,6 @@ def sl2_s() -> SymplecticMatrix:
     return SymplecticMatrix.inversion(1)
 
 
-def sl2_t(k: int = 1) -> SymplecticMatrix:
-    return SymplecticMatrix.translation(((k,),))
-
-
 # ---------------------------------------------------------------------------
 # validation and action
 
@@ -317,19 +312,17 @@ def sl2_t(k: int = 1) -> SymplecticMatrix:
 @dataclass(frozen=True)
 class ValidityReport:
     g: int
-    symmetry_defect: mpf
     min_pivot: mpf
-    tol: mpf
     valid: bool
 
 
 def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
-    """Symmetry defect and smallest exact LDL pivot of Im tau.
+    """Smallest exact LDL pivot of Im tau (symmetry holds by construction).
 
-    Accepts iff the defect is within tolerance and all pivots are positive.
-    The pivots are exact, D_k / (D_(k-1) 2^s) from the leading minors D_k
-    of the integer form (up to the first that is not positive), so positive
-    definiteness is certified, not estimated.
+    Accepts iff all pivots are positive.  The pivots are exact,
+    D_k / (D_(k-1) 2^s) from the leading minors D_k of the integer form (up
+    to the first that is not positive), so positive definiteness is
+    certified, not estimated.
     """
     from mpmath import isfinite
     for part in (tau.re, tau.im):
@@ -339,20 +332,12 @@ def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
             for x in row:
                 if not isfinite(x):
                     raise ValueError("non-finite entry")
-    with workprec(prec + 16):
-        defect = mpf(0)
-        for i in range(tau.g):
-            for j in range(tau.g):
-                d = fabs(tau.entry(i, j) - tau.entry(j, i))
-                defect = max(defect, d)
     minors = tau._y_elim[0]
     s = tau.int_form[2]
     pivot = min(Fraction(d, prev << s) for d, prev in zip(minors, (1,) + minors))
     with workprec(prec + GUARD_BITS):
         min_pivot = fraction_to_mpf(pivot)
-    tol = default_tol(prec)
-    return ValidityReport(tau.g, defect, min_pivot, tol,
-                          bool(defect <= tol and pivot > 0))
+    return ValidityReport(tau.g, min_pivot, pivot > 0)
 
 
 def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
@@ -412,7 +397,6 @@ class FundamentalDomainReport:
     s1_ok: bool
     s1_generators_checked: int
     s3_vectors_checked: int
-    tol: mpf
     # finite sampling makes these necessary conditions, not proofs
     s1_note: str = "S.1 checked only against the supplied finite generator list"
     s3_note: str = "S.3 first bullet sampled over primitive xi in {-1,0,1}^g"
@@ -424,49 +408,52 @@ class FundamentalDomainReport:
 
 @cache
 def default_generators(g: int) -> tuple[SymplecticMatrix, ...]:
-    """Finite S.1 sample: inversion, coordinate inversions, unit translations,
-    and adjacent basis swaps; built once per g."""
+    """Finite S.1 sample, built once per g: the inversion tau -> -tau^-1
+    and, for g > 1, the g coordinate inversions (tau_kk -> -1/tau_kk at
+    g = 1).  Each has lam != 0; the unit translations and basis swaps of
+    the classical list have lam = 0, keep det Im tau (``keeps_det_im``) and
+    are the moves of steps (a) and (b) of ``reduce_heuristic``."""
     if g == 1:
-        return (sl2_s(), sl2_t(1))
+        return (sl2_s(),)
     gens = [SymplecticMatrix.inversion(g)]
     for k in range(g):
         e = tuple(tuple(1 if (i == j == k) else 0 for j in range(g)) for i in range(g))
-        ide = _int_identity(g)
-        a = _int_add(ide, _int_neg(e))
+        a = _int_add(_int_identity(g), _int_neg(e))
         gens.append(SymplecticMatrix(g, a, _int_neg(e), e, a))
-        gens.append(SymplecticMatrix.translation(e))
-    for k in range(g):
-        for l in range(k + 1, g):
-            b = tuple(tuple(1 if {i, j} == {k, l} else 0 for j in range(g)) for i in range(g))
-            gens.append(SymplecticMatrix.translation(b))
-    for k in range(g - 1):
-        p = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
-        p[k][k] = p[k + 1][k + 1] = 0
-        p[k][k + 1] = p[k + 1][k] = 1
-        gens.append(SymplecticMatrix.basis_change(tuple(tuple(r) for r in p)))
     return tuple(gens)
+
+
+def _s1_holds(gamma: SymplecticMatrix, tau: SiegelPoint) -> bool:
+    """S.1 for one generator, the one rule of the reduction loop and of its
+    certificate: det Im(gamma.tau) <= det Im tau, ties passing.  By
+    det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2 this is
+    |det(lam tau + mu)|^2 >= 1, and with N = (lam tau + mu) 2^s over Z[i]
+    the integer test |det N|^2 >= 2^(2gs); a singular lam tau + mu (the
+    image at infinity) fails.  A generator that keeps det Im tau passes
+    with no determinant."""
+    if gamma.keeps_det_im:
+        return True
+    dr, di = _denominator_det(gamma, tau)
+    return dr * dr + di * di >= 1 << (2 * tau.g * tau.int_form[2])
 
 
 def fundamental_domain_report(tau: SiegelPoint,
                               generators: Sequence[SymplecticMatrix] | None = None,
                               prec: int = DEFAULT_PREC) -> FundamentalDomainReport:
-    """S.1, S.2 and S.3 decided exactly, each with the slack tol =
-    ``default_tol(prec)`` = 2^-t, by integer comparisons on the integer form
-    tau = (X + iY) / 2^s: S.2 is |X_ij| 2^(t+1) <= 2^(s+t) + 2^(s+1), the
-    S.3 bullets compare xi^T Y xi and Y_k,k+1 with Y_kk and 0 after scaling
-    by 2^t, and S.1 for each generator is one determinant over Z[i] (none
-    for a generator that keeps det Im tau, ``keeps_det_im``).
-    Only ``s2_max_abs_re`` is rounded, once."""
+    """S.1, S.2 and S.3 decided exactly, with no slack and ties passing, by
+    integer comparisons on the integer form tau = (X + iY) / 2^s: S.2 is
+    2 |X_ij| <= 2^s, S.3 fails where Y_kk > xi^T Y xi and asks Y_k,k+1 >= 0,
+    and S.1 is ``_s1_holds`` for each generator: one determinant over Z[i],
+    none for a generator that keeps det Im tau.  ``s1_generators_checked``
+    counts the generators that constrain S.1 (lam != 0).  Only
+    ``s2_max_abs_re`` is rounded, once."""
     g = tau.g
-    tol = default_tol(prec)
-    t = _tol_bits(prec)
     if generators is None:
         generators = default_generators(g)
     x, y, s = tau.int_form
-    one = 1 << s
 
     max_re = max(abs(v) for row in x for v in row)
-    s2_ok = max_re << (t + 1) <= (one << t) + (one << 1)
+    s2_ok = max_re << 1 <= 1 << s
 
     s3_quad = True
     checked = 0
@@ -484,26 +471,15 @@ def fundamental_domain_report(tau: SiegelPoint,
             if q is None:
                 q = sum(xi[i] * y[i][j] * xi[j] for i in range(g) for j in range(g))
             checked += 1
-            # xi^T Im tau xi < Im tau_kk - tol
-            if (y[k][k] - q) << t > one:
+            if y[k][k] > q:
                 s3_quad = False
 
-    s3_off = all(y[k][k + 1] << t >= -one for k in range(g - 1))
-
-    # S.1 without acting: det Im(gam.tau) = d0 / |det(lam tau + mu)|^2 must
-    # not exceed d0 + tol max(1, d0), d0 = det Im tau, ties passing.  With
-    # D = det Y = d0 2^(gs) and N = (lam tau + mu) 2^s, cleared of every
-    # denominator: D 2^(t + 2gs) <= (D 2^t + max(2^(gs), D)) |det N|^2, so a
-    # singular lam tau + mu (the image at infinity) fails
-    gs = g * s
-    d = tau._y_det_scaled
-    lhs, rhs = d << (t + 2 * gs), (d << t) + max(1 << gs, d)
-    s1_ok = all(lhs <= rhs * (dr * dr + di * di)
-                for dr, di in (_denominator_det(gam, tau) for gam in generators
-                               if not gam.keeps_det_im))
+    s3_off = all(y[k][k + 1] >= 0 for k in range(g - 1))
+    s1_ok = all(_s1_holds(gen, tau) for gen in generators)
     max_re_m = mp.make_mpf(from_man_exp(max_re, -s, prec + GUARD_BITS, round_nearest))
     return FundamentalDomainReport(g, s2_ok, max_re_m, s3_quad, s3_off, s1_ok,
-                                   len(generators), checked, tol)
+                                   sum(not gen.keeps_det_im for gen in generators),
+                                   checked)
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +669,25 @@ def reduce_heuristic(tau: SiegelPoint,
                      prec: int = DEFAULT_PREC) -> ReductionResult:
     """The reduction loop, for every g: (a) an integer translation of Re tau,
     (b) a unimodular basis change making Im tau LLL-reduced, sorted and
-    sign-normalized, (c) the first generator in list order that raises
-    det Im tau by more than the factor 1 + tol; repeated until an iteration
-    makes no move, at most ``MAX_ITER`` times.  At g = 1 the default
-    generators (S, T) make it Gauss reduction.
+    sign-normalized, (c) the first generator in list order that fails S.1
+    (``_s1_holds``, the rule of the certificate); repeated until an
+    iteration makes no move, at most ``MAX_ITER`` times.  So a converged
+    loop stops exactly where its certificate passes S.1.  At g = 1 the
+    default generator S with step (a) makes it Gauss reduction.
 
     Every move is exact on the integer form tau = (X + iY) / 2^s: (a) reads
     its translation off X, (b) is the congruence U^T (X + iY) U over the
     same 2^s, unrounded, and (a) and (c) act exactly and round once
-    (``act``).  S.2 holds exactly on output and the det Im history never
-    drops by more than rounding; whether the output lies in the true
-    fundamental domain is reported by the certificate, not assumed.
+    (``act``).  S.2 holds exactly on output; whether the output lies in the
+    true fundamental domain is reported by the certificate, not assumed.
+
+    No step carries a tolerance.  A (c) move raises the exact det Im tau
+    strictly (|det(lam tau + mu)| < 1); rounding the image to prec + 32
+    bits can undo that only for a point within about 2^-(prec + 28) of an
+    S.1 boundary, where the loop may cycle: ``MAX_ITER`` ends it there, and
+    the certificate says converged=False.
     """
     g = tau.g
-    t = _tol_bits(prec)
     if not tau.y_positive_definite:
         raise ValueError("imaginary part must be positive definite")
     if generators is None:
@@ -742,17 +723,9 @@ def reduce_heuristic(tau: SiegelPoint,
                 move(("U", u), SymplecticMatrix.basis_change(u),
                      _from_int_form(_congruence(u, x), _congruence(u, y), s))
                 moved = True
-            # (c) first generator in list order that raises det Im by more
-            # than the factor 1 + tol, by det Im(gen.cur) = det Im(cur) /
-            # |det(lam cur + mu)|^2.  With N = (lam cur + mu) 2^s,
-            # |det(lam cur + mu)|^2 (1 + 2^-t) >= 1 is |det N|^2 (2^t + 1)
-            # >= 2^(t + 2gs): ties stay
-            keep = 1 << (t + 2 * g * cur.int_form[2])
+            # (c) first generator in list order that fails S.1
             for gen in generators:
-                if gen.keeps_det_im:
-                    continue
-                dr, di = _denominator_det(gen, cur)
-                if (dr * dr + di * di) * ((1 << t) + 1) >= keep:
+                if _s1_holds(gen, cur):
                     continue
                 try:
                     point = act(gen, cur, prec)
@@ -776,9 +749,10 @@ def reduce_heuristic(tau: SiegelPoint,
 
 def reduce_g1(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ReductionResult:
     """Gauss reduction of a g = 1 point into |Re tau| <= 1/2, |tau| >= 1:
-    ``reduce_heuristic`` with the default generators (S, T), which must
-    converge.  The word composes exactly to gamma, and act(gamma, tau)
-    reproduces the reduced point to working precision."""
+    ``reduce_heuristic`` with the default generator S (the translations are
+    its step (a)), which must converge.  The word composes exactly to
+    gamma, and act(gamma, tau) reproduces the reduced point to working
+    precision."""
     if tau.g != 1:
         raise ValueError("reduce_g1 expects g = 1")
     res = reduce_heuristic(tau, prec=prec)

@@ -319,7 +319,7 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
         return _radius(tau.g, lam, xi, _shift(z, a, den), target)
 
 
-def _target(prec: int, tol) -> mpf:
+def _target(prec: int, tol=None) -> mpf:
     """The tail's share tol/2, tol = default_tol(prec) when None."""
     target = mpf(default_tol(prec) if tol is None else tol) / 2
     if not (target > 0 and isfinite(target)):
@@ -328,7 +328,20 @@ def _target(prec: int, tol) -> mpf:
 
 
 def _radius(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> int:
-    """The search of ``choose_radius`` at shift s; call inside the working precision."""
+    """The search of ``choose_radius`` at shift s; call inside the working precision.
+
+    The floor int(s) + 2 is not needed for soundness: every radius the
+    search returns has its bound below the target.  It stays because the
+    target only caps the error, and some verdicts need far less.  At
+    tau = 2^k i the duplication tower compares F values whose differences,
+    about e^(-pi 2^k), fall below the target.  Without the floor, the least
+    radius whose bound is below the target lets the tail take the whole
+    target: at prec 96 the radius drops to 0 at 2^4 i and 2^5 i, and the
+    last monotonicity verdict turns indeterminate.  A search with neither the
+    jump nor the floor shrank 269 of 420 radii of a g = 1 duplication
+    campaign (seed 3, 30 samples, steps 6, prec 128) and 224 of 420 at
+    g = 2, and failed 6 tests of the suite, the duplication verdicts among
+    them."""
     over = _tail_above(g, lam, xi, s, target)
     n = int(s) + 1
     # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
@@ -1132,14 +1145,15 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
 
 
 def theta(tau: SiegelPoint, z=None, char: ThetaCharacteristic | None = None,
-          prec: int = DEFAULT_PREC, tol=None) -> CertifiedComplex:
-    """theta_(m1,m2)(tau, z) with a proven absolute error bound below tol."""
+          prec: int = DEFAULT_PREC) -> CertifiedComplex:
+    """theta_(m1,m2)(tau, z) with a proven absolute error bound below
+    ``default_tol(prec)``."""
     with workprec(prec + GUARD_BITS):
         den, a, b = _char_ints(tau.g, char)
-        return _complex(*_theta_batch(tau, z, den, [(a, b)], prec, tol))[0]
+        return _complex(*_theta_batch(tau, z, den, [(a, b)], prec))[0]
 
 
-def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int, tol,
+def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int,
                  phase: bool = True) -> tuple[_Walk, list[_Sum]]:
     """The walk of theta[a/den; b/den](tau, z) for the integer pairs (a, b)
     of one level and the sum of each pair, in the order given: one
@@ -1150,7 +1164,7 @@ def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int, tol,
     drops exp(2 pi i a.b / den^2) (see ``_theta_groups``)."""
     z = _at(tau, z)
     lam, xi, _ = z.tail
-    target = _target(prec, tol)
+    target = _target(prec)
     groups = {}
     for a, b in pairs:
         groups.setdefault(a, []).append(b)
@@ -1170,8 +1184,8 @@ def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int, tol,
 # invariant norms
 
 
-def _moduli2(tau: SiegelPoint, z, den: int, pairs, prec: int,
-             tol) -> tuple[CertifiedReal, list[tuple[int, int]]]:
+def _moduli2(tau: SiegelPoint, z, den: int, pairs,
+             prec: int) -> tuple[CertifiedReal, list[tuple[int, int]]]:
     """(F, [(L, H)]) with, for each pair (a, b) and y = Im z,
     F.lo L <= exp(-2 pi y^T Y^-1 y) |theta[a/den; b/den](tau, z)|^2 <= F.hi H,
     all from one walk: the squared invariant norms with det(Y)^(1/2)
@@ -1181,7 +1195,7 @@ def _moduli2(tau: SiegelPoint, z, den: int, pairs, prec: int,
     inside the working-precision scope."""
     zt = _at(tau, z)
     _, xi, _ = zt.tail
-    walk, sums = _theta_batch(tau, zt, den, pairs, prec, tol, phase=False)
+    walk, sums = _theta_batch(tau, zt, den, pairs, prec, phase=False)
     return (_exp_pi(-2 * (walk.y_m + xi), -2 * walk.pf),
             [(lo * lo, hi * hi) for lo, hi in _moduli(walk, sums)])
 
@@ -1206,8 +1220,7 @@ def _largest(f: CertifiedReal, bounds: list[tuple[int, int]]) -> CertifiedReal:
     return _interval(*_outward(f, max(lo for lo, _ in bounds), max(hi for _, hi in bounds)))
 
 
-def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
-               tol=None) -> CertifiedReal:
+def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """det(Y)^(1/4) exp(-pi y^T Y^-1 y) |theta(tau, z)|."""
     with workprec(prec + GUARD_BITS):
         zt = _at(tau, z)
@@ -1215,11 +1228,11 @@ def theta_norm(tau: SiegelPoint, z=None, prec: int = DEFAULT_PREC,
         scale = CertifiedReal.rounded(tau.det_im() ** (mpf(1) / 4))
         if xi:
             scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-        return scale * theta(tau, zt, None, prec, tol).abs()
+        return scale * theta(tau, zt, None, prec).abs()
 
 
 def theta_null_vector(tau: SiegelPoint, r: int,
-                      prec: int = DEFAULT_PREC, tol=None) -> list[CertifiedComplex]:
+                      prec: int = DEFAULT_PREC) -> list[CertifiedComplex]:
     """All r^(2g) theta constants, (m1, m2) in lexicographic order, from one
     walk that fills one accumulator per class of N = r n + m1 r mod r^2;
     each constant combines the classes of its m1 with its roots of unity
@@ -1227,7 +1240,7 @@ def theta_null_vector(tau: SiegelPoint, r: int,
     otherwise)."""
     _check_level(r)
     with workprec(prec + GUARD_BITS):
-        out = _complex(*_theta_batch(tau, None, r, _level_chars(tau.g, r), prec, tol))
+        out = _complex(*_theta_batch(tau, None, r, _level_chars(tau.g, r), prec))
     if not any(fabs(v.value) > v.err for v in out):
         raise PrecisionError("all theta constants drowned in the error bound; "
                              "this signals a precision failure")
@@ -1245,8 +1258,7 @@ def _log_norm_sum(f: CertifiedReal, bounds: list[tuple[int, int]],
     return (CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2)) * total).log()
 
 
-def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
-               tol=None) -> CertifiedReal:
+def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
     """-(1/2) log(2^(g/2) sum over the coset set of ||theta||^2(tau, rz+e)),
     formed as -(1/2) log(2^(g/2) sum of the det-free ``_moduli2``) minus
     (1/4) log det Im tau.
@@ -1256,7 +1268,7 @@ def beta_sigma(tau: SiegelPoint, z, r: int, prec: int = DEFAULT_PREC,
     g = tau.g
     with workprec(prec + GUARD_BITS):
         w = None if z is None else [fmul(r, as_mpc(x), exact=True) for x in z]
-        f, bounds = _moduli2(tau, w, r, _coset_chars(g, r), prec, tol)
+        f, bounds = _moduli2(tau, w, r, _coset_chars(g, r), prec)
         return (_log_norm_sum(f, bounds, g) * -0.5
                 - CertifiedReal.rounded(log(tau.det_im()) / 4))
 
@@ -1303,7 +1315,7 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
     if z is not None and len(z) != g:
         raise ValueError("z must have length g")
     with workprec(prec + GUARD_BITS):
-        f, bounds = _moduli2(tau, None, r, _coset_chars(g, r), prec, None)
+        f, bounds = _moduli2(tau, None, r, _coset_chars(g, r), prec)
         max_lower = certified_le(CertifiedReal.exact(1), _largest(f, bounds))
 
         upper = combined_lower = combined_upper = None
@@ -1311,7 +1323,7 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
             c_g = constants.c_g(g, prec)
             zero = (0,) * g
             upper = certified_le(
-                _largest(*_moduli2(tau, z, r, [(zero, zero)], prec, None)), c_g)
+                _largest(*_moduli2(tau, z, r, [(zero, zero)], prec)), c_g)
             mid = _log_norm_sum(f, bounds, g) * 0.5
             lo_const = CertifiedReal.rounded(g * log(2) / 4)
             hi_const = c_g.log() * 0.5 + lo_const + CertifiedReal.rounded(g * log(r))
@@ -1350,7 +1362,7 @@ def verify_duplication(tau: SiegelPoint, steps: int,
             scaled = SiegelPoint.from_rows(
                 [[tau.entry(i, j) * scale for j in range(g)] for i in range(g)])
             # m1 = 0 for [0; 0], so dropping the phase leaves its value as is
-            walk, sums = _theta_batch(scaled, None, 2, chars, prec, None, phase=False)
+            walk, sums = _theta_batch(scaled, None, 2, chars, prec, phase=False)
             f_vals.append(_largest(_exp_pi(-walk.y_m, -walk.pf), _moduli(walk, sums)))
             th0 = _complex(walk, sums[:1])[0]
             gaps.append(fabs(th0.value - 1) + th0.err)

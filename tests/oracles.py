@@ -81,7 +81,7 @@ def beta_sigma_det_scaled(tau, z, r, prec):
         scale = CertifiedReal.rounded(fraction_to_mpf(tau.y_det) ** (mpf(1) / 4))
         if xi:
             scale = scale * CertifiedReal.rounded(-pi * fraction_to_mpf(xi)).exp()
-        values = th._complex(*th._theta_batch(tau, w, r, th._coset_chars(g, r), prec, None,
+        values = th._complex(*th._theta_batch(tau, w, r, th._coset_chars(g, r), prec,
                                               phase=False))
         norms = [scale * v.abs() for v in values]
         norms2 = [nv * nv for nv in norms]
@@ -391,13 +391,12 @@ def _even_nulls(tau, prec):
 
 def _match_lambda(curve, t2, t3, prec):
     """The one cross-ratio of the 2-torsion roots that matches
-    theta2^4/theta3^4 within the certified errors and the reduction's
-    tolerance."""
+    theta2^4/theta3^4 within the certified errors and a slack of
+    2^-(prec // 2)."""
     from thetaheights.exactla import fraction_to_mpf
-    from thetaheights.siegel import default_tol
     lhs = t2.value ** 4
     base = t3.value ** 4
-    budget = default_tol(prec) + 8 * (t2.err + t3.err) * (1 + fabs(lhs) + fabs(base))
+    budget = mpf(2) ** -(prec // 2) + 8 * (t2.err + t3.err) * (1 + fabs(lhs) + fabs(base))
     matches = [c for c in cross_ratios(*curve.two_torsion_x)
                if fabs(lhs - fraction_to_mpf(c) * base) <= budget * fabs(base)]
     assert len(matches) == 1, matches

@@ -11,7 +11,7 @@ from mpmath import mp, mpf, fabs, gamma, pi, workprec
 
 from thetaheights import constants, heights, sampling
 from thetaheights.campaign import CampaignConfig, run_campaign
-from thetaheights.siegel import (SiegelPoint, act, default_tol, reduce_g1)
+from thetaheights.siegel import (SiegelPoint, act, reduce_g1)
 from thetaheights.theta import choose_radius, theta, theta_truncated
 
 WORKERS = 2
@@ -187,7 +187,7 @@ def test_criterion_10_delta_metric_axioms():
 
 def test_criterion_11_siegel_reduction_round_trip():
     t0 = time.time()
-    tol = default_tol(128)
+    tol = mpf(2) ** -64
     fails = 0
     for k in range(1000):
         rng = sampling.substream(1111, f"rt:{k}")

@@ -160,6 +160,17 @@ def test_campaign_exit_code_and_file(tmp_path, capsys):
     assert ",fail" not in text
 
 
+@pytest.mark.parametrize("command", [["theta", "eval"], ["siegel", "reduce"]])
+def test_asymmetric_tau_is_exit_2(capsys, command):
+    # tau12 = 0.1 + 0.2i but tau21 = 0.3 + 0.2i: an input error, not the
+    # value of the upper entry in both places
+    code = main(command + ["--tau",
+                           '[[["0","1"],["0.1","0.2"]],[["0.3","0.2"],["0","2"]]]'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: tau must be symmetric\n"
+
+
 def test_bad_input_is_exit_2(capsys):
     code, _ = run(capsys, "heights", "verify", "--curve", "0,0,0,0,0")
     assert code == 2

@@ -11,10 +11,10 @@ from thetaheights import exactla, sampling, siegel
 from thetaheights.certified import GUARD_BITS
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
 from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
-                                 compose_word, default_generators, default_tol,
+                                 compose_word, default_generators,
                                  fundamental_domain_report, lll_gram,
                                  reduce_g1, reduce_heuristic,
-                                 reduced_basis_change, sl2_s, sl2_t, validate)
+                                 reduced_basis_change, sl2_s, validate)
 
 from oracles import (act_exact, act_mp, cholesky_min_pivot, frac_det,
                      frac_inverse, frac_psd, ldl_pivots, lll_gram_frac,
@@ -52,9 +52,18 @@ def test_validate_pivot_matches_cholesky_oracle():
     assert fabs(rep.min_pivot - oracle) < mpf(2) ** -40
 
 
-def test_validate_asymmetric_reported():
-    rep = validate(sp([I, mpc(0.3, 1)], [mpc(0.2, 1), 2 * I]))
-    assert not rep.valid and rep.symmetry_defect > mpf("0.09")
+def test_asymmetric_tau_is_refused_at_construction():
+    # no public function is handed tau != tau^T: theta used to return the
+    # value of the upper entry in both places, and reduce_heuristic to
+    # report a converged, all_ok point
+    for upper, lower in ((mpc(0.3, 1), mpc(0.2, 1)),
+                         (mpc(0.1, 0.2), mpc(0.3, 0.2)),    # Re tau12 != Re tau21
+                         (mpc(0.1, 0.2), mpc(0.1, 0.9))):   # Im tau12 != Im tau21
+        with pytest.raises(ValueError, match="tau must be symmetric"):
+            sp([I, upper], [lower, 2 * I])
+        with pytest.raises(ValueError, match="tau must be symmetric"):
+            SiegelPoint(2, ((mpf(0), upper.real), (lower.real, mpf(0))),
+                        ((mpf(1), upper.imag), (lower.imag, mpf(2))))
 
 
 def test_validate_nonfinite_rejected():
@@ -78,7 +87,7 @@ def test_act_translation():
     # 5.6e-17 away from the double 1.2
     with workprec(200):
         tau = sp([mpc("0.2", "1.6")])
-    out = act(sl2_t(1), tau)
+    out = act(SymplecticMatrix.translation(((1,),)), tau)
     with workprec(200):
         assert fabs(out.tau_complex() - mpc("1.2", "1.6")) < mpf(2) ** -100
 
@@ -94,7 +103,29 @@ def test_act_round_trip_and_validity(seed, g):
         back = act(gamma.inverse(), out, 128)
         for i in range(g):
             for j in range(g):
-                assert fabs(back.entry(i, j) - tau.entry(i, j)) < 10 * default_tol(128)
+                assert fabs(back.entry(i, j) - tau.entry(i, j)) < 10 * mpf(2) ** -64
+
+
+def _det_neutral_generators(g):
+    """The unit translations and the adjacent basis swaps of the classical
+    S.1 list: lam = 0, so each keeps det Im tau."""
+    gens = []
+    for k in range(g):
+        for l in range(k, g):
+            gens.append(SymplecticMatrix.translation(
+                tuple(tuple(int({i, j} == {k, l}) for j in range(g)) for i in range(g))))
+    for k in range(g - 1):
+        p = [[int(i == j) for j in range(g)] for i in range(g)]
+        p[k][k] = p[k + 1][k + 1] = 0
+        p[k][k + 1] = p[k + 1][k] = 1
+        gens.append(SymplecticMatrix.basis_change(tuple(map(tuple, p))))
+    return gens
+
+
+def _classical_generators(g):
+    """``default_generators`` and the det-neutral moves, so that ``act`` is
+    tested on translations and basis changes too."""
+    return list(default_generators(g)) + _det_neutral_generators(g)
 
 
 def _act_points(g):
@@ -110,7 +141,7 @@ def _act_points(g):
 def test_act_is_exact_then_rounded_once(g):
     for tau in _act_points(g):
         rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
-        for gamma in default_generators(g):
+        for gamma in _classical_generators(g):
             out = act(gamma, tau, 128)
             oracle = act_mp(gamma, rows)
             with workprec(160):
@@ -257,7 +288,7 @@ def test_symplectic_matrix_rejects_bad_input():
 
 def test_symplectic_relations():
     for g in (1, 2, 3):
-        for gamma in default_generators(g):
+        for gamma in _classical_generators(g):
             assert gamma.is_symplectic()
             assert gamma.compose(gamma.inverse()) == SymplecticMatrix.identity(g)
 
@@ -304,7 +335,8 @@ def test_reduce_g1_hand_case():
         assert fabs(res.reduced.tau_complex() - mpc("0.2", "1.6")) < mpf(2) ** -90
     t = ((-1,),)
     assert res.certificate.word == (("B", t), ("G", sl2_s()), ("B", t))
-    expected = sl2_t(-1).compose(sl2_s()).compose(sl2_t(-1))
+    shift = SymplecticMatrix.translation(t)
+    expected = shift.compose(sl2_s()).compose(shift)
     assert res.gamma == expected
 
 
@@ -379,10 +411,10 @@ def test_reduce_g1_round_trip(seed):
     cert = res.certificate
     # word recomposes to gamma exactly, in integer arithmetic
     assert compose_word(cert.word) == res.gamma
-    assert cert.action_residual < 10 * default_tol(128)
+    assert cert.action_residual < 10 * mpf(2) ** -64
     # every comparison over Q: at 53 bits, a 160-bit det minus the tolerance
     # can round up past an equal neighbour
-    tol = mpf_to_fraction(default_tol(128))
+    tol = Fraction(1, 2 ** 64)
     re, im = fraction_parts(res.reduced)
     x, y = re[0][0], im[0][0]
     assert abs(x) <= Fraction(1, 2)
@@ -421,7 +453,7 @@ def test_heuristic_g2_certificates():
         hist = [mpf_to_fraction(d) for d in res.certificate.det_history]
         assert all(hist[i + 1] >= hist[i] - Fraction(1, 2 ** 40)
                    for i in range(len(hist) - 1))
-        assert res.certificate.action_residual < 10 * default_tol(96)
+        assert res.certificate.action_residual < 10 * mpf(2) ** -48
 
 
 def test_lll_gram_reduces():
@@ -603,12 +635,17 @@ def test_y_is_eliminated_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_generators_that_keep_det_im_need_no_determinant(g, monkeypatch):
-    # lam = 0 forces |det mu| = 1, so det Im(gamma.tau) = det Im tau: the S.1
-    # report skips such generators by the rule step (c) uses, and its
-    # verdict is that of checking every generator
-    gens = default_generators(g)
-    kept = [gen for gen in gens if gen.keeps_det_im]
-    assert kept and all(abs(frac_det(gen.mu)) == 1 for gen in kept)
+    # lam = 0 forces |det mu| = 1, so det Im(gamma.tau) = det Im tau: S.1
+    # (``_s1_holds``) passes such a generator with no determinant, and the
+    # report's verdict is that of |det N|^2 >= 2^(2gs) for every generator,
+    # which a lam = 0 generator meets as a tie.  The default list holds no
+    # such generator; a supplied list may
+    assert not any(gen.keeps_det_im for gen in default_generators(g))
+    neutral = _det_neutral_generators(g)
+    assert all(gen.keeps_det_im and abs(frac_det(gen.mu)) == 1 for gen in neutral)
+    gens = [gen for pair in itertools.zip_longest(neutral, default_generators(g))
+            for gen in pair if gen is not None]
+    needed = list(default_generators(g))
     real_det = siegel._denominator_det
     asked = []
 
@@ -617,21 +654,19 @@ def test_generators_that_keep_det_im_need_no_determinant(g, monkeypatch):
         return real_det(gamma, tau)
 
     monkeypatch.setattr(siegel, "_denominator_det", counting_det)
-    t = siegel._tol_bits(96)
     verdicts = set()
     for k in range(6):
         tau = sampling.random_siegel_point(sampling.substream(31, f"keep:{g}:{k}"), g)
         asked.clear()
-        rep = fundamental_domain_report(tau, prec=96)
+        rep = fundamental_domain_report(tau, gens, prec=96)
         # the first failing generator ends the check
-        needed = [gen for gen in gens if not gen.keeps_det_im]
         assert asked == needed[:len(asked)]
         assert asked == needed or not rep.s1_ok
-        assert rep.s1_generators_checked == len(gens)
-        gs, d = g * tau.int_form[2], tau._y_det_scaled
-        lhs, rhs = d << (t + 2 * gs), (d << t) + max(1 << gs, d)
-        assert rep.s1_ok == all(lhs <= rhs * (dr * dr + di * di)
+        assert rep.s1_generators_checked == len(needed)
+        one = 1 << (2 * g * tau.int_form[2])
+        assert rep.s1_ok == all(dr * dr + di * di >= one
                                 for dr, di in (real_det(gen, tau) for gen in gens))
+        assert rep.s1_ok == fundamental_domain_report(tau, prec=96).s1_ok
         verdicts.add(rep.s1_ok)
     assert verdicts == {True, False}
 
@@ -652,7 +687,7 @@ def _reduction_record(res) -> str:
         [_mpf_key(res.reduced.im[i][j]) for i in range(g) for j in range(g)],
         (rep.g, rep.s2_ok, _mpf_key(rep.s2_max_abs_re), rep.s3_quadform_ok,
          rep.s3_offdiag_ok, rep.s1_ok, rep.s1_generators_checked,
-         rep.s3_vectors_checked, _mpf_key(rep.tol), rep.s1_note, rep.s3_note)))
+         rep.s3_vectors_checked, rep.s1_note, rep.s3_note)))
 
 
 def _pin_points(g):
@@ -666,24 +701,27 @@ def _digest(lines) -> str:
 
 def test_g2_reductions_are_pinned_bitwise():
     # sha256 of the records of 24 g = 2 reductions, taken with S.1 and act
-    # computed over Q by Fraction real forms
+    # computed over Q by Fraction real forms; re-pinned from the same
+    # reductions when the report lost its tol field and the generator list
+    # its lam = 0 members
     records = [_reduction_record(reduce_heuristic(tau, prec=96)) for tau in _pin_points(2)]
     assert sum("'G'" in r for r in records) > 0
-    assert _digest(records) == ("d0403b99fd2929802f3434e97bf0843b"
-                                "5fac9aa97a0c0cabe9661aec01f52a6a")
+    assert _digest(records) == ("a5a93b636d8b48c9e5af55085270d80b"
+                                "eb6e2a7094c5639b266c19fece03adb2")
 
 
 def test_g1_reductions_are_pinned_bitwise():
     # 24 g = 1 reductions: gamma and the reduced point are pinned to those
     # of a floating-point Gauss iteration in prec + 32 bits, bit for bit;
-    # the records add the word and the det history
+    # the records add the word and the det history (re-pinned as the g = 2
+    # records were)
     results = [reduce_g1(tau, 128) for tau in _pin_points(1)]
     pairs = [repr((res.gamma, _mpf_key(res.reduced.re[0][0]), _mpf_key(res.reduced.im[0][0])))
              for res in results]
     assert _digest(pairs) == ("e37daa72334144cecaefaca967483996"
                               "118bd830a7f461fb04dec2e3c8849ad1")
     assert _digest(map(_reduction_record, results)) == (
-        "ee986b84c5ae2fa40aed6ba6633b5736b29974285ca91131cc0307a6d5d6650b")
+        "50de59f7113c1939b53ca9603a732a50fcc0476fa7cf48a9b540faa3537667dc")
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -716,23 +754,28 @@ def test_reduction_next_to_the_real_axis():
         assert reduce_g1(tau, prec).gamma == expected
 
 
+def _scaled_identity(g, c):
+    return sp(*[[c * I if i == j else 0 for j in range(g)] for i in range(g)])
+
+
 @pytest.mark.parametrize("g", [1, 2])
 def test_s1_ties_are_inclusive(g):
-    def scaled(c):
-        return sp(*[[c * I if i == j else 0 for j in range(g)] for i in range(g)])
-
     # i I_g lies on the boundary of the inversion: |det tau|^2 = 1
-    on = scaled(1)
+    on = _scaled_identity(g, 1)
     assert fundamental_domain_report(on, prec=96).s1_ok
     res = reduce_heuristic(on, prec=96)
     assert not any(move[0] == "G" for move in res.certificate.word)
     assert res.certificate.report.s1_ok
-    # just inside the unit ball: the inversion raises det Im, so it is made
-    inside = scaled(1 - mpf(2) ** -20)
-    assert not fundamental_domain_report(inside, prec=96).s1_ok
-    res = reduce_heuristic(inside, prec=96)
-    assert any(move[0] == "G" for move in res.certificate.word)
-    assert res.certificate.report.s1_ok
+    # just inside the unit ball, by 2^-20 and by 2^-60 (within the slack
+    # 2^-48 that prec 96 once allowed): the inversion raises det Im, so it
+    # is made, and the report passes only the image
+    for bits in (20, 60):
+        with workprec(64):
+            inside = _scaled_identity(g, 1 - mpf(2) ** -bits)
+        assert not fundamental_domain_report(inside, prec=96).s1_ok
+        res = reduce_heuristic(inside, prec=96)
+        assert res.certificate.word[0] == ("G", SymplecticMatrix.inversion(g))
+        assert res.certificate.converged and res.certificate.report.s1_ok
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -749,3 +792,56 @@ def test_reduction_builds_no_identity_after_the_first_for_its_g(g):
             identity.cache_info().misses) == built
     assert identity.cache_info().hits >= asked + 3
     assert SymplecticMatrix.identity(g) is SymplecticMatrix.identity(g)
+
+
+def test_s2_has_no_slack():
+    with workprec(64):
+        x = mpf(0.5) + mpf(2) ** -60
+        points = [sp([mpc(x, 1.6)]), sp([mpc(x, 1.6), 0], [0, 2 * I])]
+    for tau in points:
+        rep = fundamental_domain_report(tau, prec=96)
+        assert not rep.s2_ok and rep.s3_quadform_ok and rep.s1_ok
+    assert fundamental_domain_report(sp([mpc(0.5, 1.6)]), prec=96).s2_ok
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_reduction_next_to_an_s1_boundary_ends(g):
+    # 2^-(prec + 40) inside the inversion boundary: the image rounds onto
+    # the boundary or next to it; the loop ends within MAX_ITER, and a
+    # converged loop stops only where its certificate passes S.1
+    prec = 96
+    eps = mpf(2) ** -(prec + 40)
+    with workprec(prec + 80):
+        points = [_scaled_identity(g, 1 - eps)]
+        if g == 1:
+            points.append(sp([mpc("0.3", sqrt(mpf("0.91"))) * (1 - eps)]))
+    for tau in points:
+        assert not fundamental_domain_report(tau, prec=prec).s1_ok
+        cert = reduce_heuristic(tau, prec=prec).certificate
+        assert cert.iterations <= siegel.MAX_ITER
+        assert any(move[0] == "G" for move in cert.word)
+        assert not cert.converged or cert.report.s1_ok
+
+
+def test_loop_and_certificate_share_the_s1_rule(monkeypatch):
+    # step (c) and the report decide S.1 by the one predicate: the loop's
+    # last iteration asks it of every generator, and so does the report
+    asked = []
+    rule = siegel._s1_holds
+
+    def counted(gamma, tau):
+        out = rule(gamma, tau)
+        asked.append((gamma, tau, out))
+        return out
+    monkeypatch.setattr(siegel, "_s1_holds", counted)
+    for k in range(6):
+        tau = sampling.random_siegel_point(sampling.substream(11, f"h2:{k}"), 2)
+        asked.clear()
+        res = reduce_heuristic(tau, prec=96)
+        gens = default_generators(2)
+        assert res.certificate.converged and res.certificate.report.s1_ok
+        tail = asked[-2 * len(gens):]
+        assert [a[0] for a in tail] == list(gens) * 2
+        assert all(a[1] is res.reduced and a[2] for a in tail)
+        assert any(not out for _, _, out in asked) == any(
+            move[0] == "G" for move in res.certificate.word)

@@ -15,8 +15,8 @@ from thetaheights import theta as theta_module
 from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                                     CertifiedReal, PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
-from thetaheights.siegel import (SiegelPoint, act, reduce_g1, reduce_heuristic,
-                                 sl2_s, sl2_t)
+from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act, reduce_g1,
+                                 reduce_heuristic, sl2_s)
 from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 beta_sigma, choose_radius, coset_set, theta,
                                 theta_norm, theta_null_vector,
@@ -289,9 +289,8 @@ def test_near_tie_is_decided_by_the_certified_bound(monkeypatch):
 @pytest.mark.parametrize("tol", [0, -1, mpf("inf"), mpf("nan")])
 def test_tol_must_be_positive_and_finite(tol):
     tau = SiegelPoint.from_complex(mpc("0.1", "1.0"))
-    for fn in (theta, choose_radius):
-        with pytest.raises(ValueError, match="tol must be a positive finite number"):
-            fn(tau, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        choose_radius(tau, tol=tol)
 
 
 def test_reduce_first_signal():
@@ -401,7 +400,7 @@ def test_norm_matches_brute_oracle():
 def test_symplectic_norm_invariance_multiset_g1():
     tau = SiegelPoint.from_complex(mpc("0.15", "1.37"))
     base = sorted(_half_char_norms(tau), key=lambda v: v.value)
-    for gamma in (sl2_s(), sl2_t(1)):
+    for gamma in (sl2_s(), SymplecticMatrix.translation(((1,),))):
         moved = act(gamma, tau)
         vals = sorted(_half_char_norms(moved), key=lambda v: v.value)
         for x, y in zip(base, vals):
@@ -727,7 +726,7 @@ def test_every_characteristic_of_a_group_matches_brute_oracle(tau, z, r, a):
     radius = choose_radius(tau, z, chars[0], 96)
     with workprec(96 + GUARD_BITS):
         batch = theta_module._complex(
-            *theta_module._theta_batch(tau, z, r, [(a, b) for b in bs], 96, None))
+            *theta_module._theta_batch(tau, z, r, [(a, b) for b in bs], 96))
     with workprec(8 + GUARD_BITS):
         low = _group_values(tau, z, r, {a: (radius, bs)})[a]
     rows = [[tau.entry(i, j) for j in range(g)] for i in range(g)]
@@ -793,11 +792,11 @@ def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
         for phase in (True, False):
             with workprec(prec + GUARD_BITS):
                 batch = theta_module._complex(
-                    *theta_module._theta_batch(tau, z, r, chars, prec, None, phase))
+                    *theta_module._theta_batch(tau, z, r, chars, prec, phase))
                 alone = {}
                 for members in groups.values():
                     alone.update(zip(members, theta_module._complex(
-                        *theta_module._theta_batch(tau, z, r, members, prec, None, phase))))
+                        *theta_module._theta_batch(tau, z, r, members, prec, phase))))
             for ch, v in zip(chars, batch):
                 with workprec(200):
                     ref = refs[ch]
@@ -1120,7 +1119,7 @@ def test_explicit_zero_z_is_no_z(g):
     outs = []
     for z in (None, [0] * g, [mpc(0)] * g):
         with workprec(96 + GUARD_BITS):
-            batch = theta_module._complex(*theta_module._theta_batch(tau, z, 2, chars, 96, None))
+            batch = theta_module._complex(*theta_module._theta_batch(tau, z, 2, chars, 96))
         outs.append((batch, theta(tau, z, char, 96),
                      verify_norm_bounds(tau, 2, z, prec=96, assume_reduced=True)))
     assert outs[0] == outs[1] == outs[2]
@@ -1157,15 +1156,17 @@ def _moduli_cases():
 
 def _walk_bounds(tau, z, r, phase, tops, prec, tol):
     """(F, {(a, b): (L, H)}, walk) for the level-r characteristics of the
-    top characteristics ``tops`` and every b: ``_moduli2`` without the phase,
-    ``_theta_groups`` and ``_moduli`` with it, F as ``_moduli2`` forms it."""
+    top characteristics ``tops`` and every b: ``_moduli2`` without the phase
+    at its own tolerance, ``_theta_groups`` and ``_moduli`` with the phase or
+    at a given tol (the radii of ``choose_radius``), F as ``_moduli2`` forms
+    it."""
     g = tau.g
     bs = list(itertools.product(range(r), repeat=g))
     with workprec(prec + GUARD_BITS):
         zt = theta_module._at(tau, z)
-        if not phase:
+        if not phase and tol is None:
             chars = [(a, b) for a in tops for b in bs]
-            f, pairs = theta_module._moduli2(tau, zt, r, chars, prec, tol)
+            f, pairs = theta_module._moduli2(tau, zt, r, chars, prec)
             return f, dict(zip(itertools.product(tops, bs), pairs)), None
         _, xi, _ = zt.tail
         groups = {a: (choose_radius(tau, zt, ThetaCharacteristic.from_integers(r, a, bs[0]),
@@ -1437,10 +1438,10 @@ def test_batch_returns_sums_in_input_order(g, r):
     radii = {a: choose_radius(tau, z, chars[a, b], 96) for a, b in pairs}
     bs = {a: sorted({b for x, b in pairs if x == a}) for a in radii}
     with workprec(96 + GUARD_BITS):
-        got = theta_module._complex(*theta_module._theta_batch(tau, z, r, pairs, 96, None))
+        got = theta_module._complex(*theta_module._theta_batch(tau, z, r, pairs, 96))
         ref = theta_module._theta_groups(tau, z, r, {a: (radii[a], bs[a]) for a in radii})
         want = theta_module._complex(ref, [ref.sums[a][bs[a].index(b)] for a, b in pairs])
-        lone = [theta_module._complex(*theta_module._theta_batch(tau, z, r, [p], 96, None))[0]
+        lone = [theta_module._complex(*theta_module._theta_batch(tau, z, r, [p], 96))[0]
                 for p in pairs]
     assert got == want
     assert got[-1] == got[1]
