@@ -48,12 +48,17 @@ rounds S to a ``CertifiedComplex`` (``theta``, ``theta_truncated``,
 ``beta_sigma`` and F of ``verify_duplication``) scale those integer bounds,
 or their squares, by one certified factor per walk.
 
-The radius search (``_radius``, public as ``choose_radius``) decides each
-comparison of the tail bound with the target on its log in doubles, with
-a proven guard against the double error and the rounding of the certified
-bound; inside the guard the certified bound decides, so every radius is
-the one the certified bound alone would choose.  The certified tail is evaluated once per
-(s, radius), by ``_theta_groups``.
+The certified tail bound (``_tail``) is formed at a fixed 64 bits with
+every operation rounded outward, whatever the working precision: it needs
+about 40 correct bits, not prec of them.  Its factor that n does not change
+is formed once per (tau, z).  The radius search (``_radius``, public as
+``choose_radius``) takes its first estimate in doubles, and in mpf only
+next to an integer, and decides each comparison of the tail bound with the
+target on its log in doubles, with a proven guard against the double error
+and the rounding of the certified bound; inside the guard the certified
+bound decides, so every radius is the one the certified bound alone would
+choose.  The certified tail is evaluated once per (s, radius), by
+``_theta_groups``.
 
 The exact data of Im tau (Y^-1, det Y and the lambda_min lower bound, all
 from one elimination of its integer form) are cached on the ``SiegelPoint``,
@@ -73,10 +78,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-from mpmath import (mp, mpf, mpc, fabs, exp, fmul, fsub, isfinite, ldexp, log,
-                    pi, sqrt, workprec)
-from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
-                          mpc_expjpi, mpf_mul, round_ceiling, round_floor,
+from mpmath import (mp, mpf, mpc, fabs, fmul, fsub, isfinite, ldexp, log, pi, sqrt,
+                    workprec)
+from mpmath.libmp import (finf, fone, from_int, from_man_exp, from_rational, fzero,
+                          mpc_expjpi, mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_pow_int, mpf_shift, mpf_sub, round_ceiling, round_floor,
                           round_nearest)
 
 from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
@@ -192,10 +198,10 @@ def _coset_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
 
 class _At(tuple):
     """z normalized at tau (``_at``) with its exact tail data
-    ``_tail_data(tau, z)`` as ``tail`` and the shifts s of ``_shift`` as
-    they are asked for: formed once per (tau, z) and passed down as z, so
-    that a batch, its radius searches, its walk and its norm scale share
-    them."""
+    ``_tail_data(tau, z)`` as ``tail``, the head of its tail bounds
+    ``_tail_head`` as ``head`` and the shifts s of ``_shift`` as they are
+    asked for: formed once per (tau, z) and passed down as z, so that a
+    batch, its radius searches, its walk and its norm scale share them."""
 
 
 def _at(tau: SiegelPoint, z) -> _At:
@@ -208,6 +214,7 @@ def _at(tau: SiegelPoint, z) -> _At:
         raise ValueError("z must have length g")
     out.tau = tau
     out.tail = _tail_data(tau, out)
+    out.head = _tail_head(tau.g, out.tail[1])
     out.shifts = {}
     return out
 
@@ -246,32 +253,72 @@ def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
     return lam, xi, u
 
 
-def _tail(g: int, lam: Fraction, xi: Fraction, s: Fraction):
-    """n -> proven bound on the absolute tail over ||n||_inf > n.
+# The certified tail is formed at TAIL_BITS whatever the working precision,
+# from -pi rounded up and pi rounded up.
+TAIL_BITS = 64
+_NEG_PI = mpf_neg(mpf_pi(TAIL_BITS, round_floor))
+_PI_UP = mpf_pi(TAIL_BITS, round_ceiling)
 
-    Derivation: complete the square in the exponent, bound the quadratic form
-    by lam * (k - s)^2 on the shell ||n||_inf = k, count the shell by
-    2g(2k+1)^(g-1), and dominate the resulting series by a geometric one.
-    Infinite unless n + 1 > s.  The factors that do not depend on n are
-    formed once, in the same order of operations, so each bound is the same
-    mpf as when it is formed in one expression."""
-    lam_m = fraction_to_mpf(lam)
-    q_arg = -2 * pi * lam_m
-    gauss_arg = -pi * lam_m
-    head = exp(pi * fraction_to_mpf(xi)) * 2 * g
-    fact = factorial(g - 1)
+
+def _up(x: tuple, y: tuple) -> tuple:
+    """The raw product x y rounded up at TAIL_BITS."""
+    return mpf_mul(x, y, TAIL_BITS, round_ceiling)
+
+
+def _exp_up(x: tuple) -> tuple:
+    """An upper bound of e^x at TAIL_BITS: ``mpf_exp`` rounded up and
+    widened by the allowance |v| 2^(4 - q) that certified.py assumes."""
+    v = mpf_exp(x, TAIL_BITS, round_ceiling)
+    return mpf_add(v, mpf_shift(v, 4 - TAIL_BITS), TAIL_BITS, round_ceiling)
+
+
+def _tail_head(g: int, xi: Fraction) -> tuple:
+    """The factor 2g (g-1)! e^(pi xi) (1 + 2^-30) of ``_tail``, which n
+    does not change, as a raw value rounded up at TAIL_BITS (xi >= 0)."""
+    head = from_man_exp(2 * g * factorial(g - 1) * ((1 << 30) + 1), -30)
+    if xi:
+        xi_up = from_rational(xi.numerator, xi.denominator, TAIL_BITS, round_ceiling)
+        head = _up(head, _exp_up(_up(_PI_UP, xi_up)))
+    return head
+
+
+def _tail(g: int, lam: Fraction, s: Fraction, head: tuple):
+    """n -> proven bound on the absolute tail over ||n||_inf > n, with
+    ``head`` = ``_tail_head(g, xi)``:
+
+        T(n) = 2g (g-1)! e^(pi xi) (1 + 2^-30) (2n+3)^(g-1) e^(-pi lam gap^2)
+               / (1 - q)^g,     gap = n + 1 - s,  q = e^(-2 pi lam gap),
+
+    and infinity unless gap > 0.  This is the box form of the bound of
+    Deconinck, Heil, Bobenko, van Hoeij and Schmies (Math. Comp. 73,
+    2004): complete the square in the exponent, bound the quadratic form by
+    lam (k - s)^2 on the shell ||n||_inf = k, count the shell by
+    2g(2k+1)^(g-1), and dominate the resulting series by a geometric one;
+    1 + 2^-30 is a cushion.
+
+    It is formed in raw libmp values at TAIL_BITS = 64 bits, at every
+    working precision, with every operation rounded outward, so it is
+    never below T(n): lam and gap are rounded down; -pi lam, the exp
+    arguments -pi lam gap^2 and -2 pi lam gap, and pi xi are rounded up;
+    each exp is ``_exp_up``, an upper bound by certified.py's allowance;
+    1 - q and its g-th power are rounded down; the products and the
+    quotient are rounded up.  Where the computed 1 - q is not positive
+    the bound is infinity.  How close it stays to T(n) is in
+    ``choose_radius``."""
+    neg = _up(_NEG_PI, from_rational(lam.numerator, lam.denominator, TAIL_BITS, round_floor))
+    s_num, s_den = s.numerator, s.denominator
 
     def bound(n: int) -> mpf:
-        gap = Fraction(n + 1) - s
-        if gap <= 0:
-            return mpf("inf")
-        gap_m = fraction_to_mpf(gap)
-        q = exp(q_arg * gap_m)
-        if q >= 1:
-            return mpf("inf")
-        t = (head * mpf(2 * n + 3) ** (g - 1) * fact * exp(gauss_arg * gap_m ** 2)
-             / (1 - q) ** g)
-        return t * (1 + mpf(2) ** -30)
+        gap_num = (n + 1) * s_den - s_num
+        if gap_num > 0:
+            gap = from_rational(gap_num, s_den, TAIL_BITS, round_floor)
+            arg = _up(neg, gap)                         # >= -pi lam gap
+            rest = mpf_sub(fone, _exp_up(mpf_shift(arg, 1)), TAIL_BITS, round_floor)
+            if not rest[0] and rest[1]:
+                t = _up(_up(head, from_int((2 * n + 3) ** (g - 1))), _exp_up(_up(arg, gap)))
+                return mp.make_mpf(mpf_div(t, mpf_pow_int(rest, g, TAIL_BITS, round_floor),
+                                           TAIL_BITS, round_ceiling))
+        return mp.make_mpf(finf)
     return bound
 
 
@@ -281,10 +328,10 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     s = max_i |m1_i + u_i|, but not below int(s) + 2 when the search has
     jumped above it.
 
-    The search jumps to the estimate n0, climbs while the bound is above
-    the target and descends while the bound one lower is not.  Each
-    comparison ``_tail(...)(n) > target`` is decided on the log of the
-    bound in doubles,
+    The search jumps to the estimate n0 (see ``_radius``), climbs while
+    the bound is above the target and descends while the bound one lower is
+    not.  Each comparison ``_tail(...)(n) > target`` is decided on the log
+    of the bound in doubles,
 
         log(2g (g-1)!) + pi xi + (g-1) log(2n+3) - pi lam gap^2
             - g log(1 - q) + log1p(2^-30),   gap = n + 1 - s, q = e^(-x),
@@ -296,12 +343,17 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     each term takes a few roundings and one libm call of relative error
     2^-52, log(1 - q) as log(-expm1(-x)), which is accurate for every
     x > 0; with the sum of eight terms the double difference of the logs
-    is within 2^-49 (S + g) of the exact one.  The certified
-    bound rounds at P = prec + 64 >= 65 bits: each argument of exp errs by
-    a few P-bit roundings relative to its modulus, and 1 - q, with the
-    error of q at most (5x + 2) 2^-P relative, errs by that times
-    q / (1 - q) <= 1/x; so the log of the certified bound is within
-    2^-61 (S + g/x + 10) of the exact one, and the log of the target is
+    is within 2^-49 (S + g) of the exact one.  The certified bound
+    (``_tail``, at 64 bits) is never below the exact one, and its log
+    exceeds the exact log by at most 2^-57 (S + g + 2g/x + 2): each
+    rounding costs at most 2^-63 relative, so each exp argument A, formed
+    by at most six of them, errs by at most 2^-60 |A|, and each
+    ``_exp_up`` exceeds e^A by at most 2^-58 relative (the allowance, up
+    to twice, and a rounding); q so exceeds its value by at most
+    (x + 4) 2^-60 relative, and since q / (1 - q) <= 1/x and the
+    subtraction costs at most 2^-64, 1 - q falls short by at most
+    2^-58 (1 + 2/x) relative, g times in the power; the head, the products
+    and the quotient add a few 2^-63 more.  The log of the target is
     exact.  A decision is therefore taken in doubles only when the two
     logs differ by more than the guard 2^-40 (S + g + g/x + 16), which
     exceeds both errors together; otherwise, and whenever a double does
@@ -314,9 +366,8 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     with workprec(prec + GUARD_BITS):
         target = _target(prec, tol)
         z = _at(tau, z)
-        lam, xi, _ = z.tail
         den, a, _ = _char_ints(tau.g, char)
-        return _radius(tau.g, lam, xi, _shift(z, a, den), target)
+        return _radius(z, _shift(z, a, den), target)
 
 
 def _target(prec: int, tol=None) -> mpf:
@@ -327,8 +378,9 @@ def _target(prec: int, tol=None) -> mpf:
     return target
 
 
-def _radius(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> int:
-    """The search of ``choose_radius`` at shift s; call inside the working precision.
+def _radius(z: _At, s: Fraction, target: mpf) -> int:
+    """The search of ``choose_radius`` at z and shift s; call inside the
+    working precision.
 
     The floor int(s) + 2 is not needed for soundness: every radius the
     search returns has its bound below the target.  It stays because the
@@ -341,12 +393,69 @@ def _radius(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> in
     jump nor the floor shrank 269 of 420 radii of a g = 1 duplication
     campaign (seed 3, 30 samples, steps 6, prec 128) and 224 of 420 at
     g = 2, and failed 6 tests of the suite, the duplication verdicts among
-    them."""
-    over = _tail_above(g, lam, xi, s, target)
-    n = int(s) + 1
-    # jump close to the solution of lam*(N+1-s)^2 = log(1/target) + xi
-    need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
-    n = max(n, int(s + sqrt(need)) + 1)
+    them.
+
+    The jump.  n0 = max(int(s) + 1, int(s + sqrt(need)) + 1), close to the
+    n with (n + 1 - s)^2 = need, where
+
+        need = (log(1/target) + pi xi + 4g + 8) / (pi lam),
+
+    and n0 = int(s) + 1 when need <= 0.  It is taken in doubles.  With
+    K = (|log m| + |e log 2| + pi xi + 4g + 8) / (pi lam) <= (S' + 4g) /
+    (pi lam), S' the sum ``size`` of the moduli of the constant terms of
+    the decisions, the double need errs by at most 2^-48 K (a few roundings
+    of relative 2^-53 in each term, each sum and the quotient), and the mpf
+    need of ``_jump_mpf`` at the working precision P = prec + 64 >= 65 by
+    at most 2^-58 K; E = 2^-45 (S' + 4g) / (pi lam) exceeds both.  A need
+    below -E is negative in both.  Above 2E, each root errs by at most
+    E / sqrt(need), and v = s + sqrt(need) by at most
+    d = E / sqrt(need) + 2^-48 v, so when no integer lies within d of v,
+    int(v) is the one of the exact and of the mpf v.  Otherwise, and where
+    lam or xi does not convert to a normal double, n0 is ``_jump_mpf``'s.
+    So n0 is always the mpf one, and the search visits the same n."""
+    g = z.tau.g
+    lam, xi, _ = z.tail
+    bound = None        # the certified bound, formed at the first tie
+    s_num, s_den = s.numerator, s.denominator
+    try:
+        lam_f, xi_f = float(lam), float(xi)
+    except OverflowError:
+        lam_f = xi_f = 0.0      # every decision and n0 in mpf
+    man, e = dyadic(target._mpf_)
+    log_m, log_e = math.log(man), e * math.log(2)
+    head = math.log(2 * g * factorial(g - 1)) + math.log1p(2.0 ** -30)
+    pxi = math.pi * xi_f
+    size = abs(head) + pxi + abs(log_m) + abs(log_e) + g + 16
+
+    def over(n: int) -> bool:
+        """bound(n) > target, in doubles outside the guard of
+        ``choose_radius`` and by the certified bound inside it."""
+        nonlocal bound
+        gap = ((n + 1) * s_den - s_num) / s_den
+        x = 2 * math.pi * lam_f * gap
+        if x >= 2.0 ** -20:
+            shell = (g - 1) * math.log(2 * n + 3)
+            gauss = math.pi * lam_f * gap * gap
+            geom = -g * math.log(-math.expm1(-x))      # -g log(1 - q) >= 0
+            diff = head + pxi + shell - gauss + geom - log_m - log_e
+            if abs(diff) > 2.0 ** -40 * (size + shell + gauss + geom + g / x):
+                return diff > 0
+        bound = bound or _tail(g, lam, s, z.head)
+        return bound(n) > target
+
+    n = None
+    if lam_f >= 2.0 ** -1000:
+        need = (pxi + 4 * g + 8 - log_m - log_e) / (math.pi * lam_f)
+        err = 2.0 ** -45 * (size + 4 * g) / (math.pi * lam_f)
+        if need < -err:
+            n = int(s) + 1
+        elif need > 2 * err:
+            v = float(s) + math.sqrt(need)
+            d = err / math.sqrt(need) + 2.0 ** -48 * v
+            if v < 2.0 ** 40 and int(v - d) == int(v + d):
+                n = max(int(s), int(v)) + 1
+    if n is None:
+        n = _jump_mpf(g, lam, xi, s, target)
     while n <= RADIUS_CAP and over(n):
         n += 1
     if n > RADIUS_CAP:
@@ -357,49 +466,10 @@ def _radius(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> in
     return n
 
 
-def _tail_above(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf):
-    """n -> whether ``_tail(g, lam, xi, s)(n) > target``, decided in doubles
-    outside the guard of ``choose_radius`` and by the certified bound,
-    formed on the first such tie, inside it.  Call inside the working
-    precision."""
-    certified = None
-
-    def tie(n: int) -> bool:
-        nonlocal certified
-        if certified is None:
-            certified = _tail(g, lam, xi, s)
-        return certified(n) > target
-
-    try:
-        lam_f, xi_f = float(lam), float(xi)
-    except OverflowError:
-        return tie
-    man, e = dyadic(target._mpf_)
-    log_m, log_e = math.log(man), e * math.log(2)
-    head = math.log(2 * g * factorial(g - 1)) + math.log1p(2.0 ** -30)
-    pxi = math.pi * xi_f
-    size = abs(head) + pxi + abs(log_m) + abs(log_e) + g + 16
-    s_num, s_den = s.numerator, s.denominator
-
-    def above(n: int) -> bool:
-        gap_num = (n + 1) * s_den - s_num
-        if gap_num <= 0:
-            return True
-        gap = gap_num / s_den
-        x = 2 * math.pi * lam_f * gap
-        if not x >= 2.0 ** -20:
-            return tie(n)
-        shell = (g - 1) * math.log(2 * n + 3)
-        gauss = math.pi * lam_f * gap * gap
-        geom = -g * math.log(-math.expm1(-x))      # -g log(1 - q) >= 0
-        diff = head + pxi + shell - gauss + geom - log_m - log_e
-        guard = 2.0 ** -40 * (size + shell + gauss + geom + g / x)
-        if diff > guard:
-            return True
-        if diff < -guard:
-            return False
-        return tie(n)
-    return above
+def _jump_mpf(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> int:
+    """The jump n0 of ``_radius`` in mpf at the working precision."""
+    need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
+    return int(s) + 1 if need <= 0 else max(int(s) + 1, int(s + sqrt(need)) + 1)
 
 
 def _fixed(x, frac_bits: int) -> int:
@@ -411,10 +481,18 @@ def _fixed(x, frac_bits: int) -> int:
 
 def _expjpi(num_re: int, num_im: int, s_den: int, w: int) -> tuple[int, int]:
     """exp(pi i (num_re + i num_im) / s_den), num_re reduced mod 2 s_den,
-    as fixed-point ints with w fractional bits (error: ``_fresh``)."""
+    as fixed-point ints with w fractional bits (error: ``_fresh``).  Each
+    part of the argument is num / s_den rounded to nearest at w bits: by
+    ``from_man_exp`` with no division when s_den is a power of two (the
+    same mpf as ``from_rational``'s), by ``from_rational`` otherwise."""
     num_re = (num_re + s_den) % (2 * s_den) - s_den
-    ex, ey = mpc_expjpi((from_rational(num_re, s_den, w, round_nearest),
-                         from_rational(num_im, s_den, w, round_nearest)), w)
+    if s_den & (s_den - 1):
+        arg = (from_rational(num_re, s_den, w, round_nearest),
+               from_rational(num_im, s_den, w, round_nearest))
+    else:
+        e = 1 - s_den.bit_length()
+        arg = from_man_exp(num_re, e, w, round_nearest), from_man_exp(num_im, e, w, round_nearest)
+    ex, ey = mpc_expjpi(arg, w)
     return _fixed(ex, w), _fixed(ey, w)
 
 
@@ -1022,7 +1100,6 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     """
     g = tau.g
     z = _at(tau, z)
-    lam, xi, _ = z.tail
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
@@ -1034,7 +1111,7 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     for a, (radius, bs) in groups.items():
         s = _shift(z, a, den)
         if (s, radius) not in tails:
-            tails[s, radius] = _tail(g, lam, xi, s)(radius)
+            tails[s, radius] = _tail(g, z.tail[0], s, z.head)(radius)
         parts = []      # (C, A_C) for the classes C = den*c + a of a
         for c in classes:
             big = tuple(den * x + y for x, y in zip(c, a))
@@ -1163,7 +1240,6 @@ def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int,
     (``_radius``).  Call inside the working-precision scope; phase=False
     drops exp(2 pi i a.b / den^2) (see ``_theta_groups``)."""
     z = _at(tau, z)
-    lam, xi, _ = z.tail
     target = _target(prec)
     groups = {}
     for a, b in pairs:
@@ -1172,7 +1248,7 @@ def _theta_batch(tau: SiegelPoint, z, den: int, pairs, prec: int,
     for a, bs in groups.items():
         s = _shift(z, a, den)
         if s not in radii:
-            radii[s] = _radius(tau.g, lam, xi, s, target)
+            radii[s] = _radius(z, s, target)
         groups[a] = (radii[s], bs)
     walk = _theta_groups(tau, z, den, groups, phase)
     # the k-th pair of a is the k-th sum of a

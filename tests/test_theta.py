@@ -7,8 +7,8 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, log, mp, mpf, mpc, pi,
-                    sqrt, workprec)
+from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, libmp, log, mp, mpf, mpc,
+                    pi, sqrt, workprec)
 
 from thetaheights import sampling
 from thetaheights import theta as theta_module
@@ -173,28 +173,125 @@ def test_certification_sound_under_refinement():
             assert fabs(v1.value - v2.value) <= v1.err
 
 
-def _tail_in_one_expression(g, lam, xi, s, n):
-    """The tail bound of ``theta._tail`` formed in one expression."""
-    gap = Fraction(n + 1) - s
-    if gap <= 0:
-        return mpf("inf")
-    lam_m = fraction_to_mpf(lam)
-    gap_m = fraction_to_mpf(gap)
-    q = exp(-2 * pi * lam_m * gap_m)
-    if q >= 1:
-        return mpf("inf")
-    t = (exp(pi * fraction_to_mpf(xi)) * 2 * g * mpf(2 * n + 3) ** (g - 1)
-         * factorial(g - 1) * exp(-pi * lam_m * gap_m ** 2) / (1 - q) ** g)
-    return t * (1 + mpf(2) ** -30)
+def _tail_formula(g, lam, xi, gap, n, c=None):
+    """The formula of ``theta._tail`` without its cushion, at the working
+    precision, with c in place of pi when given:
+    2g (g-1)! e^(c xi) (2n+3)^(g-1) e^(-c lam gap^2) / (1 - e^(-2 c lam gap))^g."""
+    c = +pi if c is None else c
+    lam_m, gap_m = fraction_to_mpf(lam), fraction_to_mpf(gap)
+    return (exp(c * fraction_to_mpf(xi)) * 2 * g * factorial(g - 1) * mpf(2 * n + 3) ** (g - 1)
+            * exp(-c * lam_m * gap_m ** 2) / (1 - exp(-2 * c * lam_m * gap_m)) ** g)
 
 
-def test_radius_is_the_least_above_the_search_floor():
+def _least_exp(x, prec, rnd):
+    """The least value of exp x at prec bits that certified.py's assumption
+    allows: v with v (1 + 2^(4 - prec)) = e^x, rounded up."""
+    v = libmp.mpf_exp(x, prec + 80)
+    return libmp.mpf_div(v, libmp.from_man_exp((1 << (prec - 4)) + 1, 4 - prec), prec,
+                         libmp.round_ceiling)
+
+
+def _tail_cases():
+    """Seeded (g, lam, xi, gap, n) with g <= 4: gaps near 0, ordinary
+    ones, radii near ``RADIUS_CAP``, and the Im z = 400 point."""
+    rng = random.Random(4412)
+    cases = []
+    for k in range(600):
+        g = rng.randint(1, 4)
+        xi = Fraction(0) if k % 3 == 0 else Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+        kind = k % 4
+        if kind == 0:           # gap near 0
+            lam = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) + Fraction(1, 16)
+            gap, n = Fraction(rng.randint(1, 2 ** 8), 2 ** rng.randint(14, 20)), rng.randint(0, 20)
+        elif kind == 3:         # radii near the cap, where lam is small
+            lam = Fraction(rng.randint(1, 10 ** 6), 2 ** 20 * rng.randint(1, 2 ** 10))
+            n = theta_module.RADIUS_CAP - rng.randint(0, 10)
+            gap = n + 1 - Fraction(rng.randint(0, 2 ** 10), rng.randint(2 ** 9, 2 ** 10))
+        else:
+            lam = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) + Fraction(1, 64)
+            gap = Fraction(rng.randint(1, 2 ** 20), rng.randint(1, 2 ** 16))
+            n = int(gap) + rng.randint(0, 3)
+        cases.append((g, lam, xi, gap, n))
+    with workprec(128 + GUARD_BITS):
+        lam, xi, _ = theta_module._at(SiegelPoint.from_complex(mpc("0.3", "1")),
+                                      [mpc("0.1", "400")]).tail
+    cases += [(1, lam, xi, Fraction(n + 1), n) for n in (799, 800, 801)]
+    return cases
+
+
+def _exact_tail_cases():
+    """Seeded (g, lam, xi, gap, n), with dyadic gap and xi, and a dyadic
+    lam (exact at 64 bits) in two cases of three, else one over 3^20:
+    x = 6 lam gap log-uniform in [2^-10, 2^6], or at g = 4 in [1/4, 4]
+    (where q is not small and 1 - q does not round exactly), and gap in
+    [2^-12, 2^12]."""
+    rng = random.Random(4413)
+    cases = []
+    for k in range(2000):
+        g, lo, hi = (4, -2, 2) if k % 2 else (rng.randint(1, 4), -10, 6)
+        gap = Fraction(rng.randint(1, 2 ** 12), 2 ** rng.randint(0, 12))
+        den = 3 ** 20 if k % 3 == 0 else 2 ** 50
+        lam = Fraction(int(2 ** rng.uniform(lo, hi) * den / 6 / gap), den)
+        xi = Fraction(0) if k % 4 < 2 else Fraction(rng.randint(1, 2 ** 20), 2 ** rng.randint(0, 16))
+        cases.append((g, lam, xi, gap, int(gap) + rng.randint(0, 3)))
+    return cases
+
+
+def test_tail_bound_is_its_formula_rounded_outward(monkeypatch):
+    # the certified tail at 64 bits lies between its formula with the
+    # cushion and the formula times 1 + 2^-28, both at 256 bits: with
+    # mpmath's exp, with the least exp that certified.py's assumption
+    # allows (so a dropped allowance shows), and with that exp and pi
+    # replaced by 3 on inputs that mostly convert exactly (so the slack
+    # left is the rounding of each operation, and one rounding turned
+    # inward shows)
+    def check(cases, c=None):
+        with workprec(4 * theta_module.TAIL_BITS):
+            refs = [_tail_formula(*case, c=c) for case in cases]
+        got = [theta_module._tail(g, lam, n + 1 - gap, theta_module._tail_head(g, xi))(n)
+               for g, lam, xi, gap, n in cases]
+        with workprec(4 * theta_module.TAIL_BITS):
+            for case, ref, bound in zip(cases, refs, got):
+                assert ref * (1 + mpf(2) ** -30) <= bound <= ref * (1 + mpf(2) ** -28), case
+
+    with workprec(4 * theta_module.TAIL_BITS):
+        assert -mp.make_mpf(theta_module._NEG_PI) < +pi < mp.make_mpf(theta_module._PI_UP)
+    cases = _tail_cases()
+    check(cases)
+    monkeypatch.setattr(theta_module, "mpf_exp", _least_exp)
+    check(cases)
+    monkeypatch.setattr(theta_module, "_NEG_PI", libmp.from_int(-3))
+    monkeypatch.setattr(theta_module, "_PI_UP", libmp.from_int(3))
+    check(_exact_tail_cases(), mpf(3))
+
+
+def _jump_ties():
+    """(tau, z, char, tol) whose s + sqrt(need) lies next to int(s) + 1:
+    tol sets need = (int(s) + 1 - s)^2 at a large lam."""
+    cases = [(SiegelPoint.from_complex(mpc("0.25", "40")), None, (4, [0], [1])),
+             (SiegelPoint.from_complex(mpc("0.25", "40")), None, (4, [1], [0])),
+             (SiegelPoint.from_complex(mpc("-0.1", "100")), None, (4, [3], [2])),
+             (SiegelPoint.from_rows([[mpc("0.1", "50"), mpc("0.2", "3")],
+                                     [mpc("0.2", "3"), mpc("-0.3", "60")]]),
+              [mpc("0.1", "0.5"), mpc("0.3", "-1")], (2, [1, 0], [0, 1]))]
+    out = []
+    for tau, z, (r, a, b) in cases:
+        with workprec(400):
+            lam, xi, u = theta_module._at(tau, z).tail
+            s = max(abs(Fraction(x, r) + w) for x, w in zip(a, u))
+            need = (int(s) + 1 - s) ** 2
+            log_inv = pi * fraction_to_mpf(lam * need) - pi * fraction_to_mpf(xi) - 4 * tau.g - 8
+            out.append((tau, z, ThetaCharacteristic.from_integers(r, a, b), 2 * exp(-log_inv)))
+    return out
+
+
+def test_radius_is_the_least_above_the_search_floor(monkeypatch):
     # on a grid of g = 1 and g = 2 points, z = 0 or not, levels 2 and 4,
     # prec 8 to 256, the default tol and explicit ones down to 2^-1200
     # (a target below the double range): the radius is the least
     # n >= min(n0, int(s) + 2) whose tail is below the target, n0 the
-    # search's first estimate, and the tail with its n-independent factors
-    # formed once is bitwise the one formed in one expression
+    # search's first estimate in mpf (int(s) + 1 where need <= 0); and
+    # where s + sqrt(need) lies next to an integer, the jump takes n0 in mpf
     cases = []
     for y in ("0.5", "0.87", "1", "2", "3.75", "10"):
         tau = SiegelPoint.from_complex(mpc("0.3", y))
@@ -207,31 +304,76 @@ def test_radius_is_the_least_above_the_search_floor():
     # Im z = 400 at Y = 1: exp(pi xi) = exp(160000 pi) overflows a double
     far = (SiegelPoint.from_complex(mpc("0.3", "1")), [mpc("0.1", "400")], None)
     cases.append(far)
+    fallbacks = []
+    jump_mpf = theta_module._jump_mpf
+
+    def counted(*args):
+        fallbacks.append(args)
+        return jump_mpf(*args)
+    monkeypatch.setattr(theta_module, "_jump_mpf", counted)
+
+    def at_floor(tau, z, char, prec, tol) -> bool:
+        n = choose_radius(tau, z, char, prec, tol)
+        g = tau.g
+        with workprec(prec + GUARD_BITS):
+            den, a, _ = theta_module._char_ints(g, char)
+            zt = theta_module._at(tau, z)
+            lam, xi, u = zt.tail
+            s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
+            target = (theta_module.default_tol(prec) if tol is None else tol) / 2
+            need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
+                    / (pi * fraction_to_mpf(lam)))
+            jump = int(s + sqrt(need)) + 1 if need > 0 else 0
+            floor = min(max(int(s) + 1, jump), int(s) + 2)
+            bound = theta_module._tail(g, lam, s, zt.head)
+            assert bound(n) <= target, (prec, char)
+            assert n == floor or bound(n - 1) > target, (prec, char)
+            return n == floor and bound(n - 1) <= target
+
     floors = 0
     for tol in (None, mpf(2) ** -10, mpf(2) ** -200, mpf(2) ** -1200):
         for prec in (8, 64, 96, 128, 256):
             for tau, z, char in cases:
-                n = choose_radius(tau, z, char, prec, tol)
-                g = tau.g
-                with workprec(prec + GUARD_BITS):
-                    den, a, _ = theta_module._char_ints(g, char)
-                    lam, xi, u = theta_module._at(tau, z).tail
-                    s = max(abs(Fraction(x, den) + w) for x, w in zip(a, u))
-                    target = (theta_module.default_tol(prec) if tol is None else tol) / 2
-                    need = ((log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8)
-                            / (pi * fraction_to_mpf(lam)))
-                    floor = min(max(int(s) + 1, int(s + sqrt(need)) + 1), int(s) + 2)
-                    bound = theta_module._tail(g, lam, xi, s)
-                    for k in (n - 1, n, n + 1):
-                        assert bound(k) == _tail_in_one_expression(g, lam, xi, s, k)
-                    assert bound(n) <= target, (prec, char)
-                    assert n == floor or bound(n - 1) > target, (prec, char)
-                    floors += n == floor and bound(n - 1) <= target
+                floors += at_floor(tau, z, char, prec, tol)
     assert floors >= 5
     assert choose_radius(*far[:2], prec=128) == 800
     # the example of the rule: s = 0 and lam = 3.75 at prec 96 give 2,
     # although the tail at radius 1 is already below the target
     assert choose_radius(SiegelPoint.from_complex(mpc(0, "3.75")), prec=96) == 2
+    # a tol so large that need < 0 starts at n0 = int(s) + 1 = 1, which is
+    # the radius (mpmath's sqrt of such a need is complex, and int() of it
+    # raised TypeError)
+    tau = SiegelPoint.from_complex(mpc("0.1", "1.0"))
+    for tol in (mpf(2) ** 60, mpf(2) ** 100):
+        assert at_floor(tau, None, None, DEFAULT_PREC, tol)
+        assert choose_radius(tau, tol=tol) == 1
+    ties = _jump_ties()
+    fallbacks.clear()
+    for tau, z, char, tol in ties:
+        for prec in (8, 96, 256):
+            at_floor(tau, z, char, prec, tol)
+    assert len(fallbacks) == 3 * len(ties)
+
+
+def test_dyadic_exps_are_the_rational_ones():
+    # a power-of-two denominator converts each part of the argument by
+    # from_man_exp, with no division: the same mpf as from_rational, ties
+    # to even included, so the same fixed-point exp
+    rng = random.Random(4414)
+    for k in range(1500):
+        s_den, w = 1 << rng.randint(0, 40), rng.randint(16, 200)
+        if k % 3:
+            num_re = rng.randint(-2 ** 240, 2 ** 240) >> rng.randint(0, 240)
+            num_im = rng.randint(-2 ** 10 * s_den, 2 ** 10 * s_den)
+        else:       # parts of w + 1 bits ending in 1: a tie at w bits
+            num_re, num_im = ((2 * rng.randint(2 ** (w - 1), 2 ** w - 1) + 1) * rng.choice((-1, 1))
+                              for _ in range(2))
+            s_den = max(s_den, 1 << abs(num_im).bit_length() - 4)
+        reduced = (num_re + s_den) % (2 * s_den) - s_den
+        ex, ey = libmp.mpc_expjpi(tuple(libmp.from_rational(v, s_den, w, libmp.round_nearest)
+                                        for v in (reduced, num_im)), w)
+        assert theta_module._expjpi(num_re, num_im, s_den, w) == (
+            theta_module._fixed(ex, w), theta_module._fixed(ey, w)), (num_re, num_im, s_den, w)
 
 
 def test_radii_at_reduced_points_are_pinned():
@@ -275,8 +417,8 @@ def test_near_tie_is_decided_by_the_certified_bound(monkeypatch):
     # separates the two, so the certified bound decides, and only there
     tau = SiegelPoint.from_complex(mpc("0.3", "0.87"))
     with workprec(96 + GUARD_BITS):
-        lam, xi, _ = theta_module._tail_data(tau, (mpc(0),))
-        tie = 2 * theta_module._tail(1, lam, xi, Fraction(0))(6)
+        zt = theta_module._at(tau, None)
+        tie = 2 * theta_module._tail(1, zt.tail[0], Fraction(0), zt.head)(6)
     with workprec(400):
         below = tie * (1 - mpf(2) ** -100)
     calls = _counted_tail(monkeypatch)
@@ -828,12 +970,13 @@ def test_part_of_a_level_walks_with_the_common_step(tops, step):
     steps = {fr.step for run in shape.runs for fr in run}
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
-            lam, xi, u = theta_module._tail_data(tau, z)
+            zt = theta_module._at(tau, z)
+            lam, xi, u = zt.tail
             union = _group_values(tau, z, 4, groups)
             for a, (radius, _) in groups.items():
                 alone = _group_values(tau, z, 4, {a: (radius, bs)})[a]
                 s = max(abs(Fraction(x, 4) + w) for x, w in zip(a, u))
-                tail = theta_module._tail(2, lam, xi, s)(radius)
+                tail = theta_module._tail(2, lam, s, zt.head)(radius)
                 with workprec(200):
                     refs = theta_brute_batch(rows, z, [Fraction(x, 4) for x in a],
                                              [[Fraction(x, 4) for x in b] for b in bs],
@@ -1070,7 +1213,7 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
             union = _group_values(tau, z, den, {a: (radius, bs) for a, radius in boxes.items()})
             alone = {a: _group_values(tau, z, den, {a: (radius, bs)})[a]
                      for a, radius in boxes.items()}
-            tails = {a: theta_module._tail(g, lam, xi, theta_module._shift(zt, a, den))(radius)
+            tails = {a: theta_module._tail(g, lam, theta_module._shift(zt, a, den), zt.head)(radius)
                      for a, radius in boxes.items()}
         for a, radius in boxes.items():
             held = [last[tuple(den * x + y for x, y in zip(pre, a))]
