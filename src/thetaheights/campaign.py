@@ -112,11 +112,10 @@ def _tau_inputs(tau: siegel.SiegelPoint) -> str:
 def _norm_bounds_sample(cfg: CampaignConfig, sid: str) -> list[Row]:
     rng = sampling.substream(cfg.seed, sid)
     tau = sampling.random_siegel_point(rng, cfg.g)
-    inputs = _tau_inputs(tau)
     with workprec(cfg.prec + GUARD_BITS):
         if sid.startswith("i:"):
             rep = theta.verify_norm_bounds(tau, cfg.r, None, cfg.prec)
-            return [_verdict_row(sid, "prop-i", inputs, rep.max_lower)]
+            return [_verdict_row(sid, "prop-i", _tau_inputs(tau), rep.max_lower)]
         red = siegel.reduce_heuristic(tau, prec=cfg.prec)
         if not red.certificate.report.all_ok:
             return []

@@ -28,9 +28,13 @@ one-member walk at a given radius.
 The walk sums the box in rows along the last coordinate, in three parts:
 
 - The shape (``_frames``): the rows and their runs, the accumulator slot of
-  every term and each characteristic's rounding budget.  It depends only on
-  g, r, the radii and whether z = 0, where the rows at N and -N hold
-  mirrored terms and one row of each pair is walked, and it is cached.
+  every term and each characteristic's rounding budget.  Every row of a
+  walk steps by one step, the gcd of r and the differences of the last
+  entries of the top characteristics, and a line (fixed N_1..N_(g-2))
+  holds the rows of every prefix class, so a level walk at g = 2 is one
+  line.  The shape depends only on g, r, the radii and whether z = 0,
+  where the rows at N and -N hold mirrored terms and one row of each pair
+  is walked, and it is cached.
 - The plan (``_plan``, ``_chain_plan`` and the width rule ``_width``): from
   the exact entries of tau and z, each row's peak, which rows take fresh
   exps and which chain their start values from the row before (by
@@ -99,7 +103,7 @@ class ReduceFirstError(ArithmeticError):
 
 
 def _check_level(r: int):
-    if r < 2 or r % 2 != 0:
+    if type(r) is not int or r < 2 or r % 2:
         raise ValueError("level r must be an even integer >= 2")
 
 
@@ -540,14 +544,15 @@ def _width_floor(k: int) -> int:
 # characteristics by a_g, ``mirror`` = (mbase, mspans) of the row at -nn
 # when this row walks that one too (else None), ``tops`` as (c, radius, a)
 # with c the class of a's terms along the row (a_g, or -a_g for a top of
-# the row at -nn), the range lo + step j, j <= last, that it walks, and the
-# accumulator index of each of its terms, ``slots``.
-_Frame = namedtuple("_Frame", "nn base spans mirror tops step lo last slots")
+# the row at -nn), the range lo + step j, j <= last, that it walks at the
+# walk's step, and the accumulator index of each of its terms, ``slots``.
+_Frame = namedtuple("_Frame", "nn base spans mirror tops lo last slots")
 
 # The shape of a walk (``_frames``): its runs of frames, the budget units[a]
 # of each top characteristic, the longest row's last k_max, the data
-# lone[a] of a's own walk, and (base, mbase) for each pair of mirror rows.
-_Shape = namedtuple("_Shape", "runs units k_max lone pairs")
+# lone[a] of a's own walk, (base, mbase) for each pair of mirror rows, the
+# step of every row and the spacing e of the rows of a line.
+_Shape = namedtuple("_Shape", "runs units k_max lone pairs step spacing")
 
 
 @functools.lru_cache(maxsize=256)
@@ -559,32 +564,35 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
 
     Rows.  A row fixes N_1..N_(g-1); its top characteristics are the a with
     that prefix mod den whose box holds the prefix, and each adds the span
-    a_g + den[-R_a, R_a] of the last coordinate x.  The row walks
-    x = lo + step j over the union of the spans, step the gcd of den and
-    the differences of their a_g: den (the walk of one m1) when they share
-    a_g, otherwise 1 for a full level.  A line is the rows of one
-    N_1..N_(g-2), N_(g-1) = den*n + a_(g-1) in turn, and its walked rows
-    form runs of consecutive rows.
+    a_g + den[-R_a, R_a] of the last coordinate x.  Every row walks
+    x = lo + step j over the union of its spans, at one step for the whole
+    walk: the gcd of den and the differences of a_g over all its tops (den
+    for the walk of one m1, 1 on a full level).  A line is the rows of one
+    N_1..N_(g-2), of every prefix class, in N_(g-1) order at the spacing
+    e, the gcd of den and the differences of a_(g-1) over all tops (at
+    g = 1, where the one row has no neighbour, e is the step).  A line's
+    walked rows form runs of rows e apart: a run ends at a gap of the line
+    and at a row that its mirror walks.
 
     Mirror rows.  With ``mirror`` (z = 0, where D(-N) = D(N) exactly, see
     ``_plan``) the row at nn != 0 and the row at -nn pair when both are
-    rows of the walk and the union of the row's spans with the negated
-    spans of the row at -nn keeps the step of both rows (always at den = 2
-    and on a full level; not for a level-4 or level-6 top with
-    2 a_g != 0 mod den, whose union would halve the step).  The
-    lexicographically positive row of a pair walks that union; the other
-    is neither built, planned nor walked.  The row at nn = 0 and a row
-    whose mirror is not a row of the walk (the asymmetric edge of an odd a)
-    are walked as they are.  There is no mirror at g = 1 (the one row is
-    its own mirror).
+    rows of the walk and the negated spans lie on the walk's lattice,
+    2 a_g = 0 mod step (always at den = 2 and on a full level; not for a
+    lone level-4 or level-6 top with 2 a_g != 0 mod den).  The
+    lexicographically positive row of a pair walks the union of its spans
+    with the negated spans of the row at -nn; the other is neither built,
+    planned nor walked.  The row at nn = 0 and a row whose mirror is not a
+    row of the walk (the asymmetric edge of an odd a) are walked as they
+    are.  There is no mirror at g = 1 (the one row is its own mirror).
 
     Slots.  The term at x goes to base + x mod den^2, the accumulator of its
     class, when x lies in the box of its own top characteristic; to
     mbase + (-x mod den^2), the class of -x of the row at -nn, when only -x
     lies in the box there; to the pair slot size + base + x mod den^2 when
     both do (``pairs``: the walk adds each pair slot to both classes at its
-    end); and to the trash 2 size otherwise.  Since D(-N) = D(N) exactly,
-    every characteristic sums exactly the terms of its own box.
+    end); and to the trash 2 size otherwise, outside every box.  Since
+    D(-N) = D(N) exactly, every characteristic sums exactly the terms of
+    its own box.
 
     Budgets.  units[a] is the sum of u_k (``_row_units``) over the walked
     rows whose terms enter a's classes, once per side of a pair: a paired
@@ -597,77 +605,71 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
     h = g - 1
     r2 = den * den
     size = r2 ** g
+    first = boxes[0][0]
+    step = spacing = den
     by_prefix: dict[tuple, list] = {}
     for a, radius in boxes:
+        step = gcd(step, a[h] - first[h])
+        spacing = gcd(spacing, a[h - 1] - first[h - 1])
         by_prefix.setdefault(a[:h], []).append((a[h], radius, a))
-    rows = {}       # nn -> (base, here, spans, step)
-    lines = []
+    rows = {}       # nn -> (base, here, spans)
     # the cache keeps every frame, so rows share one object per distinct
     # value: a fresh dict and tuples per row left about 0.6 MB more peak
     # RSS on the norms-g2 benchmark (allocator pools held by cached objects)
-    spans_of = {}   # here -> (spans, step)
+    spans_of = {}   # here -> spans
     ends_of = {}    # (here, here at -nn) -> (tops, lo, last)
     for prefix, members in by_prefix.items():
         r_max = max(m[1] for m in members)
-        keys = []
         for pre in itertools.product(range(-r_max, r_max + 1), repeat=h):
             far = max(map(abs, pre), default=0)
             here = tuple(m for m in members if m[1] >= far)
             if here not in spans_of:
-                step = den
-                for m in here:
-                    step = gcd(step, m[0] - here[0][0])
-                spans_of[here] = ({a_h: (a_h - den * radius, a_h + den * radius)
-                                   for a_h, radius, _ in here}, step)
+                spans_of[here] = {a_h: (a_h - den * radius, a_h + den * radius)
+                                  for a_h, radius, _ in here}
             nn = tuple(den * pre[j] + prefix[j] for j in range(h))
             base = 0
             for x in nn:
                 base = base * r2 + x % r2
-            rows[nn] = (base * r2, here, *spans_of[here])
-            keys.append(nn)
-        # a line per N_1..N_(g-2): the last prefix coordinate runs fastest
-        per_line = 2 * r_max + 1 if h else 1
-        lines += [keys[i:i + per_line] for i in range(0, len(keys), per_line)]
+            rows[nn] = (base * r2, here, spans_of[here])
     pairs = {}
-    for nn, (_, here, _, step) in rows.items():
-        other = rows.get(tuple(-x for x in nn)) if mirror and any(nn) else None
-        if other and other[3] == step and (here[0][0] + other[1][0][0]) % step == 0:
-            pairs[nn] = other
-    zero = (0,) * h
+    if mirror and 2 * first[h] % step == 0:
+        for nn in rows:
+            other = rows.get(tuple(-x for x in nn))
+            if other and any(nn):
+                pairs[nn] = other
     runs = []
-    for keys in lines:
-        run = []
-        for nn in keys + [None]:
-            if nn is None or (nn < zero and nn in pairs):
-                # the end of the line, or a row its mirror walks
-                if run:
-                    runs.append(tuple(run))
-                run = []
-                continue
-            base, here, spans, step = rows[nn]
-            other = pairs.get(nn)
-            key = here, other and other[1]
-            if key not in ends_of:
-                ends = list(spans.values())
-                tops = here
-                if other:
-                    ends += [(-hi, -lo) for lo, hi in other[2].values()]
-                    tops += tuple((-a_h, radius, a) for a_h, radius, a in other[1])
-                lo = min(e[0] for e in ends)
-                ends_of[key] = tops, lo, (max(e[1] for e in ends) - lo) // step
-            tops, lo, last = ends_of[key]
-            slots = [2 * size] * (last + 1)
-            for i, (c, radius, _) in enumerate(tops):
-                for x in range(c - den * radius, c + den * radius + 1, den):
-                    j = (x - lo) // step
-                    if i < len(here):
-                        slots[j] = base + x % r2
-                    elif slots[j] == 2 * size:
-                        slots[j] = other[0] + -x % r2
-                    else:
-                        slots[j] += size        # x and -x both in a box
-            run.append(_Frame(nn, base, spans, other and (other[0], other[2]), tops, step,
-                              lo, last, tuple(slots)))
+    prev = None
+    for nn in sorted(rows):
+        if nn in pairs and nn < (0,) * h:
+            prev = None     # a row its mirror walks
+            continue
+        if prev is None or nn[:-1] != prev[:-1] or nn[-1] - prev[-1] != spacing:
+            runs.append([])     # a new line, or a gap in one
+        prev = nn
+        base, here, spans = rows[nn]
+        other = pairs.get(nn)
+        key = here, other and other[1]
+        if key not in ends_of:
+            ends = list(spans.values())
+            tops = here
+            if other:
+                ends += [(-hi, -lo) for lo, hi in other[2].values()]
+                tops += tuple((-a_h, radius, a) for a_h, radius, a in other[1])
+            lo = min(e[0] for e in ends)
+            ends_of[key] = tops, lo, (max(e[1] for e in ends) - lo) // step
+        tops, lo, last = ends_of[key]
+        slots = [2 * size] * (last + 1)
+        for i, (c, radius, _) in enumerate(tops):
+            for x in range(c - den * radius, c + den * radius + 1, den):
+                j = (x - lo) // step
+                if i < len(here):
+                    slots[j] = base + x % r2
+                elif slots[j] == 2 * size:
+                    slots[j] = other[0] + -x % r2
+                else:
+                    slots[j] += size        # x and -x both in a box
+        runs[-1].append(_Frame(nn, base, spans, other and (other[0], other[2]), tops, lo,
+                               last, tuple(slots)))
     frames = [fr for run in runs for fr in run]
     units = {a: 0 for a, _ in boxes}
     for fr in frames:
@@ -681,17 +683,18 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
         old = (2 * radius + 1) ** h * _row_units(2 * radius)
         extra = 0 if units[a] == old else math.ceil(math.log2(units[a] / old) + 2 ** -20)
         lone = {a: (units[a], extra, _width_floor(k_max))}
-    return _Shape(tuple(runs), units, k_max, lone,
-                  tuple({fr.base: fr.mirror[0] for fr in frames if fr.mirror}.items()))
+    return _Shape(tuple(map(tuple, runs)), units, k_max, lone,
+                  tuple({fr.base: fr.mirror[0] for fr in frames if fr.mirror}.items()),
+                  step, spacing)
 
 
 # Extra fractional bits of the values a chain carries from row to row.
 CHAIN_GUARD = 32
 
-# One row of a walk at (tau, z) (``_plan``): its frame's slots, step and
-# last; D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi;
-# the peak x = lo + step k, D(x) = dr + i di there.
-_Row = namedtuple("_Row", "slots step last k x lr li gr gi dr di")
+# One row of a walk at (tau, z) (``_plan``): its frame's slots and last;
+# D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi; the
+# peak x = lo + step k, D(x) = dr + i di there.
+_Row = namedtuple("_Row", "slots last k x lr li gr gi dr di")
 
 # The plan of a walk at (tau, z) (``_plan``): one list of ``_Row`` per run
 # of the shape, ``lines``, and the chain plan of each (``_chain_plan``);
@@ -699,9 +702,9 @@ _Row = namedtuple("_Row", "slots step last k x lr li gr gi dr di")
 # every exponent; the fixed-point width pf (``_width``); the extra bits
 # q_bits at which the rows take Q (CHAIN_GUARD when a row chains: the walk
 # then takes Q once, at the chain's width, and its rows use it rounded
-# down to pf bits); and the exponent numerators t_gg of T_gg, c_1 of C at
-# step 1 and q_out of Q_out (``_move``).
-_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits t_gg c_1 q_out")
+# down to pf bits); the walk's step; and the exponent numerators t_gg of
+# T_gg, q of Q and, for d = +-1, moves[d] of the constants of ``_move``.
+_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits step t_gg q moves")
 
 
 def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
@@ -739,6 +742,7 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     thr, thi = t[(h, h)]
     shape = _frames(g, den, tuple(boxes.items()),
                     h > 0 and not any(m for m, _ in itertools.chain(zr, zi)))
+    step = shape.step
     peaks = dict.fromkeys(boxes)        # least Im D of a's own walk
     lines = []
     for run in shape.runs:
@@ -764,18 +768,24 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
                 d = thi * x * x + 2 * x * li + gi
                 if peaks[a] is None or d < peaks[a]:
                     peaks[a] = d
-            lo, step, last = fr.lo, fr.step, fr.last
+            lo, last = fr.lo, fr.last
             k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
             k = max(0, min(last, k))
             x = lo + step * k
-            rows.append(_Row(fr.slots, step, last, k, x, lr, li, gr, gi,
+            rows.append(_Row(fr.slots, last, k, x, lr, li, gr, gi,
                              thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
         lines.append(rows)
     d_min = min(row.di for line in lines for row in line)
     s_den = den * den << -e0
-    plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), 0, (thr, thi),
-                 tuple(2 * den * v for v in t[(h - 1, h)]) if h else (0, 0),
-                 tuple(2 * den * den * v for v in t[(h - 1, h - 1)]) if h else (0, 0))
+    # the constants of a move by d e rows (none at g = 1, where no row moves)
+    q = 2 * step * step * thr, 2 * step * step * thi
+    e = shape.spacing
+    c = [2 * e * step * v for v in t.get((h - 1, h), (0, 0))]
+    q_out = tuple(2 * e * e * v for v in t.get((h - 1, h - 1), (0, 0)))
+    moves = {d: (q, (-q[0], -q[1]), (d * c[0], d * c[1]), (-d * c[0], -d * c[1]), q_out)
+             for d in (1, -1)}
+    plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), 0, step,
+                 (thr, thi), q, moves)
     chains = [_chain_plan(line, plan) for line in lines]
     chained = any(how == "chain" for chain in chains for _, _, how, _ in chain)
     return shape, plan._replace(chains=chains, q_bits=CHAIN_GUARD if chained else 0)
@@ -813,10 +823,10 @@ def _width(shape: _Shape, peaks: dict, d_min: int, s_den: int) -> int:
     return max(pf, _width_floor(shape.k_max))
 
 
-def _ratios(row, t_gg: tuple) -> list[tuple]:
+def _ratios(row, plan: _Plan) -> list[tuple]:
     """The exponents (re, im numerators over s) of rho+ and rho- at the
-    row's peak: D(x* + step) - D(x*) and D(x* - step) - D(x*), t_gg = T_gg."""
-    st, x = row.step, row.x
+    row's peak: D(x* + step) - D(x*) and D(x* - step) - D(x*)."""
+    st, x, t_gg = plan.step, row.x, plan.t_gg
     return [(t_gg[0] * a + b * row.lr, t_gg[1] * a + b * row.li)
             for a, b in ((2 * x * st + st * st, 2 * st), (st * st - 2 * x * st, -2 * st))]
 
@@ -827,24 +837,16 @@ def _outer(prev, row) -> tuple:
             2 * prev.x * (row.li - prev.li) + row.gi - prev.gi)
 
 
-def _move_exponents(plan: _Plan, step: int, d: int) -> tuple:
-    """The exponents (re, im numerators over s) of the constants
-    (Q, Q^-1, C^d, C^-d, Q_out) of ``_move`` at ``step``."""
-    q = tuple(2 * step * step * v for v in plan.t_gg)
-    c = tuple(d * step * v for v in plan.c_1)
-    return q, (-q[0], -q[1]), c, (-c[0], -c[1]), plan.q_out
-
-
 def _move(state: tuple, consts: tuple, shift: int, mul) -> tuple:
     """The start values (t, rho+, rho-, O) of a row carried to the next row
-    of its line, the one at N_(g-1) + d den with d = +-1, and shifted
-    ``shift`` steps to that row's peak: the exact-exponent recurrences of
-    Deconinck, Heil, Bobenko, van Hoeij and Schmies (Math. Comp. 73,
-    2004).  t is the peak term, rho+ and rho- the first ratios and O the
-    outer ratio, the next row's term over this one's at the same x;
-    consts = (Q, Q^-1, C^d, C^-d, Q_out) with Q = exp(2 pi i T_gg step^2 / s),
-    C = exp(2 pi i den step T_(g-1,g) / s) and
-    Q_out = exp(2 pi i den^2 T_(g-1,g-1) / s) (``_move_exponents``):
+    of its line, the one at N_(g-1) + d e with d = +-1 and e the line's
+    spacing, and shifted ``shift`` steps to that row's peak: the
+    exact-exponent recurrences of Deconinck, Heil, Bobenko, van Hoeij and
+    Schmies (Math. Comp. 73, 2004).  t is the peak term, rho+ and rho- the
+    first ratios and O the outer ratio, the next row's term over this one's
+    at the same x; consts = (Q, Q^-1, C^d, C^-d, Q_out) with
+    Q = exp(2 pi i T_gg step^2 / s), C = exp(2 pi i e step T_(g-1,g) / s) and
+    Q_out = exp(2 pi i e^2 T_(g-1,g-1) / s) (``_plan``'s moves[d]):
 
     - the row move takes t <- t*O, O <- O*Q_out, rho+ <- rho+*C^d and
       rho- <- rho-*C^-d;
@@ -887,7 +889,8 @@ def _fresh(lg: float) -> float:
 
 def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
     """How the walk forms the start values of each row of a line (a run of
-    consecutive walked rows), under ``plan``'s exponents, d_min and pf:
+    walked rows e apart, see ``_frames``), under ``plan``'s exponents,
+    d_min and pf:
     [(j, d, how, shift)] in visit order, the centre first (d = 0), the row
     of the largest peak, then centre + 1, centre + 2, ... (d = 1), then
     centre - 1, ... (d = -1).  how is "skip" (peak below 2^-(pf+1), not
@@ -909,13 +912,13 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
     ``_fresh``.  A row chains when its peak term and each ratio it walks
     err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w; rounded down to pf
     bits (less than sqrt(2) ulps more) they err by less than the 68 ulps of
-    2^-pf of fresh ones.  Otherwise, at a change of step, and after a row
-    that is not walked, it takes a fresh anchor (the centre rows always
-    do).  Every walked row thus starts within eps and keeps its budget u_k
-    (``_row_units``).  The moduli are exact exponentials of exact exponents
-    evaluated in doubles (arguments below 709), so a bound's relative error
-    grows by about 2^-43 per product: far below the gap 2 - sqrt(2)
-    (relative 2^-7) for any line within the radius cap."""
+    2^-pf of fresh ones.  Otherwise, and after a row that is not walked, it
+    takes a fresh anchor (the centre rows always do).  Every walked row
+    thus starts within eps and keeps its budget u_k (``_row_units``).  The
+    moduli are exact exponentials of exact exponents evaluated in doubles
+    (arguments below 709), so a bound's relative error grows by about
+    2^-43 per product: far below the gap 2 - sqrt(2) (relative 2^-7) for
+    any line within the radius cap."""
     s_den = plan.s_den
     tiny = 2.0 ** -(plan.pf + CHAIN_GUARD)
     allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
@@ -930,10 +933,10 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
         return u[0] + c[0], err if err == err else math.inf     # inf * 0
 
     def anchored(row) -> tuple:
-        up, down = _ratios(row, plan.t_gg)
+        up, down = _ratios(row, plan)
         return value(row.di - plan.d_min), value(up[1]), value(down[1]), None
 
-    consts = {}     # (step, d) -> the constants of ``_move``
+    consts = {d: [value(im) for _, im in nums] for d, nums in plan.moves.items()}
     centre = min(range(len(line)), key=lambda j: line[j].di)
     # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
     walked = [4 * (row.di - plan.d_min) <= s_den * (plan.pf + 1) for row in line]
@@ -946,14 +949,11 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
             how, shift = "anchor", 0
             if not walked[j]:
                 how, state = "skip", None
-            elif state is not None and row.step == prev.step:
-                if (row.step, d) not in consts:
-                    consts[row.step, d] = [value(im) for _, im in
-                                           _move_exponents(plan, row.step, d)]
+            elif state is not None:
                 if state[3] is None:
                     state = state[:3] + (value(_outer(prev, row)[1]),)
-                shift = (row.x - prev.x) // row.step
-                cand = _move(state, consts[row.step, d], shift, times)
+                shift = (row.x - prev.x) // plan.step
+                cand = _move(state, consts[d], shift, times)
                 (_, et), (_, ep), (_, em), _ = cand
                 if (et <= allowed and (row.k == row.last or ep <= allowed)
                         and (row.k == 0 or em <= allowed)):
@@ -964,14 +964,6 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
     feeds = {j - d for j, d, how, _ in out if how == "chain"}
     return [(j, d, "start" if how == "anchor" and j in feeds else how, shift)
             for j, d, how, shift in out]
-
-
-def _const(exps: dict, num: tuple, s_den: int, w: int) -> tuple[int, int]:
-    """``_expjpi`` of the exponent num at w bits, one exp per walk: ``exps``
-    holds the walk's constants."""
-    if (num, w) not in exps:
-        exps[num, w] = _expjpi(*num, s_den, w)
-    return exps[num, w]
 
 
 def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
@@ -995,7 +987,7 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     which make every decision.  Each walked row of a line, in the plan's
     order, takes its start values fresh (``_expjpi``) or by ``_move`` from
     the row before it, with the walk's constants taken once each
-    (``_const``), and walks out from its peak in pf bits (``_row_units``),
+    (``const``), and walks out from its peak in pf bits (``_row_units``),
     adding each term to the accumulator of its slot; the pair slots are
     added to both classes at the end.  The integer accumulators are exact
     and each computed term lands in at most one of them per row of its pair
@@ -1008,8 +1000,14 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     size = r2 ** tau.g
     acc_re = [0] * (2 * size + 1)
     acc_im = [0] * (2 * size + 1)
-    exps = {}
+    exps = {}       # the walk's constants
     wide = pf + CHAIN_GUARD
+
+    def const(num, w):
+        """``_expjpi`` of the exponent num at w bits, one exp per walk."""
+        if (num, w) not in exps:
+            exps[num, w] = _expjpi(*num, s_den, w)
+        return exps[num, w]
 
     def mul(u, c):
         """The fixed-point product at the chain's width, rounded down."""
@@ -1021,20 +1019,19 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
             if how == "skip":
                 continue
             row = line[j]
-            nums = _move_exponents(plan, row.step, d)
             if how == "chain":
                 bits = CHAIN_GUARD
                 state = states[j - d]
                 if state[3] is None:
                     state = state[:3] + (_expjpi(*_outer(line[j - d], row), s_den, wide),)
                 # Q and Q^-1 are taken only where the peak shifts
-                consts = [_const(exps, num, s_den, wide) if shift or i > 1 else None
-                          for i, num in enumerate(nums)]
+                consts = [const(num, wide) if shift or i > 1 else None
+                          for i, num in enumerate(plan.moves[d])]
                 state = _move(state, consts, shift, mul)
             else:
                 # at the chain's width, both ratios, where a chain starts here
                 bits = CHAIN_GUARD if how == "start" else 0
-                up, down = _ratios(row, plan.t_gg)
+                up, down = _ratios(row, plan)
                 state = (_expjpi(row.dr, row.di - plan.d_min, s_den, pf + bits),
                          _expjpi(*up, s_den, pf + bits) if row.k < row.last or bits else None,
                          _expjpi(*down, s_den, pf + bits) if row.k or bits else None, None)
@@ -1047,7 +1044,7 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
             for rho, seq in ((rho_p, slots[k + 1:]), (rho_m, slots[k - 1::-1] if k else ())):
                 if not seq:
                     continue
-                qr, qi = _const(exps, nums[0], s_den, pf + q_bits)
+                qr, qi = const(plan.q, pf + q_bits)
                 qr, qi = qr >> q_bits, qi >> q_bits
                 rr, ri = rho[0] >> bits, rho[1] >> bits
                 ur, ui = peak_re, peak_im
@@ -1096,15 +1093,16 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     w = 3 + floor(97 sum_C (|Re A_C| + |Im A_C|) 2^-pf) ulps, A_C a's class
     accumulators (a computed weight of modulus up to 1 + 97 * 2^-pf stays
     inside the 1 + 2^-30 amplification).  Each sum carries units[a] + w and
-    the tail bound at (s, radius), formed once per distinct pair.
+    the tail bound at (s, radius), formed once per distinct pair.  The
+    class indices of a and the weight index of each class for each b come
+    from a table cached per (g, den, a, bs, phase) (``_classes``), so a
+    walk's combination is its integer multiply-adds alone.
     """
     g = tau.g
     z = _at(tau, z)
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
-    classes = list(itertools.product(range(den), repeat=g))
-    den2 = den * den
     weights = {}
     tails = {}
     sums = {}
@@ -1112,32 +1110,42 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
         s = _shift(z, a, den)
         if (s, radius) not in tails:
             tails[s, radius] = _tail(g, z.tail[0], s, z.head)(radius)
-        parts = []      # (C, A_C) for the classes C = den*c + a of a
-        for c in classes:
-            big = tuple(den * x + y for x, y in zip(c, a))
-            idx = 0
-            for x in big:
-                idx = idx * den2 + x
-            parts.append((big, acc_re[idx], acc_im[idx]))
+        idx, ks = _classes(g, den, a, tuple(bs), phase)
+        parts = [(acc_re[i], acc_im[i]) for i in idx]
         out = []
-        for b in bs:
-            ab = 0 if phase else sum(x * y for x, y in zip(a, b))
+        for kb in ks:
             sr = si = 0
             exact = True
-            for big, ar, ai in parts:
-                k = (sum(x * y for x, y in zip(big, b)) - ab) % den2
+            for (ar, ai), k in zip(parts, kb):
                 if k not in weights:
-                    weights[k] = _unit(2 * k, den2, pf)
+                    weights[k] = _unit(2 * k, den * den, pf)
                 wr, wi, w_exact = weights[k]
                 sr += ar * wr - ai * wi
                 si += ar * wi + ai * wr
                 exact = exact and w_exact
-            w_units = 0
-            if not exact:
-                w_units = 3 + (97 * sum(abs(ar) + abs(ai) for _, ar, ai in parts) >> pf)
+            w_units = 0 if exact else 3 + (97 * sum(abs(ar) + abs(ai) for ar, ai in parts) >> pf)
             out.append(_Sum(sr >> pf, si >> pf, units[a] + w_units, tails[s, radius]))
         sums[a] = out
     return _Walk(sums, y_m, pf)
+
+
+@functools.lru_cache(maxsize=1024)
+def _classes(g: int, den: int, a: tuple, bs: tuple, phase: bool) -> tuple[tuple, tuple]:
+    """The combination table of ``_theta_groups`` for the top
+    characteristic a: the accumulator index of each class C = den*c + a of
+    a, c in ``itertools.product(range(den), repeat=g)`` order, and for each
+    b of bs the index k of each class's weight exp(2 pi i k / den^2):
+    k = C.b = den c.b + a.b mod den^2, or den c.b without the phase."""
+    cs = list(itertools.product(range(den), repeat=g))
+    idx = []
+    for c in cs:
+        i = 0
+        for x, y in zip(c, a):
+            i = i * den * den + den * x + y
+        idx.append(i)
+    return tuple(idx), tuple(tuple((den * sum(map(int.__mul__, c, b))
+                                    + phase * sum(map(int.__mul__, a, b))) % (den * den)
+                                   for c in cs) for b in bs)
 
 
 def _complex(walk: _Walk, sums) -> list[CertifiedComplex]:
@@ -1213,8 +1221,8 @@ def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
                     prec: int = DEFAULT_PREC) -> CertifiedComplex:
     """Theta sum over ||n||_inf <= radius with the certified error bound for
     exactly that truncation (tail at the given radius plus rounding)."""
-    if not 0 <= radius <= RADIUS_CAP:
-        raise ValueError(f"radius must lie in 0..{RADIUS_CAP}")
+    if type(radius) is not int or not 0 <= radius <= RADIUS_CAP:
+        raise ValueError(f"radius must be an integer in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):
         den, a, b = _char_ints(tau.g, char)
         walk = _theta_groups(tau, z, den, {a: (radius, [b])})
@@ -1426,8 +1434,8 @@ def verify_duplication(tau: SiegelPoint, steps: int,
     """One walk per level gives the 2^(2g) half-integer characteristics:
     F from the ``_moduli`` bounds scaled by exp(-pi y_m) 2^-pf, unsquared,
     and theta(2^k tau, 0), their [0; 0] member, from ``_complex``."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps must be >= 0 and an integer")
     g = tau.g
     chars = _level_chars(g, 2)
     f_vals = []

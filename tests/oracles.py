@@ -10,9 +10,13 @@ Gram-Schmidt recomputed after every step), the column HNF by Euclid on
 the smallest entry of each row, and the accumulator slots of a walked theta
 row term by term.
 
-Two references are not independent.  ``beta_sigma_det_scaled`` keeps the
-former det-scaled formula of beta_sigma over the package's own theta
+Three references are not independent.  ``beta_sigma_det_scaled`` keeps
+the former det-scaled formula of beta_sigma over the package's own theta
 values, so that a test can compare the two formulas alone.
+``theta_groups_combination`` keeps the former per-class loop of
+``theta._theta_groups``, which rebuilt every class index and weight index
+per walk, over the package's own weights, so that a test can compare the
+cached combination table with it bit for bit.
 ``theta_route_heights`` keeps the former g = 1 height route (mpmath AGM
 periods, ``reduce_g1``, the package's certified theta-nulls, lambda matched
 against theta2^4/theta3^4), so that the closed forms of ``heights`` can be
@@ -379,6 +383,46 @@ def row_slots(base, lo, step, count, spans, den, size, mirror=None):
             if span and span[0] <= -x <= span[1]:
                 slots[j] = mbase + -x % r2 if slots[j] == trash else slots[j] + size
     return slots
+
+
+def theta_groups_combination(acc_re, acc_im, g, den, groups, units, pf, phase, unit):
+    """{a: [(re, im, units)]} of the class accumulators of one walk for
+    groups {a: bs}, as the former per-class loop of ``theta._theta_groups``
+    formed them: class C = den*c + a of a enters theta[a/den; b/den] with
+    the weight ``unit(2k, den^2, pf)``, k = C.b - a.b mod den^2 (C.b with
+    the phase), the sums are exact ints floored to pf bits, and an inexact
+    weight adds 3 + floor(97 sum_C (|Re A_C| + |Im A_C|) 2^-pf) to units[a]."""
+    classes = list(itertools.product(range(den), repeat=g))
+    den2 = den * den
+    weights = {}
+    sums = {}
+    for a, bs in groups.items():
+        parts = []
+        for c in classes:
+            big = tuple(den * x + y for x, y in zip(c, a))
+            idx = 0
+            for x in big:
+                idx = idx * den2 + x
+            parts.append((big, acc_re[idx], acc_im[idx]))
+        out = []
+        for b in bs:
+            ab = 0 if phase else sum(x * y for x, y in zip(a, b))
+            sr = si = 0
+            exact = True
+            for big, ar, ai in parts:
+                k = (sum(x * y for x, y in zip(big, b)) - ab) % den2
+                if k not in weights:
+                    weights[k] = unit(2 * k, den2, pf)
+                wr, wi, w_exact = weights[k]
+                sr += ar * wr - ai * wi
+                si += ar * wi + ai * wr
+                exact = exact and w_exact
+            w_units = 0
+            if not exact:
+                w_units = 3 + (97 * sum(abs(ar) + abs(ai) for _, ar, ai in parts) >> pf)
+            out.append((sr >> pf, si >> pf, units[a] + w_units))
+        sums[a] = out
+    return sums
 
 
 def _even_nulls(tau, prec):

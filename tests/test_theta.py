@@ -12,6 +12,7 @@ from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, libmp, log, mp, mpf, 
 
 from thetaheights import sampling
 from thetaheights import theta as theta_module
+from thetaheights.campaign import CampaignConfig
 from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                                     CertifiedReal, PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
@@ -24,7 +25,7 @@ from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 verify_norm_bounds)
 
 from oracles import (beta_sigma_det_scaled, row_slots, theta_brute, theta_brute_batch,
-                     theta_norm_brute)
+                     theta_groups_combination, theta_norm_brute)
 
 I = mpc(0, 1)
 TAU_I = SiegelPoint.from_complex(I)
@@ -483,6 +484,23 @@ def test_bad_steps_and_z_length_are_rejected():
     for reduced in (False, True):
         with pytest.raises(ValueError, match="z must have length g"):
             verify_norm_bounds(tau, 2, [1, 2, 3], prec=96, assume_reduced=reduced)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: theta_null_vector(TAU_I, 4.0),
+    lambda: verify_norm_bounds(TAU_I, 4.0),
+    lambda: CampaignConfig(suite="norm-bounds", samples=1, seed=1, r=4.0),
+    lambda: theta_truncated(TAU_I, None, None, 2.0),
+    lambda: theta_truncated(TAU_I, None, None, True),
+    lambda: verify_duplication(TAU_I, 2.0),
+    lambda: verify_duplication(TAU_I, True),
+], ids=["null-vector level", "norm-bounds level", "campaign level", "float radius",
+        "bool radius", "float steps", "bool steps"])
+def test_levels_radii_and_steps_must_be_integers(call):
+    # a float or a bool where an int is meant fails with a clear error,
+    # not with a TypeError from deep inside a walk, nor as its int value
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 def test_characteristic_validation():
@@ -949,12 +967,12 @@ def test_every_characteristic_of_a_level_matches_brute_oracle(tau, z, r):
                 assert v.err <= alone[ch].err, (prec, phase, ch)
 
 
-@pytest.mark.parametrize("tops, step", [(((0, 0), (0, 2)), 2), (((1, 1), (3, 3)), 4),
+@pytest.mark.parametrize("tops, step", [(((0, 0), (0, 2)), 2), (((1, 1), (3, 3)), 2),
                                         (((0, 0), (0, 1), (0, 3)), 1)])
 def test_part_of_a_level_walks_with_the_common_step(tops, step):
-    # level-4 top characteristics share a row when their first entries
-    # agree, and the row steps by the gcd of 4 and the differences of their
-    # last entries: 2, 4 (rows of one m1, as a lone walk) or 1.  With boxes
+    # every row of a walk over level-4 top characteristics steps by the gcd
+    # of 4 and the differences of their last entries over the whole walk:
+    # 2, 2 (rows of different tops, one step for both) or 1.  With boxes
     # of radius 1, 2 and 3 in one walk, each value lies within its rounding
     # budget (its error less its tail) of the brute sum over its own box, so
     # no term of a wider box leaks in, and its error is no looser than the
@@ -963,11 +981,10 @@ def test_part_of_a_level_walks_with_the_common_step(tops, step):
     rows = [[tau.entry(i, j) for j in range(2)] for i in range(2)]
     bs = list(itertools.product(range(4), repeat=2))
     groups = {a: (radius, bs) for radius, a in enumerate(tops, 1)}
-    # the rows' steps, from the cached shape of the union walk (z != 0:
-    # no mirror rows)
+    # the step, from the cached shape of the union walk (z != 0: no mirror
+    # rows)
     shape = theta_module._frames(2, 4, tuple((a, radius) for a, (radius, _) in groups.items()),
                                  False)
-    steps = {fr.step for run in shape.runs for fr in run}
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
             zt = theta_module._at(tau, z)
@@ -985,7 +1002,44 @@ def test_part_of_a_level_walks_with_the_common_step(tops, step):
                     with workprec(200):
                         assert fabs(v.value - ref) <= v.err - tail, (prec, a, b)
                     assert v.err <= w.err
-    assert min(steps) == step
+    assert shape.step == step
+
+
+def test_cached_combination_is_the_per_class_loop(monkeypatch):
+    # the combination of a walk's class accumulators from the cached table
+    # gives the sums (re, im) and budgets of the per-class loop that rebuilt
+    # every index per walk, bit for bit: g <= 3, levels 2, 3, 4 and 6, with
+    # and without the phase, seeded tops and subsets of bs, and inexact
+    # weights (levels 3 and 6, level 4 with the phase) with their w term
+    walks = []
+    row_sum = theta_module._row_sum
+    monkeypatch.setattr(theta_module, "_row_sum",
+                        lambda *args: walks.append(row_sum(*args)) or walks[-1])
+    inexact = 0
+    for g in (1, 2, 3):
+        for den in (2, 3, 4, 6):
+            for phase in (True, False):
+                rng = random.Random(9500 + 100 * g + 10 * den + phase)
+                tau = sampling.random_siegel_point(rng, g)
+                z = None
+                if (g + den + phase) % 2:
+                    z = _shifted(tau, [rng.uniform(-0.5, 0.5) for _ in range(g)],
+                                 [rng.uniform(-0.5, 0.5) for _ in range(g)])
+                level = list(itertools.product(range(den), repeat=g))
+                groups = {a: (rng.randrange(3 if g < 3 else 2),
+                              rng.sample(level, rng.randrange(1, min(6, len(level)) + 1)))
+                          for a in rng.sample(level, min(3, len(level)))}
+                with workprec(96 + GUARD_BITS):
+                    walks.clear()
+                    walk = theta_module._theta_groups(tau, z, den, groups, phase)
+                ((acc_re, acc_im, _, units, pf),) = walks
+                want = theta_groups_combination(acc_re, acc_im, g, den,
+                                                {a: bs for a, (_, bs) in groups.items()},
+                                                units, pf, phase, theta_module._unit)
+                got = {a: [(s.re, s.im, s.units) for s in sums] for a, sums in walk.sums.items()}
+                assert got == want, (g, den, phase)
+                inexact += any(s.units != units[a] for a, sums in walk.sums.items() for s in sums)
+    assert inexact
 
 
 @pytest.mark.parametrize("den", [4, 16, 36])
@@ -1013,8 +1067,12 @@ def _chain_cases():
     the tail needs), a peak that moves by two or more steps from row to
     row (strong skew), chains that start at clipped rows (every peak of a
     small box outside it), tiny |Q| (2^6 tau of the duplication audit, at
-    a small real z, where no row pairs with its mirror at -nn), g = 3, and
-    unions whose rows change their step along a line (levels 4 and 6)."""
+    a small real z, where no row pairs with its mirror at -nn), g = 3,
+    unions whose outer rows hold fewer tops (levels 4 and 6: the rows at
+    which a walk by each row's own step would change step), and lines that
+    hold rows of several prefix classes: a full level at g = 3, at z = 0
+    and not, and a level-4 union whose a_1 residues {0, 1, 3} leave a gap
+    in a line."""
     tau = _skewed(1.4, 1.1, 0.6)
     z = _shifted(tau, (0.2, -0.1), (0.3, -0.4))
     cases = [("skipped row", tau, z, 2, {(1, 0): choose_radius(
@@ -1039,33 +1097,45 @@ def _chain_cases():
         tau3, z3, ch, 96) for ch in chars3}))
     cases.append(("mixed steps", tau, z, 4, {(0, 0): 1, (0, 1): 2, (0, 3): 4}))
     cases.append(("mixed steps", tau, z, 6, {(1, 0): 1, (1, 2): 2, (1, 5): 4}))
+    full = {a: rng.randrange(1, 4) for a in itertools.product(range(2), repeat=3)}
+    for w in ((mpc(0),) * 3, z3):
+        cases.append(("merged g = 3", tau3, w, 2, full))
+    cases.append(("gap", tau, z, 4, {(0, 0): 2, (1, 3): 3, (3, 1): 2, (1, 0): 1}))
     return cases
 
 
 def _record_plans(monkeypatch):
-    """Patch ``theta._chain_plan`` to record each line with its plan."""
+    """Patch ``theta._plan`` to record the (shape, plan) of each walk."""
     seen = []
-    plan = theta_module._chain_plan
+    plan = theta_module._plan
 
-    def recorded(line, *args):
-        out = plan(line, *args)
-        seen.append((line, out))
+    def recorded(*args):
+        out = plan(*args)
+        seen.append(out)
         return out
-    monkeypatch.setattr(theta_module, "_chain_plan", recorded)
+    monkeypatch.setattr(theta_module, "_plan", recorded)
     return seen
+
+
+def _own_step(spans, den):
+    """The step of a row by its own tops alone, ``spans`` keyed by their
+    last entries: the gcd of den and the differences of those."""
+    first = min(spans)
+    return math.gcd(den, *(c - first for c in spans))
 
 
 def _occurs(name, tau, z, den, boxes, seen) -> bool:
     """Whether the recorded walks of a case met its situation."""
     chained = []    # (line, shift) of each chained row
-    pairs = []      # (how, step) of each row off a centre, and of the row before it
-    for line, plan in seen:
+    pairs = []      # (how, frame) of each row off a centre, and of the row before it
+    runs = [(shape, *run) for shape, plan in seen
+            for run in zip(shape.runs, plan.lines, plan.chains)]
+    for _, frames, line, plan in runs:
         # an anchor that a chain starts from is an anchor here too
         plan = [(j, d, "anchor" if how == "start" else how, shift) for j, d, how, shift in plan]
         how_of = {j: how for j, _, how, _ in plan}
         chained += [(line, shift) for _, _, how, shift in plan if how == "chain"]
-        pairs += [((how, line[j].step), (how_of[j - d], line[j - d].step))
-                  for j, d, how, _ in plan if d]
+        pairs += [((how, frames[j]), (how_of[j - d], frames[j - d])) for j, d, how, _ in plan if d]
     if name == "skipped row":
         return any(row[0] == "skip" and prev[0] == "chain" for row, prev in pairs)
     if name == "peak shift":
@@ -1077,15 +1147,27 @@ def _occurs(name, tau, z, den, boxes, seen) -> bool:
     if name == "tiny Q":
         # Q = exp(2 pi i tau_gg / den^2) at the union's step 1; its inverse
         # and C^-1 are far too large to chain through, so a walked row after
-        # a walked one of the same step takes a fresh anchor
-        refused = any(row[0] == "anchor" and prev[0] != "skip" and row[1] == prev[1]
-                      for row, prev in pairs)
+        # a walked one takes a fresh anchor
+        refused = any(row[0] == "anchor" and prev[0] != "skip" for row, prev in pairs)
         return refused and exp(-2 * pi * tau.im[1][1] / den ** 2) < mpf(2) ** -60
     if name == "g = 3":
         return len({id(line) for line, _ in chained}) >= 3
-    # mixed steps: a chain ends where the step changes, and a new one starts
-    return any(row[0] == "anchor" and prev[0] == "chain" and row[1] != prev[1]
-               for row, prev in pairs)
+    # a chain crosses from a row of one prefix class to a row of another
+    crossed = any(row[0] == "chain" and row[1].nn[-1] % den != prev[1].nn[-1] % den
+                  for row, prev in pairs)
+    if name == "mixed steps":
+        # every row whose own step differs from the one of the row before
+        # it (where a walk by each row's own step took a fresh anchor)
+        # chains; rows of one prefix class, so no chain crosses classes
+        changes = [row[0] for row, prev in pairs if prev[0] != "skip"
+                   and _own_step(row[1].spans, den) != _own_step(prev[1].spans, den)]
+        return bool(changes) and set(changes) == {"chain"} and not crossed
+    if name == "gap":
+        # a line splits into two runs at a row it lacks
+        split = any(b[0].nn[:-1] == a[-1].nn[:-1] and b[0].nn[-1] - a[-1].nn[-1] > shape.spacing
+                    for shape, _ in seen for a, b in zip(shape.runs, shape.runs[1:]))
+        return crossed and split
+    return crossed      # merged g = 3
 
 
 @pytest.mark.parametrize("name, tau, z, den, boxes", _chain_cases())
@@ -1141,8 +1223,9 @@ def _mirror_cases():
     """(name, tau, den, {a: radius}, bs) at z = 0, g = 2 and 3, levels 2, 4
     and 6, with unequal radii: at levels 4 and 6 the prefix classes P and
     -P hold different top characteristics, so a walked row and its mirror
-    do too, and tops with 2 a_g != 0 mod den make rows whose union with
-    their mirror would change step; bs is a seeded sample of the level."""
+    do too, and tops with 2 a_g != 0 mod den make rows whose own tops
+    step differently from their mirror's; bs is a seeded sample of the
+    level."""
     cases = []
     tau = _skewed(1.4, 1.1, 0.6, (0.1, -0.2, 0.3))
     rng = random.Random(7401)
@@ -1196,10 +1279,12 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
         # the rows of a pair hold different tops somewhere
         assert any({a for _, _, a in fr.tops[:len(fr.spans)]}
                    != {a for _, _, a in fr.tops[len(fr.spans):]} for fr in frames if fr.mirror)
-    walked = {fr.nn for fr in frames}
     if g == 2 and den > 2:
-        # a row and its mirror that would change step are both walked
-        assert any(nn < (0,) * h and tuple(-x for x in nn) in walked for nn in walked)
+        # a row and its mirror whose own tops step differently pair: every
+        # row walks at the walk's one step (a walk by each row's own step
+        # walked both rows)
+        assert any(_own_step(fr.spans, den) != _own_step(fr.mirror[1], den)
+                   for fr in frames if fr.mirror)
     last = _walkers(g, den, boxes)
     with workprec(200):
         refs = {a: theta_brute_batch(rows, z, [Fraction(x, den) for x in a],
@@ -1240,9 +1325,10 @@ def test_cached_slots_match_the_term_by_term_oracle():
         size = (den * den) ** g
         for mirror in (True, False):
             for key in [tuple(boxes.items())] + [((a, radius),) for a, radius in boxes.items()]:
-                for run in theta_module._frames(g, den, key, mirror).runs:
+                shape = theta_module._frames(g, den, key, mirror)
+                for run in shape.runs:
                     for fr in run:
-                        want = row_slots(fr.base, fr.lo, fr.step, fr.last + 1, fr.spans, den,
+                        want = row_slots(fr.base, fr.lo, shape.step, fr.last + 1, fr.spans, den,
                                          size, fr.mirror)
                         assert list(fr.slots) == want, (g, den, key, mirror, fr.nn)
                         seen.add((g, den, any(size <= x < 2 * size for x in want)))
@@ -1518,19 +1604,23 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     assert work(theta, tau, z, char, prec=96) == (1, 1, 1)
     # fresh exps: the rows of a walk chain from their run's centre, so a
     # walk takes a few per run and per constant, not three per row (the
-    # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27).
-    # Walked rows and terms, recorded through the plans: at z = 0 a row and
-    # its mirror at -nn are walked once (the full lattice took 18 rows and
-    # 324 terms, 44 and 1657, and with z 27 and 405)
+    # anchored walk took 56 over 18 rows, 135 over 44 and 85 over 27).  A
+    # level walk is one line at one step: at r = 4, where each change of a
+    # row's own step took a fresh anchor, 40 exps became 9.  Walked rows
+    # and terms, recorded through the plans: at z = 0 a row and its mirror
+    # at -nn are walked once (the full lattice took 18 rows and 324 terms,
+    # 44 and 1657, and with z 27 and 405); at r = 4 the rows that paired
+    # only at a common step pair too (27 rows and 1035 terms by own steps)
     seen = _record_plans(monkeypatch)
-    for args, kwargs, most, walked in (((tau, 2), {}, 13, (10, 188)),
-                                       ((tau, 4), {}, 40, (27, 1035)),
-                                       ((tau, 2, z), {"assume_reduced": True}, 23, (19, 269))):
+    for args, kwargs, most, walked in (((tau, 2), {}, 9, (10, 188)),
+                                       ((tau, 4), {}, 9, (24, 1107)),
+                                       ((tau, 2, z), {"assume_reduced": True}, 19, (19, 269))):
         seen.clear()
         work(verify_norm_bounds, *args, prec=96, **kwargs)
         assert counts["mpc_expjpi"] <= most, (args, kwargs)
-        assert (sum(len(line) for line, _ in seen),
-                sum(row.last + 1 for line, _ in seen for row in line)) == walked, (args, kwargs)
+        lines = [line for _, plan in seen for line in plan.lines]
+        assert (sum(map(len, lines)),
+                sum(row.last + 1 for line in lines for row in line)) == walked, (args, kwargs)
 
 
 def test_batch_paths_construct_no_characteristic(monkeypatch):
