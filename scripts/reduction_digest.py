@@ -8,10 +8,12 @@ g = 1 at prec 128 (3 000 points), g = 2 at prec 96 (3 000) and at prec 128
 
     g prec k digest
 
-where digest is the first 16 hex digits of the sha256 of its word, the
-exact (sign, man, exp, bc) of every reduced entry, its iteration count,
-``converged`` and the S.2, S.3 (both bullets) and S.1 flags of its
-certificate.  The last line is the sha256 of all records together.
+where digest is the first 16 hex digits of the sha256 of every field of
+its result: the word, the exact (sign, man, exp, bc) of every reduced
+entry, gamma, and of its certificate the det history and the action
+residual (each mpf by its exact (sign, man, exp, bc) too), the iteration
+count, ``converged`` and the S.2, S.3 (both bullets) and S.1 flags.  The
+last line is the sha256 of all records together.
 
     python scripts/reduction_digest.py                   # lines, then the total
     python scripts/reduction_digest.py --out lines.txt   # lines to a file
@@ -45,7 +47,9 @@ def record(g: int, prec: int, k: int) -> str:
                  [_key(x) for part in (res.reduced.re, res.reduced.im)
                   for row in part for x in row],
                  cert.iterations, cert.converged,
-                 rep.s2_ok, rep.s3_quadform_ok, rep.s3_offdiag_ok, rep.s1_ok))
+                 rep.s2_ok, rep.s3_quadform_ok, rep.s3_offdiag_ok, rep.s1_ok,
+                 res.gamma, [_key(d) for d in cert.det_history],
+                 _key(cert.action_residual)))
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ from .certified import (CertifiedComplex, CertifiedReal, PrecisionError,
                         Verdict, certified_le)
 from .siegel import (SiegelPoint, SymplecticMatrix, ReductionResult,
                      act, fundamental_domain_report, reduce_g1,
-                     reduce_heuristic, validate)
+                     reduce_heuristic)
 from .theta import (CosetSet, ThetaCharacteristic, beta_sigma, coset_set,
                     theta_norm, theta_null_vector,
                     verify_duplication, verify_norm_bounds)

@@ -43,6 +43,9 @@ class CampaignConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITES}")
+        for name in ("samples", "seed", "prec", "g", "steps", "n_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.prec < 64:

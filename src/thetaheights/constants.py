@@ -294,7 +294,7 @@ def table(g: int, r: int, c1=None, c2=None,
 
 
 def _check_g(g: int):
-    if g < 1:
+    if type(g) is not int or g < 1:
         raise ValueError("g must be a positive integer")
 
 

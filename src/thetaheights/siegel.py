@@ -1,7 +1,10 @@
 """Siegel upper half space: points, symplectic action, reduction.
 
 A point is a g x g complex symmetric matrix tau = X + iY with Y positive
-definite.  Reduction targets the classical fundamental domain conditions:
+definite.  ``SiegelPoint`` checks a point once, where it is made: g >= 1,
+both parts g x g, every entry finite and tau = tau^T; definiteness is
+``y_positive_definite``.  Reduction targets the classical fundamental domain
+conditions:
 
   S.1  det Im(gamma.tau) <= det Im(tau) for all symplectic gamma,
   S.2  |Re tau_ij| <= 1/2,
@@ -14,21 +17,21 @@ Everything exact runs on one integer form of a point, tau = (X + iY) / 2^s
 with X, Y integer matrices (``SiegelPoint.int_form``), through one
 fraction-free elimination, Bareiss' over Z[i] (``exactla``).  Y is
 eliminated once per point (``minors_and_adjugate``): its leading minors D_k
-give definiteness, the LDL pivots D_k / (D_(k-1) 2^s) and det Y = D_g, its
-adjugate (Im tau)^-1 = 2^s adj Y / det Y and the first step of the
-lambda_min bound (``min_eig_lower_bound``).  S.1 is decided by the identity
-det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2: det(lam tau + mu)
-2^(gs) is the determinant of the Gaussian-integer matrix lam (X + iY) +
-mu 2^s, and S.1 for gamma is the integer test |det|^2 >= 2^(2gs)
-(``_s1_holds``).  ``act`` inverts the same matrix by the Gauss-Jordan form
-of the elimination.  No test carries a tolerance: each verdict is exact on
-the stored point, ties passing (the closed domain).
+give definiteness and det Y = D_g, its adjugate (Im tau)^-1 = 2^s adj Y /
+det Y and the first step of the lambda_min bound (``min_eig_lower_bound``).
+S.1 is decided by the identity det Im(gamma.tau) = det Im tau /
+|det(lam tau + mu)|^2: det(lam tau + mu) 2^(gs) is the determinant of the
+Gaussian-integer matrix lam (X + iY) + mu 2^s, and S.1 for gamma is the
+integer test |det|^2 >= 2^(2gs) (``_s1_holds``).  ``act`` inverts the same
+matrix by the Gauss-Jordan form of the elimination.  No test carries a
+tolerance: each verdict is exact on the stored point, ties passing (the
+closed domain).
 
 ``reduce_heuristic`` is the one reduction loop, for every g (``reduce_g1``
-is its g = 1 case, required to converge), and each of its moves is exact
-on the integer form: a translation is read off X, a basis change U is the
-congruence (U^T X U + i U^T Y U) / 2^s, and a generator move is one ``act``,
-rounded once.
+is its g = 1 case, required to converge).  Its translations and basis
+changes are exact integer-form moves, (X + b 2^s + iY) / 2^s and (U^T X U +
+i U^T Y U) / 2^s, which keep det Im tau; only a generator move rounds, once,
+in ``act``.
 """
 from __future__ import annotations
 
@@ -39,11 +42,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
 
-from mpmath import mp, mpf, mpc, fabs, workprec
+from mpmath import mp, mpf, mpc, fabs, isfinite, workprec
 from mpmath.libmp import from_man_exp, from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC, GUARD_BITS
-from .exactla import (IntMat, Mat, dyadic, fraction_to_mpf, gauss_adjugate,
+from .exactla import (IntMat, Mat, dyadic, gauss_adjugate,
                       gauss_det, gaussian, min_eig_lower_bound,
                       minors_and_adjugate)
 
@@ -74,33 +77,32 @@ def as_mpc(x) -> mpc:
 
 @dataclass(frozen=True)
 class SiegelPoint:
-    """tau = re + i im, symmetric by construction: a point with tau != tau^T
-    is refused, so no function is ever handed one."""
+    """tau = re + i im, checked where it is made: g >= 1, both parts g x g,
+    every entry finite and tau = tau^T, else ``ValueError``; so no function
+    is ever handed a point that fails one of these."""
     g: int
     re: tuple[tuple[mpf, ...], ...]
     im: tuple[tuple[mpf, ...], ...]
 
     def __post_init__(self):
-        # stored mpf values are normalized, so equal values have equal _mpf_
+        g = self.g
+        if g < 1:
+            raise ValueError("g must be >= 1")
         for part in (self.re, self.im):
-            if any(part[i][j]._mpf_ != part[j][i]._mpf_
-                   for i in range(self.g) for j in range(i)):
+            if len(part) != g or any(len(row) != g for row in part):
+                raise ValueError(f"tau must be {g} x {g}")
+            if not all(isfinite(x) for row in part for x in row):
+                raise ValueError("tau has a non-finite entry")
+            if tuple(zip(*part)) != part:
                 raise ValueError("tau must be symmetric")
 
     @classmethod
     def from_rows(cls, rows) -> "SiegelPoint":
         """tau from its rows; entries are taken as ``as_mpc`` takes them, so
         mpf and mpc entries are stored exactly, whatever mp.prec is."""
-        g = len(rows)
-        re = []
-        im = []
-        for row in rows:
-            if len(row) != g:
-                raise ValueError("tau must be square")
-            ze = [as_mpc(x)._mpc_ for x in row]
-            re.append(tuple(mp.make_mpf(z[0]) for z in ze))
-            im.append(tuple(mp.make_mpf(z[1]) for z in ze))
-        return cls(g, tuple(re), tuple(im))
+        ze = [[as_mpc(x)._mpc_ for x in row] for row in rows]
+        re, im = (tuple(tuple(mp.make_mpf(z[k]) for z in row) for row in ze) for k in (0, 1))
+        return cls(len(ze), re, im)
 
     @classmethod
     def from_complex(cls, tau) -> "SiegelPoint":
@@ -306,38 +308,7 @@ def sl2_s() -> SymplecticMatrix:
 
 
 # ---------------------------------------------------------------------------
-# validation and action
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    g: int
-    min_pivot: mpf
-    valid: bool
-
-
-def validate(tau: SiegelPoint, prec: int = DEFAULT_PREC) -> ValidityReport:
-    """Smallest exact LDL pivot of Im tau (symmetry holds by construction).
-
-    Accepts iff all pivots are positive.  The pivots are exact,
-    D_k / (D_(k-1) 2^s) from the leading minors D_k of the integer form (up
-    to the first that is not positive), so positive definiteness is
-    certified, not estimated.
-    """
-    from mpmath import isfinite
-    for part in (tau.re, tau.im):
-        if len(part) != tau.g or any(len(row) != tau.g for row in part):
-            raise ValueError("dimension mismatch")
-        for row in part:
-            for x in row:
-                if not isfinite(x):
-                    raise ValueError("non-finite entry")
-    minors = tau._y_elim[0]
-    s = tau.int_form[2]
-    pivot = min(Fraction(d, prev << s) for d, prev in zip(minors, (1,) + minors))
-    with workprec(prec + GUARD_BITS):
-        min_pivot = fraction_to_mpf(pivot)
-    return ValidityReport(tau.g, min_pivot, pivot > 0)
+# action
 
 
 def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
@@ -350,6 +321,10 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
     denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
     with ``from_rational``, whatever mp.prec is: the rational is the exact
     image, so the point is the one any exact evaluation rounds to.
+
+    In the package, ``reduce_heuristic`` calls it once per generator move
+    (step (c)) and once for its certificate's ``action_residual``; its
+    translations and basis changes are exact and never act.
     """
     g = tau.g
     if gamma.g != g:
@@ -423,6 +398,17 @@ def default_generators(g: int) -> tuple[SymplecticMatrix, ...]:
     return tuple(gens)
 
 
+def _generators(generators: Sequence[SymplecticMatrix] | None,
+                g: int) -> Sequence[SymplecticMatrix]:
+    """The S.1 sample: ``generators``, each checked to be of genus g, or
+    ``default_generators(g)``."""
+    if generators is None:
+        return default_generators(g)
+    if any(gen.g != g for gen in generators):
+        raise ValueError("dimension mismatch")
+    return generators
+
+
 def _s1_holds(gamma: SymplecticMatrix, tau: SiegelPoint) -> bool:
     """S.1 for one generator, the one rule of the reduction loop and of its
     certificate: det Im(gamma.tau) <= det Im tau, ties passing.  By
@@ -448,8 +434,7 @@ def fundamental_domain_report(tau: SiegelPoint,
     counts the generators that constrain S.1 (lam != 0).  Only
     ``s2_max_abs_re`` is rounded, once."""
     g = tau.g
-    if generators is None:
-        generators = default_generators(g)
+    generators = _generators(generators, g)
     x, y, s = tau.int_form
 
     max_re = max(abs(v) for row in x for v in row)
@@ -675,11 +660,14 @@ def reduce_heuristic(tau: SiegelPoint,
     loop stops exactly where its certificate passes S.1.  At g = 1 the
     default generator S with step (a) makes it Gauss reduction.
 
-    Every move is exact on the integer form tau = (X + iY) / 2^s: (a) reads
-    its translation off X, (b) is the congruence U^T (X + iY) U over the
-    same 2^s, unrounded, and (a) and (c) act exactly and round once
-    (``act``).  S.2 holds exactly on output; whether the output lies in the
-    true fundamental domain is reported by the certificate, not assumed.
+    On the integer form tau = (X + iY) / 2^s, (a) and (b) are exact: (a)
+    reads b off X and moves to (X + b 2^s + iY) / 2^s, (b) to (U^T X U +
+    i U^T Y U) / 2^s.  Neither changes det Im tau (Y is untouched, or
+    congruent by U with det U = +-1), so each repeats the previous
+    ``det_history`` entry.  Only (c) rounds, once (``act``).  gamma is
+    composed once, from the word (``compose_word``), which checks each U.
+    S.2 holds exactly on output; whether the output lies in the true
+    fundamental domain is reported by the certificate, not assumed.
 
     No step carries a tolerance.  A (c) move raises the exact det Im tau
     strictly (|det(lam tau + mu)| < 1); rounding the image to prec + 32
@@ -688,28 +676,27 @@ def reduce_heuristic(tau: SiegelPoint,
     the certificate says converged=False.
     """
     g = tau.g
+    generators = _generators(generators, g)
     if not tau.y_positive_definite:
         raise ValueError("imaginary part must be positive definite")
-    if generators is None:
-        generators = default_generators(g)
     with workprec(prec + 32):
         cur = tau
-        gamma = SymplecticMatrix.identity(g)
         word: list = []
         history = [cur.det_im()]
 
-        def move(entry, m: SymplecticMatrix, point: SiegelPoint) -> None:
-            nonlocal cur, gamma
-            cur, gamma = point, m.compose(gamma)
+        def move(entry, point: SiegelPoint, det: mpf) -> None:
+            nonlocal cur
+            cur = point
             word.append(entry)
-            history.append(cur.det_im())
+            history.append(det)
 
         def translate() -> bool:
             b = _s2_translation(cur)
             if not any(any(row) for row in b):
                 return False
-            m = SymplecticMatrix.translation(b)
-            move(("B", b), m, act(m, cur, prec))
+            x, y, s = cur.int_form
+            x = tuple(tuple(v + (w << s) for v, w in zip(r, br)) for r, br in zip(x, b))
+            move(("B", b), _from_int_form(x, y, s), history[-1])
             return True
 
         converged = False
@@ -720,8 +707,8 @@ def reduce_heuristic(tau: SiegelPoint,
             x, y, s = cur.int_form
             u = reduced_basis_change(y)
             if u != _int_identity(g):
-                move(("U", u), SymplecticMatrix.basis_change(u),
-                     _from_int_form(_congruence(u, x), _congruence(u, y), s))
+                move(("U", u), _from_int_form(_congruence(u, x), _congruence(u, y), s),
+                     history[-1])
                 moved = True
             # (c) first generator in list order that fails S.1
             for gen in generators:
@@ -731,7 +718,7 @@ def reduce_heuristic(tau: SiegelPoint,
                     point = act(gen, cur, prec)
                 except NumericalFailure:
                     continue
-                move(("G", gen), gen, point)
+                move(("G", gen), point, point.det_im())
                 moved = True
                 break
             if not moved:
@@ -740,6 +727,7 @@ def reduce_heuristic(tau: SiegelPoint,
         if not converged:
             # final exact S.2 pass: the last iteration may have moved Re tau
             translate()
+        gamma = compose_word(word, g)
         residual = _action_residual(gamma, tau, cur, prec)
     report = fundamental_domain_report(cur, generators, prec)
     cert = ReductionCertificate(tuple(word), tuple(history), report,

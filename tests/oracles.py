@@ -1,9 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the package's own evaluation paths: plain
-term-by-term mpmath sums with a fixed box radius, mpmath's Cholesky for
-pivot checks, the Siegel action both in mpmath matrix arithmetic and by
-Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
+term-by-term mpmath sums with a fixed box radius, the Siegel action both
+in mpmath matrix arithmetic and by Gauss-Jordan over Q(i), |det(lam tau + mu)|^2 as the determinant of a
 real 2g x 2g form over Q, and linear algebra and LLL over Q in Fractions
 (Gaussian elimination, Gauss-Jordan inverse, LDL pivots, LLL with the full
 Gram-Schmidt recomputed after every step), the column HNF by Euclid on
@@ -26,8 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from mpmath import (mp, mpf, mpc, cholesky, exp, fabs, matrix, pi, sqrt,
-                    workprec)
+from mpmath import mp, mpf, mpc, exp, fabs, matrix, pi, sqrt, workprec
 
 BRUTE_RADIUS = 50
 
@@ -92,12 +90,6 @@ def beta_sigma_det_scaled(tau, z, r, prec):
         total = sum(norms2[1:], norms2[0])
         two_pow = CertifiedReal.rounded(mpf(2) ** (mpf(g) / 2))
         return (two_pow * total).log() * CertifiedReal.exact(mpf(-1) / 2)
-
-
-def cholesky_min_pivot(y_rows):
-    """Smallest squared diagonal entry of mpmath's Cholesky factor."""
-    l = cholesky(matrix([[mpf(str(x)) for x in row] for row in y_rows]))
-    return min(l[i, i] ** 2 for i in range(l.rows))
 
 
 def cross_ratios(e1, e2, e3):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from thetaheights import constants
 from thetaheights.campaign import (CampaignConfig, ConfigMismatchError, Row,
                                    compute_sample, replay, run_campaign)
 
@@ -17,6 +18,26 @@ def test_config_validation():
         CampaignConfig(suite="norm-bounds", samples=1, seed=0, g=3)
     with pytest.raises(ValueError):
         CampaignConfig(suite="norm-bounds", samples=1, seed=0, r=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CampaignConfig(suite="lemmas", samples=2.5, seed=1),
+    lambda: CampaignConfig(suite="lemmas", samples=True, seed=1),
+    lambda: CampaignConfig(suite="lemmas", samples=2, seed=2.5),
+    lambda: CampaignConfig(suite="lemmas", samples=2, seed=1, prec=96.5),
+    lambda: CampaignConfig(suite="norm-bounds", samples=2, seed=1, g=1.0),
+    lambda: CampaignConfig(suite="norm-bounds", samples=2, seed=1, g=True),
+    lambda: CampaignConfig(suite="duplication", samples=2, seed=1, steps=2.0),
+    lambda: CampaignConfig(suite="delta-metric", samples=2, seed=1, n_max=2.0),
+    lambda: constants.m_const(2, 1.5),
+    lambda: constants.C_matrix(True),
+], ids=["float samples", "bool samples", "float seed", "float prec", "float g", "bool g",
+        "float steps", "float n_max", "float g constant", "bool g constant"])
+def test_counts_and_genus_must_be_integers(call):
+    # a float or a bool where an int is meant fails at once with a clear
+    # error, not with a TypeError inside a run nor as a float in a report
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 def test_rerun_is_bitwise_identical():

@@ -8,17 +8,15 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, fabs, sqrt, workprec
 
 from thetaheights import exactla, sampling, siegel
-from thetaheights.certified import GUARD_BITS
-from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
+from thetaheights.exactla import mpf_to_fraction
 from thetaheights.siegel import (SiegelPoint, SymplecticMatrix, act,
                                  compose_word, default_generators,
                                  fundamental_domain_report, lll_gram,
                                  reduce_g1, reduce_heuristic,
-                                 reduced_basis_change, sl2_s, validate)
+                                 reduced_basis_change, sl2_s)
 
-from oracles import (act_exact, act_mp, cholesky_min_pivot, frac_det,
-                     frac_inverse, frac_psd, ldl_pivots, lll_gram_frac,
-                     real_form)
+from oracles import (act_exact, act_mp, frac_det, frac_inverse, frac_psd,
+                     ldl_pivots, lll_gram_frac, real_form)
 
 I = mpc(0, 1)
 
@@ -34,22 +32,12 @@ def fraction_parts(tau):
                  for m in (x, y))
 
 
-def test_validate_identity_g2():
-    rep = validate(sp([I, 0], [0, I]))
-    assert rep.valid and rep.min_pivot == 1
+def test_identity_g2_is_positive_definite():
+    assert sp([I, 0], [0, I]).y_positive_definite
 
 
-def test_validate_indefinite_rejected():
-    rep = validate(sp([I, 0], [0, -I]))
-    assert not rep.valid
-
-
-def test_validate_pivot_matches_cholesky_oracle():
-    tau = sp([I, mpc(0.3, 0.1)], [mpc(0.3, 0.1), 2 * I])
-    rep = validate(tau)
-    assert rep.valid
-    oracle = cholesky_min_pivot([[1, 0.1], [0.1, 2]])
-    assert fabs(rep.min_pivot - oracle) < mpf(2) ** -40
+def test_indefinite_imaginary_part_is_not_positive_definite():
+    assert not sp([I, 0], [0, -I]).y_positive_definite
 
 
 def test_asymmetric_tau_is_refused_at_construction():
@@ -66,9 +54,24 @@ def test_asymmetric_tau_is_refused_at_construction():
                         ((mpf(1), upper.imag), (lower.imag, mpf(2))))
 
 
-def test_validate_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        validate(sp([mpc(mpf("inf"), 1)]))
+@pytest.mark.parametrize("make, message", [
+    (lambda: SiegelPoint.from_rows([]), "g must be >= 1"),
+    (lambda: SiegelPoint(0, (), ()), "g must be >= 1"),
+    (lambda: sp([I, 0], [0]), "2 x 2"),                    # ragged
+    (lambda: sp([I, 0]), "1 x 1"),                         # not square
+    (lambda: SiegelPoint(2, ((mpf(0), mpf(0)), (mpf(0), mpf(0))),
+                         ((mpf(1), mpf(0)), (mpf(0),))), "2 x 2"),  # ragged im
+    (lambda: SiegelPoint(1, ((mpf(0),),), ((mpf(1),), (mpf(1),))), "1 x 1"),
+    (lambda: sp([mpc(mpf("inf"), 1)]), "non-finite"),
+    (lambda: sp([mpc(0, mpf("-inf"))]), "non-finite"),
+    (lambda: sp([I, mpc(mpf("nan"), 0)], [mpc(mpf("nan"), 0), I]), "non-finite"),
+], ids=["from_rows([])", "g=0", "ragged rows", "non-square", "ragged im",
+        "im too tall", "inf re", "-inf im", "nan off-diagonal"])
+def test_siegel_point_is_checked_at_construction(make, message):
+    # g < 1, a part that is not g x g and a non-finite entry are refused
+    # where the point is made, with a ValueError that names the fault
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_act_identity():
@@ -99,7 +102,7 @@ def test_act_round_trip_and_validity(seed, g):
     tau = sampling.random_siegel_point(rng, g)
     for gamma in default_generators(g):
         out = act(gamma, tau, 128)
-        assert validate(out, 128).valid
+        assert out.y_positive_definite
         back = act(gamma.inverse(), out, 128)
         for i in range(g):
             for j in range(g):
@@ -264,12 +267,87 @@ def test_reduce_heuristic_acts_only_with_chosen_moves(monkeypatch):
         res = reduce_heuristic(tau, prec=96)
         word = res.certificate.word
         generator_moves += sum(move[0] == "G" for move in word)
-        # one act per translation or generator move, one for the residual
-        assert len(calls) == sum(move[0] in ("B", "G") for move in word) + 1
+        # one act per generator move, one for the residual; translations
+        # and basis changes are exact integer-form moves
+        assert len(calls) == sum(move[0] == "G" for move in word) + 1
         calls.clear()
         fundamental_domain_report(res.reduced, prec=96)
         assert calls == []
     assert generator_moves > 0
+
+
+def test_generators_of_another_genus_are_refused():
+    # checked once at the entry, also for a generator that S.1 would not
+    # reach, with the wording of ``act``
+    tau = sampling.random_siegel_point(sampling.substream(11, "h2:0"), 2)
+    for gens in ([SymplecticMatrix.inversion(1)],
+                 [SymplecticMatrix.inversion(2), SymplecticMatrix.inversion(3)]):
+        for call in (fundamental_domain_report, reduce_heuristic):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call(tau, gens)
+
+
+def test_a_translation_keeps_every_bit_of_the_point(monkeypatch):
+    # (sqrt 5 - 1)/2 + 3 + i/3 at 300 bits, reduced at prec 96: the B move
+    # is exact, so the inversion acts on tau - 4 with all 300 bits of Im tau
+    # (a translation by ``act`` would round it to prec + 32 = 128 bits)
+    with workprec(300):
+        tau = sp([mpc((sqrt(5) - 1) / 2 + 3, mpf(1) / 3)])
+    assert tau.im[0][0]._mpf_[3] > 128
+    inverted = []
+    real_act = siegel.act
+
+    def recording_act(gamma, point, *args, **kwargs):
+        if gamma == sl2_s():
+            inverted.append(point)
+        return real_act(gamma, point, *args, **kwargs)
+
+    monkeypatch.setattr(siegel, "act", recording_act)
+    cert = reduce_heuristic(tau, prec=96).certificate
+    assert cert.word[:2] == (("B", ((-4,),)), ("G", sl2_s()))
+    after_b = inverted[0]
+    assert after_b.im[0][0]._mpf_ == tau.im[0][0]._mpf_
+    assert mpf_to_fraction(after_b.re[0][0]) == mpf_to_fraction(tau.re[0][0]) - 4
+    assert cert.det_history[1] == cert.det_history[0]
+
+
+@pytest.mark.parametrize("g, count", [(2, 16), (3, 6)])
+def test_translations_and_basis_changes_are_exact_moves(g, count, monkeypatch):
+    # every point the loop moves to, replayed over Q: the point after a B or
+    # U move is the exact image (the Fraction action of ``oracles``) of the
+    # point before it, and its det_history entry repeats the one before
+    made = []
+    real_from_int_form, real_act = siegel._from_int_form, siegel.act
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    monkeypatch.setattr(siegel, "_from_int_form", recording(real_from_int_form))
+    monkeypatch.setattr(siegel, "act", recording(real_act))
+    exact = {"B": 0, "U": 0}
+    for k in range(count):
+        tau = sampling.random_siegel_point(sampling.substream(37, f"moves:{g}:{k}"), g)
+        made.clear()
+        res = reduce_heuristic(tau, prec=96)
+        cert = res.certificate
+        points = made[:-1]   # the last act is the certificate's residual
+        assert len(points) == len(cert.word)
+        prev = tau
+        for i, (move, point) in enumerate(zip(cert.word, points)):
+            if move[0] != "G":
+                gamma = (SymplecticMatrix.translation(move[1]) if move[0] == "B"
+                         else SymplecticMatrix.basis_change(move[1]))
+                re, im = act_exact(gamma, *fraction_parts(prev))
+                assert fraction_parts(point) == (tuple(map(tuple, re)),
+                                                 tuple(map(tuple, im)))
+                assert cert.det_history[i + 1]._mpf_ == cert.det_history[i]._mpf_
+                exact[move[0]] += 1
+            prev = point
+        assert prev is res.reduced
+    assert min(exact.values()) > 0, exact
 
 
 def test_symplectic_matrix_rejects_bad_input():
@@ -364,8 +442,7 @@ def test_report_fields_independent_of_global_precision():
         fields = []
         for prec in (53, 300):
             mp.prec = prec
-            fields.append((validate(reduced, 96).min_pivot,
-                           fundamental_domain_report(reduced, prec=96).s2_max_abs_re))
+            fields.append(fundamental_domain_report(reduced, prec=96).s2_max_abs_re)
     finally:
         mp.prec = saved
     assert fields[0] == fields[1]
@@ -521,8 +598,7 @@ def test_exact_y_data_match_the_fraction_oracles():
         assert tau.y_inverse == frac_inverse(y) == exactla.inverse(y)
         assert tau.y_det == frac_det(y)
         assert_tight_eig_bound(y, tau.y_min_eig_lower_bound)
-        with workprec(96 + GUARD_BITS):
-            assert validate(tau, 96).min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
+        assert tau.y_positive_definite and min(ldl_pivots(y)) > 0
 
 
 @pytest.mark.parametrize("rows", [
@@ -535,11 +611,7 @@ def test_exact_y_data_match_the_fraction_oracles():
 def test_definiteness_verdicts_on_zero_and_negative_minors(rows):
     tau = sp(*[[mpc(0, v) for v in row] for row in rows])
     y = fraction_parts(tau)[1]
-    assert not tau.y_positive_definite
-    rep = validate(tau, 96)
-    assert not rep.valid
-    with workprec(96 + GUARD_BITS):
-        assert rep.min_pivot == fraction_to_mpf(min(ldl_pivots(y)))
+    assert not tau.y_positive_definite and min(ldl_pivots(y)) <= 0
     assert tau.y_det == frac_det(y)
     assert tau.y_min_eig_lower_bound == 0
     with pytest.raises(ValueError, match="positive definite"):
@@ -612,7 +684,7 @@ def test_laguerre_step_is_rounded_down_and_tight():
 
 
 def test_y_is_eliminated_once(monkeypatch):
-    # a g = 3 point asked for definiteness, validate, det Im tau, (Im tau)^-1
+    # a g = 3 point asked for definiteness, det Im tau, (Im tau)^-1
     # and lambda eliminates Y once; lambda's iterates at mu > 0 eliminate
     # Y - mu 2^s I, whose first row differs from that of Y
     tau = sampling.random_siegel_point(sampling.substream(23, "once"), 3)
@@ -626,7 +698,6 @@ def test_y_is_eliminated_once(monkeypatch):
         return step(rows, top, k, prev)
     monkeypatch.setattr(exactla, "_int_step", counted)
     assert tau.y_positive_definite
-    assert validate(tau, 96).valid
     tau.det_im()
     assert tau.y_inverse == frac_inverse(fraction_parts(tau)[1])
     assert tau.y_min_eig_lower_bound > 0
