@@ -42,8 +42,8 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
 
-from mpmath import mp, mpf, mpc, fabs, isfinite, workprec
-from mpmath.libmp import from_man_exp, from_rational, fzero, round_nearest
+from mpmath import mp, mpf, mpc, fabs, workprec
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, round_nearest
 
 from .certified import DEFAULT_PREC, GUARD_BITS
 from .exactla import (IntMat, Mat, dyadic, gauss_adjugate,
@@ -91,7 +91,7 @@ class SiegelPoint:
         for part in (self.re, self.im):
             if len(part) != g or any(len(row) != g for row in part):
                 raise ValueError(f"tau must be {g} x {g}")
-            if not all(isfinite(x) for row in part for x in row):
+            if any(x._mpf_ in (finf, fninf, fnan) for row in part for x in row):
                 raise ValueError("tau has a non-finite entry")
             if tuple(zip(*part)) != part:
                 raise ValueError("tau must be symmetric")
@@ -635,10 +635,17 @@ def reduced_basis_change(y: IntMat) -> IntMat:
 
 
 def _from_int_form(x: IntMat, y: IntMat, s: int) -> SiegelPoint:
-    """The point (X + iY) / 2^s, stored exactly."""
+    """The point (X + iY) / 2^s, stored exactly, with (X, Y, s) as its
+    ``int_form``: s must be the least shift, as it is after a B or U move
+    of a point's own int_form.  An integer translation X + b 2^s keeps
+    every entry of X mod 2 when s > 0, and a congruence U^T X U, U^T Y U by
+    a unimodular U has all entries even only where X and Y do (U^-1 is
+    integral), so neither makes s reducible."""
     def part(m: IntMat) -> tuple[tuple[mpf, ...], ...]:
         return tuple(tuple(mp.make_mpf(from_man_exp(v, -s)) for v in row) for row in m)
-    return SiegelPoint(len(x), part(x), part(y))
+    point = SiegelPoint(len(x), part(x), part(y))
+    point.__dict__["int_form"] = x, y, s
+    return point
 
 
 def _s2_translation(tau: SiegelPoint) -> IntMat:

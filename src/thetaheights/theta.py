@@ -1,9 +1,10 @@
 """Certified evaluation of Riemann theta functions and their invariant norms.
 
-The series is truncated over the box ||n||_inf <= N; the Gaussian tail over
-the complement is bounded in closed form from an exact rational lower bound
-on the smallest eigenvalue of Im tau, so the reported error is a proven
-bound, not an estimate.
+The series is truncated over the box ||n||_inf <= N intersected with an
+ellipsoid; the Gaussian tail over the complement of the box is bounded in
+closed form from an exact rational lower bound on the smallest eigenvalue
+of Im tau, the terms of the box outside the ellipsoid by 2^-10 of that
+bound, so the reported error is a proven bound, not an estimate.
 
 One walk serves every characteristic of a level r at (tau, z).  With
 N = r n + a the term of n in theta[a/r; b/r] is exp(pi i D(N) / r^2)
@@ -13,9 +14,10 @@ top characteristics m1 = a/r, adds each term to the fixed-point
 accumulator of its class N mod r^2 (each coordinate), and only inside the
 box of its own a.  ``_theta_groups`` combines the classes of each a with
 the roots of unity exp(2 pi i N.b / r^2) into every theta[a/r; b/r].  Each
-characteristic thus sums exactly the terms of its own box, and keeps the
-tail bound of its own radius and a rounding budget no larger than the one
-of its own walk.  Inside the engine a characteristic is the integer pair
+characteristic thus sums exactly the terms of its own box inside the
+ellipsoid, and keeps the tail bound of its own radius (with the cushion
+for the ellipsoid) and a rounding budget no larger than the one of its own
+walk.  Inside the engine a characteristic is the integer pair
 (a, b) over r; a public ``ThetaCharacteristic`` is converted once, where it
 enters.  The radius depends on a only through s = max_i |a_i/r + u_i|, so
 ``_theta_batch`` forms s once per distinct a and runs one radius search per
@@ -25,7 +27,9 @@ phase is left out, as norms do), and otherwise add one stated rounding
 term.  ``theta`` is the one-member batch, and ``theta_truncated`` the
 one-member walk at a given radius.
 
-The walk sums the box in rows along the last coordinate, in three parts:
+The walk sums the box, clipped to an ellipsoid whose dropped terms are
+bounded by a small share of the box tail (``_height``), in rows along the
+last coordinate, in three parts:
 
 - The shape (``_frames``): the rows and their runs, the accumulator slot of
   every term and each characteristic's rounding budget.  Every row of a
@@ -36,18 +40,21 @@ The walk sums the box in rows along the last coordinate, in three parts:
   where the rows at N and -N hold mirrored terms and one row of each pair
   is walked, and it is cached.
 - The plan (``_plan``, ``_chain_plan`` and the width rule ``_width``): from
-  the exact entries of tau and z, each row's peak, which rows take fresh
-  exps and which chain their start values from the row before (by
-  ``_move``), and the fixed-point width, all decided before the walk.
+  the exact entries of tau and z, each row's peak and its interval inside
+  the ellipsoid, which rows take fresh exps and which chain their start
+  values from the row before (by ``_move``), which values are formed as
+  exact inverses of others instead of fresh exps (rho+ rho- = Q at a row's
+  peak, O+ O- = Q_out at a line's centre, Q^-1 and C^-d), and the
+  fixed-point width, all decided before the walk.
 - The executor (``_row_sum``): the Python-int fixed-point products and sums
   that the shape and the plan prescribe, chained by the same ``_move``.
 
 The combination is in integers only: each characteristic leaves
 ``_theta_groups`` as its fixed-point sum S with an integer rounding budget
-and its tail bound (``_Sum``), and two finishers read it.  ``_complex``
-rounds S to a ``CertifiedComplex`` (``theta``, ``theta_truncated``,
-``theta_null_vector``, ``theta_norm`` and the theta_00 of
-``verify_duplication``).  ``_moduli`` bounds |S| between two integers by
+and its tail bound with the cushion for the ellipsoid (``_Sum``), and two
+finishers read it.  ``_complex`` rounds S to a ``CertifiedComplex``
+(``theta``, ``theta_truncated``, ``theta_null_vector``, ``theta_norm``
+and the theta_00 of ``verify_duplication``).  ``_moduli`` bounds |S| between two integers by
 ``isqrt``, with no mpc; the norm checks (``verify_norm_bounds``,
 ``beta_sigma`` and F of ``verify_duplication``) scale those integer bounds,
 or their squares, by one certified factor per walk.
@@ -61,8 +68,8 @@ next to an integer, and decides each comparison of the tail bound with the
 target on its log in doubles, with a proven guard against the double error
 and the rounding of the certified bound; inside the guard the certified
 bound decides, so every radius is the one the certified bound alone would
-choose.  The certified tail is evaluated once per (s, radius), by
-``_theta_groups``.
+choose.  The certified tail is evaluated once per (s, radius) at z
+(``_box_tail``), before the walk, which clips its rows by the least of them.
 
 The exact data of Im tau (Y^-1, det Y and the lambda_min lower bound, all
 from one elimination of its integer form) are cached on the ``SiegelPoint``,
@@ -203,9 +210,10 @@ def _coset_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
 class _At(tuple):
     """z normalized at tau (``_at``) with its exact tail data
     ``_tail_data(tau, z)`` as ``tail``, the head of its tail bounds
-    ``_tail_head`` as ``head`` and the shifts s of ``_shift`` as they are
-    asked for: formed once per (tau, z) and passed down as z, so that a
-    batch, its radius searches, its walk and its norm scale share them."""
+    ``_tail_head`` as ``head``, and the shifts s of ``_shift`` and the
+    certified box tails of ``_box_tail`` as they are asked for: formed once
+    per (tau, z) and passed down as z, so that a batch, its radius
+    searches, its walk and its norm scale share them."""
 
 
 def _at(tau: SiegelPoint, z) -> _At:
@@ -220,6 +228,7 @@ def _at(tau: SiegelPoint, z) -> _At:
     out.tail = _tail_data(tau, out)
     out.head = _tail_head(tau.g, out.tail[1])
     out.shifts = {}
+    out.tails = {}
     return out
 
 
@@ -240,6 +249,16 @@ def _shift(z: _At, a, den: int) -> Fraction:
     if s is None:
         s = z.shifts[a, den] = max(abs(Fraction(x, den) + w) for x, w in zip(a, z.tail[2]))
     return s
+
+
+def _box_tail(z: _At, a, den: int, radius: int) -> mpf:
+    """The certified tail bound of a/den over ||n||_inf > radius at z
+    (``_tail``), evaluated once per (s, radius)."""
+    s = _shift(z, a, den)
+    t = z.tails.get((s, radius))
+    if t is None:
+        t = z.tails[s, radius] = _tail(z.tau.g, z.tail[0], s, z.head)(radius)
+    return t
 
 
 def _tail_data(tau: SiegelPoint, z) -> tuple[Fraction, Fraction, tuple]:
@@ -364,7 +383,7 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
     not convert (lam or xi beyond the double range), is not finite, or
     x < 2^-20, the certified bound decides.  Every decision, and so the
     radius, is the one of the certified bound alone; the bound itself is
-    certified once per (s, radius), by ``_theta_groups``.
+    certified once per (s, radius), by ``_box_tail``.
 
     tol must be a positive finite number."""
     with workprec(prec + GUARD_BITS):
@@ -474,6 +493,57 @@ def _jump_mpf(g: int, lam: Fraction, xi: Fraction, s: Fraction, target: mpf) -> 
     """The jump n0 of ``_radius`` in mpf at the working precision."""
     need = (log(1 / target) + pi * fraction_to_mpf(xi) + g * 4 + 8) / (pi * fraction_to_mpf(lam))
     return int(s) + 1 if need <= 0 else max(int(s) + 1, int(s + sqrt(need)) + 1)
+
+
+# The share theta of the exponent that the ellipsoid bound of ``_height``
+# spends on its lattice sum.  Over the seed-56 norm-bounds sweep of
+# scripts/walk_counts.py, theta = 1/8, 1/16, 1/32, 1/64, 1/128 and 1/256
+# walked 44 933, 42 823, 42 019, 41 734, 41 762 and 41 945 terms.
+CLIP_THETA = 1 / 64
+
+
+def _height(z: _At, t_min: mpf) -> float:
+    """The height H of a walk's ellipsoid E = {N : pi Im D(N) / s <= H}
+    (``_plan``), from the least certified box tail t_min of the walk: the
+    terms of each characteristic outside E sum to at most 2^-10 t_min, so
+    the cushion 1 + 2^-10 on each ``_Sum``'s tail covers them.  It is
+    math.inf, no clip, where lam, xi or log t_min does not convert to a
+    double or t_min is infinite.
+
+    The bound.  A term of m1 = a/den at v in Z^g + m1 has modulus
+    e^(-pi (v^T Y v + 2 v^T y)) = e^(pi xi - pi Q(x)) with y = Im z,
+    x = v + u, u = Y^-1 y and Q(x) = x^T Y x, and pi Im D / s =
+    pi Q(x) - pi xi.  So the terms outside E have pi Q(x) > H + pi xi,
+    and with e^(-pi Q) = e^(-(1 - theta) pi Q) e^(-theta pi Q),
+    theta = ``CLIP_THETA``, they sum to at most
+
+        e^(theta pi xi - (1 - theta) H) sum_x e^(-theta pi lam |x|^2)
+            <= e^(theta pi xi - (1 - theta) H) (1 + 1/sqrt(theta lam))^g:
+
+    Q(x) >= lam |x|^2, the sum over x in Z^g + m1 + u is a product of one
+    sum per coordinate, and each, sum_k e^(-pi theta lam (k + c)^2), is at
+    most the maximum of that unimodal function plus its integral
+    1/sqrt(theta lam).
+
+    The choice.  H = (theta pi xi + g log1p(1/sqrt(theta lam)) - log t_min
+    + 10 log 2) / (1 - theta) makes the bound 2^-10 t_min.  In doubles
+    each term of the numerator (log t_min as log m + e log 2 for
+    t_min = m 2^e) takes a few roundings and at most two libm calls of
+    relative error 2^-52, so with S the sum of the moduli of the terms
+    the numerator errs by less than 2^-46 (S + 1), and the quotient adds
+    2^-53 relative.  The guard 2^-40 (S + 1) added to the numerator keeps
+    H above the exact value, and a larger H only lowers the bound."""
+    lam, xi, _ = z.tail
+    try:
+        lam_f = CLIP_THETA * float(lam)
+        man, e = dyadic(t_min._mpf_)
+        terms = (CLIP_THETA * math.pi * float(xi), z.tau.g * math.log1p(1 / math.sqrt(lam_f)),
+                 -math.log(man), -e * math.log(2), 10 * math.log(2))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.inf     # a part beyond the double range, or t_min infinite
+    if lam_f < 2.0 ** -1000:
+        return math.inf
+    return (sum(terms) + 2.0 ** -40 * (sum(map(abs, terms)) + 1)) / (1 - CLIP_THETA)
 
 
 def _fixed(x, frac_bits: int) -> int:
@@ -691,10 +761,12 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
 # Extra fractional bits of the values a chain carries from row to row.
 CHAIN_GUARD = 32
 
-# One row of a walk at (tau, z) (``_plan``): its frame's slots and last;
-# D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and G = gr + i gi; the
-# peak x = lo + step k, D(x) = dr + i di there.
-_Row = namedtuple("_Row", "slots last k x lr li gr gi dr di")
+# One row of a walk at (tau, z) (``_plan``): its frame's slots; the range
+# lo..hi of the j it walks, the frame's 0..last clipped to the ellipsoid
+# (empty when lo > hi); D(x) = T_gg x^2 + 2 x L + G with L = lr + i li and
+# G = gr + i gi; the peak x = x_0 + step k (x_0 the frame's lo), D(x) =
+# dr + i di there.
+_Row = namedtuple("_Row", "slots lo hi k x lr li gr gi dr di")
 
 # The plan of a walk at (tau, z) (``_plan``): one list of ``_Row`` per run
 # of the shape, ``lines``, and the chain plan of each (``_chain_plan``);
@@ -702,9 +774,12 @@ _Row = namedtuple("_Row", "slots last k x lr li gr gi dr di")
 # every exponent; the fixed-point width pf (``_width``); the extra bits
 # q_bits at which the rows take Q (CHAIN_GUARD when a row chains: the walk
 # then takes Q once, at the chain's width, and its rows use it rounded
-# down to pf bits); the walk's step; and the exponent numerators t_gg of
-# T_gg, q of Q and, for d = +-1, moves[d] of the constants of ``_move``.
-_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits step t_gg q moves")
+# down to pf bits); the walk's step; the exponent numerators t_gg of
+# T_gg, q of Q and, for d = +-1, moves[d] of the constants of ``_move``;
+# ``inverse``, the constants that the chain's width takes as the inverse
+# of another (numerator -> its partner's); and the integer bound h on the
+# Im D of the walk's ellipsoid (``_height``; None: no clip).
+_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits step t_gg q moves inverse h")
 
 
 def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
@@ -728,7 +803,19 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     and M = max over rows of -pi Im D(x*) / s is the common exponent: every
     term is computed as t = exp(-M) * term, so |t| <= 1.  M_a, the one of
     a's own unmirrored walk, is the largest -pi Im D / s of a's least term
-    on each row of a (at -x on a mirror row)."""
+    on each row of a (at -x on a mirror row).
+
+    The ellipsoid.  |term| = exp(-pi Im D / s) for every top
+    characteristic, so the walk keeps the terms with Im D <= h,
+    h = ceil(H s / pi) for the height H of ``_height`` at the least box
+    tail of the walk: h is formed in doubles as x = H s / pi plus
+    |x| 2^-45, which exceeds the five roundings of relative 2^-53 (s, pi
+    and three operations), then rounded up, so h >= H s / pi.  On a row
+    that is (T x + li)^2 <= li^2 - T (gi - h) with T = Im T_gg, an integer
+    interval found by one ``isqrt``; it holds the peak when it meets the
+    row's range, since it is symmetric about the real minimiser.  The same
+    Im D serves a row and its mirror (D(-N) = D(N) at z = 0).  Radii,
+    shapes, budgets and pf do not depend on the clip."""
     g = tau.g
     h = g - 1
     tx, ty, shift = tau.int_form
@@ -743,6 +830,13 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     shape = _frames(g, den, tuple(boxes.items()),
                     h > 0 and not any(m for m, _ in itertools.chain(zr, zi)))
     step = shape.step
+    s_den = den * den << -e0
+    try:
+        x = (_height(z, min(_box_tail(z, a, den, radius) for a, radius in boxes.items()))
+             * float(s_den) / math.pi)
+        cap = math.ceil(x + abs(x) * 2.0 ** -45)        # h
+    except OverflowError:
+        cap = None      # H or s beyond the double range: no clip
     peaks = dict.fromkeys(boxes)        # least Im D of a's own walk
     lines = []
     for run in shape.runs:
@@ -772,11 +866,19 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
             k = (2 * (-li - lo * thi) + step * thi) // (2 * step * thi)
             k = max(0, min(last, k))
             x = lo + step * k
-            rows.append(_Row(fr.slots, last, k, x, lr, li, gr, gi,
+            first, end = 0, last
+            if cap is not None:
+                disc = li * li - thi * (gi - cap)
+                if disc < 0:
+                    first, end = 1, 0       # the row misses the ellipsoid
+                else:
+                    root = isqrt(disc)
+                    first = max(0, -((lo + (li + root) // thi) // step))
+                    end = min(last, ((root - li) // thi - lo) // step)
+            rows.append(_Row(fr.slots, first, end, k, x, lr, li, gr, gi,
                              thr * x * x + 2 * x * lr + gr, thi * x * x + 2 * x * li + gi))
         lines.append(rows)
     d_min = min(row.di for line in lines for row in line)
-    s_den = den * den << -e0
     # the constants of a move by d e rows (none at g = 1, where no row moves)
     q = 2 * step * step * thr, 2 * step * step * thi
     e = shape.spacing
@@ -785,10 +887,11 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     moves = {d: (q, (-q[0], -q[1]), (d * c[0], d * c[1]), (-d * c[0], -d * c[1]), q_out)
              for d in (1, -1)}
     plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), 0, step,
-                 (thr, thi), q, moves)
-    chains = [_chain_plan(line, plan) for line in lines]
-    chained = any(how == "chain" for chain in chains for _, _, how, _ in chain)
-    return shape, plan._replace(chains=chains, q_bits=CHAIN_GUARD if chained else 0)
+                 (thr, thi), q, moves, None, cap)
+    chains, inverse = _chain_plan(plan)
+    chained = any(how == "chain" for chain in chains for _, _, how, _, _ in chain)
+    return shape, plan._replace(chains=chains, inverse=inverse,
+                                q_bits=CHAIN_GUARD if chained else 0)
 
 
 def _width(shape: _Shape, peaks: dict, d_min: int, s_den: int) -> int:
@@ -887,17 +990,29 @@ def _fresh(lg: float) -> float:
     return 68.0 if lg <= 0 else 8 * (5 + math.pi + lg) * _mag(lg) + 2
 
 
-def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
-    """How the walk forms the start values of each row of a line (a run of
-    walked rows e apart, see ``_frames``), under ``plan``'s exponents,
-    d_min and pf:
-    [(j, d, how, shift)] in visit order, the centre first (d = 0), the row
-    of the largest peak, then centre + 1, centre + 2, ... (d = 1), then
-    centre - 1, ... (d = -1).  how is "skip" (peak below 2^-(pf+1), not
+def _inverse(u: tuple, w: int) -> tuple[int, int]:
+    """1/u for a w-bit fixed-point u != 0: conj(u) 2^(2w) / |u|^2, each
+    part floored."""
+    re, im = u
+    n = re * re + im * im
+    return (re << 2 * w) // n, (-im << 2 * w) // n
+
+
+def _chain_plan(plan: _Plan) -> tuple[list, dict]:
+    """How the walk forms the start values of each row of each line (a
+    run of walked rows e apart, see ``_frames``) and its constants, under
+    ``plan``'s exponents, d_min, pf and clip: (chains, inverse), with
+    inverse the constants formed by identity (numerator -> its partner's)
+    and one list [(j, d, how, shift, inv)] per line in visit order, the
+    centre first (d = 0), the row of the largest peak, then centre + 1,
+    centre + 2, ... (d = 1), then centre - 1, ... (d = -1).  how is "skip"
+    (the row misses the ellipsoid, or its peak is below 2^-(pf+1): not
     walked), "anchor" (fresh exps of t and the ratios the row walks),
-    "start" (an anchor that a chain continues from: fresh exps of t, rho+
-    and rho- at the chain's width) or "chain" (row j - d's values carried
-    by ``_move`` and shifted ``shift`` steps).
+    "start" (an anchor that a chain continues from: t, rho+ and rho- at
+    the chain's width) or "chain" (row j - d's values carried by ``_move``
+    and shifted ``shift`` steps).  inv marks a value formed by identity: at
+    a start rho_inv = Q / rho_-inv, at the chained row next to a line's
+    centre its first O.
 
     Rounding is not damped along a chain: O, C^(+-1) and Q^-1 may exceed
     modulus 1, and a value that was small when rounded may grow.  So the
@@ -918,7 +1033,21 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
     moduli are exact exponentials of exact exponents evaluated in doubles
     (arguments below 709), so a bound's relative error grows by about
     2^-43 per product: far below the gap 2 - sqrt(2) (relative 2^-7) for
-    any line within the radius cap."""
+    any line within the radius cap.
+
+    Inverses.  rho+ rho- = Q at every peak x, since D(x + st) + D(x - st)
+    - 2 D(x) = 2 st^2 T_gg; O+ O- = Q_out for the outer ratios of a line's
+    centre toward its two neighbours, by the same second difference in
+    N_(g-1); Q Q^-1 = C C^-1 = 1.  Of each pair the value of larger modulus
+    is a fresh exp, and the other is ``_inverse`` of it, times the product
+    where that is not 1, at the chain's width: for an input error of E
+    ulps and the exact modulus |u| the inverse errs by at most
+    E / (|u| (|u| - E 2^-w)) + 2 ulps (the inverse of the rounded value,
+    then a floor per part), and the product is bounded as above.  A value
+    is formed so where that bound is within the allowance E of the chain's
+    values, and by a fresh exp otherwise; the walk forms it exactly as
+    planned, so every bound holds.  An anchor at pf bits takes its ratios
+    fresh: an inverse of modulus at most 1 errs by 68 ulps or more there."""
     s_den = plan.s_den
     tiny = 2.0 ** -(plan.pf + CHAIN_GUARD)
     allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
@@ -932,44 +1061,94 @@ def _chain_plan(line: list, plan: _Plan) -> list[tuple]:
                + _mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
         return u[0] + c[0], err if err == err else math.inf     # inf * 0
 
-    def anchored(row) -> tuple:
-        up, down = _ratios(row, plan)
-        return value(row.di - plan.d_min), value(up[1]), value(down[1]), None
+    def by_identity(u: tuple, prod) -> tuple | None:
+        """prod / u (prod None: 1 / u) by ``_inverse``, or None where its
+        error is over the allowance."""
+        mod = _mag(-math.pi * (u[0] / s_den))
+        err = u[1] / (mod * (mod - u[1] * tiny)) + 2 if mod > u[1] * tiny else math.inf
+        out = -u[0], err if err == err else math.inf
+        if prod is not None:
+            out = times(out, prod)
+        return out if out[1] <= allowed else None
 
-    consts = {d: [value(im) for _, im in nums] for d, nums in plan.moves.items()}
-    centre = min(range(len(line)), key=lambda j: line[j].di)
-    # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
-    walked = [4 * (row.di - plan.d_min) <= s_den * (plan.pf + 1) for row in line]
-    out = [(centre, 0, "anchor" if walked[centre] else "skip", 0)]
-    start = anchored(line[centre]) if walked[centre] else None
-    for d in (1, -1):
-        state = start
-        for j in range(centre + d, len(line) if d > 0 else -1, d):
-            row, prev = line[j], line[j - d]
-            how, shift = "anchor", 0
-            if not walked[j]:
-                how, state = "skip", None
-            elif state is not None:
-                if state[3] is None:
-                    state = state[:3] + (value(_outer(prev, row)[1]),)
-                shift = (row.x - prev.x) // plan.step
-                cand = _move(state, consts[d], shift, times)
-                (_, et), (_, ep), (_, em), _ = cand
-                if (et <= allowed and (row.k == row.last or ep <= allowed)
-                        and (row.k == 0 or em <= allowed)):
-                    how, state = "chain", cand
-            if how == "anchor":
-                state, shift = anchored(row), 0
-            out.append((j, d, how, shift))
-    feeds = {j - d for j, d, how, _ in out if how == "chain"}
-    return [(j, d, "start" if how == "anchor" and j in feeds else how, shift)
-            for j, d, how, shift in out]
+    bounds = {}
+    inverse = {}
+    nums = set(plan.moves[1])
+    for num in nums:
+        partner = -num[0], -num[1]
+        # the partner of larger modulus (smaller im) is the fresh one
+        if partner in nums and num[::-1] > partner[::-1]:
+            bounds[num] = by_identity(value(partner[1]), None)
+            if bounds[num]:
+                inverse[num] = partner
+                continue
+        bounds[num] = value(num[1])
+    consts = {d: [bounds[num] for num in move] for d, move in plan.moves.items()}
+    q = bounds[plan.q]
+
+    def anchored(row) -> tuple:
+        """A fresh row's values at the chain's width, the ratio of smaller
+        modulus by identity where it fits, and the sign of that ratio."""
+        up, down = (value(num[1]) for num in _ratios(row, plan))
+        inv = 1 if up[0] >= down[0] else -1
+        derived = by_identity(down if inv > 0 else up, q)
+        if derived is None:
+            inv = 0
+        elif inv > 0:
+            up = derived
+        else:
+            down = derived
+        return (value(row.di - plan.d_min), up, down, None), inv
+
+    chains = []
+    for line in plan.lines:
+        centre = min(range(len(line)), key=lambda j: line[j].di)
+        # peak below 2^-(pf+1): pi y > (pf+1) log 2 holds once 4y > pf+1
+        walked = [row.lo <= row.hi and 4 * (row.di - plan.d_min) <= s_den * (plan.pf + 1)
+                  for row in line]
+        outs = {}       # d -> the first O toward d from the centre, by identity
+        if walked[centre] and 0 < centre < len(line) - 1 and walked[centre - 1] \
+                and walked[centre + 1]:
+            o = {d: value(_outer(line[centre], line[centre + d])[1]) for d in (1, -1)}
+            big = 1 if o[1][0] < o[-1][0] else -1
+            derived = by_identity(o[big], consts[1][4])
+            if derived:
+                outs[-big] = derived
+        out = [(centre, 0, "anchor" if walked[centre] else "skip", 0, 0)]
+        start, ratio = anchored(line[centre]) if walked[centre] else (None, 0)
+        invs = {centre: ratio}
+        for d in (1, -1):
+            state = start
+            for j in range(centre + d, len(line) if d > 0 else -1, d):
+                row, prev = line[j], line[j - d]
+                how, shift, inv = "anchor", 0, 0
+                if not walked[j]:
+                    how, state = "skip", None
+                elif state is not None:
+                    if state[3] is None:
+                        inv = j - d == centre and d in outs
+                        o = outs[d] if inv else value(_outer(prev, row)[1])
+                        state = state[:3] + (o,)
+                    shift = (row.x - prev.x) // plan.step
+                    cand = _move(state, consts[d], shift, times)
+                    (_, et), (_, ep), (_, em), _ = cand
+                    if (et <= allowed and (row.k == row.hi or ep <= allowed)
+                            and (row.k == row.lo or em <= allowed)):
+                        how, state = "chain", cand
+                if how == "anchor":
+                    state, invs[j] = anchored(row)
+                    shift = 0
+                out.append((j, d, how, shift, int(how == "chain" and inv)))
+        feeds = {j - d for j, d, how, _, _ in out if how == "chain"}
+        chains.append([(j, d, "start", 0, invs[j]) if how == "anchor" and j in feeds
+                       else (j, d, how, shift, inv) for j, d, how, shift, inv in out])
+    return chains, inverse
 
 
 def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     """One walk over the union of the boxes ||n||_inf <= R_a of the top
-    characteristics m1 = a/den in ``boxes`` (a -> R_a), in rows along the
-    last coordinate, with one accumulator per class of N = den*n + a mod
+    characteristics m1 = a/den in ``boxes`` (a -> R_a), clipped to the
+    ellipsoid of ``_plan``, in rows along the last coordinate, with one accumulator per class of N = den*n + a mod
     den^2 (each coordinate).  Returns (re, im, y_m, units, pf): re[C] + i
     im[C] is the fixed-point sum, pf fractional bits, of the terms in class
     C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
@@ -985,15 +1164,16 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
 
     The executor of the shape (``_frames``) and the plan (``_plan``),
     which make every decision.  Each walked row of a line, in the plan's
-    order, takes its start values fresh (``_expjpi``) or by ``_move`` from
-    the row before it, with the walk's constants taken once each
-    (``const``), and walks out from its peak in pf bits (``_row_units``),
-    adding each term to the accumulator of its slot; the pair slots are
-    added to both classes at the end.  The integer accumulators are exact
-    and each computed term lands in at most one of them per row of its pair
-    (in none outside its box), so the errors of a's classes stay within
-    units[a] 2^-pf, and so does a combination sum_C w_C A_C over a's
-    classes with |w_C| = 1."""
+    order, takes its start values fresh (``_expjpi``), by identity
+    (``_inverse``) or by ``_move`` from the row before it, with the walk's
+    constants taken once each (``const``), and walks out from its peak to
+    the ends of its interval inside the ellipsoid in pf bits
+    (``_row_units``), adding each term to the accumulator of its slot; the
+    pair slots are added to both classes at the end.  The integer
+    accumulators are exact and each computed term lands in at most one of
+    them per row of its pair (in none outside its box), so the errors of
+    a's classes stay within units[a] 2^-pf, and so does a combination
+    sum_C w_C A_C over a's classes with |w_C| = 1."""
     shape, plan = _plan(tau, z, den, boxes)
     pf, s_den, q_bits = plan.pf, plan.s_den, plan.q_bits
     r2 = den * den
@@ -1004,9 +1184,13 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     wide = pf + CHAIN_GUARD
 
     def const(num, w):
-        """``_expjpi`` of the exponent num at w bits, one exp per walk."""
+        """The constant of exponent num at w bits, once per walk: at the
+        chain's width the inverse of its partner where the plan says so,
+        else ``_expjpi``."""
         if (num, w) not in exps:
-            exps[num, w] = _expjpi(*num, s_den, w)
+            partner = plan.inverse.get(num) if w == wide else None
+            exps[num, w] = (_expjpi(*num, s_den, w) if partner is None
+                            else _inverse(const(partner, w), w))
         return exps[num, w]
 
     def mul(u, c):
@@ -1015,7 +1199,14 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
 
     for line, chain in zip(plan.lines, plan.chains):
         states = {}
-        for j, d, how, shift in chain:
+        outers = {}     # (i, j) -> the fresh O from row i's peak to row j
+
+        def outer(i, j):
+            if (i, j) not in outers:
+                outers[i, j] = _expjpi(*_outer(line[i], line[j]), s_den, wide)
+            return outers[i, j]
+
+        for j, d, how, shift, inv in chain:
             if how == "skip":
                 continue
             row = line[j]
@@ -1023,7 +1214,10 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                 bits = CHAIN_GUARD
                 state = states[j - d]
                 if state[3] is None:
-                    state = state[:3] + (_expjpi(*_outer(line[j - d], row), s_den, wide),)
+                    # inv: O_d = Q_out / O_-d at the centre j - d
+                    o = (mul(_inverse(outer(j - d, j - 2 * d), wide), const(plan.moves[d][4], wide))
+                         if inv else outer(j - d, j))
+                    state = state[:3] + (o,)
                 # Q and Q^-1 are taken only where the peak shifts
                 consts = [const(num, wide) if shift or i > 1 else None
                           for i, num in enumerate(plan.moves[d])]
@@ -1031,17 +1225,23 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
             else:
                 # at the chain's width, both ratios, where a chain starts here
                 bits = CHAIN_GUARD if how == "start" else 0
+                w = pf + bits
                 up, down = _ratios(row, plan)
-                state = (_expjpi(row.dr, row.di - plan.d_min, s_den, pf + bits),
-                         _expjpi(*up, s_den, pf + bits) if row.k < row.last or bits else None,
-                         _expjpi(*down, s_den, pf + bits) if row.k or bits else None, None)
+                if inv:     # rho_inv = Q / rho_-inv
+                    fresh = _expjpi(*(down if inv > 0 else up), s_den, w)
+                    ratio = mul(_inverse(fresh, w), const(plan.q, w))
+                    rho_p, rho_m = (ratio, fresh) if inv > 0 else (fresh, ratio)
+                else:
+                    rho_p = _expjpi(*up, s_den, w) if row.k < row.hi or bits else None
+                    rho_m = _expjpi(*down, s_den, w) if row.k > row.lo or bits else None
+                state = _expjpi(row.dr, row.di - plan.d_min, s_den, w), rho_p, rho_m, None
             states[j] = state
             tt, rho_p, rho_m, _ = state
             slots, k = row.slots, row.k
             peak_re, peak_im = tt[0] >> bits, tt[1] >> bits
             acc_re[slots[k]] += peak_re
             acc_im[slots[k]] += peak_im
-            for rho, seq in ((rho_p, slots[k + 1:]), (rho_m, slots[k - 1::-1] if k else ())):
+            for rho, seq in ((rho_p, slots[k + 1:row.hi + 1]), (rho_m, slots[row.lo:k][::-1])):
                 if not seq:
                     continue
                 qr, qi = const(plan.q, pf + q_bits)
@@ -1065,66 +1265,85 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
 
 # One characteristic out of a walk (``_theta_groups``): theta is
 # (re + i im) 2^-pf exp(-pi y_m) up to ``units`` ulps of 2^-pf exp(-pi y_m),
-# amplified by at most 1 + 2^-30, plus the tail bound ``tail`` of its box.
+# amplified by at most 1 + 2^-30, plus ``tail``: the tail bound of its box
+# times 1 + 2^-10, which also covers the terms of the box that the
+# ellipsoid drops (``_height``).
 _Sum = namedtuple("_Sum", "re im units tail")
 
 # The sums of one walk, {a: [_Sum for b in bs]}, with the walk's exact
 # common exponent y_m (a Fraction) and its fixed-point width pf.
 _Walk = namedtuple("_Walk", "sums y_m pf")
 
+# 1 + 2^-10, the cushion on each tail bound for the ellipsoid's terms
+_CUSHION = from_man_exp(1025, -10)
+
 
 def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
                   phase: bool = True) -> _Walk:
     """The sums of theta[a/den; b/den](tau, z) for groups {a: (radius,
-    bs)}, each over its own box ||n||_inf <= radius, all from one
-    ``_row_sum`` walk: sums[a] follows bs.  Call inside the working
-    precision p = mp.prec.  With phase=False the global factor
-    exp(2 pi i m1.m2) is left out, which changes no modulus.
+    bs)}, each over its own box ||n||_inf <= radius inside the walk's
+    ellipsoid, all from one ``_row_sum`` walk: sums[a] follows bs.  Call
+    inside the working precision p = mp.prec.  With phase=False the global
+    factor exp(2 pi i m1.m2) is left out, which changes no modulus.
 
     Class C = den*c + a of N mod den^2 enters theta[a/den; b/den] with the
     weight exp(2 pi i C.b / den^2) (exp(2 pi i c.b / den) when
-    phase=False), formed by ``_unit`` at the walk's pf bits; the
-    combination is summed exactly in ints and floored to pf fractional
-    bits, S = re + i im.  The weights have modulus 1, so a's walk budget
-    units[a] holds for every combination.  They are exact (1, i, -1, -i)
-    for den = 2, and for den = 4 without the phase, and then S is exact.
-    Otherwise each weight is within 97 * 2^-pf of exact and the floor
-    costs less than 2 ulps, so the budget adds
-    w = 3 + floor(97 sum_C (|Re A_C| + |Im A_C|) 2^-pf) ulps, A_C a's class
-    accumulators (a computed weight of modulus up to 1 + 97 * 2^-pf stays
-    inside the 1 + 2^-30 amplification).  Each sum carries units[a] + w and
-    the tail bound at (s, radius), formed once per distinct pair.  The
-    class indices of a and the weight index of each class for each b come
-    from a table cached per (g, den, a, bs, phase) (``_classes``), so a
-    walk's combination is its integer multiply-adds alone.
+    phase=False), and the combination is summed exactly in ints and
+    floored to pf fractional bits, S = re + i im.  The weights have modulus
+    1, so a's walk budget units[a] holds for every combination.  A weight
+    1, i, -1 or -i (every one for den = 2, and for den = 4 without the
+    phase) adds or subtracts the accumulator parts, swapped for +-i, with
+    no product and no rounding: with A that exact part and B the sum of the
+    inexact products, A + floor(B 2^-pf) = floor((A 2^pf + B) 2^-pf), so S
+    is the floor of the full sum.  Where every weight is exact S is exact.
+    Otherwise each inexact weight is ``_unit`` at pf bits, within
+    97 * 2^-pf of exact, and the floor costs less than 2 ulps, so the
+    budget adds w = 3 + floor(97 sum_C (|Re A_C| + |Im A_C|) 2^-pf) ulps,
+    A_C a's class accumulators (a computed weight of modulus up to
+    1 + 97 * 2^-pf stays inside the 1 + 2^-30 amplification).  Each sum
+    carries units[a] + w and its tail: the certified box tail at
+    (s, radius), formed before the walk (``_box_tail``), times 1 + 2^-10
+    rounded up.  The class indices of a and the weight of each class for
+    each b come from a table cached per (g, den, a, bs, phase)
+    (``_classes``), so a walk's combination is its integer adds and
+    multiply-adds alone.
     """
     g = tau.g
     z = _at(tau, z)
+    tails = {}
+    for a, (radius, _) in groups.items():
+        t = _box_tail(z, a, den, radius)
+        if t not in tails:
+            tails[t] = mp.make_mpf(mpf_mul(t._mpf_, _CUSHION, TAIL_BITS, round_ceiling))
     acc_re, acc_im, y_m, units, pf = _row_sum(
         tau, z, den, {a: radius for a, (radius, _) in groups.items()})
 
     weights = {}
-    tails = {}
     sums = {}
     for a, (radius, bs) in groups.items():
-        s = _shift(z, a, den)
-        if (s, radius) not in tails:
-            tails[s, radius] = _tail(g, z.tail[0], s, z.head)(radius)
+        tail = tails[_box_tail(z, a, den, radius)]
         idx, ks = _classes(g, den, a, tuple(bs), phase)
         parts = [(acc_re[i], acc_im[i]) for i in idx]
+        # each class times 1, i, -1 and -i
+        turns = [((ar, ai), (-ai, ar), (-ar, -ai), (ai, -ar)) for ar, ai in parts]
         out = []
         for kb in ks:
-            sr = si = 0
+            sr = si = br = bi = 0
             exact = True
-            for (ar, ai), k in zip(parts, kb):
-                if k not in weights:
-                    weights[k] = _unit(2 * k, den * den, pf)
-                wr, wi, w_exact = weights[k]
-                sr += ar * wr - ai * wi
-                si += ar * wi + ai * wr
-                exact = exact and w_exact
+            for (ar, ai), turn, (k, quarter) in zip(parts, turns, kb):
+                if quarter is None:
+                    if k not in weights:
+                        weights[k] = _unit(2 * k, den * den, pf)
+                    wr, wi, _ = weights[k]
+                    br += ar * wr - ai * wi
+                    bi += ar * wi + ai * wr
+                    exact = False
+                else:
+                    tr, ti = turn[quarter]
+                    sr += tr
+                    si += ti
             w_units = 0 if exact else 3 + (97 * sum(abs(ar) + abs(ai) for ar, ai in parts) >> pf)
-            out.append(_Sum(sr >> pf, si >> pf, units[a] + w_units, tails[s, radius]))
+            out.append(_Sum(sr + (br >> pf), si + (bi >> pf), units[a] + w_units, tail))
         sums[a] = out
     return _Walk(sums, y_m, pf)
 
@@ -1134,8 +1353,10 @@ def _classes(g: int, den: int, a: tuple, bs: tuple, phase: bool) -> tuple[tuple,
     """The combination table of ``_theta_groups`` for the top
     characteristic a: the accumulator index of each class C = den*c + a of
     a, c in ``itertools.product(range(den), repeat=g)`` order, and for each
-    b of bs the index k of each class's weight exp(2 pi i k / den^2):
-    k = C.b = den c.b + a.b mod den^2, or den c.b without the phase."""
+    b of bs the pair (k, quarter) of each class's weight exp(2 pi i k /
+    den^2): k = C.b = den c.b + a.b mod den^2, or den c.b without the
+    phase, and quarter = 4k / den^2 where the weight is i^quarter, else
+    None."""
     cs = list(itertools.product(range(den), repeat=g))
     idx = []
     for c in cs:
@@ -1143,9 +1364,11 @@ def _classes(g: int, den: int, a: tuple, bs: tuple, phase: bool) -> tuple[tuple,
         for x, y in zip(c, a):
             i = i * den * den + den * x + y
         idx.append(i)
-    return tuple(idx), tuple(tuple((den * sum(map(int.__mul__, c, b))
-                                    + phase * sum(map(int.__mul__, a, b))) % (den * den)
-                                   for c in cs) for b in bs)
+    r2 = den * den
+    ks = [[(den * sum(map(int.__mul__, c, b)) + phase * sum(map(int.__mul__, a, b))) % r2
+           for c in cs] for b in bs]
+    return tuple(idx), tuple(tuple((k, None if 4 * k % r2 else 4 * k // r2) for k in kb)
+                             for kb in ks)
 
 
 def _complex(walk: _Walk, sums) -> list[CertifiedComplex]:
@@ -1219,8 +1442,11 @@ def _moduli(walk: _Walk, sums) -> list[tuple[int, int]]:
 
 def theta_truncated(tau: SiegelPoint, z=None, char=None, radius: int = 10,
                     prec: int = DEFAULT_PREC) -> CertifiedComplex:
-    """Theta sum over ||n||_inf <= radius with the certified error bound for
-    exactly that truncation (tail at the given radius plus rounding)."""
+    """Theta sum over the box ||n||_inf <= radius intersected with the
+    walk's ellipsoid (``_height``), with a certified error bound that
+    covers both truncations: the tail bound at the given radius times
+    1 + 2^-10, whose cushion holds the box terms outside the ellipsoid,
+    plus rounding."""
     if type(radius) is not int or not 0 <= radius <= RADIUS_CAP:
         raise ValueError(f"radius must be an integer in 0..{RADIUS_CAP}")
     with workprec(prec + GUARD_BITS):

@@ -118,7 +118,7 @@ def test_compute_sample_is_pure():
 
 
 @pytest.mark.parametrize("g, r, samples, digest, verdicts", [
-    (1, 2, 100, "aee8ab77dcdf8380e4d8a5f5c35b2be30ba0035b6b9113f8a13db72ccd36a698",
+    (1, 2, 100, "5516e9f5b62bff0462749aea07e9dacca06fe63380eab7eb12780bfbcd1d6301",
      "572a606e7320402c19658851d8e7ddd89a5b6915e696ff454124024444db2fe7"),
     (2, 2, 24, "8a36af3e7aab5a0908591a2db57768c773007249222dda4317833f4ef7dd91cf",
      "738ff82f26a493cbdce46b623b6d9b4ce4e1d14158360a7392bdcc4400387b2c"),
@@ -128,7 +128,9 @@ def test_compute_sample_is_pure():
 def test_norm_bounds_reports_are_pinned(g, r, samples, digest, verdicts):
     # digest: sha256 of to_csv() + to_json(), taken once the prop-i and
     # prop-ii rows printed their det-free lhs, rhs and margin (det Im tau
-    # cancelled from both sides).  verdicts: sha256 of the (sample id,
+    # cancelled from both sides); at g = 1 taken again once the walk kept
+    # only the terms inside its ellipsoid (six margins moved in their last
+    # printed digit).  verdicts: sha256 of the (sample id,
     # check, verdict) projection, which no change of how a check is formed
     # may move
     cfg = CampaignConfig(suite="norm-bounds", samples=samples, seed=56,

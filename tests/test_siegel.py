@@ -350,6 +350,27 @@ def test_translations_and_basis_changes_are_exact_moves(g, count, monkeypatch):
     assert min(exact.values()) > 0, exact
 
 
+@pytest.mark.parametrize("g, count", [(2, 40), (3, 12)])
+def test_a_moved_point_carries_its_derived_int_form(g, count, monkeypatch):
+    # the point of every B and U move carries (X, Y, s) as its int_form, and
+    # that is the form derived afresh from its stored entries, s the least
+    # shift included
+    made = []
+    real = siegel._from_int_form
+    monkeypatch.setattr(siegel, "_from_int_form",
+                        lambda *args: made.append((args, real(*args))) or made[-1][1])
+    for k in range(count):
+        tau = sampling.random_siegel_point(sampling.substream(38, f"forms:{g}:{k}"), g)
+        reduce_heuristic(tau, prec=96)
+    assert len(made) >= count
+    shifted = 0
+    for args, point in made:
+        assert point.__dict__["int_form"] == args
+        assert SiegelPoint(g, point.re, point.im).int_form == args
+        shifted += args[2] > 0
+    assert shifted
+
+
 def test_symplectic_matrix_rejects_bad_input():
     ide, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
     with pytest.raises(ValueError, match="not symplectic"):

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import (exp, expjpi, fadd, fabs, gamma, ldexp, libmp, log, mp, mpf, mpc,
+from mpmath import (exp, expjpi, fadd, fabs, fsum, gamma, ldexp, libmp, log, mp, mpf, mpc,
                     pi, sqrt, workprec)
 
 from thetaheights import sampling
@@ -1132,7 +1132,8 @@ def _occurs(name, tau, z, den, boxes, seen) -> bool:
             for run in zip(shape.runs, plan.lines, plan.chains)]
     for _, frames, line, plan in runs:
         # an anchor that a chain starts from is an anchor here too
-        plan = [(j, d, "anchor" if how == "start" else how, shift) for j, d, how, shift in plan]
+        plan = [(j, d, "anchor" if how == "start" else how, shift)
+                for j, d, how, shift, _ in plan]
         how_of = {j: how for j, _, how, _ in plan}
         chained += [(line, shift) for _, _, how, shift in plan if how == "chain"]
         pairs += [((how, frames[j]), (how_of[j - d], frames[j - d])) for j, d, how, _ in plan if d]
@@ -1309,6 +1310,97 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
                     assert fabs(v.value - ref) <= v.err - tails[a], (name, prec, a, b)
                     assert fabs(w.value - ref) <= w.err - tails[a], (name, prec, a, b)
                 assert v.err <= w.err, (name, prec, a, b)
+
+
+def test_oracle_cases_clip_rows_and_form_inverses(monkeypatch):
+    # the walks of the chained and mirrored brute-oracle cases meet every
+    # situation of the clip and of the values formed as inverses: a walked
+    # row shortened by the ellipsoid and a row it empties, rho+ and rho- by
+    # identity at a start, Q from Q^-1 and C^d from C^-d, and a first O
+    seen = _record_plans(monkeypatch)
+    cases = [(tau, z, den, boxes) for _, tau, z, den, boxes in _chain_cases()]
+    cases += [(tau, (mpc(0),) * tau.g, den, boxes) for _, tau, den, boxes, _ in _mirror_cases()]
+    with workprec(96 + GUARD_BITS):
+        for tau, z, den, boxes in cases:
+            _group_values(tau, z, den, {a: (radius, [a]) for a, radius in boxes.items()})
+    found = set()
+    for shape, plan in seen:
+        for run, line, chain in zip(shape.runs, plan.lines, plan.chains):
+            for j, d, how, _, inv in chain:
+                row = line[j]
+                if row.lo > row.hi:
+                    found.add("emptied")
+                elif how != "skip" and row.hi - row.lo < run[j].last:
+                    found.add("shortened")
+                if how == "start" and inv:
+                    found.add("rho+" if inv > 0 else "rho-")
+                if how == "chain" and inv:
+                    found.add("O")
+        q, c = plan.q, plan.moves[1][2]
+        if plan.inverse.get(q) == (-q[0], -q[1]):
+            found.add("Q")
+        if c in plan.inverse or (-c[0], -c[1]) in plan.inverse:
+            found.add("C")
+    assert found == {"emptied", "shortened", "rho+", "rho-", "Q", "C", "O"}, found
+
+
+def _ellipsoid_cases():
+    """Seeded (tau, z, den, a) at g = 1, 2 and 3, with tau unreduced and
+    reduced, z = 0 and z = a + tau b with |b| <= 1, levels 2 and 4."""
+    cases = []
+    for g in (1, 2, 3):
+        for reduced in (False, True):
+            for with_z in (False, True):
+                rng = random.Random(8800 + 100 * g + 10 * reduced + with_z)
+                tau = sampling.random_siegel_point(rng, g)
+                if reduced:
+                    tau = reduce_heuristic(tau, prec=128).reduced
+                z = (mpc(0),) * g
+                if with_z:
+                    z = _shifted(tau, [rng.uniform(-0.5, 0.5) for _ in range(g)],
+                                 [rng.uniform(-1, 1) for _ in range(g)])
+                den = rng.choice((2, 4))
+                cases.append((tau, z, den, tuple(rng.randrange(den) for _ in range(g))))
+    return cases
+
+
+@pytest.mark.parametrize("tau, z, den, a", _ellipsoid_cases())
+def test_terms_outside_the_ellipsoid_are_within_the_cushion(monkeypatch, tau, z, den, a):
+    # at 200 bits: the terms of a/den whose Im D exceeds the walk's integer
+    # bound h, summed over a box two wider than the radius, are at most the
+    # bound e^(theta pi xi - (1 - theta) H) (1 + 1/sqrt(theta lam))^g at the
+    # chosen H; that bound is at most 2^-10 of the box tail; and
+    # h >= H s / pi
+    g = tau.g
+    seen = _record_plans(monkeypatch)
+    char = ThetaCharacteristic.from_integers(den, a, (0,) * g)
+    radius = choose_radius(tau, z, char, 96)
+    with workprec(96 + GUARD_BITS):
+        zt = theta_module._at(tau, z)
+        _group_values(tau, zt, den, {a: (radius, [a])})
+        tail = theta_module._box_tail(zt, a, den, radius)
+    ((_, plan),) = seen
+    lam, xi, _ = zt.tail
+    height, h, s_den = theta_module._height(zt, tail), plan.h, plan.s_den
+    assert height < math.inf and h is not None
+    theta_c = theta_module.CLIP_THETA
+    y = [[mpf_to_fraction(tau.im[i][j]) for j in range(g)] for i in range(g)]
+    yz = [mpf_to_fraction(w.imag) for w in z]
+    cap = Fraction(h, s_den)
+    outside = []
+    for n in itertools.product(range(-radius - 2, radius + 3), repeat=g):
+        v = [k + Fraction(x, den) for k, x in zip(n, a)]
+        im_d = sum(v[i] * y[i][j] * v[j] for i in range(g) for j in range(g)) + 2 * sum(
+            p * q for p, q in zip(v, yz))
+        if im_d > cap:
+            outside.append(im_d)
+    with workprec(200):
+        assert mpf(h) >= mpf(height) * s_den / pi
+        bound = (exp(theta_c * pi * fraction_to_mpf(xi) - (1 - theta_c) * mpf(height))
+                 * (1 + 1 / sqrt(theta_c * fraction_to_mpf(lam))) ** g)
+        assert bound <= tail * mpf(2) ** -10
+        assert fsum(exp(-pi * fraction_to_mpf(d)) for d in outside) <= bound
+    assert outside
 
 
 def test_cached_slots_match_the_term_by_term_oracle():
@@ -1610,17 +1702,20 @@ def test_one_walk_and_one_radius_per_top_characteristic(monkeypatch):
     # and terms, recorded through the plans: at z = 0 a row and its mirror
     # at -nn are walked once (the full lattice took 18 rows and 324 terms,
     # 44 and 1657, and with z 27 and 405); at r = 4 the rows that paired
-    # only at a common step pair too (27 rows and 1035 terms by own steps)
+    # only at a common step pair too (27 rows and 1035 terms by own steps).
+    # The rows clipped to the ellipsoid and the values formed as inverses
+    # (rho-, Q^-1, C^-1, O-) took 9, 9 and 19 exps over 10 rows and 188
+    # terms, 24 and 1107, and 19 and 269 with z
     seen = _record_plans(monkeypatch)
-    for args, kwargs, most, walked in (((tau, 2), {}, 9, (10, 188)),
-                                       ((tau, 4), {}, 9, (24, 1107)),
-                                       ((tau, 2, z), {"assume_reduced": True}, 19, (19, 269))):
+    for args, kwargs, most, walked in (((tau, 2), {}, 6, (9, 133)),
+                                       ((tau, 4), {}, 6, (19, 566)),
+                                       ((tau, 2, z), {"assume_reduced": True}, 12, (18, 192))):
         seen.clear()
         work(verify_norm_bounds, *args, prec=96, **kwargs)
         assert counts["mpc_expjpi"] <= most, (args, kwargs)
-        lines = [line for _, plan in seen for line in plan.lines]
-        assert (sum(map(len, lines)),
-                sum(row.last + 1 for line in lines for row in line)) == walked, (args, kwargs)
+        rows = [line[j] for _, plan in seen for line, chain in zip(plan.lines, plan.chains)
+                for j, _, how, _, _ in chain if how != "skip"]
+        assert (len(rows), sum(row.hi - row.lo + 1 for row in rows)) == walked, (args, kwargs)
 
 
 def test_batch_paths_construct_no_characteristic(monkeypatch):
