@@ -13,7 +13,8 @@ t = M(a, b) / M(a, c).  The reduction
 is the identity or S, so the reduced tau is i max(t, 1/t).  On that ray the
 theta constants are positive reals and lam = theta2^4 / theta3^4 lies in
 (0, 1/2]; among the six cross-ratios of the roots exactly one lies there
-(two equal ones at 1/2), so lam is chosen exactly.  Jacobi's
+(two equal ones at 1/2), so lam is chosen exactly, as
+min(e2 - e3, e1 - e2) / (e1 - e3).  Jacobi's
 theta2^4 + theta4^4 = theta3^4 gives |theta2/theta3|^2 = sqrt(lam) and
 |theta4/theta3|^2 = sqrt(1 - lam).  Hence
 
@@ -21,11 +22,29 @@ theta2^4 + theta4^4 = theta3^4 gives |theta2/theta3|^2 = sqrt(lam) and
 
 the finite places are exact (the fourth powers of the coordinate ratios
 are lam and 1 - lam, which share their reduced denominator, and the
-v-adic max commutes with fourth powers).
+v-adic max commutes with fourth powers).  With lam = p/q in lowest terms
+and S = q + sqrt(pq) + sqrt(q(q - p)), 1 + sqrt(lam) + sqrt(1 - lam) = S/q,
+so
+
+    h_theta = (1/4) log(S^2 / q),
+
+one log of one enclosure (``_theta_height_bounds``).  At scale 2^w,
+isqrt(n 4^w) <= 2^w sqrt(n) < isqrt(n 4^w) + 1, so
+S_lo = q 2^w + isqrt(pq 4^w) + isqrt(q(q - p) 4^w) and S_hi = S_lo + 2
+satisfy S_lo <= 2^w S < S_hi; squaring and dividing by q 2^w,
+floor(S_lo^2 / (q 2^w)) <= 2^w S^2 / q <= ceil(S_hi^2 / (q 2^w)).  As
+S >= 2q, the relative width is at most 2^(3 - w); w = mp.prec + 8 puts it
+below the log's own allowance.
 
 Faltings height: h_F = -(1/2) log(covolume/pi) = (1/2) log(M(a, b) M(a, c)
 / (36 pi)), and log det Im tau = |log t|, both for the period lattice of
-the minimal model's invariant differential.  This is the stable height
+the minimal model's invariant differential.  Both are read from the two
+certified logs L_ab = log M(a, b) and L_ac = log M(a, c), formed once per
+lattice: h_F = (L_ab + L_ac - log(36 pi)) / 2, with log(36 pi) formed
+once per precision, and log det Im tau = |L_ab - L_ac|.  The periods, the
+covolume and the reduced tau are display values that no verdict reads;
+each is formed from the AGM midpoints when first read.  This is the
+stable height
 when the asserted minimal/semistable claims hold.  The flags passed to
 ``EllipticCurveQ.from_coefficients`` are a caller contract, not verified;
 ``load_corpus`` rejects a row that asserts either flag without integral
@@ -45,7 +64,7 @@ both starts up, so M does not decrease, and its final a is at least 2^w M.
 Each run stops once a - b <= 1, which it reaches: the gap of the means is
 (a + b)/2 - sqrt(ab) <= (a - b)^2 / (8b), and one rounding adds less
 than 1.  Every error of h_theta, h_F, log det Im tau and the window comes
-from these enclosures and from certified log, sqrt and pi; none is
+from these enclosures and from certified log and pi; none is
 asserted.
 
 ``window_check`` is the one analysis of a curve: one ``periods_agm`` gives
@@ -59,7 +78,7 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from mpmath import mp, mpf, mpc, log, pi, workprec
 from mpmath.libmp import from_man_exp
@@ -87,7 +106,8 @@ class EllipticCurveQ:
     ``two_torsion_x`` holds the three roots of the division polynomial of the
     depressed model X^3 - 27 c4 X - 54 c6; consistency with the coefficients
     is verified exactly on construction; left at None, they are extracted
-    from c4 and c6, which (with disc) are formed once per (frozen) curve.
+    from c4 and c6, which (with disc) are formed once per (frozen) curve,
+    as are the root differences of ``_root_gaps``.
     """
     a1: Fraction
     a2: Fraction
@@ -146,6 +166,12 @@ class EllipticCurveQ:
     def sorted_roots(self) -> tuple[Fraction, Fraction, Fraction]:
         return tuple(sorted(self.two_torsion_x, reverse=True))
 
+    @cached_property
+    def _root_gaps(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(e1 - e3, e1 - e2, e2 - e3) for the roots e1 > e2 > e3."""
+        e1, e2, e3 = self.sorted_roots()
+        return e1 - e3, e1 - e2, e2 - e3
+
 
 def _depressed_roots(c4: Fraction, c6: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """The rational roots of X^3 - 27 c4 X - 54 c6, largest first;
@@ -184,10 +210,10 @@ def _depressed_roots(c4: Fraction, c6: Fraction) -> tuple[Fraction, Fraction, Fr
 
 def _lambda(curve: EllipticCurveQ) -> Fraction:
     """The one cross-ratio of the 2-torsion roots in (0, 1/2]: theta2^4 /
-    theta3^4 at the reduced period matrix."""
-    e1, e2, e3 = curve.sorted_roots()
-    lam = (e2 - e3) / (e1 - e3)
-    return min(lam, 1 - lam)
+    theta3^4 at the reduced period matrix: min(lam', 1 - lam') for
+    lam' = (e2 - e3) / (e1 - e3), as (e1 - e2) + (e2 - e3) = e1 - e3."""
+    ac, ab, bc = curve._root_gaps
+    return min(bc, ab) / ac
 
 
 # ---------------------------------------------------------------------------
@@ -214,56 +240,81 @@ def _agm_bounds(x: Fraction, y: Fraction, w: int) -> tuple[int, int]:
     return lo, a
 
 
-def _certified_agm(x: Fraction, y: Fraction, w: int) -> CertifiedReal:
-    """M(sqrt x, sqrt y) as the midpoint and radius of its ``_agm_bounds``
-    enclosure, both exact (the mpf keeps every bit of the midpoint)."""
-    lo, hi = _agm_bounds(x, y, w)
+def _exact_ball(lo: int, hi: int, w: int) -> CertifiedReal:
+    """[lo 2^-w, hi 2^-w] as a ball whose midpoint and radius are both
+    exact (the mpf keeps every bit of the midpoint)."""
     return CertifiedReal(mp.make_mpf(from_man_exp(lo + hi, -w - 1)),
                          mp.make_mpf(from_man_exp(hi - lo, -w - 1)))
+
+
+def _certified_agm(x: Fraction, y: Fraction, w: int) -> CertifiedReal:
+    """M(sqrt x, sqrt y) as the exact ball of its ``_agm_bounds``
+    enclosure."""
+    return _exact_ball(*_agm_bounds(x, y, w), w)
 
 
 @dataclass(frozen=True)
 class PeriodLattice:
     """Periods of the invariant differential dx/(2y + a1 x + a3), ordered so
     that tau = omega2/omega1 lies in the upper half plane.  ``m_ab`` and
-    ``m_ac`` are the certified AGMs M(a, b) and M(a, c); the periods and
-    ``tau_reduced`` are their midpoint values at the working precision of
-    ``periods_agm``."""
-    omega1: mpc
-    omega2: mpc
-    covolume: mpf
+    ``m_ac`` are the certified AGMs M(a, b) and M(a, c) and ``prec`` the
+    precision of ``periods_agm``.  Every other value is derived from the
+    two AGMs when first read, at prec + GUARD_BITS, and kept: the certified
+    ``agm_logs``, and the display values ``omega1``, ``omega2``,
+    ``covolume`` and ``tau_reduced`` from the AGM midpoints.  None is a
+    field, so ``dataclasses.replace`` with new AGMs gives fresh ones."""
     m_ab: CertifiedReal
     m_ac: CertifiedReal
-    tau_reduced: SiegelPoint
+    prec: int = DEFAULT_PREC
+
+    @cached_property
+    def agm_logs(self) -> tuple[CertifiedReal, CertifiedReal]:
+        """(log M(a, b), log M(a, c)), certified."""
+        with workprec(self.prec + GUARD_BITS):
+            return self.m_ab.log(), self.m_ac.log()
+
+    @cached_property
+    def omega1(self) -> mpc:
+        with workprec(self.prec + GUARD_BITS):
+            return mpc(6 * pi / self.m_ab.value)
+
+    @cached_property
+    def omega2(self) -> mpc:
+        with workprec(self.prec + GUARD_BITS):
+            return mpc(0, 6 * pi / self.m_ac.value)
+
+    @cached_property
+    def covolume(self) -> mpf:
+        with workprec(self.prec + GUARD_BITS):
+            return self.omega1.real * self.omega2.imag
+
+    @cached_property
+    def tau_reduced(self) -> SiegelPoint:
+        """i max(t, 1/t) for t = M(a, b) / M(a, c)."""
+        with workprec(self.prec + GUARD_BITS):
+            t = self.m_ab.value / self.m_ac.value
+            return SiegelPoint.from_complex(mpc(0, max(t, 1 / t)))
 
     def tau(self) -> SiegelPoint:
         return SiegelPoint.from_complex(self.omega2 / self.omega1)
 
 
 def periods_agm(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> PeriodLattice:
-    """The two AGMs from their integer enclosures, and the periods and the
-    reduced tau = i max(t, 1/t) they give.  The scale keeps at least
-    prec + GUARD_BITS bits below the smaller AGM, which is at least
+    """The two AGMs from their integer enclosures.  The scale keeps at
+    least prec + GUARD_BITS bits below the smaller AGM, which is at least
     min(b, c)."""
-    e1, e2, e3 = curve.sorted_roots()
-    small = min(e1 - e2, e2 - e3)
+    ac, ab, bc = curve._root_gaps
+    small = min(ab, bc)
     w = prec + GUARD_BITS + max(
         0, (small.denominator.bit_length() - small.numerator.bit_length() + 2) // 2)
-    with workprec(prec + GUARD_BITS):
-        m_ab = _certified_agm(e1 - e3, e1 - e2, w)
-        m_ac = _certified_agm(e1 - e3, e2 - e3, w)
-        omega1 = mpc(6 * pi / m_ab.value)
-        omega2 = mpc(0, 6 * pi / m_ac.value)
-        covol = omega1.real * omega2.imag
-        t = m_ab.value / m_ac.value
-        tau_reduced = SiegelPoint.from_complex(mpc(0, max(t, 1 / t)))
-    return PeriodLattice(omega1, omega2, covol, m_ab, m_ac, tau_reduced)
+    return PeriodLattice(_certified_agm(ac, ab, w), _certified_agm(ac, bc, w), prec)
 
 
 def _log_det_im(lattice: PeriodLattice) -> CertifiedReal:
-    """log det Im of the reduced tau, |log t|; call inside the working
-    precision."""
-    return (lattice.m_ab / lattice.m_ac).log().abs()
+    """log det Im of the reduced tau, |log t| = |L_ab - L_ac|; call inside
+    the working precision."""
+    l_ab, l_ac = lattice.agm_logs
+    return (l_ab - l_ac).abs()
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +331,8 @@ def faltings_height_g1(curve: EllipticCurveQ,
                        lattice: PeriodLattice | None = None,
                        prec: int = DEFAULT_PREC,
                        allow_relative: bool = False) -> FaltingsResult:
-    """-(1/2) log(covolume/pi) = (1/2) log(M(a, b) M(a, c) / (36 pi)).
+    """-(1/2) log(covolume/pi) = (1/2) log(M(a, b) M(a, c) / (36 pi)),
+    formed as (L_ab + L_ac - log(36 pi)) / 2 from the lattice's AGM logs.
 
     Refuses when the minimal/semistable claims are not asserted, since the
     computed number is then only the relative height of the given model; pass
@@ -294,9 +346,17 @@ def faltings_height_g1(curve: EllipticCurveQ,
             "(pass allow_relative=True to accept that)")
     if lattice is None:
         lattice = periods_agm(curve, prec)
+    l_ab, l_ac = lattice.agm_logs
     with workprec(prec + GUARD_BITS):
-        h = (lattice.m_ab * lattice.m_ac / (36 * CertifiedReal.rounded(pi))).log() * 0.5
+        h = (l_ab + l_ac - _log_36pi(prec)) * 0.5
     return FaltingsResult(h, stable)
+
+
+@cache
+def _log_36pi(prec: int) -> CertifiedReal:
+    """log(36 pi), certified at prec + GUARD_BITS."""
+    with workprec(prec + GUARD_BITS):
+        return (36 * CertifiedReal.rounded(pi)).log()
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +379,23 @@ def _finite_part(lam: Fraction) -> CertifiedReal:
     return CertifiedReal.rounded(log(lam.denominator) / 4)
 
 
-def _theta_height(lam: Fraction) -> tuple[CertifiedReal, CertifiedReal, CertifiedReal]:
-    """(h_theta, finite part, archimedean part) at lam, the archimedean part
-    (1/2) log(1 + sqrt(lam) + sqrt(1 - lam)); call inside the working
-    precision."""
-    roots = [CertifiedReal.rounded(x).sqrt() for x in (lam, 1 - lam)]
-    arch = (1 + roots[0] + roots[1]).log() * 0.5
-    fin = _finite_part(lam)
-    return fin + arch, fin, arch
+def _theta_height_bounds(lam: Fraction, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^w S^2 / q <= hi, where lam = p/q in lowest
+    terms, 0 < p <= q/2, and S = q + sqrt(pq) + sqrt(q(q - p)) (proof in
+    the module docstring)."""
+    p, q = lam.numerator, lam.denominator
+    s_lo = (q << w) + math.isqrt(p * q << 2 * w) + math.isqrt(q * (q - p) << 2 * w)
+    den = q << w
+    return s_lo * s_lo // den, -(-(s_lo + 2) ** 2 // den)
+
+
+def _theta_height(lam: Fraction) -> CertifiedReal:
+    """h_theta = (1/4) log den(lam) + (1/2) log(1 + sqrt(lam) + sqrt(1 - lam))
+    = (1/4) log(S^2 / q): one log of the ``_theta_height_bounds`` ball at
+    w = mp.prec + 8, whose relative width is at most 2^(3 - w); call
+    inside the working precision."""
+    w = mp.prec + 8
+    return _exact_ball(*_theta_height_bounds(lam, w), w).log() * 0.25
 
 
 def theta_height_details(curve: EllipticCurveQ,
@@ -338,8 +407,9 @@ def theta_height_details(curve: EllipticCurveQ,
     lattice = periods_agm(curve, prec)
     lam = _lambda(curve)
     with workprec(prec + GUARD_BITS):
-        h, fin, arch = _theta_height(lam)
-    return ThetaHeightDetails(h, fin, arch, lam, lattice.tau_reduced)
+        h = _theta_height(lam)
+        fin = _finite_part(lam)
+        return ThetaHeightDetails(h, fin, h - fin, lam, lattice.tau_reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +422,20 @@ class HeightReport:
     |log det Im tau| <= C(1) log(max{h_theta, 1} + 2) at one reduced tau.
     ``matrix_lemma`` sits outside ``verdicts`` and so outside ``all_ok``:
     ``verdicts`` are the window campaign's rows and the ``heights verify``
-    document and exit status, while the matrix lemma has its own suite."""
+    document and exit status, while the matrix lemma has its own suite.
+    ``tau_reduced`` is read from ``lattice``, which forms it on first read."""
     h_theta: CertifiedReal
     h_faltings: CertifiedReal
-    tau_reduced: SiegelPoint
+    lattice: PeriodLattice
     window_value: CertifiedReal
     lam: Fraction
     stable: bool
     verdicts: dict
     matrix_lemma: Verdict
+
+    @property
+    def tau_reduced(self) -> SiegelPoint:
+        return self.lattice.tau_reduced
 
     @property
     def all_ok(self) -> bool:
@@ -381,7 +456,7 @@ def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
     lattice = periods_agm(curve, prec)
     lam = _lambda(curve)
     with workprec(prec + GUARD_BITS):
-        h = _theta_height(lam)[0]
+        h = _theta_height(lam)
         fal = faltings_height_g1(curve, lattice, prec, allow_relative)
         log_det_im = _log_det_im(lattice)
         window = _window(h, fal.height, log_det_im)
@@ -394,7 +469,7 @@ def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,
         clipped = CertifiedReal(max(h.value, mpf(1)), h.err)
         rhs = constants.C_matrix(1, prec) * (clipped + CertifiedReal.exact(2)).log()
         matrix_lemma = certified_le(log_det_im, rhs)
-    return HeightReport(h, fal.height, lattice.tau_reduced, window, lam,
+    return HeightReport(h, fal.height, lattice, window, lam,
                         fal.stable, verdicts, matrix_lemma)
 
 

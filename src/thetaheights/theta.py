@@ -395,10 +395,18 @@ def choose_radius(tau: SiegelPoint, z=None, char=None,
 
 def _target(prec: int, tol=None) -> mpf:
     """The tail's share tol/2, tol = default_tol(prec) when None."""
-    target = mpf(default_tol(prec) if tol is None else tol) / 2
+    if tol is None:
+        return _default_target(prec)
+    target = mpf(tol) / 2
     if not (target > 0 and isfinite(target)):
         raise ValueError("tol must be a positive finite number")
     return target
+
+
+@functools.lru_cache(maxsize=None)
+def _default_target(prec: int) -> mpf:
+    """default_tol(prec) / 2, a power of 2 and so exact at every mp.prec."""
+    return default_tol(prec) / 2
 
 
 def _radius(z: _At, s: Fraction, target: mpf) -> int:
@@ -1635,12 +1643,21 @@ def verify_norm_bounds(tau: SiegelPoint, r: int, z=None,
             upper = certified_le(
                 _largest(*_moduli2(tau, z, r, [(zero, zero)], prec)), c_g)
             mid = _log_norm_sum(f, bounds, g) * 0.5
-            lo_const = CertifiedReal.rounded(g * log(2) / 4)
-            hi_const = c_g.log() * 0.5 + lo_const + CertifiedReal.rounded(g * log(r))
+            lo_const, hi_const = _combined_window(g, r, prec)
             combined_lower = certified_le(lo_const, mid)
             combined_upper = certified_le(mid, hi_const)
     return NormBoundsReport(g, r, assume_reduced, max_lower, upper,
                             combined_lower, combined_upper)
+
+
+@functools.lru_cache(maxsize=None)
+def _combined_window(g: int, r: int, prec: int) -> tuple[CertifiedReal, CertifiedReal]:
+    """The ends of the combined window of ``verify_norm_bounds``:
+    (g/4) log 2 and (1/2) log c_g + (g/4) log 2 + g log r."""
+    from . import constants
+    with workprec(prec + GUARD_BITS):
+        lo = CertifiedReal.rounded(g * log(2) / 4)
+        return lo, constants.c_g(g, prec).log() * 0.5 + lo + CertifiedReal.rounded(g * log(r))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, agm, fabs, gamma, log, pi, sqrt, workprec
 
-from thetaheights.certified import CertifiedReal
+from thetaheights.certified import GUARD_BITS, CertifiedReal
 from thetaheights import heights, siegel
 from thetaheights import theta as theta_module
 from thetaheights.heights import (Claims, ClaimsError, EllipticCurveQ,
@@ -398,6 +398,80 @@ def test_faltings_error_covers_a_coarse_agm_enclosure():
         ldi = heights._log_det_im(coarse)
         assert h.lo <= HF_15 <= h.hi and h.err < mpf(2) ** -6
         assert ldi.lo <= log(TAU_IM_15) <= ldi.hi and ldi.err < mpf(2) ** -6
+
+
+def _seeded_lambdas(n, seed=3001):
+    """1/2, 1/q for a q of 200 bits, and lam = p/q with q log-uniform up to
+    2^200 and p uniform in [1, q/2]."""
+    rng = random.Random(seed)
+    lams = [Fraction(1, 2), Fraction(1, 2 ** 200 + 235)]
+    while len(lams) < n:
+        q = rng.randint(2, 2 ** rng.randint(1, 200))
+        lams.append(Fraction(rng.randint(1, q // 2), q))
+    return lams
+
+
+@pytest.mark.parametrize("prec", [96, 128])
+def test_theta_height_enclosure(prec):
+    # the integer bounds hold 2^w S^2 / q at every scale, the small ones
+    # included, where a missing unit of S_hi or a floored upper end shows;
+    # the certified h_theta holds the 400-bit value of
+    # (1/4) log q + (1/2) log(1 + sqrt(lam) + sqrt(1 - lam)), and its error
+    # is the log's own allowance, not the enclosure's width
+    p_work = prec + GUARD_BITS
+    for lam in _seeded_lambdas(300):
+        p, q = lam.numerator, lam.denominator
+        for w in (0, 1, 2, 3, 5, 8, 13, p_work + 8):
+            lo, hi = heights._theta_height_bounds(lam, w)
+            with workprec(w + 2 * q.bit_length() + 64):
+                x = (q + sqrt(p * q) + sqrt(q * (q - p))) ** 2 / q * 2 ** w
+                assert lo <= x <= hi, (lam, w)
+        with workprec(p_work):
+            h = heights._theta_height(lam)
+        with workprec(400):
+            ref = log(q) / 4 + log(1 + sqrt(mpf(p) / q) + sqrt(mpf(q - p) / q)) / 2
+            assert fabs(h.value - ref) <= h.err, lam
+            assert h.err <= (h.value + 1) * mpf(2) ** (6 - p_work), lam
+
+
+# the exact (sign, man, exp, bc) of Im tau_reduced at prec 128
+TAU_IM_BITS = {
+    "15a": (0, 3576950256353044550850533404408635881724050314011535537663, -191, 192),
+    "lemniscatic": (0, 1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name, curve", [("15a", curve15()), ("lemniscatic", lemniscatic())])
+def test_window_check_forms_tau_only_when_read(monkeypatch, name, curve):
+    calls = []
+    from_complex = siegel.SiegelPoint.from_complex.__func__
+
+    def counted(cls, tau):
+        calls.append(tau)
+        return from_complex(cls, tau)
+    monkeypatch.setattr(siegel.SiegelPoint, "from_complex", classmethod(counted))
+    rep = window_check(curve, allow_relative=True)
+    assert calls == []
+    tau = rep.tau_reduced
+    assert rep.tau_reduced is tau and len(calls) == 1
+    assert tuple(int(x) for x in tau.im[0][0]._mpf_) == TAU_IM_BITS[name]
+    assert tau.re[0][0] == 0
+
+
+def test_replaced_agms_give_fresh_logs_and_tau():
+    # the logs and display values are derived, not fields: a lattice made
+    # by replace() with new AGMs forms its own, after the first one cached
+    c = curve15()
+    lat = periods_agm(c)
+    logs, tau, covol = lat.agm_logs, lat.tau_reduced, lat.covolume
+    ac, ab, bc = c._root_gaps
+    m_ab, m_ac = heights._certified_agm(ac, ab, 12), heights._certified_agm(ac, bc, 12)
+    coarse = dataclasses.replace(lat, m_ab=m_ab, m_ac=m_ac)
+    with workprec(128 + GUARD_BITS):
+        assert coarse.agm_logs == (m_ab.log(), m_ac.log()) != logs
+        t = m_ab.value / m_ac.value
+        assert coarse.tau_reduced.im[0][0] == max(t, 1 / t) != tau.im[0][0]
+        assert coarse.covolume != covol
 
 
 def _seeded_curves(n, seed=2401):
