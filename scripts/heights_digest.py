@@ -14,13 +14,16 @@ line
     k label lambda window_lower window_upper bost_lower hf_lower matrix_lemma tau
 
 where tau is the exact (sign, man, exp, bc) of Re and Im of the reduced
-tau.  The last line is the sha256 of all lines together.  With
+tau.  After the lines, ``verdicts`` is the sha256 of every line without
+its tau (k, label, lambda and the five verdicts), which stays fixed when
+only the last bits of tau move; the last line, ``total``, is the sha256
+of all lines together.  With
 ``--values`` each line goes on with h_theta, h_F and the window, each as
 its exact midpoint and error (hex mantissa, ``p``, binary exponent);
 those fields are not part of the digest, so it stays comparable when only
 the certified errors move.
 
-    python scripts/heights_digest.py                      # lines, then the total
+    python scripts/heights_digest.py                      # lines, then the digests
     python scripts/heights_digest.py --values --out a.txt # lines with values to a file
 """
 import argparse
@@ -85,19 +88,19 @@ def _exact(x) -> str:
     return f"{'-' if sign else ''}{int(man):#x}p{exp}"
 
 
-def record(k: int, curve: heights.EllipticCurveQ, values: bool) -> tuple[str, str]:
-    """(the digested line of curve k, the value fields or '')."""
+def record(k: int, curve: heights.EllipticCurveQ, values: bool) -> tuple[str, str, str]:
+    """(the verdict fields of curve k, its tau fields, the value fields or
+    ''); the first two make its digested line."""
     rep = heights.window_check(curve, PREC, allow_relative=True)
     lemma = heights.matrix_lemma_check(curve, PREC)
     tau = rep.tau_reduced
-    line = " ".join([str(k), curve.label, str(rep.lam),
-                     *(v.verdict for v in rep.verdicts.values()), lemma.verdict,
-                     _bits(tau.re[0][0]), _bits(tau.im[0][0])])
+    verdicts = " ".join([str(k), curve.label, str(rep.lam),
+                         *(v.verdict for v in rep.verdicts.values()), lemma.verdict])
     extra = ""
     if values:
         extra = " ".join(f"{_exact(x.value)} {_exact(x.err)}"
                          for x in (rep.h_theta, rep.h_faltings, rep.window_value))
-    return line, extra
+    return verdicts, f"{_bits(tau.re[0][0])} {_bits(tau.im[0][0])}", extra
 
 
 def main() -> int:
@@ -106,16 +109,19 @@ def main() -> int:
     ap.add_argument("--values", action="store_true",
                     help="append h_theta, h_F and the window to each line")
     args = ap.parse_args()
-    total = hashlib.sha256()
+    verdicts, total = hashlib.sha256(), hashlib.sha256()
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for k, curve in enumerate(curves()):
-            line, extra = record(k, curve, args.values)
+            head, tau, extra = record(k, curve, args.values)
+            line = f"{head} {tau}"
+            verdicts.update(head.encode() + b"\n")
             total.update(line.encode() + b"\n")
             out.write(f"{line} {extra}\n" if extra else line + "\n")
     finally:
         if args.out:
             out.close()
+    print(f"verdicts {verdicts.hexdigest()[:16]}")
     print(f"total {total.hexdigest()[:16]}")
     return 0
 

@@ -21,8 +21,10 @@ has one rule, with p = mp.prec:
 * ``log`` and ``exp``: r / lo and exp(hi) r, each factor bounded upward
   (exp(hi) at 30 bits, with the allowance below), plus the allowance of
   the assumption below for v.
-* ``abs`` and negation are exact; ``exact`` keeps every bit of its
-  argument; ``rounded(x, ulps)`` allows (|v| + 1) 2^(bits(ulps) + 1 - p).
+* ``abs``, negation and ``ldexp(k)`` (v and r both shifted by k bits, so
+  times 2^k with no ulp; an infinite radius stays infinite) are exact;
+  ``exact`` keeps every bit of its argument; ``rounded(x, ulps)`` allows
+  (|v| + 1) 2^(bits(ulps) + 1 - p).
   ``CertifiedComplex.abs`` rounds the modulus once and adds one ulp.
 * ``lo`` rounds down and ``hi`` up, at p bits.  ``certified_le`` forms its
   margin rhs.lo - lhs.hi rounded down, so a ``pass`` is certified.
@@ -212,6 +214,9 @@ class CertifiedReal:
 
     def abs(self) -> "CertifiedReal":
         return _ball(mpf_abs(self._v), self._r)
+
+    def ldexp(self, k: int) -> "CertifiedReal":
+        return _ball(mpf_shift(self._v, k), mpf_shift(self._r, k))
 
     def log(self) -> "CertifiedReal":
         x, r = self._v, self._r

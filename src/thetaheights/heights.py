@@ -53,15 +53,23 @@ coefficients and the gcd(c4, disc) = 1 certificate.
 The AGM certificate (``_agm_bounds``).  For a >= b > 0 the AGM satisfies
 M(a, b) = M((a + b)/2, sqrt(ab)) and b <= M(a, b) <= a, it is homogeneous
 of degree 1, and it is nondecreasing in each argument (D. A. Cox, "The
-arithmetic-geometric mean of Gauss", Enseign. Math. 30 (1984)).  A run in
-integers at scale 2^w starts from floor square roots of floor(x 4^w) and
-floor(y 4^w), so M(a0, b0) <= 2^w M(sqrt x, sqrt y).  Each step replaces
-(a, b) by (floor((a + b)/2), isqrt(ab)), which is componentwise at most
-((a + b)/2, sqrt(ab)), so M does not increase; floor is monotone, so
-a' >= b' and the iterates stay ordered.  When the run stops, its b is at
-most M(a, b), hence at most 2^w M.  The upper run rounds every step and
-both starts up, so M does not decrease, and its final a is at least 2^w M.
-Each run stops once a - b <= 1, which it reaches: the gap of the means is
+arithmetic-geometric mean of Gauss", Enseign. Math. 30 (1984)).  One run
+in integers at scale 2^w bounds M* = 2^w M(sqrt x, sqrt y) from both
+sides.  It starts from a_0 = isqrt(floor(x 4^w)) and
+b_0 = isqrt(floor(y 4^w)), so a_0 <= 2^w sqrt x < a_0 + 1 and
+b_0 <= 2^w sqrt y < b_0 + 1.  Each step replaces (a, b) by
+(floor((a + b)/2), isqrt(ab)), which lies componentwise in (m - 1, m] for
+the exact means m = ((a + b)/2, sqrt(ab)); floor is monotone, so a' >= b',
+and b' >= isqrt(b^2) = b: the iterates stay ordered, with b_k >= b_0.
+
+Lower end: M does not increase along the run, so the final
+b_n <= M(a_n, b_n) <= M*.  Upper end: for a >= b > 0, a + 1 <= (1 + 1/b) a,
+so M(a + 1, b + 1) <= M((1 + 1/b) a, (1 + 1/b) b) = (1 + 1/b) M(a, b).
+Since M* <= M(a_0 + 1, b_0 + 1) and M(a_k, b_k) <= M(a_(k+1) + 1,
+b_(k+1) + 1), induction gives M* <= M(a_n, b_n) prod_(k=0..n) (1 + 1/b_k),
+and M(a_n, b_n) <= a_n, so hi = ceil(a_n prod (b_k + 1)/b_k).  A start
+with b_0 = 0 takes lo = 0 and hi = a_0 + 1, as M* <= 2^w sqrt x.  The run
+stops once a - b <= 1, which it reaches: the gap of the means is
 (a + b)/2 - sqrt(ab) <= (a - b)^2 / (8b), and one rounding adds less
 than 1.  Every error of h_theta, h_F, log det Im tau and the window comes
 from these enclosures and from certified log and pi; none is
@@ -221,23 +229,21 @@ def _lambda(curve: EllipticCurveQ) -> Fraction:
 
 
 def _agm_bounds(x: Fraction, y: Fraction, w: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^w M(sqrt x, sqrt y) <= hi, for x >= y > 0: the
-    lower and upper integer runs of the AGM (proof in the module
-    docstring)."""
-    def ceil_sqrt(n: int) -> int:
-        r = math.isqrt(n)
-        return r if r * r == n else r + 1
-
+    """(lo, hi) with lo <= 2^w M(sqrt x, sqrt y) <= hi, for x >= y > 0,
+    from one integer run of the AGM rounding down: lo is its last b_n and
+    hi = ceil(a_n prod_(k=0..n) (b_k + 1)/b_k), since each floored start or
+    step costs at most the factor 1 + 1/b_k in M; hi = a_0 + 1 when
+    b_0 = 0 (proof in the module docstring)."""
     a = math.isqrt((x.numerator << 2 * w) // x.denominator)
     b = math.isqrt((y.numerator << 2 * w) // y.denominator)
+    if not b:
+        return 0, a + 1
+    num, den = b + 1, b
     while a - b > 1:
         a, b = (a + b) // 2, math.isqrt(a * b)
-    lo = b
-    a = ceil_sqrt(-((-x.numerator << 2 * w) // x.denominator))
-    b = ceil_sqrt(-((-y.numerator << 2 * w) // y.denominator))
-    while a - b > 1:
-        a, b = (a + b + 1) // 2, ceil_sqrt(a * b)
-    return lo, a
+        num *= b + 1
+        den *= b
+    return b, -(-a * num // den)
 
 
 def _exact_ball(lo: int, hi: int, w: int) -> CertifiedReal:
@@ -256,7 +262,7 @@ def _certified_agm(x: Fraction, y: Fraction, w: int) -> CertifiedReal:
 @dataclass(frozen=True)
 class PeriodLattice:
     """Periods of the invariant differential dx/(2y + a1 x + a3), ordered so
-    that tau = omega2/omega1 lies in the upper half plane.  ``m_ab`` and
+    that omega2/omega1 lies in the upper half plane.  ``m_ab`` and
     ``m_ac`` are the certified AGMs M(a, b) and M(a, c) and ``prec`` the
     precision of ``periods_agm``.  Every other value is derived from the
     two AGMs when first read, at prec + GUARD_BITS, and kept: the certified
@@ -294,9 +300,6 @@ class PeriodLattice:
         with workprec(self.prec + GUARD_BITS):
             t = self.m_ab.value / self.m_ac.value
             return SiegelPoint.from_complex(mpc(0, max(t, 1 / t)))
-
-    def tau(self) -> SiegelPoint:
-        return SiegelPoint.from_complex(self.omega2 / self.omega1)
 
 
 def periods_agm(curve: EllipticCurveQ, prec: int = DEFAULT_PREC) -> PeriodLattice:
@@ -348,7 +351,7 @@ def faltings_height_g1(curve: EllipticCurveQ,
         lattice = periods_agm(curve, prec)
     l_ab, l_ac = lattice.agm_logs
     with workprec(prec + GUARD_BITS):
-        h = (l_ab + l_ac - _log_36pi(prec)) * 0.5
+        h = (l_ab + l_ac - _log_36pi(prec)).ldexp(-1)
     return FaltingsResult(h, stable)
 
 
@@ -395,7 +398,7 @@ def _theta_height(lam: Fraction) -> CertifiedReal:
     w = mp.prec + 8, whose relative width is at most 2^(3 - w); call
     inside the working precision."""
     w = mp.prec + 8
-    return _exact_ball(*_theta_height_bounds(lam, w), w).log() * 0.25
+    return _exact_ball(*_theta_height_bounds(lam, w), w).log().ldexp(-2)
 
 
 def theta_height_details(curve: EllipticCurveQ,
@@ -445,7 +448,7 @@ class HeightReport:
 def _window(h: CertifiedReal, h_faltings: CertifiedReal,
             log_det_im: CertifiedReal) -> CertifiedReal:
     """h - h_F/2 - (1/4) log det Im tau; call inside the working precision."""
-    return h - h_faltings * 0.5 - log_det_im * 0.25
+    return h - h_faltings.ldexp(-1) - log_det_im.ldexp(-2)
 
 
 def window_check(curve: EllipticCurveQ, prec: int = DEFAULT_PREC,

@@ -163,6 +163,17 @@ def test_add_sub_mul_radii_follow_their_rules_upward(x, y, p):
                           + ulp(mul.value, p))
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=balls, k=st.integers(-8, 8), p=precs)
+def test_ldexp_shifts_both_parts_exactly(x, k, p):
+    with workprec(p):
+        out = x.ldexp(k)
+        for t in corners(x):
+            assert holds(out, t * Fraction(2) ** k)
+    assert F(out.value) == F(x.value) * Fraction(2) ** k
+    assert F(out.err) == F(x.err) * Fraction(2) ** k
+
+
 # The @examples below are operands on which one radius rounding to nearest
 # instead of upward is not absorbed by a later upward rounding, so the rule
 # tests see it.
@@ -295,7 +306,8 @@ def test_an_infinite_radius_stays_infinite(x, y, p):
     # inf 0 is NaN in libmp; a NaN radius would pass certified_le.  Only an
     # exact 0 factor absorbs the infinite radius, into an exact 0
     with workprec(p):
-        outs = [x + y, y + x, x - y, y - x, x * y, y * x, -x, x.abs(), x.sqrt(), x.exp()]
+        outs = [x + y, y + x, x - y, y - x, x * y, y * x, -x, x.abs(), x.ldexp(-3),
+                x.sqrt(), x.exp()]
         if y.lo > 0 or y.hi < 0:
             outs.append(x / y)
         for bad in (lambda: y / x, x.log):

@@ -244,7 +244,7 @@ def test_heights_corpus_computes_the_periods_once_per_curve(tmp_path, capsys, mo
     (["heights", "corpus"],
      "b04deb4e532af5554ae6f34f2747140ffd343252eb4ac1c6a5d41f03edd8c389"),
     (["heights", "verify", "--curve", "1,1,1,-10,-10", "--minimal", "--semistable"],
-     "7d07807d9097472c7b4e8118cbd211e044e10108d75c940a4c6cd8e501254995"),
+     "92ef41e9fad6d2b3ec02053d1480d659322ff8a6f296b6f9ade43d5d05da9852"),
 ], ids=["corpus", "verify"])
 def test_heights_output_is_pinned(capsys, argv, digest):
     # sha256 of the output bytes with no --format, taken when the heights
@@ -254,7 +254,9 @@ def test_heights_output_is_pinned(capsys, argv, digest):
     # errors shrank (no ulp cushion per operation), values and margins held.
     # It moved once more, again only through the three errors, when h_theta
     # became one log of one integer enclosure (its error shrank) and h_F two
-    # AGM logs and log(36 pi) (its error grew, and the window's with it)
+    # AGM logs and log(36 pi) (its error grew, and the window's with it).
+    # Then the three errors shrank once more, when the products by 1/2 and
+    # 1/4 became exact shifts and the AGM's upper end came from its one run
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

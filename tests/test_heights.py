@@ -107,7 +107,7 @@ def test_periods_lemniscatic_closed_form():
     with workprec(200):
         ref = gamma(mpf(1) / 4) ** 2 / sqrt(8 * pi)
     assert fabs(lat.omega1 - ref) < mpf(10) ** -30
-    tau = lat.tau().tau_complex()
+    tau = lat.omega2 / lat.omega1
     assert fabs(tau - mpc(0, 1)) < mpf(10) ** -30
 
 
@@ -123,7 +123,7 @@ def test_periods_scale_inversely_with_twist():
 def test_periods_generic_curve_valid():
     lat = periods_agm(EllipticCurveQ.from_coefficients(0, -3, 0, 2, 0))
     assert lat.covolume > 0
-    assert lat.tau().tau_complex().imag > 0
+    assert (lat.omega2 / lat.omega1).imag > 0
 
 
 def test_faltings_requires_claims():
@@ -368,21 +368,54 @@ _RATIONAL = st.builds(Fraction, st.integers(1, 10 ** 6), st.integers(1, 10 ** 3)
 
 @settings(max_examples=300, deadline=None)
 @given(_RATIONAL, _RATIONAL, _WIDTH)
-# integer starts 2^w sqrt(x), 2^w sqrt(y), so only the runs' own rounding
+# integer starts 2^w sqrt(x), 2^w sqrt(y), so only the run's own rounding
 # shows: there 2^w M(sqrt x, sqrt y) = M(122, 1) = 30.957, and a mean
-# rounded up in the lower run gives lo = 31; and M(7, 1) = 3.288, where a
-# square root rounded down in the upper run gives hi = 3
+# rounded up gives lo = 31; and M(7, 1) = 3.288 > a_n = 3, so an upper end
+# without the product of the (b_k + 1)/b_k falls short.  Last, a start
+# with b_0 = isqrt(floor(4^4 / 1000)) = 0 around M = 5.2
 @example(Fraction(122 ** 2, 256), Fraction(1, 256), 4)
 @example(Fraction(7 ** 2, 256), Fraction(1, 256), 4)
+@example(Fraction(1), Fraction(1, 1000), 4)
 def test_agm_bounds_enclose_the_agm(x, y, w):
     # at a few bits one unit of 2^-w is visible: a step rounded the wrong
-    # way in either run can put the true AGM outside [lo, hi]
+    # way, or a rounding the upper end does not pay for, can put the true
+    # AGM outside [lo, hi]
     x, y = max(x, y), min(x, y)
     lo, hi = heights._agm_bounds(x, y, w)
     with workprec(4 * w + 64):
         m = agm(sqrt(mpf(x.numerator) / x.denominator),
                 sqrt(mpf(y.numerator) / y.denominator)) * 2 ** w
         assert lo <= m <= hi, (lo, m, hi)
+
+
+def test_one_integer_run_per_agm(monkeypatch):
+    # each AGM enclosure takes two starting roots and one root a step of a
+    # single run rounding down; its upper end needs no second run
+    roots, runs = [], []
+    isqrt, bounds = math.isqrt, heights._agm_bounds
+
+    def counted(n):
+        roots.append(n)
+        return isqrt(n)
+
+    def recorded(x, y, w):
+        start = len(roots)
+        out = bounds(x, y, w)
+        runs.append((x, y, w, len(roots) - start))
+        return out
+
+    monkeypatch.setattr(math, "isqrt", counted)
+    monkeypatch.setattr(heights, "_agm_bounds", recorded)
+    periods_agm(curve15())
+    assert len(runs) == 2
+    for x, y, w, calls in runs:
+        a = isqrt((x.numerator << 2 * w) // x.denominator)
+        b = isqrt((y.numerator << 2 * w) // y.denominator)
+        steps = 0
+        while a - b > 1:
+            a, b = (a + b) // 2, isqrt(a * b)
+            steps += 1
+        assert b > 0 and calls == 2 + steps
 
 
 def test_faltings_error_covers_a_coarse_agm_enclosure():
