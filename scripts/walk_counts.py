@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Count the work of the theta walks of a seeded norm-bounds sweep, so that
+"""Count the work of the theta walks of seeded norm-bounds sweeps, so that
 two commits can be compared walk by walk.
 
-The sweep computes the samples ``i:0..149`` and ``ii:0..149`` of
-``CampaignConfig(suite="norm-bounds", samples=500, g=2, r=2, prec=96)`` at
-one seed (``--seed``, default 56), the config of the ``norms-g2``
-benchmark, one ``campaign.compute_sample`` call each.  It counts, by
-wrapping functions of ``theta`` for the run:
+A sweep computes the samples ``i:0..149`` and ``ii:0..149`` of
+``CampaignConfig(suite="norm-bounds", samples=500, g=g, r=2, prec=96)`` at
+one seed (``--seed``, default 56), one ``campaign.compute_sample`` call
+each.  The script prints one block of counts for g = 2, the config of the
+``norms-g2`` benchmark, then one for g = 1.  It counts, by wrapping
+functions of ``theta`` for the run:
 
 - walks: ``_row_sum`` calls;
 - lines: runs of consecutive walked rows, one chain plan each;
@@ -23,7 +24,7 @@ wrapping functions of ``theta`` for the run:
   (``_complex``); and the values the walk forms as exact inverses
   (``_inverse``) in place of fresh exps, by the same sites.
 
-    python scripts/walk_counts.py              # counts, then per-walk means
+    python scripts/walk_counts.py              # counts, then per-walk means, per g
     python scripts/walk_counts.py --seed 7
 """
 import argparse
@@ -56,9 +57,9 @@ def _site(frame) -> str:
             "_complex": "finisher scale"}.get(name, name)
 
 
-def count(seed: int) -> tuple[Counter, Counter, Counter]:
+def count(seed: int, g: int) -> tuple[Counter, Counter, Counter]:
     """(counts, fresh exps by call site, inverses by call site) over the
-    sweep at ``seed``."""
+    sweep of genus ``g`` at ``seed``."""
     counts, exps, inverses = Counter(), Counter(), Counter()
     row_sum, plan, expjpi, inverse = theta._row_sum, theta._plan, theta.mpc_expjpi, theta._inverse
 
@@ -97,7 +98,7 @@ def count(seed: int) -> tuple[Counter, Counter, Counter]:
     theta._row_sum, theta._plan = counted_row_sum, counted_plan
     theta.mpc_expjpi, theta._inverse = counted_expjpi, counted_inverse
     try:
-        cfg = campaign.CampaignConfig(suite="norm-bounds", samples=500, seed=seed, g=2,
+        cfg = campaign.CampaignConfig(suite="norm-bounds", samples=500, seed=seed, g=g,
                                       r=2, prec=96)
         for k in range(SAMPLES):
             for sid in (f"i:{k}", f"ii:{k}"):
@@ -113,17 +114,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=56, help="campaign seed (default 56)")
     args = ap.parse_args()
-    counts, exps, inverses = count(args.seed)
-    walks = counts["walks"] or 1
-    for key in ("units", "walks", "lines", "fresh anchors", "re-anchors", "chained rows",
-                "skipped rows", "rows missing the ellipsoid", "walked rows", "box terms",
-                "walked terms"):
-        print(f"{key:<32}{counts[key]:>9}{counts[key] / walks:>10.2f} per walk")
-    for name, table in (("mpc_expjpi", exps), ("inverse", inverses)):
-        for site in sorted(table):
-            print(f"{name + ' ' + site:<32}{table[site]:>9}{table[site] / walks:>10.2f} per walk")
-        total = sum(table.values())
-        print(f"{name + ' total':<32}{total:>9}{total / walks:>10.2f} per walk")
+    for g in (2, 1):
+        if g == 1:
+            print("\ng = 1, r = 2, the same samples")
+        counts, exps, inverses = count(args.seed, g)
+        walks = counts["walks"] or 1
+        for key in ("units", "walks", "lines", "fresh anchors", "re-anchors", "chained rows",
+                    "skipped rows", "rows missing the ellipsoid", "walked rows", "box terms",
+                    "walked terms"):
+            print(f"{key:<32}{counts[key]:>9}{counts[key] / walks:>10.2f} per walk")
+        for name, table in (("mpc_expjpi", exps), ("inverse", inverses)):
+            for site in sorted(table):
+                print(f"{name + ' ' + site:<32}{table[site]:>9}"
+                      f"{table[site] / walks:>10.2f} per walk")
+            total = sum(table.values())
+            print(f"{name + ' total':<32}{total:>9}{total / walks:>10.2f} per walk")
     return 0
 
 

@@ -211,20 +211,23 @@ def c_lattice(g: int, r: int, prec: int = DEFAULT_PREC) -> CertifiedReal:
 
 
 def sigma_norm_log_bound(g: int, r: int, h_theta, prec: int = DEFAULT_PREC) -> CertifiedReal:
-    """((g/2) log(pi^-g g! e^(pi r^2) g^4)) log(2 + h_theta)."""
+    """((g/2) log(pi^-g g! e^(pi r^2) g^4)) log(2 + h_theta).  h_theta is
+    a ``CertifiedReal`` or a number (rounded once); its error goes through."""
     _check_rg(r, g)
-    h = as_mpf(h_theta)
-    if h < 0:
-        raise ValueError("h_theta must be nonnegative")
     with workprec(prec + GUARD_BITS):
-        return _certify(_lattice_log(g, r) / 2 * log(2 + h))
+        h = h_theta
+        if not isinstance(h, CertifiedReal):
+            h = CertifiedReal.rounded(h, ulps=1)
+        if h.value < 0:
+            raise ValueError("h_theta must be nonnegative")
+        return _certify(_lattice_log(g, r) / 2) * (h + 2).log()
 
 
 def modified_faltings_offset(tau_list: list[SiegelPoint], deg_isogeny: int = 1,
                              prec: int = DEFAULT_PREC) -> CertifiedReal:
     """(1/(2 len)) sum of log det Im tau, plus (1/2) log(deg) for the
     non-principal case."""
-    if deg_isogeny < 1:
+    if type(deg_isogeny) is not int or deg_isogeny < 1:
         raise ValueError("isogeny degree must be a positive integer")
     if not tau_list:
         raise ValueError("need at least one period matrix")

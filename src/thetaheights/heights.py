@@ -92,7 +92,7 @@ from mpmath import mp, mpf, mpc, log, pi, workprec
 from mpmath.libmp import from_man_exp
 
 from . import constants
-from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, Verdict,
+from .certified import (DEFAULT_PREC, GUARD_BITS, CertifiedReal, Verdict, _ball,
                         certified_le)
 from .siegel import SiegelPoint
 
@@ -247,10 +247,9 @@ def _agm_bounds(x: Fraction, y: Fraction, w: int) -> tuple[int, int]:
 
 
 def _exact_ball(lo: int, hi: int, w: int) -> CertifiedReal:
-    """[lo 2^-w, hi 2^-w] as a ball whose midpoint and radius are both
-    exact (the mpf keeps every bit of the midpoint)."""
-    return CertifiedReal(mp.make_mpf(from_man_exp(lo + hi, -w - 1)),
-                         mp.make_mpf(from_man_exp(hi - lo, -w - 1)))
+    """[lo 2^-w, hi 2^-w], lo <= hi, as a ball whose midpoint and radius
+    are both exact dyadics, built from the raw parts."""
+    return _ball(from_man_exp(lo + hi, -w - 1), from_man_exp(hi - lo, -w - 1))
 
 
 def _certified_agm(x: Fraction, y: Fraction, w: int) -> CertifiedReal:

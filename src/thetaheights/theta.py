@@ -45,7 +45,9 @@ last coordinate, in three parts:
   values from the row before (by ``_move``), which values are formed as
   exact inverses of others instead of fresh exps (rho+ rho- = Q at a row's
   peak, O+ O- = Q_out at a line's centre, Q^-1 and C^-d), and the
-  fixed-point width, all decided before the walk.
+  fixed-point width pf, all decided before the walk.  Every start value
+  and constant of a walk is formed at one width, pf + ``CHAIN_GUARD``
+  bits, and rounded down to pf bits where a row reads it.
 - The executor (``_row_sum``): the Python-int fixed-point products and sums
   that the shape and the plan prescribe, chained by the same ``_move``.
 
@@ -597,12 +599,14 @@ def _row_units(k: int) -> int:
     the walk runs t <- t*rho, rho <- rho*Q with
     Q = exp(2 pi i T_gg step^2 / s) in Python-int fixed point with pf
     fractional bits; each product, rounded down, costs <= 1 ulp per
-    component, < 2 * 2^-pf.  The start
-    values t and rho and Q each err by at most eps = 68 * 2^-pf (``_fresh``
-    and ``_chain_plan``).  With sigma = eps + 2 * 2^-pf = 70 * 2^-pf the
-    ratio error after j steps is d_j <= eps + j sigma (linear growth) and
-    the term error is e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <=
-    sigma (1 + j(j+1)/2).  A direction of K steps thus costs
+    component, < 2 * 2^-pf.  The start values t and rho and Q are formed
+    at pf + CHAIN_GUARD bits, fresh, by identity or along a chain, within
+    66 ulps of 2^-pf (``_fresh`` and ``_chain_plan``), and rounded down to
+    pf bits, so each errs by at most eps = 68 * 2^-pf.  With
+    sigma = eps + 2 * 2^-pf = 70 * 2^-pf the ratio error after j steps is
+    d_j <= eps + j sigma (linear growth) and the term error is
+    e_j <= eps + sum_{i<j} (d_i + 2^(1-pf)) <= sigma (1 + j(j+1)/2).  A
+    direction of K steps thus costs
     (K + K(K+1)(K+2)/6) sigma, and since this is convex in K, a row of
     k + 1 terms costs at most u_k = (1 + k + k(k+1)(k+2)/6) sigma.
     Computed multipliers may exceed modulus 1 by d_j or eps; that amplifies
@@ -766,7 +770,8 @@ def _frames(g: int, den: int, boxes: tuple, mirror: bool) -> _Shape:
                   step, spacing)
 
 
-# Extra fractional bits of the values a chain carries from row to row.
+# Extra fractional bits, above pf, of the width of every start value and
+# constant of a walk: fresh, by identity or carried along a chain.
 CHAIN_GUARD = 32
 
 # One row of a walk at (tau, z) (``_plan``): its frame's slots; the range
@@ -779,15 +784,12 @@ _Row = namedtuple("_Row", "slots lo hi k x lr li gr gi dr di")
 # The plan of a walk at (tau, z) (``_plan``): one list of ``_Row`` per run
 # of the shape, ``lines``, and the chain plan of each (``_chain_plan``);
 # the least Im D of a row's peak d_min over s_den, the denominator of
-# every exponent; the fixed-point width pf (``_width``); the extra bits
-# q_bits at which the rows take Q (CHAIN_GUARD when a row chains: the walk
-# then takes Q once, at the chain's width, and its rows use it rounded
-# down to pf bits); the walk's step; the exponent numerators t_gg of
-# T_gg, q of Q and, for d = +-1, moves[d] of the constants of ``_move``;
-# ``inverse``, the constants that the chain's width takes as the inverse
-# of another (numerator -> its partner's); and the integer bound h on the
-# Im D of the walk's ellipsoid (``_height``; None: no clip).
-_Plan = namedtuple("_Plan", "lines chains d_min s_den pf q_bits step t_gg q moves inverse h")
+# every exponent; the fixed-point width pf (``_width``); the walk's step;
+# the exponent numerators t_gg of T_gg, q of Q and, for d = +-1, moves[d]
+# of the constants of ``_move``; ``inverse``, the constants taken as the
+# inverse of another (numerator -> its partner's); and the integer bound h
+# on the Im D of the walk's ellipsoid (``_height``; None: no clip).
+_Plan = namedtuple("_Plan", "lines chains d_min s_den pf step t_gg q moves inverse h")
 
 
 def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
@@ -894,12 +896,10 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     q_out = tuple(2 * e * e * v for v in t.get((h - 1, h - 1), (0, 0)))
     moves = {d: (q, (-q[0], -q[1]), (d * c[0], d * c[1]), (-d * c[0], -d * c[1]), q_out)
              for d in (1, -1)}
-    plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), 0, step,
+    plan = _Plan(lines, None, d_min, s_den, _width(shape, peaks, d_min, s_den), step,
                  (thr, thi), q, moves, None, cap)
     chains, inverse = _chain_plan(plan)
-    chained = any(how == "chain" for chain in chains for _, _, how, _, _ in chain)
-    return shape, plan._replace(chains=chains, inverse=inverse,
-                                q_bits=CHAIN_GUARD if chained else 0)
+    return shape, plan._replace(chains=chains, inverse=inverse)
 
 
 def _width(shape: _Shape, peaks: dict, d_min: int, s_den: int) -> int:
@@ -1015,29 +1015,29 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     centre first (d = 0), the row of the largest peak, then centre + 1,
     centre + 2, ... (d = 1), then centre - 1, ... (d = -1).  how is "skip"
     (the row misses the ellipsoid, or its peak is below 2^-(pf+1): not
-    walked), "anchor" (fresh exps of t and the ratios the row walks),
-    "start" (an anchor that a chain continues from: t, rho+ and rho- at
-    the chain's width) or "chain" (row j - d's values carried by ``_move``
-    and shifted ``shift`` steps).  inv marks a value formed by identity: at
-    a start rho_inv = Q / rho_-inv, at the chained row next to a line's
-    centre its first O.
+    walked), "anchor" (a fresh exp of t, and of rho+ and rho-, one of them
+    by identity where it fits) or "chain" (row j - d's values carried by
+    ``_move`` and shifted ``shift`` steps).  inv marks a value formed by
+    identity: at an anchor rho_inv = Q / rho_-inv, at the chained row next
+    to a line's centre its first O.
 
     Rounding is not damped along a chain: O, C^(+-1) and Q^-1 may exceed
-    modulus 1, and a value that was small when rounded may grow.  So the
-    chain runs at w = pf + CHAIN_GUARD fractional bits (its constants, its
-    anchors and O, one fresh exp at the start of each chain, too), and
-    this plan bounds the error of every chained value from the exact
-    moduli before the walk.  Every value is tracked by the imaginary part
-    of its exact exponent (numerators over s_den) and a bound on its error
-    in ulps of 2^-w.  A product of values u, c with exact moduli |u|, |c|
-    and errors E_u, E_c, rounded down, errs by at most
-    |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp by
-    ``_fresh``.  A row chains when its peak term and each ratio it walks
-    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w; rounded down to pf
-    bits (less than sqrt(2) ulps more) they err by less than the 68 ulps of
-    2^-pf of fresh ones.  Otherwise, and after a row that is not walked, it
-    takes a fresh anchor (the centre rows always do).  Every walked row
-    thus starts within eps and keeps its budget u_k (``_row_units``).  The
+    modulus 1, and a value that was small when rounded may grow.  So every
+    start value and constant of a walk is formed at w = pf + CHAIN_GUARD
+    fractional bits (its constants, its anchors and O, one fresh exp at the
+    start of each chain, too), and this plan bounds the error of every
+    chained value from the exact moduli before the walk.  Every value is
+    tracked by the imaginary part of its exact exponent (numerators over
+    s_den) and a bound on its error in ulps of 2^-w.  A product of values
+    u, c with exact moduli |u|, |c| and errors E_u, E_c, rounded down, errs
+    by at most |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp
+    by ``_fresh``.  A row chains when its peak term and each ratio it walks
+    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w, the allowance of a
+    value by identity too; rounded down to pf bits (less than sqrt(2) ulps
+    more) such a value, like a fresh one, errs by less than eps = 68 ulps
+    of 2^-pf.  Otherwise, and after a row that is not walked, it takes a
+    fresh anchor (the centre rows always do).  Every walked row thus starts
+    within eps and keeps its budget u_k (``_row_units``).  The
     moduli are exact exponentials of exact exponents evaluated in doubles
     (arguments below 709), so a bound's relative error grows by about
     2^-43 per product: far below the gap 2 - sqrt(2) (relative 2^-7) for
@@ -1054,8 +1054,7 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     then a floor per part), and the product is bounded as above.  A value
     is formed so where that bound is within the allowance E of the chain's
     values, and by a fresh exp otherwise; the walk forms it exactly as
-    planned, so every bound holds.  An anchor at pf bits takes its ratios
-    fresh: an inverse of modulus at most 1 errs by 68 ulps or more there."""
+    planned, so every bound holds."""
     s_den = plan.s_den
     tiny = 2.0 ** -(plan.pf + CHAIN_GUARD)
     allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
@@ -1095,8 +1094,8 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     q = bounds[plan.q]
 
     def anchored(row) -> tuple:
-        """A fresh row's values at the chain's width, the ratio of smaller
-        modulus by identity where it fits, and the sign of that ratio."""
+        """An anchor's values, the ratio of smaller modulus by identity
+        where it fits, and the sign of that ratio (0: both fresh)."""
         up, down = (value(num[1]) for num in _ratios(row, plan))
         inv = 1 if up[0] >= down[0] else -1
         derived = by_identity(down if inv > 0 else up, q)
@@ -1122,9 +1121,8 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
             derived = by_identity(o[big], consts[1][4])
             if derived:
                 outs[-big] = derived
-        out = [(centre, 0, "anchor" if walked[centre] else "skip", 0, 0)]
-        start, ratio = anchored(line[centre]) if walked[centre] else (None, 0)
-        invs = {centre: ratio}
+        start, inv = anchored(line[centre]) if walked[centre] else (None, 0)
+        out = [(centre, 0, "anchor" if walked[centre] else "skip", 0, inv)]
         for d in (1, -1):
             state = start
             for j in range(centre + d, len(line) if d > 0 else -1, d):
@@ -1134,7 +1132,7 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
                     how, state = "skip", None
                 elif state is not None:
                     if state[3] is None:
-                        inv = j - d == centre and d in outs
+                        inv = int(j - d == centre and d in outs)
                         o = outs[d] if inv else value(_outer(prev, row)[1])
                         state = state[:3] + (o,)
                     shift = (row.x - prev.x) // plan.step
@@ -1144,12 +1142,10 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
                             and (row.k == row.lo or em <= allowed)):
                         how, state = "chain", cand
                 if how == "anchor":
-                    state, invs[j] = anchored(row)
+                    state, inv = anchored(row)
                     shift = 0
-                out.append((j, d, how, shift, int(how == "chain" and inv)))
-        feeds = {j - d for j, d, how, _, _ in out if how == "chain"}
-        chains.append([(j, d, "start", 0, invs[j]) if how == "anchor" and j in feeds
-                       else (j, d, how, shift, inv) for j, d, how, shift, inv in out])
+                out.append((j, d, how, shift, inv))
+        chains.append(out)
     return chains, inverse
 
 
@@ -1174,36 +1170,35 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     which make every decision.  Each walked row of a line, in the plan's
     order, takes its start values fresh (``_expjpi``), by identity
     (``_inverse``) or by ``_move`` from the row before it, with the walk's
-    constants taken once each (``const``), and walks out from its peak to
-    the ends of its interval inside the ellipsoid in pf bits
-    (``_row_units``), adding each term to the accumulator of its slot; the
+    constants taken once each (``const``), all at w = pf + CHAIN_GUARD
+    bits, and walks out from its peak to the ends of its interval inside
+    the ellipsoid in pf bits (``_row_units``) from those values rounded
+    down, adding each term to the accumulator of its slot; the
     pair slots are added to both classes at the end.  The integer
     accumulators are exact and each computed term lands in at most one of
     them per row of its pair (in none outside its box), so the errors of
     a's classes stay within units[a] 2^-pf, and so does a combination
     sum_C w_C A_C over a's classes with |w_C| = 1."""
     shape, plan = _plan(tau, z, den, boxes)
-    pf, s_den, q_bits = plan.pf, plan.s_den, plan.q_bits
+    pf, s_den = plan.pf, plan.s_den
     r2 = den * den
     size = r2 ** tau.g
     acc_re = [0] * (2 * size + 1)
     acc_im = [0] * (2 * size + 1)
     exps = {}       # the walk's constants
-    wide = pf + CHAIN_GUARD
+    w = pf + CHAIN_GUARD
 
-    def const(num, w):
-        """The constant of exponent num at w bits, once per walk: at the
-        chain's width the inverse of its partner where the plan says so,
-        else ``_expjpi``."""
-        if (num, w) not in exps:
-            partner = plan.inverse.get(num) if w == wide else None
-            exps[num, w] = (_expjpi(*num, s_den, w) if partner is None
-                            else _inverse(const(partner, w), w))
-        return exps[num, w]
+    def const(num):
+        """The constant of exponent num, once per walk: the inverse of its
+        partner where the plan says so, else ``_expjpi``."""
+        if num not in exps:
+            partner = plan.inverse.get(num)
+            exps[num] = _expjpi(*num, s_den, w) if partner is None else _inverse(const(partner), w)
+        return exps[num]
 
     def mul(u, c):
-        """The fixed-point product at the chain's width, rounded down."""
-        return (u[0] * c[0] - u[1] * c[1]) >> wide, (u[0] * c[1] + u[1] * c[0]) >> wide
+        """The fixed-point product at w bits, rounded down."""
+        return (u[0] * c[0] - u[1] * c[1]) >> w, (u[0] * c[1] + u[1] * c[0]) >> w
 
     for line, chain in zip(plan.lines, plan.chains):
         states = {}
@@ -1211,7 +1206,7 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
 
         def outer(i, j):
             if (i, j) not in outers:
-                outers[i, j] = _expjpi(*_outer(line[i], line[j]), s_den, wide)
+                outers[i, j] = _expjpi(*_outer(line[i], line[j]), s_den, w)
             return outers[i, j]
 
         for j, d, how, shift, inv in chain:
@@ -1219,42 +1214,37 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                 continue
             row = line[j]
             if how == "chain":
-                bits = CHAIN_GUARD
                 state = states[j - d]
                 if state[3] is None:
                     # inv: O_d = Q_out / O_-d at the centre j - d
-                    o = (mul(_inverse(outer(j - d, j - 2 * d), wide), const(plan.moves[d][4], wide))
+                    o = (mul(_inverse(outer(j - d, j - 2 * d), w), const(plan.moves[d][4]))
                          if inv else outer(j - d, j))
                     state = state[:3] + (o,)
                 # Q and Q^-1 are taken only where the peak shifts
-                consts = [const(num, wide) if shift or i > 1 else None
+                consts = [const(num) if shift or i > 1 else None
                           for i, num in enumerate(plan.moves[d])]
                 state = _move(state, consts, shift, mul)
             else:
-                # at the chain's width, both ratios, where a chain starts here
-                bits = CHAIN_GUARD if how == "start" else 0
-                w = pf + bits
                 up, down = _ratios(row, plan)
                 if inv:     # rho_inv = Q / rho_-inv
                     fresh = _expjpi(*(down if inv > 0 else up), s_den, w)
-                    ratio = mul(_inverse(fresh, w), const(plan.q, w))
+                    ratio = mul(_inverse(fresh, w), const(plan.q))
                     rho_p, rho_m = (ratio, fresh) if inv > 0 else (fresh, ratio)
                 else:
-                    rho_p = _expjpi(*up, s_den, w) if row.k < row.hi or bits else None
-                    rho_m = _expjpi(*down, s_den, w) if row.k > row.lo or bits else None
+                    rho_p, rho_m = _expjpi(*up, s_den, w), _expjpi(*down, s_den, w)
                 state = _expjpi(row.dr, row.di - plan.d_min, s_den, w), rho_p, rho_m, None
             states[j] = state
             tt, rho_p, rho_m, _ = state
             slots, k = row.slots, row.k
-            peak_re, peak_im = tt[0] >> bits, tt[1] >> bits
+            # the row walks in pf bits: its start values rounded down
+            peak_re, peak_im = tt[0] >> CHAIN_GUARD, tt[1] >> CHAIN_GUARD
             acc_re[slots[k]] += peak_re
             acc_im[slots[k]] += peak_im
             for rho, seq in ((rho_p, slots[k + 1:row.hi + 1]), (rho_m, slots[row.lo:k][::-1])):
                 if not seq:
                     continue
-                qr, qi = const(plan.q, pf + q_bits)
-                qr, qi = qr >> q_bits, qi >> q_bits
-                rr, ri = rho[0] >> bits, rho[1] >> bits
+                qr, qi = (v >> CHAIN_GUARD for v in const(plan.q))
+                rr, ri = rho[0] >> CHAIN_GUARD, rho[1] >> CHAIN_GUARD
                 ur, ui = peak_re, peak_im
                 for c in seq:
                     ur, ui = (ur * rr - ui * ri) >> pf, (ur * ri + ui * rr) >> pf

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf, fabs, log, pi, workprec
 
 from thetaheights import constants
+from thetaheights.certified import CertifiedReal
 from thetaheights.siegel import SiegelPoint
 
 
@@ -166,6 +167,29 @@ def test_sigma_norm_log_bound():
         constants.sigma_norm_log_bound(1, 2, -1)
 
 
+def test_sigma_norm_log_bound_takes_h_theta_at_its_own_precision():
+    # a non-dyadic h_theta is rounded inside the working precision, so the
+    # ball encloses the 400-bit value and does not depend on the caller's
+    # mp.prec; a CertifiedReal h_theta carries its error through
+    with workprec(400):
+        lattice = 2 * (-2 * log(pi) + log(2) + 4 * pi + 4 * log(2))     # g = r = 2
+    for h in (Fraction(1, 3), "0.1"):
+        outs = []
+        for p in (53, 300):
+            with workprec(p):
+                outs.append(constants.sigma_norm_log_bound(2, 2, h))
+        assert outs[0] == outs[1], h
+        with workprec(400):
+            ref = lattice / 2 * log(2 + (mpf(1) / 3 if h == Fraction(1, 3) else mpf(h)))
+            assert fabs(outs[0].value - ref) <= outs[0].err, h
+    with workprec(200):
+        third = CertifiedReal(mpf(1) / 3, mpf(2) ** -150)
+    v = constants.sigma_norm_log_bound(2, 2, third)
+    with workprec(400):
+        assert fabs(v.value - lattice / 2 * log(2 + mpf(1) / 3)) <= v.err
+    assert v.err > mpf(2) ** -150
+
+
 def test_modified_faltings_offset():
     from mpmath import mpc
     tau_i = SiegelPoint.from_complex(mpc(0, 1))
@@ -176,6 +200,10 @@ def test_modified_faltings_offset():
     with workprec(200):
         assert fabs(v.value - log(2) / 2) < mpf(10) ** -25
         assert fabs(v4.value - log(2)) < mpf(10) ** -25
+    # the degree is a positive int: no float and no bool
+    for deg in (2.5, True, 0, 2 ** 0.5):
+        with pytest.raises(ValueError):
+            constants.modified_faltings_offset([tau_i], deg_isogeny=deg)
 
 
 def test_precision_refinement_agreement():

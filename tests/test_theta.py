@@ -1327,12 +1327,13 @@ def test_oracle_cases_clip_rows_and_form_inverses(monkeypatch):
     for shape, plan in seen:
         for run, line, chain in zip(shape.runs, plan.lines, plan.chains):
             for j, d, how, _, inv in chain:
+                assert how in ("skip", "anchor", "chain"), how
                 row = line[j]
                 if row.lo > row.hi:
                     found.add("emptied")
                 elif how != "skip" and row.hi - row.lo < run[j].last:
                     found.add("shortened")
-                if how == "start" and inv:
+                if how == "anchor" and inv:
                     found.add("rho+" if inv > 0 else "rho-")
                 if how == "chain" and inv:
                     found.add("O")
@@ -1342,6 +1343,25 @@ def test_oracle_cases_clip_rows_and_form_inverses(monkeypatch):
         if c in plan.inverse or (-c[0], -c[1]) in plan.inverse:
             found.add("C")
     assert found == {"emptied", "shortened", "rho+", "rho-", "Q", "C", "O"}, found
+
+
+def test_a_g1_walk_forms_a_ratio_and_q_by_identity(monkeypatch):
+    # every start value and constant of a walk is formed at one width, so
+    # the one anchor of a g = 1 walk takes its ratio of smaller modulus as
+    # Q / rho and Q as the inverse of Q^-1: 4 fresh exps (the peak term,
+    # one ratio, Q^-1 and the finisher's scale) and 2 inverses, where an
+    # anchor at pf bits took 5 exps and none
+    counts = dict.fromkeys(("mpc_expjpi", "_inverse"), 0)
+    for name in counts:
+        def wrapper(*args, _fn=getattr(theta_module, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(theta_module, name, wrapper)
+    t = mpc("0.1", "1.3")
+    v = theta(SiegelPoint.from_complex(t), prec=96)
+    assert counts == {"mpc_expjpi": 4, "_inverse": 2}, counts
+    with workprec(200):
+        assert fabs(v.value - theta_brute([[t]], n=30)) <= v.err
 
 
 def _ellipsoid_cases():
