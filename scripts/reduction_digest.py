@@ -12,15 +12,20 @@ where digest is the first 16 hex digits of the sha256 of every field of
 its result: the word, the exact (sign, man, exp, bc) of every reduced
 entry, gamma, and of its certificate the det history and the action
 residual (each mpf by its exact (sign, man, exp, bc) too), the iteration
-count, ``converged`` and the S.2, S.3 (both bullets) and S.1 flags.  The
-last line is the sha256 of all records together.
+count, ``converged`` and the S.2, S.3 (both bullets) and S.1 flags.  After
+the lines comes one ``counts`` line: per g, the calls over the sweep of
+``siegel._denominator_det`` (one per S.1 determinant),
+``SymplecticMatrix.is_symplectic`` (one per checked matrix) and
+``siegel.act``, counted by wrapping them here.  The last line is the sha256
+of all records together.
 
-    python scripts/reduction_digest.py                   # lines, then the total
+    python scripts/reduction_digest.py                   # lines, counts, then the total
     python scripts/reduction_digest.py --out lines.txt   # lines to a file
 """
 import argparse
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 # run from a source checkout: the package is imported from src/ next to
@@ -32,6 +37,22 @@ if str(SRC) not in sys.path:
 from thetaheights import sampling, siegel  # noqa: E402
 
 SWEEP = ((1, 128, 3000), (2, 96, 3000), (2, 128, 1000), (3, 96, 200))
+
+# the counted functions, as (owner, name)
+COUNTED = ((siegel, "_denominator_det"), (siegel.SymplecticMatrix, "is_symplectic"),
+           (siegel, "act"))
+
+
+def count_calls(calls: Counter) -> None:
+    """Wrap each function of ``COUNTED`` so that a call adds one to
+    calls[name]; the results are unchanged."""
+    def counted(real, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for owner, name in COUNTED:
+        setattr(owner, name, counted(getattr(owner, name), name))
 
 
 def _key(x) -> tuple[int, ...]:
@@ -57,16 +78,24 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="write the per-reduction lines here")
     args = ap.parse_args()
     total = hashlib.sha256()
+    calls: Counter = Counter()
+    count_calls(calls)
+    per_g: dict[int, Counter] = {}
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for g, prec, count in SWEEP:
+            before = calls.copy()
             for k in range(count):
                 rec = record(g, prec, k).encode()
                 total.update(rec + b"\n")
                 out.write(f"{g} {prec} {k} {hashlib.sha256(rec).hexdigest()[:16]}\n")
+            per_g.setdefault(g, Counter()).update(calls - before)
     finally:
         if args.out:
             out.close()
+    print("counts " + "; ".join(
+        f"g={g} " + " ".join(f"{name}={c[name]}" for _, name in COUNTED)
+        for g, c in per_g.items()))
     print(f"total {total.hexdigest()[:16]}")
     return 0
 

@@ -21,7 +21,8 @@ give definiteness and det Y = D_g, its adjugate (Im tau)^-1 = 2^s adj Y /
 det Y and the first step of the lambda_min bound (``min_eig_lower_bound``).
 S.1 is decided by the identity det Im(gamma.tau) = det Im tau /
 |det(lam tau + mu)|^2: det(lam tau + mu) 2^(gs) is the determinant of the
-Gaussian-integer matrix lam (X + iY) + mu 2^s, and S.1 for gamma is the
+Gaussian-integer matrix lam (X + iY) + mu 2^s, in closed form at g <= 2 and
+by the elimination above (``_denominator_det``), and S.1 for gamma is the
 integer test |det|^2 >= 2^(2gs) (``_s1_holds``).  ``act`` inverts the same
 matrix by the Gauss-Jordan form of the elimination.  No test carries a
 tolerance: each verdict is exact on the stored point, ties passing (the
@@ -31,7 +32,8 @@ closed domain).
 is its g = 1 case, required to converge).  Its translations and basis
 changes are exact integer-form moves, (X + b 2^s + iY) / 2^s and (U^T X U +
 i U^T Y U) / 2^s, which keep det Im tau; only a generator move rounds, once,
-in ``act``.
+in ``act``.  gamma is integer bookkeeping: its four blocks are updated at
+each move, and checked symplectic once, when the loop ends.
 """
 from __future__ import annotations
 
@@ -41,9 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
+from operator import mul
 
 from mpmath import mp, mpf, mpc, fabs, workprec
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, fzero, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, from_int, from_man_exp, fzero, mpf_div,
+                          round_nearest)
 
 from .certified import DEFAULT_PREC, GUARD_BITS
 from .exactla import (IntMat, Mat, dyadic, gauss_adjugate,
@@ -193,7 +197,7 @@ def _int_zero(g: int) -> IntMat:
 
 def _int_mul(a: IntMat, b: IntMat) -> IntMat:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _int_add(a: IntMat, b: IntMat) -> IntMat:
@@ -209,17 +213,32 @@ def _int_neg(a: IntMat) -> IntMat:
 
 
 def _gauss_affine(a: IntMat, b: IntMat, tau: SiegelPoint) -> list:
-    """(a tau + b) 2^s over Z[i], from the integer form tau = (X + iY) / 2^s."""
+    """(a tau + b) 2^s over Z[i], from the integer form tau = (X + iY) / 2^s;
+    X and Y are symmetric, so their rows are their columns."""
     x, y, s = tau.int_form
-    g = tau.g
-    return [[(sum(a[i][k] * x[k][j] for k in range(g)) + (b[i][j] << s),
-              sum(a[i][k] * y[k][j] for k in range(g))) for j in range(g)]
-            for i in range(g)]
+    return [[(sum(map(mul, ar, xr)) + (bv << s), sum(map(mul, ar, yr)))
+             for xr, yr, bv in zip(x, y, br)] for ar, br in zip(a, b)]
 
 
 def _denominator_det(gamma: "SymplecticMatrix", tau: SiegelPoint) -> tuple[int, int]:
-    """det(lam tau + mu) 2^(gs) over Z[i]."""
-    return gauss_det(_gauss_affine(gamma.lam, gamma.mu, tau))
+    """det N over Z[i], N = (lam tau + mu) 2^s = lam X + mu 2^s + i lam Y:
+    det(lam tau + mu) 2^(gs).  At g <= 2 in closed form from the integer
+    form (the one entry of N at g = 1, ad - bc of its four entries at
+    g = 2, reading X and Y as symmetric); at g >= 3 by ``gauss_det``."""
+    g = tau.g
+    if g > 2:
+        return gauss_det(_gauss_affine(gamma.lam, gamma.mu, tau))
+    x, y, s = tau.int_form
+    if g == 1:
+        l = gamma.lam[0][0]
+        return l * x[0][0] + (gamma.mu[0][0] << s), l * y[0][0]
+    (xa, xb), (_, xc) = x
+    (ya, yb), (_, yc) = y
+    (ar, ai, br, bi), (cr, ci, dr, di) = (
+        (p * xa + q * xb + (m0 << s), p * ya + q * yb,
+         p * xb + q * xc + (m1 << s), p * yb + q * yc)
+        for (p, q), (m0, m1) in zip(gamma.lam, gamma.mu))
+    return ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr
 
 
 @dataclass(frozen=True)
@@ -271,36 +290,51 @@ class SymplecticMatrix:
 
     @classmethod
     def basis_change(cls, u: IntMat) -> "SymplecticMatrix":
-        """tau -> u^T tau u for unimodular u.  ``gauss_adjugate`` gives
-        d = +-det u and R = d u^-1, so u^-1 = d R when det u = +-1."""
+        """tau -> u^T tau u for unimodular u."""
         g = len(u)
-        try:
-            (d, _), adj = gauss_adjugate(gaussian(u))
-        except ZeroDivisionError:
-            d = 0
-        if d not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        return cls(g, _int_t(u), _int_zero(g), _int_zero(g),
-                   tuple(tuple(d * x for x, _ in row) for row in adj))
+        return cls(g, _int_t(u), _int_zero(g), _int_zero(g), _unimodular_inverse(u))
+
+    @property
+    def blocks(self) -> tuple[IntMat, IntMat, IntMat, IntMat]:
+        return self.alpha, self.beta, self.lam, self.mu
 
     def compose(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         """Matrix product self * other (self acts after other)."""
-        a = _int_add(_int_mul(self.alpha, other.alpha), _int_mul(self.beta, other.lam))
-        b = _int_add(_int_mul(self.alpha, other.beta), _int_mul(self.beta, other.mu))
-        l = _int_add(_int_mul(self.lam, other.alpha), _int_mul(self.mu, other.lam))
-        m = _int_add(_int_mul(self.lam, other.beta), _int_mul(self.mu, other.mu))
-        return SymplecticMatrix(self.g, a, b, l, m)
+        return SymplecticMatrix(self.g, *_block_product(self.blocks, other.blocks))
 
     def inverse(self) -> "SymplecticMatrix":
         return SymplecticMatrix(self.g, _int_t(self.mu), _int_neg(_int_t(self.beta)),
                                 _int_neg(_int_t(self.lam)), _int_t(self.alpha))
 
-    @property
+    @cached_property
     def keeps_det_im(self) -> bool:
         """lam = 0: then alpha^T mu = I forces |det mu| = 1, so det Im(gamma.tau)
         = det Im tau / |det mu|^2 = det Im tau for every tau, and S.1 needs
         no determinant for gamma."""
         return not any(any(row) for row in self.lam)
+
+
+def _unimodular_inverse(u: IntMat) -> IntMat:
+    """u^-1 for unimodular u, else ``ValueError``: ``gauss_adjugate`` gives
+    d = +-det u and R = d u^-1, so u^-1 = d R when det u = +-1."""
+    try:
+        (d, _), adj = gauss_adjugate(gaussian(u))
+    except ZeroDivisionError:
+        d = 0
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(d * x for x, _ in row) for row in adj)
+
+
+def _block_product(p, q) -> tuple[IntMat, IntMat, IntMat, IntMat]:
+    """The blocks of [[a, b], [l, m]] [[a', b'], [l', m']], each given by
+    its four blocks, with no symplecticity check."""
+    a, b, l, m = p
+    a2, b2, l2, m2 = q
+    return (_int_add(_int_mul(a, a2), _int_mul(b, l2)),
+            _int_add(_int_mul(a, b2), _int_mul(b, m2)),
+            _int_add(_int_mul(l, a2), _int_mul(m, l2)),
+            _int_add(_int_mul(l, b2), _int_mul(m, m2)))
 
 
 def sl2_s() -> SymplecticMatrix:
@@ -319,8 +353,11 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
     / |d|^2 where ``gauss_adjugate`` gives d = +-det N and adj = d N^-1.
     The Gaussian-integer numerator is symmetrized over the one positive
     denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
-    with ``from_rational``, whatever mp.prec is: the rational is the exact
-    image, so the point is the one any exact evaluation rounds to.
+    by one ``mpf_div`` of integers (``from_rational``'s division, with the
+    denominator converted once), whatever mp.prec is: the rational is the
+    exact image, so the point is the one any exact evaluation rounds to.
+    The numerators of (i, j) and (j, i) are equal, so each pair is rounded
+    once.
 
     In the package, ``reduce_heuristic`` calls it once per generator move
     (step (c)) and once for its certificate's ``action_residual``; its
@@ -344,13 +381,16 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
             ui = sum(a * e + b * c for (a, b), (c, e) in zip(prow, col))
             wrow.append((ur * dr + ui * di, ui * dr - ur * di))
         w.append(wrow)
-    den = 2 * (dr * dr + di * di)
+    den = from_int(2 * (dr * dr + di * di))
     bits = prec + 32
 
     def sym(part: int) -> tuple[tuple[mpf, ...], ...]:
-        return tuple(tuple(mp.make_mpf(from_rational(w[i][j][part] + w[j][i][part],
-                                                     den, bits, round_nearest))
-                           for j in range(g)) for i in range(g))
+        rows = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                rows[i][j] = rows[j][i] = mp.make_mpf(mpf_div(
+                    from_int(w[i][j][part] + w[j][i][part]), den, bits, round_nearest))
+        return tuple(map(tuple, rows))
 
     out = SiegelPoint(g, sym(0), sym(1))
     if not out.y_positive_definite:
@@ -414,9 +454,10 @@ def _s1_holds(gamma: SymplecticMatrix, tau: SiegelPoint) -> bool:
     certificate: det Im(gamma.tau) <= det Im tau, ties passing.  By
     det Im(gamma.tau) = det Im tau / |det(lam tau + mu)|^2 this is
     |det(lam tau + mu)|^2 >= 1, and with N = (lam tau + mu) 2^s over Z[i]
-    the integer test |det N|^2 >= 2^(2gs); a singular lam tau + mu (the
-    image at infinity) fails.  A generator that keeps det Im tau passes
-    with no determinant."""
+    the integer test |det N|^2 >= 2^(2gs), det N by ``_denominator_det``
+    (in closed form at g <= 2); a singular lam tau + mu (the image at
+    infinity) fails.  A generator that keeps det Im tau passes with no
+    determinant."""
     if gamma.keeps_det_im:
         return True
     dr, di = _denominator_det(gamma, tau)
@@ -443,18 +484,12 @@ def fundamental_domain_report(tau: SiegelPoint,
     s3_quad = True
     checked = 0
     for xi in itertools.product((-1, 0, 1), repeat=g):
-        if all(v == 0 for v in xi):
-            continue
-        q = None
+        q = sum(xi[i] * y[i][j] * xi[j] for i in range(g) for j in range(g))
         for k in range(g):
-            tail_gcd = 0
-            for v in xi[k:]:
-                tail_gcd = gcd(tail_gcd, abs(v))
-            if tail_gcd != 1:
-                # primitivity condition (xi_k, ..., xi_g) = 1 fails
+            if gcd(*xi[k:]) != 1:
+                # primitivity condition (xi_k, ..., xi_g) = 1 fails, for
+                # every k when xi = 0
                 continue
-            if q is None:
-                q = sum(xi[i] * y[i][j] * xi[j] for i in range(g) for j in range(g))
             checked += 1
             if y[k][k] > q:
                 s3_quad = False
@@ -501,16 +536,21 @@ class ReductionResult:
 
 
 def _action_residual(gamma, tau, reduced, prec) -> mpf:
+    """max |act(gamma, tau) - reduced| over the entries on and above the
+    diagonal: both points are symmetric."""
     chk = act(gamma, tau, prec)
     r = mpf(0)
     for i in range(tau.g):
-        for j in range(tau.g):
+        for j in range(i, tau.g):
             r = max(r, fabs(chk.entry(i, j) - reduced.entry(i, j)))
     return r
 
 
 def compose_word(word, g: int = 1) -> SymplecticMatrix:
-    """Exact product of a reduction word, for certificate checking."""
+    """Exact product of a reduction word, each move a checked
+    ``SymplecticMatrix``: the certificate's independent checker of the
+    gamma that ``reduce_heuristic`` carries through its loop (it is not
+    called there)."""
     gamma = SymplecticMatrix.identity(g)
     for move in word:
         if move[0] == "U":
@@ -671,10 +711,17 @@ def reduce_heuristic(tau: SiegelPoint,
     reads b off X and moves to (X + b 2^s + iY) / 2^s, (b) to (U^T X U +
     i U^T Y U) / 2^s.  Neither changes det Im tau (Y is untouched, or
     congruent by U with det U = +-1), so each repeats the previous
-    ``det_history`` entry.  Only (c) rounds, once (``act``).  gamma is
-    composed once, from the word (``compose_word``), which checks each U.
-    S.2 holds exactly on output; whether the output lies in the true
-    fundamental domain is reported by the certificate, not assumed.
+    ``det_history`` entry.  Only (c) rounds, once (``act``).  gamma =
+    [[alpha, beta], [lam, mu]] is carried through the loop as four integer
+    blocks, from the identity's: (a) adds b lam to alpha and b mu to beta,
+    (b) takes alpha, beta to U^T alpha, U^T beta and lam, mu to U^-1 lam,
+    U^-1 mu (U^-1 by ``_unimodular_inverse``, which checks det U = +-1),
+    and (c) multiplies by the generator's blocks.  The final blocks are
+    checked symplectic once, by the constructor (an empty word gives the
+    identity itself); ``compose_word`` rebuilds the same gamma from the
+    word, independently.  S.2 holds exactly on output; whether the output
+    lies in the true fundamental domain is reported by the certificate, not
+    assumed.
 
     No step carries a tolerance.  A (c) move raises the exact det Im tau
     strictly (|det(lam tau + mu)| < 1); rounding the image to prec + 32
@@ -690,10 +737,12 @@ def reduce_heuristic(tau: SiegelPoint,
         cur = tau
         word: list = []
         history = [cur.det_im()]
+        identity = SymplecticMatrix.identity(g)
+        blocks = identity.blocks
 
-        def move(entry, point: SiegelPoint, det: mpf) -> None:
-            nonlocal cur
-            cur = point
+        def move(entry, point: SiegelPoint, det: mpf, new_blocks) -> None:
+            nonlocal cur, blocks
+            cur, blocks = point, new_blocks
             word.append(entry)
             history.append(det)
 
@@ -703,7 +752,9 @@ def reduce_heuristic(tau: SiegelPoint,
                 return False
             x, y, s = cur.int_form
             x = tuple(tuple(v + (w << s) for v, w in zip(r, br)) for r, br in zip(x, b))
-            move(("B", b), _from_int_form(x, y, s), history[-1])
+            a, bt, l, m = blocks
+            move(("B", b), _from_int_form(x, y, s), history[-1],
+                 (_int_add(a, _int_mul(b, l)), _int_add(bt, _int_mul(b, m)), l, m))
             return True
 
         converged = False
@@ -714,8 +765,10 @@ def reduce_heuristic(tau: SiegelPoint,
             x, y, s = cur.int_form
             u = reduced_basis_change(y)
             if u != _int_identity(g):
+                ut, ui = _int_t(u), _unimodular_inverse(u)
                 move(("U", u), _from_int_form(_congruence(u, x), _congruence(u, y), s),
-                     history[-1])
+                     history[-1],
+                     tuple(_int_mul(v, blk) for v, blk in zip((ut, ut, ui, ui), blocks)))
                 moved = True
             # (c) first generator in list order that fails S.1
             for gen in generators:
@@ -725,7 +778,7 @@ def reduce_heuristic(tau: SiegelPoint,
                     point = act(gen, cur, prec)
                 except NumericalFailure:
                     continue
-                move(("G", gen), point, point.det_im())
+                move(("G", gen), point, point.det_im(), _block_product(gen.blocks, blocks))
                 moved = True
                 break
             if not moved:
@@ -734,7 +787,7 @@ def reduce_heuristic(tau: SiegelPoint,
         if not converged:
             # final exact S.2 pass: the last iteration may have moved Re tau
             translate()
-        gamma = compose_word(word, g)
+        gamma = SymplecticMatrix(g, *blocks) if word else identity
         residual = _action_residual(gamma, tau, cur, prec)
     report = fundamental_domain_report(cur, generators, prec)
     cert = ReductionCertificate(tuple(word), tuple(history), report,

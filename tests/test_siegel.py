@@ -937,3 +937,86 @@ def test_loop_and_certificate_share_the_s1_rule(monkeypatch):
         assert all(a[1] is res.reduced and a[2] for a in tail)
         assert any(not out for _, _, out in asked) == any(
             move[0] == "G" for move in res.certificate.word)
+
+
+def _supplied_generators(rng, g):
+    """Generators a caller may supply: unit translations and basis swaps
+    (lam = 0), random translations and basis changes, and products of these
+    with the default generators (lam != 0, other than the defaults)."""
+    gens = list(default_generators(g)) + _det_neutral_generators(g)
+    if g == 1:
+        gens.append(SymplecticMatrix.basis_change(((-1,),)))
+    for _ in range(4):
+        b = [[0] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                b[i][j] = b[j][i] = rng.randint(-3, 3)
+        t = SymplecticMatrix.translation(tuple(map(tuple, b)))
+        c = SymplecticMatrix.basis_change(sampling.random_unimodular(rng, g))
+        inv = rng.choice(default_generators(g))
+        gens += [t, c, inv.compose(t), t.compose(inv).compose(c),
+                 c.compose(inv).compose(t).compose(inv)]
+    return gens
+
+
+def _on_s1_surfaces(g):
+    """(gamma, tau) with |det(lam tau + mu)| = 1 exactly: the inversion at
+    tau = i I, a coordinate inversion at tau_00 = i (at g = 1 the same point),
+    and the inversion after a translation by b at tau = -b + i I."""
+    pairs = [(SymplecticMatrix.inversion(g), _scaled_identity(g, 1))]
+    if g == 2:
+        tau = sp([I, mpc(0.25, 0.125)], [mpc(0.25, 0.125), mpc(-0.5, 1.5)])
+        pairs.append((default_generators(2)[1], tau))
+    b = tuple(tuple(2 if i == j else -1 for j in range(g)) for i in range(g))
+    tau = sp(*[[-b[i][j] + (I if i == j else 0) for j in range(g)] for i in range(g)])
+    pairs.append((SymplecticMatrix.inversion(g).compose(SymplecticMatrix.translation(b)), tau))
+    return pairs
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_closed_form_denominator_det_is_the_elimination(g):
+    # det(lam tau + mu) 2^(gs) in closed form against the Bareiss
+    # determinant of the same Gaussian-integer matrix, on unreduced points,
+    # their inversions (long integer forms) and reduced points, for default
+    # and supplied generators; and on |det| = 1 surfaces, where S.1 is a tie
+    # and passes
+    def oracle(gamma, tau):
+        return exactla.gauss_det(siegel._gauss_affine(gamma.lam, gamma.mu, tau))
+
+    checked = 0
+    for k in range(8):
+        rng = sampling.substream(61, f"closed:{g}:{k}")
+        tau = sampling.random_siegel_point(rng, g)
+        points = [tau, act(SymplecticMatrix.inversion(g), tau, 200),
+                  reduce_heuristic(tau, prec=96).reduced]
+        for point in points:
+            for gamma in _supplied_generators(rng, g):
+                assert siegel._denominator_det(gamma, point) == oracle(gamma, point)
+                checked += 1
+    assert checked > 500
+    for gamma, tau in _on_s1_surfaces(g):
+        assert not gamma.keeps_det_im
+        dr, di = siegel._denominator_det(gamma, tau)
+        assert (dr, di) == oracle(gamma, tau)
+        assert dr * dr + di * di == 1 << (2 * g * tau.int_form[2])
+        assert siegel._s1_holds(gamma, tau)
+
+
+@pytest.mark.parametrize("g, count", [(1, 24), (2, 24), (3, 6)])
+def test_carried_gamma_is_the_product_of_the_word(g, count):
+    # the gamma that the loop carries as four blocks is the checked product
+    # of its word, with the default generators and with supplied ones (the
+    # products first, so that step (c) moves by them too)
+    moves = {"B": 0, "U": 0, "G": 0, "supplied G": 0}
+    for k in range(count):
+        rng = sampling.substream(62, f"carried:{g}:{k}")
+        tau = sampling.random_siegel_point(rng, g)
+        for gens in (None, _supplied_generators(rng, g)[::-1]):
+            res = reduce_heuristic(tau, gens, prec=96)
+            assert compose_word(res.certificate.word, g) == res.gamma
+            for move in res.certificate.word:
+                moves[move[0]] += 1
+                moves["supplied G"] += (move[0] == "G"
+                                        and move[1] not in default_generators(g))
+    # a g = 1 basis change is +-1 and the loop never makes one
+    assert min(v for m, v in moves.items() if g > 1 or m != "U") > 0, moves

@@ -1131,12 +1131,10 @@ def _occurs(name, tau, z, den, boxes, seen) -> bool:
     runs = [(shape, *run) for shape, plan in seen
             for run in zip(shape.runs, plan.lines, plan.chains)]
     for _, frames, line, plan in runs:
-        # an anchor that a chain starts from is an anchor here too
-        plan = [(j, d, "anchor" if how == "start" else how, shift)
-                for j, d, how, shift, _ in plan]
-        how_of = {j: how for j, _, how, _ in plan}
-        chained += [(line, shift) for _, _, how, shift in plan if how == "chain"]
-        pairs += [((how, frames[j]), (how_of[j - d], frames[j - d])) for j, d, how, _ in plan if d]
+        how_of = {j: how for j, _, how, _, _ in plan}
+        chained += [(line, shift) for _, _, how, shift, _ in plan if how == "chain"]
+        pairs += [((how, frames[j]), (how_of[j - d], frames[j - d]))
+                  for j, d, how, _, _ in plan if d]
     if name == "skipped row":
         return any(row[0] == "skip" and prev[0] == "chain" for row, prev in pairs)
     if name == "peak shift":
