@@ -15,9 +15,9 @@ residual (each mpf by its exact (sign, man, exp, bc) too), the iteration
 count, ``converged`` and the S.2, S.3 (both bullets) and S.1 flags.  After
 the lines comes one ``counts`` line: per g, the calls over the sweep of
 ``siegel._denominator_det`` (one per S.1 determinant),
-``SymplecticMatrix.is_symplectic`` (one per checked matrix) and
-``siegel.act``, counted by wrapping them here.  The last line is the sha256
-of all records together.
+``SymplecticMatrix.is_symplectic`` (one per checked matrix), ``siegel.act``
+and ``siegel.reduced_basis_change`` (one per basis pass), counted by
+wrapping them here.  The last line is the sha256 of all records together.
 
     python scripts/reduction_digest.py                   # lines, counts, then the total
     python scripts/reduction_digest.py --out lines.txt   # lines to a file
@@ -40,7 +40,7 @@ SWEEP = ((1, 128, 3000), (2, 96, 3000), (2, 128, 1000), (3, 96, 200))
 
 # the counted functions, as (owner, name)
 COUNTED = ((siegel, "_denominator_det"), (siegel.SymplecticMatrix, "is_symplectic"),
-           (siegel, "act"))
+           (siegel, "act"), (siegel, "reduced_basis_change"))
 
 
 def count_calls(calls: Counter) -> None:

@@ -12,9 +12,10 @@ functions of ``theta`` for the run:
 - walks: ``_row_sum`` calls;
 - lines: runs of consecutive walked rows, one chain plan each;
 - fresh anchors (rows whose start values are fresh exps), of them the
-  re-anchors (fresh anchors off a line's centre row), chained rows, and
-  skipped rows, of them the rows that miss the ellipsoid, from each chain
-  plan;
+  re-anchors (fresh anchors off a line's centre row), the half-lines (the
+  rows on one side of a line's centre) whose chain the error bound cut (a
+  fresh anchor right after a walked row), chained rows, and skipped rows,
+  of them the rows that miss the ellipsoid, from each chain plan;
 - box terms, over every row of the lines, skipped ones included (a row of
   last index k holds k + 1 terms of the box), and the walked rows and
   their walked terms, the ones the ellipsoid keeps;
@@ -22,7 +23,8 @@ functions of ``theta`` for the run:
   outer ratios (the first O of a chain), its constants (one exp each per
   walk), the class weights (``_unit``) and the finisher's scale
   (``_complex``); and the values the walk forms as exact inverses
-  (``_inverse``) in place of fresh exps, by the same sites.
+  (``_inverse``) in place of fresh exps, by the same sites;
+- the fixed-point widths pf of the walks, one line per value of pf.
 
     python scripts/walk_counts.py              # counts, then per-walk means, per g
     python scripts/walk_counts.py --seed 7
@@ -69,9 +71,13 @@ def count(seed: int, g: int) -> tuple[Counter, Counter, Counter]:
 
     def counted_plan(*args):
         shape, out = plan(*args)
+        counts[f"pf {out.pf}"] += 1
         for run, line, chain in zip(shape.runs, out.lines, out.chains):
             counts["lines"] += 1
             counts["box terms"] += sum(frame.last + 1 for frame in run)
+            hows = {j: how for j, _, how, _, _ in chain}
+            counts["half-lines cut by the bound"] += len({
+                d for j, d, how, _, _ in chain if d and how == "anchor" and hows[j - d] != "skip"})
             for j, d, how, _, _ in chain:
                 row = line[j]
                 if how == "skip":
@@ -119,9 +125,11 @@ def main() -> int:
             print("\ng = 1, r = 2, the same samples")
         counts, exps, inverses = count(args.seed, g)
         walks = counts["walks"] or 1
-        for key in ("units", "walks", "lines", "fresh anchors", "re-anchors", "chained rows",
-                    "skipped rows", "rows missing the ellipsoid", "walked rows", "box terms",
-                    "walked terms"):
+        widths = sorted((k for k in counts if k.startswith("pf ")), key=lambda k: int(k[3:]))
+        for key in ("units", "walks", "lines", "fresh anchors", "re-anchors",
+                    "half-lines cut by the bound", "chained rows", "skipped rows",
+                    "rows missing the ellipsoid", "walked rows", "box terms", "walked terms",
+                    *widths):
             print(f"{key:<32}{counts[key]:>9}{counts[key] / walks:>10.2f} per walk")
         for name, table in (("mpc_expjpi", exps), ("inverse", inverses)):
             for site in sorted(table):

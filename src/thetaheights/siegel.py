@@ -345,24 +345,9 @@ def sl2_s() -> SymplecticMatrix:
 # action
 
 
-def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
-    """(alpha tau + beta)(lam tau + mu)^{-1}, exact, rounded once.
-
-    On the integer form tau = (X + iY) / 2^s, with P = (alpha tau + beta) 2^s
-    and N = (lam tau + mu) 2^s over Z[i], gamma.tau = P N^-1 = P adj conj(d)
-    / |d|^2 where ``gauss_adjugate`` gives d = +-det N and adj = d N^-1.
-    The Gaussian-integer numerator is symmetrized over the one positive
-    denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
-    by one ``mpf_div`` of integers (``from_rational``'s division, with the
-    denominator converted once), whatever mp.prec is: the rational is the
-    exact image, so the point is the one any exact evaluation rounds to.
-    The numerators of (i, j) and (j, i) are equal, so each pair is rounded
-    once.
-
-    In the package, ``reduce_heuristic`` calls it once per generator move
-    (step (c)) and once for its certificate's ``action_residual``; its
-    translations and basis changes are exact and never act.
-    """
+def _image(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int) -> tuple:
+    """The real and imaginary parts of gamma.tau as symmetric rows of mpf,
+    each entry rounded once to prec + 32 bits (see ``act``)."""
     g = tau.g
     if gamma.g != g:
         raise ValueError("dimension mismatch")
@@ -392,7 +377,29 @@ def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> 
                     from_int(w[i][j][part] + w[j][i][part]), den, bits, round_nearest))
         return tuple(map(tuple, rows))
 
-    out = SiegelPoint(g, sym(0), sym(1))
+    return sym(0), sym(1)
+
+
+def act(gamma: SymplecticMatrix, tau: SiegelPoint, prec: int = DEFAULT_PREC) -> SiegelPoint:
+    """(alpha tau + beta)(lam tau + mu)^{-1}, exact, rounded once.
+
+    On the integer form tau = (X + iY) / 2^s, with P = (alpha tau + beta) 2^s
+    and N = (lam tau + mu) 2^s over Z[i], gamma.tau = P N^-1 = P adj conj(d)
+    / |d|^2 where ``gauss_adjugate`` gives d = +-det N and adj = d N^-1.
+    The Gaussian-integer numerator is symmetrized over the one positive
+    denominator 2|d|^2 and each entry is correctly rounded to prec + 32 bits
+    by one ``mpf_div`` of integers (``from_rational``'s division, with the
+    denominator converted once), whatever mp.prec is: the rational is the
+    exact image, so the point is the one any exact evaluation rounds to.
+    The numerators of (i, j) and (j, i) are equal, so each pair is rounded
+    once (``_image``).
+
+    In the package, ``reduce_heuristic`` calls it once per generator move
+    (step (c)); its translations and basis changes are exact and never act,
+    and its certificate's ``action_residual`` reads the rounded entries of
+    ``_image`` alone.
+    """
+    out = SiegelPoint(tau.g, *_image(gamma, tau, prec))
     if not out.y_positive_definite:
         raise NumericalFailure("action produced a non-definite imaginary part")
     return out
@@ -537,12 +544,13 @@ class ReductionResult:
 
 def _action_residual(gamma, tau, reduced, prec) -> mpf:
     """max |act(gamma, tau) - reduced| over the entries on and above the
-    diagonal: both points are symmetric."""
-    chk = act(gamma, tau, prec)
+    diagonal (both points are symmetric), from the rounded entries of
+    ``_image``: no point is built, checked or eliminated."""
+    re, im = _image(gamma, tau, prec)
     r = mpf(0)
     for i in range(tau.g):
         for j in range(i, tau.g):
-            r = max(r, fabs(chk.entry(i, j) - reduced.entry(i, j)))
+            r = max(r, fabs(mp.make_mpc((re[i][j]._mpf_, im[i][j]._mpf_)) - reduced.entry(i, j)))
     return r
 
 
@@ -633,12 +641,14 @@ def _congruence(u: IntMat, a: IntMat) -> IntMat:
     return _int_mul(_int_mul(_int_t(u), a), u)
 
 
-def reduced_basis_change(y: IntMat) -> IntMat:
-    """Unimodular U with U^T Y U LLL-reduced, diagonal sorted ascending, and
-    superdiagonal entries nonnegative; the order and sign passes are what the
-    Minkowski-type domain conditions ask of the imaginary part.  Each pass
-    compares entries of Y with each other only, so Y may be the integer
-    form of Im tau, 2^s times it."""
+def reduced_basis_change(y: IntMat) -> tuple[IntMat, bool]:
+    """(U, settled): a unimodular U with U^T Y U LLL-reduced, diagonal
+    sorted ascending, and superdiagonal entries nonnegative; the order and
+    sign passes are what the Minkowski-type domain conditions ask of the
+    imaginary part.  Each pass compares entries of Y with each other only,
+    so Y may be the integer form of Im tau, 2^s times it.  settled says
+    that the last round changed nothing, so U^T Y U passed again gives the
+    identity; it is False when ``BASIS_ROUNDS`` rounds all made a change."""
     g = len(y)
     total = _int_identity(g)
     for _ in range(BASIS_ROUNDS):
@@ -671,7 +681,7 @@ def reduced_basis_change(y: IntMat) -> IntMat:
             changed = True
         if not changed:
             break
-    return total
+    return total, not changed
 
 
 def _from_int_form(x: IntMat, y: IntMat, s: int) -> SiegelPoint:
@@ -716,7 +726,10 @@ def reduce_heuristic(tau: SiegelPoint,
     blocks, from the identity's: (a) adds b lam to alpha and b mu to beta,
     (b) takes alpha, beta to U^T alpha, U^T beta and lam, mu to U^-1 lam,
     U^-1 mu (U^-1 by ``_unimodular_inverse``, which checks det U = +-1),
-    and (c) multiplies by the generator's blocks.  The final blocks are
+    and (c) multiplies by the generator's blocks.  (b) is skipped where Y
+    is the one the previous basis pass left settled (only an (a) move, or
+    none, since): ``reduced_basis_change`` would return the identity
+    there.  The final blocks are
     checked symplectic once, by the constructor (an empty word gives the
     identity itself); ``compose_word`` rebuilds the same gamma from the
     word, independently.  S.2 holds exactly on output; whether the output
@@ -758,18 +771,22 @@ def reduce_heuristic(tau: SiegelPoint,
             return True
 
         converged = False
+        settled = None      # the Y a settled basis pass left, until Y moves
         for it in range(1, MAX_ITER + 1):
             # (a) integer translation of the real part
             moved = translate()
-            # (b) unimodular change of basis making Im LLL-reduced
+            # (b) unimodular change of basis making Im LLL-reduced; a Y that
+            # the last pass left settled would give the identity again
             x, y, s = cur.int_form
-            u = reduced_basis_change(y)
-            if u != _int_identity(g):
-                ut, ui = _int_t(u), _unimodular_inverse(u)
-                move(("U", u), _from_int_form(_congruence(u, x), _congruence(u, y), s),
-                     history[-1],
-                     tuple(_int_mul(v, blk) for v, blk in zip((ut, ut, ui, ui), blocks)))
-                moved = True
+            if y != settled:
+                u, done = reduced_basis_change(y)
+                if u != _int_identity(g):
+                    ut, ui = _int_t(u), _unimodular_inverse(u)
+                    move(("U", u), _from_int_form(_congruence(u, x), _congruence(u, y), s),
+                         history[-1],
+                         tuple(_int_mul(v, blk) for v, blk in zip((ut, ut, ui, ui), blocks)))
+                    moved = True
+                settled = cur.int_form[1] if done else None
             # (c) first generator in list order that fails S.1
             for gen in generators:
                 if _s1_holds(gen, cur):

@@ -45,9 +45,11 @@ last coordinate, in three parts:
   values from the row before (by ``_move``), which values are formed as
   exact inverses of others instead of fresh exps (rho+ rho- = Q at a row's
   peak, O+ O- = Q_out at a line's centre, Q^-1 and C^-d), and the
-  fixed-point width pf, all decided before the walk.  Every start value
-  and constant of a walk is formed at one width, pf + ``CHAIN_GUARD``
-  bits, and rounded down to pf bits where a row reads it.
+  fixed-point width pf, all decided before the walk; the chains by an
+  error model that carries each value's modulus as a double, with no exp
+  per product.  Every start value and constant of a walk is formed at one
+  width, pf + ``CHAIN_GUARD`` bits, and rounded down to pf bits where a
+  row reads it.
 - The executor (``_row_sum``): the Python-int fixed-point products and sums
   that the shape and the plan prescribe, chained by the same ``_move``.
 
@@ -63,15 +65,17 @@ or their squares, by one certified factor per walk.
 
 The certified tail bound (``_tail``) is formed at a fixed 64 bits with
 every operation rounded outward, whatever the working precision: it needs
-about 40 correct bits, not prec of them.  Its factor that n does not change
-is formed once per (tau, z).  The radius search (``_radius``, public as
-``choose_radius``) takes its first estimate in doubles, and in mpf only
-next to an integer, and decides each comparison of the tail bound with the
+about 40 correct bits, not prec of them.  Its factors that n does not
+change, and its factor -pi lam, are formed once per (tau, z).  The radius
+search (``_radius``, public as ``choose_radius``) takes its first estimate
+in doubles, and in mpf only next to an integer, and decides each
+comparison of the tail bound with the
 target on its log in doubles, with a proven guard against the double error
 and the rounding of the certified bound; inside the guard the certified
 bound decides, so every radius is the one the certified bound alone would
 choose.  The certified tail is evaluated once per (s, radius) at z
-(``_box_tail``), before the walk, which clips its rows by the least of them.
+(``_box_tail``) and looked up once per top characteristic of a walk, before
+the walk, which clips its rows by the least of them.
 
 The exact data of Im tau (Y^-1, det Y and the lambda_min lower bound, all
 from one elimination of its integer form) are cached on the ``SiegelPoint``,
@@ -212,7 +216,8 @@ def _coset_chars(g: int, r: int) -> tuple[tuple[tuple, tuple], ...]:
 class _At(tuple):
     """z normalized at tau (``_at``) with its exact tail data
     ``_tail_data(tau, z)`` as ``tail``, the head of its tail bounds
-    ``_tail_head`` as ``head``, and the shifts s of ``_shift`` and the
+    ``_tail_head`` as ``head``, their factor -pi lam ``_tail_neg`` as
+    ``neg``, and the shifts s of ``_shift`` and the
     certified box tails of ``_box_tail`` as they are asked for: formed once
     per (tau, z) and passed down as z, so that a batch, its radius
     searches, its walk and its norm scale share them."""
@@ -229,6 +234,7 @@ def _at(tau: SiegelPoint, z) -> _At:
     out.tau = tau
     out.tail = _tail_data(tau, out)
     out.head = _tail_head(tau.g, out.tail[1])
+    out.neg = _tail_neg(out.tail[0])
     out.shifts = {}
     out.tails = {}
     return out
@@ -259,7 +265,7 @@ def _box_tail(z: _At, a, den: int, radius: int) -> mpf:
     s = _shift(z, a, den)
     t = z.tails.get((s, radius))
     if t is None:
-        t = z.tails[s, radius] = _tail(z.tau.g, z.tail[0], s, z.head)(radius)
+        t = z.tails[s, radius] = _tail(z.tau.g, z.neg, s, z.head)(radius)
     return t
 
 
@@ -307,9 +313,15 @@ def _tail_head(g: int, xi: Fraction) -> tuple:
     return head
 
 
-def _tail(g: int, lam: Fraction, s: Fraction, head: tuple):
+def _tail_neg(lam: Fraction) -> tuple:
+    """-pi lam rounded up at TAIL_BITS, the factor of ``_tail`` that only
+    tau sets (lam rounded down first), as a raw value."""
+    return _up(_NEG_PI, from_rational(lam.numerator, lam.denominator, TAIL_BITS, round_floor))
+
+
+def _tail(g: int, neg: tuple, s: Fraction, head: tuple):
     """n -> proven bound on the absolute tail over ||n||_inf > n, with
-    ``head`` = ``_tail_head(g, xi)``:
+    ``neg`` = ``_tail_neg(lam)`` and ``head`` = ``_tail_head(g, xi)``:
 
         T(n) = 2g (g-1)! e^(pi xi) (1 + 2^-30) (2n+3)^(g-1) e^(-pi lam gap^2)
                / (1 - q)^g,     gap = n + 1 - s,  q = e^(-2 pi lam gap),
@@ -330,7 +342,6 @@ def _tail(g: int, lam: Fraction, s: Fraction, head: tuple):
     quotient are rounded up.  Where the computed 1 - q is not positive
     the bound is infinity.  How close it stays to T(n) is in
     ``choose_radius``."""
-    neg = _up(_NEG_PI, from_rational(lam.numerator, lam.denominator, TAIL_BITS, round_floor))
     s_num, s_den = s.numerator, s.denominator
 
     def bound(n: int) -> mpf:
@@ -473,7 +484,7 @@ def _radius(z: _At, s: Fraction, target: mpf) -> int:
             diff = head + pxi + shell - gauss + geom - log_m - log_e
             if abs(diff) > 2.0 ** -40 * (size + shell + gauss + geom + g / x):
                 return diff > 0
-        bound = bound or _tail(g, lam, s, z.head)
+        bound = bound or _tail(g, z.neg, s, z.head)
         return bound(n) > target
 
     n = None
@@ -792,10 +803,11 @@ _Row = namedtuple("_Row", "slots lo hi k x lr li gr gi dr di")
 _Plan = namedtuple("_Plan", "lines chains d_min s_den pf step t_gg q moves inverse h")
 
 
-def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
+def _plan(tau: SiegelPoint, z, den: int, boxes: dict, t_min: mpf) -> tuple[_Shape, _Plan]:
     """The shape (``_frames``) and the plan of the walk over ``boxes``
-    (a -> R_a) at (tau, z): every decision of the walk, made before it from
-    exact integers.  Call inside the working precision p = mp.prec.
+    (a -> R_a) at (tau, z), whose least certified box tail is t_min: every
+    decision of the walk, made before it from exact integers.  Call inside
+    the working precision p = mp.prec.
 
     Exact exponents.  With v = n + m1 and N = den*v = den*n + a, the term is
     exp(pi i D(N) / s) where s = den^2 2^-e0 and
@@ -842,8 +854,7 @@ def _plan(tau: SiegelPoint, z, den: int, boxes: dict) -> tuple[_Shape, _Plan]:
     step = shape.step
     s_den = den * den << -e0
     try:
-        x = (_height(z, min(_box_tail(z, a, den, radius) for a, radius in boxes.items()))
-             * float(s_den) / math.pi)
+        x = _height(z, t_min) * float(s_den) / math.pi
         cap = math.ceil(x + abs(x) * 2.0 ** -45)        # h
     except OverflowError:
         cap = None      # H or s beyond the double range: no clip
@@ -966,7 +977,7 @@ def _move(state: tuple, consts: tuple, shift: int, mul) -> tuple:
 
     Every multiplier is the exp of an exact exponent, so the moved values
     are the exact ones up to rounding.  ``mul`` is the product of two
-    values: ``_chain_plan`` moves (exponent, error) bounds and the walk
+    values: ``_chain_plan`` moves (modulus, error) bounds and the walk
     moves fixed-point values, so both follow this one recurrence.  Q and
     Q^-1 are read only when shift != 0."""
     t, p, m, o = state
@@ -1027,21 +1038,27 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     fractional bits (its constants, its anchors and O, one fresh exp at the
     start of each chain, too), and this plan bounds the error of every
     chained value from the exact moduli before the walk.  Every value is
-    tracked by the imaginary part of its exact exponent (numerators over
-    s_den) and a bound on its error in ulps of 2^-w.  A product of values
-    u, c with exact moduli |u|, |c| and errors E_u, E_c, rounded down, errs
-    by at most |u| E_c + |c| E_u + E_u E_c 2^-w + 2 ulps, and a fresh exp
-    by ``_fresh``.  A row chains when its peak term and each ratio it walks
-    err by at most E = 66 * 2^CHAIN_GUARD ulps of 2^-w, the allowance of a
-    value by identity too; rounded down to pf bits (less than sqrt(2) ulps
-    more) such a value, like a fresh one, errs by less than eps = 68 ulps
-    of 2^-pf.  Otherwise, and after a row that is not walked, it takes a
-    fresh anchor (the centre rows always do).  Every walked row thus starts
-    within eps and keeps its budget u_k (``_row_units``).  The
-    moduli are exact exponentials of exact exponents evaluated in doubles
-    (arguments below 709), so a bound's relative error grows by about
-    2^-43 per product: far below the gap 2 - sqrt(2) (relative 2^-7) for
-    any line within the radius cap.
+    tracked by its modulus, a double, and a bound on its error in ulps of
+    2^-w.  A product of values u, c with exact moduli |u|, |c| and errors
+    E_u, E_c, rounded down, errs by at most |u| E_c + |c| E_u
+    + E_u E_c 2^-w + 2 ulps, and a fresh exp by ``_fresh``.  A row chains
+    when its peak term and each ratio it walks err by at most
+    E = 66 * 2^CHAIN_GUARD ulps of 2^-w, the allowance of a value by
+    identity too; rounded down to pf bits (less than sqrt(2) ulps more)
+    such a value, like a fresh one, errs by less than eps = 68 ulps of
+    2^-pf.  Otherwise, and after a row that is not walked, it takes a fresh
+    anchor (the centre rows always do).  Every walked row thus starts
+    within eps and keeps its budget u_k (``_row_units``).
+
+    The moduli.  A fresh value's modulus is the exponential of its exact
+    exponent in doubles (``_mag``, with arguments below 709 in modulus
+    rounded three times, so within 2^-41 relative), an inverse's is the
+    reciprocal of its partner's and a product's is the product of its
+    factors' moduli, each rounding once more (2^-53).  So the model takes
+    no exp per product, a chained value's modulus is the exact one up to
+    about 2^-41 relative per product, and a bound's relative error grows
+    by as much: far below the gap 2 - sqrt(2) (relative 2^-7) for any line
+    within the radius cap.
 
     Inverses.  rho+ rho- = Q at every peak x, since D(x + st) + D(x - st)
     - 2 D(x) = 2 st^2 T_gg; O+ O- = Q_out for the outer ratios of a line's
@@ -1049,7 +1066,7 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     N_(g-1); Q Q^-1 = C C^-1 = 1.  Of each pair the value of larger modulus
     is a fresh exp, and the other is ``_inverse`` of it, times the product
     where that is not 1, at the chain's width: for an input error of E
-    ulps and the exact modulus |u| the inverse errs by at most
+    ulps and the modulus |u| the inverse errs by at most
     E / (|u| (|u| - E 2^-w)) + 2 ulps (the inverse of the rounded value,
     then a floor per part), and the product is bounded as above.  A value
     is formed so where that bound is within the allowance E of the chain's
@@ -1060,20 +1077,21 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     allowed = (68 - 2) * 2.0 ** CHAIN_GUARD
 
     def value(im: int) -> tuple:
-        """A fresh value: its exponent's imaginary part and its error."""
-        return im, _fresh(-math.pi * (im / s_den))
+        """A fresh value of exponent im: its modulus and its error."""
+        lg = -math.pi * (im / s_den)
+        return _mag(lg), _fresh(lg)
 
     def times(u: tuple, c: tuple) -> tuple:
-        err = (_mag(-math.pi * (u[0] / s_den)) * c[1]
-               + _mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
-        return u[0] + c[0], err if err == err else math.inf     # inf * 0
+        err = u[0] * c[1] + c[0] * u[1] + u[1] * c[1] * tiny + 2
+        return u[0] * c[0], err if err == err else math.inf     # inf * 0
 
     def by_identity(u: tuple, prod) -> tuple | None:
         """prod / u (prod None: 1 / u) by ``_inverse``, or None where its
         error is over the allowance."""
-        mod = _mag(-math.pi * (u[0] / s_den))
-        err = u[1] / (mod * (mod - u[1] * tiny)) + 2 if mod > u[1] * tiny else math.inf
-        out = -u[0], err if err == err else math.inf
+        mod, err = u
+        if mod <= err * tiny:
+            return None
+        out = 1 / mod, err / (mod * (mod - err * tiny)) + 2
         if prod is not None:
             out = times(out, prod)
         return out if out[1] <= allowed else None
@@ -1096,8 +1114,9 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     def anchored(row) -> tuple:
         """An anchor's values, the ratio of smaller modulus by identity
         where it fits, and the sign of that ratio (0: both fresh)."""
-        up, down = (value(num[1]) for num in _ratios(row, plan))
-        inv = 1 if up[0] >= down[0] else -1
+        ims = [num[1] for num in _ratios(row, plan)]
+        inv = 1 if ims[0] >= ims[1] else -1
+        up, down = map(value, ims)
         derived = by_identity(down if inv > 0 else up, q)
         if derived is None:
             inv = 0
@@ -1116,9 +1135,9 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
         outs = {}       # d -> the first O toward d from the centre, by identity
         if walked[centre] and 0 < centre < len(line) - 1 and walked[centre - 1] \
                 and walked[centre + 1]:
-            o = {d: value(_outer(line[centre], line[centre + d])[1]) for d in (1, -1)}
-            big = 1 if o[1][0] < o[-1][0] else -1
-            derived = by_identity(o[big], consts[1][4])
+            ims = {d: _outer(line[centre], line[centre + d])[1] for d in (1, -1)}
+            big = 1 if ims[1] < ims[-1] else -1
+            derived = by_identity(value(ims[big]), consts[1][4])
             if derived:
                 outs[-big] = derived
         start, inv = anchored(line[centre]) if walked[centre] else (None, 0)
@@ -1149,7 +1168,7 @@ def _chain_plan(plan: _Plan) -> tuple[list, dict]:
     return chains, inverse
 
 
-def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
+def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict, t_min: mpf):
     """One walk over the union of the boxes ||n||_inf <= R_a of the top
     characteristics m1 = a/den in ``boxes`` (a -> R_a), clipped to the
     ellipsoid of ``_plan``, in rows along the last coordinate, with one accumulator per class of N = den*n + a mod
@@ -1158,7 +1177,8 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     C, classes in ``itertools.product(range(den^2), repeat=g)`` order;
     exp(-M) with M = pi y_m, y_m an exact Fraction, is the common scale;
     units[a] is the rounding budget of a's classes in ulps of 2^-pf (the
-    cached shape's dict: read it only).  Call inside the working precision
+    cached shape's dict: read it only).  t_min is the least certified box
+    tail of the boxes (``_box_tail``).  Call inside the working precision
     p = mp.prec.
 
     The walk of theta[a/den; 0] for every a at once: m2 = b/den only
@@ -1179,13 +1199,15 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
     them per row of its pair (in none outside its box), so the errors of
     a's classes stay within units[a] 2^-pf, and so does a combination
     sum_C w_C A_C over a's classes with |w_C| = 1."""
-    shape, plan = _plan(tau, z, den, boxes)
+    shape, plan = _plan(tau, z, den, boxes, t_min)
     pf, s_den = plan.pf, plan.s_den
     r2 = den * den
     size = r2 ** tau.g
     acc_re = [0] * (2 * size + 1)
     acc_im = [0] * (2 * size + 1)
     exps = {}       # the walk's constants
+    q_pf = ()       # Q at pf bits, formed where a row first walks past its peak
+    moves = {}      # (d, whether the peak shifts) -> the constants of ``_move``
     w = pf + CHAIN_GUARD
 
     def const(num):
@@ -1221,9 +1243,11 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
                          if inv else outer(j - d, j))
                     state = state[:3] + (o,)
                 # Q and Q^-1 are taken only where the peak shifts
-                consts = [const(num) if shift or i > 1 else None
-                          for i, num in enumerate(plan.moves[d])]
-                state = _move(state, consts, shift, mul)
+                k = d, shift != 0
+                if k not in moves:
+                    moves[k] = [const(num) if shift or i > 1 else None
+                                for i, num in enumerate(plan.moves[d])]
+                state = _move(state, moves[k], shift, mul)
             else:
                 up, down = _ratios(row, plan)
                 if inv:     # rho_inv = Q / rho_-inv
@@ -1243,7 +1267,8 @@ def _row_sum(tau: SiegelPoint, z, den: int, boxes: dict):
             for rho, seq in ((rho_p, slots[k + 1:row.hi + 1]), (rho_m, slots[row.lo:k][::-1])):
                 if not seq:
                     continue
-                qr, qi = (v >> CHAIN_GUARD for v in const(plan.q))
+                q_pf = q_pf or [v >> CHAIN_GUARD for v in const(plan.q)]
+                qr, qi = q_pf
                 rr, ri = rho[0] >> CHAIN_GUARD, rho[1] >> CHAIN_GUARD
                 ur, ui = peak_re, peak_im
                 for c in seq:
@@ -1300,26 +1325,22 @@ def _theta_groups(tau: SiegelPoint, z, den: int, groups: dict,
     A_C a's class accumulators (a computed weight of modulus up to
     1 + 97 * 2^-pf stays inside the 1 + 2^-30 amplification).  Each sum
     carries units[a] + w and its tail: the certified box tail at
-    (s, radius), formed before the walk (``_box_tail``), times 1 + 2^-10
-    rounded up.  The class indices of a and the weight of each class for
-    each b come from a table cached per (g, den, a, bs, phase)
-    (``_classes``), so a walk's combination is its integer adds and
-    multiply-adds alone.
+    (s, radius), looked up once before the walk (``_box_tail``; the walk's
+    plan reads the least of them), times 1 + 2^-10 rounded up.  The class
+    indices of a and the weight of each class for each b come from a table
+    cached per (g, den, a, bs, phase) (``_classes``), so a walk's
+    combination is its integer adds and multiply-adds alone.
     """
     g = tau.g
     z = _at(tau, z)
-    tails = {}
-    for a, (radius, _) in groups.items():
-        t = _box_tail(z, a, den, radius)
-        if t not in tails:
-            tails[t] = mp.make_mpf(mpf_mul(t._mpf_, _CUSHION, TAIL_BITS, round_ceiling))
+    tails = {a: _box_tail(z, a, den, radius) for a, (radius, _) in groups.items()}
     acc_re, acc_im, y_m, units, pf = _row_sum(
-        tau, z, den, {a: radius for a, (radius, _) in groups.items()})
+        tau, z, den, {a: radius for a, (radius, _) in groups.items()}, min(tails.values()))
 
     weights = {}
     sums = {}
     for a, (radius, bs) in groups.items():
-        tail = tails[_box_tail(z, a, den, radius)]
+        tail = mp.make_mpf(mpf_mul(tails[a]._mpf_, _CUSHION, TAIL_BITS, round_ceiling))
         idx, ks = _classes(g, den, a, tuple(bs), phase)
         parts = [(acc_re[i], acc_im[i]) for i in idx]
         # each class times 1, i, -1 and -i

@@ -9,7 +9,11 @@ Gram-Schmidt recomputed after every step), the column HNF by Euclid on
 the smallest entry of each row, and the accumulator slots of a walked theta
 row term by term.
 
-Three references are not independent.  ``beta_sigma_det_scaled`` keeps
+Four references are not independent.  ``per_row_chains`` keeps the former
+chain plan of ``theta._chain_plan``, which formed every modulus as the exp
+of its exact exponent, over the package's own recurrence (``theta._move``)
+and exponents, so that a test can hold the plan's decisions to it.
+``beta_sigma_det_scaled`` keeps
 the former det-scaled formula of beta_sigma over the package's own theta
 values, so that a test can compare the two formulas alone.
 ``theta_groups_combination`` keeps the former per-class loop of
@@ -22,6 +26,7 @@ against theta2^4/theta3^4), so that the closed forms of ``heights`` can be
 checked against certified theta values.
 """
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -415,6 +420,114 @@ def theta_groups_combination(acc_re, acc_im, g, den, groups, units, pf, phase, u
             out.append((sr >> pf, si >> pf, units[a] + w_units))
         sums[a] = out
     return sums
+
+
+def per_row_chains(plan, follow=None):
+    """The former chain plan of ``theta._chain_plan``, which bounded the
+    error of every chained value row by row in doubles: (chains, inverse,
+    refused).  Each value is (im, err), the imaginary part of its exact
+    exponent over s_den and its error in ulps of 2^-w, w = pf +
+    ``CHAIN_GUARD``; ``theta._move`` carries it with the product rule
+    |u| E_c + |c| E_u + E_u E_c 2^-w + 2, a fresh exp errs by
+    ``theta._fresh``, and a row chains when its peak term and each ratio it
+    walks err by at most 66 2^CHAIN_GUARD ulps.
+
+    With ``follow`` (the chains of a plan) the model takes that plan's
+    decisions instead of its own, and ``refused`` lists (line index, j) of
+    each row ``follow`` chains that the per-row model does not admit."""
+    from thetaheights import theta as th
+    s_den = plan.s_den
+    tiny = 2.0 ** -(plan.pf + th.CHAIN_GUARD)
+    allowed = (68 - 2) * 2.0 ** th.CHAIN_GUARD
+
+    def value(im):
+        return im, th._fresh(-math.pi * (im / s_den))
+
+    def times(u, c):
+        err = (th._mag(-math.pi * (u[0] / s_den)) * c[1]
+               + th._mag(-math.pi * (c[0] / s_den)) * u[1] + u[1] * c[1] * tiny + 2)
+        return u[0] + c[0], err if err == err else float("inf")
+
+    def by_identity(u, prod):
+        mod = th._mag(-math.pi * (u[0] / s_den))
+        err = u[1] / (mod * (mod - u[1] * tiny)) + 2 if mod > u[1] * tiny else float("inf")
+        out = -u[0], err if err == err else float("inf")
+        if prod is not None:
+            out = times(out, prod)
+        return out if out[1] <= allowed else None
+
+    bounds, inverse = {}, {}
+    nums = set(plan.moves[1])
+    for num in nums:
+        partner = -num[0], -num[1]
+        if partner in nums and num[::-1] > partner[::-1]:
+            bounds[num] = by_identity(value(partner[1]), None)
+            if bounds[num]:
+                inverse[num] = partner
+                continue
+        bounds[num] = value(num[1])
+    consts = {d: [bounds[num] for num in move] for d, move in plan.moves.items()}
+    q = bounds[plan.q]
+
+    def anchored(row):
+        up, down = (value(num[1]) for num in th._ratios(row, plan))
+        inv = 1 if up[0] >= down[0] else -1
+        derived = by_identity(down if inv > 0 else up, q)
+        if derived is None:
+            inv = 0
+        elif inv > 0:
+            up = derived
+        else:
+            down = derived
+        return (value(row.di - plan.d_min), up, down, None), inv
+
+    chains, refused = [], []
+    for index, line in enumerate(plan.lines):
+        centre = min(range(len(line)), key=lambda j: line[j].di)
+        walked = [row.lo <= row.hi and 4 * (row.di - plan.d_min) <= s_den * (plan.pf + 1)
+                  for row in line]
+        outs = {}
+        if walked[centre] and 0 < centre < len(line) - 1 and walked[centre - 1] \
+                and walked[centre + 1]:
+            o = {d: value(th._outer(line[centre], line[centre + d])[1]) for d in (1, -1)}
+            big = 1 if o[1][0] < o[-1][0] else -1
+            derived = by_identity(o[big], consts[1][4])
+            if derived:
+                outs[-big] = derived
+        start, inv = anchored(line[centre]) if walked[centre] else (None, 0)
+        out = [(centre, 0, "anchor" if walked[centre] else "skip", 0, inv)]
+        told = {(j, d): how for j, d, how, _, _ in follow[index]} if follow else {}
+        for d in (1, -1):
+            state = start
+            for j in range(centre + d, len(line) if d > 0 else -1, d):
+                row, prev = line[j], line[j - d]
+                how, shift, inv = "anchor", 0, 0
+                if not walked[j]:
+                    how, state = "skip", None
+                elif state is not None:
+                    if state[3] is None:
+                        inv = int(j - d == centre and d in outs)
+                        o = outs[d] if inv else value(th._outer(prev, row)[1])
+                        state = state[:3] + (o,)
+                    shift = (row.x - prev.x) // plan.step
+                    cand = th._move(state, consts[d], shift, times)
+                    (_, et), (_, ep), (_, em), _ = cand
+                    admitted = (et <= allowed and (row.k == row.hi or ep <= allowed)
+                                and (row.k == row.lo or em <= allowed))
+                    if follow and told[j, d] == "chain":
+                        if not admitted:
+                            refused.append((index, j))
+                        admitted = True
+                    elif follow:
+                        admitted = False
+                    if admitted:
+                        how, state = "chain", cand
+                if how == "anchor":
+                    state, inv = anchored(row)
+                    shift = 0
+                out.append((j, d, how, shift, inv))
+        chains.append(out)
+    return chains, inverse, refused
 
 
 def _even_nulls(tau, prec):

@@ -253,23 +253,33 @@ def test_real_elimination_is_the_gaussian_one():
 
 def test_reduce_heuristic_acts_only_with_chosen_moves(monkeypatch):
     calls = []
-    real_act = siegel.act
+    images = []
+    real_act, real_image = siegel.act, siegel._image
 
     def counting_act(*args, **kwargs):
         calls.append(args[0])
         return real_act(*args, **kwargs)
 
+    def counting_image(*args, **kwargs):
+        images.append(args[0])
+        return real_image(*args, **kwargs)
+
     monkeypatch.setattr(siegel, "act", counting_act)
+    monkeypatch.setattr(siegel, "_image", counting_image)
     generator_moves = 0
     for k in range(6):
         tau = sampling.random_siegel_point(sampling.substream(11, f"h2:{k}"), 2)
         calls.clear()
+        images.clear()
         res = reduce_heuristic(tau, prec=96)
         word = res.certificate.word
-        generator_moves += sum(move[0] == "G" for move in word)
-        # one act per generator move, one for the residual; translations
+        moves = sum(move[0] == "G" for move in word)
+        generator_moves += moves
+        # one act per generator move, and the residual reads the rounded
+        # entries of one more image without building a point; translations
         # and basis changes are exact integer-form moves
-        assert len(calls) == sum(move[0] == "G" for move in word) + 1
+        assert len(calls) == moves
+        assert len(images) == moves + 1 and images[-1] == res.gamma
         calls.clear()
         fundamental_domain_report(res.reduced, prec=96)
         assert calls == []
@@ -333,7 +343,7 @@ def test_translations_and_basis_changes_are_exact_moves(g, count, monkeypatch):
         made.clear()
         res = reduce_heuristic(tau, prec=96)
         cert = res.certificate
-        points = made[:-1]   # the last act is the certificate's residual
+        points = made        # the certificate's residual builds no point
         assert len(points) == len(cert.word)
         prev = tau
         for i, (move, point) in enumerate(zip(cert.word, points)):
@@ -554,6 +564,37 @@ def test_heuristic_g2_certificates():
         assert res.certificate.action_residual < 10 * mpf(2) ** -48
 
 
+def test_a_settled_basis_is_not_passed_again(monkeypatch):
+    # the basis pass runs at most once per iteration, and never on the Y that
+    # the previous pass of the same reduction left settled (only a
+    # translation, or no move, since): that pass returns the identity.  Over
+    # seeded g = 2 reductions some iterations skip it, so there are fewer
+    # passes than iterations, and every pass on a settled Y returns the
+    # identity
+    calls = []
+    real = siegel.reduced_basis_change
+
+    def counted(y):
+        calls.append((y, real(y)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(siegel, "reduced_basis_change", counted)
+    passes = iterations = 0
+    for k in range(60):
+        tau = sampling.random_siegel_point(sampling.substream(77, f"red:2:{k}"), 2)
+        calls.clear()
+        res = reduce_heuristic(tau, prec=96)
+        assert len(calls) <= res.certificate.iterations
+        for (y, (u, settled)), (later, _) in zip(calls, calls[1:]):
+            assert not (settled and later == siegel._congruence(u, y))
+        for y, (u, settled) in calls:
+            if settled:
+                assert real(siegel._congruence(u, y)) == (siegel._int_identity(2), True)
+        passes += len(calls)
+        iterations += res.certificate.iterations
+    assert passes < iterations
+
+
 def test_lll_gram_reduces():
     # 10 Im tau for Im tau = [[1, 9/10], [9/10, 1]]: LLL compares ratios of
     # the Gram matrix only, so an integer multiple gives the same U
@@ -561,7 +602,8 @@ def test_lll_gram_reduces():
     u = lll_gram(y)
     assert u != ((1, 0), (0, 1))
     assert lll_gram(tuple(tuple(7 * v for v in row) for row in y)) == u
-    v = reduced_basis_change(y)
+    v, settled = reduced_basis_change(y)
+    assert settled
     # unimodular and size-reduced output: |y12| <= y11/2 <= y22/2
     yy = siegel._congruence(v, y)
     assert abs(yy[0][1]) * 2 <= yy[0][0] <= yy[1][1]

@@ -12,7 +12,7 @@ from mpmath import (exp, expjpi, fadd, fabs, fsum, gamma, ldexp, libmp, log, mp,
 
 from thetaheights import sampling
 from thetaheights import theta as theta_module
-from thetaheights.campaign import CampaignConfig
+from thetaheights.campaign import CampaignConfig, compute_sample
 from thetaheights.certified import (DEFAULT_PREC, GUARD_BITS, CertifiedComplex,
                                     CertifiedReal, PrecisionError)
 from thetaheights.exactla import fraction_to_mpf, mpf_to_fraction
@@ -24,8 +24,8 @@ from thetaheights.theta import (CosetSet, ReduceFirstError, ThetaCharacteristic,
                                 theta_truncated, verify_duplication,
                                 verify_norm_bounds)
 
-from oracles import (beta_sigma_det_scaled, row_slots, theta_brute, theta_brute_batch,
-                     theta_groups_combination, theta_norm_brute)
+from oracles import (beta_sigma_det_scaled, per_row_chains, row_slots, theta_brute,
+                     theta_brute_batch, theta_groups_combination, theta_norm_brute)
 
 I = mpc(0, 1)
 TAU_I = SiegelPoint.from_complex(I)
@@ -249,7 +249,8 @@ def test_tail_bound_is_its_formula_rounded_outward(monkeypatch):
     def check(cases, c=None):
         with workprec(4 * theta_module.TAIL_BITS):
             refs = [_tail_formula(*case, c=c) for case in cases]
-        got = [theta_module._tail(g, lam, n + 1 - gap, theta_module._tail_head(g, xi))(n)
+        got = [theta_module._tail(g, theta_module._tail_neg(lam), n + 1 - gap,
+                                  theta_module._tail_head(g, xi))(n)
                for g, lam, xi, gap, n in cases]
         with workprec(4 * theta_module.TAIL_BITS):
             for case, ref, bound in zip(cases, refs, got):
@@ -326,7 +327,7 @@ def test_radius_is_the_least_above_the_search_floor(monkeypatch):
                     / (pi * fraction_to_mpf(lam)))
             jump = int(s + sqrt(need)) + 1 if need > 0 else 0
             floor = min(max(int(s) + 1, jump), int(s) + 2)
-            bound = theta_module._tail(g, lam, s, zt.head)
+            bound = theta_module._tail(g, zt.neg, s, zt.head)
             assert bound(n) <= target, (prec, char)
             assert n == floor or bound(n - 1) > target, (prec, char)
             return n == floor and bound(n - 1) <= target
@@ -419,7 +420,7 @@ def test_near_tie_is_decided_by_the_certified_bound(monkeypatch):
     tau = SiegelPoint.from_complex(mpc("0.3", "0.87"))
     with workprec(96 + GUARD_BITS):
         zt = theta_module._at(tau, None)
-        tie = 2 * theta_module._tail(1, zt.tail[0], Fraction(0), zt.head)(6)
+        tie = 2 * theta_module._tail(1, zt.neg, Fraction(0), zt.head)(6)
     with workprec(400):
         below = tie * (1 - mpf(2) ** -100)
     calls = _counted_tail(monkeypatch)
@@ -988,12 +989,12 @@ def test_part_of_a_level_walks_with_the_common_step(tops, step):
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
             zt = theta_module._at(tau, z)
-            lam, xi, u = zt.tail
+            u = zt.tail[2]
             union = _group_values(tau, z, 4, groups)
             for a, (radius, _) in groups.items():
                 alone = _group_values(tau, z, 4, {a: (radius, bs)})[a]
                 s = max(abs(Fraction(x, 4) + w) for x, w in zip(a, u))
-                tail = theta_module._tail(2, lam, s, zt.head)(radius)
+                tail = theta_module._tail(2, zt.neg, s, zt.head)(radius)
                 with workprec(200):
                     refs = theta_brute_batch(rows, z, [Fraction(x, 4) for x in a],
                                              [[Fraction(x, 4) for x in b] for b in bs],
@@ -1207,13 +1208,14 @@ def test_a_cached_shape_is_walked_as_it_is(monkeypatch):
                                  [mpc("0.2", "0.4"), mpc("-0.3", "1.1")]])
     boxes = {(0, 0): 3, (0, 1): 4, (1, 0): 2, (1, 1): 3}
     with workprec(96 + GUARD_BITS):
-        first = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes)
+        # t_min = 1: the least box tail only sets the ellipsoid's clip
+        first = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes, mpf(1))
         misses = theta_module._frames.cache_info().misses
         budgets = []
         row_units = theta_module._row_units
         monkeypatch.setattr(theta_module, "_row_units",
                             lambda k: budgets.append(k) or row_units(k))
-        again = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes)
+        again = theta_module._row_sum(tau, theta_module._at(tau, None), 2, boxes, mpf(1))
     assert theta_module._frames.cache_info().misses == misses and budgets == []
     assert again == first
 
@@ -1292,12 +1294,13 @@ def test_mirrored_rows_match_brute_oracle(name, tau, den, boxes, bs):
     for prec in (96, 8):
         with workprec(prec + GUARD_BITS):
             zt = theta_module._at(tau, z)
-            lam, xi, _ = zt.tail
-            units = theta_module._row_sum(tau, zt, den, boxes)[3]
+            # the budgets come from the shape, whatever the clip's t_min
+            units = theta_module._row_sum(tau, zt, den, boxes, mpf(1))[3]
             union = _group_values(tau, z, den, {a: (radius, bs) for a, radius in boxes.items()})
             alone = {a: _group_values(tau, z, den, {a: (radius, bs)})[a]
                      for a, radius in boxes.items()}
-            tails = {a: theta_module._tail(g, lam, theta_module._shift(zt, a, den), zt.head)(radius)
+            tails = {a: theta_module._tail(g, zt.neg, theta_module._shift(zt, a, den),
+                                           zt.head)(radius)
                      for a, radius in boxes.items()}
         for a, radius in boxes.items():
             held = [last[tuple(den * x + y for x, y in zip(pre, a))]
@@ -1341,6 +1344,54 @@ def test_oracle_cases_clip_rows_and_form_inverses(monkeypatch):
         if c in plan.inverse or (-c[0], -c[1]) in plan.inverse:
             found.add("C")
     assert found == {"emptied", "shortened", "rho+", "rho-", "Q", "C", "O"}, found
+
+
+def _case_walks():
+    """One walk per case of ``_engine_cases``, ``_group_cases``,
+    ``_level_cases``, ``_chain_cases`` and ``_mirror_cases``, at prec 96;
+    call inside the working precision."""
+    for tau, z, char in _engine_cases():
+        theta(tau, z, char, 96)
+    for tau, z, r, a in _group_cases():
+        char = ThetaCharacteristic.from_integers(r, a, (0,) * tau.g)
+        _group_values(tau, z, r, {a: (choose_radius(tau, z, char, 96), [a])})
+    for tau, z in _level_cases():
+        for r in (2, 4):
+            theta_module._theta_batch(tau, z, r, theta_module._level_chars(tau.g, r), 96)
+    cases = [(tau, z, den, boxes) for _, tau, z, den, boxes in _chain_cases()]
+    cases += [(tau, (mpc(0),) * tau.g, den, boxes) for _, tau, den, boxes, _ in _mirror_cases()]
+    for tau, z, den, boxes in cases:
+        _group_values(tau, z, den, {a: (radius, [a]) for a, radius in boxes.items()})
+
+
+def test_chain_plan_keeps_the_per_row_model(monkeypatch):
+    # the chain plan carries each value's modulus as a double, with no exp
+    # per product.  On every walk of the brute-oracle case lists and on
+    # the 450 walks of the seed-56 g = 2 norm-bounds sweep, no row it chains
+    # is one the per-row model (every modulus the exp of its exact exponent)
+    # refuses, and its chains and values by identity are that model's.  The
+    # cases' walks take anchors off a line's centre (the model refuses
+    # rows there), so a looser bound would show
+    seen = _record_plans(monkeypatch)
+    with workprec(96 + GUARD_BITS):
+        _case_walks()
+    built = len(seen)
+    cfg = CampaignConfig(suite="norm-bounds", samples=500, seed=56, g=2, r=2, prec=96)
+    for k in range(150):
+        for sid in (f"i:{k}", f"ii:{k}"):
+            compute_sample(cfg, sid)
+    assert len(seen) - built == 450
+    refusals = 0
+    for _, plan in seen:
+        chains, inverse, _ = per_row_chains(plan)
+        assert per_row_chains(plan, plan.chains)[2] == []
+        assert (chains, inverse) == (plan.chains, plan.inverse)
+        for chain in chains:
+            hows = {j: how for j, _, how, _, _ in chain}
+            # a fresh anchor right after a walked row: a refused row
+            refusals += sum(d != 0 and how == "anchor" and hows[j - d] != "skip"
+                            for j, d, how, _, _ in chain)
+    assert refusals
 
 
 def test_a_g1_walk_forms_a_ratio_and_q_by_identity(monkeypatch):
